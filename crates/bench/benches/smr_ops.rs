@@ -7,12 +7,16 @@
 //! constant-factor difference the paper attributes the HP slowdown and the
 //! small WFE-vs-HE gap to (§5, linked-list discussion). The `guard_overhead`
 //! group measures the safe layer itself against the raw SPI sequence, so the
-//! zero-cost claim of the guard API is checked, not assumed.
+//! zero-cost claim of the guard API is checked, not assumed. The
+//! `cleanup_pass` group is the batch-scan rung: one pass over a batch a
+//! stalled reader pins (`pinned`), and the pass right after the reader leaves
+//! (`released`).
 
+use std::cell::RefCell;
 use std::ptr;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use wfe_core::Wfe;
 use wfe_reclaim::{
     Atomic, BlockCacheConfig, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, Leak, RawHandle, Reclaimer,
@@ -88,6 +92,78 @@ fn bench_alloc_retire_cached<R: Reclaimer>(c: &mut Criterion, name: &str) {
             })
         },
     );
+}
+
+/// Retires `blocks` blocks through `retirer` that `reader`'s reservation
+/// pins (the reader reserves after they are allocated and before they are
+/// retired), then runs the pass that first judges them.
+fn pin_blocks<R: Reclaimer>(
+    retirer: &mut R::Handle,
+    reader: &mut R::Handle,
+    root: &Atomic<u64>,
+    blocks: usize,
+) {
+    let allocated: Vec<_> = (0..blocks).map(|_| retirer.alloc(0u64)).collect();
+    reader.begin_op();
+    reader.protect(root, 0, ptr::null_mut());
+    for block in allocated {
+        // SAFETY: never published; this is its only retire.
+        unsafe { retirer.retire(block) };
+    }
+    retirer.force_cleanup();
+}
+
+fn bench_cleanup_pass<R: Reclaimer>(c: &mut Criterion, name: &str) {
+    // One cleanup pass against a batch a stalled reader pins. `pinned`: the
+    // reader is still there — WFE, HE and EBR park the batch under the
+    // reader's era and the pass asks one question for the lot; 2GEIBR has no
+    // era to park under and judges every block again. `released`: the pass
+    // right after the reader leaves, which judges and frees every block —
+    // where the work that left the steady state now falls. No pass runs on
+    // its own (`cleanup_freq`), so each timed call is exactly one.
+    let domain = R::with_config(ReclaimerConfig {
+        cleanup_freq: usize::MAX,
+        ..ReclaimerConfig::with_max_threads(4)
+    });
+    // `(retirer, reader)`, shared by `iter_batched`'s set-up and routine.
+    let handles = RefCell::new((domain.register(), domain.register()));
+    let anchor = handles.borrow_mut().0.alloc(0u64);
+    let root: Atomic<u64> = Atomic::new(anchor);
+    let pin = |blocks: usize| {
+        let (retirer, reader) = &mut *handles.borrow_mut();
+        pin_blocks::<R>(retirer, reader, &root, blocks);
+    };
+    let release = || handles.borrow_mut().1.end_op();
+    let pass = || handles.borrow_mut().0.force_cleanup();
+    for (label, blocks) in [("1k", 1 << 10), ("16k", 1 << 14)] {
+        pin(blocks);
+        c.bench_with_input(
+            BenchmarkId::new(format!("cleanup_pass/pinned/{label}"), name),
+            &(),
+            |bencher, _| bencher.iter(pass),
+        );
+        release();
+        pass();
+        assert_eq!(domain.stats().unreclaimed, 0, "the reader left");
+
+        c.bench_with_input(
+            BenchmarkId::new(format!("cleanup_pass/released/{label}"), name),
+            &(),
+            |bencher, _| {
+                bencher.iter_batched(
+                    || {
+                        pin(blocks);
+                        release();
+                    },
+                    |()| pass(),
+                    BatchSize::PerIteration,
+                )
+            },
+        );
+    }
+    drop(handles);
+    // SAFETY: bench-owned block, never retired; freed once.
+    unsafe { wfe_reclaim::Linked::dealloc(anchor) };
 }
 
 fn bench_register_churn<R: Reclaimer>(c: &mut Criterion, name: &str) {
@@ -241,6 +317,11 @@ fn smr_ops(c: &mut Criterion) {
     bench_alloc_retire_cached::<Hp>(c, "HP");
     bench_alloc_retire_cached::<Ebr>(c, "EBR");
     bench_alloc_retire_cached::<Ibr2Ge>(c, "2GEIBR");
+
+    bench_cleanup_pass::<Wfe>(c, "WFE");
+    bench_cleanup_pass::<He>(c, "HE");
+    bench_cleanup_pass::<Ebr>(c, "EBR");
+    bench_cleanup_pass::<Ibr2Ge>(c, "2GEIBR");
 
     bench_guard_overhead::<Wfe>(c, "WFE");
     bench_guard_overhead::<He>(c, "HE");

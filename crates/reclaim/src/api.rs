@@ -355,6 +355,17 @@ pub unsafe trait RawHandle {
     fn block_caches(&mut self) -> (Option<&mut LocalBlockCache>, Option<&ShardCache>) {
         (None, None)
     }
+
+    /// Who pins this thread's retired blocks: the groups its batch has
+    /// parked, as `(witness era, blocks)` pairs in no particular order. A
+    /// pair `(334, 50_000)` reads "50 000 blocks pinned by era 334": some
+    /// thread has published era (epoch) 334 since before they were retired
+    /// and the last cleanup pass still saw it. Blocks retired since that pass
+    /// and, under HP and 2GEIBR, blocks pinned without a nameable era are not
+    /// listed. The default (nothing parked) suits schemes that never scan.
+    fn parked_groups(&self) -> Vec<(u64, usize)> {
+        Vec::new()
+    }
 }
 
 /// Typed convenience layer over [`RawHandle`]; blanket-implemented.

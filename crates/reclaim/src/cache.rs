@@ -44,10 +44,15 @@ use crate::treiber::TypeStableStack;
 
 /// The block sizes (in bytes) served by the cache, one freelist per entry.
 ///
-/// The progression covers every node type in the suite (list/map nodes are
-/// ~48 bytes with the header, BST internal nodes ~64, queue descriptors up to
-/// a few hundred); anything larger falls through to the allocator.
-pub const CLASS_SIZES: [usize; 5] = [64, 128, 256, 512, 1024];
+/// Each is the *usable* size of an allocator bin, not a power of two: glibc
+/// hands out chunks of `16k` bytes of which `16k - 8` are usable, so asking
+/// for 64 bytes takes an 80-byte chunk where asking for 56 takes a 64-byte
+/// one — 16 bytes per live block, which is the whole pinned set under a
+/// stalled reader. The progression covers every node type in the suite (a
+/// list or fixed-map node is 56 bytes with its 32-byte header, a
+/// `ResizableHashMap` node 72, queue descriptors up to a few hundred);
+/// anything larger falls through to the allocator.
+pub const CLASS_SIZES: [usize; 5] = [56, 120, 248, 504, 1016];
 
 /// Alignment of every class allocation. Covers all fundamental alignments up
 /// to 16 (the `BlockHeader` itself needs 8); over-aligned payloads fall
@@ -90,7 +95,7 @@ impl SizeClass {
     /// lets blocks of different `T` share a freelist.
     #[inline]
     pub fn layout(self) -> Layout {
-        // SAFETY-free: both constants are non-zero powers of two and the
+        // SAFETY-free: the alignment is a non-zero power of two and the
         // sizes are far below isize::MAX, so the layout is always valid.
         Layout::from_size_align(self.size(), CLASS_ALIGN).expect("class layout is valid")
     }
@@ -592,11 +597,23 @@ mod tests {
     #[test]
     fn class_of_picks_smallest_fit() {
         assert_eq!(SizeClass::of(1, 8), Some(SizeClass(0)));
-        assert_eq!(SizeClass::of(64, 16), Some(SizeClass(0)));
-        assert_eq!(SizeClass::of(65, 8), Some(SizeClass(1)));
-        assert_eq!(SizeClass::of(1024, 8), Some(SizeClass(4)));
-        assert_eq!(SizeClass::of(1025, 8), None, "too large for any class");
+        assert_eq!(SizeClass::of(56, 8), Some(SizeClass(0)));
+        assert_eq!(SizeClass::of(57, 8), Some(SizeClass(1)));
+        assert_eq!(SizeClass::of(64, 16), Some(SizeClass(1)));
+        assert_eq!(SizeClass::of(1016, 8), Some(SizeClass(4)));
+        assert_eq!(SizeClass::of(1017, 8), None, "too large for any class");
         assert_eq!(SizeClass::of(8, 32), None, "over-aligned");
+    }
+
+    #[test]
+    fn classes_are_allocator_bin_usable_sizes() {
+        // glibc: a chunk is 16k bytes, 8 of them the size word.
+        for size in CLASS_SIZES {
+            assert_eq!((size + 8) % 16, 0, "{size} + 8 fills a 16-byte-grain chunk");
+        }
+        // The two node types the benchmark retires by the million.
+        assert_eq!(SizeClass::of(56, 8).map(SizeClass::size), Some(56));
+        assert_eq!(SizeClass::of(72, 8).map(SizeClass::size), Some(120));
     }
 
     #[test]
@@ -612,12 +629,12 @@ mod tests {
     #[test]
     fn push_pop_recycles_the_same_block() {
         let cache = ShardCache::new(4);
-        let class = SizeClass::of(64, 8).unwrap();
+        let class = SizeClass::of(56, 8).unwrap();
         let block = alloc_class(class);
         // SAFETY: freshly allocated with this class, pushed exactly once.
         let pushed = unsafe { cache.push(class, block) };
         assert!(pushed, "below capacity: cached");
-        assert_eq!(cache.cached_bytes(), 64);
+        assert_eq!(cache.cached_bytes(), 56);
         let popped = cache.pop(class).expect("one block parked");
         assert_eq!(popped, block, "the parked block comes back");
         assert_eq!(cache.hits(), 1);
@@ -639,7 +656,7 @@ mod tests {
             assert!(cache.push(class, alloc_class(class)));
             // Third push overflows: dealloc'd immediately, not parked.
             assert!(!cache.push(class, alloc_class(class)));
-            assert_eq!(cache.cached_bytes(), 2 * 128);
+            assert_eq!(cache.cached_bytes(), 2 * 120);
             // Other classes have their own bound.
             let other = SizeClass::of(1000, 8).unwrap();
             assert!(cache.push(other, alloc_class(other)));
@@ -677,7 +694,7 @@ mod tests {
         assert!(caches.shard(3).is_none(), "out of the shard range");
 
         let mut stats = SmrStats::default();
-        let class = SizeClass::of(64, 8).unwrap();
+        let class = SizeClass::of(56, 8).unwrap();
         // SAFETY: freshly allocated with this class, pushed exactly once.
         unsafe { caches.shard(1).unwrap().push(class, alloc_class(class)) };
         if let Some(ptr) = caches.shard(1).unwrap().pop(class) {
@@ -694,7 +711,7 @@ mod tests {
     #[test]
     fn magazine_recycles_owner_thread_blocks_without_the_shard() {
         let mut local = LocalBlockCache::new();
-        let class = SizeClass::of(64, 8).unwrap();
+        let class = SizeClass::of(56, 8).unwrap();
         assert!(local.pop(class, None).is_none(), "starts empty: miss");
         let block = alloc_class(class);
         // SAFETY: freshly allocated class block, no payload to drop.
@@ -709,7 +726,7 @@ mod tests {
     fn magazine_spills_to_and_refills_from_the_shard() {
         let shard = ShardCache::new(LOCAL_MAGAZINE_CAP);
         let mut local = LocalBlockCache::new();
-        let class = SizeClass::of(64, 8).unwrap();
+        let class = SizeClass::of(56, 8).unwrap();
         // Overfill the magazine by one: the push spills half to the shard.
         for _ in 0..=LOCAL_MAGAZINE_CAP {
             // SAFETY: fresh class blocks, no payload to drop.
@@ -717,7 +734,7 @@ mod tests {
         }
         assert_eq!(
             shard.cached_bytes(),
-            (LOCAL_MAGAZINE_CAP / 2 * 64) as u64,
+            (LOCAL_MAGAZINE_CAP / 2 * 56) as u64,
             "half a magazine spilled"
         );
         // Drain the magazine dry, then keep popping: refills come from the
@@ -739,7 +756,7 @@ mod tests {
     fn magazine_drain_routes_through_the_shard_capacity_bound() {
         let shard = ShardCache::new(2);
         let mut local = LocalBlockCache::new();
-        let class = SizeClass::of(64, 8).unwrap();
+        let class = SizeClass::of(56, 8).unwrap();
         for _ in 0..4 {
             // SAFETY: fresh class blocks, no payload to drop.
             unsafe { local.push(class, alloc_class(class), Some(&shard)) };
@@ -747,7 +764,7 @@ mod tests {
         local.drain(Some(&shard));
         assert_eq!(
             shard.cached_bytes(),
-            2 * 64,
+            2 * 56,
             "two parked, two overflowed to the allocator"
         );
         // The shard's Drop frees the two parked blocks.

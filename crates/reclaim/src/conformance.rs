@@ -224,6 +224,82 @@ pub fn protection_blocks_reclamation<R: Reclaimer>() {
     );
 }
 
+/// A stalled reader costs the other threads' cleanup passes nothing: the
+/// blocks it pins are parked under the era (epoch) it publishes, so each
+/// pass judges only what was retired since the previous one — counted by
+/// [`SmrStats::scanned`](crate::SmrStats::scanned), not timed — and the first
+/// pass after the reader leaves frees every one of them.
+///
+/// For the schemes whose reservations name a witness (`Wfe`, `He`, `Ebr`).
+pub fn stalled_reader_costs_passes_nothing<R: Reclaimer>() {
+    const PINNED: u64 = 2_000;
+    const CLEANUP_FREQ: u64 = 10;
+    let domain = R::with_config(ReclaimerConfig {
+        cleanup_freq: CLEANUP_FREQ as usize,
+        era_freq: 1,
+        ..ReclaimerConfig::with_max_threads(2)
+    });
+    let mut reader = domain.register();
+    let mut writer = domain.register();
+    let stack = MiniStack::new();
+    for i in 0..PINNED {
+        stack.push(&mut writer, i as usize, None);
+    }
+    // The reader reserves after every node was allocated and then stalls:
+    // its era lies in the lifespan of each of them.
+    reader.begin_op();
+    assert!(!reader.protect(&stack.head, 0, ptr::null_mut()).is_null());
+
+    /// Blocks the cleanup passes inside `step` judged.
+    fn judged_by<R: Reclaimer>(domain: &R, step: impl FnOnce()) -> u64 {
+        let before = domain.stats().scanned;
+        step();
+        domain.stats().scanned - before
+    }
+    let mut judged = 0;
+    for _ in 0..PINNED {
+        let by_this_pop = judged_by(&*domain, || {
+            stack.pop(&mut writer);
+        });
+        assert!(
+            by_this_pop <= CLEANUP_FREQ,
+            "a pass judged {by_this_pop} blocks with {} pinned: it rescanned parked blocks",
+            domain.stats().unreclaimed
+        );
+        judged += by_this_pop;
+    }
+    assert_eq!(domain.stats().unreclaimed, PINNED, "all of them are pinned");
+    assert_eq!(judged, PINNED, "each pinned block was judged exactly once");
+    let parked = writer.parked_groups();
+    assert_eq!(parked.len(), 1, "one reader, one witness: {parked:?}");
+    assert_eq!(parked[0].1 as u64, PINNED);
+
+    // More passes and more traffic while the reader stalls: a pass judges
+    // the newly retired blocks, plus the few the previous pass parked under
+    // the writer's own era of the moment — never the reader's.
+    assert_eq!(judged_by(&*domain, || writer.force_cleanup()), 0);
+    for i in 0..10 * CLEANUP_FREQ {
+        let by_this_pair = judged_by(&*domain, || {
+            stack.push(&mut writer, i as usize, None);
+            stack.pop(&mut writer);
+        });
+        assert!(by_this_pair <= 2 * CLEANUP_FREQ, "judged {by_this_pair}");
+    }
+    assert!(domain.stats().unreclaimed >= PINNED);
+
+    // The reader leaves: one pass judges the released group and frees it.
+    reader.clear();
+    reader.end_op();
+    let released = judged_by(&*domain, || writer.force_cleanup());
+    assert!(released >= PINNED, "the released group is judged again");
+    assert_eq!(
+        domain.stats().unreclaimed,
+        0,
+        "everything is freed by the first pass after the reader leaves"
+    );
+    assert!(writer.parked_groups().is_empty());
+}
+
 /// Every allocated block is eventually dropped exactly once: either reclaimed
 /// during the run, freed by the stack's `Drop`, or released when the domain
 /// is destroyed (orphans).

@@ -275,6 +275,10 @@ unsafe impl RawHandle for EbrHandle {
         let shard = self.domain.caches.shard(self.cache_shard);
         (shard.is_some().then_some(&mut self.local_cache), shard)
     }
+
+    fn parked_groups(&self) -> Vec<(u64, usize)> {
+        self.retired.parked_groups().collect()
+    }
 }
 
 impl Drop for EbrHandle {
@@ -321,6 +325,11 @@ mod tests {
     #[test]
     fn concurrent_stack_stress() {
         conformance::concurrent_stack_stress::<Ebr>(4, 2_000);
+    }
+
+    #[test]
+    fn stalled_reader_costs_passes_nothing() {
+        conformance::stalled_reader_costs_passes_nothing::<Ebr>();
     }
 
     #[test]

@@ -289,6 +289,10 @@ unsafe impl RawHandle for HeHandle {
         let shard = self.domain.caches.shard(self.cache_shard);
         (shard.is_some().then_some(&mut self.local_cache), shard)
     }
+
+    fn parked_groups(&self) -> Vec<(u64, usize)> {
+        self.retired.parked_groups().collect()
+    }
 }
 
 impl Drop for HeHandle {
@@ -340,6 +344,11 @@ mod tests {
     #[test]
     fn unreclaimed_is_bounded() {
         conformance::unreclaimed_is_bounded::<He>(4_000);
+    }
+
+    #[test]
+    fn stalled_reader_costs_passes_nothing() {
+        conformance::stalled_reader_costs_passes_nothing::<He>();
     }
 
     #[test]

@@ -289,6 +289,10 @@ unsafe impl RawHandle for IbrHandle {
         let shard = self.domain.caches.shard(self.cache_shard);
         (shard.is_some().then_some(&mut self.local_cache), shard)
     }
+
+    fn parked_groups(&self) -> Vec<(u64, usize)> {
+        self.retired.parked_groups().collect()
+    }
 }
 
 impl Drop for IbrHandle {

@@ -14,25 +14,102 @@ use wfe_sync::atomic::{AtomicU64, Ordering};
 
 use crate::block::{free_block, BlockHeader};
 use crate::cache::{LocalBlockCache, ShardCache};
-use crate::scan::ReservationSet;
+use crate::scan::{ReservationSet, Verdict};
 use crate::stats::Counters;
 use crate::treiber::TypeStableStack;
+
+/// An owned, singly linked run of retired blocks (through the header's
+/// `next_retired`) with its tail, so two runs join in O(1).
+#[derive(Debug)]
+struct Chain {
+    head: *mut BlockHeader,
+    /// Last block of the run; meaningful only while `head` is non-null.
+    tail: *mut BlockHeader,
+    len: usize,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: ptr::null_mut(),
+        tail: ptr::null_mut(),
+        len: 0,
+    };
+
+    /// Links `block` in front of the run.
+    ///
+    /// # Safety
+    ///
+    /// `block` must be a valid retired block owned by the caller and on no
+    /// other chain.
+    #[inline]
+    unsafe fn push(&mut self, block: *mut BlockHeader) {
+        // SAFETY: the caller owns `block`, so the intrusive link is ours to
+        // write; no other thread can reach a retired, unreachable block.
+        unsafe { (*block).next_retired = self.head };
+        if self.head.is_null() {
+            self.tail = block;
+        }
+        self.head = block;
+        self.len += 1;
+    }
+
+    /// Moves every block of `other` in front of this run.
+    fn splice(&mut self, other: Chain) {
+        if other.head.is_null() {
+            return;
+        }
+        // SAFETY: `other` is non-empty, so its tail is a block it owns
+        // (every block entered through `push`), and it is consumed here: the
+        // link is ours to write and is written exactly once.
+        unsafe { (*other.tail).next_retired = self.head };
+        if self.head.is_null() {
+            self.tail = other.tail;
+        }
+        self.head = other.head;
+        self.len += other.len;
+    }
+
+    /// Takes the whole run, leaving this one empty.
+    fn take(&mut self) -> Chain {
+        core::mem::replace(self, Chain::EMPTY)
+    }
+}
+
+/// Blocks one witness pins: all of them stay covered for as long as a
+/// snapshot still [`holds`](ReservationSet::holds) `witness`.
+#[derive(Debug)]
+struct Group {
+    witness: u64,
+    blocks: Chain,
+}
+
+/// What one [`RetiredBatch::scan_against`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanTally {
+    /// Blocks freed.
+    pub freed: usize,
+    /// Blocks judged one by one (the scan list, after released groups
+    /// rejoined it); blocks of groups that stayed parked are not counted.
+    pub scanned: usize,
+}
 
 /// Owner-thread-only batch of retired blocks, linked through the block
 /// header's `next_retired` field.
 ///
-/// `retire` appends; every `cleanup_freq` retirements the owning handle
-/// drains the whole batch against one reservation snapshot
-/// ([`RetiredBatch::scan_against`]). Blocks that survive stay on the batch
-/// for the next pass.
+/// `retire` appends to the **scan list**; every `cleanup_freq` retirements
+/// the owning handle drains the scan list against one reservation snapshot
+/// ([`RetiredBatch::scan_against`]). A block that survives because a named
+/// era pins it ([`Verdict::PinnedBy`]) is **parked** on that witness's group
+/// and is not looked at again until the witness is withdrawn; a survivor
+/// without a witness goes back on the scan list.
 #[derive(Debug)]
 pub struct RetiredBatch {
-    head: *mut BlockHeader,
-    len: usize,
+    /// Blocks the next pass judges one by one.
+    scan: Chain,
+    /// Parked blocks, one group per witness (witnesses are distinct).
+    groups: Vec<Group>,
 }
 
-// The batch is owned by exactly one thread at a time; sending it (e.g. onto
-// the orphan stack) transfers that ownership.
 // SAFETY: the batch is owned by exactly one thread at a time; sending it
 // (e.g. onto the orphan stack) transfers that ownership wholesale.
 unsafe impl Send for RetiredBatch {}
@@ -41,21 +118,28 @@ impl RetiredBatch {
     /// Creates an empty batch.
     pub const fn new() -> Self {
         Self {
-            head: ptr::null_mut(),
-            len: 0,
+            scan: Chain::EMPTY,
+            groups: Vec::new(),
         }
     }
 
-    /// Number of blocks currently parked on the batch.
-    #[inline]
+    /// Number of blocks currently on the batch (scan list and parked groups).
     pub fn len(&self) -> usize {
-        self.len
+        let parked: usize = self.groups.iter().map(|group| group.blocks.len).sum();
+        self.scan.len + parked
     }
 
     /// Whether the batch is empty.
-    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
+    }
+
+    /// The parked groups as `(witness era, blocks)` pairs: which published
+    /// era pins how much of this batch.
+    pub fn parked_groups(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.groups
+            .iter()
+            .map(|group| (group.witness, group.blocks.len))
     }
 
     /// Pushes a retired block.
@@ -64,22 +148,44 @@ impl RetiredBatch {
     ///
     /// `block` must be a valid, retired, unreachable block owned by the caller
     /// and not present on any other batch.
+    #[inline]
     pub unsafe fn push(&mut self, block: *mut BlockHeader) {
-        // SAFETY: the caller owns `block`, so the intrusive link is ours to
-        // write; no other thread can reach a retired, unreachable block.
-        unsafe { (*block).next_retired = self.head };
-        self.head = block;
-        self.len += 1;
+        // SAFETY: forwarded contract.
+        unsafe { self.scan.push(block) };
+    }
+
+    /// The group parked under `witness`, created on first use.
+    fn group_mut(&mut self, witness: u64) -> &mut Group {
+        let index = match self.groups.iter().position(|g| g.witness == witness) {
+            Some(index) => index,
+            None => {
+                self.groups.push(Group {
+                    witness,
+                    blocks: Chain::EMPTY,
+                });
+                self.groups.len() - 1
+            }
+        };
+        &mut self.groups[index]
     }
 
     /// Drains the batch against a reservation snapshot: every block the
     /// snapshot does not cover is freed, the rest are kept for the next pass.
-    /// Returns the number of blocks freed.
     ///
     /// This is the batch scan protocol: the caller takes the snapshot **once**
     /// (after every block in the batch has been retired — for adopted batches,
     /// after popping them from the orphan stack) and the per-block test runs
     /// against the snapshot without touching shared memory.
+    ///
+    /// The pass first asks the snapshot one question per parked group — is
+    /// the witness still held? A held group is skipped whole; a released one
+    /// rejoins the scan list. Then each block of the scan list is judged:
+    /// freed, parked under its witness, or kept on the scan list. Skipping is
+    /// exact: a held witness proves every block of its group still covered
+    /// ([`ReservationSet::holds`]), so the pass frees precisely what judging
+    /// every block would free, and its cost is the new and released blocks
+    /// plus one lookup per group — every group left behind has a witness the
+    /// snapshot holds, so there are no more groups than published eras.
     ///
     /// Freed class blocks are routed into `local` (the scanning thread's
     /// private magazine) first, spilling into `shard` (its home-shard cache)
@@ -96,33 +202,44 @@ impl RetiredBatch {
         snapshot: &S,
         mut local: Option<&mut LocalBlockCache>,
         shard: Option<&ShardCache>,
-    ) -> usize {
-        let mut kept_head: *mut BlockHeader = ptr::null_mut();
-        let mut kept_len = 0usize;
+    ) -> ScanTally {
+        let mut index = 0;
+        while index < self.groups.len() {
+            if snapshot.holds(self.groups[index].witness) {
+                index += 1;
+            } else {
+                let released = self.groups.swap_remove(index).blocks;
+                self.scan.splice(released);
+            }
+        }
+
+        let pending = self.scan.take();
         let mut freed = 0usize;
-        let mut cur = self.head;
+        let mut cur = pending.head;
         while !cur.is_null() {
             // SAFETY: every block on the batch is owned by this batch (push
             // contract), so the header and its intrusive link are valid and
             // exclusively ours; a block the snapshot does not cover is — per
             // the caller's snapshot-freshness contract — unprotected and
-            // unreachable, so `free_block` frees it exactly once.
+            // unreachable, so `free_block` frees it exactly once. A kept
+            // block is relinked onto exactly one chain of this batch.
             unsafe {
                 let next = (*cur).next_retired;
-                if snapshot.covers(&*cur) {
-                    (*cur).next_retired = kept_head;
-                    kept_head = cur;
-                    kept_len += 1;
-                } else {
-                    free_block(cur, local.as_deref_mut(), shard);
-                    freed += 1;
+                match snapshot.judge(&*cur) {
+                    Verdict::Free => {
+                        free_block(cur, local.as_deref_mut(), shard);
+                        freed += 1;
+                    }
+                    Verdict::Pinned => self.scan.push(cur),
+                    Verdict::PinnedBy(witness) => self.group_mut(witness).blocks.push(cur),
                 }
                 cur = next;
             }
         }
-        self.head = kept_head;
-        self.len = kept_len;
-        freed
+        ScanTally {
+            freed,
+            scanned: pending.len,
+        }
     }
 
     /// Unconditionally frees every block on the batch. Returns the count.
@@ -132,50 +249,37 @@ impl RetiredBatch {
     /// No thread may still hold or acquire references to any block on the
     /// batch (e.g. the owning domain is being dropped).
     pub unsafe fn free_all(&mut self) -> usize {
-        let mut freed = 0usize;
-        let mut cur = self.head;
+        let mut all = self.scan.take();
+        for group in self.groups.drain(..) {
+            all.splice(group.blocks);
+        }
+        let mut cur = all.head;
         while !cur.is_null() {
             // SAFETY: the caller guarantees no thread can still reach these
             // blocks; the batch owns them, so each is freed exactly once.
             unsafe {
                 let next = (*cur).next_retired;
                 free_block(cur, None, None);
-                freed += 1;
                 cur = next;
             }
         }
-        self.head = ptr::null_mut();
-        self.len = 0;
-        freed
+        all.len
     }
 
-    /// Moves every block from `other` onto `self`.
+    /// Moves every block from `other` onto `self`: scan list onto scan list,
+    /// each parked group onto the group of the same witness. No block is
+    /// walked, so adopting a batch costs O(groups) whatever its length.
     pub fn append(&mut self, other: &mut RetiredBatch) {
-        // Splice `other` in front of our head.
-        if other.head.is_null() {
-            return;
+        self.scan.splice(other.scan.take());
+        for group in other.groups.drain(..) {
+            self.group_mut(group.witness).blocks.splice(group.blocks);
         }
-        // SAFETY: both batches are exclusively borrowed, so every intrusive
-        // link they own is valid and unaliased.
-        unsafe {
-            let mut tail = other.head;
-            while !(*tail).next_retired.is_null() {
-                tail = (*tail).next_retired;
-            }
-            (*tail).next_retired = self.head;
-        }
-        self.head = other.head;
-        self.len += other.len;
-        other.head = ptr::null_mut();
-        other.len = 0;
     }
 
-    /// Takes the whole batch, leaving `self` empty.
+    /// Takes the whole batch — scan list and parked groups — leaving `self`
+    /// empty.
     pub fn take(&mut self) -> RetiredBatch {
-        RetiredBatch {
-            head: core::mem::replace(&mut self.head, ptr::null_mut()),
-            len: core::mem::replace(&mut self.len, 0),
-        }
+        core::mem::take(self)
     }
 }
 
@@ -191,7 +295,7 @@ impl Drop for RetiredBatch {
             self.is_empty(),
             "RetiredBatch dropped with {} blocks still pending; \
              they must be pushed onto an orphan stack or freed first",
-            self.len
+            self.len()
         );
     }
 }
@@ -203,8 +307,9 @@ impl Drop for RetiredBatch {
 ///
 /// The orphan batch is popped *before* `fill` runs so that every adopted
 /// block was retired before the snapshot's loads — the batch scan safety
-/// condition. Adopted survivors are appended to `retired` and rescanned on
-/// the owner's next pass. Freed class blocks land on `local` (the scanning
+/// condition. Adopted survivors are appended to `retired`: parked groups
+/// join the adopter's groups, the rest is rescanned on the owner's next
+/// pass. Freed class blocks land on `local` (the scanning
 /// thread's private magazine), spilling into `shard` (its home-shard block
 /// cache) when the magazine fills; the magazine's hit/miss tallies are
 /// flushed to the shard at the end of the pass, so domain-level stats lag by
@@ -230,15 +335,17 @@ pub unsafe fn cleanup_pass<S: ReservationSet>(
     // SAFETY: `fill` ran after every block on `retired` was retired and after
     // the orphan batch was popped, so the snapshot-freshness contract of
     // `scan_against` holds for both batches (the caller's obligation).
-    let freed = unsafe { retired.scan_against(snapshot, local.as_deref_mut(), shard) };
-    counters.on_free(freed as u64);
+    let mut tally = unsafe { retired.scan_against(snapshot, local.as_deref_mut(), shard) };
     if let Some(mut batch) = adopted {
         // SAFETY: as above — the snapshot was taken after the pop.
-        let freed = unsafe { batch.scan_against(snapshot, local.as_deref_mut(), shard) };
-        counters.on_free(freed as u64);
-        counters.on_adoption(freed as u64);
+        let theirs = unsafe { batch.scan_against(snapshot, local.as_deref_mut(), shard) };
+        counters.on_adoption(theirs.freed as u64);
         retired.append(&mut batch);
+        tally.freed += theirs.freed;
+        tally.scanned += theirs.scanned;
     }
+    counters.on_free(tally.freed as u64);
+    counters.on_scan(tally.scanned as u64);
     if let (Some(local), Some(shard)) = (local, shard) {
         local.flush_stats(shard);
     }
@@ -354,7 +461,7 @@ impl core::fmt::Debug for OrphanStack {
 mod tests {
     use super::*;
     use crate::block::Linked;
-    use crate::scan::HazardSnapshot;
+    use crate::scan::{EpochSnapshot, EraSnapshot, HazardSnapshot, ReservationSet};
     use std::sync::Arc;
     use wfe_sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
@@ -367,6 +474,41 @@ mod tests {
 
     fn make(drops: &Arc<AtomicUsize>) -> *mut BlockHeader {
         Linked::as_header(Linked::alloc(Canary(drops.clone()), 0))
+    }
+
+    /// Retires onto `batch` a fresh block that lived through
+    /// `[alloc_era, retire_era]`.
+    fn retire_span(
+        batch: &mut RetiredBatch,
+        drops: &Arc<AtomicUsize>,
+        alloc_era: u64,
+        retire_era: u64,
+    ) {
+        let block = Linked::as_header(Linked::alloc(Canary(drops.clone()), alloc_era));
+        // SAFETY: freshly allocated, test-owned block, pushed on this one
+        // batch; the tests using this helper are single-threaded.
+        unsafe {
+            (*block).retire_era.store(retire_era, SeqCst);
+            batch.push(block);
+        }
+    }
+
+    /// One pass of a single-threaded test: `(freed, scanned)`.
+    fn scan<S: ReservationSet>(batch: &mut RetiredBatch, snapshot: &S) -> (usize, usize) {
+        // SAFETY: no other thread exists, so the snapshot is all there is to
+        // protect a block and it was built after every retire.
+        let tally = unsafe { batch.scan_against(snapshot, None, None) };
+        (tally.freed, tally.scanned)
+    }
+
+    fn eras(published: &[u64]) -> EraSnapshot {
+        published.iter().copied().collect()
+    }
+
+    fn groups_of(batch: &RetiredBatch) -> Vec<(u64, usize)> {
+        let mut groups: Vec<_> = batch.parked_groups().collect();
+        groups.sort_unstable();
+        groups
     }
 
     #[test]
@@ -390,10 +532,24 @@ mod tests {
         snap.seal();
         // SAFETY: the snapshot was filled after every push; nothing else references
         // the blocks.
-        let freed = unsafe { batch.scan_against(&snap, None, None) };
-        assert_eq!(freed, 1);
+        let tally = unsafe { batch.scan_against(&snap, None, None) };
+        assert_eq!(
+            tally,
+            ScanTally {
+                freed: 1,
+                scanned: 3
+            }
+        );
         assert_eq!(batch.len(), 2);
         assert_eq!(drops.load(SeqCst), 1);
+        assert_eq!(
+            batch.parked_groups().count(),
+            0,
+            "a hazard pointer names no witness: survivors stay on the scan list"
+        );
+        // SAFETY: as above.
+        let again = unsafe { batch.scan_against(&snap, None, None) };
+        assert_eq!(again.scanned, 2, "and are judged again by every pass");
         // SAFETY: no other thread references the batch's blocks.
         let freed = unsafe { batch.free_all() };
         assert_eq!(freed, 2);
@@ -421,7 +577,7 @@ mod tests {
         let mut snap = HazardSnapshot::new();
         snap.seal();
         // SAFETY: snapshot taken after the pushes; nothing else references them.
-        let freed = unsafe { batch.scan_against(&snap, None, caches.shard(0)) };
+        let freed = unsafe { batch.scan_against(&snap, None, caches.shard(0)) }.freed;
         assert_eq!(freed, 2);
         assert_eq!(drops.load(SeqCst), 2, "payloads dropped");
         assert!(
@@ -452,6 +608,148 @@ mod tests {
         // SAFETY: no other thread references the batch's blocks.
         unsafe { taken.free_all() };
         assert_eq!(drops.load(SeqCst), 3);
+    }
+
+    #[test]
+    fn pinned_blocks_park_under_their_witness_until_it_is_withdrawn() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut batch = RetiredBatch::new();
+        retire_span(&mut batch, &drops, 1, 5); // pinned by era 5 only
+        retire_span(&mut batch, &drops, 3, 9); // pinned by 5, and by 7
+        retire_span(&mut batch, &drops, 6, 9); // not pinned by 5
+        assert_eq!(scan(&mut batch, &eras(&[5])), (1, 3));
+        assert_eq!(groups_of(&batch), [(5, 2)]);
+        assert_eq!(batch.len(), 2);
+
+        // The witness is still published — by whom does not matter: the
+        // group is skipped whole, and a newly retired block is all the pass
+        // looks at.
+        retire_span(&mut batch, &drops, 8, 8);
+        assert_eq!(scan(&mut batch, &eras(&[5, 12])), (1, 1));
+        assert_eq!(groups_of(&batch), [(5, 2)]);
+
+        // Era 5 withdrawn, era 7 published: the group rejoins the scan list
+        // and is judged block by block; one block finds a new witness.
+        assert_eq!(scan(&mut batch, &eras(&[7])), (1, 2));
+        assert_eq!(groups_of(&batch), [(7, 1)]);
+
+        assert_eq!(scan(&mut batch, &eras(&[])), (1, 1));
+        assert!(batch.is_empty());
+        assert_eq!(drops.load(SeqCst), 4);
+    }
+
+    #[test]
+    fn epoch_witness_holds_while_the_oldest_reader_is_no_newer() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let epoch = |min_active: u64| {
+            let mut snap = EpochSnapshot::new();
+            snap.insert(min_active);
+            snap
+        };
+        let mut batch = RetiredBatch::new();
+        retire_span(&mut batch, &drops, 0, 4); // retired before the reader began
+        retire_span(&mut batch, &drops, 0, 6);
+        retire_span(&mut batch, &drops, 0, 9);
+        assert_eq!(scan(&mut batch, &epoch(5)), (1, 3));
+        assert_eq!(groups_of(&batch), [(5, 2)]);
+        // An older reader shows up late: still held, nothing rescanned.
+        assert_eq!(scan(&mut batch, &epoch(3)), (0, 0));
+        // The oldest reader moves to epoch 7: released, rejudged, regrouped.
+        assert_eq!(scan(&mut batch, &epoch(7)), (1, 2));
+        assert_eq!(groups_of(&batch), [(7, 1)]);
+        // No reader at all.
+        assert_eq!(scan(&mut batch, &EpochSnapshot::new()), (1, 1));
+        assert!(batch.is_empty());
+        assert_eq!(drops.load(SeqCst), 3);
+    }
+
+    #[test]
+    fn append_merges_groups_by_witness_and_take_carries_them() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut ours = RetiredBatch::new();
+        let mut theirs = RetiredBatch::new();
+        retire_span(&mut ours, &drops, 1, 5);
+        retire_span(&mut ours, &drops, 9, 9);
+        retire_span(&mut theirs, &drops, 2, 6);
+        retire_span(&mut theirs, &drops, 2, 7);
+        retire_span(&mut theirs, &drops, 8, 9);
+        let snap = eras(&[5, 9]);
+        scan(&mut ours, &snap);
+        scan(&mut theirs, &snap);
+        // One block on each scan list as well.
+        retire_span(&mut ours, &drops, 20, 20);
+        retire_span(&mut theirs, &drops, 21, 21);
+        assert_eq!(groups_of(&ours), [(5, 1), (9, 1)]);
+        assert_eq!(groups_of(&theirs), [(5, 2), (9, 1)]);
+
+        ours.append(&mut theirs);
+        assert!(theirs.is_empty());
+        assert_eq!(theirs.parked_groups().count(), 0);
+        assert_eq!(ours.len(), 7);
+        assert_eq!(groups_of(&ours), [(5, 3), (9, 2)]);
+
+        let mut taken = ours.take();
+        assert!(ours.is_empty());
+        assert_eq!(groups_of(&taken), [(5, 3), (9, 2)]);
+        assert_eq!(taken.len(), 7);
+
+        // Withdraw era 9 only: its group and the scan list are judged, the
+        // era-5 group is not touched.
+        assert_eq!(scan(&mut taken, &eras(&[5])), (4, 4));
+        assert_eq!(groups_of(&taken), [(5, 3)]);
+        // SAFETY: single thread; nothing references the blocks.
+        let freed = unsafe { taken.free_all() };
+        assert_eq!(freed, 3, "free_all reaches parked groups");
+        assert_eq!(drops.load(SeqCst), 7);
+    }
+
+    #[test]
+    fn cleanup_pass_adopts_parked_groups_without_rescanning_them() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let orphans = OrphanStack::new();
+        let counters = Counters::new();
+        // An exited thread's batch: 40 blocks parked under era 5, which a
+        // stalled reader still publishes.
+        let mut exited = RetiredBatch::new();
+        for _ in 0..40 {
+            retire_span(&mut exited, &drops, 1, 8);
+        }
+        scan(&mut exited, &eras(&[5]));
+        assert_eq!(groups_of(&exited), [(5, 40)]);
+        orphans.push(exited);
+        assert_eq!(orphans.len(), 40, "parked blocks count as orphaned blocks");
+
+        let mut retired = RetiredBatch::new();
+        let mut snapshot = EraSnapshot::new();
+        let mut pass = |retired: &mut RetiredBatch, published: &[u64]| {
+            // SAFETY: single thread; the snapshot is filled inside the pass,
+            // after the retires and the orphan pop.
+            unsafe {
+                cleanup_pass(
+                    retired,
+                    &orphans,
+                    &counters,
+                    &mut snapshot,
+                    None,
+                    None,
+                    |snapshot| *snapshot = eras(published),
+                );
+            }
+            counters.snapshot(0)
+        };
+        retire_span(&mut retired, &drops, 9, 9);
+        let stats = pass(&mut retired, &[5]);
+        assert_eq!(stats.adopted_batches, 1);
+        assert_eq!(stats.scanned, 1, "only the adopter's own new block");
+        assert_eq!(stats.freed, 1);
+        assert_eq!(groups_of(&retired), [(5, 40)]);
+        assert!(orphans.is_empty());
+
+        let stats = pass(&mut retired, &[]);
+        assert_eq!(stats.scanned, 41, "the released group is judged once");
+        assert_eq!(stats.freed, 41);
+        assert!(retired.is_empty());
+        assert_eq!(drops.load(SeqCst), 41);
     }
 
     #[test]

@@ -17,8 +17,36 @@
 //! withdrawn that protection. Adopted orphan batches preserve the same
 //! argument because they are popped from the orphan stack *before* the
 //! snapshot is taken (see [`crate::retired::OrphanStack`]).
+//!
+//! # Witnesses
+//!
+//! A snapshot that finds a block covered also says *why*, when the reason has
+//! a name that outlives the snapshot: the era (or epoch) whose publication
+//! pins the block — its **witness**. Hazard Eras states the fact the batch
+//! relies on: a block is pinned iff some published era lies in
+//! `[alloc_era, retire_era]`. So as long as a later snapshot still
+//! [`holds`](ReservationSet::holds) that same era — no matter which thread
+//! publishes it by then — every block it witnessed is still covered, and the
+//! batch need not look at those blocks again (see
+//! [`RetiredBatch::scan_against`](crate::retired::RetiredBatch::scan_against)).
+//! Hazard pointers (the cover is the block's own address) and 2GEIBR (the
+//! interval's upper bound moves) have no such name and answer
+//! [`Verdict::Pinned`].
 
 use crate::block::{BlockHeader, ERA_INF};
+
+/// What a snapshot says about one retired block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// No reservation in the snapshot reaches the block: it may be freed.
+    Free,
+    /// Some reservation reaches the block, for a reason only this snapshot
+    /// can state: the block must be judged again by the next pass.
+    Pinned,
+    /// The published era (epoch) `witness` pins the block. Every snapshot
+    /// that [`holds`](ReservationSet::holds) `witness` still covers it.
+    PinnedBy(u64),
+}
 
 /// A point-in-time snapshot of every reservation in a domain, reused across
 /// cleanup passes so the scratch allocation is paid once per thread.
@@ -27,9 +55,23 @@ use crate::block::{BlockHeader, ERA_INF};
 /// drained against one via
 /// [`RetiredBatch::scan_against`](crate::retired::RetiredBatch::scan_against).
 pub trait ReservationSet {
-    /// Whether some reservation in the snapshot may still reach `block`
-    /// (the scheme's safety condition, evaluated against the snapshot).
-    fn covers(&self, block: &BlockHeader) -> bool;
+    /// The scheme's safety condition for `block`, evaluated against the
+    /// snapshot, with the witness when there is one.
+    fn judge(&self, block: &BlockHeader) -> Verdict;
+
+    /// Whether `witness` — returned as [`Verdict::PinnedBy`] by an earlier
+    /// snapshot of the same domain — still pins every block it was returned
+    /// for. Must imply that [`judge`](Self::judge) would not answer
+    /// [`Verdict::Free`] for any of them. Snapshots that never name a
+    /// witness keep the default.
+    fn holds(&self, _witness: u64) -> bool {
+        false
+    }
+
+    /// Whether some reservation in the snapshot may still reach `block`.
+    fn covers(&self, block: &BlockHeader) -> bool {
+        self.judge(block) != Verdict::Free
+    }
 }
 
 /// EBR scratch: only the *oldest* active epoch matters, so the snapshot is a
@@ -68,10 +110,22 @@ impl EpochSnapshot {
 
 impl ReservationSet for EpochSnapshot {
     #[inline]
-    fn covers(&self, block: &BlockHeader) -> bool {
+    fn judge(&self, block: &BlockHeader) -> Verdict {
         // A block is pinned while some reader entered its operation at or
-        // before the block's retirement epoch.
-        self.min_active <= block.retire_era()
+        // before the block's retirement epoch; that reader's epoch is the
+        // witness.
+        if self.min_active <= block.retire_era() {
+            Verdict::PinnedBy(self.min_active)
+        } else {
+            Verdict::Free
+        }
+    }
+
+    /// A block witnessed by epoch `w` was retired at or after `w`, so it
+    /// stays pinned while the oldest active epoch is no newer than `w`.
+    #[inline]
+    fn holds(&self, witness: u64) -> bool {
+        self.min_active <= witness
     }
 }
 
@@ -109,11 +163,23 @@ impl EraSnapshot {
         self.eras.dedup();
     }
 
+    /// The smallest recorded era inside `[alloc_era, retire_era]`, if any.
+    #[inline]
+    pub fn first_in_span(&self, alloc_era: u64, retire_era: u64) -> Option<u64> {
+        let idx = self.eras.partition_point(|&era| era < alloc_era);
+        self.eras.get(idx).copied().filter(|&era| era <= retire_era)
+    }
+
     /// Whether some recorded era falls inside `[alloc_era, retire_era]`.
     #[inline]
     pub fn covers_span(&self, alloc_era: u64, retire_era: u64) -> bool {
-        let idx = self.eras.partition_point(|&era| era < alloc_era);
-        idx < self.eras.len() && self.eras[idx] <= retire_era
+        self.first_in_span(alloc_era, retire_era).is_some()
+    }
+
+    /// Whether `era` itself was recorded.
+    #[inline]
+    pub fn contains(&self, era: u64) -> bool {
+        self.eras.binary_search(&era).is_ok()
     }
 
     /// Number of distinct recorded eras.
@@ -127,10 +193,30 @@ impl EraSnapshot {
     }
 }
 
+/// Collects published eras into a sealed snapshot (`ERA_INF` ignored).
+impl FromIterator<u64> for EraSnapshot {
+    fn from_iter<I: IntoIterator<Item = u64>>(eras: I) -> Self {
+        let mut snapshot = Self::new();
+        eras.into_iter().for_each(|era| snapshot.insert(era));
+        snapshot.seal();
+        snapshot
+    }
+}
+
 impl ReservationSet for EraSnapshot {
     #[inline]
-    fn covers(&self, block: &BlockHeader) -> bool {
-        self.covers_span(block.alloc_era(), block.retire_era())
+    fn judge(&self, block: &BlockHeader) -> Verdict {
+        match self.first_in_span(block.alloc_era(), block.retire_era()) {
+            Some(era) => Verdict::PinnedBy(era),
+            None => Verdict::Free,
+        }
+    }
+
+    /// The witness lies inside the lifespan of every block it was returned
+    /// for, so re-finding it here re-proves `covers_span` for all of them.
+    #[inline]
+    fn holds(&self, witness: u64) -> bool {
+        self.contains(witness)
     }
 }
 
@@ -173,12 +259,17 @@ impl IntervalSnapshot {
 }
 
 impl ReservationSet for IntervalSnapshot {
+    /// No witness: an interval's upper bound moves with every `protect`, so
+    /// "thread T's interval" names a different set of eras on the next pass.
     #[inline]
-    fn covers(&self, block: &BlockHeader) -> bool {
+    fn judge(&self, block: &BlockHeader) -> Verdict {
         let (alloc_era, retire_era) = (block.alloc_era(), block.retire_era());
-        self.intervals
-            .iter()
-            .any(|&(lower, upper)| alloc_era <= upper && retire_era >= lower)
+        let overlaps = |&(lower, upper): &(u64, u64)| alloc_era <= upper && retire_era >= lower;
+        if self.intervals.iter().any(overlaps) {
+            Verdict::Pinned
+        } else {
+            Verdict::Free
+        }
     }
 }
 
@@ -228,11 +319,16 @@ impl HazardSnapshot {
 }
 
 impl ReservationSet for HazardSnapshot {
+    /// No witness: the cover is the block's own address, and the pinned set
+    /// is already bounded by the number of hazard slots.
     #[inline]
-    fn covers(&self, block: &BlockHeader) -> bool {
-        self.pointers
-            .binary_search(&(block as *const BlockHeader as usize))
-            .is_ok()
+    fn judge(&self, block: &BlockHeader) -> Verdict {
+        let address = block as *const BlockHeader as usize;
+        if self.pointers.binary_search(&address).is_ok() {
+            Verdict::Pinned
+        } else {
+            Verdict::Free
+        }
     }
 }
 
@@ -302,6 +398,59 @@ mod tests {
         snap.clear();
         assert!(snap.is_empty());
         assert!(!snap.covers_span(0, ERA_INF));
+    }
+
+    #[test]
+    fn era_and_epoch_snapshots_name_their_witness() {
+        let eras: EraSnapshot = [20, 10, 30].into_iter().collect();
+        assert_eq!(eras.first_in_span(5, 40), Some(10), "the smallest era");
+        assert_eq!(eras.first_in_span(11, 40), Some(20));
+        assert_eq!(eras.first_in_span(31, 40), None);
+        assert!(eras.contains(20) && !eras.contains(21));
+
+        let mut epochs = EpochSnapshot::new();
+        epochs.insert(7);
+        let spans_two = block_with(15, 25);
+        let free = block_with(1, 6);
+        // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
+        unsafe {
+            let header = &*Linked::as_header(spans_two);
+            assert_eq!(eras.judge(header), Verdict::PinnedBy(20));
+            assert!(eras.holds(20) && !eras.holds(15));
+            assert_eq!(epochs.judge(header), Verdict::PinnedBy(7));
+            assert!(
+                epochs.holds(7) && epochs.holds(8),
+                "no newer than the witness"
+            );
+            assert!(!epochs.holds(6), "the oldest reader moved past epoch 6");
+            let header = &*Linked::as_header(free);
+            assert_eq!(eras.judge(header), Verdict::Free);
+            assert_eq!(epochs.judge(header), Verdict::Free);
+            Linked::dealloc(spans_two);
+            Linked::dealloc(free);
+        }
+        assert!(
+            !EpochSnapshot::new().holds(u64::MAX - 1),
+            "no reader, no witness"
+        );
+    }
+
+    #[test]
+    fn hazard_and_interval_snapshots_name_no_witness() {
+        let block = block_with(15, 30);
+        let mut intervals = IntervalSnapshot::new();
+        intervals.insert(10, 20);
+        let mut hazards = HazardSnapshot::new();
+        hazards.insert(block as usize);
+        hazards.seal();
+        // SAFETY: test-owned live block; dereferenced and freed exactly once.
+        unsafe {
+            let header = &*Linked::as_header(block);
+            assert_eq!(intervals.judge(header), Verdict::Pinned);
+            assert_eq!(hazards.judge(header), Verdict::Pinned);
+            Linked::dealloc(block);
+        }
+        assert!(!intervals.holds(15) && !hazards.holds(15));
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub struct Counters {
     pub retired: CachePadded<AtomicU64>,
     /// Number of retired blocks actually freed.
     pub freed: CachePadded<AtomicU64>,
+    /// Number of retired blocks judged one by one by cleanup passes (blocks
+    /// parked under a witness that is still held are skipped, not judged).
+    pub scanned: CachePadded<AtomicU64>,
     /// Number of orphaned batches adopted from exited threads.
     pub adopted_batches: CachePadded<AtomicU64>,
     /// Number of blocks freed while scanning an adopted batch (a subset of
@@ -56,6 +59,14 @@ impl Counters {
         }
     }
 
+    /// Records `n` blocks judged by a cleanup scan.
+    #[inline]
+    pub fn on_scan(&self, n: u64) {
+        if n != 0 {
+            self.scanned.fetch_add(n, Ordering::Relaxed); // ORDER: statistics counter only.
+        }
+    }
+
     /// Records the adoption of one orphaned batch from which `freed` blocks
     /// were reclaimed (the freed blocks must *also* be reported through
     /// [`on_free`](Self::on_free) so `unreclaimed` stays consistent).
@@ -88,6 +99,7 @@ impl Counters {
             retired,
             freed,
             unreclaimed: retired.saturating_sub(freed),
+            scanned: self.scanned.load(Ordering::Relaxed), // ORDER: statistics counter only.
             adopted_batches: self.adopted_batches.load(Ordering::Relaxed), // ORDER: statistics counter only.
             freed_via_adoption: self.freed_via_adoption.load(Ordering::Relaxed), // ORDER: statistics counter only.
             slow_path: self.slow_path.load(Ordering::Relaxed), // ORDER: statistics counter only.
@@ -113,6 +125,10 @@ pub struct SmrStats {
     pub freed: u64,
     /// Retired blocks still waiting to be freed (`retired - freed`).
     pub unreclaimed: u64,
+    /// Retired blocks judged one by one by cleanup passes so far (monotonic).
+    /// A block parked under a still-published era is skipped, not judged, so
+    /// this grows by about `cleanup_freq` per pass however much is pinned.
+    pub scanned: u64,
     /// Orphaned batches adopted from exited threads.
     pub adopted_batches: u64,
     /// Blocks freed while scanning an adopted batch (a subset of `freed`).
@@ -157,6 +173,8 @@ mod tests {
         c.on_alloc();
         c.on_retire();
         c.on_free(1);
+        c.on_scan(3);
+        c.on_scan(0);
         c.on_adoption(1);
         c.on_adoption(0);
         c.on_slow_path();
@@ -166,6 +184,7 @@ mod tests {
         assert_eq!(s.retired, 1);
         assert_eq!(s.freed, 1);
         assert_eq!(s.unreclaimed, 0);
+        assert_eq!(s.scanned, 3);
         assert_eq!(s.adopted_batches, 2);
         assert_eq!(s.freed_via_adoption, 1);
         assert_eq!(s.slow_path, 1);

@@ -10,7 +10,7 @@ use wfe_reclaim::block::BlockHeader;
 use wfe_reclaim::cache::BlockCaches;
 use wfe_reclaim::registry::ThreadRegistry;
 use wfe_reclaim::retired::OrphanStack;
-use wfe_reclaim::scan::{EraSnapshot, ReservationSet};
+use wfe_reclaim::scan::{EraSnapshot, ReservationSet, Verdict};
 use wfe_reclaim::slots::PairSlotArray;
 use wfe_reclaim::stats::{Counters, SmrStats};
 use wfe_reclaim::{ERA_INF, INVPTR};
@@ -231,7 +231,7 @@ impl Wfe {
 /// The WFE batch-scan scratch: three reusable era snapshots mirroring the
 /// three phases of the Figure-4 `cleanup()` eligibility check.
 #[derive(Debug, Default)]
-pub(crate) struct WfeSnapshot {
+pub struct WfeSnapshot {
     /// Normal reservations + parent pins, first pass.
     primary: EraSnapshot,
     /// Whether no slow-path cycle was in flight
@@ -243,17 +243,55 @@ pub(crate) struct WfeSnapshot {
     recheck: EraSnapshot,
 }
 
+impl WfeSnapshot {
+    /// Builds a sealed snapshot from the eras of its three columns, for
+    /// tests and benches that drive a
+    /// [`RetiredBatch`](wfe_reclaim::retired::RetiredBatch) without a
+    /// domain; `fill_snapshot` is the only producer otherwise. A `quiescent`
+    /// snapshot ignores `handover` and `recheck`, as Figure 4 does.
+    #[doc(hidden)]
+    pub fn from_eras(primary: &[u64], quiescent: bool, handover: &[u64], recheck: &[u64]) -> Self {
+        let sealed = |eras: &[u64]| eras.iter().copied().collect::<EraSnapshot>();
+        Self {
+            primary: sealed(primary),
+            quiescent,
+            handover: sealed(handover),
+            recheck: sealed(recheck),
+        }
+    }
+
+    /// The columns a verdict may rest on: the hand-over pins and the
+    /// re-scan count only when a slow path may have been in flight.
+    fn columns(&self) -> impl Iterator<Item = &EraSnapshot> {
+        let in_flight = !self.quiescent;
+        core::iter::once(&self.primary).chain(
+            [&self.handover, &self.recheck]
+                .into_iter()
+                .filter(move |_| in_flight),
+        )
+    }
+}
+
 impl ReservationSet for WfeSnapshot {
-    fn covers(&self, block: &BlockHeader) -> bool {
+    /// The witness is the smallest era of any live column inside the
+    /// block's lifespan — the oldest publication that pins it.
+    fn judge(&self, block: &BlockHeader) -> Verdict {
         let (alloc_era, retire_era) = (block.alloc_era(), block.retire_era());
-        if self.primary.covers_span(alloc_era, retire_era) {
-            return true;
+        let witness = self
+            .columns()
+            .filter_map(|column| column.first_in_span(alloc_era, retire_era))
+            .min();
+        match witness {
+            Some(era) => Verdict::PinnedBy(era),
+            None => Verdict::Free,
         }
-        if self.quiescent {
-            return false;
-        }
-        self.handover.covers_span(alloc_era, retire_era)
-            || self.recheck.covers_span(alloc_era, retire_era)
+    }
+
+    /// An era found in any live column — a normal reservation, a parent pin
+    /// or, mid-slow-path, a hand-over pin — covers exactly the blocks whose
+    /// lifespan contains it, whichever column `judge` first saw it in.
+    fn holds(&self, witness: u64) -> bool {
+        self.columns().any(|column| column.contains(witness))
     }
 }
 
@@ -417,6 +455,77 @@ mod tests {
         domain.counter_end.fetch_add(1, Ordering::SeqCst);
         // SAFETY: test-owned block, unlinked and freed exactly once.
         unsafe { Linked::dealloc(node) };
+    }
+
+    #[test]
+    fn a_block_witnessed_only_by_a_hand_over_pin_stays_parked_across_the_hand_over() {
+        // Mid slow path the only publication of an era can be a helper's
+        // hand-over pin; when the helper finishes, the same era lives on in
+        // the requester's reservation. A group parked under it must be held
+        // by either column, and must not be rejudged in between.
+        let domain = Wfe::with_config(ReclaimerConfig {
+            cleanup_freq: usize::MAX,
+            era_freq: usize::MAX,
+            ..ReclaimerConfig::with_max_threads(3)
+        });
+        let mut requester = domain.register();
+        let helper = domain.register();
+        let mut cleaner = domain.register();
+        let era = domain.era();
+        let node = cleaner.alloc(7u64);
+
+        // The requester has announced a cycle and the helper has pinned the
+        // era it read under; nothing else names that era yet.
+        domain.counter_start.fetch_add(1, Ordering::SeqCst);
+        let handover_pin = domain
+            .reservations
+            .get(helper.thread_id(), domain.handover_slot());
+        handover_pin.store_first(era, Ordering::SeqCst);
+        // SAFETY: the block was never published; retired exactly once.
+        unsafe { cleaner.retire(node) };
+        cleaner.force_cleanup();
+        assert_eq!(domain.stats().unreclaimed, 1, "the hand-over pin covers it");
+        assert_eq!(cleaner.parked_groups(), [(era, 1)]);
+
+        // The helper hands the era over (Figure 4, lines 119-127) and leaves.
+        let reservation = domain.reservations.get(requester.thread_id(), 0);
+        let old = reservation.load();
+        reservation
+            .compare_exchange(old, (era, old.1 + 1))
+            .expect("nothing else writes the requester's slot");
+        handover_pin.store_first(ERA_INF, Ordering::SeqCst);
+        domain.counter_end.fetch_add(1, Ordering::SeqCst);
+        let judged = domain.stats().scanned;
+        cleaner.force_cleanup();
+        assert_eq!(domain.stats().unreclaimed, 1, "now the requester pins it");
+        assert_eq!(cleaner.parked_groups(), [(era, 1)]);
+        assert_eq!(domain.stats().scanned, judged, "held: not judged again");
+
+        requester.clear();
+        cleaner.force_cleanup();
+        assert_eq!(domain.stats().unreclaimed, 0);
+        assert!(cleaner.parked_groups().is_empty());
+    }
+
+    #[test]
+    fn non_quiescent_columns_count_and_quiescent_ones_do_not() {
+        let block = Linked::alloc(0u64, 4);
+        // SAFETY: test-owned live block; dereferenced and freed exactly once.
+        unsafe {
+            (*block).header.retire_era.store(9, Ordering::SeqCst);
+            let header = &(*block).header;
+            let in_flight = WfeSnapshot::from_eras(&[12], false, &[8, 6], &[5]);
+            assert_eq!(
+                in_flight.judge(header),
+                Verdict::PinnedBy(5),
+                "the oldest pin"
+            );
+            assert!(in_flight.holds(6) && in_flight.holds(12) && !in_flight.holds(7));
+            let quiescent = WfeSnapshot::from_eras(&[12], true, &[8, 6], &[5]);
+            assert_eq!(quiescent.judge(header), Verdict::Free);
+            assert!(quiescent.holds(12) && !quiescent.holds(6));
+            Linked::dealloc(block);
+        }
     }
 
     #[test]

@@ -79,6 +79,8 @@ mod handle;
 mod state;
 
 pub use domain::Wfe;
+#[doc(hidden)]
+pub use domain::WfeSnapshot;
 pub use handle::WfeHandle;
 
 // Executor-friendly pooled handles work with every scheme, WFE included; the

@@ -3,9 +3,10 @@
 //! different reclamation schemes — in the second half, the executor
 //! pattern: a sharded registry serving short-lived tasks through a
 //! `HandlePool` instead of one long-lived handle per OS thread — and, in the
-//! final act, a *growing* service: the split-ordered resizable hash map fed a
+//! third act, a *growing* service: the split-ordered resizable hash map fed a
 //! Zipfian stream with TTL expiry, its superseded bucket arrays retired
-//! through the reclamation scheme while readers keep traversing.
+//! through the reclamation scheme while readers keep traversing. The last act
+//! stalls a reader and asks the worker's handle who is pinning its memory.
 //!
 //! Run with `cargo run --release --example kv_store`.
 
@@ -13,8 +14,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use wfe_suite::{
-    ConcurrentMap, DomainConfig, HandlePool, He, MichaelHashMap, NatarajanBst, Reclaimer,
-    ReclaimerConfig, ResizableHashMap, Wfe,
+    Atomic, ConcurrentMap, DomainConfig, Handle, HandlePool, He, Linked, MichaelHashMap,
+    NatarajanBst, RawHandle, Reclaimer, ReclaimerConfig, ResizableHashMap, Wfe,
 };
 
 /// Runs a mixed workload against any map type under any reclamation scheme,
@@ -236,6 +237,49 @@ fn resizable_service_demo<R: Reclaimer>(label: &str) {
     );
 }
 
+/// A reader stalls in the middle of an operation while a worker deletes every
+/// key. WFE keeps the damage bounded — only blocks that were live when the
+/// reader reserved stay unreclaimed — and the worker's handle can name the
+/// culprit: its cleanup passes parked those blocks under the one era the
+/// reader still publishes.
+fn stalled_reader_demo() {
+    const KEYS: u64 = 50_000;
+    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+    let map = MichaelHashMap::<u64, Wfe>::with_domain(Arc::clone(&domain));
+    let mut worker = domain.register();
+    for key in 0..KEYS {
+        map.insert(&mut worker, key, key);
+    }
+
+    let mut stalled = domain.register();
+    let anchor_block = worker.alloc(0u64);
+    let anchor: Atomic<u64> = Atomic::new(anchor_block);
+    stalled.begin_op();
+    stalled.protect(&anchor, 0, std::ptr::null_mut()); // ... and never finishes.
+
+    for key in 0..KEYS {
+        map.remove(&mut worker, key);
+    }
+    worker.force_cleanup();
+    println!(
+        "reader stalled: {} blocks unreclaimed at era {}",
+        domain.stats().unreclaimed,
+        domain.stats().era
+    );
+    for (era, blocks) in worker.parked_groups() {
+        println!("  {blocks} blocks pinned by era {era}");
+    }
+
+    stalled.end_op();
+    worker.force_cleanup();
+    println!(
+        "reader resumed: {} blocks unreclaimed",
+        domain.stats().unreclaimed
+    );
+    // SAFETY: the anchor was never retired and the reader is done with it.
+    unsafe { Linked::dealloc(anchor_block) };
+}
+
 fn main() {
     println!("key-value store example: 4 threads, mixed workload\n");
     exercise::<Wfe, NatarajanBst<u64, Wfe>>("Natarajan-Mittal BST + WFE");
@@ -249,4 +293,7 @@ fn main() {
     println!("\ngrowing service: Zipfian gets + TTL churn on the resizable map\n");
     resizable_service_demo::<Wfe>("Resizable hash map + WFE");
     resizable_service_demo::<He>("Resizable hash map + Hazard Eras");
+
+    println!("\nstalled reader: who is pinning memory, since which era\n");
+    stalled_reader_demo();
 }

@@ -18,15 +18,16 @@ use wfe_suite::{
 
 /// Instantiates the conformance battery for one scheme.
 ///
-/// `protection`, `bound` and `adoption` are opt-outs: `Leak` never reclaims,
+/// `protection`, `bound`, `adoption` and `parks` are opt-outs: `Leak` never reclaims,
 /// so "dropping the protection allows reclamation", the unreclaimed-memory
 /// bound and live orphan adoption do not apply to it (its orphans are instead
 /// asserted to survive until domain drop); `Ebr`/`Ibr2Ge` get no bound either
 /// (epoch advance is batched, so the single-threaded-churn bound is
-/// scheme-specific).
+/// scheme-specific); `parks` is on for the schemes whose reservation names a
+/// witness era, so a stalled reader's blocks leave the scan list.
 macro_rules! conformance_smoke {
     ($module:ident, $scheme:ty, protection: $protection:expr, bound: $bound:expr,
-     adoption: $adoption:expr) => {
+     adoption: $adoption:expr, parks: $parks:expr) => {
         mod $module {
             use super::*;
 
@@ -63,16 +64,23 @@ macro_rules! conformance_smoke {
             fn orphan_adoption_reclaims_exited_threads_blocks() {
                 conformance::orphan_adoption_reclaims_exited_threads_blocks::<$scheme>($adoption);
             }
+
+            #[test]
+            fn stalled_reader_costs_passes_nothing() {
+                if $parks {
+                    conformance::stalled_reader_costs_passes_nothing::<$scheme>();
+                }
+            }
         }
     };
 }
 
-conformance_smoke!(ebr, Ebr, protection: true, bound: None, adoption: true);
-conformance_smoke!(hp, Hp, protection: true, bound: Some(2_000), adoption: true);
-conformance_smoke!(he, He, protection: true, bound: Some(4_000), adoption: true);
-conformance_smoke!(ibr2ge, Ibr2Ge, protection: true, bound: None, adoption: true);
-conformance_smoke!(leak, Leak, protection: false, bound: None, adoption: false);
-conformance_smoke!(wfe, Wfe, protection: true, bound: Some(4_000), adoption: true);
+conformance_smoke!(ebr, Ebr, protection: true, bound: None, adoption: true, parks: true);
+conformance_smoke!(hp, Hp, protection: true, bound: Some(2_000), adoption: true, parks: false);
+conformance_smoke!(he, He, protection: true, bound: Some(4_000), adoption: true, parks: true);
+conformance_smoke!(ibr2ge, Ibr2Ge, protection: true, bound: None, adoption: true, parks: false);
+conformance_smoke!(leak, Leak, protection: false, bound: None, adoption: false, parks: false);
+conformance_smoke!(wfe, Wfe, protection: true, bound: Some(4_000), adoption: true, parks: true);
 
 /// CRTurn-specific conformance: the queue composes with every scheme. A
 /// short two-thread producer/consumer run plus a drain must conserve every
