@@ -201,9 +201,12 @@ fn bench_guard_overhead<R: Reclaimer>(c: &mut Criterion, name: &str) {
     // `Shield::protect` (enter bracket, protect, drop bracket) against the
     // identical raw sequence (`begin_op`, `protect`, `end_op`). The shield is
     // leased once outside the loop so the comparison isolates the per-read
-    // overhead; the lease/release cost the data structures pay per operation
-    // (two uncontended atomic RMWs per shield) is measured separately by the
-    // `lease_shield_protect` variant below.
+    // overhead; what a lease adds is measured separately by the two variants
+    // below: `lease_shield_protect` leases from the guard (a load and two
+    // stores — what every data-structure operation pays per shield),
+    // `owned_lease_protect` from the handle (the same flag protocol plus an
+    // `Arc` clone and drop, i.e. two atomic RMWs, for a lease that may
+    // outlive the bracket).
     let domain = R::with_config(ReclaimerConfig::with_max_threads(4));
     let mut handle = domain.register();
     let node = handle.alloc(42u64);
@@ -236,10 +239,25 @@ fn bench_guard_overhead<R: Reclaimer>(c: &mut Criterion, name: &str) {
     );
     drop(shield);
 
-    // The path the data structures actually pay per operation: lease the
-    // shield, enter, protect, and release everything again.
+    // The path the data structures actually pay per operation: enter, lease
+    // the shield from the guard, protect, and release everything again.
     c.bench_with_input(
         BenchmarkId::new("guard_overhead/lease_shield_protect", name),
+        &(),
+        |bencher, _| {
+            bencher.iter(|| {
+                let guard = handle.enter();
+                let mut shield = guard.shield::<u64>().expect("slots available");
+                let ptr = shield.protect(&guard, &root, None);
+                std::hint::black_box(ptr.as_raw())
+            })
+        },
+    );
+
+    // The same with an owned lease from the handle, as taken by code that
+    // keeps the shield across brackets or `.await` points.
+    c.bench_with_input(
+        BenchmarkId::new("guard_overhead/owned_lease_protect", name),
         &(),
         |bencher, _| {
             bencher.iter(|| {

@@ -125,10 +125,10 @@ unsafe impl<T: Send, R: Reclaimer> Sync for CrTurnQueue<T, R> {}
 /// The three shields one operation needs: the head/tail snapshot, the node
 /// after the protected head, and the helped dequeuer's `deqhelp` entry while
 /// a helper fulfils that thread's request on its behalf.
-struct CrShields<T, H: RawHandle> {
-    first: Shield<Node<T>, H>,
-    next: Shield<Node<T>, H>,
-    deq: Shield<Node<T>, H>,
+struct CrShields<'g, T, H: RawHandle> {
+    first: Shield<'g, Node<T>, H>,
+    next: Shield<'g, Node<T>, H>,
+    deq: Shield<'g, Node<T>, H>,
 }
 
 impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
@@ -138,13 +138,13 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
     /// fulfilling that request on its behalf.
     pub const REQUIRED_SLOTS: usize = 3;
 
-    /// Leases the three shields of one operation.
-    fn shields(handle: &R::Handle) -> CrShields<T, R::Handle> {
+    /// Leases the three shields of one operation from its guard.
+    fn shields<'g>(guard: &'g Guard<'_, R::Handle>) -> CrShields<'g, T, R::Handle> {
         let exhausted = "CrTurnQueue: reservation slots exhausted (needs three Shields)";
         CrShields {
-            first: handle.shield().expect(exhausted),
-            next: handle.shield().expect(exhausted),
-            deq: handle.shield().expect(exhausted),
+            first: guard.shield().expect(exhausted),
+            next: guard.shield().expect(exhausted),
+            deq: guard.shield().expect(exhausted),
         }
     }
 
@@ -194,10 +194,10 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
     /// `max_threads` turn-serving rounds regardless of other threads.
     pub fn enqueue(&self, handle: &mut R::Handle, value: T) {
         // Enqueue only ever pins the tail snapshot; dequeue needs all three.
-        let mut tail_shield: Shield<Node<T>, R::Handle> = handle
+        let guard = handle.enter();
+        let mut tail_shield: Shield<'_, Node<T>, R::Handle> = guard
             .shield()
             .expect("CrTurnQueue: reservation slots exhausted (enqueue needs one Shield)");
-        let guard = handle.enter();
         let tid = self.publish_enqueue_request(&guard, value);
         self.complete_enqueue(&guard, &mut tail_shield, tid);
     }
@@ -216,7 +216,7 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
     fn complete_enqueue(
         &self,
         guard: &Guard<'_, R::Handle>,
-        tail_shield: &mut Shield<Node<T>, R::Handle>,
+        tail_shield: &mut Shield<'_, Node<T>, R::Handle>,
         tid: usize,
     ) {
         let max_threads = self.max_threads();
@@ -281,8 +281,8 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
     /// Removes the element at the head, if any. Wait-free: the request is
     /// granted within `max_threads` head advances.
     pub fn dequeue(&self, handle: &mut R::Handle) -> Option<T> {
-        let mut sh = Self::shields(handle);
         let guard = handle.enter();
+        let mut sh = Self::shields(&guard);
         let tid = guard.thread_id();
         let (pr_req, my_req) = self.publish_dequeue_request(tid);
         self.complete_dequeue(&guard, &mut sh, tid, pr_req, my_req)
@@ -302,7 +302,7 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
     fn complete_dequeue(
         &self,
         guard: &Guard<'_, R::Handle>,
-        sh: &mut CrShields<T, R::Handle>,
+        sh: &mut CrShields<'_, T, R::Handle>,
         tid: usize,
         pr_req: *mut Linked<Node<T>>,
         my_req: *mut Linked<Node<T>>,
@@ -428,7 +428,7 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
     fn cas_deq_and_head(
         &self,
         guard: &Guard<'_, R::Handle>,
-        sh: &mut CrShields<T, R::Handle>,
+        sh: &mut CrShields<'_, T, R::Handle>,
         lhead: Protected<'_, Node<T>>,
         lnext: Protected<'_, Node<T>>,
         tid: usize,
@@ -476,7 +476,7 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
     fn give_up(
         &self,
         guard: &Guard<'_, R::Handle>,
-        sh: &mut CrShields<T, R::Handle>,
+        sh: &mut CrShields<'_, T, R::Handle>,
         my_req: *mut Linked<Node<T>>,
         tid: usize,
     ) {
@@ -537,8 +537,8 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
     /// thread (same handle) that opened the ticket.
     #[doc(hidden)]
     pub fn resume_dequeue(&self, handle: &mut R::Handle, ticket: DequeueTicket<T>) -> Option<T> {
-        let mut sh = Self::shields(handle);
         let guard = handle.enter();
+        let mut sh = Self::shields(&guard);
         let tid = guard.thread_id();
         self.complete_dequeue(&guard, &mut sh, tid, ticket.pr_req, ticket.my_req)
     }

@@ -76,11 +76,11 @@ unsafe impl<T: Send, R: Reclaimer> Sync for KoganPetrankQueue<T, R> {}
 /// the head/tail snapshot, its successor, the descriptor being examined and a
 /// separate shield for descriptor re-checks (`is_still_pending`), which must
 /// not displace the descriptor the caller is still reading.
-struct KpShields<T, H: wfe_reclaim::RawHandle> {
-    first: Shield<Node<T>, H>,
-    next: Shield<Node<T>, H>,
-    desc: Shield<OpDesc<T>, H>,
-    desc_aux: Shield<OpDesc<T>, H>,
+struct KpShields<'g, T, H: wfe_reclaim::RawHandle> {
+    first: Shield<'g, Node<T>, H>,
+    next: Shield<'g, Node<T>, H>,
+    desc: Shield<'g, OpDesc<T>, H>,
+    desc_aux: Shield<'g, OpDesc<T>, H>,
 }
 
 impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
@@ -88,14 +88,14 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     /// (head/tail snapshot, successor, descriptor, descriptor re-checks).
     pub const REQUIRED_SLOTS: usize = 4;
 
-    /// Leases the four shields of one operation.
-    fn shields(handle: &R::Handle) -> KpShields<T, R::Handle> {
+    /// Leases the four shields of one operation from its guard.
+    fn shields<'g>(guard: &'g Guard<'_, R::Handle>) -> KpShields<'g, T, R::Handle> {
         let exhausted = "KoganPetrankQueue: reservation slots exhausted (needs four Shields)";
         KpShields {
-            first: handle.shield().expect(exhausted),
-            next: handle.shield().expect(exhausted),
-            desc: handle.shield().expect(exhausted),
-            desc_aux: handle.shield().expect(exhausted),
+            first: guard.shield().expect(exhausted),
+            next: guard.shield().expect(exhausted),
+            desc: guard.shield().expect(exhausted),
+            desc_aux: guard.shield().expect(exhausted),
         }
     }
 
@@ -142,7 +142,11 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     }
 
     /// Largest phase currently published, plus one.
-    fn next_phase(&self, guard: &Guard<'_, R::Handle>, sh: &mut KpShields<T, R::Handle>) -> u64 {
+    fn next_phase(
+        &self,
+        guard: &Guard<'_, R::Handle>,
+        sh: &mut KpShields<'_, T, R::Handle>,
+    ) -> u64 {
         let mut max = 0;
         for slot in self.state.iter() {
             let desc = sh.desc_aux.protect(guard, slot, None);
@@ -190,7 +194,7 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     fn is_still_pending(
         &self,
         guard: &Guard<'_, R::Handle>,
-        sh: &mut KpShields<T, R::Handle>,
+        sh: &mut KpShields<'_, T, R::Handle>,
         tid: usize,
         phase: u64,
     ) -> bool {
@@ -202,7 +206,7 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     }
 
     /// Helps every pending operation whose phase is at most `phase`.
-    fn help(&self, guard: &Guard<'_, R::Handle>, sh: &mut KpShields<T, R::Handle>, phase: u64) {
+    fn help(&self, guard: &Guard<'_, R::Handle>, sh: &mut KpShields<'_, T, R::Handle>, phase: u64) {
         for tid in 0..self.state.len() {
             let desc = sh.desc.protect(guard, &self.state[tid], None);
             let (pending, desc_phase, enqueue) = {
@@ -224,7 +228,7 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     fn help_enq(
         &self,
         guard: &Guard<'_, R::Handle>,
-        sh: &mut KpShields<T, R::Handle>,
+        sh: &mut KpShields<'_, T, R::Handle>,
         tid: usize,
         phase: u64,
     ) {
@@ -271,7 +275,7 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
         }
     }
 
-    fn help_finish_enq(&self, guard: &Guard<'_, R::Handle>, sh: &mut KpShields<T, R::Handle>) {
+    fn help_finish_enq(&self, guard: &Guard<'_, R::Handle>, sh: &mut KpShields<'_, T, R::Handle>) {
         let last = sh.first.protect(guard, &self.tail, None);
         // SAFETY: `last` and `next` each have their own shield (`sh.first` /
         // `sh.next`), neither re-protected for the rest of this function.
@@ -314,7 +318,7 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     fn help_deq(
         &self,
         guard: &Guard<'_, R::Handle>,
-        sh: &mut KpShields<T, R::Handle>,
+        sh: &mut KpShields<'_, T, R::Handle>,
         tid: usize,
         phase: u64,
     ) {
@@ -399,7 +403,7 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
         }
     }
 
-    fn help_finish_deq(&self, guard: &Guard<'_, R::Handle>, sh: &mut KpShields<T, R::Handle>) {
+    fn help_finish_deq(&self, guard: &Guard<'_, R::Handle>, sh: &mut KpShields<'_, T, R::Handle>) {
         let first = sh.first.protect(guard, &self.head, None);
         // SAFETY: `first` and `next` each have their own shield (`sh.first` /
         // `sh.next`), neither re-protected for the rest of this function.
@@ -449,8 +453,8 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     /// Appends `value` at the tail. Wait-free when the reclamation scheme is
     /// wait-free.
     pub fn enqueue(&self, handle: &mut R::Handle, value: T) {
-        let mut sh = Self::shields(handle);
         let guard = handle.enter();
+        let mut sh = Self::shields(&guard);
         let tid = guard.thread_id();
         let phase = self.next_phase(&guard, &mut sh);
         let node = guard.alloc(Node {
@@ -474,8 +478,8 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     /// Removes the element at the head, if any. Wait-free when the reclamation
     /// scheme is wait-free.
     pub fn dequeue(&self, handle: &mut R::Handle) -> Option<T> {
-        let mut sh = Self::shields(handle);
         let guard = handle.enter();
+        let mut sh = Self::shields(&guard);
         let tid = guard.thread_id();
         let phase = self.next_phase(&guard, &mut sh);
         let desc = guard.alloc(OpDesc {
@@ -513,7 +517,7 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     fn publish_own_desc(
         &self,
         guard: &Guard<'_, R::Handle>,
-        sh: &mut KpShields<T, R::Handle>,
+        sh: &mut KpShields<'_, T, R::Handle>,
         tid: usize,
         desc: *mut Linked<OpDesc<T>>,
     ) {
@@ -537,10 +541,10 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     /// the head sentinel's `next` field, and the sentinel may be retired by a
     /// concurrent dequeue — the read must be protected like any other.
     pub fn is_empty(&self, handle: &mut R::Handle) -> bool {
-        let mut head_shield: Shield<Node<T>, R::Handle> = handle
+        let guard = handle.enter();
+        let mut head_shield: Shield<'_, Node<T>, R::Handle> = guard
             .shield()
             .expect("KoganPetrankQueue: reservation slots exhausted");
-        let guard = handle.enter();
         let head = head_shield.protect(&guard, &self.head, None);
         // SAFETY: `head_shield` is not re-protected for the rest of this
         // function.

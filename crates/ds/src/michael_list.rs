@@ -53,12 +53,12 @@ impl<V, R: Reclaimer> MichaelList<V, R> {
     /// `(prev, curr)` window.
     pub const REQUIRED_SLOTS: usize = 2;
 
-    /// Leases the two shields of the hand-over-hand window. The shields swap
-    /// roles as the traversal advances, so a node keeps its shield while it
-    /// remains part of the window.
-    fn window_shields(handle: &R::Handle) -> [Shield<Node<V>, R::Handle>; 2] {
+    /// Leases the two shields of the hand-over-hand window from the
+    /// operation's guard. The shields swap roles as the traversal advances,
+    /// so a node keeps its shield while it remains part of the window.
+    fn window_shields<'g>(guard: &'g Guard<'_, R::Handle>) -> [Shield<'g, Node<V>, R::Handle>; 2] {
         let lease = || {
-            handle
+            guard
                 .shield()
                 .expect("MichaelList: reservation slots exhausted (find needs two Shields)")
         };
@@ -91,7 +91,7 @@ impl<V, R: Reclaimer> MichaelList<V, R> {
     fn find<'g>(
         &'g self,
         guard: &'g Guard<'_, R::Handle>,
-        shields: &mut [Shield<Node<V>, R::Handle>; 2],
+        shields: &mut [Shield<'_, Node<V>, R::Handle>; 2],
         key: u64,
     ) -> Window<'g, V> {
         'retry: loop {
@@ -168,13 +168,13 @@ impl<V, R: Reclaimer> MichaelList<V, R> {
     /// Inserts `key → value`; returns `false` (dropping `value`) if the key
     /// is already present.
     pub fn insert(&self, handle: &mut R::Handle, key: u64, value: V) -> bool {
-        let mut shields = Self::window_shields(handle);
-        let node = handle.alloc(Node {
+        let guard = handle.enter();
+        let mut shields = Self::window_shields(&guard);
+        let node = guard.alloc(Node {
             key,
             value,
             next: Atomic::null(),
         });
-        let guard = handle.enter();
         loop {
             let window = self.find(&guard, &mut shields, key);
             if window.found {
@@ -208,8 +208,8 @@ impl<V, R: Reclaimer> MichaelList<V, R> {
 
     /// Removes `key`; returns `true` if it was present.
     pub fn remove(&self, handle: &mut R::Handle, key: u64) -> bool {
-        let mut shields = Self::window_shields(handle);
         let guard = handle.enter();
+        let mut shields = Self::window_shields(&guard);
         loop {
             let window = self.find(&guard, &mut shields, key);
             if !window.found {
@@ -261,8 +261,8 @@ impl<V, R: Reclaimer> MichaelList<V, R> {
 
     /// Returns `true` if `key` is present.
     pub fn contains(&self, handle: &mut R::Handle, key: u64) -> bool {
-        let mut shields = Self::window_shields(handle);
         let guard = handle.enter();
+        let mut shields = Self::window_shields(&guard);
         self.find(&guard, &mut shields, key).found
     }
 }
@@ -270,8 +270,8 @@ impl<V, R: Reclaimer> MichaelList<V, R> {
 impl<V: Clone, R: Reclaimer> MichaelList<V, R> {
     /// Looks up `key`, returning a clone of its value.
     pub fn get(&self, handle: &mut R::Handle, key: u64) -> Option<V> {
-        let mut shields = Self::window_shields(handle);
         let guard = handle.enter();
+        let mut shields = Self::window_shields(&guard);
         let window = self.find(&guard, &mut shields, key);
         if window.found {
             // SAFETY: the window's shields are not re-protected after `find`

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use wfe_sync::atomic::Ordering;
 
 use wfe_atomics::Backoff;
-use wfe_reclaim::{Atomic, Handle, Linked, Reclaimer, Shield};
+use wfe_reclaim::{Atomic, Guard, Handle, Linked, Reclaimer, Shield};
 
 use crate::traits::ConcurrentQueue;
 
@@ -41,9 +41,10 @@ impl<T, R: Reclaimer> MichaelScottQueue<T, R> {
     /// snapshot and its successor.
     pub const REQUIRED_SLOTS: usize = 2;
 
-    /// Leases one shield (enqueue protects only the tail snapshot).
-    fn one_shield(handle: &R::Handle) -> Shield<Node<T>, R::Handle> {
-        handle
+    /// Leases one shield from the operation's guard (enqueue protects only
+    /// the tail snapshot).
+    fn one_shield<'g>(guard: &'g Guard<'_, R::Handle>) -> Shield<'g, Node<T>, R::Handle> {
+        guard
             .shield()
             .expect("MichaelScottQueue: reservation slots exhausted")
     }
@@ -76,12 +77,12 @@ impl<T, R: Reclaimer> MichaelScottQueue<T, R> {
 
     /// Appends `value` at the tail.
     pub fn enqueue(&self, handle: &mut R::Handle, value: T) {
-        let mut tail_shield = Self::one_shield(handle);
-        let node = handle.alloc(Node {
+        let guard = handle.enter();
+        let mut tail_shield = Self::one_shield(&guard);
+        let node = guard.alloc(Node {
             value: Some(ManuallyDrop::new(value)),
             next: Atomic::null(),
         });
-        let guard = handle.enter();
         let mut backoff = Backoff::new();
         loop {
             let tail = tail_shield.protect(&guard, &self.tail, None);
@@ -120,9 +121,9 @@ impl<T, R: Reclaimer> MichaelScottQueue<T, R> {
 
     /// Removes the element at the head, if any.
     pub fn dequeue(&self, handle: &mut R::Handle) -> Option<T> {
-        let mut head_shield = Self::one_shield(handle);
-        let mut next_shield = Self::one_shield(handle);
         let guard = handle.enter();
+        let mut head_shield = Self::one_shield(&guard);
+        let mut next_shield = Self::one_shield(&guard);
         let mut backoff = Backoff::new();
         loop {
             let head = head_shield.protect(&guard, &self.head, None);
@@ -181,8 +182,8 @@ impl<T, R: Reclaimer> MichaelScottQueue<T, R> {
     /// the head sentinel's `next` field, and the sentinel may be retired by a
     /// concurrent dequeue — the read must be protected like any other.
     pub fn is_empty(&self, handle: &mut R::Handle) -> bool {
-        let mut head_shield = Self::one_shield(handle);
         let guard = handle.enter();
+        let mut head_shield = Self::one_shield(&guard);
         let head = head_shield.protect(&guard, &self.head, None);
         // SAFETY: `head_shield` is not re-protected for the rest of this
         // function.

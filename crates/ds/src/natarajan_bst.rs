@@ -88,10 +88,11 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
     /// ancestor/parent/leaf/current window of `seek` plus its spare.
     pub const REQUIRED_SLOTS: usize = 5;
 
-    /// Leases the five shields of the rotating `seek` window.
-    fn seek_shields(handle: &R::Handle) -> [Shield<Node<V>, R::Handle>; 5] {
+    /// Leases the five shields of the rotating `seek` window from the
+    /// operation's guard.
+    fn seek_shields<'g>(guard: &'g Guard<'_, R::Handle>) -> [Shield<'g, Node<V>, R::Handle>; 5] {
         let lease = || {
-            handle
+            guard
                 .shield()
                 .expect("NatarajanBst: reservation slots exhausted (seek needs five Shields)")
         };
@@ -147,7 +148,7 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
     fn seek<'g>(
         &self,
         guard: &'g Guard<'_, R::Handle>,
-        shields: &mut [Shield<Node<V>, R::Handle>; 5],
+        shields: &mut [Shield<'_, Node<V>, R::Handle>; 5],
         key: u64,
     ) -> SeekRecord<'g, V> {
         // SAFETY: the super-root R is an immortal sentinel — it is never
@@ -301,8 +302,8 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
     /// Panics if `key >= u64::MAX - 1` (reserved sentinel keys).
     pub fn insert(&self, handle: &mut R::Handle, key: u64, value: V) -> bool {
         assert!(key < KEY_INF1, "keys >= u64::MAX - 1 are reserved");
-        let mut shields = Self::seek_shields(handle);
         let guard = handle.enter();
+        let mut shields = Self::seek_shields(&guard);
         let mut value = Some(value);
         loop {
             let record = self.seek(&guard, &mut shields, key);
@@ -362,8 +363,8 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
 
     /// Removes `key`; returns `true` if it was present.
     pub fn remove(&self, handle: &mut R::Handle, key: u64) -> bool {
-        let mut shields = Self::seek_shields(handle);
         let guard = handle.enter();
+        let mut shields = Self::seek_shields(&guard);
         let mut injected = false;
         let mut target_leaf: *mut Linked<Node<V>> = core::ptr::null_mut();
         loop {
@@ -417,8 +418,8 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
 
     /// Returns `true` if `key` is present.
     pub fn contains(&self, handle: &mut R::Handle, key: u64) -> bool {
-        let mut shields = Self::seek_shields(handle);
         let guard = handle.enter();
+        let mut shields = Self::seek_shields(&guard);
         let record = self.seek(&guard, &mut shields, key);
         // SAFETY: the leaf role keeps its shield after `seek` returns.
         unsafe { record.leaf.as_ref() }
@@ -431,8 +432,8 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
 impl<V: Clone, R: Reclaimer> NatarajanBst<V, R> {
     /// Looks up `key`, returning a clone of its value.
     pub fn get(&self, handle: &mut R::Handle, key: u64) -> Option<V> {
-        let mut shields = Self::seek_shields(handle);
         let guard = handle.enter();
+        let mut shields = Self::seek_shields(&guard);
         let record = self.seek(&guard, &mut shields, key);
         // SAFETY: the leaf role keeps its shield after `seek` returns, so
         // the reference stays pinned while the value is cloned.

@@ -236,19 +236,21 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
         }
     }
 
-    /// Leases the two shields of the hand-over-hand list window.
-    fn window_shields(handle: &R::Handle) -> [Shield<Node<V>, R::Handle>; 2] {
+    /// Leases the two shields of the hand-over-hand list window from the
+    /// operation's guard.
+    fn window_shields<'g>(guard: &'g Guard<'_, R::Handle>) -> [Shield<'g, Node<V>, R::Handle>; 2] {
         let lease = || {
-            handle
+            guard
                 .shield()
                 .expect("ResizableHashMap: reservation slots exhausted (find needs two Shields)")
         };
         [lease(), lease()]
     }
 
-    /// Leases the shield protecting the bucket directory.
-    fn dir_shield(handle: &R::Handle) -> Shield<Directory<V>, R::Handle> {
-        handle
+    /// Leases the shield protecting the bucket directory from the
+    /// operation's guard.
+    fn dir_shield<'g>(guard: &'g Guard<'_, R::Handle>) -> Shield<'g, Directory<V>, R::Handle> {
+        guard
             .shield()
             .expect("ResizableHashMap: reservation slots exhausted (the directory needs a Shield)")
     }
@@ -270,7 +272,7 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     fn current_dir<'g>(
         &'g self,
         guard: &'g Guard<'_, R::Handle>,
-        dir_shield: &mut Shield<Directory<V>, R::Handle>,
+        dir_shield: &mut Shield<'_, Directory<V>, R::Handle>,
     ) -> (Protected<'g, Directory<V>>, &'g Directory<V>) {
         let dir = dir_shield.protect(guard, &self.dir, None);
         // SAFETY: `dir_shield` is not re-protected while the reference is in
@@ -288,7 +290,7 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     fn find_from<'g>(
         &'g self,
         guard: &'g Guard<'_, R::Handle>,
-        shields: &mut [Shield<Node<V>, R::Handle>; 2],
+        shields: &mut [Shield<'_, Node<V>, R::Handle>; 2],
         dummy: *mut Linked<Node<V>>,
         so_key: u64,
         key: u64,
@@ -379,7 +381,7 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     fn bucket_dummy<'g>(
         &'g self,
         guard: &'g Guard<'_, R::Handle>,
-        shields: &mut [Shield<Node<V>, R::Handle>; 2],
+        shields: &mut [Shield<'_, Node<V>, R::Handle>; 2],
         dir: &'g Directory<V>,
         bucket: usize,
     ) -> *mut Linked<Node<V>> {
@@ -459,15 +461,15 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     pub fn insert(&self, handle: &mut R::Handle, key: u64, value: V) -> bool {
         let so_key = data_so_key(key);
         let inserted = {
-            let mut dir_shield = Self::dir_shield(handle);
-            let mut shields = Self::window_shields(handle);
-            let node = handle.alloc(Node {
+            let guard = handle.enter();
+            let mut dir_shield = Self::dir_shield(&guard);
+            let mut shields = Self::window_shields(&guard);
+            let node = guard.alloc(Node {
                 so_key,
                 key,
                 value: Some(value),
                 next: Atomic::null(),
             });
-            let guard = handle.enter();
             loop {
                 let (_dir, dir_ref) = self.current_dir(&guard, &mut dir_shield);
                 let bucket = mix64(key) as usize & (dir_ref.slots.len() - 1);
@@ -519,9 +521,9 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     /// Removes `key`; returns `true` if it was present.
     pub fn remove(&self, handle: &mut R::Handle, key: u64) -> bool {
         let so_key = data_so_key(key);
-        let mut dir_shield = Self::dir_shield(handle);
-        let mut shields = Self::window_shields(handle);
         let guard = handle.enter();
+        let mut dir_shield = Self::dir_shield(&guard);
+        let mut shields = Self::window_shields(&guard);
         loop {
             let (_dir, dir_ref) = self.current_dir(&guard, &mut dir_shield);
             let bucket = mix64(key) as usize & (dir_ref.slots.len() - 1);
@@ -579,9 +581,9 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     /// Returns `true` if `key` is present.
     pub fn contains(&self, handle: &mut R::Handle, key: u64) -> bool {
         let so_key = data_so_key(key);
-        let mut dir_shield = Self::dir_shield(handle);
-        let mut shields = Self::window_shields(handle);
         let guard = handle.enter();
+        let mut dir_shield = Self::dir_shield(&guard);
+        let mut shields = Self::window_shields(&guard);
         let (_dir, dir_ref) = self.current_dir(&guard, &mut dir_shield);
         let bucket = mix64(key) as usize & (dir_ref.slots.len() - 1);
         let dummy = self.bucket_dummy(&guard, &mut shields, dir_ref, bucket);
@@ -604,8 +606,8 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     /// Returns the address of the array this thread retired, for the
     /// retired-exactly-once model schedule.
     fn try_resize(&self, handle: &mut R::Handle) -> Option<usize> {
-        let mut dir_shield = Self::dir_shield(handle);
         let guard = handle.enter();
+        let mut dir_shield = Self::dir_shield(&guard);
         let (old, old_ref) = self.current_dir(&guard, &mut dir_shield);
         let old_size = old_ref.slots.len();
         if old_size >= Self::MAX_BUCKETS {
@@ -690,9 +692,9 @@ impl<V: Clone, R: Reclaimer> ResizableHashMap<V, R> {
     /// Looks up `key`, returning a clone of its value.
     pub fn get(&self, handle: &mut R::Handle, key: u64) -> Option<V> {
         let so_key = data_so_key(key);
-        let mut dir_shield = Self::dir_shield(handle);
-        let mut shields = Self::window_shields(handle);
         let guard = handle.enter();
+        let mut dir_shield = Self::dir_shield(&guard);
+        let mut shields = Self::window_shields(&guard);
         let (_dir, dir_ref) = self.current_dir(&guard, &mut dir_shield);
         let bucket = mix64(key) as usize & (dir_ref.slots.len() - 1);
         let dummy = self.bucket_dummy(&guard, &mut shields, dir_ref, bucket);

@@ -2,7 +2,7 @@
 //!
 //! The stack is the paper's running example for the reclamation API: `push`
 //! allocates a node through `alloc_block`, `pop` protects the top through a
-//! [`Shield`] inside a [`Guard`](wfe_reclaim::Guard) bracket, unlinks it with
+//! [`Shield`] inside a [`Guard`] bracket, unlinks it with
 //! CAS and retires it.
 
 use core::mem::ManuallyDrop;
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use wfe_sync::atomic::Ordering;
 
 use wfe_atomics::Backoff;
-use wfe_reclaim::{Atomic, Handle, Linked, Reclaimer, Shield};
+use wfe_reclaim::{Atomic, Guard, Handle, Linked, Reclaimer, Shield};
 
 /// A node of the stack.
 pub struct Node<T> {
@@ -40,9 +40,9 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
     /// Reservation slots the stack needs per thread: only the top node.
     pub const REQUIRED_SLOTS: usize = 1;
 
-    /// Leases the one shield `pop` needs.
-    fn top_shield(handle: &R::Handle) -> Shield<Node<T>, R::Handle> {
-        handle
+    /// Leases the one shield `pop` needs from its guard.
+    fn top_shield<'g>(guard: &'g Guard<'_, R::Handle>) -> Shield<'g, Node<T>, R::Handle> {
+        guard
             .shield()
             .expect("TreiberStack: reservation slots exhausted (pop needs one Shield)")
     }
@@ -91,8 +91,8 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
     /// Pops the most recently pushed value (the paper's `dequeue`, Figure 2
     /// lines 9-22).
     pub fn pop(&self, handle: &mut R::Handle) -> Option<T> {
-        let mut top = Self::top_shield(handle);
         let guard = handle.enter();
+        let mut top = Self::top_shield(&guard);
         let mut backoff = Backoff::new();
         loop {
             let node = top.protect(&guard, &self.head, None);

@@ -275,7 +275,7 @@ pub fn debug_assert_slot_index(index: usize, slots: usize) {
 /// This is the **SPI for scheme implementors** — the Rust rendering of the
 /// paper's Hazard-Eras-compatible C interface. Application code should use
 /// the safe layer instead: [`Handle::enter`] for operation brackets,
-/// [`Handle::shield`]/[`Shield`] for reservations and
+/// [`Guard::shield`]/[`Shield`] for reservations and
 /// [`Protected`](crate::Protected) for the pointers they return; the raw
 /// methods below remain public for new scheme implementations and for
 /// harnesses that measure the uncooked operations (the `guard_overhead`
@@ -291,6 +291,12 @@ pub fn debug_assert_slot_index(index: usize, slots: usize) {
 /// SMR contract (blocks are retired only after becoming unreachable, and only
 /// once). `protect_raw` must call [`debug_assert_slot_index`] (or an
 /// equivalent check) so out-of-range indices fail uniformly in debug builds.
+///
+/// The implementing type must be `!Sync`, and
+/// [`shield_slots`](Self::shield_slots) must hand out one table per
+/// registration: leasing a [`Shield`] takes `&self` and sets a lease flag
+/// with a plain store, which is only sound while a single thread at a time
+/// can reach the handle (see [`ShieldSlots`]' single-writer protocol).
 pub unsafe trait RawHandle {
     /// Dense index of this thread in `0..max_threads`.
     fn thread_id(&self) -> usize;
@@ -372,14 +378,15 @@ pub unsafe trait RawHandle {
 ///
 /// Besides the paper-shaped `alloc`/`protect`/`retire`, this is where the
 /// safe guard API hangs off a handle: [`enter`](Self::enter) opens an
-/// operation bracket, [`shield`](Self::shield) leases a reservation slot.
+/// operation bracket, [`shield`](Self::shield) leases a reservation slot
+/// that outlives brackets.
 pub trait Handle: RawHandle {
     /// Opens an operation bracket (the paper's `begin_op`), returning the
     /// [`Guard`] through which shared pointers are read. Dropping the guard
     /// closes the bracket (`end_op`).
     ///
     /// The guard borrows the handle exclusively; lease the operation's
-    /// [`Shield`]s *before* entering.
+    /// [`Shield`]s from it ([`Guard::shield`]) once inside.
     fn enter(&mut self) -> Guard<'_, Self>
     where
         Self: Sized,
@@ -390,7 +397,12 @@ pub trait Handle: RawHandle {
     /// Leases a reservation slot as an owned [`Shield`], or reports
     /// exhaustion as an error instead of silently stomping a neighbouring
     /// reservation.
-    fn shield<T>(&self) -> Result<Shield<T, Self>, ShieldError>
+    ///
+    /// For leases that must outlive a bracket (held across operations or
+    /// `.await` points): the shield shares the lease table's `Arc`. Inside an
+    /// operation, lease from the guard instead ([`Guard::shield`]), which
+    /// borrows the table and touches no reference count.
+    fn shield<T>(&self) -> Result<Shield<'static, T, Self>, ShieldError>
     where
         Self: Sized,
     {

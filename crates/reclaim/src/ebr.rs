@@ -140,6 +140,14 @@ impl core::fmt::Debug for Ebr {
 }
 
 /// Per-thread EBR handle.
+///
+/// Deliberately `!Sync`: the single-writer premise of the [`Shield`](crate::Shield)
+/// lease table (`RawHandle`'s `# Safety`).
+///
+/// ```compile_fail,E0277
+/// fn requires_sync<T: Sync>() {}
+/// requires_sync::<wfe_reclaim::ebr::EbrHandle>(); // ERROR: `EbrHandle` is not `Sync`
+/// ```
 pub struct EbrHandle {
     /// Lease table for this handle's [`Shield`](crate::Shield)s. EBR ignores
     /// the indices, but leases keep data structures scheme-generic.

@@ -10,12 +10,15 @@
 //!   [`Handle::enter`]. Construction runs `begin_op`,
 //!   drop runs `end_op`, and every hazardous read goes through a guard, so an
 //!   operation can no longer forget to open or close its bracket.
-//! * [`Shield`] — an owned reservation slot leased from a handle with
-//!   [`Handle::shield`]. Slot indices become a managed
+//! * [`Shield`] — a leased reservation slot. Slot indices become a managed
 //!   resource: exhaustion is an [`Err`](ShieldError) instead of a silent stomp
 //!   on a neighbouring reservation, and the slot is returned when the shield
-//!   is dropped. A shield is independent of any single guard, so it can be
-//!   held across operations (or `.await` points) and reused.
+//!   is dropped. **Lease from the guard inside an operation
+//!   ([`Guard::shield`]), from the handle ([`Handle::shield`]) only when the
+//!   lease must outlive a bracket.** The guard lease borrows the handle's
+//!   lease table for the bracket and costs a load and a store; the handle
+//!   lease owns a share of the table (an `Arc` clone), so it can be held
+//!   across operations and `.await` points and dropped on any thread.
 //! * [`Protected`] — a tagged, borrow-checked pointer returned by
 //!   [`Shield::protect`]. Its lifetime is tied to the guard it was read
 //!   under, so it cannot outlive the operation bracket. Dereferencing via
@@ -32,18 +35,17 @@
 //! let domain = He::new_default();
 //! let mut handle = domain.register();
 //!
-//! // A shield is leased once and reused across operations.
-//! let mut shield = handle.shield::<u64>().expect("slots available");
-//!
 //! let node = handle.alloc(42u64);
 //! let root: Atomic<u64> = Atomic::new(node);
 //!
 //! {
 //!     let guard = handle.enter(); // begin_op
+//!     // One operation: the shield is leased from the guard.
+//!     let mut shield = guard.shield::<u64>().expect("slots available");
 //!     let value = shield.protect(&guard, &root, None);
 //!     // SAFETY: `shield` does not re-protect while `value` is in use.
 //!     assert_eq!(unsafe { value.as_ref() }, Some(&42));
-//! } // end_op
+//! } // slot returned, then end_op
 //!
 //! // Unlink, then retire through the typed API: the *only* obligation left
 //! // is that the block really was unlinked.
@@ -55,7 +57,8 @@
 //!
 //! # What the borrow checker enforces — and what it cannot
 //!
-//! A [`Protected`] cannot outlive its [`Guard`] (compile error), and a
+//! A [`Protected`] cannot outlive its [`Guard`], nor can a [`Shield`] leased
+//! from that guard (compile errors), and a
 //! [`Shield`] leased from one scheme's handle cannot be used with a guard of
 //! another scheme (type error); using it with a *different handle of the same
 //! scheme* panics at runtime. One granularity the type system does not
@@ -77,28 +80,46 @@
 //! instead of touching freed memory.
 
 use core::marker::PhantomData;
+use core::ops::Deref;
 use core::ptr;
 use std::sync::Arc;
-use wfe_sync::atomic::{AtomicUsize, Ordering};
+#[cfg(debug_assertions)]
+use wfe_sync::atomic::AtomicUsize;
+use wfe_sync::atomic::{AtomicBool, Ordering};
 
 use crate::api::{Handle, RawHandle};
 use crate::block::Linked;
 use crate::ptr::{tag, Atomic};
 
-/// The lease table behind a handle's [`Shield`]s: one bit per application
+/// The lease table behind a handle's [`Shield`]s: one flag per application
 /// reservation slot.
 ///
-/// Shared (via `Arc`) between the handle and every shield leased from it, so
-/// a shield can return its slot even after the handle moved or was parked in
-/// a [`HandlePool`](crate::pool::HandlePool). The `Arc` identity doubles as
-/// the handle identity [`Shield::protect`] validates at runtime.
+/// The handle owns it through an `Arc` that every *owned* shield
+/// ([`Handle::shield`]) shares, so such a shield can return its slot even
+/// after the handle moved or was parked in a
+/// [`HandlePool`](crate::pool::HandlePool); a guard-leased shield
+/// ([`Guard::shield`]) merely borrows it for the bracket. The table's address
+/// doubles as the handle identity [`Shield::protect`] validates at runtime.
+///
+/// # The single-writer protocol
+///
+/// Neither leasing nor releasing needs an atomic read-modify-write, because
+/// each transition of a flag has exactly one possible writer:
+///
+/// * `false → true` happens only in `lease`, and `lease` is reachable only
+///   through `&H` ([`Handle::shield`]) or through the [`Guard`] that holds
+///   the `&mut H`. Handles are `!Sync` ([`RawHandle`]'s `# Safety`) and a
+///   guard is `!Send + !Sync`, so at any moment at most one thread can be
+///   inside `lease` for a given table. A flag that thread reads as `false`
+///   therefore stays `false` until the same thread sets it.
+/// * `true → false` happens only in `release`, called once by the one
+///   `Shield` that owns the slot (from whichever thread drops it). A racing
+///   `lease` either still sees `true` and skips the slot, or sees `false`
+///   and takes a slot nobody owns any more.
 #[derive(Debug)]
 pub struct ShieldSlots {
-    /// Bit `i` set ⇔ slot `i` is currently leased to a live `Shield`.
-    bitmap: AtomicUsize,
-    /// Number of leasable slots (the handle's application slots, capped at
-    /// one machine word of bits).
-    slots: usize,
+    /// `leased[i]` set ⇔ slot `i` is currently leased to a live `Shield`.
+    leased: Box<[AtomicBool]>,
     /// Per-slot protect generation, bumped by every [`Shield::protect`] and
     /// stamped into the [`Protected`] it returns so a stale value (one whose
     /// slot has since been re-protected) is caught at `as_ref` time.
@@ -109,16 +130,9 @@ pub struct ShieldSlots {
 
 impl ShieldSlots {
     /// Creates a lease table for `slots` application reservation slots.
-    ///
-    /// At most [`usize::BITS`] slots are leasable through shields; schemes
-    /// configured with more still expose them through the raw SPI (and
-    /// [`ShieldError`]'s message points this out when the capped table is
-    /// exhausted).
     pub fn new(slots: usize) -> Arc<Self> {
-        let slots = slots.min(usize::BITS as usize);
         Arc::new(Self {
-            bitmap: AtomicUsize::new(0),
-            slots,
+            leased: (0..slots).map(|_| AtomicBool::new(false)).collect(),
             #[cfg(debug_assertions)]
             generations: (0..slots).map(|_| AtomicUsize::new(0)).collect(),
         })
@@ -127,38 +141,46 @@ impl ShieldSlots {
     /// Number of slots this table can lease.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots
+        self.leased.len()
     }
 
     /// Number of slots currently leased.
     pub fn leased(&self) -> usize {
-        self.bitmap.load(Ordering::Acquire).count_ones() as usize // ORDER: pairs with the AcqRel lease/release RMWs on the bitmap.
+        self.leased
+            .iter()
+            .filter(|flag| flag.load(Ordering::Acquire)) // ORDER: advisory count; pairs with the Release store in `release`.
+            .count()
     }
 
-    /// Leases the lowest free slot, or `None` when all are taken.
-    fn lease(&self) -> Option<usize> {
-        let mut current = self.bitmap.load(Ordering::Relaxed); // ORDER: optimistic first read; the CAS below re-validates it.
-        loop {
-            let slot = (!current).trailing_zeros() as usize;
-            if slot >= self.slots {
-                return None;
-            }
-            match self.bitmap.compare_exchange_weak(
-                current,
-                current | (1 << slot),
-                Ordering::AcqRel, // ORDER: success publishes the lease; a failed read is retried with the observed value.
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(slot),
-                Err(observed) => current = observed,
-            }
-        }
+    /// Leases the lowest free slot, or reports that all are taken.
+    ///
+    /// A load and a store, no read-modify-write: the caller is the only
+    /// thread that can set a flag of this table (the single-writer protocol
+    /// in the type docs), so the flag it saw clear is still clear when it
+    /// sets it.
+    #[inline]
+    fn lease(&self) -> Result<usize, ShieldError> {
+        let free = self
+            .leased
+            .iter()
+            .position(|flag| !flag.load(Ordering::Acquire)); // ORDER: pairs with the Release store in `release`, so the previous owner's use of the slot happens-before ours.
+        let slot = free.ok_or(ShieldError {
+            slots: self.capacity(),
+        })?;
+        self.leased[slot].store(true, Ordering::Relaxed); // ORDER: single writer — only this thread leases from this table, and a later `lease` reads it in program order (or after the handle's own hand-off to another thread).
+        Ok(slot)
     }
 
-    /// Returns a leased slot (called by `Shield::drop`).
+    /// Returns a leased slot (called by `Shield::drop`, on any thread).
+    #[inline]
     fn release(&self, slot: usize) {
-        let prev = self.bitmap.fetch_and(!(1 << slot), Ordering::AcqRel); // ORDER: pairs with the Acquire reads of the bitmap; the slot contents are not transferred through it.
-        debug_assert!(prev & (1 << slot) != 0, "releasing a slot never leased");
+        let flag = &self.leased[slot];
+        // ORDER: the releasing shield is the flag's only writer while it is set.
+        debug_assert!(
+            flag.load(Ordering::Relaxed),
+            "releasing a slot never leased"
+        );
+        flag.store(false, Ordering::Release); // ORDER: pairs with the Acquire scan in `lease`; only the shield that owns the slot clears it, so a plain store cannot lose an update.
     }
 
     /// The protect-generation cell of `slot` (see [`Shield::protect`]).
@@ -169,43 +191,25 @@ impl ShieldSlots {
     }
 }
 
-/// Error returned by [`Handle::shield`] when every
+/// Error returned by [`Guard::shield`] and [`Handle::shield`] when every
 /// reservation slot of the handle is already leased.
 ///
 /// The raw API would have let the extra index silently stomp a neighbouring
 /// reservation (a use-after-free time bomb); the typed API reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShieldError {
-    /// Number of *leasable* slots the handle has (all currently leased).
-    ///
-    /// Capped at [`usize::BITS`] even when `DomainConfig::slots_per_thread`
-    /// is larger — slots beyond the cap exist but are only reachable through
-    /// the raw SPI (see [`ShieldSlots::new`]).
+    /// Number of slots the handle has (all currently leased).
     pub slots: usize,
 }
 
 impl core::fmt::Display for ShieldError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        if self.slots >= usize::BITS as usize {
-            // Raising `slots_per_thread` cannot help past the lease cap, so
-            // the usual advice would be misleading here.
-            write!(
-                f,
-                "reservation slots exhausted: all {} leasable slots of this handle \
-                 are leased (shields can lease at most {} slots per handle; slots \
-                 beyond that cap are only reachable through the raw SPI — drop an \
-                 unused Shield instead)",
-                self.slots,
-                usize::BITS
-            )
-        } else {
-            write!(
-                f,
-                "reservation slots exhausted: all {} slots of this handle are leased \
-                 (raise DomainConfig slots_per_thread or drop an unused Shield)",
-                self.slots
-            )
-        }
+        write!(
+            f,
+            "reservation slots exhausted: all {} slots of this handle are leased \
+             (raise DomainConfig slots_per_thread or drop an unused Shield)",
+            self.slots
+        )
     }
 }
 
@@ -236,6 +240,21 @@ impl std::error::Error for ShieldError {}
 /// unsafe { escaped.as_ref() };
 /// ```
 ///
+/// Neither can a [`Shield`] leased from it — the shield borrows the lease
+/// table through the guard, which is what lets [`Guard::shield`] skip the
+/// `Arc` clone an owned lease pays:
+///
+/// ```compile_fail,E0597
+/// use wfe_reclaim::{Handle, He, Reclaimer};
+/// let domain = He::new_default();
+/// let mut handle = domain.register();
+/// let escaped = {
+///     let guard = handle.enter();
+///     guard.shield::<u64>().unwrap()
+/// }; // ERROR: `guard` does not live long enough
+/// drop(escaped);
+/// ```
+///
 /// And the bracket cannot leave its thread — protection is per-registry-slot
 /// state owned by the handle, so the guard is deliberately `!Send` (this is
 /// what forces async code through the poll-scoped `AsyncGuard` of the task
@@ -255,6 +274,10 @@ pub struct Guard<'h, H: RawHandle> {
     /// several `Protected` values may borrow the guard *shared* at once while
     /// protect/retire calls still reach the handle's `&mut` methods.
     handle: *mut H,
+    /// The handle's lease table, reborrowed once for the whole bracket: the
+    /// source of guard-leased [`Shield`]s, of the handle identity
+    /// [`Shield::protect`] checks, and of the debug generation cells.
+    slots: &'h ShieldSlots,
     _marker: PhantomData<&'h mut H>,
 }
 
@@ -262,10 +285,40 @@ impl<'h, H: RawHandle> Guard<'h, H> {
     /// Opens the bracket. Called by [`Handle::enter`].
     pub(crate) fn new(handle: &'h mut H) -> Self {
         handle.begin_op();
+        // SAFETY: `RawHandle::shield_slots` hands back the same `Arc` for
+        // the handle's whole lifetime (trait contract), so the table — a
+        // heap block the `Arc` owns, outside the bytes of `H` that the
+        // `&mut` accesses below retag — lives at least as long as the
+        // handle, which this guard keeps borrowed for `'h`; the table is
+        // never structurally mutated.
+        let slots = unsafe { &*Arc::as_ptr(handle.shield_slots()) };
         Self {
             handle,
+            slots,
             _marker: PhantomData,
         }
+    }
+
+    /// Leases the lowest free reservation slot of the underlying handle for
+    /// (at most) the rest of this bracket — the lease every operation of a
+    /// data structure should use. Exhaustion is an error, as with
+    /// [`Handle::shield`]; unlike it, the returned [`Shield`] *borrows* the
+    /// lease table through the guard, so leasing is a load and a store and
+    /// returning the slot a single store (no `Arc` traffic, no locked
+    /// instruction).
+    ///
+    /// Declare the shields after the guard so they are dropped before it.
+    #[inline]
+    pub fn shield<T>(&self) -> Result<Shield<'_, T, H>, ShieldError> {
+        // Single-writer premise of `ShieldSlots::lease`: this guard holds
+        // the handle's `&mut` and is `!Send + !Sync`, so no other thread
+        // can be leasing from the same table.
+        let slot = self.slots.lease()?;
+        Ok(Shield {
+            slot,
+            table: TableRef::Borrowed(self.slots),
+            _marker: PhantomData,
+        })
     }
 
     /// Runs `f` with exclusive access to the handle.
@@ -299,27 +352,6 @@ impl<'h, H: RawHandle> Guard<'h, H> {
     #[inline]
     pub fn alloc<T>(&self, value: T) -> *mut Linked<T> {
         self.with(|h| h.alloc(value))
-    }
-
-    /// The lease-table identity of the underlying handle (used by
-    /// [`Shield::protect`] to reject shields leased from another handle).
-    #[inline]
-    fn slots_identity(&self) -> *const ShieldSlots {
-        self.with(|h| Arc::as_ptr(h.shield_slots()))
-    }
-
-    /// The protect-generation cell of `slot` in the handle's lease table,
-    /// reborrowed for the guard's lifetime. [`Shield::protect`] stamps it
-    /// into every [`Protected`] so a stale value can be detected.
-    #[cfg(debug_assertions)]
-    #[inline]
-    fn generation_cell(&self, slot: usize) -> &AtomicUsize {
-        // SAFETY: `RawHandle::shield_slots` hands back the same `Arc` for
-        // the handle's whole lifetime (trait contract), the guard keeps the
-        // handle borrowed for at least as long as `self`, and the table is
-        // never structurally mutated — so the cell outlives every borrow of
-        // this guard.
-        unsafe { (*self.slots_identity()).generation(slot) }
     }
 
     /// Protects and returns the pointer at `src` through slot `index` of this
@@ -367,8 +399,35 @@ impl<H: RawHandle> core::fmt::Debug for Guard<'_, H> {
 /// protected type `T` and a handle type `H` without owning either.
 type ShieldMarker<T, H> = PhantomData<(fn() -> T, fn(&H))>;
 
-/// An owned reservation slot, leased from a handle with
-/// [`Handle::shield`] and returned on drop.
+/// Where a [`Shield`] finds the lease table its slot belongs to.
+#[derive(Debug)]
+enum TableRef<'g> {
+    /// Borrowed through the [`Guard`] that leased the shield: nothing to
+    /// clone, nothing to drop.
+    Borrowed(&'g ShieldSlots),
+    /// A share of the handle's `Arc`, for leases that outlive brackets.
+    Owned(Arc<ShieldSlots>),
+}
+
+impl Deref for TableRef<'_> {
+    type Target = ShieldSlots;
+
+    #[inline]
+    fn deref(&self) -> &ShieldSlots {
+        match self {
+            Self::Borrowed(table) => table,
+            Self::Owned(table) => table,
+        }
+    }
+}
+
+/// A leased reservation slot, returned on drop.
+///
+/// Lease it from the guard inside an operation ([`Guard::shield`]: the
+/// shield borrows the lease table for `'g`, the rest of the bracket), from
+/// the handle ([`Handle::shield`]: `Shield<'static, ..>`, a share of the
+/// table's `Arc`) only when the lease must outlive a bracket — held across
+/// operations or `.await` points, dropped on another thread.
 ///
 /// One shield protects one pointer at a time: [`Shield::protect`] publishes
 /// whatever reservation the scheme needs in the leased slot and hands back a
@@ -392,29 +451,30 @@ type ShieldMarker<T, H> = PhantomData<(fn() -> T, fn(&H))>;
 ///
 /// Using a shield with a different *handle* of the same scheme is rejected at
 /// runtime (panic) — see [`Shield::protect`].
-pub struct Shield<T, H: RawHandle> {
+pub struct Shield<'g, T, H: RawHandle> {
     slot: usize,
-    slots: Arc<ShieldSlots>,
+    table: TableRef<'g>,
     _marker: ShieldMarker<T, H>,
 }
 
-impl<T, H: RawHandle> Shield<T, H> {
-    /// Leases the lowest free slot of `handle`. Called by
+impl<T, H: RawHandle> Shield<'static, T, H> {
+    /// Leases the lowest free slot of `handle` as an owned shield. Called by
     /// [`Handle::shield`].
     pub(crate) fn lease(handle: &H) -> Result<Self, ShieldError> {
-        let slots = handle.shield_slots();
-        match slots.lease() {
-            Some(slot) => Ok(Self {
-                slot,
-                slots: Arc::clone(slots),
-                _marker: PhantomData,
-            }),
-            None => Err(ShieldError {
-                slots: slots.capacity(),
-            }),
-        }
+        let table = handle.shield_slots();
+        // Single-writer premise of `ShieldSlots::lease`: `H` is `!Sync`
+        // (`RawHandle`'s `# Safety`), so this `&H` is on the only thread
+        // that can currently reach the handle.
+        let slot = table.lease()?;
+        Ok(Self {
+            slot,
+            table: TableRef::Owned(Arc::clone(table)),
+            _marker: PhantomData,
+        })
     }
+}
 
+impl<T, H: RawHandle> Shield<'_, T, H> {
     /// The reservation slot index this shield owns.
     #[inline]
     pub fn slot(&self) -> usize {
@@ -449,15 +509,15 @@ impl<T, H: RawHandle> Shield<T, H> {
         parent: Option<Protected<'_, T>>,
     ) -> Protected<'g, T> {
         assert!(
-            core::ptr::eq(Arc::as_ptr(&self.slots), guard.slots_identity()),
+            core::ptr::eq::<ShieldSlots>(&*self.table, guard.slots),
             "Shield used with a guard of a different handle (lease a shield from \
-             the handle that entered this operation)"
+             the guard, or the handle, that entered this operation)"
         );
         // Invalidate any Protected previously returned for this slot before
         // its reservation is overwritten below.
         #[cfg(debug_assertions)]
         let stamp = {
-            let cell = guard.generation_cell(self.slot);
+            let cell = guard.slots.generation(self.slot);
             let gen = cell.load(Ordering::Relaxed).wrapping_add(1); // ORDER: debug-only generation stamp; same-thread accesses.
             cell.store(gen, Ordering::Relaxed); // ORDER: debug-only generation stamp; same-thread accesses.
             SlotStamp { cell, gen }
@@ -472,13 +532,14 @@ impl<T, H: RawHandle> Shield<T, H> {
     }
 }
 
-impl<T, H: RawHandle> Drop for Shield<T, H> {
+impl<T, H: RawHandle> Drop for Shield<'_, T, H> {
+    #[inline]
     fn drop(&mut self) {
-        self.slots.release(self.slot);
+        self.table.release(self.slot);
     }
 }
 
-impl<T, H: RawHandle> core::fmt::Debug for Shield<T, H> {
+impl<T, H: RawHandle> core::fmt::Debug for Shield<'_, T, H> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Shield").field("slot", &self.slot).finish()
     }
@@ -858,19 +919,110 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_at_the_lease_cap_explains_the_cap() {
-        // Constructed directly: leasing 64 real shields would test the same
-        // Display path at far greater cost.
-        let capped = ShieldError {
-            slots: usize::BITS as usize,
-        };
-        let msg = capped.to_string();
-        let cap_phrase = format!("at most {}", usize::BITS);
-        assert!(msg.contains(&cap_phrase), "cap message missing: {msg}");
-        assert!(
-            !msg.contains("raise DomainConfig"),
-            "capped message must not advise raising slots_per_thread: {msg}"
-        );
+    fn leases_reach_past_one_machine_word_of_slots() {
+        // The bitmap table capped leases at `usize::BITS`; the flag table
+        // leases every application slot the domain was configured with.
+        const SLOTS: usize = usize::BITS as usize + 1;
+        let domain = He::with_config(ReclaimerConfig {
+            slots_per_thread: SLOTS,
+            ..ReclaimerConfig::with_max_threads(1)
+        });
+        let mut handle = domain.register();
+        assert_eq!(handle.shield_slots().capacity(), SLOTS);
+        let node = handle.alloc(65u64);
+        let root: Atomic<u64> = Atomic::new(node);
+        {
+            let guard = handle.enter();
+            let mut shields: Vec<_> = (0..SLOTS)
+                .map(|_| guard.shield::<u64>().expect("every configured slot leases"))
+                .collect();
+            assert_eq!(guard.shield::<u64>().unwrap_err().slots, SLOTS);
+            let last = shields.last_mut().unwrap();
+            assert_eq!(last.slot(), SLOTS - 1);
+            let p = last.protect(&guard, &root, None);
+            // SAFETY: the last shield does not re-protect while `p` is in use.
+            assert_eq!(unsafe { p.as_ref() }, Some(&65));
+        }
+        assert_eq!(handle.shield_slots().leased(), 0);
+        // SAFETY: never published anywhere else; freed exactly once.
+        unsafe { Linked::dealloc(node) };
+    }
+
+    #[test]
+    fn guard_lease_skips_owned_slots_and_reuses_the_lowest_released() {
+        let domain = He::with_config(ReclaimerConfig {
+            slots_per_thread: 4,
+            ..ReclaimerConfig::with_max_threads(1)
+        });
+        let mut handle = domain.register();
+        let owned_low = handle.shield::<u64>().unwrap();
+        let owned_high = handle.shield::<u64>().unwrap();
+        assert_eq!((owned_low.slot(), owned_high.slot()), (0, 1));
+        {
+            let guard = handle.enter();
+            let a = guard.shield::<u64>().unwrap();
+            let b = guard.shield::<u64>().unwrap();
+            assert_eq!((a.slot(), b.slot()), (2, 3), "owned slots are skipped");
+            drop(owned_low);
+            let c = guard.shield::<u64>().unwrap();
+            assert_eq!(c.slot(), 0, "a slot an owned shield released is leasable");
+            drop(a);
+            drop(c);
+            let d = guard.shield::<u64>().unwrap();
+            assert_eq!(d.slot(), 0, "lowest released slot is reused first");
+        }
+        assert_eq!(handle.shield_slots().leased(), 1, "guard leases returned");
+        drop(owned_high);
+        assert_eq!(handle.shield_slots().leased(), 0);
+    }
+
+    #[test]
+    fn guard_lease_reports_exhaustion() {
+        let domain = He::with_config(ReclaimerConfig {
+            slots_per_thread: 2,
+            ..ReclaimerConfig::with_max_threads(1)
+        });
+        let mut handle = domain.register();
+        let _owned = handle.shield::<u64>().unwrap();
+        let guard = handle.enter();
+        let _leased = guard.shield::<u64>().unwrap();
+        let err = guard.shield::<u64>().unwrap_err();
+        assert_eq!(err.slots, 2);
+        assert!(err.to_string().contains("slots_per_thread"));
+    }
+
+    #[test]
+    #[should_panic(expected = "different handle")]
+    fn guard_leased_shield_cannot_cross_handles_of_the_same_scheme() {
+        let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+        let mut first = domain.register();
+        let mut second = domain.register();
+        let first_guard = first.enter();
+        let mut shield = first_guard.shield::<u64>().unwrap();
+        let root: Atomic<u64> = Atomic::null();
+        let second_guard = second.enter();
+        let _ = shield.protect(&second_guard, &root, None);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "stale Protected")]
+    fn stale_protected_through_a_guard_leased_shield_panics_in_debug() {
+        let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+        let mut handle = domain.register();
+        let a = handle.alloc(1u64);
+        let b = handle.alloc(2u64);
+        let root_a: Atomic<u64> = Atomic::new(a);
+        let root_b: Atomic<u64> = Atomic::new(b);
+        let guard = handle.enter();
+        let mut shield = guard.shield::<u64>().unwrap();
+        let stale = shield.protect(&guard, &root_a, None);
+        let fresh = shield.protect(&guard, &root_b, None);
+        // SAFETY: `fresh` is the shield's current reservation.
+        assert_eq!(unsafe { fresh.as_ref() }, Some(&2));
+        // SAFETY: deliberately violated contract — the generation stamp must
+        // turn this use-after-reprotect into a panic, not a stale read.
+        let _ = unsafe { stale.as_ref() };
     }
 
     #[cfg(debug_assertions)]
@@ -900,24 +1052,17 @@ mod tests {
     fn stale_protected_after_slot_release_and_reuse_panics_in_debug() {
         let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
         let mut handle = domain.register();
-        let first = handle.shield::<u64>();
-        let mut shield = first.unwrap();
+        let mut shield = handle.shield::<u64>().unwrap();
         let slot = shield.slot();
-        let table = Arc::clone(handle.shield_slots());
         let node = handle.alloc(7u64);
         let root: Atomic<u64> = Atomic::new(node);
         let guard = handle.enter();
         let stale = shield.protect(&guard, &root, None);
         drop(shield);
         // Re-lease the same slot (the handle itself is borrowed by the
-        // guard, so the shield is assembled from the shared lease table the
-        // public path uses).
-        assert_eq!(table.lease(), Some(slot), "lowest slot is recycled first");
-        let mut second: Shield<u64, <He as Reclaimer>::Handle> = Shield {
-            slot,
-            slots: table,
-            _marker: PhantomData,
-        };
+        // guard, so the second lease comes from the guard).
+        let mut second = guard.shield::<u64>().unwrap();
+        assert_eq!(second.slot(), slot, "lowest slot is recycled first");
         let _ = second.protect(&guard, &root, None);
         // SAFETY: deliberately violated contract — the slot was re-leased
         // and re-protected, so the stamp check must fire.

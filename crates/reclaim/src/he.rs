@@ -154,6 +154,14 @@ impl core::fmt::Debug for He {
 }
 
 /// Per-thread Hazard Eras handle.
+///
+/// Deliberately `!Sync`: the single-writer premise of the [`Shield`](crate::Shield)
+/// lease table (`RawHandle`'s `# Safety`).
+///
+/// ```compile_fail,E0277
+/// fn requires_sync<T: Sync>() {}
+/// requires_sync::<wfe_reclaim::he::HeHandle>(); // ERROR: `HeHandle` is not `Sync`
+/// ```
 pub struct HeHandle {
     /// Lease table for this handle's [`Shield`](crate::Shield)s.
     shield_slots: Arc<ShieldSlots>,

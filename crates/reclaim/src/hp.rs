@@ -129,6 +129,14 @@ impl core::fmt::Debug for Hp {
 }
 
 /// Per-thread Hazard Pointers handle.
+///
+/// Deliberately `!Sync`: the single-writer premise of the [`Shield`](crate::Shield)
+/// lease table (`RawHandle`'s `# Safety`).
+///
+/// ```compile_fail,E0277
+/// fn requires_sync<T: Sync>() {}
+/// requires_sync::<wfe_reclaim::hp::HpHandle>(); // ERROR: `HpHandle` is not `Sync`
+/// ```
 pub struct HpHandle {
     /// Lease table for this handle's [`Shield`](crate::Shield)s.
     shield_slots: Arc<ShieldSlots>,

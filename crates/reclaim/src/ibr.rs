@@ -149,6 +149,14 @@ impl core::fmt::Debug for Ibr2Ge {
 }
 
 /// Per-thread 2GEIBR handle.
+///
+/// Deliberately `!Sync`: the single-writer premise of the [`Shield`](crate::Shield)
+/// lease table (`RawHandle`'s `# Safety`).
+///
+/// ```compile_fail,E0277
+/// fn requires_sync<T: Sync>() {}
+/// requires_sync::<wfe_reclaim::ibr::IbrHandle>(); // ERROR: `IbrHandle` is not `Sync`
+/// ```
 pub struct IbrHandle {
     /// Lease table for this handle's [`Shield`](crate::Shield)s. 2GEIBR
     /// ignores the indices, but leases keep data structures scheme-generic.

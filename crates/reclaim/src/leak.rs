@@ -89,6 +89,14 @@ impl core::fmt::Debug for Leak {
 }
 
 /// Per-thread leak-memory handle.
+///
+/// Deliberately `!Sync`: the single-writer premise of the [`Shield`](crate::Shield)
+/// lease table (`RawHandle`'s `# Safety`).
+///
+/// ```compile_fail,E0277
+/// fn requires_sync<T: Sync>() {}
+/// requires_sync::<wfe_reclaim::leak::LeakHandle>(); // ERROR: `LeakHandle` is not `Sync`
+/// ```
 pub struct LeakHandle {
     /// Lease table for this handle's [`Shield`](crate::Shield)s. Leak never
     /// reclaims, but leases keep data structures scheme-generic.

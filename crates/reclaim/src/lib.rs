@@ -11,8 +11,8 @@
 //!   `alloc_block`), matching the harness of Wen et al.'s IBR benchmark that
 //!   the evaluation reuses; `RawHandle` is the SPI for scheme implementors;
 //! * the **safe guard layer** application code uses instead of raw slot
-//!   indices: [`Guard`] operation brackets, owned [`Shield`] reservation
-//!   leases and borrow-checked [`Protected`] pointers (see [`guard`]);
+//!   indices: [`Guard`] operation brackets, [`Shield`] reservation leases
+//!   and borrow-checked [`Protected`] pointers (see [`guard`]);
 //! * the intrusive allocation header ([`BlockHeader`], [`Linked`]) that keeps
 //!   the two era fields every era-based scheme needs;
 //! * the baseline schemes:
@@ -100,8 +100,8 @@ const fn _auto_trait_facts_generic<R: Reclaimer, T, H: RawHandle>() {
     // checked-out handle migrates with whatever task owns it.
     _assert_send_sync::<HandlePool<R>>();
     _assert_send::<PooledHandle<R>>();
-    // A shield is an owned lease meant to be held across suspension points,
+    // An owned shield is a lease meant to be held across suspension points,
     // so it is `Send + Sync` for *any* `T` (its type parameters are
     // variance-only markers; no `T` is ever stored).
-    _assert_send_sync::<Shield<T, H>>();
+    _assert_send_sync::<Shield<'static, T, H>>();
 }

@@ -195,8 +195,10 @@ impl<R: Reclaimer> TaskHandle<R> {
     ///
     /// The [`Shield`] is `Send + Sync` and independent of any guard, so it
     /// carries reservation *capacity* (not protection — that is always
-    /// poll-scoped) across `.await` points.
-    pub fn shield<T>(&self) -> Result<Shield<T, R::Handle>, ShieldError> {
+    /// poll-scoped) across `.await` points. A shield needed within one poll
+    /// only is cheaper leased from the bracket itself
+    /// ([`Guard::shield`] through the [`AsyncGuard`]'s deref).
+    pub fn shield<T>(&self) -> Result<Shield<'static, T, R::Handle>, ShieldError> {
         Handle::shield(&*self.handle)
     }
 

@@ -14,6 +14,14 @@ use wfe_reclaim::{ERA_INF, INVPTR};
 use crate::domain::{Wfe, WfeSnapshot};
 
 /// Per-thread Wait-Free Eras handle.
+///
+/// Deliberately `!Sync`: the single-writer premise of the [`Shield`](wfe_reclaim::Shield)
+/// lease table (`RawHandle`'s `# Safety`).
+///
+/// ```compile_fail,E0277
+/// fn requires_sync<T: Sync>() {}
+/// requires_sync::<wfe_core::WfeHandle>(); // ERROR: `WfeHandle` is not `Sync`
+/// ```
 pub struct WfeHandle {
     /// Lease table for this handle's [`Shield`](wfe_reclaim::Shield)s
     /// (application slots only; the two internal helper slots are never

@@ -48,17 +48,16 @@
 //! let domain = Wfe::with_config(DomainConfig::builder().max_threads(8).build());
 //! let mut handle = domain.register();
 //!
-//! // Lease a reservation slot once; reuse it across operations.
-//! let mut shield = handle.shield::<u64>().expect("slots available");
-//!
 //! // Allocate a block through the domain so it gets an allocation era.
 //! let node = handle.alloc(42u64);
 //! let root: Atomic<u64> = Atomic::new(node);
 //!
-//! // Readers protect the pointer inside a guard bracket; the reservation
-//! // pins the block for the bracket, so the deref carries one obligation.
+//! // Readers protect the pointer inside a guard bracket, through a
+//! // reservation slot leased from the guard; the reservation pins the block
+//! // for the bracket, so the deref carries one obligation.
 //! {
 //!     let guard = handle.enter();
+//!     let mut shield = guard.shield::<u64>().expect("slots available");
 //!     let value = shield.protect(&guard, &root, None);
 //!     // SAFETY: `shield` does not re-protect while `value` is in use.
 //!     assert_eq!(unsafe { value.as_ref() }, Some(&42));

@@ -36,13 +36,13 @@ fn main() {
     });
 
     // The same safe API the stack uses internally, on a raw shared location:
-    // lease a Shield, enter a Guard bracket, read through the shield.
+    // enter a Guard bracket, lease a Shield from it, read through the shield.
     let mut handle = domain.register();
-    let mut shield = handle.shield::<u64>().expect("slots available");
     let node = handle.alloc(7u64);
     let root: Atomic<u64> = Atomic::new(node);
     {
         let guard = handle.enter();
+        let mut shield = guard.shield::<u64>().expect("slots available");
         let value = shield.protect(&guard, &root, None);
         // SAFETY: `shield` does not re-protect while `value` is in use —
         // the one obligation the typed deref carries.
@@ -55,7 +55,6 @@ fn main() {
         // SAFETY: `node` was just unlinked from `root`; retired exactly once.
         unsafe { wfe_suite::Protected::from_unlinked(node).retire_in(&guard) };
     }
-    drop(shield);
     drop(handle);
 
     let stats = domain.stats();

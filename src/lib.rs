@@ -48,8 +48,9 @@
 //! ```
 //!
 //! Custom data structures use the same typed protection layer the built-in
-//! ones are written against: [`Handle::shield`] leases a reservation slot as
-//! an owned [`Shield`], [`Handle::enter`] opens a [`Guard`] bracket, and
+//! ones are written against: [`Handle::enter`] opens a [`Guard`] bracket,
+//! [`Guard::shield`] leases a reservation slot as a [`Shield`] for the
+//! operation ([`Handle::shield`] for a lease that outlives brackets), and
 //! [`Shield::protect`] returns a borrow-checked [`Protected`] pointer whose
 //! `as_ref()` carries a single `unsafe` obligation — the shield has not
 //! re-protected while the reference is live — that debug builds verify at

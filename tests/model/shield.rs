@@ -1,5 +1,8 @@
 //! Model tests for the guard API's lease table and staleness detection.
 
+// wfe-analyze: allow(raw-atomic): model-test oracle state — deliberately a std
+// atomic so the checker never schedules an interleaving point on bookkeeping.
+use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 use wfe_reclaim::{Atomic, Handle, He, RawHandle, Reclaimer, ReclaimerConfig};
@@ -8,11 +11,12 @@ use crate::SCHEDULES;
 
 #[test]
 fn shield_lease_and_cross_thread_release_stay_exclusive() {
-    // A `Shield` is an owned lease, so it can be dropped on a different
-    // thread than the one that leased it. The release (a `fetch_and` on the
-    // shared bitmap) races the owner thread re-leasing: no interleaving may
-    // double-lease a slot (the table's debug assertion would fire) or lose
-    // one (the loop below would never obtain a third shield).
+    // An owned `Shield` can be dropped on a different thread than the one
+    // that leased it. The release (a plain store clearing the slot's flag)
+    // races the owner thread re-leasing (a load, then a plain store): no
+    // interleaving may double-lease a slot (the table's debug assertion
+    // would fire) or lose one (the loop below would never obtain a third
+    // shield).
     shuttle::check_random(
         || {
             let domain = He::with_config(ReclaimerConfig {
@@ -74,6 +78,82 @@ fn shield_lease_table_is_exhaustively_explored() {
         500_000,
     );
     assert!(complete, "the lease-table core must be fully explorable");
+    assert!(schedules > 1);
+}
+
+/// The single-writer lease protocol under its one cross-thread race: an
+/// owned `Shield` is dropped on a second thread while the owner thread leases
+/// and releases guard shields in a loop. Leasing is a load followed by a
+/// plain store and releasing a plain store, so the schedules that matter put
+/// the remote release between the owner's load and its store, or between two
+/// of its leases. A per-slot owner counter (oracle state the checker does not
+/// schedule) proves no slot is ever handed out twice; after the join the
+/// remotely released slot must lease again.
+fn remote_release_races_guard_leases(rounds: usize) {
+    let domain = He::with_config(ReclaimerConfig {
+        slots_per_thread: 2,
+        ..ReclaimerConfig::with_max_threads(1)
+    });
+    let mut handle = domain.register();
+    let owners: Arc<[StdAtomicUsize; 2]> =
+        Arc::new([StdAtomicUsize::new(0), StdAtomicUsize::new(0)]);
+    let claim = |slot: usize| {
+        assert_eq!(
+            owners[slot].fetch_add(1, SeqCst),
+            0,
+            "slot {slot} handed out while another shield still owns it"
+        );
+    };
+    let unclaim = |slot: usize| assert_eq!(owners[slot].fetch_sub(1, SeqCst), 1);
+
+    let remote = handle.shield::<u64>().unwrap();
+    assert_eq!(remote.slot(), 0);
+    claim(0);
+    let t = {
+        let owners = Arc::clone(&owners);
+        shuttle::thread::spawn(move || {
+            // Give the slot up in the oracle first: from here on the owner
+            // thread may legitimately lease it as soon as the flag clears.
+            assert_eq!(owners[remote.slot()].fetch_sub(1, SeqCst), 1);
+            drop(remote);
+        })
+    };
+    for _ in 0..rounds {
+        let guard = handle.enter();
+        let first = guard
+            .shield::<u64>()
+            .expect("at most one slot is held remotely");
+        claim(first.slot());
+        match guard.shield::<u64>() {
+            Ok(second) => {
+                claim(second.slot());
+                unclaim(second.slot());
+            }
+            Err(err) => assert_eq!(err.slots, 2, "exhaustion reports the capacity"),
+        }
+        unclaim(first.slot());
+    }
+    t.join().unwrap();
+    let guard = handle.enter();
+    let low = guard.shield::<u64>().unwrap();
+    let high = guard.shield::<u64>().unwrap();
+    assert_eq!(
+        (low.slot(), high.slot()),
+        (0, 1),
+        "the remotely released slot is leasable again"
+    );
+}
+
+#[test]
+fn guard_leases_race_a_remote_release_under_pct() {
+    shuttle::check_pct(|| remote_release_races_guard_leases(3), SCHEDULES, 3);
+}
+
+#[test]
+fn guard_leases_race_a_remote_release_exhaustively() {
+    let (schedules, complete) =
+        shuttle::explore(|| remote_release_races_guard_leases(2), 2, 500_000);
+    assert!(complete, "the guard-lease core must be fully explorable");
     assert!(schedules > 1);
 }
 

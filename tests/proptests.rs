@@ -245,7 +245,7 @@ fn check_shield_lease_churn<R: Reclaimer>(steps: &[ShieldStep]) {
     let mut handle = domain.register();
     let node = handle.alloc(7u64);
     let root: Atomic<u64> = Atomic::new(node);
-    let mut shields: Vec<Shield<u64, R::Handle>> = Vec::new();
+    let mut shields: Vec<Shield<'static, u64, R::Handle>> = Vec::new();
     for step in steps {
         match *step {
             ShieldStep::Lease => {
