@@ -10,8 +10,8 @@ use core::ptr;
 use std::sync::Arc;
 use wfe_sync::atomic::Ordering;
 
-use wfe_atomics::Backoff;
 use wfe_reclaim::{Atomic, Guard, Handle, Linked, Reclaimer, Shield};
+use wfe_sync::Backoff;
 
 /// A node of the stack.
 pub struct Node<T> {

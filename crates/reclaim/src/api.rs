@@ -254,8 +254,8 @@ impl DomainConfigBuilder {
 /// should use [`DomainConfig::builder`].
 pub type ReclaimerConfig = DomainConfig;
 
-/// Uniform out-of-range reservation-slot check every scheme's `protect_raw`
-/// performs (debug builds only — the raw SPI stays zero-cost in release).
+/// Uniform out-of-range reservation-slot check `protect_raw` performs for
+/// every scheme (debug builds only — the raw SPI stays zero-cost in release).
 ///
 /// Before this check, a bad index was scheme-dependent UB-adjacent behaviour:
 /// era schemes would stomp a neighbouring thread's padded row, HP would
@@ -270,16 +270,17 @@ pub fn debug_assert_slot_index(index: usize, slots: usize) {
     );
 }
 
-/// The type-erased, per-thread reclamation interface each scheme implements.
+/// The type-erased, per-thread reclamation interface.
 ///
-/// This is the **SPI for scheme implementors** — the Rust rendering of the
-/// paper's Hazard-Eras-compatible C interface. Application code should use
-/// the safe layer instead: [`Handle::enter`] for operation brackets,
-/// [`Guard::shield`]/[`Shield`] for reservations and
-/// [`Protected`](crate::Protected) for the pointers they return; the raw
-/// methods below remain public for new scheme implementations and for
-/// harnesses that measure the uncooked operations (the `guard_overhead`
-/// bench group).
+/// This is the Rust rendering of the paper's Hazard-Eras-compatible C
+/// interface. Its one implementation is the scheme core's
+/// [`DomainHandle`](crate::DomainHandle); a new scheme is a
+/// [`Policy`](crate::Policy) of that core, not another implementation of
+/// this trait. Application code should use the safe layer instead:
+/// [`Handle::enter`] for operation brackets, [`Guard::shield`]/[`Shield`] for
+/// reservations and [`Protected`](crate::Protected) for the pointers they
+/// return; the raw methods below remain public for harnesses that measure
+/// the uncooked operations (the `guard_overhead` bench group).
 ///
 /// # Safety
 ///
@@ -355,9 +356,9 @@ pub unsafe trait RawHandle {
 
     /// The two cache tiers consulted by [`Handle::alloc`] before falling back
     /// to the allocator: this thread's private magazine and the block cache of
-    /// its home registry shard. The default (`(None, None)`) opts a scheme out
-    /// of caching entirely; schemes that wire the cache override this with the
-    /// handle's magazine and the shard picked at registration time.
+    /// its home registry shard. The default (`(None, None)`) opts out of
+    /// caching entirely; the scheme core overrides it with the handle's
+    /// magazine and the shard picked at registration time.
     fn block_caches(&mut self) -> (Option<&mut LocalBlockCache>, Option<&ShardCache>) {
         (None, None)
     }

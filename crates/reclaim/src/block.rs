@@ -207,6 +207,9 @@ unsafe fn drop_block_classed<T>(header: *mut BlockHeader) -> Option<SizeClass> {
 /// # Safety
 ///
 /// The block must be retired, unreachable and unprotected by every thread.
+// Inlinable across crates: the batch scan that calls this once per freed
+// block is instantiated, with the scheme core, in the caller's crate.
+#[inline]
 pub(crate) unsafe fn free_block(
     header: *mut BlockHeader,
     local: Option<&mut LocalBlockCache>,

@@ -2,10 +2,11 @@
 //!
 //! Every scheme in the suite (the baselines here and WFE in `wfe-core`) must
 //! behave identically through the [`Reclaimer`]/[`Handle`] API. The functions
-//! in this module encode the behavioural contract once, so each scheme's test
-//! module — and the integration tests — simply instantiate them. They are
-//! compiled into the library (not `#[cfg(test)]`) precisely so that dependent
-//! crates can reuse them.
+//! in this module encode the behavioural contract once;
+//! [`conformance_suite!`](crate::conformance_suite) turns a table of schemes
+//! into their `#[test]`s, and the integration tests instantiate them
+//! directly. They are compiled into the library (not `#[cfg(test)]`)
+//! precisely so that dependent crates can reuse them.
 
 use core::ptr;
 use std::sync::Arc;
@@ -13,6 +14,7 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{Handle, RawHandle, Reclaimer, ReclaimerConfig};
 use crate::block::Linked;
+use crate::cache::BlockCacheConfig;
 use crate::ptr::Atomic;
 
 /// A payload that counts its drops, used to prove blocks are really freed.
@@ -500,9 +502,230 @@ pub fn unreclaimed_is_bounded<R: Reclaimer>(bound: u64) {
     drop(handle);
 }
 
+/// What a dropping handle does, in the order it must do it: withdraw its
+/// reservations, run a final cleanup pass, drain its magazine into the home
+/// shard, park the survivors on the orphan stack, release its registry slot.
+///
+/// `reclaims` is `false` for schemes that never run cleanup passes (`Leak`):
+/// those skip the pass and have no magazine, but still park and release.
+pub fn handle_drop_order<R: Reclaimer>(reclaims: bool) {
+    let domain = R::with_config(ReclaimerConfig {
+        // Only the drop's own final pass scans.
+        cleanup_freq: usize::MAX,
+        era_freq: 1,
+        block_cache: BlockCacheConfig {
+            enabled: true,
+            per_class_capacity: 64,
+        },
+        ..ReclaimerConfig::with_max_threads(2)
+    });
+
+    // A handle drops inside a bracket, still protecting the block it retired.
+    let mut exiting = domain.register();
+    let node = exiting.alloc(7u64);
+    let root: Atomic<u64> = Atomic::new(node);
+    exiting.begin_op();
+    assert_eq!(exiting.protect(&root, 0, ptr::null_mut()), node);
+    root.store(ptr::null_mut(), Ordering::SeqCst);
+    // SAFETY: `node` was just unlinked from `root`; retired exactly once.
+    unsafe { exiting.retire(node) };
+    drop(exiting);
+    let stats = domain.stats();
+    if reclaims {
+        assert_eq!(
+            stats.freed, 1,
+            "reservations are withdrawn before the final pass, so it frees the block"
+        );
+        assert!(
+            stats.cached_bytes > 0,
+            "the final pass runs before the drain: its block reaches the shard through the magazine"
+        );
+    } else {
+        assert_eq!((stats.freed, stats.cached_bytes), (0, 0));
+    }
+    assert_eq!(domain.registry().registered(), 0, "the slot is released");
+
+    // A handle drops with a block another thread still protects.
+    let mut reader = domain.register();
+    let mut exiting = domain.register();
+    let node = exiting.alloc(8u64);
+    let root: Atomic<u64> = Atomic::new(node);
+    reader.begin_op();
+    assert_eq!(reader.protect(&root, 0, ptr::null_mut()), node);
+    root.store(ptr::null_mut(), Ordering::SeqCst);
+    let unreclaimed = domain.stats().unreclaimed;
+    // SAFETY: `node` was just unlinked from `root`; retired exactly once.
+    unsafe { exiting.retire(node) };
+    drop(exiting);
+    assert_eq!(
+        domain.stats().unreclaimed,
+        unreclaimed + 1,
+        "the final pass cannot free it"
+    );
+    assert_eq!(domain.registry().registered(), 1);
+    reader.clear();
+    reader.end_op();
+    reader.force_cleanup();
+    let stats = domain.stats();
+    if reclaims {
+        assert_eq!(
+            stats.adopted_batches, 1,
+            "the survivor was parked on the orphan stack, where the next pass finds it"
+        );
+        assert_eq!(stats.unreclaimed, 0);
+    } else {
+        assert_eq!(stats.adopted_batches, 0);
+    }
+}
+
+/// Turns a table of schemes into their conformance tests: one module per
+/// row holding the scenarios every scheme runs, plus the three that apply
+/// to some schemes only —
+///
+/// * `unreclaimed_is_bounded`: the bound, or `no` for schemes whose memory
+///   use a stalled thread can inflate without limit,
+/// * `stalled_reader_costs_passes_nothing`: `yes` for schemes whose
+///   snapshots name a witness to park pinned blocks under,
+/// * `orphan_adoption`: `yes` for schemes that reclaim while running; `no`
+///   (a scheme that never scans protects nothing and adopts nothing)
+///   generates `orphans_wait_for_domain_drop` instead.
+///
+/// The scheme type must be in scope where the macro is invoked.
+#[macro_export]
+macro_rules! conformance_suite {
+    ($($module:ident: $scheme:ty {
+        name: $name:literal,
+        progress: $progress:ident,
+        unreclaimed_is_bounded: $bound:tt,
+        stalled_reader_costs_passes_nothing: $stalled:tt,
+        orphan_adoption: $adoption:tt $(,)?
+    })+) => {$(
+        mod $module {
+            #[allow(unused_imports)]
+            use super::*;
+            use $crate::conformance;
+            use $crate::{DomainConfig, Progress, Reclaimer};
+
+            #[test]
+            fn naming_and_progress() {
+                assert_eq!(<$scheme>::name(), $name);
+                assert_eq!(<$scheme>::progress(), Progress::$progress);
+            }
+
+            #[test]
+            fn basic_lifecycle() {
+                conformance::basic_lifecycle::<$scheme>();
+            }
+
+            #[test]
+            fn all_blocks_freed_on_drop() {
+                conformance::all_blocks_freed_on_drop::<$scheme>();
+            }
+
+            #[test]
+            fn concurrent_stack_stress() {
+                conformance::concurrent_stack_stress::<$scheme>(4, 2_000);
+            }
+
+            #[test]
+            #[should_panic(expected = "era_freq")]
+            fn era_freq_zero_is_rejected() {
+                <$scheme>::with_config(DomainConfig {
+                    era_freq: 0,
+                    ..DomainConfig::with_max_threads(1)
+                });
+            }
+
+            $crate::conformance_suite!(@unreclaimed_is_bounded $scheme, $bound);
+            $crate::conformance_suite!(@stalled_reader $scheme, $stalled);
+            $crate::conformance_suite!(@orphan_adoption $scheme, $adoption);
+        }
+    )+};
+    (@unreclaimed_is_bounded $scheme:ty, no) => {};
+    (@unreclaimed_is_bounded $scheme:ty, $bound:literal) => {
+        #[test]
+        fn unreclaimed_is_bounded() {
+            conformance::unreclaimed_is_bounded::<$scheme>($bound);
+        }
+    };
+    (@stalled_reader $scheme:ty, no) => {};
+    (@stalled_reader $scheme:ty, yes) => {
+        #[test]
+        fn stalled_reader_costs_passes_nothing() {
+            conformance::stalled_reader_costs_passes_nothing::<$scheme>();
+        }
+    };
+    (@orphan_adoption $scheme:ty, yes) => {
+        #[test]
+        fn protection_blocks_reclamation() {
+            conformance::protection_blocks_reclamation::<$scheme>();
+        }
+
+        #[test]
+        fn orphan_adoption() {
+            conformance::orphan_adoption_reclaims_exited_threads_blocks::<$scheme>(true);
+        }
+
+        #[test]
+        fn handle_drop_order() {
+            conformance::handle_drop_order::<$scheme>(true);
+        }
+    };
+    (@orphan_adoption $scheme:ty, no) => {
+        #[test]
+        fn orphans_wait_for_domain_drop() {
+            conformance::orphan_adoption_reclaims_exited_threads_blocks::<$scheme>(false);
+        }
+
+        #[test]
+        fn handle_drop_order() {
+            conformance::handle_drop_order::<$scheme>(false);
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ebr, He, Hp, Ibr2Ge, Leak};
+
+    crate::conformance_suite! {
+        he: He {
+            name: "HE",
+            progress: LockFree,
+            unreclaimed_is_bounded: 4_000,
+            stalled_reader_costs_passes_nothing: yes,
+            orphan_adoption: yes,
+        }
+        hp: Hp {
+            name: "HP",
+            progress: LockFree,
+            unreclaimed_is_bounded: 2_000,
+            stalled_reader_costs_passes_nothing: no,
+            orphan_adoption: yes,
+        }
+        ebr: Ebr {
+            name: "EBR",
+            progress: Blocking,
+            unreclaimed_is_bounded: no,
+            stalled_reader_costs_passes_nothing: yes,
+            orphan_adoption: yes,
+        }
+        ibr: Ibr2Ge {
+            name: "2GEIBR",
+            progress: LockFree,
+            unreclaimed_is_bounded: no,
+            stalled_reader_costs_passes_nothing: no,
+            orphan_adoption: yes,
+        }
+        leak: Leak {
+            name: "Leak",
+            progress: None,
+            unreclaimed_is_bounded: no,
+            stalled_reader_costs_passes_nothing: no,
+            orphan_adoption: no,
+        }
+    }
 
     #[test]
     fn drop_counter_counts() {

@@ -7,196 +7,78 @@
 //! To keep the test suite leak-free, retired blocks are parked on the domain
 //! (a dropping handle pushes its batch onto the orphan stack) and freed when
 //! the domain itself is dropped; during the measured run this behaves exactly
-//! like leaking — live threads never run a cleanup pass, so they never adopt.
+//! like leaking — [`Policy::RECLAIMS`] is `false`, so live threads never run a
+//! cleanup pass, never adopt, and allocate past the (absent) block caches.
 
-use std::sync::Arc;
 use wfe_sync::atomic::{AtomicUsize, Ordering};
 
-use crate::api::{debug_assert_slot_index, Progress, RawHandle, Reclaimer, ReclaimerConfig};
+use crate::api::{DomainConfig, Progress};
 use crate::block::BlockHeader;
-use crate::guard::ShieldSlots;
-use crate::registry::ThreadRegistry;
-use crate::retired::{OrphanStack, RetiredBatch};
-use crate::stats::{Counters, SmrStats};
+use crate::domain::{Domain, DomainHandle, Policy};
+use crate::scan::{ReservationSet, Verdict};
 
 /// The leak-memory domain.
-pub struct Leak {
-    config: ReclaimerConfig,
-    registry: ThreadRegistry,
-    counters: Counters,
-    orphans: OrphanStack,
-}
-
-impl Reclaimer for Leak {
-    type Handle = LeakHandle;
-
-    fn with_config(config: ReclaimerConfig) -> Arc<Self> {
-        Arc::new(Self {
-            registry: config.build_registry(),
-            counters: Counters::new(),
-            orphans: OrphanStack::new(),
-            config,
-        })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Option<LeakHandle> {
-        let tid = self.registry.try_acquire()?;
-        Some(LeakHandle {
-            shield_slots: ShieldSlots::new(self.config.slots_per_thread),
-            domain: Arc::clone(self),
-            tid,
-            retired: RetiredBatch::new(),
-        })
-    }
-
-    fn name() -> &'static str {
-        "Leak"
-    }
-
-    fn progress() -> Progress {
-        Progress::None
-    }
-
-    fn stats(&self) -> SmrStats {
-        self.counters.snapshot(0)
-    }
-
-    fn config(&self) -> &ReclaimerConfig {
-        &self.config
-    }
-
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
-    }
-}
-
-impl Drop for Leak {
-    fn drop(&mut self) {
-        // SAFETY: no handle can exist any more, and Leak never frees while running,
-        // so every parked block is unreachable; domain drop is the one free point.
-        unsafe {
-            self.orphans.free_all();
-        }
-    }
-}
-
-impl core::fmt::Debug for Leak {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Leak")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
+pub type Leak = Domain<LeakPolicy>;
 
 /// Per-thread leak-memory handle.
-///
-/// Deliberately `!Sync`: the single-writer premise of the [`Shield`](crate::Shield)
-/// lease table (`RawHandle`'s `# Safety`).
 ///
 /// ```compile_fail,E0277
 /// fn requires_sync<T: Sync>() {}
 /// requires_sync::<wfe_reclaim::leak::LeakHandle>(); // ERROR: `LeakHandle` is not `Sync`
 /// ```
-pub struct LeakHandle {
-    /// Lease table for this handle's [`Shield`](crate::Shield)s. Leak never
-    /// reclaims, but leases keep data structures scheme-generic.
-    shield_slots: Arc<ShieldSlots>,
-    domain: Arc<Leak>,
-    tid: usize,
-    retired: RetiredBatch,
+pub type LeakHandle = DomainHandle<LeakPolicy>;
+
+/// What leaking adds to the scheme core: nothing. No table, no reservation.
+#[derive(Debug)]
+pub struct LeakPolicy;
+
+/// Leak's reservation set: every block is pinned for as long as the domain
+/// lives.
+#[derive(Debug, Default)]
+pub struct PinsEverything;
+
+impl ReservationSet for PinsEverything {
+    fn judge(&self, _block: &BlockHeader) -> Verdict {
+        Verdict::Pinned
+    }
 }
 
-// SAFETY: nothing is ever freed while the domain lives, so every pointer
-// trivially satisfies the `RawHandle` validity contract.
-unsafe impl RawHandle for LeakHandle {
-    fn thread_id(&self) -> usize {
-        self.tid
+// SAFETY: the snapshot never judges a block free, so nothing is freed while
+// the domain lives and every pointer `protect` returns stays valid.
+unsafe impl Policy for LeakPolicy {
+    type Snapshot = PinsEverything;
+    const NAME: &'static str = "Leak";
+    const PROGRESS: Progress = Progress::None;
+    const RECLAIMS: bool = false;
+
+    fn new(_config: &DomainConfig) -> Self {
+        Self
     }
 
-    fn slots(&self) -> usize {
-        self.domain.config.slots_per_thread
-    }
-
-    fn shield_slots(&self) -> &Arc<ShieldSlots> {
-        &self.shield_slots
-    }
-
-    fn begin_op(&mut self) {}
-
-    fn end_op(&mut self) {}
-
-    fn protect_raw(
-        &mut self,
+    #[inline]
+    fn protect(
+        _domain: &Leak,
+        _tid: usize,
         src: &AtomicUsize,
-        index: usize,
+        _index: usize,
         _parent: *mut BlockHeader,
         _mask: usize,
     ) -> usize {
-        // Nothing is ever reclaimed, so no reservation is needed — but a
-        // stray index is still a caller bug: check it uniformly.
-        debug_assert_slot_index(index, self.slots());
         src.load(Ordering::Acquire) // ORDER: pairs with the Release publish of the pointer being protected.
     }
 
-    // SAFETY: contract inherited from the trait declaration (`# Safety`
-    // on `RawHandle::retire_raw`); the obligations are the caller's.
-    unsafe fn retire_raw(&mut self, block: *mut BlockHeader) {
-        // SAFETY: forwarded `retire_raw` contract — `block` is valid,
-        // unreachable and retired exactly once.
-        unsafe { self.retired.push(block) };
-        self.domain.counters.on_retire();
-    }
+    fn fill_snapshot(_domain: &Leak, _snapshot: &mut PinsEverything) {}
 
-    fn clear(&mut self) {}
-
-    fn pre_alloc(&mut self) -> u64 {
-        self.domain.counters.on_alloc();
-        0
-    }
-
-    fn force_cleanup(&mut self) {
-        // Leaking means never cleaning up.
-    }
-}
-
-impl Drop for LeakHandle {
-    fn drop(&mut self) {
-        self.domain.orphans.push(self.retired.take());
-        self.domain.registry.release(self.tid);
-    }
+    /// No clock to move.
+    #[inline]
+    fn advance(_domain: &Leak, _tid: usize) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance;
+    use crate::api::{RawHandle, Reclaimer, ReclaimerConfig};
     use crate::Handle;
-
-    #[test]
-    fn naming_and_progress() {
-        assert_eq!(Leak::name(), "Leak");
-        assert_eq!(Leak::progress(), Progress::None);
-    }
-
-    #[test]
-    fn basic_lifecycle() {
-        conformance::basic_lifecycle::<Leak>();
-    }
-
-    #[test]
-    fn all_blocks_freed_on_drop() {
-        conformance::all_blocks_freed_on_drop::<Leak>();
-    }
-
-    #[test]
-    fn concurrent_stack_stress() {
-        conformance::concurrent_stack_stress::<Leak>(4, 2_000);
-    }
-
-    #[test]
-    fn orphans_wait_for_domain_drop() {
-        conformance::orphan_adoption_reclaims_exited_threads_blocks::<Leak>(false);
-    }
 
     #[test]
     fn nothing_is_ever_freed_while_running() {
@@ -212,5 +94,38 @@ mod tests {
         assert_eq!(stats.retired, 50);
         assert_eq!(stats.freed, 0);
         assert_eq!(stats.unreclaimed, 50);
+    }
+
+    #[test]
+    fn never_scans_never_adopts_never_touches_the_caches() {
+        let domain = Leak::with_config(ReclaimerConfig {
+            cleanup_freq: 1,
+            block_cache: crate::BlockCacheConfig {
+                enabled: true,
+                per_class_capacity: 64,
+            },
+            ..ReclaimerConfig::with_max_threads(2)
+        });
+        let mut survivor = domain.register();
+        {
+            // Leaves a batch on the orphan stack for a pass to adopt.
+            let mut exiting = domain.register();
+            let ptr = exiting.alloc(0u64);
+            // SAFETY: the block was never published; retired exactly once.
+            unsafe { exiting.retire(ptr) };
+        }
+        for _ in 0..50 {
+            let ptr = survivor.alloc(0u64);
+            // SAFETY: the block was never published; retired exactly once.
+            unsafe { survivor.retire(ptr) };
+        }
+        survivor.force_cleanup();
+        drop(survivor);
+        let stats = domain.stats();
+        assert_eq!(stats.retired, 51);
+        assert_eq!(stats.scanned, 0, "no pass ever ran");
+        assert_eq!(stats.adopted_batches, 0);
+        assert_eq!(stats.cache_hits + stats.cache_misses, 0);
+        assert_eq!(stats.cached_bytes, 0);
     }
 }

@@ -9,13 +9,19 @@
 //!   [`Handle`]) — a Rust rendering of the Hazard-Pointers-compatible
 //!   interface the paper describes (`get_protected` / `retire` / `clear` /
 //!   `alloc_block`), matching the harness of Wen et al.'s IBR benchmark that
-//!   the evaluation reuses; `RawHandle` is the SPI for scheme implementors;
+//!   the evaluation reuses; `RawHandle` is the raw, slot-indexed interface;
 //! * the **safe guard layer** application code uses instead of raw slot
 //!   indices: [`Guard`] operation brackets, [`Shield`] reservation leases
 //!   and borrow-checked [`Protected`] pointers (see [`guard`]);
 //! * the intrusive allocation header ([`BlockHeader`], [`Linked`]) that keeps
 //!   the two era fields every era-based scheme needs;
-//! * the baseline schemes:
+//! * the **one scheme core** ([`domain`]): a generic [`Domain<P>`] and its
+//!   per-thread [`DomainHandle<P>`] own registration, counters, block caches,
+//!   retired batches, orphan adoption, the cleanup and era-advance cadence
+//!   and both `Drop`s, and carry the only `impl Reclaimer` and the only
+//!   `unsafe impl RawHandle`; a [`Policy`] supplies what a scheme publishes,
+//!   which snapshot a pass fills and when the clock moves;
+//! * the baseline policies, each a type alias over that core:
 //!   [`Ebr`] (epoch-based reclamation), [`Hp`] (hazard pointers),
 //!   [`He`] (hazard eras, Figure 1 of the paper), [`Ibr2Ge`] (the 2GEIBR
 //!   variant of interval-based reclamation) and [`Leak`] (no reclamation);
@@ -35,6 +41,7 @@ pub mod api;
 pub mod block;
 pub mod cache;
 pub mod conformance;
+pub mod domain;
 pub mod ebr;
 pub mod guard;
 pub mod he;
@@ -55,6 +62,7 @@ pub use api::{
 };
 pub use block::{BlockHeader, Linked, ERA_INF, INVPTR};
 pub use cache::{BlockCacheConfig, BlockCaches, LocalBlockCache, ShardCache, SizeClass};
+pub use domain::{Domain, DomainHandle, Policy};
 pub use ebr::Ebr;
 pub use guard::{Guard, Protected, Shield, ShieldError, ShieldSlots};
 pub use he::He;

@@ -31,7 +31,7 @@
 use core::ops::Range;
 use wfe_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use wfe_atomics::CachePadded;
+use wfe_sync::CachePadded;
 
 /// One cache-line-padded shard of the slot space.
 #[derive(Debug)]

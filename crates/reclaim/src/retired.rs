@@ -154,7 +154,9 @@ impl RetiredBatch {
         unsafe { self.scan.push(block) };
     }
 
-    /// The group parked under `witness`, created on first use.
+    /// The group parked under `witness`, created on first use. Inlinable
+    /// across crates like [`free_block`]: the scan calls it per parked block.
+    #[inline]
     fn group_mut(&mut self, witness: u64) -> &mut Group {
         let index = match self.groups.iter().position(|g| g.witness == witness) {
             Some(index) => index,

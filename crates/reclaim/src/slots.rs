@@ -6,10 +6,10 @@
 
 use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use wfe_atomics::AtomicPair;
+use wfe_sync::AtomicPair;
 
 /// Number of bytes a row is padded to (two cache lines, matching
-/// [`wfe_atomics::CachePadded`]).
+/// [`wfe_sync::CachePadded`]).
 const ROW_BYTES: usize = 128;
 
 /// A `max_threads × slots` table of `AtomicU64`s with padded rows.
@@ -57,7 +57,8 @@ impl SlotArray {
         &self.data[thread * self.stride + slot]
     }
 
-    /// Stores `value` into every slot of `thread`'s row.
+    /// Stores `value` into every slot of `thread`'s row, in slot order.
+    #[inline]
     pub fn fill_row(&self, thread: usize, value: u64, order: Ordering) {
         for slot in 0..self.slots {
             self.get(thread, slot).store(value, order);
@@ -101,7 +102,8 @@ impl PtrSlotArray {
         &self.data[thread * self.stride + slot]
     }
 
-    /// Stores `value` into every slot of `thread`'s row.
+    /// Stores `value` into every slot of `thread`'s row, in slot order.
+    #[inline]
     pub fn fill_row(&self, thread: usize, value: usize, order: Ordering) {
         for slot in 0..self.slots {
             self.get(thread, slot).store(value, order);

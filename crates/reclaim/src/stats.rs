@@ -8,7 +8,7 @@
 
 use wfe_sync::atomic::{AtomicU64, Ordering};
 
-use wfe_atomics::CachePadded;
+use wfe_sync::CachePadded;
 
 /// Shared monotonic counters maintained by every scheme.
 #[derive(Debug, Default)]
@@ -145,7 +145,8 @@ pub struct SmrStats {
     pub cache_misses: u64,
     /// Bytes currently parked on the domain's block-cache freelists.
     pub cached_bytes: u64,
-    /// Current value of the global era/epoch clock (0 for schemes without one).
+    /// Current value of the global era/epoch clock (it stays at its initial 1
+    /// under schemes that never advance it: HP, Leak).
     pub era: u64,
 }
 

@@ -11,7 +11,7 @@
 use core::marker::PhantomData;
 use wfe_sync::atomic::{AtomicUsize, Ordering};
 
-use wfe_atomics::AtomicPair;
+use wfe_sync::AtomicPair;
 
 /// One node: the parked payload plus the intrusive `next` link.
 struct Node<T> {

@@ -1,6 +1,6 @@
 //! Exponential backoff for contended retry loops.
 
-use wfe_sync::{hint, thread};
+use crate::{hint, thread};
 
 /// Exponential backoff used by retry loops in the data-structure crate.
 ///

@@ -10,7 +10,9 @@
 //!   striped-lock fallback),
 //! * [`EraSource`] — the injectable era/epoch clock of the era-based
 //!   schemes,
-//! * [`CachePadded`] — cache-line isolation for per-thread records.
+//! * [`CachePadded`] — cache-line isolation for per-thread records,
+//! * [`Backoff`] — exponential backoff for contended retry loops (policy
+//!   rather than primitive; only the data structures use it).
 //!
 //! The layer has exactly two personalities:
 //!
@@ -28,17 +30,30 @@
 //! The result: the same source text is production code and model-checkable
 //! code, and the model checks the *shipped* implementation, not a
 //! transliteration of it.
+//!
+//! # WCAS portability
+//!
+//! WFE assumes two hardware capabilities beyond ordinary lock-free code:
+//! wait-free fetch-and-add (native on `x86_64` and AArch64 ≥ v8.1) and a
+//! *wide* compare-and-swap over two adjacent 64-bit words. On `x86_64` the
+//! pair operations use `cmpxchg16b` through inline assembly (runtime-detected
+//! once). On other architectures, or an x86_64 CPU without `cmpxchg16b`,
+//! they fall back to a striped spin-lock: *correct* but no longer lock-free,
+//! mirroring the paper's remark that platforms without WCAS forfeit
+//! wait-freedom.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod atomic;
+mod backoff;
 mod era;
 pub mod hint;
 mod pad;
 pub mod thread;
 mod wcas;
 
+pub use backoff::Backoff;
 pub use era::EraSource;
 pub use pad::CachePadded;
 #[doc(hidden)]

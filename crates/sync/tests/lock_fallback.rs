@@ -9,10 +9,10 @@
 
 use wfe_sync::atomic::{AtomicBool, Ordering};
 
-use wfe_atomics::{wcas_is_lock_free, AtomicPair};
+use wfe_sync::{wcas_is_lock_free, AtomicPair};
 
 fn force_fallback() {
-    wfe_atomics::force_lock_fallback_for_tests();
+    wfe_sync::force_lock_fallback_for_tests();
     assert!(
         !wcas_is_lock_free(),
         "fallback must report non-lock-free pair operations"

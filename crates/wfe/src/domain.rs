@@ -1,37 +1,42 @@
-//! The WFE domain: global era clock, reservations, helping and the modified
-//! `cleanup()` (Figure 4, right-hand column).
+//! What WFE adds to the scheme core: the `(era, tag)` reservation pairs and
+//! slow-path records, the bounded fast path, helping and the modified
+//! `cleanup()` scan order (Figure 4).
 
-use std::sync::Arc;
 use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use wfe_sync::CachePadded;
 
-use wfe_atomics::CachePadded;
-use wfe_reclaim::api::{Progress, Reclaimer, ReclaimerConfig};
+use wfe_reclaim::api::{DomainConfig, Progress, Reclaimer};
 use wfe_reclaim::block::BlockHeader;
-use wfe_reclaim::cache::BlockCaches;
-use wfe_reclaim::registry::ThreadRegistry;
-use wfe_reclaim::retired::OrphanStack;
+use wfe_reclaim::domain::{Domain, DomainHandle, Policy};
 use wfe_reclaim::scan::{EraSnapshot, ReservationSet, Verdict};
 use wfe_reclaim::slots::PairSlotArray;
-use wfe_reclaim::stats::{Counters, SmrStats};
 use wfe_reclaim::{ERA_INF, INVPTR};
-use wfe_sync::EraSource;
 
-use crate::handle::WfeHandle;
 use crate::state::StateTable;
 
 /// Index (relative to a thread's reservation row) of the first internal
 /// reservation: the *parent pin* used by helpers (paper: `max_hes`).
-pub(crate) const PARENT_SLOT_OFFSET: usize = 0;
+const PARENT_SLOT_OFFSET: usize = 0;
 /// Index offset of the second internal reservation: the *hand-over pin*
 /// (paper: `max_hes + 1`).
-pub(crate) const HANDOVER_SLOT_OFFSET: usize = 1;
+const HANDOVER_SLOT_OFFSET: usize = 1;
 /// Number of internal reservation slots appended to every thread's row.
-pub(crate) const EXTRA_SLOTS: usize = 2;
+const EXTRA_SLOTS: usize = 2;
 
-/// The Wait-Free Eras domain.
+/// The Wait-Free Eras domain: the scheme core running [`WfePolicy`]. The
+/// `global_era` of Figure 4 is the core's clock ([`Domain::era`]).
+pub type Wfe = Domain<WfePolicy>;
+
+/// Per-thread Wait-Free Eras handle. Its lease table covers the application
+/// slots only; the two internal helper slots are never leasable.
 ///
-/// Shared state (paper, Figure 4 top):
-/// * `global_era` — the era clock,
+/// ```compile_fail,E0277
+/// fn requires_sync<T: Sync>() {}
+/// requires_sync::<wfe_core::WfeHandle>(); // ERROR: `WfeHandle` is not `Sync`
+/// ```
+pub type WfeHandle = DomainHandle<WfePolicy>;
+
+/// What the paper adds on top of Hazard Eras (Figure 4 top):
 /// * `counter_start` / `counter_end` — how many slow-path cycles have begun /
 ///   finished; their difference tells era-advancing threads whether anyone
 ///   needs help, and movement of `counter_start` tells `cleanup()` that a new
@@ -39,38 +44,19 @@ pub(crate) const EXTRA_SLOTS: usize = 2;
 /// * `reservations` — `max_threads × (max_hes + 2)` pairs `(era, tag)`;
 ///   the last two columns are internal to the `help_thread` slow path,
 /// * `state` — `max_threads × max_hes` slow-path request records.
-pub struct Wfe {
-    pub(crate) config: ReclaimerConfig,
-    pub(crate) registry: ThreadRegistry,
-    pub(crate) counters: Counters,
-    pub(crate) orphans: OrphanStack,
-    pub(crate) global_era: EraSource,
+#[derive(Debug)]
+pub struct WfePolicy {
     pub(crate) counter_start: CachePadded<AtomicU64>,
     pub(crate) counter_end: CachePadded<AtomicU64>,
     pub(crate) reservations: PairSlotArray,
     pub(crate) state: StateTable,
-    /// Per-shard size-class block caches (empty when disabled).
-    pub(crate) caches: BlockCaches,
 }
 
-impl Wfe {
-    /// Current value of the global era clock.
-    #[inline]
-    pub fn era(&self) -> u64 {
-        self.global_era.load(Ordering::Acquire) // ORDER: era clock read; pairs with the AcqRel era advances.
-    }
-
-    /// The domain's era clock. Exposed so deterministic model tests can pin
-    /// or bump the clock mid-schedule; production code never writes through
-    /// this (the clock only advances via the Figure-4 `increment_era`).
-    pub fn era_source(&self) -> &EraSource {
-        &self.global_era
-    }
-
+impl WfePolicy {
     /// Number of application-visible reservation slots per thread (`max_hes`).
     #[inline]
     pub(crate) fn app_slots(&self) -> usize {
-        self.config.slots_per_thread
+        self.state.slots()
     }
 
     /// Row index of a thread's parent-pin internal reservation.
@@ -88,68 +74,41 @@ impl Wfe {
     /// Snapshots one column range of the reservation table into `snapshot`
     /// (eras only; the tag word is irrelevant to reclamation). The walk goes
     /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`]): helper pins live in the rows of
-    /// *live, registered* helpers, so an idle shard cannot carry one.
-    fn snapshot_columns(&self, snapshot: &mut EraSnapshot, js: usize, je: usize) {
+    /// [`ThreadRegistry::occupied_ranges`](wfe_reclaim::ThreadRegistry::occupied_ranges)):
+    /// helper pins live in the rows of *live, registered* helpers, so an idle
+    /// shard cannot carry one.
+    fn snapshot_columns(domain: &Wfe, snapshot: &mut EraSnapshot, js: usize, je: usize) {
+        let reservations = &domain.policy().reservations;
         snapshot.clear();
-        for range in self.registry.occupied_ranges() {
+        for range in domain.registry().occupied_ranges() {
             for thread in range {
                 for slot in js..je {
-                    snapshot.insert(
-                        self.reservations
-                            .get(thread, slot)
-                            .load_first(Ordering::Acquire), // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
-                    );
+                    // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
+                    snapshot.insert(reservations.get(thread, slot).load_first(Ordering::Acquire));
                 }
             }
         }
         snapshot.seal();
     }
 
-    /// Takes the batch-scan snapshot for one `cleanup()` pass, preserving the
-    /// Figure-4 (lines 55-67) scan order at batch granularity: normal
-    /// reservations and parent pins first, then — unless no slow path was in
-    /// flight — the hand-over pins followed by a re-scan of the normal
-    /// reservations. Lemmas 4 and 5 rely on exactly this order; taking each
-    /// snapshot once per batch (instead of re-reading the table per block)
-    /// preserves it, because every block in the batch was retired before the
-    /// first snapshot load.
-    pub(crate) fn fill_snapshot(&self, snapshot: &mut WfeSnapshot) {
-        let max_hes = self.app_slots();
-        // Figure 4, line 56: `counter_end` is read before any reservation.
-        let counter_end = self.counter_end.load(Ordering::SeqCst);
-        // Normal reservations + parent pins (columns 0..=max_hes).
-        self.snapshot_columns(&mut snapshot.primary, 0, max_hes + 1);
-        snapshot.quiescent = counter_end == self.counter_start.load(Ordering::SeqCst);
-        if snapshot.quiescent {
-            snapshot.handover.clear();
-            snapshot.recheck.clear();
-        } else {
-            // A slow path may be in flight: a helper may be handing a
-            // protected era over to a requester, so scan the hand-over pins
-            // and then the normal reservations *again*.
-            self.snapshot_columns(&mut snapshot.handover, max_hes + 1, max_hes + 2);
-            self.snapshot_columns(&mut snapshot.recheck, 0, max_hes);
-        }
-    }
-
     /// `increment_era()` (Figure 4, lines 87-98): before advancing the global
     /// era clock, help every pending slow-path request so that the pending
     /// `get_protected()` calls cannot be starved by the very increment we are
     /// about to perform.
-    pub(crate) fn increment_era(&self, helper_tid: usize) {
-        let counter_end = self.counter_end.load(Ordering::SeqCst);
-        let counter_start = self.counter_start.load(Ordering::SeqCst);
+    pub(crate) fn increment_era(domain: &Wfe, helper_tid: usize) {
+        let this = domain.policy();
+        let counter_end = this.counter_end.load(Ordering::SeqCst);
+        let counter_start = this.counter_start.load(Ordering::SeqCst);
         if counter_start != counter_end {
-            for thread in 0..self.state.threads() {
-                for slot in 0..self.state.slots() {
-                    if self.state.get(thread, slot).is_pending() {
-                        self.help_thread(thread, slot, helper_tid);
+            for thread in 0..this.state.threads() {
+                for slot in 0..this.state.slots() {
+                    if this.state.get(thread, slot).is_pending() {
+                        Self::help_thread(domain, thread, slot, helper_tid);
                     }
                 }
             }
         }
-        self.global_era.advance(Ordering::SeqCst);
+        domain.era_source().advance(Ordering::SeqCst);
     }
 
     /// `help_thread(i, j, tid)` (Figure 4, lines 100-134): completes thread
@@ -161,28 +120,29 @@ impl Wfe {
     /// era it read under in the hand-over internal reservation. Both pins are
     /// withdrawn before returning; reclamation safety across the hand-over is
     /// provided by the `cleanup()` scan order (Lemmas 4 and 5).
-    pub(crate) fn help_thread(&self, requester: usize, slot: usize, helper_tid: usize) {
-        self.counters.on_help();
-        let state = self.state.get(requester, slot);
+    pub(crate) fn help_thread(domain: &Wfe, requester: usize, slot: usize, helper_tid: usize) {
+        let this = domain.policy();
+        domain.counters().on_help();
+        let state = this.state.get(requester, slot);
         let request = state.result.load();
         if request.0 != INVPTR {
             return;
         }
         // Pin the parent block before touching anything else (Lemma 4).
         let parent_era = state.era.load(Ordering::Acquire); // ORDER: pairs with the requester's SeqCst publish of the slow-path state.
-        let parent_pin = self.reservations.get(helper_tid, self.parent_slot());
+        let parent_pin = this.reservations.get(helper_tid, this.parent_slot());
         parent_pin.store_first(parent_era, Ordering::SeqCst);
 
         let location = state.pointer.load(Ordering::Acquire); // ORDER: pairs with the requester's SeqCst publish of the slow-path state.
-        let tag = self
+        let tag = this
             .reservations
             .get(requester, slot)
             .load_second(Ordering::SeqCst);
         // If the tag moved on, the request we read belongs to an already
         // finished slow-path cycle: the state fields may be stale, so bail out.
         if tag == request.1 {
-            let handover_pin = self.reservations.get(helper_tid, self.handover_slot());
-            let mut prev_era = self.era();
+            let handover_pin = this.reservations.get(helper_tid, this.handover_slot());
+            let mut prev_era = domain.era();
             // Bounded by the number of in-flight era increments (Lemma 2).
             loop {
                 handover_pin.store_first(prev_era, Ordering::SeqCst);
@@ -191,7 +151,7 @@ impl Wfe {
                 // after the parent pin was published, so by Lemma 4 the parent
                 // cannot have been reclaimed and the location is still valid.
                 let value = unsafe { (*(location as *const AtomicUsize)).load(Ordering::Acquire) }; // ORDER: pairs with the Release publish of the pointer being protected.
-                let new_era = self.era();
+                let new_era = domain.era();
                 if prev_era == new_era {
                     if state
                         .result
@@ -201,11 +161,11 @@ impl Wfe {
                         // Update the requester's reservation on its behalf;
                         // at most two iterations (Lemma 3).
                         loop {
-                            let old = self.reservations.get(requester, slot).load();
+                            let old = this.reservations.get(requester, slot).load();
                             if old.1 != tag {
                                 break;
                             }
-                            if self
+                            if this
                                 .reservations
                                 .get(requester, slot)
                                 .compare_exchange(old, (new_era, tag + 1))
@@ -225,6 +185,117 @@ impl Wfe {
             handover_pin.store_first(ERA_INF, Ordering::SeqCst);
         }
         parent_pin.store_first(ERA_INF, Ordering::SeqCst);
+    }
+}
+
+// SAFETY: `protect` returns a value only once an era it was read under is
+// published in the requester's reservation: by the requester itself on the
+// fast path and on a self-cancelled slow path (as in Hazard Eras), or by a
+// helper that pinned it in its hand-over slot until the reservation carried
+// it (Lemmas 4 and 5). `fill_snapshot` keeps the Figure-4 scan order those
+// lemmas need, over every registered thread's row.
+unsafe impl Policy for WfePolicy {
+    type Snapshot = WfeSnapshot;
+    const NAME: &'static str = "WFE";
+    const PROGRESS: Progress = Progress::WaitFree;
+
+    fn new(config: &DomainConfig) -> Self {
+        assert!(
+            config.slots_per_thread >= 1,
+            "WFE needs at least one application reservation slot"
+        );
+        assert!(
+            config.fast_path_attempts >= 1,
+            "WFE needs at least one fast-path attempt"
+        );
+        Self {
+            counter_start: CachePadded::new(AtomicU64::new(0)),
+            counter_end: CachePadded::new(AtomicU64::new(0)),
+            reservations: PairSlotArray::new(
+                config.max_threads,
+                config.slots_per_thread + EXTRA_SLOTS,
+                (ERA_INF, 0),
+            ),
+            state: StateTable::new(config.max_threads, config.slots_per_thread),
+        }
+    }
+
+    /// `get_protected` (Figure 4, lines 15-53).
+    #[inline]
+    fn protect(
+        domain: &Wfe,
+        tid: usize,
+        src: &AtomicUsize,
+        index: usize,
+        parent: *mut BlockHeader,
+        _mask: usize,
+    ) -> usize {
+        let this = domain.policy();
+        let reservation = this.reservations.get(tid, index);
+        let mut prev_era = reservation.load_first(Ordering::Relaxed); // ORDER: own slot re-read; the publish that matters is the SeqCst store in the loop.
+
+        // Fast path (lines 15-24): identical to Hazard Eras, but bounded.
+        let mut attempts = domain.config().fast_path_attempts;
+        while attempts > 0 {
+            attempts -= 1;
+            let value = src.load(Ordering::Acquire); // ORDER: pairs with the Release publish of the pointer being protected.
+            let new_era = domain.era();
+            if prev_era == new_era {
+                return value;
+            }
+            reservation.store_first(new_era, Ordering::SeqCst);
+            prev_era = new_era;
+        }
+
+        // The era kept moving: ask for help.
+        Self::protect_slow(domain, tid, src, index, parent, prev_era)
+    }
+
+    /// Only the application-visible slots are cleared; the two internal
+    /// slots belong to the helping machinery. The slow-path tag (second
+    /// word) must survive, so only the era word is reset.
+    #[inline]
+    fn clear(domain: &Wfe, tid: usize) {
+        let this = domain.policy();
+        for slot in 0..this.app_slots() {
+            this.reservations
+                .get(tid, slot)
+                .store_first(ERA_INF, Ordering::Release); // ORDER: withdraws the era reservations; pairs with the snapshot's Acquire loads.
+        }
+    }
+
+    /// Takes the batch-scan snapshot for one `cleanup()` pass, preserving the
+    /// Figure-4 (lines 55-67) scan order at batch granularity: normal
+    /// reservations and parent pins first, then — unless no slow path was in
+    /// flight — the hand-over pins followed by a re-scan of the normal
+    /// reservations. Lemmas 4 and 5 rely on exactly this order; taking each
+    /// snapshot once per batch (instead of re-reading the table per block)
+    /// preserves it, because every block in the batch was retired before the
+    /// first snapshot load.
+    fn fill_snapshot(domain: &Wfe, snapshot: &mut WfeSnapshot) {
+        let this = domain.policy();
+        let max_hes = this.app_slots();
+        // Figure 4, line 56: `counter_end` is read before any reservation.
+        let counter_end = this.counter_end.load(Ordering::SeqCst);
+        // Normal reservations + parent pins (columns 0..=max_hes).
+        Self::snapshot_columns(domain, &mut snapshot.primary, 0, max_hes + 1);
+        snapshot.quiescent = counter_end == this.counter_start.load(Ordering::SeqCst);
+        if snapshot.quiescent {
+            snapshot.handover.clear();
+            snapshot.recheck.clear();
+        } else {
+            // A slow path may be in flight: a helper may be handing a
+            // protected era over to a requester, so scan the hand-over pins
+            // and then the normal reservations *again*.
+            Self::snapshot_columns(domain, &mut snapshot.handover, max_hes + 1, max_hes + 2);
+            Self::snapshot_columns(domain, &mut snapshot.recheck, 0, max_hes);
+        }
+    }
+
+    /// Figure 4, lines 69-71 and 80-82: help pending readers before advancing.
+    #[inline]
+    fn advance(domain: &Wfe, tid: usize) {
+        Self::increment_era(domain, tid);
     }
 }
 
@@ -275,6 +346,7 @@ impl WfeSnapshot {
 impl ReservationSet for WfeSnapshot {
     /// The witness is the smallest era of any live column inside the
     /// block's lifespan — the oldest publication that pins it.
+    #[inline]
     fn judge(&self, block: &BlockHeader) -> Verdict {
         let (alloc_era, retire_era) = (block.alloc_era(), block.retire_era());
         let witness = self
@@ -290,95 +362,16 @@ impl ReservationSet for WfeSnapshot {
     /// An era found in any live column — a normal reservation, a parent pin
     /// or, mid-slow-path, a hand-over pin — covers exactly the blocks whose
     /// lifespan contains it, whichever column `judge` first saw it in.
+    #[inline]
     fn holds(&self, witness: u64) -> bool {
         self.columns().any(|column| column.contains(witness))
-    }
-}
-
-impl Reclaimer for Wfe {
-    type Handle = WfeHandle;
-
-    fn with_config(config: ReclaimerConfig) -> Arc<Self> {
-        assert!(
-            config.slots_per_thread >= 1,
-            "WFE needs at least one application reservation slot"
-        );
-        assert!(
-            config.fast_path_attempts >= 1,
-            "WFE needs at least one fast-path attempt"
-        );
-        let registry = ThreadRegistry::with_shards(config.max_threads, config.shards);
-        let caches = BlockCaches::new(&config.block_cache, registry.shard_count());
-        Arc::new(Self {
-            registry,
-            caches,
-            counters: Counters::new(),
-            orphans: OrphanStack::new(),
-            global_era: EraSource::new(1),
-            counter_start: CachePadded::new(AtomicU64::new(0)),
-            counter_end: CachePadded::new(AtomicU64::new(0)),
-            reservations: PairSlotArray::new(
-                config.max_threads,
-                config.slots_per_thread + EXTRA_SLOTS,
-                (ERA_INF, 0),
-            ),
-            state: StateTable::new(config.max_threads, config.slots_per_thread),
-            config,
-        })
-    }
-
-    fn try_register(self: &Arc<Self>) -> Option<WfeHandle> {
-        let tid = self.registry.try_acquire()?;
-        Some(WfeHandle::new(Arc::clone(self), tid))
-    }
-
-    fn name() -> &'static str {
-        "WFE"
-    }
-
-    fn progress() -> Progress {
-        Progress::WaitFree
-    }
-
-    fn stats(&self) -> SmrStats {
-        let mut stats = self.counters.snapshot(self.era());
-        self.caches.merge_into(&mut stats);
-        stats
-    }
-
-    fn config(&self) -> &ReclaimerConfig {
-        &self.config
-    }
-
-    fn registry(&self) -> &ThreadRegistry {
-        &self.registry
-    }
-}
-
-impl Drop for Wfe {
-    fn drop(&mut self) {
-        // SAFETY: no handles remain (they hold an Arc), so orphaned blocks
-        // are unreachable and unprotected — freeing them cannot race a reader.
-        unsafe {
-            self.orphans.free_all();
-        }
-    }
-}
-
-impl core::fmt::Debug for Wfe {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Wfe")
-            .field("era", &self.era())
-            .field("counter_start", &self.counter_start.load(Ordering::Relaxed)) // ORDER: Debug formatting only.
-            .field("counter_end", &self.counter_end.load(Ordering::Relaxed)) // ORDER: Debug formatting only.
-            .field("stats", &self.stats())
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wfe_reclaim::api::ReclaimerConfig;
     use wfe_reclaim::{Atomic, Handle, Linked, RawHandle};
 
     #[test]
@@ -387,10 +380,10 @@ mod tests {
             slots_per_thread: 3,
             ..ReclaimerConfig::with_max_threads(2)
         });
-        assert_eq!(domain.reservations.slots(), 5);
-        assert_eq!(domain.parent_slot(), 3);
-        assert_eq!(domain.handover_slot(), 4);
-        assert_eq!(domain.state.slots(), 3);
+        assert_eq!(domain.policy().reservations.slots(), 5);
+        assert_eq!(domain.policy().parent_slot(), 3);
+        assert_eq!(domain.policy().handover_slot(), 4);
+        assert_eq!(domain.policy().state.slots(), 3);
     }
 
     #[test]
@@ -408,13 +401,14 @@ mod tests {
         let tid = owner.thread_id();
         let slot = 0usize;
         let tag = domain
+            .policy()
             .reservations
             .get(tid, slot)
             .load_second(Ordering::SeqCst);
 
         // Stage the request (Figure 4, lines 31-33).
-        domain.counter_start.fetch_add(1, Ordering::SeqCst);
-        let state = domain.state.get(tid, slot);
+        domain.policy().counter_start.fetch_add(1, Ordering::SeqCst);
+        let state = domain.policy().state.get(tid, slot);
         state
             .pointer
             .store(root.as_raw_atomic() as *const _ as usize, Ordering::SeqCst);
@@ -423,12 +417,12 @@ mod tests {
         assert!(state.is_pending());
 
         // A thread about to advance the era must first help.
-        domain.increment_era(helper.thread_id());
+        WfePolicy::increment_era(&domain, helper.thread_id());
 
         let produced = state.result.load();
         assert_ne!(produced.0, INVPTR, "request was completed by the helper");
         assert_eq!(produced.0, node as u64, "helper read the hazardous pointer");
-        let reservation = domain.reservations.get(tid, slot).load();
+        let reservation = domain.policy().reservations.get(tid, slot).load();
         assert_eq!(
             reservation.0, produced.1,
             "reservation era set on requester's behalf"
@@ -437,22 +431,24 @@ mod tests {
         // Helper pins are withdrawn.
         assert_eq!(
             domain
+                .policy()
                 .reservations
-                .get(helper.thread_id(), domain.parent_slot())
+                .get(helper.thread_id(), domain.policy().parent_slot())
                 .load_first(Ordering::SeqCst),
             ERA_INF
         );
         assert_eq!(
             domain
+                .policy()
                 .reservations
-                .get(helper.thread_id(), domain.handover_slot())
+                .get(helper.thread_id(), domain.policy().handover_slot())
                 .load_first(Ordering::SeqCst),
             ERA_INF
         );
         assert!(domain.stats().helps >= 1);
 
         // Finish the staged cycle the way get_protected would.
-        domain.counter_end.fetch_add(1, Ordering::SeqCst);
+        domain.policy().counter_end.fetch_add(1, Ordering::SeqCst);
         // SAFETY: test-owned block, unlinked and freed exactly once.
         unsafe { Linked::dealloc(node) };
     }
@@ -476,10 +472,11 @@ mod tests {
 
         // The requester has announced a cycle and the helper has pinned the
         // era it read under; nothing else names that era yet.
-        domain.counter_start.fetch_add(1, Ordering::SeqCst);
+        domain.policy().counter_start.fetch_add(1, Ordering::SeqCst);
         let handover_pin = domain
+            .policy()
             .reservations
-            .get(helper.thread_id(), domain.handover_slot());
+            .get(helper.thread_id(), domain.policy().handover_slot());
         handover_pin.store_first(era, Ordering::SeqCst);
         // SAFETY: the block was never published; retired exactly once.
         unsafe { cleaner.retire(node) };
@@ -488,13 +485,13 @@ mod tests {
         assert_eq!(cleaner.parked_groups(), [(era, 1)]);
 
         // The helper hands the era over (Figure 4, lines 119-127) and leaves.
-        let reservation = domain.reservations.get(requester.thread_id(), 0);
+        let reservation = domain.policy().reservations.get(requester.thread_id(), 0);
         let old = reservation.load();
         reservation
             .compare_exchange(old, (era, old.1 + 1))
             .expect("nothing else writes the requester's slot");
         handover_pin.store_first(ERA_INF, Ordering::SeqCst);
-        domain.counter_end.fetch_add(1, Ordering::SeqCst);
+        domain.policy().counter_end.fetch_add(1, Ordering::SeqCst);
         let judged = domain.stats().scanned;
         cleaner.force_cleanup();
         assert_eq!(domain.stats().unreclaimed, 1, "now the requester pins it");
@@ -538,7 +535,7 @@ mod tests {
         let tid = owner.thread_id();
 
         let root: Atomic<u64> = Atomic::null();
-        let state = domain.state.get(tid, 0);
+        let state = domain.policy().state.get(tid, 0);
         state
             .pointer
             .store(root.as_raw_atomic() as *const _ as usize, Ordering::SeqCst);
@@ -547,11 +544,11 @@ mod tests {
         // 0, the request claims tag 5).
         state.result.store((INVPTR, 5));
 
-        domain.help_thread(tid, 0, helper.thread_id());
+        WfePolicy::help_thread(&domain, tid, 0, helper.thread_id());
 
         assert!(state.is_pending(), "stale request left untouched");
         assert_eq!(
-            domain.reservations.get(tid, 0).load(),
+            domain.policy().reservations.get(tid, 0).load(),
             (ERA_INF, 0),
             "requester's reservation untouched"
         );
@@ -562,7 +559,7 @@ mod tests {
         let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
         let handle = domain.register();
         let before = domain.era();
-        domain.increment_era(handle.thread_id());
+        WfePolicy::increment_era(&domain, handle.thread_id());
         assert_eq!(domain.era(), before + 1);
         assert_eq!(domain.stats().helps, 0);
     }

@@ -8,7 +8,10 @@
 //!
 //! # How it works
 //!
-//! WFE starts from Hazard Eras ([`wfe_reclaim::He`]). In Hazard Eras the only
+//! [`Wfe`] is `wfe_reclaim`'s scheme core, [`Domain<P>`](wfe_reclaim::Domain),
+//! running [`WfePolicy`]: registration, batches, caches, cleanup cadence and
+//! teardown are the core's, and this crate holds only what the paper adds on
+//! top of Hazard Eras ([`wfe_reclaim::He`]). In Hazard Eras the only
 //! non-wait-free operation is `get_protected()`: it retries while the global
 //! era clock keeps moving underneath it, and the clock is moved by concurrent
 //! `alloc_block()` / `retire()` calls. WFE closes the loop with the
@@ -74,13 +77,12 @@
 #![warn(rust_2018_idioms)]
 
 mod domain;
-mod handle;
+mod slow_path;
 mod state;
 
-pub use domain::Wfe;
 #[doc(hidden)]
 pub use domain::WfeSnapshot;
-pub use handle::WfeHandle;
+pub use domain::{Wfe, WfeHandle, WfePolicy};
 
 // Executor-friendly pooled handles work with every scheme, WFE included; the
 // generic machinery lives next to the common API and is re-exported here so
@@ -105,4 +107,21 @@ const fn _auto_trait_facts() {
     _assert_send::<WfeHandle>();
     _assert_send_sync::<HandlePool<Wfe>>();
     _assert_send::<PooledHandle<Wfe>>();
+}
+
+/// The six-scheme conformance table's WFE row (the five baselines' rows are
+/// in `wfe_reclaim::conformance`).
+#[cfg(test)]
+mod conformance {
+    use crate::Wfe;
+
+    wfe_reclaim::conformance_suite! {
+        wfe: Wfe {
+            name: "WFE",
+            progress: WaitFree,
+            unreclaimed_is_bounded: 4_000,
+            stalled_reader_costs_passes_nothing: yes,
+            orphan_adoption: yes,
+        }
+    }
 }

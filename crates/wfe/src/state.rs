@@ -13,8 +13,8 @@
 
 use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use wfe_atomics::AtomicPair;
 use wfe_reclaim::{ERA_INF, INVPTR};
+use wfe_sync::AtomicPair;
 
 /// One slow-path request record.
 #[repr(align(64))]

@@ -21,10 +21,10 @@
 //!   hash map, the Shalev-Herlihy split-ordered *resizable* hash map (bucket
 //!   arrays retired through the reclaimer), Natarajan-Mittal BST, the
 //!   Kogan-Petrank and CRTurn wait-free queues and a Michael-Scott queue;
-//! * [`wfe_atomics`] — the 128-bit wide-CAS substrate WFE requires;
 //! * [`wfe_sync`] — the swappable sync layer every crate draws its atomics
-//!   from: std-backed (zero-cost) normally, instrumented for the
-//!   deterministic model checker under `--cfg wfe_model`;
+//!   from, the 128-bit wide-CAS WFE requires included: std-backed
+//!   (zero-cost) normally, instrumented for the deterministic model checker
+//!   under `--cfg wfe_model`;
 //! * [`wfe_task`] — the async layer: `Send`-able [`TaskHandle`]s over a
 //!   [`HandlePool`] whose protection brackets ([`AsyncGuard`]) are scoped to
 //!   a single poll and cannot be held across an `.await`;
@@ -60,7 +60,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use wfe_atomics;
 pub use wfe_core;
 pub use wfe_ds;
 pub use wfe_reclaim;

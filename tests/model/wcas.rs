@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 
-use wfe_atomics::AtomicPair;
 use wfe_sync::atomic::Ordering;
+use wfe_sync::AtomicPair;
 
 use crate::SCHEDULES;
 

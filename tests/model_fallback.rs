@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use wfe_atomics::{force_lock_fallback_for_tests, wcas_is_lock_free, AtomicPair};
+use wfe_sync::{force_lock_fallback_for_tests, wcas_is_lock_free, AtomicPair};
 
 #[test]
 fn forced_fallback_conserves_increments_under_the_model() {

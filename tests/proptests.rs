@@ -12,13 +12,13 @@ use wfe_suite::wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use wfe_suite::wfe_atomics::AtomicPair;
 use wfe_suite::wfe_core::WfeSnapshot;
 use wfe_suite::wfe_reclaim::conformance::DropCounter;
 use wfe_suite::wfe_reclaim::ptr::tag;
 use wfe_suite::wfe_reclaim::retired::{OrphanStack, RetiredBatch};
 use wfe_suite::wfe_reclaim::scan::{EpochSnapshot, EraSnapshot, ReservationSet};
 use wfe_suite::wfe_reclaim::BlockCacheConfig;
+use wfe_suite::wfe_sync::AtomicPair;
 use wfe_suite::{
     Atomic, CrTurnQueue, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, KoganPetrankQueue, Leak, Linked,
     MichaelHashMap, MichaelList, MichaelScottQueue, NatarajanBst, PooledHandle, RawHandle,
