@@ -10,7 +10,10 @@
 //! zero-cost claim of the guard API is checked, not assumed. The
 //! `cleanup_pass` group is the batch-scan rung: one pass over a batch a
 //! stalled reader pins (`pinned`), and the pass right after the reader leaves
-//! (`released`).
+//! (`released`). `alloc_retire_contended` is the update pair with a second
+//! thread in the same loop — whatever `alloc`/`retire` write outside their
+//! own thread's cache lines shows there and nowhere else — and
+//! `block_cache/spill_refill` one magazine → shard → magazine round trip.
 
 use std::cell::RefCell;
 use std::ptr;
@@ -19,8 +22,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use wfe_core::Wfe;
 use wfe_reclaim::{
-    Atomic, BlockCacheConfig, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, Leak, RawHandle, Reclaimer,
-    ReclaimerConfig,
+    Atomic, BlockCacheConfig, BlockCaches, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, Leak,
+    LocalBlockCache, RawHandle, Reclaimer, ReclaimerConfig, SizeClass,
 };
 
 /// A config with the per-shard block cache pinned to `enabled`, so the
@@ -92,6 +95,80 @@ fn bench_alloc_retire_cached<R: Reclaimer>(c: &mut Criterion, name: &str) {
             })
         },
     );
+}
+
+fn bench_alloc_retire_contended<R: Reclaimer>(c: &mut Criterion, name: &str) {
+    // The cached loop again, with a second thread running it on the same
+    // domain. The two share no block, no magazine and no reservation, so a
+    // pair costs more than `alloc_retire_cached` only by what the hot path
+    // writes to lines both threads touch.
+    let domain = R::with_config(config_with_cache(true));
+    let stop = wfe_sync::atomic::AtomicBool::new(false);
+    let alloc_retire = |handle: &mut R::Handle| {
+        let node = handle.alloc(7u64);
+        // SAFETY: block just allocated by this handle, never published —
+        // this is its only retire.
+        unsafe { handle.retire(std::hint::black_box(node)) };
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut handle = domain.register();
+            // ORDER: benchmark control flag; no data is ordered by it.
+            while !stop.load(wfe_sync::atomic::Ordering::Relaxed) {
+                alloc_retire(&mut handle);
+            }
+        });
+        let mut handle = domain.register();
+        c.bench_with_input(
+            BenchmarkId::new("alloc_retire_contended", name),
+            &(),
+            |bencher, _| bencher.iter(|| alloc_retire(&mut handle)),
+        );
+        stop.store(true, wfe_sync::atomic::Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
+    });
+}
+
+fn bench_spill_refill(c: &mut Criterion) {
+    // One round trip of the magazine/shard exchange: the push that finds the
+    // magazine full spills half of it (16 blocks) to the shard, and once the
+    // magazine has been popped dry the next pop takes them back. The rest of
+    // the cycle's 33 pushes and 33 pops are plain magazine traffic (about a
+    // nanosecond each), so the figure is the cost of moving 16 blocks out and
+    // 16 back.
+    const MAGAZINE: usize = 32;
+    let caches = BlockCaches::new(
+        &BlockCacheConfig {
+            enabled: true,
+            per_class_capacity: 64,
+        },
+        1,
+    );
+    let shard = caches.shard(0);
+    let class = SizeClass::of(56, 8).expect("the smallest class");
+    let mut local = LocalBlockCache::new();
+    let mut blocks: Vec<*mut u8> = (0..=MAGAZINE)
+        .map(|_| {
+            // SAFETY: the class layout has a non-zero size.
+            let block = unsafe { std::alloc::alloc(class.layout()) };
+            assert!(!block.is_null());
+            block
+        })
+        .collect();
+    c.bench_function("block_cache/spill_refill", |bencher| {
+        bencher.iter(|| {
+            for block in blocks.drain(..) {
+                // SAFETY: class memory this bench owns, pushed exactly once.
+                unsafe { local.push(class, block, shard) };
+            }
+            // 33 pushes: one spill. 33 pops: 17 from the magazine, then one
+            // refill and its 16 blocks.
+            blocks.extend((0..=MAGAZINE).map(|_| local.pop(class, shard).expect("parked")));
+        })
+    });
+    for block in blocks {
+        // SAFETY: allocated above with this layout, popped back, freed once.
+        unsafe { std::alloc::dealloc(block, class.layout()) };
+    }
 }
 
 /// Retires `blocks` blocks through `retirer` that `reader`'s reservation
@@ -335,6 +412,13 @@ fn smr_ops(c: &mut Criterion) {
     bench_alloc_retire_cached::<Hp>(c, "HP");
     bench_alloc_retire_cached::<Ebr>(c, "EBR");
     bench_alloc_retire_cached::<Ibr2Ge>(c, "2GEIBR");
+
+    bench_alloc_retire_contended::<Wfe>(c, "WFE");
+    bench_alloc_retire_contended::<He>(c, "HE");
+    bench_alloc_retire_contended::<Hp>(c, "HP");
+    bench_alloc_retire_contended::<Ebr>(c, "EBR");
+
+    bench_spill_refill(c);
 
     bench_cleanup_pass::<Wfe>(c, "WFE");
     bench_cleanup_pass::<He>(c, "HE");

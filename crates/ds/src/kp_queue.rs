@@ -161,7 +161,7 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
     }
 
     /// Replaces `state[tid]`'s current descriptor `old` with `new`, retiring
-    /// `old` on success and freeing `new` on failure. Returns whether the
+    /// `old` on success and discarding `new` on failure. Returns whether the
     /// exchange happened.
     fn swap_desc(
         &self,
@@ -184,8 +184,8 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
                 true
             }
             Err(_) => {
-                // SAFETY: `new` was never published; freed exactly once.
-                unsafe { Linked::dealloc(new) };
+                // SAFETY: `new` was never published; discarded exactly once.
+                unsafe { guard.discard(new) };
                 false
             }
         }

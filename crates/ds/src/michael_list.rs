@@ -179,9 +179,9 @@ impl<V, R: Reclaimer> MichaelList<V, R> {
             let window = self.find(&guard, &mut shields, key);
             if window.found {
                 // Key already present: the freshly allocated node was never
-                // published, so it can be freed immediately.
-                // SAFETY: `node` never became reachable; freed exactly once.
-                unsafe { Linked::dealloc(node) };
+                // published, so it goes straight back to the magazine.
+                // SAFETY: `node` never became reachable; discarded exactly once.
+                unsafe { guard.discard(node) };
                 return false;
             }
             // SAFETY: `node` is owned and unpublished until the CAS succeeds.

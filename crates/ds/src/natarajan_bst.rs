@@ -343,13 +343,13 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
                 Ok(_) => return true,
                 Err(observed) => {
                     // Neither node was published; take the value back and
-                    // free them before retrying.
+                    // hand them back before retrying.
                     // SAFETY: the CAS failed, so both nodes are still owned
-                    // by us and unreachable; each is freed exactly once.
+                    // by us and unreachable; each is discarded exactly once.
                     unsafe {
                         value = (*new_leaf).value.value.take();
-                        Linked::dealloc(new_internal);
-                        Linked::dealloc(new_leaf);
+                        guard.discard(new_internal);
+                        guard.discard(new_leaf);
                     }
                     // If the edge still leads to our leaf but is flagged or
                     // tagged, help the pending deletion along before retrying.

@@ -411,9 +411,9 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
             if window.found {
                 // Another thread spliced the dummy in first: adopt it.
                 if !node.is_null() {
-                    // SAFETY: our candidate never became reachable; freed
-                    // exactly once.
-                    unsafe { Linked::dealloc(node) };
+                    // SAFETY: our candidate never became reachable;
+                    // discarded exactly once.
+                    unsafe { guard.discard(node) };
                 }
                 break window.curr.as_raw();
             }
@@ -477,9 +477,10 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
                 let window = self.find_from(&guard, &mut shields, dummy, so_key, key);
                 if window.found {
                     // Key already present: the freshly allocated node was
-                    // never published, so it can be freed immediately.
-                    // SAFETY: `node` never became reachable; freed once.
-                    unsafe { Linked::dealloc(node) };
+                    // never published, so it goes straight back to the
+                    // magazine.
+                    // SAFETY: `node` never became reachable; discarded once.
+                    unsafe { guard.discard(node) };
                     break false;
                 }
                 // SAFETY: `node` is owned and unpublished until the CAS
@@ -661,8 +662,8 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
             // retire) without actually double-freeing the block.
             Some(old.as_raw() as usize)
         } else {
-            // SAFETY: our copy never became reachable; freed exactly once.
-            unsafe { Linked::dealloc(new_dir) };
+            // SAFETY: our copy never became reachable; discarded exactly once.
+            unsafe { guard.discard(new_dir) };
             None
         }
     }

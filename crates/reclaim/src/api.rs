@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use wfe_sync::atomic::AtomicUsize;
 
-use crate::block::{BlockHeader, Linked};
+use crate::block::{free_block, BlockHeader, Linked};
 use crate::cache::{BlockCacheConfig, LocalBlockCache, ShardCache};
 use crate::guard::{Guard, Shield, ShieldError, ShieldSlots};
 use crate::ptr::{tag, Atomic};
@@ -420,6 +420,23 @@ pub trait Handle: RawHandle {
         Linked::alloc_in(value, era, local, shard)
     }
 
+    /// Frees a block that was allocated but never published — an insert that
+    /// found its key present, a CAS that lost — back into the magazine
+    /// [`alloc`](Self::alloc) popped it from (the allocator when the cache is
+    /// off), so the next `alloc` of the class gets the same memory. The
+    /// payload is dropped; no counter moves (the block was never retired).
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must come from [`Handle::alloc`], must never have been reachable
+    /// by another thread, and must not have been freed or retired before.
+    unsafe fn discard<T>(&mut self, ptr: *mut Linked<T>) {
+        let (local, shard) = self.block_caches();
+        // SAFETY: the caller owns the block exclusively and hands it over
+        // exactly once; nothing can protect a block that was never published.
+        unsafe { free_block(Linked::as_header(ptr), local, shard) };
+    }
+
     /// Protects and returns the pointer stored in `src` (the paper's
     /// `get_protected`).
     ///
@@ -428,6 +445,7 @@ pub trait Handle: RawHandle {
     /// physically contains `src`, or null when `src` is a data-structure
     /// root; it must itself be protected by the caller (that is the API
     /// convention §3.4 relies upon).
+    #[inline(always)]
     fn protect<T>(
         &mut self,
         src: &Atomic<T>,

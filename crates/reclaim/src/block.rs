@@ -104,9 +104,10 @@ impl<T> Linked<T> {
     }
 
     /// Like [`alloc`](Self::alloc), but pops a recycled block of the matching
-    /// size class from the handle's `local` magazine (refilled from `shard`)
-    /// — or, with no magazine, from `shard` directly — before falling back to
-    /// the allocator. Blocks whose layout fits no class ignore both.
+    /// size class from the handle's `local` magazine (refilled from `shard`,
+    /// its backing) before falling back to the allocator. Blocks whose
+    /// layout fits no class ignore both, and without a magazine nothing is
+    /// recycled: the shard is reached a chain at a time, through a magazine.
     pub fn alloc_in(
         value: T,
         alloc_era: u64,
@@ -121,10 +122,7 @@ impl<T> Linked<T> {
         };
         match Self::SIZE_CLASS {
             Some(class) => {
-                let recycled = match local {
-                    Some(local) => local.pop(class, shard),
-                    None => shard.and_then(|shard| shard.pop(class)),
-                };
+                let recycled = local.and_then(|local| local.pop(class, shard));
                 let raw = recycled.unwrap_or_else(|| alloc_class(class));
                 let ptr = raw.cast::<Linked<T>>();
                 // SAFETY: `raw` is a fresh or recycled class block — at least
@@ -145,9 +143,11 @@ impl<T> Linked<T> {
         }
     }
 
-    /// Immediately frees a block that is *not* going through a retire path
-    /// (e.g. a node that never became reachable, or remaining nodes freed by
-    /// a data structure's `Drop`).
+    /// Immediately frees a block that is *not* going through a retire path,
+    /// straight to the allocator: the remaining nodes freed by a data
+    /// structure's `Drop`, which has no handle. Mid-operation, a node that
+    /// never became reachable goes back to the magazine it came from instead
+    /// ([`Handle::discard`](crate::Handle::discard)).
     ///
     /// # Safety
     ///
@@ -199,14 +199,15 @@ unsafe fn drop_block_classed<T>(header: *mut BlockHeader) -> Option<SizeClass> {
     Linked::<T>::SIZE_CLASS
 }
 
-/// Frees a retired block through its type-erased destructor, parking the
-/// memory of class-path blocks on the handle's `local` magazine (which
-/// spills to `shard`) or, with no magazine, on `shard` directly — instead of
-/// returning it to the allocator.
+/// Frees a block through its type-erased destructor, parking the memory of
+/// class-path blocks on the handle's `local` magazine (which spills to
+/// `shard`, its backing) instead of returning it to the allocator; with no
+/// magazine the memory goes to the allocator.
 ///
 /// # Safety
 ///
-/// The block must be retired, unreachable and unprotected by every thread.
+/// The block must be unreachable and unprotected by every thread: retired
+/// and judged free, or never published.
 // Inlinable across crates: the batch scan that calls this once per freed
 // block is instantiated, with the scheme core, in the caller's crate.
 #[inline]
@@ -220,16 +221,12 @@ pub(crate) unsafe fn free_block(
     let class = unsafe { ((*header).drop_fn)(header) };
     if let Some(class) = class {
         // The payload is dropped; the class memory is ours to route.
-        match (local, shard) {
+        match local {
             // SAFETY: the block was allocated as a class block of `class`
             // (`drop_fn` returned it) and enters the magazine exactly once.
-            (Some(local), shard) => unsafe { local.push(class, header.cast(), shard) },
-            (None, Some(shard)) => {
-                // SAFETY: as above — the shard takes ownership exactly once.
-                unsafe { shard.push(class, header.cast()) };
-            }
+            Some(local) => unsafe { local.push(class, header.cast(), shard) },
             // SAFETY: as above — freed exactly once here.
-            (None, None) => unsafe { dealloc_class(class, header.cast()) },
+            None => unsafe { dealloc_class(class, header.cast()) },
         }
     }
 }
@@ -297,21 +294,23 @@ mod tests {
             1,
         );
         let shard = cache.shard(0);
-        let ptr = Linked::alloc_in(Canary(drops.clone()), 0, None, shard);
+        let mut local = LocalBlockCache::new();
+        let ptr = Linked::alloc_in(Canary(drops.clone()), 0, Some(&mut local), shard);
         let addr = ptr as usize;
         // SAFETY: the block is unpublished; freed exactly once, into the cache.
-        unsafe { free_block(Linked::as_header(ptr), None, shard) };
+        unsafe { free_block(Linked::as_header(ptr), Some(&mut local), shard) };
         assert_eq!(drops.load(SeqCst), 1, "payload dropped even when cached");
+        // The next allocation of the same class reuses the parked block.
+        let reused = Linked::alloc_in(42u64, 0, Some(&mut local), shard);
+        assert_eq!(reused as usize, addr, "cache served the recycled block");
+        // SAFETY: unpublished, freed exactly once; the drain parks it.
+        unsafe { free_block(Linked::as_header(reused), Some(&mut local), shard) };
+        local.drain(shard);
         assert!(
             shard.unwrap().cached_bytes() > 0,
             "memory parked, not freed"
         );
-        // The next allocation of the same class reuses the parked block.
-        let reused = Linked::alloc_in(42u64, 0, None, shard);
-        assert_eq!(reused as usize, addr, "cache served the recycled block");
-        assert_eq!(shard.unwrap().hits(), 1);
-        // SAFETY: unpublished, freed exactly once (no cache: straight dealloc).
-        unsafe { Linked::dealloc(reused) };
+        assert_eq!((shard.unwrap().hits(), shard.unwrap().misses()), (1, 1));
     }
 
     #[test]

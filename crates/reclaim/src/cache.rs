@@ -21,16 +21,18 @@
 //! The layer is two-tier, in the style of a malloc thread cache: each handle
 //! owns a small **non-atomic** [`LocalBlockCache`] ("magazine") that absorbs
 //! the owner-thread retire→free→alloc cycle with plain loads and stores, and
-//! spills to / refills from its home [`ShardCache`] half a magazine at a
-//! time — so the shared freelist's versioned-CAS cost is amortized away from
-//! the hot path while cross-thread recycling still flows through the shard.
+//! exchanges **whole chains** with its home [`ShardCache`]: a full magazine
+//! links half of its blocks through their (dead) first words and parks the
+//! chain as one stack payload, an empty one takes one chain back — one
+//! versioned CAS on the shared freelist per `LOCAL_MAGAZINE_CAP / 2` blocks,
+//! while cross-thread recycling still flows through the shard.
 //!
 //! Boundedness: each magazine holds at most `LOCAL_MAGAZINE_CAP` blocks per
 //! class and each per-shard freelist at most
-//! [`BlockCacheConfig::per_class_capacity`]; overflow goes straight to the
-//! real allocator, so WFE's bounded-memory guarantee survives. Every cache
-//! is drained (deallocated) when its handle and domain drop. The whole layer
-//! is switched with
+//! [`BlockCacheConfig::per_class_capacity`]; a chain that would exceed it is
+//! freed whole to the real allocator, so WFE's bounded-memory guarantee
+//! survives. Every cache is drained (deallocated) when its handle and domain
+//! drop. The whole layer is switched with
 //! [`DomainConfig::block_cache`](crate::DomainConfig::block_cache) or the
 //! `WFE_BLOCK_CACHE` environment variable.
 //!
@@ -161,17 +163,61 @@ pub(crate) unsafe fn dealloc_class(class: SizeClass, ptr: *mut u8) {
     unsafe { std::alloc::dealloc(ptr, class.layout()) };
 }
 
+/// A run of dead class blocks linked through their first word, owned by
+/// whoever holds this value: the unit a magazine and a shard exchange.
+///
+/// Only the owner ever reads or writes the links. A chain parked on a shard
+/// is owned by the stack node that carries it, and a racing `pop` reads that
+/// node — type-stable stack memory — never the blocks; it follows the links
+/// only after its versioned CAS made the chain its own. So a chain that
+/// went back to the allocator is never dereferenced by a stale reader.
+#[derive(Debug)]
+struct BlockChain {
+    /// First block; each block's first word points at the next, the last at
+    /// null.
+    first: *mut u8,
+    /// Blocks on the chain (at least one).
+    count: usize,
+}
+
+// SAFETY: a chain is exclusively owned raw memory; sending it hands that
+// ownership over.
+unsafe impl Send for BlockChain {}
+
+impl BlockChain {
+    /// Returns every block of the chain to the allocator.
+    ///
+    /// # Safety
+    ///
+    /// Every block must come from `alloc_class` with `class` (payload
+    /// already dropped); the chain is consumed.
+    unsafe fn dealloc(self, class: SizeClass) {
+        let mut block = self.first;
+        for _ in 0..self.count {
+            // SAFETY: the chain's owner may read its links, and each block
+            // is a live class allocation freed exactly once here, after its
+            // link was read.
+            unsafe {
+                let next = block.cast::<*mut u8>().read();
+                dealloc_class(class, block);
+                block = next;
+            }
+        }
+        debug_assert!(block.is_null(), "a chain ends where its count says");
+    }
+}
+
 /// One bounded freelist of recycled blocks of a single size class.
 #[derive(Debug)]
 struct ClassList {
-    /// Recycled block addresses. The stack's nodes are separate, type-stable
-    /// allocations, so a block that overflows to the allocator is never
-    /// dereferenced by a racing pop (no intrusive links through cached
-    /// memory).
-    list: TypeStableStack<usize>,
-    /// Blocks currently parked (may transiently exceed the list length while
-    /// a push is in flight; never used for anything but the capacity bound
-    /// and `cached_bytes`).
+    /// Parked chains. The stack's nodes are separate, type-stable
+    /// allocations, and the links through the blocks are read by a chain's
+    /// owner only ([`BlockChain`]), so a block that overflows to the
+    /// allocator is never dereferenced by a racing pop.
+    list: TypeStableStack<BlockChain>,
+    /// Blocks currently parked (may transiently exceed the list's content
+    /// while a push is in flight, and lag it while a pop is): the capacity
+    /// bound, the emptiness probe and `cached_bytes`.
     len: AtomicU64,
 }
 
@@ -189,7 +235,8 @@ impl ClassList {
 /// A shard's cache is shared by every handle registered in that shard (same
 /// geometry as the [`ThreadRegistry`](crate::ThreadRegistry) shards), so the
 /// retire→free→alloc cycle of co-located threads recycles memory without
-/// crossing shard boundaries. Obtained through
+/// crossing shard boundaries. Handles reach it through their magazine only
+/// ([`LocalBlockCache`]), a chain at a time. Obtained through
 /// [`RawHandle::block_caches`](crate::RawHandle::block_caches).
 #[derive(Debug)]
 pub struct ShardCache {
@@ -215,50 +262,47 @@ impl ShardCache {
         }
     }
 
-    /// Parks one freed block (payload already dropped) for reuse. Returns
-    /// `true` when the block was cached, `false` when the freelist was at
-    /// capacity and the block went back to the allocator instead.
-    ///
-    /// Takes ownership of the memory either way.
+    /// Parks a chain for reuse: one gauge update and one stack push however
+    /// long it is. Returns `false` when the chain did not fit under the
+    /// class's capacity and went back to the allocator instead — whole, so
+    /// the bound holds without walking the chain to split it.
     ///
     /// # Safety
     ///
-    /// `block` must come from `alloc_class` (directly or recycled) with the
-    /// same `class`, be exclusively owned by the caller, and its payload must
-    /// already be dropped; it must not be pushed or freed again.
-    pub unsafe fn push(&self, class: SizeClass, block: *mut u8) -> bool {
+    /// Every block of `chain` must come from `alloc_class` (directly or
+    /// recycled) with the same `class`, payload already dropped; the chain
+    /// is consumed.
+    unsafe fn push_chain(&self, class: SizeClass, chain: BlockChain) -> bool {
         let slot = &self.classes[class.index()];
+        let count = chain.count as u64;
         // Optimistic reservation: count first, undo on overflow. `len` may
-        // transiently exceed the true list length, which only makes the
-        // bound slightly conservative.
+        // transiently exceed the true content, which only makes the bound
+        // slightly conservative.
         // ORDER: optimistic capacity reservation; only the counter itself is ordered.
-        if slot.len.fetch_add(1, Ordering::AcqRel) >= self.per_class_capacity {
-            slot.len.fetch_sub(1, Ordering::AcqRel); // ORDER: undoes the optimistic reservation above.
-                                                     // SAFETY: `push` owns `block`; it came from `alloc_class` with
-                                                     // this class (the free path's contract) and is freed once here.
-            unsafe { dealloc_class(class, block) };
+        if slot.len.fetch_add(count, Ordering::AcqRel) + count > self.per_class_capacity {
+            // ORDER: undoes the optimistic reservation above.
+            slot.len.fetch_sub(count, Ordering::AcqRel);
+            // SAFETY: forwarded contract — the chain is ours and consumed.
+            unsafe { chain.dealloc(class) };
             return false;
         }
-        slot.list.push(block as usize);
+        slot.list.push(chain);
         true
     }
 
-    /// Pops one recycled block of `class`, if any. Counts a cache hit or
-    /// miss either way; the caller owns the returned memory (uninitialized
-    /// bytes of the class layout).
-    pub fn pop(&self, class: SizeClass) -> Option<*mut u8> {
+    /// Takes one parked chain of `class`, if any. An empty class costs one
+    /// plain load of the gauge, not a wide CAS on the stack head; a chain
+    /// whose push is still in flight may be missed, and the caller then
+    /// allocates.
+    fn pop_chain(&self, class: SizeClass) -> Option<BlockChain> {
         let slot = &self.classes[class.index()];
-        match slot.list.pop() {
-            Some(addr) => {
-                slot.len.fetch_sub(1, Ordering::AcqRel); // ORDER: keeps the gauge ordered with the freelist pop it mirrors.
-                self.hits.fetch_add(1, Ordering::Relaxed); // ORDER: cache statistics counter only.
-                Some(addr as *mut u8)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed); // ORDER: cache statistics counter only.
-                None
-            }
+        // ORDER: opportunistic emptiness probe; pairs with the AcqRel gauge updates, and a stale value only costs one allocator call.
+        if slot.len.load(Ordering::Acquire) == 0 {
+            return None;
         }
+        let chain = slot.list.pop()?;
+        slot.len.fetch_sub(chain.count as u64, Ordering::AcqRel); // ORDER: keeps the gauge ordered with the freelist pop it mirrors.
+        Some(chain)
     }
 
     /// Allocations served from this cache.
@@ -279,22 +323,10 @@ impl ShardCache {
             .map(|(index, slot)| slot.len.load(Ordering::Acquire) * CLASS_SIZES[index] as u64) // ORDER: advisory byte gauge; pairs with the AcqRel len updates.
             .sum()
     }
-}
-
-impl ShardCache {
-    /// Pops one recycled block *without* touching the hit/miss counters.
-    /// Used by [`LocalBlockCache`] refills, which do their own (cheaper,
-    /// non-atomic) accounting.
-    pub(crate) fn pop_raw(&self, class: SizeClass) -> Option<*mut u8> {
-        let slot = &self.classes[class.index()];
-        let addr = slot.list.pop()?;
-        slot.len.fetch_sub(1, Ordering::AcqRel); // ORDER: keeps the gauge ordered with the freelist pop it mirrors.
-        Some(addr as *mut u8)
-    }
 
     /// Folds a handle's locally-counted hits and misses into the shared
     /// counters (called by [`LocalBlockCache::flush_stats`]).
-    pub(crate) fn add_counts(&self, hits: u64, misses: u64) {
+    fn add_counts(&self, hits: u64, misses: u64) {
         if hits > 0 {
             self.hits.fetch_add(hits, Ordering::Relaxed); // ORDER: cache statistics counter only.
         }
@@ -309,19 +341,21 @@ impl Drop for ShardCache {
         // Drain every freelist back to the allocator: a domain drop leaks
         // nothing.
         for (index, slot) in self.classes.iter().enumerate() {
-            let class = SizeClass(index as u8);
-            while let Some(addr) = slot.list.pop() {
-                // SAFETY: every parked address came from `alloc_class` with
+            while let Some(chain) = slot.list.pop() {
+                // SAFETY: every parked chain holds `alloc_class` blocks of
                 // this class and is popped (hence freed) exactly once.
-                unsafe { dealloc_class(class, addr as *mut u8) };
+                unsafe { chain.dealloc(SizeClass(index as u8)) };
             }
         }
     }
 }
 
-/// Blocks a handle's magazine holds per size class before spilling to the
-/// shard. Sized to absorb a whole default-`cleanup_freq` (30) burst of frees,
-/// so the steady-state retire→free→alloc cycle never leaves the magazine.
+/// Blocks a handle's magazine holds per size class. A full magazine spills
+/// half of them to the shard as one chain and an empty one refills with one
+/// chain, so a thread that frees more than it allocates for a while (or the
+/// reverse) touches the shared freelist once per `LOCAL_MAGAZINE_CAP / 2`
+/// blocks; only a balanced retire→free→alloc cycle stays inside the
+/// magazine altogether.
 const LOCAL_MAGAZINE_CAP: usize = 32;
 
 /// One handle's non-atomic stash of recycled blocks of a single class.
@@ -336,6 +370,47 @@ impl Magazine {
             blocks: [core::ptr::null_mut(); LOCAL_MAGAZINE_CAP],
             len: 0,
         }
+    }
+
+    /// Moves the top `count` blocks (at least one, at most `len`) to `shard`
+    /// as one chain.
+    fn spill(&mut self, class: SizeClass, count: usize, shard: &ShardCache) {
+        let run = &self.blocks[self.len - count..self.len];
+        for (index, &block) in run.iter().enumerate() {
+            let next = run.get(index + 1).copied().unwrap_or(core::ptr::null_mut());
+            // SAFETY: a parked block is dead class memory the magazine owns:
+            // at least one pointer wide, `CLASS_ALIGN`-aligned, and nobody
+            // else reads or writes it.
+            unsafe { block.cast::<*mut u8>().write(next) };
+        }
+        let chain = BlockChain {
+            first: run[0],
+            count,
+        };
+        self.len -= count;
+        // SAFETY: every parked block came from `alloc_class` with this class
+        // (the push contract) and leaves the magazine exactly once, here.
+        unsafe { shard.push_chain(class, chain) };
+    }
+
+    /// Takes one chain from `shard` into the (empty) magazine.
+    fn refill(&mut self, class: SizeClass, shard: &ShardCache) {
+        debug_assert_eq!(self.len, 0);
+        let Some(chain) = shard.pop_chain(class) else {
+            return;
+        };
+        // `spill` never links more than half a magazine, so the chain fits
+        // (the slice below panics rather than overrun if it ever did not).
+        let mut block = chain.first;
+        for parked in &mut self.blocks[..chain.count] {
+            *parked = block;
+            // SAFETY: the pop made the chain ours, so its links are ours to
+            // read: each block is live class memory whose first word `spill`
+            // wrote.
+            block = unsafe { block.cast::<*mut u8>().read() };
+        }
+        debug_assert!(block.is_null(), "a chain ends where its count says");
+        self.len = chain.count;
     }
 }
 
@@ -352,12 +427,12 @@ impl core::fmt::Debug for Magazine {
 /// synchronization at all: a cleanup pass parks freed block memory here with
 /// plain stores, and the next [`Handle::alloc`](crate::Handle::alloc) of a
 /// matching class pops it back with plain loads. Only when a magazine fills
-/// (spill half) or empties (refill half) does the handle touch the shared
-/// per-shard freelist — so the shard's versioned-CAS cost is amortized over
-/// `LOCAL_MAGAZINE_CAP / 2` operations, and cross-thread recycling still
-/// works through the shard. Hits and misses are counted locally and folded
-/// into the shard's shared counters at every cleanup pass and at handle
-/// teardown ([`SmrStats`] lags by at most one magazine's traffic).
+/// (spill half) or empties (refill one chain) does the handle touch the
+/// shared per-shard freelist — once per `LOCAL_MAGAZINE_CAP / 2` blocks,
+/// whole chains at a time — and cross-thread recycling still works through
+/// the shard. Hits and misses are counted locally and folded into the shard's
+/// shared counters at every cleanup pass and at handle teardown ([`SmrStats`]
+/// lags by at most one magazine's traffic).
 ///
 /// Owned by each scheme handle; reached through
 /// [`RawHandle::block_caches`](crate::RawHandle::block_caches).
@@ -395,22 +470,15 @@ impl LocalBlockCache {
         }
     }
 
-    /// Pops a recycled block of `class`: magazine first, then a half-magazine
-    /// refill from `backing`. Returns `None` (a counted miss) when both are
+    /// Pops a recycled block of `class`: magazine first, then one chain
+    /// refilled from `backing`. Returns `None` (a counted miss) when both are
     /// empty — the caller goes to the allocator.
+    #[inline]
     pub fn pop(&mut self, class: SizeClass, backing: Option<&ShardCache>) -> Option<*mut u8> {
         let mag = &mut self.mags[class.index()];
         if mag.len == 0 {
             if let Some(shard) = backing {
-                while mag.len < LOCAL_MAGAZINE_CAP / 2 {
-                    match shard.pop_raw(class) {
-                        Some(block) => {
-                            mag.blocks[mag.len] = block;
-                            mag.len += 1;
-                        }
-                        None => break,
-                    }
-                }
+                mag.refill(class, shard);
             }
         }
         if mag.len > 0 {
@@ -424,27 +492,20 @@ impl LocalBlockCache {
     }
 
     /// Parks one freed block (payload already dropped) for reuse. A full
-    /// magazine spills its upper half to `backing` first (whose own capacity
-    /// bound sends overflow to the allocator); with no backing the block goes
-    /// straight back to the allocator.
+    /// magazine spills its upper half to `backing` first, as one chain (whose
+    /// own capacity bound sends overflow to the allocator); with no backing
+    /// the block goes straight back to the allocator.
     ///
     /// # Safety
     ///
     /// `block` must come from `alloc_class` (directly or recycled) with the
     /// same `class`, exclusively owned, payload already dropped.
+    #[inline]
     pub unsafe fn push(&mut self, class: SizeClass, block: *mut u8, backing: Option<&ShardCache>) {
         let mag = &mut self.mags[class.index()];
         if mag.len == LOCAL_MAGAZINE_CAP {
             match backing {
-                Some(shard) => {
-                    for spilled in &mag.blocks[LOCAL_MAGAZINE_CAP / 2..] {
-                        // SAFETY: every parked block satisfies the push
-                        // contract (forwarded from our own) and leaves the
-                        // magazine exactly once.
-                        unsafe { shard.push(class, *spilled) };
-                    }
-                    mag.len = LOCAL_MAGAZINE_CAP / 2;
-                }
+                Some(shard) => mag.spill(class, LOCAL_MAGAZINE_CAP / 2, shard),
                 None => {
                     // SAFETY: forwarded contract.
                     unsafe { dealloc_class(class, block) };
@@ -464,23 +525,22 @@ impl LocalBlockCache {
         self.misses = 0;
     }
 
-    /// Hands every parked block to `backing` (or the allocator) and flushes
-    /// the counters: handle teardown.
+    /// Hands every parked block to `backing` (in chains of at most half a
+    /// magazine, so a refill always fits) or the allocator, and flushes the
+    /// counters: handle teardown.
     pub fn drain(&mut self, backing: Option<&ShardCache>) {
         for (index, mag) in self.mags.iter_mut().enumerate() {
             let class = SizeClass(index as u8);
             while mag.len > 0 {
-                mag.len -= 1;
-                let block = mag.blocks[mag.len];
                 match backing {
-                    Some(shard) => {
+                    Some(shard) => mag.spill(class, mag.len.min(LOCAL_MAGAZINE_CAP / 2), shard),
+                    None => {
+                        mag.len -= 1;
                         // SAFETY: every parked block came from `alloc_class`
                         // with this class and leaves the magazine exactly
-                        // once.
-                        unsafe { shard.push(class, block) };
+                        // once — freed here.
+                        unsafe { dealloc_class(class, mag.blocks[mag.len]) };
                     }
-                    // SAFETY: as above — freed exactly once here.
-                    None => unsafe { dealloc_class(class, block) },
                 }
             }
         }
@@ -561,8 +621,10 @@ impl BlockCaches {
 /// });
 /// let mut handle = domain.register();
 /// let node = handle.alloc(1u64);
-/// // SAFETY: never published, freed exactly once.
-/// unsafe { wfe_reclaim::Linked::dealloc(node) };
+/// // SAFETY: never published, discarded exactly once.
+/// unsafe { handle.discard(node) };
+/// assert_eq!(handle.alloc(2u64), node, "the magazine hands it back");
+/// # unsafe { handle.discard(node) };
 ///
 /// // Or switch the layer off entirely via the builder.
 /// let config = DomainConfig::builder().block_cache_enabled(false).build();
@@ -626,42 +688,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn push_pop_recycles_the_same_block() {
-        let cache = ShardCache::new(4);
-        let class = SizeClass::of(56, 8).unwrap();
-        let block = alloc_class(class);
-        // SAFETY: freshly allocated with this class, pushed exactly once.
-        let pushed = unsafe { cache.push(class, block) };
-        assert!(pushed, "below capacity: cached");
-        assert_eq!(cache.cached_bytes(), 56);
-        let popped = cache.pop(class).expect("one block parked");
-        assert_eq!(popped, block, "the parked block comes back");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.cached_bytes(), 0);
-        assert!(cache.pop(class).is_none());
-        assert_eq!(cache.misses(), 1);
-        // SAFETY: popped once, freed once.
-        unsafe { dealloc_class(class, popped) };
+    /// `count` fresh blocks of `class`, linked the way `Magazine::spill`
+    /// links them.
+    fn fresh_chain(class: SizeClass, count: usize) -> BlockChain {
+        let mut first = core::ptr::null_mut();
+        for _ in 0..count {
+            let block = alloc_class(class);
+            // SAFETY: fresh class memory, at least one aligned pointer wide.
+            unsafe { block.cast::<*mut u8>().write(first) };
+            first = block;
+        }
+        BlockChain { first, count }
     }
 
     #[test]
-    fn capacity_overflow_goes_to_the_allocator() {
-        let cache = ShardCache::new(2);
+    fn push_pop_recycles_the_same_chain() {
+        let cache = ShardCache::new(4);
+        let class = SizeClass::of(56, 8).unwrap();
+        assert!(cache.pop_chain(class).is_none(), "starts empty");
+        let chain = fresh_chain(class, 3);
+        let first = chain.first;
+        // SAFETY: fresh blocks of this class, pushed exactly once.
+        let pushed = unsafe { cache.push_chain(class, chain) };
+        assert!(pushed, "below capacity: cached");
+        assert_eq!(cache.cached_bytes(), 3 * 56, "one gauge update for the lot");
+        let popped = cache.pop_chain(class).expect("one chain parked");
+        assert_eq!(
+            (popped.first, popped.count),
+            (first, 3),
+            "it comes back whole"
+        );
+        assert_eq!(cache.cached_bytes(), 0);
+        assert!(cache.pop_chain(class).is_none());
+        // SAFETY: popped once, freed once.
+        unsafe { popped.dealloc(class) };
+    }
+
+    #[test]
+    fn a_chain_over_capacity_goes_to_the_allocator_whole() {
+        let cache = ShardCache::new(4);
         let class = SizeClass::of(100, 8).unwrap();
-        // SAFETY: each block is freshly allocated with the pushed class and
+        // SAFETY: each chain is freshly allocated with the pushed class and
         // pushed exactly once.
         unsafe {
-            assert!(cache.push(class, alloc_class(class)));
-            assert!(cache.push(class, alloc_class(class)));
-            // Third push overflows: dealloc'd immediately, not parked.
-            assert!(!cache.push(class, alloc_class(class)));
-            assert_eq!(cache.cached_bytes(), 2 * 120);
+            assert!(cache.push_chain(class, fresh_chain(class, 3)));
+            // 3 + 2 > 4: refused and freed whole, not trimmed to fit.
+            assert!(!cache.push_chain(class, fresh_chain(class, 2)));
+            assert_eq!(cache.cached_bytes(), 3 * 120);
+            assert!(
+                cache.push_chain(class, fresh_chain(class, 1)),
+                "exactly full"
+            );
+            assert!(!cache.push_chain(class, fresh_chain(class, 1)));
             // Other classes have their own bound.
             let other = SizeClass::of(1000, 8).unwrap();
-            assert!(cache.push(other, alloc_class(other)));
+            assert!(cache.push_chain(other, fresh_chain(other, 4)));
+            assert!(!cache.push_chain(other, fresh_chain(other, 5)));
         }
-        // Drop drains the three parked blocks.
+        // Drop drains the parked chains.
     }
 
     #[test]
@@ -695,13 +779,17 @@ mod tests {
 
         let mut stats = SmrStats::default();
         let class = SizeClass::of(56, 8).unwrap();
+        let mut local = LocalBlockCache::new();
         // SAFETY: freshly allocated with this class, pushed exactly once.
-        unsafe { caches.shard(1).unwrap().push(class, alloc_class(class)) };
-        if let Some(ptr) = caches.shard(1).unwrap().pop(class) {
+        unsafe { local.push(class, alloc_class(class), caches.shard(1)) };
+        local.drain(caches.shard(1));
+        if let Some(ptr) = local.pop(class, caches.shard(1)) {
             // SAFETY: popped once, freed once.
             unsafe { dealloc_class(class, ptr) };
         }
-        caches.shard(2).unwrap().pop(class);
+        local.flush_stats(caches.shard(1).unwrap());
+        local.pop(class, caches.shard(2));
+        local.flush_stats(caches.shard(2).unwrap());
         caches.merge_into(&mut stats);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
@@ -724,76 +812,146 @@ mod tests {
 
     #[test]
     fn magazine_spills_to_and_refills_from_the_shard() {
+        const HALF: usize = LOCAL_MAGAZINE_CAP / 2;
         let shard = ShardCache::new(LOCAL_MAGAZINE_CAP);
         let mut local = LocalBlockCache::new();
         let class = SizeClass::of(56, 8).unwrap();
         // Overfill the magazine by one: the push spills half to the shard.
-        for _ in 0..=LOCAL_MAGAZINE_CAP {
-            // SAFETY: fresh class blocks, no payload to drop.
-            unsafe { local.push(class, alloc_class(class), Some(&shard)) };
-        }
+        let pushed: Vec<*mut u8> = (0..=LOCAL_MAGAZINE_CAP)
+            .map(|_| {
+                let block = alloc_class(class);
+                // SAFETY: fresh class block, no payload to drop.
+                unsafe { local.push(class, block, Some(&shard)) };
+                block
+            })
+            .collect();
         assert_eq!(
             shard.cached_bytes(),
-            (LOCAL_MAGAZINE_CAP / 2 * 56) as u64,
+            (HALF * 56) as u64,
             "half a magazine spilled"
         );
-        // Drain the magazine dry, then keep popping: refills come from the
-        // shard without touching its atomic hit counter.
-        let mut recycled = 0;
+        let chain = shard.pop_chain(class).expect("the spill");
+        assert_eq!(chain.count, HALF, "as one chain");
+        assert!(shard.pop_chain(class).is_none(), "and only one");
+        // SAFETY: the chain we just popped, pushed back exactly once.
+        unsafe { shard.push_chain(class, chain) };
+        // Drain the magazine dry, then keep popping: the refill takes the
+        // chain back without touching the shard's atomic hit counter.
+        let mut recycled = Vec::new();
         while let Some(block) = local.pop(class, Some(&shard)) {
-            recycled += 1;
+            recycled.push(block);
             // SAFETY: each popped block is exclusively owned, freed once.
             unsafe { dealloc_class(class, block) };
         }
-        assert_eq!(recycled, LOCAL_MAGAZINE_CAP + 1, "every block came back");
+        let sorted = |mut blocks: Vec<*mut u8>| {
+            blocks.sort_unstable();
+            blocks
+        };
+        assert_eq!(
+            sorted(recycled),
+            sorted(pushed),
+            "every block came back once"
+        );
+        assert_eq!(shard.cached_bytes(), 0);
         assert_eq!(shard.hits(), 0, "magazine traffic is counted locally");
         local.flush_stats(&shard);
-        assert_eq!(shard.hits(), recycled as u64);
+        assert_eq!(shard.hits(), LOCAL_MAGAZINE_CAP as u64 + 1);
         assert_eq!(shard.misses(), 1, "the final empty pop");
     }
 
     #[test]
     fn magazine_drain_routes_through_the_shard_capacity_bound() {
-        let shard = ShardCache::new(2);
+        let shard = ShardCache::new(4);
+        let class = SizeClass::of(56, 8).unwrap();
+        for _ in 0..2 {
+            let mut local = LocalBlockCache::new();
+            for _ in 0..3 {
+                // SAFETY: fresh class blocks, no payload to drop.
+                unsafe { local.push(class, alloc_class(class), Some(&shard)) };
+            }
+            local.drain(Some(&shard));
+        }
+        assert_eq!(
+            shard.cached_bytes(),
+            3 * 56,
+            "the first chain parked, the second overflowed to the allocator whole"
+        );
+        // The shard's Drop frees the parked chain.
+    }
+
+    #[test]
+    fn a_full_magazine_drains_in_chains_a_refill_can_take() {
+        let shard = ShardCache::new(LOCAL_MAGAZINE_CAP);
         let mut local = LocalBlockCache::new();
         let class = SizeClass::of(56, 8).unwrap();
-        for _ in 0..4 {
+        for _ in 0..LOCAL_MAGAZINE_CAP {
             // SAFETY: fresh class blocks, no payload to drop.
             unsafe { local.push(class, alloc_class(class), Some(&shard)) };
         }
         local.drain(Some(&shard));
+        assert_eq!(shard.cached_bytes(), (LOCAL_MAGAZINE_CAP * 56) as u64);
+        let mut other = LocalBlockCache::new();
+        let block = other.pop(class, Some(&shard)).expect("a chain was parked");
         assert_eq!(
             shard.cached_bytes(),
-            2 * 56,
-            "two parked, two overflowed to the allocator"
+            (LOCAL_MAGAZINE_CAP / 2 * 56) as u64,
+            "the refill took half a magazine, leaving room to free into"
         );
-        // The shard's Drop frees the two parked blocks.
+        // SAFETY: popped once, pushed back once.
+        unsafe { other.push(class, block, Some(&shard)) };
+        other.drain(Some(&shard));
     }
 
     #[test]
-    fn concurrent_push_pop_conserves_blocks() {
+    fn concurrent_spill_refill_conserves_blocks() {
         const THREADS: usize = 4;
-        const OPS: usize = 300;
-        let cache = std::sync::Arc::new(ShardCache::new(16));
+        const OPS: usize = 1_200;
         let class = SizeClass::of(200, 8).unwrap();
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                let cache = std::sync::Arc::clone(&cache);
-                scope.spawn(move || {
-                    for i in 0..OPS {
-                        if i % 2 == 0 {
-                            // SAFETY: freshly allocated with this class,
-                            // pushed exactly once.
-                            unsafe { cache.push(class, alloc_class(class)) };
-                        } else if let Some(ptr) = cache.pop(class) {
-                            // SAFETY: a popped block is exclusively owned.
-                            unsafe { dealloc_class(class, ptr) };
+        // Roomy enough that no chain is refused: every block is then either
+        // freed by the thread that popped it or parked at the end.
+        let shard = ShardCache::new(THREADS * OPS);
+        let parked_at_the_end: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let shard = &shard;
+                    scope.spawn(move || {
+                        let mut local = LocalBlockCache::new();
+                        // Pushed minus popped; negative when this thread
+                        // popped blocks another one pushed.
+                        let mut held = 0isize;
+                        for i in 0..OPS {
+                            // Runs of frees and runs of allocations, out of
+                            // phase between threads, so magazines both spill
+                            // and refill.
+                            if (i / 40 + t) % 2 == 0 {
+                                // SAFETY: freshly allocated with this class,
+                                // pushed exactly once.
+                                unsafe { local.push(class, alloc_class(class), Some(shard)) };
+                                held += 1;
+                            } else if let Some(block) = local.pop(class, Some(shard)) {
+                                // Scribble over the link word: a popped block
+                                // is the popper's alone.
+                                // SAFETY: exclusively owned class memory,
+                                // freed exactly once.
+                                unsafe {
+                                    block.cast::<usize>().write(usize::MAX);
+                                    dealloc_class(class, block);
+                                }
+                                held -= 1;
+                            }
                         }
-                    }
-                });
-            }
+                        local.drain(Some(shard));
+                        held
+                    })
+                })
+                .collect();
+            let net: isize = workers.into_iter().map(|w| w.join().unwrap()).sum();
+            usize::try_from(net).expect("no more blocks popped than pushed")
         });
-        // Whatever stayed parked is drained by Drop; the dedicated leak test
-        // (tests/cache_leak.rs) asserts the debug alloc balance reaches zero.
+        assert_eq!(
+            shard.cached_bytes(),
+            (parked_at_the_end * class.size()) as u64,
+            "every pushed block was popped once or is parked"
+        );
     }
 }

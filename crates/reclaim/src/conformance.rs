@@ -578,6 +578,79 @@ pub fn handle_drop_order<R: Reclaimer>(reclaims: bool) {
     }
 }
 
+/// The counters are per registry slot and a slot outlives its handles: more
+/// threads than slots register, allocate, retire, discard and drop in a loop,
+/// so every slot changes owner many times, and at quiescence the domain's
+/// totals equal what the threads themselves tallied — nothing lost at a
+/// hand-over, nothing counted twice.
+///
+/// `reclaims` is `false` for schemes that never run cleanup passes (`Leak`):
+/// for those nothing is scanned or freed and every retired block stays
+/// unreclaimed.
+pub fn stats_are_exact_across_slot_reuse<R: Reclaimer>(reclaims: bool) {
+    const THREADS: usize = 4;
+    const SLOTS: usize = 2;
+    const ROUNDS: usize = 60;
+    let domain = R::with_config(ReclaimerConfig {
+        cleanup_freq: 4,
+        era_freq: 2,
+        ..ReclaimerConfig::with_max_threads(SLOTS)
+    });
+    let (allocated, retired) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let domain = &domain;
+                scope.spawn(move || {
+                    let (mut allocated, mut retired) = (0u64, 0u64);
+                    for round in 0..ROUNDS {
+                        let mut handle = loop {
+                            match domain.try_register() {
+                                Some(handle) => break handle,
+                                None => std::thread::yield_now(),
+                            }
+                        };
+                        for block in 0..(thread + round) % 7 + 1 {
+                            let node = handle.alloc(block);
+                            allocated += 1;
+                            if block % 4 == 3 {
+                                // SAFETY: never published; discarded once.
+                                unsafe { handle.discard(node) };
+                            } else {
+                                // SAFETY: never published, so trivially
+                                // unreachable; retired exactly once.
+                                unsafe { handle.retire(node) };
+                                retired += 1;
+                            }
+                        }
+                        // Nothing protects anything: the drop's final pass
+                        // frees what the handle retired.
+                    }
+                    (allocated, retired)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("a worker panicked"))
+            .fold((0, 0), |sum, tally| (sum.0 + tally.0, sum.1 + tally.1))
+    });
+    assert_eq!(domain.registry().registered(), 0);
+    assert!(domain.registry().high_water() <= SLOTS);
+    let stats = domain.stats();
+    assert_eq!(stats.allocated, allocated);
+    assert_eq!(stats.retired, retired);
+    let (scanned, freed, unreclaimed) = if reclaims {
+        // Each block is judged once, by the pass that frees it.
+        (retired, retired, 0)
+    } else {
+        (0, 0, retired)
+    };
+    assert_eq!(stats.scanned, scanned);
+    assert_eq!(stats.freed, freed);
+    assert_eq!(stats.unreclaimed, unreclaimed);
+    assert_eq!((stats.adopted_batches, stats.freed_via_adoption), (0, 0));
+}
+
 /// Turns a table of schemes into their conformance tests: one module per
 /// row holding the scenarios every scheme runs, plus the three that apply
 /// to some schemes only —
@@ -588,7 +661,9 @@ pub fn handle_drop_order<R: Reclaimer>(reclaims: bool) {
 ///   snapshots name a witness to park pinned blocks under,
 /// * `orphan_adoption`: `yes` for schemes that reclaim while running; `no`
 ///   (a scheme that never scans protects nothing and adopts nothing)
-///   generates `orphans_wait_for_domain_drop` instead.
+///   generates `orphans_wait_for_domain_drop` instead, and tells
+///   `handle_drop_order` and `stats_are_exact_across_slot_reuse` to expect
+///   no pass.
 ///
 /// The scheme type must be in scope where the macro is invoked.
 #[macro_export]
@@ -670,6 +745,11 @@ macro_rules! conformance_suite {
         fn handle_drop_order() {
             conformance::handle_drop_order::<$scheme>(true);
         }
+
+        #[test]
+        fn stats_are_exact_across_slot_reuse() {
+            conformance::stats_are_exact_across_slot_reuse::<$scheme>(true);
+        }
     };
     (@orphan_adoption $scheme:ty, no) => {
         #[test]
@@ -680,6 +760,11 @@ macro_rules! conformance_suite {
         #[test]
         fn handle_drop_order() {
             conformance::handle_drop_order::<$scheme>(false);
+        }
+
+        #[test]
+        fn stats_are_exact_across_slot_reuse() {
+            conformance::stats_are_exact_across_slot_reuse::<$scheme>(false);
         }
     };
 }

@@ -7,12 +7,13 @@
 //! pointer — and in nothing else. Everything else is written here, once:
 //!
 //! * **the domain** owns the configuration, the sharded
-//!   [`ThreadRegistry`], the [`Counters`], the [`OrphanStack`], the
-//!   [`BlockCaches`] and the one [`EraSource`] clock;
+//!   [`ThreadRegistry`], one [`SlotCounters`] block per registry slot, the
+//!   [`OrphanStack`], the [`BlockCaches`] and the one [`EraSource`] clock;
 //! * **the handle** owns the [`ShieldSlots`] lease table, the home shard and
 //!   its magazine, the [`RetiredBatch`], the snapshot scratch and the two
 //!   cadence counters (`cleanup_freq` retirements per pass, `era_freq`
-//!   allocations per clock advance);
+//!   allocations per clock advance) — and, while it holds its registry slot,
+//!   is the only writer of that slot's counter block;
 //! * the only `impl Reclaimer`, the only `unsafe impl RawHandle`, the only
 //!   cleanup pass and both `Drop`s.
 //!
@@ -22,7 +23,7 @@
 
 use std::sync::Arc;
 use wfe_sync::atomic::{AtomicUsize, Ordering};
-use wfe_sync::EraSource;
+use wfe_sync::{CachePadded, EraSource};
 
 use crate::api::{debug_assert_slot_index, DomainConfig, Progress, RawHandle, Reclaimer};
 use crate::block::BlockHeader;
@@ -31,7 +32,7 @@ use crate::guard::ShieldSlots;
 use crate::registry::ThreadRegistry;
 use crate::retired::{cleanup_pass, OrphanStack, RetiredBatch};
 use crate::scan::ReservationSet;
-use crate::stats::{Counters, SmrStats};
+use crate::stats::{self, SlotCounters, SmrStats};
 
 /// What makes a reclamation scheme that scheme; everything a [`Domain`] and
 /// its [`DomainHandle`] do not already do for all of them.
@@ -65,6 +66,11 @@ pub unsafe trait Policy: Send + Sync + Sized + 'static {
     /// the core never runs a cleanup pass, so never adopts an orphaned
     /// batch, and builds no block caches: nothing would ever refill them.
     const RECLAIMS: bool = true;
+
+    /// Whether the scheme stamps and compares eras. `false` (HP, Leak) means
+    /// the default [`advance`](Self::advance) leaves the clock alone and
+    /// [`SmrStats::era`] reports 0, "no clock".
+    const HAS_CLOCK: bool = true;
 
     /// Builds the scheme's reservation tables; the place for its own
     /// configuration checks.
@@ -105,11 +111,13 @@ pub unsafe trait Policy: Send + Sync + Sized + 'static {
 
     /// The era-advance rule, run every `era_freq` allocations and before a
     /// due pass whose newest block still carries the current era. The
-    /// default bumps the clock; schemes without one do nothing, and WFE
-    /// helps pending slow paths first.
+    /// default bumps the clock if the scheme [has one](Self::HAS_CLOCK);
+    /// WFE helps pending slow paths first.
     #[inline]
     fn advance(domain: &Domain<Self>, _tid: usize) {
-        domain.clock.advance(Ordering::AcqRel); // ORDER: era advance; orders the clock with the allocations and retires it brackets.
+        if Self::HAS_CLOCK {
+            domain.clock.advance(Ordering::AcqRel); // ORDER: era advance; orders the clock with the allocations and retires it brackets.
+        }
     }
 }
 
@@ -121,7 +129,9 @@ pub unsafe trait Policy: Send + Sync + Sized + 'static {
 pub struct Domain<P: Policy> {
     config: DomainConfig,
     registry: ThreadRegistry,
-    counters: Counters,
+    /// One block per registry slot, written only by the slot's current
+    /// handle (and by the policy hooks it calls with its own `tid`).
+    counters: Box<[CachePadded<SlotCounters>]>,
     orphans: OrphanStack,
     /// The era/epoch clock (it stays at 1 under a policy that never advances).
     clock: EraSource,
@@ -150,11 +160,13 @@ impl<P: Policy> Domain<P> {
         &self.policy
     }
 
-    /// The domain's event counters, for the events only a policy sees (WFE's
-    /// slow paths and helps).
+    /// The counter block of registry slot `tid`, for the events only a
+    /// policy sees (WFE's slow paths and helps). Single-writer: a hook
+    /// credits the `tid` it was called with — its caller's own slot — and no
+    /// other.
     #[inline]
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    pub fn slot_counters(&self, tid: usize) -> &SlotCounters {
+        &self.counters[tid]
     }
 }
 
@@ -175,8 +187,10 @@ impl<P: Policy> Reclaimer for Domain<P> {
         };
         Arc::new(Self {
             caches: BlockCaches::new(&config.block_cache, cached_shards),
+            counters: (0..registry.capacity())
+                .map(|_| CachePadded::default())
+                .collect(),
             registry,
-            counters: Counters::new(),
             orphans: OrphanStack::new(),
             clock: EraSource::new(1),
             policy: P::new(&config),
@@ -208,7 +222,15 @@ impl<P: Policy> Reclaimer for Domain<P> {
     }
 
     fn stats(&self) -> SmrStats {
-        let mut stats = self.counters.snapshot(self.era());
+        let era = if P::HAS_CLOCK { self.era() } else { 0 };
+        // The mark is re-read by each walk: the second must cover any slot
+        // whose retirements the first walk's frees came from.
+        let written = || {
+            self.counters[..self.registry.high_water()]
+                .iter()
+                .map(|slot| &**slot)
+        };
+        let mut stats = stats::snapshot(written, era);
         self.caches.merge_into(&mut stats);
         stats
     }
@@ -295,7 +317,7 @@ impl<P: Policy> DomainHandle<P> {
             cleanup_pass(
                 &mut self.retired,
                 &domain.orphans,
-                &domain.counters,
+                domain.slot_counters(self.tid),
                 &mut self.snapshot,
                 shard.is_some().then_some(&mut self.local_cache),
                 shard,
@@ -334,7 +356,7 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
         P::end_op(&self.domain, self.tid);
     }
 
-    #[inline]
+    #[inline(always)]
     fn protect_raw(
         &mut self,
         src: &AtomicUsize,
@@ -360,7 +382,7 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
             (*block).retire_era.store(era, Ordering::Release); // ORDER: stamps the header before the push that makes it scannable.
             self.retired.push(block);
         }
-        domain.counters.on_retire();
+        domain.slot_counters(self.tid).on_retire();
         self.since_cleanup += 1;
         if self.since_cleanup >= domain.config.cleanup_freq {
             // Figure 1, lines 27-28 (Figure 4, lines 80-82): only advance the
@@ -381,7 +403,7 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
 
     fn pre_alloc(&mut self) -> u64 {
         let domain = &*self.domain;
-        domain.counters.on_alloc();
+        domain.slot_counters(self.tid).on_alloc();
         self.alloc_counter += 1;
         if self.alloc_counter % domain.config.era_freq == 0 {
             P::advance(domain, self.tid);

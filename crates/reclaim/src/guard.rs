@@ -28,6 +28,15 @@
 //!   obligation at runtime. Retirement is [`Protected::retire_in`], whose
 //!   single obligation is "I unlinked it".
 //!
+//! A block an operation allocated leaves it in one of three ways, by what
+//! became of it: **published** (a CAS linked it: the structure owns it now),
+//! **unlinked** ([`Protected::retire_in`]: readers may still hold it, the
+//! scheme frees it later), or **never published** ([`Guard::discard`]:
+//! nobody else ever saw it, so it goes straight back to the handle's
+//! magazine, where the next [`Guard::alloc`] finds it). [`Linked::dealloc`]
+//! — straight to the allocator — is for `Drop` implementations, which have
+//! no handle.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use wfe_reclaim::{Atomic, Handle, He, Reclaimer};
@@ -348,15 +357,29 @@ impl<'h, H: RawHandle> Guard<'h, H> {
 
     /// Allocates a reclaimable block mid-operation (the paper's
     /// `alloc_block`). The pointer is owned by the caller until it is either
-    /// published into the data structure or freed with [`Linked::dealloc`].
+    /// published into the data structure or handed back with
+    /// [`discard`](Self::discard).
     #[inline]
     pub fn alloc<T>(&self, value: T) -> *mut Linked<T> {
         self.with(|h| h.alloc(value))
     }
 
+    /// Hands back a block this operation allocated and never published
+    /// ([`Handle::discard`]): into the handle's magazine, where the next
+    /// `alloc` finds it.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`Handle::discard`].
+    #[inline]
+    pub unsafe fn discard<T>(&self, block: *mut Linked<T>) {
+        // SAFETY: forwarded contract.
+        self.with(|h| unsafe { h.discard(block) })
+    }
+
     /// Protects and returns the pointer at `src` through slot `index` of this
     /// guard's handle. Internal engine of [`Shield::protect`].
-    #[inline]
+    #[inline(always)]
     fn protect_in_slot<'g, T>(
         &'g self,
         index: usize,
@@ -501,7 +524,7 @@ impl<T, H: RawHandle> Shield<'_, T, H> {
     /// Panics if the shield was leased from a different handle than the one
     /// `guard` brackets — the slot index would otherwise stomp an unrelated
     /// reservation of that handle.
-    #[inline]
+    #[inline(always)]
     pub fn protect<'g>(
         &mut self,
         guard: &'g Guard<'_, H>,

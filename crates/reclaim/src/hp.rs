@@ -44,6 +44,8 @@ unsafe impl Policy for HpPolicy {
     type Snapshot = HazardSnapshot;
     const NAME: &'static str = "HP";
     const PROGRESS: Progress = Progress::LockFree;
+    /// Hazard pointers have no clock to move.
+    const HAS_CLOCK: bool = false;
 
     fn new(config: &DomainConfig) -> Self {
         Self {
@@ -97,10 +99,6 @@ unsafe impl Policy for HpPolicy {
         }
         snapshot.seal();
     }
-
-    /// Hazard pointers have no clock to move.
-    #[inline]
-    fn advance(_domain: &Hp, _tid: usize) {}
 }
 
 #[cfg(test)]

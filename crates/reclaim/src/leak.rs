@@ -50,6 +50,7 @@ unsafe impl Policy for LeakPolicy {
     const NAME: &'static str = "Leak";
     const PROGRESS: Progress = Progress::None;
     const RECLAIMS: bool = false;
+    const HAS_CLOCK: bool = false;
 
     fn new(_config: &DomainConfig) -> Self {
         Self
@@ -68,10 +69,6 @@ unsafe impl Policy for LeakPolicy {
     }
 
     fn fill_snapshot(_domain: &Leak, _snapshot: &mut PinsEverything) {}
-
-    /// No clock to move.
-    #[inline]
-    fn advance(_domain: &Leak, _tid: usize) {}
 }
 
 #[cfg(test)]

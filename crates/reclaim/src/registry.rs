@@ -85,6 +85,8 @@ pub struct ThreadRegistry {
     /// Slots per shard (every shard except possibly the last is this big).
     shard_size: usize,
     capacity: usize,
+    /// One past the highest slot index ever handed out; only grows.
+    high_water: AtomicUsize,
 }
 
 impl ThreadRegistry {
@@ -122,12 +124,22 @@ impl ThreadRegistry {
             shards: built,
             shard_size,
             capacity: max_threads,
+            high_water: AtomicUsize::new(0),
         }
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// One past the highest slot index ever acquired: per-slot state beyond
+    /// it (the domain's [`SlotCounters`](crate::stats::SlotCounters)) was
+    /// never written, so readers that sum over slots stop here. The mark only
+    /// grows, and it covers a slot before [`try_acquire`](Self::try_acquire)
+    /// returns that slot's index.
+    pub fn high_water(&self) -> usize {
+        self.high_water.load(Ordering::Acquire) // ORDER: pairs with the AcqRel `fetch_max` in `try_acquire_in`.
     }
 
     /// Number of shards the slot space is split into.
@@ -208,7 +220,14 @@ impl ThreadRegistry {
                 // cannot observe any reservation published after it
                 // (shard-skip safety; see `occupied_ranges`).
                 shard.occupancy.fetch_add(1, Ordering::SeqCst);
-                return Some(shard_idx * self.shard_size + offset);
+                let idx = shard_idx * self.shard_size + offset;
+                // One RMW whatever `idx` is (a registration, not the hot
+                // path): the number of steps must not depend on which slot
+                // was won, or bounded-exhaustive model schedules would not
+                // replay.
+                // ORDER: raises the mark before the slot's new owner writes anything a reader could find beyond it; pairs with the Acquire load in `high_water`.
+                self.high_water.fetch_max(idx + 1, Ordering::AcqRel);
+                return Some(idx);
             }
         }
         None
@@ -361,6 +380,21 @@ mod tests {
             }
             assert_eq!(covered, capacity);
         }
+    }
+
+    #[test]
+    fn high_water_covers_every_slot_ever_acquired_and_never_falls() {
+        let reg = ThreadRegistry::with_shards(8, 2);
+        assert_eq!(reg.high_water(), 0);
+        let mut top = 0;
+        for _ in 0..20 {
+            let held: Vec<usize> = (0..3).map(|_| reg.acquire()).collect();
+            top = top.max(held.iter().max().unwrap() + 1);
+            assert_eq!(reg.high_water(), top);
+            held.into_iter().for_each(|idx| reg.release(idx));
+            assert_eq!(reg.high_water(), top, "releasing lowers nothing");
+        }
+        assert!(top <= reg.capacity());
     }
 
     #[test]

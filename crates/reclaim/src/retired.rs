@@ -15,7 +15,7 @@ use wfe_sync::atomic::{AtomicU64, Ordering};
 use crate::block::{free_block, BlockHeader};
 use crate::cache::{LocalBlockCache, ShardCache};
 use crate::scan::{ReservationSet, Verdict};
-use crate::stats::Counters;
+use crate::stats::SlotCounters;
 use crate::treiber::TypeStableStack;
 
 /// An owned, singly linked run of retired blocks (through the header's
@@ -305,7 +305,8 @@ impl Drop for RetiredBatch {
 /// One cleanup pass of the batch scan protocol, shared by every scheme's
 /// handle: pop an orphaned batch (if any), take the reservation snapshot once
 /// via `fill`, then drain the own batch and the adopted batch against that
-/// single snapshot, crediting `counters` (frees and adoption).
+/// single snapshot, crediting `counters` — the scanning thread's own slot —
+/// with the frees, the scan and the adoption.
 ///
 /// The orphan batch is popped *before* `fill` runs so that every adopted
 /// block was retired before the snapshot's loads — the batch scan safety
@@ -326,7 +327,7 @@ impl Drop for RetiredBatch {
 pub unsafe fn cleanup_pass<S: ReservationSet>(
     retired: &mut RetiredBatch,
     orphans: &OrphanStack,
-    counters: &Counters,
+    counters: &SlotCounters,
     snapshot: &mut S,
     mut local: Option<&mut LocalBlockCache>,
     shard: Option<&ShardCache>,
@@ -578,13 +579,15 @@ mod tests {
         // An empty (sealed) snapshot covers nothing: everything is freeable.
         let mut snap = HazardSnapshot::new();
         snap.seal();
+        let mut local = LocalBlockCache::new();
         // SAFETY: snapshot taken after the pushes; nothing else references them.
-        let freed = unsafe { batch.scan_against(&snap, None, caches.shard(0)) }.freed;
+        let freed = unsafe { batch.scan_against(&snap, Some(&mut local), caches.shard(0)) }.freed;
         assert_eq!(freed, 2);
         assert_eq!(drops.load(SeqCst), 2, "payloads dropped");
+        local.drain(caches.shard(0));
         assert!(
             caches.shard(0).unwrap().cached_bytes() > 0,
-            "freed memory parked on the shard cache"
+            "freed memory parked on the magazine, and by its drain on the shard cache"
         );
     }
 
@@ -709,7 +712,7 @@ mod tests {
     fn cleanup_pass_adopts_parked_groups_without_rescanning_them() {
         let drops = Arc::new(AtomicUsize::new(0));
         let orphans = OrphanStack::new();
-        let counters = Counters::new();
+        let counters = SlotCounters::default();
         // An exited thread's batch: 40 blocks parked under era 5, which a
         // stalled reader still publishes.
         let mut exited = RetiredBatch::new();
@@ -720,6 +723,8 @@ mod tests {
         assert_eq!(groups_of(&exited), [(5, 40)]);
         orphans.push(exited);
         assert_eq!(orphans.len(), 40, "parked blocks count as orphaned blocks");
+        // What the retiring handles would have counted.
+        (0..41).for_each(|_| counters.on_retire());
 
         let mut retired = RetiredBatch::new();
         let mut snapshot = EraSnapshot::new();
@@ -737,7 +742,7 @@ mod tests {
                     |snapshot| *snapshot = eras(published),
                 );
             }
-            counters.snapshot(0)
+            crate::stats::snapshot(|| core::iter::once(&counters), 1)
         };
         retire_span(&mut retired, &drops, 9, 9);
         let stats = pass(&mut retired, &[5]);

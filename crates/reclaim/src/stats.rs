@@ -3,59 +3,74 @@
 //! The paper's second metric ("average number of unreclaimed objects per
 //! operation", Figures 5b/5d and the right-hand plots of Figures 6–11)
 //! requires every scheme to expose how many retired blocks have not yet been
-//! freed. The counters here are shared by all schemes and sampled by the
+//! freed. The counters here are kept by all schemes and sampled by the
 //! benchmark harness.
+//!
+//! Counting must not cost the hot path a shared cache line, so there is no
+//! domain-wide counter: every registry slot has its own [`SlotCounters`]
+//! block, written only by the handle that currently holds the slot, and a
+//! reader ([`snapshot`]) sums the blocks.
 
 use wfe_sync::atomic::{AtomicU64, Ordering};
 
-use wfe_sync::CachePadded;
-
-/// Shared monotonic counters maintained by every scheme.
+/// The event counters of one registry slot.
+///
+/// **Single writer**: only the handle registered in the slot calls the
+/// `on_*` methods, so an update is a plain load and store — no
+/// read-modify-write, and no other thread ever writes the block's cache
+/// line. The registry's release/acquire of the slot orders one owner's last
+/// update before the next owner's first, so the values carry over from owner
+/// to owner and are never reset: a slot's block is the running total of
+/// everything its successive handles did.
 #[derive(Debug, Default)]
-pub struct Counters {
+pub struct SlotCounters {
     /// Number of blocks allocated through `alloc_block`.
-    pub allocated: CachePadded<AtomicU64>,
+    allocated: AtomicU64,
     /// Number of blocks passed to `retire`.
-    pub retired: CachePadded<AtomicU64>,
+    retired: AtomicU64,
     /// Number of retired blocks actually freed.
-    pub freed: CachePadded<AtomicU64>,
+    freed: AtomicU64,
     /// Number of retired blocks judged one by one by cleanup passes (blocks
     /// parked under a witness that is still held are skipped, not judged).
-    pub scanned: CachePadded<AtomicU64>,
+    scanned: AtomicU64,
     /// Number of orphaned batches adopted from exited threads.
-    pub adopted_batches: CachePadded<AtomicU64>,
+    adopted_batches: AtomicU64,
     /// Number of blocks freed while scanning an adopted batch (a subset of
     /// `freed`).
-    pub freed_via_adoption: CachePadded<AtomicU64>,
+    freed_via_adoption: AtomicU64,
     /// Number of slow-path cycles taken (WFE only; 0 elsewhere).
-    pub slow_path: CachePadded<AtomicU64>,
+    slow_path: AtomicU64,
     /// Number of `help_thread` invocations (WFE only; 0 elsewhere).
-    pub helps: CachePadded<AtomicU64>,
+    helps: AtomicU64,
 }
 
-impl Counters {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// The single-writer update: the slot's owner is the only thread that
+/// stores to `cell`, so the value it loads is still current when it stores.
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    let seen = cell.load(Ordering::Relaxed); // ORDER: own counter re-read; no other thread writes it.
+    cell.store(seen + n, Ordering::Relaxed); // ORDER: statistics counter only.
+}
 
+impl SlotCounters {
     /// Records one `alloc_block` call.
     #[inline]
     pub fn on_alloc(&self) {
-        self.allocated.fetch_add(1, Ordering::Relaxed); // ORDER: statistics counter only.
+        bump(&self.allocated, 1);
     }
 
     /// Records one `retire` call.
     #[inline]
     pub fn on_retire(&self) {
-        self.retired.fetch_add(1, Ordering::Relaxed); // ORDER: statistics counter only.
+        bump(&self.retired, 1);
     }
 
     /// Records `n` blocks freed by a cleanup scan.
     #[inline]
     pub fn on_free(&self, n: u64) {
         if n != 0 {
-            self.freed.fetch_add(n, Ordering::Relaxed); // ORDER: statistics counter only.
+            let seen = self.freed.load(Ordering::Relaxed); // ORDER: own counter re-read; no other thread writes it.
+            self.freed.store(seen + n, Ordering::Release); // ORDER: pairs with the Acquire `freed` loads of `snapshot`: a reader that counts these frees also sees the retirements (by any slot) that preceded them.
         }
     }
 
@@ -63,7 +78,7 @@ impl Counters {
     #[inline]
     pub fn on_scan(&self, n: u64) {
         if n != 0 {
-            self.scanned.fetch_add(n, Ordering::Relaxed); // ORDER: statistics counter only.
+            bump(&self.scanned, n);
         }
     }
 
@@ -72,46 +87,65 @@ impl Counters {
     /// [`on_free`](Self::on_free) so `unreclaimed` stays consistent).
     #[inline]
     pub fn on_adoption(&self, freed: u64) {
-        self.adopted_batches.fetch_add(1, Ordering::Relaxed); // ORDER: statistics counter only.
+        bump(&self.adopted_batches, 1);
         if freed != 0 {
-            self.freed_via_adoption.fetch_add(freed, Ordering::Relaxed); // ORDER: statistics counter only.
+            bump(&self.freed_via_adoption, freed);
         }
     }
 
     /// Records one slow-path entry (used by `wfe-core`).
     #[inline]
     pub fn on_slow_path(&self) {
-        self.slow_path.fetch_add(1, Ordering::Relaxed); // ORDER: statistics counter only.
+        bump(&self.slow_path, 1);
     }
 
     /// Records one helping attempt (used by `wfe-core`).
     #[inline]
     pub fn on_help(&self) {
-        self.helps.fetch_add(1, Ordering::Relaxed); // ORDER: statistics counter only.
+        bump(&self.helps, 1);
     }
+}
 
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self, current_era: u64) -> SmrStats {
-        let retired = self.retired.load(Ordering::Relaxed); // ORDER: statistics counter only.
-        let freed = self.freed.load(Ordering::Relaxed); // ORDER: statistics counter only.
-        SmrStats {
-            allocated: self.allocated.load(Ordering::Relaxed), // ORDER: statistics counter only.
-            retired,
-            freed,
-            unreclaimed: retired.saturating_sub(freed),
-            scanned: self.scanned.load(Ordering::Relaxed), // ORDER: statistics counter only.
-            adopted_batches: self.adopted_batches.load(Ordering::Relaxed), // ORDER: statistics counter only.
-            freed_via_adoption: self.freed_via_adoption.load(Ordering::Relaxed), // ORDER: statistics counter only.
-            slow_path: self.slow_path.load(Ordering::Relaxed), // ORDER: statistics counter only.
-            helps: self.helps.load(Ordering::Relaxed),         // ORDER: statistics counter only.
-            // The cache counters live on the per-shard caches, not here; the
-            // owning domain merges them in (`BlockCaches::merge_into`).
-            cache_hits: 0,
-            cache_misses: 0,
-            cached_bytes: 0,
-            era: current_era,
-        }
+/// Sums the counter blocks of a domain's slots into one report.
+///
+/// `slots` is called twice and must yield, each time, at least every block
+/// that had been written when it was called (the domain passes the slots up
+/// to the registry's high-water mark). The first walk reads every `freed`,
+/// the second everything else: a block is retired before it is freed, so
+/// each free counted by the first walk has its retirement counted by the
+/// second. `unreclaimed` is therefore never below the true value at the
+/// instant between the two walks, and the subtraction cannot go negative.
+/// (Reading `retired` first would miss a retire-and-free that lands between
+/// the two loads and under-report.)
+///
+/// The cache fields are left at zero: those counters live on the per-shard
+/// caches and the owning domain merges them in (`BlockCaches::merge_into`).
+pub fn snapshot<'a, I>(slots: impl Fn() -> I, era: u64) -> SmrStats
+where
+    I: Iterator<Item = &'a SlotCounters>,
+{
+    // ORDER: pairs with the Release store of `on_free`; also keeps the second walk's loads after these.
+    let freed: u64 = slots().map(|slot| slot.freed.load(Ordering::Acquire)).sum();
+    let mut stats = SmrStats {
+        freed,
+        era,
+        ..SmrStats::default()
+    };
+    for slot in slots() {
+        stats.allocated += slot.allocated.load(Ordering::Relaxed); // ORDER: statistics counter only.
+        stats.retired += slot.retired.load(Ordering::Relaxed); // ORDER: ordered after the `freed` walk by its Acquire loads.
+        stats.scanned += slot.scanned.load(Ordering::Relaxed); // ORDER: statistics counter only.
+        stats.adopted_batches += slot.adopted_batches.load(Ordering::Relaxed); // ORDER: statistics counter only.
+        stats.freed_via_adoption += slot.freed_via_adoption.load(Ordering::Relaxed); // ORDER: statistics counter only.
+        stats.slow_path += slot.slow_path.load(Ordering::Relaxed); // ORDER: statistics counter only.
+        stats.helps += slot.helps.load(Ordering::Relaxed); // ORDER: statistics counter only.
     }
+    debug_assert!(
+        stats.retired >= freed,
+        "a block is retired before it is freed"
+    );
+    stats.unreclaimed = stats.retired - freed;
+    stats
 }
 
 /// A point-in-time snapshot of a scheme's reclamation activity.
@@ -145,8 +179,8 @@ pub struct SmrStats {
     pub cache_misses: u64,
     /// Bytes currently parked on the domain's block-cache freelists.
     pub cached_bytes: u64,
-    /// Current value of the global era/epoch clock (it stays at its initial 1
-    /// under schemes that never advance it: HP, Leak).
+    /// Current value of the global era/epoch clock; `0` — no era is ever 0,
+    /// the clock starts at 1 — under the schemes that have none (HP, Leak).
     pub era: u64,
 }
 
@@ -163,24 +197,55 @@ impl SmrStats {
     }
 }
 
+/// One line for logs and examples; a scheme without a clock prints
+/// `no clock` where the others print their era.
+impl core::fmt::Display for SmrStats {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "allocated {}, retired {}, freed {}, unreclaimed {}, scanned {}, \
+             adopted {} batches ({} blocks), slow paths {}, helps {}, \
+             cache {}/{} hits ({} bytes parked), ",
+            self.allocated,
+            self.retired,
+            self.freed,
+            self.unreclaimed,
+            self.scanned,
+            self.adopted_batches,
+            self.freed_via_adoption,
+            self.slow_path,
+            self.helps,
+            self.cache_hits,
+            self.cache_hits + self.cache_misses,
+            self.cached_bytes,
+        )?;
+        match self.era {
+            0 => f.write_str("no clock"),
+            era => write!(f, "era {era}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::cell::Cell;
 
     #[test]
-    fn snapshot_reflects_counts() {
-        let c = Counters::new();
-        c.on_alloc();
-        c.on_alloc();
-        c.on_retire();
-        c.on_free(1);
-        c.on_scan(3);
-        c.on_scan(0);
-        c.on_adoption(1);
-        c.on_adoption(0);
-        c.on_slow_path();
-        c.on_help();
-        let s = c.snapshot(42);
+    fn snapshot_sums_every_slot() {
+        let slots = [SlotCounters::default(), SlotCounters::default()];
+        slots[0].on_alloc();
+        slots[1].on_alloc();
+        slots[0].on_retire();
+        slots[1].on_free(1); // freed by another slot than the one that retired it
+        slots[0].on_scan(3);
+        slots[0].on_scan(0);
+        slots[0].on_free(0);
+        slots[1].on_adoption(1);
+        slots[0].on_adoption(0);
+        slots[1].on_slow_path();
+        slots[0].on_help();
+        let s = snapshot(|| slots.iter(), 42);
         assert_eq!(s.allocated, 2);
         assert_eq!(s.retired, 1);
         assert_eq!(s.freed, 1);
@@ -191,13 +256,37 @@ mod tests {
         assert_eq!(s.slow_path, 1);
         assert_eq!(s.helps, 1);
         assert_eq!(s.era, 42);
+        assert_eq!(
+            snapshot(|| slots[..0].iter(), 1),
+            SmrStats {
+                era: 1,
+                ..SmrStats::default()
+            }
+        );
     }
 
     #[test]
-    fn unreclaimed_saturates() {
-        let c = Counters::new();
-        c.on_free(3);
-        assert_eq!(c.snapshot(0).unreclaimed, 0);
+    fn snapshot_reads_every_freed_before_any_retired() {
+        // One block is retired and unreclaimed; a second is retired *and*
+        // freed between the two walks. Whatever instant the report is taken
+        // to describe, one block was unreclaimed: reading `retired` first
+        // would have reported 1 - 1 = 0.
+        let slot = SlotCounters::default();
+        slot.on_retire();
+        let walks = Cell::new(0);
+        let s = snapshot(
+            || {
+                walks.set(walks.get() + 1);
+                if walks.get() == 2 {
+                    slot.on_retire();
+                    slot.on_free(1);
+                }
+                core::iter::once(&slot)
+            },
+            1,
+        );
+        assert_eq!((s.retired, s.freed), (2, 0));
+        assert!(s.unreclaimed >= 1, "never below the true value");
     }
 
     #[test]
@@ -210,9 +299,20 @@ mod tests {
     }
 
     #[test]
-    fn on_free_zero_is_a_noop() {
-        let c = Counters::new();
-        c.on_free(0);
-        assert_eq!(c.snapshot(0).freed, 0);
+    fn display_names_the_era_or_says_there_is_no_clock() {
+        let mut s = SmrStats {
+            retired: 5,
+            freed: 3,
+            unreclaimed: 2,
+            era: 17,
+            ..SmrStats::default()
+        };
+        let line = s.to_string();
+        assert!(
+            line.contains("unreclaimed 2") && line.ends_with("era 17"),
+            "{line}"
+        );
+        s.era = 0;
+        assert!(s.to_string().ends_with("no clock"));
     }
 }

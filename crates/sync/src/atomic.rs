@@ -110,6 +110,13 @@ mod model {
                     self.inner.fetch_sub(value, order)
                 }
 
+                /// Atomic maximum, returning the previous value.
+                #[inline]
+                pub fn fetch_max(&self, value: $int, order: Ordering) -> $int {
+                    shuttle::point();
+                    self.inner.fetch_max(value, order)
+                }
+
                 /// Atomic bitwise AND, returning the previous value.
                 #[inline]
                 pub fn fetch_and(&self, value: $int, order: Ordering) -> $int {

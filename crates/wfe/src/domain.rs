@@ -122,7 +122,7 @@ impl WfePolicy {
     /// provided by the `cleanup()` scan order (Lemmas 4 and 5).
     pub(crate) fn help_thread(domain: &Wfe, requester: usize, slot: usize, helper_tid: usize) {
         let this = domain.policy();
-        domain.counters().on_help();
+        domain.slot_counters(helper_tid).on_help();
         let state = this.state.get(requester, slot);
         let request = state.result.load();
         if request.0 != INVPTR {

@@ -24,7 +24,7 @@ impl WfePolicy {
         mut prev_era: u64,
     ) -> usize {
         let this = domain.policy();
-        domain.counters().on_slow_path();
+        domain.slot_counters(tid).on_slow_path();
 
         // Fetch the parent's era so helpers can pin the block that contains
         // the hazardous location (lines 26-27).

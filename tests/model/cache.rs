@@ -1,30 +1,36 @@
-//! The block-cache experiment: concurrent push/pop churn against a
-//! [`ShardCache`] under exact interleavings.
+//! The block-cache experiment: magazines exchanging whole chains with a
+//! [`ShardCache`](wfe_reclaim::ShardCache) under exact interleavings.
 //!
-//! The cache parks raw block addresses on a bounded, versioned
-//! `TypeStableStack` per size class, with an optimistic length reservation
-//! deciding cache-vs-overflow. The properties driven here:
+//! A shard parks *chains* of dead blocks — linked through their first words —
+//! as payloads of a bounded, versioned `TypeStableStack` per size class,
+//! with an optimistic length reservation deciding cache-vs-overflow for the
+//! chain as a whole. Handles reach it through their magazine only, so that
+//! is how this file drives it: a drain pushes the magazine's blocks as one
+//! chain, a pop from an empty magazine refills with one chain. The magazine
+//! side has no interleaving points (it is thread-private); every point of a
+//! schedule is inside the exchange. The properties driven here:
 //!
-//! 1. **Block conservation** — across any interleaving of pushers and
-//!    poppers, every block the cache accepted (`push` returned `true`) is
-//!    handed out exactly once: by a racing `pop`, or by the drain at the
-//!    end. A duplicated hand-out (the ABA shape, were the freelist
-//!    unversioned) or a lost block breaks the count.
+//! 1. **Block conservation** — across any interleaving of spills and
+//!    refills, every block is handed out exactly once: by a refill, by the
+//!    drain at the end, or — its chain refused at capacity — by the
+//!    allocator, and then the whole chain with it. A chain whose links a
+//!    second owner could read (the ABA shape, were the freelist unversioned)
+//!    or a gauge out of step with the freelist breaks the count.
 //! 2. **Boundedness** — once quiesced, the bytes parked never exceed
 //!    `per_class_capacity × class size`, even though the length reservation
 //!    transiently overshoots while pushes are in flight.
-//! 3. **Replay determinism** — a deliberately racy expectation (a pop that
-//!    assumes a concurrent push is already visible) fails under some
+//! 3. **Replay determinism** — a deliberately racy expectation (a refill
+//!    that assumes a concurrent spill is already visible) fails under some
 //!    schedule, and replaying the reported seed reproduces a byte-identical
 //!    failure report.
 //!
 //! Blocks are allocated directly with the class layout (the same layout
-//! `alloc_class` uses), so a block the cache drains internally is returned
+//! `alloc_class` uses), so a block the cache frees internally is returned
 //! with the layout it expects.
 
 use std::sync::Arc;
 
-use wfe_reclaim::{BlockCacheConfig, BlockCaches, SizeClass};
+use wfe_reclaim::{BlockCacheConfig, BlockCaches, LocalBlockCache, SizeClass};
 use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::SCHEDULES;
@@ -59,35 +65,61 @@ unsafe fn free_block(class: SizeClass, ptr: *mut u8) {
     unsafe { std::alloc::dealloc(ptr, class.layout()) };
 }
 
-/// The conservation driver: two threads interleave pushes and pops over one
-/// shard cache with capacity 2, then the main thread drains what is left.
+/// Blocks per chain in the conservation driver.
+const CHAIN: usize = 2;
+
+/// Spills one chain of [`CHAIN`] fresh blocks from `local` to the shard.
+fn spill_chain(local: &mut LocalBlockCache, caches: &BlockCaches, class: SizeClass) {
+    for _ in 0..CHAIN {
+        // SAFETY: freshly allocated with this class, pushed exactly once.
+        unsafe { local.push(class, alloc_block(class), caches.shard(0)) };
+    }
+    local.drain(caches.shard(0));
+}
+
+/// Empties `local`, refilling from the shard until it runs dry; returns how
+/// many blocks came out. Each is scribbled over before it is freed: a popped
+/// block is the popper's alone, link word included.
+fn pop_all(local: &mut LocalBlockCache, caches: &BlockCaches, class: SizeClass) -> usize {
+    let mut popped = 0;
+    while let Some(block) = local.pop(class, caches.shard(0)) {
+        popped += 1;
+        // SAFETY: a popped block is exclusively owned class memory, freed
+        // exactly once.
+        unsafe {
+            block.cast::<usize>().write(usize::MAX);
+            free_block(class, block);
+        }
+    }
+    popped
+}
+
+/// The conservation driver: two threads interleave chain spills and refills
+/// over one shard cache with room for one chain and a half, then the main
+/// thread drains what is left.
 fn churn_vs_drain() {
     let class = SizeClass::of(48, 8).expect("fits the smallest class");
-    const CAPACITY: usize = 2;
+    const CAPACITY: usize = CHAIN + 1;
     let caches = Arc::new(small_caches(CAPACITY));
-    let cached = Arc::new(AtomicUsize::new(0));
+    let spilled = Arc::new(AtomicUsize::new(0));
     let handed_out = Arc::new(AtomicUsize::new(0));
     let workers: Vec<_> = (0..2)
         .map(|worker| {
             let caches = Arc::clone(&caches);
-            let cached = Arc::clone(&cached);
+            let spilled = Arc::clone(&spilled);
             let handed_out = Arc::clone(&handed_out);
             shuttle::thread::spawn(move || {
-                let cache = caches.shard(0).expect("cache enabled");
+                let mut local = LocalBlockCache::new();
                 for round in 0..3 {
-                    // Thread 0 leads with pushes, thread 1 with pops, so the
-                    // schedules cover both push-vs-push and pop-vs-drain.
+                    // Thread 0 leads with a spill, thread 1 with a refill, so
+                    // the schedules cover spill-vs-spill (one of two chains
+                    // must be refused) and refill-vs-drain.
                     if (round + worker) % 2 == 0 {
-                        // SAFETY: freshly allocated with this class, pushed
-                        // exactly once.
-                        if unsafe { cache.push(class, alloc_block(class)) } {
-                            cached.fetch_add(1, Ordering::SeqCst);
-                        }
-                    } else if let Some(block) = cache.pop(class) {
-                        handed_out.fetch_add(1, Ordering::SeqCst);
-                        // SAFETY: a popped block is exclusively owned and
-                        // freed exactly once.
-                        unsafe { free_block(class, block) };
+                        spill_chain(&mut local, &caches, class);
+                        spilled.fetch_add(CHAIN, Ordering::SeqCst);
+                    } else {
+                        let popped = pop_all(&mut local, &caches, class);
+                        handed_out.fetch_add(popped, Ordering::SeqCst);
                     }
                 }
             })
@@ -98,52 +130,38 @@ fn churn_vs_drain() {
     }
 
     let cache = caches.shard(0).expect("cache enabled");
-    assert!(
-        cache.cached_bytes() as usize <= CAPACITY * class.size(),
-        "quiesced cache exceeds its byte bound"
-    );
-    let mut drained = 0usize;
-    while let Some(block) = cache.pop(class) {
-        drained += 1;
-        // SAFETY: each parked block is popped (hence freed) exactly once.
-        unsafe { free_block(class, block) };
-    }
+    let parked = cache.cached_bytes() as usize / class.size();
+    assert!(parked <= CAPACITY, "quiesced cache exceeds its bound");
+    let drained = pop_all(&mut LocalBlockCache::new(), &caches, class);
+    assert_eq!(drained, parked, "the gauge and the freelist disagree");
+    let refused = spilled.load(Ordering::SeqCst) - handed_out.load(Ordering::SeqCst) - drained;
     assert_eq!(
-        cached.load(Ordering::SeqCst),
-        handed_out.load(Ordering::SeqCst) + drained,
-        "block conservation violated: a cached block was lost or handed out twice"
+        refused % CHAIN,
+        0,
+        "block conservation violated: {refused} blocks unaccounted for is not a number of whole chains"
     );
 }
 
-/// A deliberately racy driver: the main thread pops while another thread is
-/// still mid-push and asserts the push must already be visible — false under
-/// any schedule that runs the pop first.
+/// A deliberately racy driver: the main thread refills while another thread
+/// is still mid-spill and asserts the chain must already be visible — false
+/// under any schedule that runs the refill first.
 fn racy_pop_expectation() {
     let class = SizeClass::of(48, 8).expect("fits the smallest class");
-    let caches = Arc::new(small_caches(2));
-    let pusher = {
+    let caches = Arc::new(small_caches(CHAIN));
+    let spiller = {
         let caches = Arc::clone(&caches);
-        shuttle::thread::spawn(move || {
-            let cache = caches.shard(0).expect("cache enabled");
-            // SAFETY: freshly allocated with this class, pushed exactly once.
-            let pushed = unsafe { cache.push(class, alloc_block(class)) };
-            assert!(pushed, "below capacity");
-        })
+        shuttle::thread::spawn(move || spill_chain(&mut LocalBlockCache::new(), &caches, class))
     };
-    let cache = caches.shard(0).expect("cache enabled");
-    let popped = cache.pop(class);
-    pusher.join().unwrap();
-    if let Some(block) = popped {
-        // SAFETY: popped once, freed once; the un-popped case is drained by
-        // the caches' drop.
-        unsafe { free_block(class, block) };
-    } else {
-        panic!("racy expectation: the concurrent push was not yet visible");
+    let popped = pop_all(&mut LocalBlockCache::new(), &caches, class);
+    spiller.join().unwrap();
+    // The un-popped case is drained by the caches' drop.
+    if popped == 0 {
+        panic!("racy expectation: the concurrent spill was not yet visible");
     }
 }
 
 #[test]
-fn shard_cache_conserves_blocks_under_push_pop_drain_races() {
+fn shard_cache_conserves_blocks_under_chain_spill_refill_drain_races() {
     shuttle::check_random(churn_vs_drain, SCHEDULES);
 }
 
@@ -156,7 +174,7 @@ fn racy_pop_expectation_fails_and_the_seed_replays_identically() {
         },
         racy_pop_expectation,
     );
-    let (seed, report) = failure.expect("some schedule must run the pop before the push");
+    let (seed, report) = failure.expect("some schedule must run the refill before the spill");
     assert!(
         report.contains("racy expectation"),
         "unexpected failure report: {report}"

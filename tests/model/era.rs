@@ -264,6 +264,7 @@ fn blocks_parked_mid_slow_path_survive_the_hand_over() {
             });
             let freed = [7, 8].map(|_| Arc::new(AtomicBool::new(false)));
             let passes_done = Arc::new(StdAtomicU64::new(0));
+            let protecting = Arc::new(StdAtomicU64::new(0));
             let mut cleaner = domain.register();
             let canary = |value: u64| Canary {
                 value,
@@ -275,10 +276,12 @@ fn blocks_parked_mid_slow_path_survive_the_hand_over() {
             let reader = {
                 let (domain, root) = (Arc::clone(&domain), Arc::clone(&root));
                 let (freed, passes_done) = (freed.clone(), Arc::clone(&passes_done));
+                let protecting = Arc::clone(&protecting);
                 shuttle::thread::spawn(move || {
                     let mut reader = domain.register();
                     let mut shield = reader.shield::<Canary>().unwrap();
                     let guard = reader.enter();
+                    protecting.store(1, SeqCst);
                     let p = shield.protect(&guard, &root, None);
                     // Hold the reservation across the cleaner's passes.
                     wait_for(&passes_done, 1);
@@ -296,14 +299,12 @@ fn blocks_parked_mid_slow_path_survive_the_hand_over() {
                 })
             };
             let helper = {
-                let domain = Arc::clone(&domain);
+                let (domain, protecting) = (Arc::clone(&domain), Arc::clone(&protecting));
                 shuttle::thread::spawn(move || {
                     // With `era_freq: 1` every allocation runs
                     // `increment_era`, which helps announced requests first.
                     let mut helper = domain.register();
-                    while domain.stats().slow_path == 0 {
-                        shuttle::thread::yield_now();
-                    }
+                    wait_for(&protecting, 1);
                     for _ in 0..2 {
                         let filler = helper.alloc(0u64);
                         let guard = helper.enter();
@@ -313,11 +314,13 @@ fn blocks_parked_mid_slow_path_survive_the_hand_over() {
                 })
             };
 
-            // Start once the reader has announced its request, so the
-            // publish, the unlinks, the passes and the hand-over overlap.
-            while domain.stats().slow_path == 0 {
-                shuttle::thread::yield_now();
-            }
+            // Start once the reader is about to protect, so its request, the
+            // publish, the unlinks, the passes and the hand-over overlap: the
+            // clock now moves under the reader until a helper completes its
+            // request. (An oracle flag, not `stats().slow_path`: a probe that
+            // is itself dozens of interleaving points reacts too late to
+            // ever catch the request pending.)
+            wait_for(&protecting, 1);
             let newer = cleaner.alloc(canary(8));
             root.store(newer, Ordering::SeqCst);
             root.store(core::ptr::null_mut(), Ordering::SeqCst);
