@@ -14,6 +14,10 @@
 //! thread in the same loop — whatever `alloc`/`retire` write outside their
 //! own thread's cache lines shows there and nowhere else — and
 //! `block_cache/spill_refill` one magazine → shard → magazine round trip.
+//! `queue_pair_contended` and `resizable_get_contended` are the same idea one
+//! rung up, between "one data-structure operation" and the end-to-end mix: a
+//! structure operation with a second thread writing the structure's shared
+//! roots, so what the roots' layout costs shows there and nowhere else.
 
 use std::cell::RefCell;
 use std::ptr;
@@ -21,6 +25,9 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use wfe_core::Wfe;
+use wfe_ds::{
+    ConcurrentQueue, CrTurnQueue, KoganPetrankQueue, MichaelScottQueue, ResizableHashMap,
+};
 use wfe_reclaim::{
     Atomic, BlockCacheConfig, BlockCaches, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, Leak,
     LocalBlockCache, RawHandle, Reclaimer, ReclaimerConfig, SizeClass,
@@ -124,6 +131,84 @@ fn bench_alloc_retire_contended<R: Reclaimer>(c: &mut Criterion, name: &str) {
             &(),
             |bencher, _| bencher.iter(|| alloc_retire(&mut handle)),
         );
+        stop.store(true, wfe_sync::atomic::Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
+    });
+}
+
+/// The domain the contended structure rungs run on: the repository
+/// benchmark's geometry (8 slots in 2 shards), so CRTurn's and KP's
+/// per-thread arrays are the size the `queue-pairs` workload walks.
+fn structure_domain() -> Arc<Wfe> {
+    Wfe::with_config(ReclaimerConfig {
+        shards: 2,
+        ..ReclaimerConfig::with_max_threads(8)
+    })
+}
+
+fn bench_queue_pair_contended<Q: ConcurrentQueue<Wfe>>(c: &mut Criterion, name: &str) {
+    // An enqueue + dequeue pair on a 1 024-element queue with a second thread
+    // in the same loop: one side's tail swings and the other's head swings
+    // land on whatever shares a line with the roots.
+    let domain = structure_domain();
+    let queue = Q::with_domain(Arc::clone(&domain));
+    let stop = wfe_sync::atomic::AtomicBool::new(false);
+    let pair = |handle: &mut <Wfe as Reclaimer>::Handle| {
+        queue.enqueue(handle, 7);
+        std::hint::black_box(queue.dequeue(handle));
+    };
+    std::thread::scope(|scope| {
+        let mut handle = domain.register();
+        for value in 0..1_024 {
+            queue.enqueue(&mut handle, value);
+        }
+        scope.spawn(|| {
+            let mut handle = domain.register();
+            // ORDER: benchmark control flag; no data is ordered by it.
+            while !stop.load(wfe_sync::atomic::Ordering::Relaxed) {
+                pair(&mut handle);
+            }
+        });
+        c.bench_with_input(
+            BenchmarkId::new("queue_pair_contended", name),
+            &(),
+            |bencher, _| bencher.iter(|| pair(&mut handle)),
+        );
+        stop.store(true, wfe_sync::atomic::Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
+    });
+}
+
+fn bench_resizable_get_contended(c: &mut Criterion) {
+    // `get` over a 50 000-key map grown by its prefill, while a second thread
+    // inserts and removes keys outside that range: every one of its calls
+    // succeeds, i.e. writes `len`, and none touches a chain the reader walks
+    // more than any neighbour in a bucket would.
+    const KEYS: u64 = 50_000;
+    let domain = structure_domain();
+    let map = ResizableHashMap::<u64, Wfe>::new(Arc::clone(&domain));
+    let stop = wfe_sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let mut handle = domain.register();
+        for key in 0..KEYS {
+            map.insert(&mut handle, key, key);
+        }
+        scope.spawn(|| {
+            let mut handle = domain.register();
+            let mut key = KEYS;
+            // ORDER: benchmark control flag; no data is ordered by it.
+            while !stop.load(wfe_sync::atomic::Ordering::Relaxed) {
+                map.insert(&mut handle, key, key);
+                map.remove(&mut handle, key);
+                key = KEYS + (key + 1) % 1_024;
+            }
+        });
+        let mut key = 0;
+        c.bench_function("resizable_get_contended", |bencher| {
+            bencher.iter(|| {
+                // A full-period walk of the key range, cheap next to a lookup.
+                key = (key + 7_919) % KEYS;
+                std::hint::black_box(map.get(&mut handle, key))
+            })
+        });
         stop.store(true, wfe_sync::atomic::Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
     });
 }
@@ -417,6 +502,11 @@ fn smr_ops(c: &mut Criterion) {
     bench_alloc_retire_contended::<He>(c, "HE");
     bench_alloc_retire_contended::<Hp>(c, "HP");
     bench_alloc_retire_contended::<Ebr>(c, "EBR");
+
+    bench_queue_pair_contended::<CrTurnQueue<u64, Wfe>>(c, "CRTurn");
+    bench_queue_pair_contended::<KoganPetrankQueue<u64, Wfe>>(c, "KP");
+    bench_queue_pair_contended::<MichaelScottQueue<u64, Wfe>>(c, "MS");
+    bench_resizable_get_contended(c);
 
     bench_spill_refill(c);
 

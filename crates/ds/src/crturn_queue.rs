@@ -50,6 +50,7 @@ use std::sync::Arc;
 use wfe_sync::atomic::{AtomicI64, Ordering};
 
 use wfe_reclaim::{Atomic, Guard, Handle, Linked, Protected, RawHandle, Reclaimer, Shield};
+use wfe_sync::CachePadded;
 
 use crate::traits::ConcurrentQueue;
 
@@ -58,6 +59,8 @@ const IDX_NONE: i64 = -1;
 
 /// A queue node. The value lives in the node *after* the sentinel, exactly as
 /// in the Michael-Scott queue.
+// LAYOUT: one 72-byte node, one line: `next` and `deq_tid` are each written
+// once (the append, the claim), by a helper that reads the rest of the node.
 pub struct Node<T> {
     value: Option<T>,
     next: Atomic<Node<T>>,
@@ -100,10 +103,25 @@ pub struct DequeueTicket<T> {
 /// the request arrays is sized at construction (the fixed-capacity
 /// registration pattern shared with [`KoganPetrankQueue`]).
 ///
+///
+/// # Layout
+///
+/// `head` and `tail` each own a 128-byte line, as in the reference
+/// implementation (`alignas(128)`): dequeuers swing one, enqueuers the other,
+/// and each side reads its own root — and the pointers to the request arrays
+/// and the domain, which nobody writes — on every operation. Packed into one
+/// line, every tail swing invalidated what a dequeuer needs for `head` and
+/// for `deqself`, and vice versa (`queue_pair_contended/CRTurn`). The three
+/// array pointers, `first_sentinel` and the `Arc` share the line after them.
+/// The arrays themselves stay compact, 8 bytes per thread: padding their
+/// entries, or giving each array lines of its own, measured no better.
+///
 /// [`KoganPetrankQueue`]: crate::KoganPetrankQueue
+// LAYOUT: the roots are padded apart and the request arrays compact on
+// purpose ("Layout" above); the array pointers are never written.
 pub struct CrTurnQueue<T, R: Reclaimer> {
-    head: Atomic<Node<T>>,
-    tail: Atomic<Node<T>>,
+    head: CachePadded<Atomic<Node<T>>>,
+    tail: CachePadded<Atomic<Node<T>>>,
     /// Pending enqueue request (the node to append) per thread id, or null.
     enqueuers: Box<[Atomic<Node<T>>]>,
     /// Request marker a thread published for its in-flight dequeue.
@@ -111,6 +129,12 @@ pub struct CrTurnQueue<T, R: Reclaimer> {
     /// Node granted to a thread's dequeue request; equal to `deqself[tid]`
     /// exactly while the request is open.
     deqhelp: Box<[Atomic<Node<T>>]>,
+    /// The sentinel the queue was built with. Every later sentinel is the
+    /// `deqhelp` grant of the dequeue that made it one and is retired as that
+    /// thread's request marker; this one no array ever names, so once the
+    /// first dequeue swings `head` past it only `Drop` can free it (the
+    /// reference implementation's destructor does the same).
+    first_sentinel: *mut Linked<Node<T>>,
     domain: Arc<R>,
 }
 
@@ -172,11 +196,12 @@ impl<T: Copy, R: Reclaimer> CrTurnQueue<T, R> {
             .collect();
         drop(handle);
         Self {
-            head: Atomic::new(sentinel),
-            tail: Atomic::new(sentinel),
+            head: CachePadded::new(Atomic::new(sentinel)),
+            tail: CachePadded::new(Atomic::new(sentinel)),
             enqueuers,
             deqself,
             deqhelp,
+            first_sentinel: sentinel,
             domain,
         }
     }
@@ -548,7 +573,8 @@ impl<T, R: Reclaimer> Drop for CrTurnQueue<T, R> {
     fn drop(&mut self) {
         // Exclusive access. Free every node still reachable, deduplicating:
         // the current sentinel (and, after an abandoned stalled enqueue, a
-        // node parked in `enqueuers`) can also be named by a request array.
+        // node parked in `enqueuers`) can also be named by a request array,
+        // and the first sentinel is still the head if nothing was dequeued.
         let mut freed = std::collections::HashSet::new();
         let mut cur = self.head.load(Ordering::Relaxed); // ORDER: Drop has exclusive access.
         while !cur.is_null() {
@@ -570,6 +596,10 @@ impl<T, R: Reclaimer> Drop for CrTurnQueue<T, R> {
                     unsafe { Linked::dealloc(node) };
                 }
             }
+        }
+        if freed.insert(self.first_sentinel) {
+            // SAFETY: as above; no operation ever retires the first sentinel.
+            unsafe { Linked::dealloc(self.first_sentinel) };
         }
     }
 }
@@ -603,6 +633,25 @@ mod tests {
             max_threads: threads,
             ..ReclaimerConfig::default()
         }
+    }
+
+    #[test]
+    fn head_and_tail_own_their_lines() {
+        use core::mem::offset_of;
+        type Queue = CrTurnQueue<u64, He>;
+        crate::layout::assert_own_lines::<Queue>(
+            &[
+                ("head", offset_of!(Queue, head)),
+                ("tail", offset_of!(Queue, tail)),
+            ],
+            &[
+                ("enqueuers", offset_of!(Queue, enqueuers)),
+                ("deqself", offset_of!(Queue, deqself)),
+                ("deqhelp", offset_of!(Queue, deqhelp)),
+                ("first_sentinel", offset_of!(Queue, first_sentinel)),
+                ("domain", offset_of!(Queue, domain)),
+            ],
+        );
     }
 
     fn fifo_single_threaded<R: Reclaimer>() {

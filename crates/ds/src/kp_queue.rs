@@ -27,10 +27,13 @@ use std::sync::Arc;
 use wfe_sync::atomic::{AtomicI64, Ordering};
 
 use wfe_reclaim::{Atomic, Guard, Handle, Linked, Protected, Reclaimer, Shield};
+use wfe_sync::CachePadded;
 
 use crate::traits::ConcurrentQueue;
 
 /// A queue node.
+// LAYOUT: one 72-byte node, one line: `next` and `deq_tid` are each written
+// once (the append, the claim), by a helper that reads the rest of the node.
 pub struct Node<T> {
     value: Option<T>,
     next: Atomic<Node<T>>,
@@ -56,9 +59,20 @@ pub struct OpDesc<T> {
 }
 
 /// Kogan-Petrank wait-free queue, parameterised by the reclamation scheme.
+///
+/// # Layout
+///
+/// `head` and `tail` each own a 128-byte line: dequeues swing one, enqueues
+/// the other, and every operation reads the `state` pointer, which nobody
+/// writes and which now shares a line with the domain `Arc` only. On two
+/// cores `queue_pair_contended/KP` stays inside its spread either way — the
+/// descriptor array, which every operation scans twice and CASes twice,
+/// dominates — and padding that array per entry read no better.
+// LAYOUT: the roots are padded apart ("Layout" above); the `state` pointer is
+// never written.
 pub struct KoganPetrankQueue<T, R: Reclaimer> {
-    head: Atomic<Node<T>>,
-    tail: Atomic<Node<T>>,
+    head: CachePadded<Atomic<Node<T>>>,
+    tail: CachePadded<Atomic<Node<T>>>,
     /// One descriptor slot per thread id (`max_threads` of the domain).
     state: Box<[Atomic<OpDesc<T>>]>,
     domain: Arc<R>,
@@ -129,8 +143,8 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
             .collect();
         drop(handle);
         Self {
-            head: Atomic::new(sentinel),
-            tail: Atomic::new(sentinel),
+            head: CachePadded::new(Atomic::new(sentinel)),
+            tail: CachePadded::new(Atomic::new(sentinel)),
             state,
             domain,
         }
@@ -281,7 +295,19 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
         // `sh.next`), neither re-protected for the rest of this function.
         let last_ref = unsafe { last.as_ref() }.expect("the tail is never null");
         let next = sh.next.protect(guard, &last_ref.next, Some(last));
-        // SAFETY: as above — `sh.next` protects `next`.
+        // A reservation covers a block that was still reachable when it was
+        // published, and `last` may have left the queue since the first
+        // protect: then its link names a node that was dequeued, retired and
+        // possibly recycled before `sh.next` reserved anything. While `last`
+        // is the tail its successor cannot have been dequeued, so only past
+        // this check may `next` be dereferenced (the hazard-pointer ports of
+        // the queue validate in the same place).
+        // ORDER: tail re-validation; pairs with the AcqRel tail swing.
+        if last.as_raw() != self.tail.load(Ordering::Acquire) {
+            return;
+        }
+        // SAFETY: as above — `sh.next` protects `next`, which the check just
+        // made shows was the tail's live successor when it was reserved.
         let Some(next_ref) = (unsafe { next.as_ref() }) else {
             return;
         };
@@ -609,6 +635,22 @@ mod tests {
             max_threads: threads,
             ..ReclaimerConfig::default()
         }
+    }
+
+    #[test]
+    fn head_and_tail_own_their_lines() {
+        use core::mem::offset_of;
+        type Queue = KoganPetrankQueue<u64, He>;
+        crate::layout::assert_own_lines::<Queue>(
+            &[
+                ("head", offset_of!(Queue, head)),
+                ("tail", offset_of!(Queue, tail)),
+            ],
+            &[
+                ("state", offset_of!(Queue, state)),
+                ("domain", offset_of!(Queue, domain)),
+            ],
+        );
     }
 
     fn fifo_single_threaded<R: Reclaimer>() {

@@ -55,3 +55,29 @@ pub use natarajan_bst::NatarajanBst;
 pub use resizable_map::ResizableHashMap;
 pub use traits::{ConcurrentMap, ConcurrentQueue, MapServiceStats};
 pub use treiber_stack::TreiberStack;
+
+/// The layout assertion the padded structures' unit tests share.
+#[cfg(test)]
+pub(crate) mod layout {
+    /// What [`wfe_sync::CachePadded`] pads and aligns to.
+    pub(crate) const LINE: usize = 128;
+
+    /// Asserts, from `(field name, offset_of!)` pairs naming **every** field
+    /// of a struct of type `S`, that each `hot` field starts a line of its
+    /// own — no other field, hot or `cold`, within [`LINE`] bytes after it —
+    /// and that the struct is aligned so offsets decide lines wherever a
+    /// value lives, and no larger than its hot lines plus one for the rest.
+    pub(crate) fn assert_own_lines<S>(hot: &[(&str, usize)], cold: &[(&str, usize)]) {
+        assert_eq!(core::mem::align_of::<S>(), LINE);
+        assert_eq!(core::mem::size_of::<S>(), (hot.len() + 1) * LINE);
+        for &(name, offset) in hot {
+            assert_eq!(offset % LINE, 0, "`{name}` starts a line");
+            for &(other, at) in hot.iter().chain(cold) {
+                assert!(
+                    other == name || at / LINE != offset / LINE,
+                    "`{other}` (offset {at}) shares the line of `{name}` (offset {offset})"
+                );
+            }
+        }
+    }
+}

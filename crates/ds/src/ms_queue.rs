@@ -11,7 +11,7 @@ use std::sync::Arc;
 use wfe_sync::atomic::Ordering;
 
 use wfe_reclaim::{Atomic, Guard, Handle, Linked, Reclaimer, Shield};
-use wfe_sync::Backoff;
+use wfe_sync::{Backoff, CachePadded};
 
 use crate::traits::ConcurrentQueue;
 
@@ -22,9 +22,15 @@ pub struct Node<T> {
 }
 
 /// Michael-Scott lock-free queue, parameterised by the reclamation scheme.
+///
+/// # Layout
+///
+/// `head` and `tail` each own a 128-byte line: a dequeue's head swing no
+/// longer invalidates the line an enqueuer reads `tail` from, nor the
+/// reverse (`queue_pair_contended/MS`).
 pub struct MichaelScottQueue<T, R: Reclaimer> {
-    head: Atomic<Node<T>>,
-    tail: Atomic<Node<T>>,
+    head: CachePadded<Atomic<Node<T>>>,
+    tail: CachePadded<Atomic<Node<T>>>,
     domain: Arc<R>,
 }
 
@@ -64,8 +70,8 @@ impl<T, R: Reclaimer> MichaelScottQueue<T, R> {
         });
         drop(handle);
         Self {
-            head: Atomic::new(sentinel),
-            tail: Atomic::new(sentinel),
+            head: CachePadded::new(Atomic::new(sentinel)),
+            tail: CachePadded::new(Atomic::new(sentinel)),
             domain,
         }
     }
@@ -238,6 +244,19 @@ mod tests {
     use super::*;
     use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, ReclaimerConfig};
     use wfe_sync::atomic::{AtomicU64, Ordering::SeqCst};
+
+    #[test]
+    fn head_and_tail_own_their_lines() {
+        use core::mem::offset_of;
+        type Queue = MichaelScottQueue<u64, He>;
+        crate::layout::assert_own_lines::<Queue>(
+            &[
+                ("head", offset_of!(Queue, head)),
+                ("tail", offset_of!(Queue, tail)),
+            ],
+            &[("domain", offset_of!(Queue, domain))],
+        );
+    }
 
     fn fifo_single_threaded<R: Reclaimer>() {
         let domain = R::new_default();

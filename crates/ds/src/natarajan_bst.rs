@@ -34,6 +34,8 @@ const KEY_INF2: u64 = u64::MAX;
 
 /// A tree node. Internal nodes have both children non-null and `value ==
 /// None`; leaves have null children and carry the value.
+// LAYOUT: a node's two edges share its line with its key: whoever CASes an
+// edge has just compared that key, and a line per edge would triple the tree.
 pub struct Node<V> {
     key: u64,
     value: Option<V>,

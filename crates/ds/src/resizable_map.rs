@@ -31,6 +31,7 @@ use wfe_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use wfe_reclaim::ptr::tag;
 use wfe_reclaim::{Atomic, Guard, Handle, Linked, Protected, Reclaimer, Shield};
+use wfe_sync::CachePadded;
 
 use crate::hash::mix64;
 use crate::traits::{ConcurrentMap, MapServiceStats};
@@ -74,6 +75,16 @@ struct Window<'g, V> {
 /// Shalev-Herlihy split-ordered hash map, parameterised by the reclamation
 /// scheme. Grows by directory doubling; superseded directories are retired
 /// through `R` so pinned readers stay safe.
+///
+/// # Layout
+///
+/// `len` — a `fetch_add`/`fetch_sub` on every successful insert or remove —
+/// owns a 128-byte line. Everything else is read-mostly and shares the next
+/// one: `dir` (the first load of every operation), `head`, `buckets`, the
+/// two resize statistics and the domain are written by a resize or never
+/// (`resizable_get_contended`).
+// LAYOUT: `len` is padded off; the rest is one read-mostly line ("Layout"
+// above), written by a resize only.
 pub struct ResizableHashMap<V, R: Reclaimer> {
     /// The current bucket directory. Swapped wholesale by `try_resize`; the
     /// superseded array is retired through the domain.
@@ -82,7 +93,7 @@ pub struct ResizableHashMap<V, R: Reclaimer> {
     /// (its `so_key` 0 is the global minimum).
     head: Atomic<Node<V>>,
     /// Data nodes currently in the map (dummies excluded).
-    len: AtomicUsize,
+    len: CachePadded<AtomicUsize>,
     /// Mirror of the current directory size, readable without protection
     /// (stats and the resize trigger must not open a bracket).
     buckets: AtomicUsize,
@@ -195,7 +206,7 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
         Self {
             dir: Atomic::new(dir),
             head: Atomic::new(head),
-            len: AtomicUsize::new(0),
+            len: CachePadded::new(AtomicUsize::new(0)),
             buckets: AtomicUsize::new(buckets),
             resizes: AtomicU64::new(0),
             migrated: AtomicU64::new(0),
@@ -775,6 +786,24 @@ mod tests {
             era_freq: 16,
             ..ReclaimerConfig::with_max_threads(threads)
         }
+    }
+
+    #[test]
+    fn len_owns_its_line_and_the_read_mostly_fields_share_one() {
+        use core::mem::offset_of;
+        type Map = ResizableHashMap<u64, He>;
+        let read_mostly = [
+            ("dir", offset_of!(Map, dir)),
+            ("head", offset_of!(Map, head)),
+            ("buckets", offset_of!(Map, buckets)),
+            ("resizes", offset_of!(Map, resizes)),
+            ("migrated", offset_of!(Map, migrated)),
+            ("racy_publish", offset_of!(Map, racy_publish)),
+            ("domain", offset_of!(Map, domain)),
+        ];
+        // Two lines in all, one of them `len`'s: the rest share the other.
+        crate::layout::assert_own_lines::<Map>(&[("len", offset_of!(Map, len))], &read_mostly);
+        assert!(offset_of!(Map, len).abs_diff(offset_of!(Map, dir)) >= crate::layout::LINE);
     }
 
     fn growth_semantics<R: Reclaimer>() {

@@ -23,6 +23,8 @@ pub struct Node<T> {
 ///
 /// Every method takes the calling thread's reclamation handle; handles are
 /// obtained from the same domain that was passed to [`TreiberStack::new`].
+// LAYOUT: one writer-hot word — `head`, which every push and pop both reads
+// and CASes — beside an `Arc` nobody writes: nothing to separate.
 pub struct TreiberStack<T, R: Reclaimer> {
     head: Atomic<Node<T>>,
     domain: Arc<R>,

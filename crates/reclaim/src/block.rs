@@ -33,6 +33,8 @@ pub const INVPTR: u64 = u64::MAX;
 /// The era fields are ordinary atomics only because the WFE *helper* threads
 /// read `alloc_era` of a parent block concurrently with nothing but the
 /// allocation that wrote it; all other accesses are owner-only.
+// LAYOUT: the header is the first 32 bytes of the block it describes; each
+// era is stamped once, by the thread that allocates resp. retires the block.
 #[repr(C)]
 #[derive(Debug)]
 pub struct BlockHeader {
@@ -310,7 +312,10 @@ mod tests {
             shard.unwrap().cached_bytes() > 0,
             "memory parked, not freed"
         );
-        assert_eq!((shard.unwrap().hits(), shard.unwrap().misses()), (1, 1));
+        let counters = crate::stats::SlotCounters::default();
+        local.flush_stats(&counters);
+        let stats = crate::stats::snapshot(|| core::iter::once(&counters), 0);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
     }
 
     #[test]

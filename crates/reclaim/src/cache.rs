@@ -40,8 +40,9 @@
 
 use core::alloc::Layout;
 use wfe_sync::atomic::{AtomicU64, Ordering};
+use wfe_sync::CachePadded;
 
-use crate::stats::SmrStats;
+use crate::stats::SlotCounters;
 use crate::treiber::TypeStableStack;
 
 /// The block sizes (in bytes) served by the cache, one freelist per entry.
@@ -208,6 +209,10 @@ impl BlockChain {
 }
 
 /// One bounded freelist of recycled blocks of a single size class.
+// LAYOUT: the gauge and the stack's two heads share a line on purpose: a
+// spill or a refill writes the gauge and a head back to back, from one
+// thread, once per half magazine, and nothing reads the one without being
+// about to write the other.
 #[derive(Debug)]
 struct ClassList {
     /// Parked chains. The stack's nodes are separate, type-stable
@@ -238,12 +243,16 @@ impl ClassList {
 /// crossing shard boundaries. Handles reach it through their magazine only
 /// ([`LocalBlockCache`]), a chain at a time. Obtained through
 /// [`RawHandle::block_caches`](crate::RawHandle::block_caches).
+///
+/// Nothing here is written except by a spill or a refill — once per half
+/// magazine of one-sided traffic; a balanced thread never touches its shard
+/// (hits and misses are counted in the handle's own [`SlotCounters`] block).
+/// Shards are [`CachePadded`] apart ([`BlockCaches`]), so one shard's spills
+/// do not invalidate its neighbour's freelist heads.
 #[derive(Debug)]
 pub struct ShardCache {
     classes: [ClassList; CLASS_SIZES.len()],
     per_class_capacity: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ShardCache {
@@ -257,8 +266,6 @@ impl ShardCache {
                 ClassList::new(),
             ],
             per_class_capacity: per_class_capacity as u64,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -305,16 +312,6 @@ impl ShardCache {
         Some(chain)
     }
 
-    /// Allocations served from this cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed) // ORDER: cache statistics counter only.
-    }
-
-    /// Cacheable allocations that fell through to the allocator.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed) // ORDER: cache statistics counter only.
-    }
-
     /// Bytes currently parked on this shard's freelists.
     pub fn cached_bytes(&self) -> u64 {
         self.classes
@@ -322,17 +319,6 @@ impl ShardCache {
             .enumerate()
             .map(|(index, slot)| slot.len.load(Ordering::Acquire) * CLASS_SIZES[index] as u64) // ORDER: advisory byte gauge; pairs with the AcqRel len updates.
             .sum()
-    }
-
-    /// Folds a handle's locally-counted hits and misses into the shared
-    /// counters (called by [`LocalBlockCache::flush_stats`]).
-    fn add_counts(&self, hits: u64, misses: u64) {
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed); // ORDER: cache statistics counter only.
-        }
-        if misses > 0 {
-            self.misses.fetch_add(misses, Ordering::Relaxed); // ORDER: cache statistics counter only.
-        }
     }
 }
 
@@ -430,9 +416,10 @@ impl core::fmt::Debug for Magazine {
 /// (spill half) or empties (refill one chain) does the handle touch the
 /// shared per-shard freelist — once per `LOCAL_MAGAZINE_CAP / 2` blocks,
 /// whole chains at a time — and cross-thread recycling still works through
-/// the shard. Hits and misses are counted locally and folded into the shard's
-/// shared counters at every cleanup pass and at handle teardown ([`SmrStats`]
-/// lags by at most one magazine's traffic).
+/// the shard. Hits and misses are counted locally and folded into the owning
+/// handle's [`SlotCounters`] block at every cleanup pass, teardown's final
+/// pass included ([`SmrStats`](crate::SmrStats) lags by at most one pass's
+/// traffic): a plain store to the handle's own line, no shared counter.
 ///
 /// Owned by each scheme handle; reached through
 /// [`RawHandle::block_caches`](crate::RawHandle::block_caches).
@@ -517,17 +504,18 @@ impl LocalBlockCache {
         mag.len += 1;
     }
 
-    /// Folds the locally-counted hits and misses into `backing`'s shared
-    /// counters (so [`SmrStats`] sees them).
-    pub fn flush_stats(&mut self, backing: &ShardCache) {
-        backing.add_counts(self.hits, self.misses);
+    /// Folds the locally-counted hits and misses into `counters`, the block
+    /// of the registry slot the owning handle holds (so
+    /// [`SmrStats`](crate::SmrStats) sees them).
+    pub fn flush_stats(&mut self, counters: &SlotCounters) {
+        counters.on_cache(self.hits, self.misses);
         self.hits = 0;
         self.misses = 0;
     }
 
     /// Hands every parked block to `backing` (in chains of at most half a
-    /// magazine, so a refill always fits) or the allocator, and flushes the
-    /// counters: handle teardown.
+    /// magazine, so a refill always fits) or the allocator: handle teardown,
+    /// after the final cleanup pass reported the counters.
     pub fn drain(&mut self, backing: Option<&ShardCache>) {
         for (index, mag) in self.mags.iter_mut().enumerate() {
             let class = SizeClass(index as u8);
@@ -544,9 +532,6 @@ impl LocalBlockCache {
                 }
             }
         }
-        if let Some(shard) = backing {
-            self.flush_stats(shard);
-        }
     }
 }
 
@@ -558,10 +543,12 @@ impl Drop for LocalBlockCache {
     }
 }
 
-/// All shard caches of one domain (empty when the cache is disabled).
+/// All shard caches of one domain (empty when the cache is disabled), each
+/// on lines of its own: packed, a shard's last freelist gauge sat against
+/// the next shard's first freelist head.
 #[derive(Debug)]
 pub struct BlockCaches {
-    shards: Box<[ShardCache]>,
+    shards: Box<[CachePadded<ShardCache>]>,
 }
 
 impl BlockCaches {
@@ -570,7 +557,7 @@ impl BlockCaches {
     pub fn new(config: &BlockCacheConfig, shard_count: usize) -> Self {
         let shards = if config.enabled && config.per_class_capacity > 0 {
             (0..shard_count)
-                .map(|_| ShardCache::new(config.per_class_capacity))
+                .map(|_| CachePadded::new(ShardCache::new(config.per_class_capacity)))
                 .collect()
         } else {
             Box::default()
@@ -582,7 +569,7 @@ impl BlockCaches {
     /// disabled.
     #[inline]
     pub fn shard(&self, shard: usize) -> Option<&ShardCache> {
-        self.shards.get(shard)
+        self.shards.get(shard).map(|shard| &**shard)
     }
 
     /// Whether the layer is active for this domain.
@@ -590,13 +577,9 @@ impl BlockCaches {
         !self.shards.is_empty()
     }
 
-    /// Folds the cache counters of every shard into a stats snapshot.
-    pub fn merge_into(&self, stats: &mut SmrStats) {
-        for shard in self.shards.iter() {
-            stats.cache_hits += shard.hits();
-            stats.cache_misses += shard.misses();
-            stats.cached_bytes += shard.cached_bytes();
-        }
+    /// Bytes currently parked on the freelists of every shard.
+    pub fn cached_bytes(&self) -> u64 {
+        self.shards.iter().map(|shard| shard.cached_bytes()).sum()
     }
 }
 
@@ -777,23 +760,43 @@ mod tests {
         assert!(caches.shard(2).is_some());
         assert!(caches.shard(3).is_none(), "out of the shard range");
 
-        let mut stats = SmrStats::default();
         let class = SizeClass::of(56, 8).unwrap();
         let mut local = LocalBlockCache::new();
         // SAFETY: freshly allocated with this class, pushed exactly once.
         unsafe { local.push(class, alloc_class(class), caches.shard(1)) };
         local.drain(caches.shard(1));
+        assert_eq!(caches.cached_bytes(), 56, "parked on shard 1");
         if let Some(ptr) = local.pop(class, caches.shard(1)) {
             // SAFETY: popped once, freed once.
             unsafe { dealloc_class(class, ptr) };
         }
-        local.flush_stats(caches.shard(1).unwrap());
-        local.pop(class, caches.shard(2));
-        local.flush_stats(caches.shard(2).unwrap());
-        caches.merge_into(&mut stats);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.cached_bytes, 0);
+        assert!(
+            local.pop(class, caches.shard(2)).is_none(),
+            "not on shard 2"
+        );
+        assert_eq!((local.hits, local.misses), (1, 1));
+        assert_eq!(caches.cached_bytes(), 0);
+    }
+
+    #[test]
+    fn shards_sit_a_padding_unit_apart() {
+        // Shard k's last gauge must not share a line with shard k+1's first
+        // freelist head.
+        assert_eq!(core::mem::align_of::<CachePadded<ShardCache>>(), 128);
+        assert_eq!(core::mem::size_of::<CachePadded<ShardCache>>() % 128, 0);
+        let config = BlockCacheConfig {
+            enabled: true,
+            per_class_capacity: 4,
+        };
+        let caches = BlockCaches::new(&config, 3);
+        let address = |shard: usize| caches.shard(shard).unwrap() as *const ShardCache as usize;
+        for shard in 0..3 {
+            assert_eq!(address(shard) % 128, 0);
+        }
+        assert_eq!(
+            address(1) - address(0),
+            core::mem::size_of::<CachePadded<ShardCache>>()
+        );
     }
 
     #[test]
@@ -836,7 +839,7 @@ mod tests {
         // SAFETY: the chain we just popped, pushed back exactly once.
         unsafe { shard.push_chain(class, chain) };
         // Drain the magazine dry, then keep popping: the refill takes the
-        // chain back without touching the shard's atomic hit counter.
+        // chain back.
         let mut recycled = Vec::new();
         while let Some(block) = local.pop(class, Some(&shard)) {
             recycled.push(block);
@@ -853,10 +856,13 @@ mod tests {
             "every block came back once"
         );
         assert_eq!(shard.cached_bytes(), 0);
-        assert_eq!(shard.hits(), 0, "magazine traffic is counted locally");
-        local.flush_stats(&shard);
-        assert_eq!(shard.hits(), LOCAL_MAGAZINE_CAP as u64 + 1);
-        assert_eq!(shard.misses(), 1, "the final empty pop");
+        // Magazine traffic is counted locally until the owner reports it.
+        let counters = SlotCounters::default();
+        local.flush_stats(&counters);
+        assert_eq!((local.hits, local.misses), (0, 0));
+        let stats = crate::stats::snapshot(|| core::iter::once(&counters), 0);
+        assert_eq!(stats.cache_hits, LOCAL_MAGAZINE_CAP as u64 + 1);
+        assert_eq!(stats.cache_misses, 1, "the final empty pop");
     }
 
     #[test]

@@ -582,7 +582,9 @@ pub fn handle_drop_order<R: Reclaimer>(reclaims: bool) {
 /// threads than slots register, allocate, retire, discard and drop in a loop,
 /// so every slot changes owner many times, and at quiescence the domain's
 /// totals equal what the threads themselves tallied — nothing lost at a
-/// hand-over, nothing counted twice.
+/// hand-over, nothing counted twice. That includes the block-cache tallies,
+/// which a handle folds into its slot's block once per pass: every
+/// allocation here is cacheable, so it is exactly one hit or one miss.
 ///
 /// `reclaims` is `false` for schemes that never run cleanup passes (`Leak`):
 /// for those nothing is scanned or freed and every retired block stays
@@ -649,6 +651,16 @@ pub fn stats_are_exact_across_slot_reuse<R: Reclaimer>(reclaims: bool) {
     assert_eq!(stats.freed, freed);
     assert_eq!(stats.unreclaimed, unreclaimed);
     assert_eq!((stats.adopted_batches, stats.freed_via_adoption), (0, 0));
+    // No shard caches, no magazines, nothing tallied: a scheme that never
+    // reclaims, or the layer switched off (`WFE_BLOCK_CACHE=0`).
+    let cached = reclaims && domain.config().block_cache.enabled;
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        if cached { allocated } else { 0 },
+        "{} hits, {} misses",
+        stats.cache_hits,
+        stats.cache_misses
+    );
 }
 
 /// Turns a table of schemes into their conformance tests: one module per

@@ -231,7 +231,7 @@ impl<P: Policy> Reclaimer for Domain<P> {
                 .map(|slot| &**slot)
         };
         let mut stats = stats::snapshot(written, era);
-        self.caches.merge_into(&mut stats);
+        stats.cached_bytes = self.caches.cached_bytes();
         stats
     }
 

@@ -125,6 +125,9 @@ use crate::ptr::{tag, Atomic};
 ///   `Shield` that owns the slot (from whichever thread drops it). A racing
 ///   `lease` either still sees `true` and skips the slot, or sees `false`
 ///   and takes a slot nobody owns any more.
+// LAYOUT: one handle's table, touched by the thread that runs that handle
+// (a shield dropped elsewhere is the exception); compact, so a lease scans
+// one line.
 #[derive(Debug)]
 pub struct ShieldSlots {
     /// `leased[i]` set ⇔ slot `i` is currently leased to a live `Shield`.

@@ -80,6 +80,10 @@ impl PoolStats {
 /// drop(pool); // parked handles tear down normally (orphan parking included)
 /// assert_eq!(domain.registry().registered(), 0);
 /// ```
+// LAYOUT: a check-out or check-in writes the stack head, the `parked` gauge
+// and its counters in one burst from one thread, and nothing reads one of
+// them without being about to write the others: one line is one transfer per
+// burst, a line each would be three.
 pub struct HandlePool<R: Reclaimer> {
     domain: Arc<R>,
     /// Parked handles (the lock-free freelist).

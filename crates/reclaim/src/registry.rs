@@ -79,6 +79,9 @@ fn thread_ordinal() -> usize {
 }
 
 /// Sharded allocator of dense thread indices in `0..max_threads`.
+// LAYOUT: everything a registration writes per shard is padded inside
+// `Shard`; `high_water` moves only when a slot index is handed out for the
+// first time and shares its line with geometry nobody writes.
 #[derive(Debug)]
 pub struct ThreadRegistry {
     shards: Box<[Shard]>,

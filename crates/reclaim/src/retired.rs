@@ -315,8 +315,8 @@ impl Drop for RetiredBatch {
 /// pass. Freed class blocks land on `local` (the scanning
 /// thread's private magazine), spilling into `shard` (its home-shard block
 /// cache) when the magazine fills; the magazine's hit/miss tallies are
-/// flushed to the shard at the end of the pass, so domain-level stats lag by
-/// at most one cleanup interval.
+/// folded into `counters` at the end of the pass, so domain-level stats lag
+/// by at most one cleanup interval.
 ///
 /// # Safety
 ///
@@ -349,8 +349,8 @@ pub unsafe fn cleanup_pass<S: ReservationSet>(
     }
     counters.on_free(tally.freed as u64);
     counters.on_scan(tally.scanned as u64);
-    if let (Some(local), Some(shard)) = (local, shard) {
-        local.flush_stats(shard);
+    if let Some(local) = local {
+        local.flush_stats(counters);
     }
 }
 
@@ -364,6 +364,9 @@ pub unsafe fn cleanup_pass<S: ReservationSet>(
 /// wide-CAS ends, recycled nodes — so it is lock-free and ABA-safe; whatever
 /// is still parked when the domain drops is freed by
 /// [`free_all`](Self::free_all).
+// LAYOUT: gauge and stack are written together, by a handle drop or by the
+// pass that adopts; between those the per-pass emptiness probe reads `blocks`
+// from a line nobody is writing.
 pub struct OrphanStack {
     stack: TypeStableStack<RetiredBatch>,
     /// Blocks currently parked (approximate between operations, exact when

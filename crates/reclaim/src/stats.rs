@@ -22,6 +22,8 @@ use wfe_sync::atomic::{AtomicU64, Ordering};
 /// update before the next owner's first, so the values carry over from owner
 /// to owner and are never reset: a slot's block is the running total of
 /// everything its successive handles did.
+// LAYOUT: single writer — the whole 80-byte block is one slot's, and the
+// domain pads it as a unit (`Box<[CachePadded<SlotCounters>]>`).
 #[derive(Debug, Default)]
 pub struct SlotCounters {
     /// Number of blocks allocated through `alloc_block`.
@@ -42,6 +44,11 @@ pub struct SlotCounters {
     slow_path: AtomicU64,
     /// Number of `help_thread` invocations (WFE only; 0 elsewhere).
     helps: AtomicU64,
+    /// Cacheable allocations the handle's magazine (or the chain it refilled
+    /// from its shard) served; folded in once per cleanup pass.
+    cache_hits: AtomicU64,
+    /// Cacheable allocations that went to the allocator; ditto.
+    cache_misses: AtomicU64,
 }
 
 /// The single-writer update: the slot's owner is the only thread that
@@ -104,6 +111,19 @@ impl SlotCounters {
     pub fn on_help(&self) {
         bump(&self.helps, 1);
     }
+
+    /// Records the block-cache hits and misses a handle's magazine tallied
+    /// since its last report
+    /// ([`LocalBlockCache::flush_stats`](crate::LocalBlockCache::flush_stats)).
+    #[inline]
+    pub fn on_cache(&self, hits: u64, misses: u64) {
+        if hits != 0 {
+            bump(&self.cache_hits, hits);
+        }
+        if misses != 0 {
+            bump(&self.cache_misses, misses);
+        }
+    }
 }
 
 /// Sums the counter blocks of a domain's slots into one report.
@@ -118,8 +138,8 @@ impl SlotCounters {
 /// (Reading `retired` first would miss a retire-and-free that lands between
 /// the two loads and under-report.)
 ///
-/// The cache fields are left at zero: those counters live on the per-shard
-/// caches and the owning domain merges them in (`BlockCaches::merge_into`).
+/// `cached_bytes` is left at zero: that gauge lives on the per-shard caches
+/// and the owning domain adds it (`BlockCaches::cached_bytes`).
 pub fn snapshot<'a, I>(slots: impl Fn() -> I, era: u64) -> SmrStats
 where
     I: Iterator<Item = &'a SlotCounters>,
@@ -139,6 +159,8 @@ where
         stats.freed_via_adoption += slot.freed_via_adoption.load(Ordering::Relaxed); // ORDER: statistics counter only.
         stats.slow_path += slot.slow_path.load(Ordering::Relaxed); // ORDER: statistics counter only.
         stats.helps += slot.helps.load(Ordering::Relaxed); // ORDER: statistics counter only.
+        stats.cache_hits += slot.cache_hits.load(Ordering::Relaxed); // ORDER: statistics counter only.
+        stats.cache_misses += slot.cache_misses.load(Ordering::Relaxed); // ORDER: statistics counter only.
     }
     debug_assert!(
         stats.retired >= freed,
@@ -171,10 +193,12 @@ pub struct SmrStats {
     pub slow_path: u64,
     /// `help_thread` calls performed (WFE only).
     pub helps: u64,
-    /// Cacheable allocations served from a shard's block cache (0 when the
-    /// cache is disabled). Merged from the per-shard caches at snapshot time.
+    /// Cacheable allocations served from the block cache — the handle's
+    /// magazine or a chain refilled from its shard (0 when the cache is
+    /// disabled). Counted per slot like the rest; a live handle reports once
+    /// per cleanup pass, so the figure lags by at most one pass's traffic.
     pub cache_hits: u64,
-    /// Cacheable allocations that found their shard's freelist empty and fell
+    /// Cacheable allocations that found magazine and shard empty and fell
     /// through to the allocator.
     pub cache_misses: u64,
     /// Bytes currently parked on the domain's block-cache freelists.
@@ -245,6 +269,9 @@ mod tests {
         slots[0].on_adoption(0);
         slots[1].on_slow_path();
         slots[0].on_help();
+        slots[0].on_cache(5, 0);
+        slots[1].on_cache(2, 3);
+        slots[1].on_cache(0, 0);
         let s = snapshot(|| slots.iter(), 42);
         assert_eq!(s.allocated, 2);
         assert_eq!(s.retired, 1);
@@ -255,6 +282,7 @@ mod tests {
         assert_eq!(s.freed_via_adoption, 1);
         assert_eq!(s.slow_path, 1);
         assert_eq!(s.helps, 1);
+        assert_eq!((s.cache_hits, s.cache_misses), (7, 3));
         assert_eq!(s.era, 42);
         assert_eq!(
             snapshot(|| slots[..0].iter(), 1),

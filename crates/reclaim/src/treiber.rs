@@ -26,6 +26,8 @@ struct Node<T> {
 /// Exported (hidden) so the deterministic model suite can drive the real
 /// implementation — and a de-versioned mutant of it — through exact
 /// interleavings; it is not part of the supported API.
+// LAYOUT: a push pops `spares` and pushes `head`, a pop the reverse: every
+// operation writes both, so one line is one transfer where two would be two.
 pub struct TypeStableStack<T> {
     /// `(node ptr, version)` — the version counter makes the CAS ABA-safe.
     head: AtomicPair,

@@ -17,6 +17,9 @@ use wfe_reclaim::{ERA_INF, INVPTR};
 use wfe_sync::AtomicPair;
 
 /// One slow-path request record.
+// LAYOUT: one record per (thread, slot) on a line of its own (`align(64)`):
+// the requester publishes all three words together, helpers read them
+// together, and only on the slow path.
 #[repr(align(64))]
 #[derive(Debug)]
 pub(crate) struct State {

@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use wfe_suite::wfe_reclaim::cache::outstanding_cached_allocs;
 use wfe_suite::wfe_reclaim::BlockCacheConfig;
 use wfe_suite::{
-    Ebr, Handle, He, Hp, Ibr2Ge, Leak, Linked, RawHandle, Reclaimer, ReclaimerConfig, Wfe,
+    ConcurrentQueue, CrTurnQueue, Ebr, Handle, He, Hp, Ibr2Ge, KoganPetrankQueue, Leak, Linked,
+    MichaelScottQueue, RawHandle, Reclaimer, ReclaimerConfig, Wfe, WfeHandle,
 };
 
 /// One test at a time: the allocation balance is process-wide.
@@ -138,6 +139,53 @@ fn discard_returns_the_block_to_the_magazine_or_the_allocator() {
     discard_goes_back_where_alloc_got_it::<Ebr>();
     discard_goes_back_where_alloc_got_it::<Ibr2Ge>();
     discard_goes_back_where_alloc_got_it::<Leak>();
+}
+
+/// Enqueues 40 elements and dequeues 7 on a fresh queue of a fresh two-thread
+/// WFE domain, lets `more` add what only this queue can do, and drops both:
+/// whatever is left in the queue — elements, the sentinel, request markers,
+/// descriptors — its `Drop` must hand back, each block once.
+fn queue_drop_frees_every_node<Q: ConcurrentQueue<Wfe>>(
+    more: impl FnOnce(&Q, &mut WfeHandle, &mut WfeHandle),
+) {
+    let before = outstanding_cached_allocs();
+    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+    let queue = Q::with_domain(std::sync::Arc::clone(&domain));
+    let (mut first, mut second) = (domain.register(), domain.register());
+    for value in 0..40 {
+        queue.enqueue(&mut first, value);
+    }
+    for _ in 0..7 {
+        assert!(queue.dequeue(&mut second).is_some());
+    }
+    more(&queue, &mut first, &mut second);
+    drop((first, second));
+    if let Some(balance) = outstanding_cached_allocs() {
+        assert!(balance > before.unwrap_or(0), "the queue still owns nodes");
+    }
+    drop(queue);
+    drop(domain);
+    assert_eq!(
+        outstanding_cached_allocs(),
+        before,
+        "a node outlived its queue"
+    );
+}
+
+#[test]
+fn dropping_a_padded_queue_frees_every_node() {
+    let _turn = exclusive();
+    // CRTurn: the walk from `head` and the three request arrays name some
+    // nodes twice (the sentinel is `deqhelp[tid]` of its dequeuer), a stalled
+    // enqueue leaves one that only `enqueuers` names, and after the first
+    // dequeue nothing but `first_sentinel` names the node the queue was built
+    // around (a leak of one block per queue until this test found it).
+    queue_drop_frees_every_node::<CrTurnQueue<u64, Wfe>>(|queue, first, second| {
+        assert!(queue.dequeue(first).is_some());
+        queue.stall_enqueue_publish(second, 99);
+    });
+    queue_drop_frees_every_node::<KoganPetrankQueue<u64, Wfe>>(|_, _, _| {});
+    queue_drop_frees_every_node::<MichaelScottQueue<u64, Wfe>>(|_, _, _| {});
 }
 
 /// One step of the magazine/shard differential: `handle` is 0 or 1.

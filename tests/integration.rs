@@ -225,6 +225,61 @@ queue_matrix! {
     ms_queue_under_ibr: Ibr2Ge, MichaelScottQueue;
 }
 
+/// More threads than cores in enqueue + dequeue pairs on a queue that stays a
+/// few elements long: a thread is regularly preempted between protecting the
+/// tail and protecting the tail's successor, and by the time it runs again
+/// that successor has been dequeued, retired and — descriptors and nodes
+/// share a size class — recycled as a descriptor. `help_finish_enq` used to
+/// read `enq_tid` out of that memory before re-validating the tail: an
+/// index-out-of-bounds panic in 9 release runs of 9 (after 0.2 to 14 s; one
+/// run in four of this 3-second test) at the commit before the fix, none in
+/// 6 × 20 s after it. Probabilistic, and a debug build is ten times slower:
+/// what always holds is conservation.
+#[test]
+fn kp_queue_oversubscribed_pairs_on_a_short_queue() {
+    const THREADS: u64 = 6;
+    let budget = std::time::Duration::from_secs(3);
+    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(THREADS as usize + 1));
+    let queue = KoganPetrankQueue::<u64, Wfe>::new(Arc::clone(&domain));
+    // Per thread, (elements, their sum) enqueued minus dequeued, wrapping.
+    let balances: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (queue, domain) = (&queue, &domain);
+                scope.spawn(move || {
+                    let mut handle = domain.register();
+                    let (mut sent, mut balance) = (0u64, (0u64, 0u64));
+                    let began = std::time::Instant::now();
+                    while began.elapsed() < budget {
+                        for _ in 0..256 {
+                            let value = (t << 40) | sent;
+                            sent += 1;
+                            queue.enqueue(&mut handle, value);
+                            balance = (balance.0 + 1, balance.1.wrapping_add(value));
+                            if let Some(value) = queue.dequeue(&mut handle) {
+                                balance = (balance.0 - 1, balance.1.wrapping_sub(value));
+                            }
+                        }
+                    }
+                    balance
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("a worker panicked"))
+            .collect()
+    });
+    let mut left = balances.iter().fold((0u64, 0u64), |sum, balance| {
+        (sum.0.wrapping_add(balance.0), sum.1.wrapping_add(balance.1))
+    });
+    let mut handle = domain.register();
+    while let Some(value) = queue.dequeue(&mut handle) {
+        left = (left.0.wrapping_sub(1), left.1.wrapping_sub(value));
+    }
+    assert_eq!(left, (0, 0), "every element enqueued came out exactly once");
+}
+
 #[test]
 fn crturn_helping_completes_operations_of_a_stalled_thread() {
     // The observable wait-free property: one thread stalls mid-operation

@@ -6,9 +6,10 @@
 //! checker silently skips it; every weakened memory ordering is a proof
 //! obligation; every `unsafe` block is a contract; and every data structure's
 //! `REQUIRED_SLOTS` must equal the shields its widest operation actually
-//! leases. This tool walks every `.rs` file under `crates/`, `src/` and
-//! `tests/` of the workspace and enforces exactly those four rules — see
-//! [`rules`] for the inventory and the allow-marker grammar.
+//! leases; and which shared words sit on one cache line is a decision, not an
+//! accident of field order. This tool walks every `.rs` file under `crates/`,
+//! `src/` and `tests/` of the workspace and enforces exactly those five rules
+//! — see [`rules`] for the inventory and the allow-marker grammar.
 //!
 //! It is deliberately dependency-free (a hand-rolled [`lexer`], no `syn`):
 //! the build container has no network, and the analyzer must never be the
@@ -103,6 +104,7 @@ pub fn run(config: &Config) -> io::Result<Report> {
             &mut report.audits,
             &mut report.violations,
         );
+        rules::check_shared_lines(&rel, &lexed, &tests, &mut report.violations);
     }
     report
         .violations

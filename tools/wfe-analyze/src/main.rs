@@ -36,7 +36,7 @@ fn main() -> ExitCode {
                      USAGE: wfe-analyze [--root PATH] [--deny] [--write-ledger]\n\
                      \n\
                      Rules: raw-atomic, undocumented-unsafe, unjustified-ordering,\n\
-                     shield-budget. Allow markers: `// wfe-analyze: allow(<rule>)`\n\
+                     shield-budget, shared-line. Allow markers: `// wfe-analyze: allow(<rule>)`\n\
                      attached to the offending line. See docs/ARCHITECTURE.md,\n\
                      \"Static analysis & sanitizers\"."
                 );

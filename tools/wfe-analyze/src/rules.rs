@@ -1,4 +1,4 @@
-//! The four reclamation-specific rules.
+//! The five reclamation-specific rules.
 //!
 //! | rule | marker | what it enforces |
 //! |------|--------|------------------|
@@ -6,6 +6,7 @@
 //! | `undocumented-unsafe` | `wfe-analyze: allow(undocumented-unsafe)` | every `unsafe` block / `unsafe fn` / `unsafe impl` carries a `// SAFETY:` comment (or a `# Safety` doc section) |
 //! | `unjustified-ordering` | `wfe-analyze: allow(unjustified-ordering)` | every non-`SeqCst` `Ordering` in shipped code carries an `// ORDER:` justification; all sites are emitted into `docs/ORDERINGS.md` |
 //! | `shield-budget` | `wfe-analyze: allow(shield-budget)` | the statically-counted `.shield()` leases per operation equal the structure's declared `REQUIRED_SLOTS` |
+//! | `shared-line` | `wfe-analyze: allow(shared-line)` | a struct of the reclaimer, the structures or the task layer that keeps two or more atomic fields, not all of them `CachePadded`, says in a `// LAYOUT:` comment why they may share a cache line |
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -414,7 +415,7 @@ pub fn check_shield_budget(
                 j += 1;
             }
             if let Some(open) = open {
-                let close = match_brace(toks, open);
+                let close = match_delim(toks, open);
                 fns.push(FnBody {
                     name,
                     range: (open + 1, close),
@@ -469,22 +470,6 @@ pub fn check_shield_budget(
             ),
         });
     }
-}
-
-/// Index of the `}` matching the `{` at `open`.
-fn match_brace(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if is_punct(t, "{") {
-            depth += 1;
-        } else if is_punct(t, "}") {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// Leases acquired by one invocation of `fns[n]`:
@@ -543,7 +528,7 @@ fn fn_leases(
                     k += 1;
                     // Body: a block, or an expression up to the let's `;`.
                     let body_end = if toks.get(k).is_some_and(|t| is_punct(t, "{")) {
-                        match_brace(toks, k)
+                        match_delim(toks, k)
                     } else {
                         let mut d = 0i32;
                         let mut m = k;
@@ -629,4 +614,176 @@ fn count_shield_sites(toks: &[Tok], start: usize, end: usize) -> usize {
         }
     }
     count
+}
+
+// ---------------------------------------------------------------------------
+// Rule 5: shared cache lines
+// ---------------------------------------------------------------------------
+
+/// The crates whose structs are shared between threads on a hot path.
+const LAYOUT_SCOPES: [&str; 4] = [
+    "crates/reclaim/src/",
+    "crates/wfe/src/",
+    "crates/ds/src/",
+    "crates/task/src/",
+];
+
+/// Types some thread writes through a shared reference: the `wfe_sync`
+/// atomics and the wrappers the suite builds from them.
+const ATOMIC_TYPES: [&str; 10] = [
+    "Atomic",
+    "AtomicUsize",
+    "AtomicU64",
+    "AtomicI64",
+    "AtomicBool",
+    "AtomicU8",
+    "AtomicPtr",
+    "AtomicPair",
+    "EraSource",
+    "TypeStableStack",
+];
+
+/// Flags structs that keep two or more fields of atomic type, at least one
+/// of them outside `CachePadded<..>`, without saying why those may share a
+/// cache line: a `// LAYOUT:` comment attached to the struct covers all of
+/// its fields, one attached to a field covers that field. A field counts by
+/// the identifiers of its type, so a boxed array of atomics counts like the
+/// atomics it points at — whether its entries are padded is a layout decision
+/// too.
+pub fn check_shared_lines(file: &str, lexed: &Lexed, tests: &TestSpans, out: &mut Vec<Violation>) {
+    if !LAYOUT_SCOPES.iter().any(|scope| file.starts_with(scope)) {
+        return;
+    }
+    let toks = &lexed.toks;
+    for i in 0..toks.len() {
+        if !is_ident(&toks[i], "struct")
+            || tests.contains(i)
+            || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
+        {
+            continue;
+        }
+        let Some((open, close)) = struct_body(toks, i + 2) else {
+            continue; // unit struct
+        };
+        let struct_line = toks[i].line;
+        if has_tag(&lexed.lines, struct_line, "LAYOUT:")
+            || allowed(&lexed.lines, struct_line, "shared-line")
+        {
+            continue;
+        }
+        let fields = split_fields(toks, open + 1, close);
+        let has_ident = |&(a, b): &(usize, usize), names: &[&str]| {
+            toks[a..b]
+                .iter()
+                .any(|t| names.iter().any(|n| is_ident(t, n)))
+        };
+        let atomic: Vec<&(usize, usize)> = fields
+            .iter()
+            .filter(|field| has_ident(field, &ATOMIC_TYPES))
+            .collect();
+        let unjustified: Vec<String> = atomic
+            .iter()
+            .filter(|field| !has_ident(field, &["CachePadded"]))
+            .filter(|field| !has_tag(&lexed.lines, toks[field.0].line, "LAYOUT:"))
+            .map(|field| format!("`{}`", toks[field.0].text))
+            .collect();
+        if atomic.len() < 2 || unjustified.is_empty() {
+            continue;
+        }
+        out.push(Violation {
+            file: file.to_string(),
+            line: struct_line + 1,
+            rule: "shared-line",
+            message: format!(
+                "struct `{}` keeps {} atomic fields and {} may share a cache line with the \
+                 others; pad what one thread writes while another reads its neighbour \
+                 (`CachePadded`), or give the reason one line is right in a `// LAYOUT:` \
+                 comment on the struct or the field",
+                toks[i + 1].text,
+                atomic.len(),
+                unjustified.join(", "),
+            ),
+        });
+    }
+}
+
+/// The token range of a struct's field list — exclusive of its `{}` or `()`
+/// — given the index just past the struct's name; `None` for a unit struct.
+fn struct_body(toks: &[Tok], after_name: usize) -> Option<(usize, usize)> {
+    let mut angle = 0i32;
+    // A `(` after `where` belongs to a bound (`F: Fn(u64) -> u64`), not to a
+    // tuple struct, whose fields come before its where-clause.
+    let mut in_where = false;
+    for j in after_name..toks.len() {
+        match toks[j].text.as_str() {
+            "<" => angle += 1,
+            ">" if !is_punct(&toks[j - 1], "-") => angle -= 1,
+            "where" => in_where = true,
+            "(" if angle == 0 && in_where => {}
+            "{" | "(" if angle == 0 => return Some((j, match_delim(toks, j))),
+            ";" if angle == 0 => return None,
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Index of the delimiter closing the `{`, `(` or `[` at `open`.
+fn match_delim(toks: &[Tok], open: usize) -> usize {
+    let opening = toks[open].text.as_str();
+    let closing = match opening {
+        "{" => "}",
+        "(" => ")",
+        _ => "]",
+    };
+    let mut depth = 0;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        if is_punct(t, opening) {
+            depth += 1;
+        } else if is_punct(t, closing) {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    toks.len().saturating_sub(1)
+}
+
+/// Splits `toks[start..end]` — a struct's field list — at its top-level
+/// commas, and trims attributes and visibility off each field: what is left
+/// starts at the field's name (its type, in a tuple struct).
+fn split_fields(toks: &[Tok], start: usize, end: usize) -> Vec<(usize, usize)> {
+    let mut fields = Vec::new();
+    let mut depth = 0i32;
+    let mut field_start = start;
+    for j in start..=end {
+        let text = if j < end { toks[j].text.as_str() } else { "," };
+        match text {
+            "(" | "[" | "{" | "<" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            ">" if !is_punct(&toks[j - 1], "-") => depth -= 1,
+            "," if depth == 0 => {
+                let mut a = field_start;
+                loop {
+                    if a + 1 < j && is_punct(&toks[a], "#") && is_punct(&toks[a + 1], "[") {
+                        a = match_delim(toks, a + 1) + 1;
+                    } else if a < j && is_ident(&toks[a], "pub") {
+                        a += 1;
+                        if a < j && is_punct(&toks[a], "(") {
+                            a = match_delim(toks, a) + 1;
+                        }
+                    } else {
+                        break;
+                    }
+                }
+                if a < j {
+                    fields.push((a, j));
+                }
+                field_start = j + 1;
+            }
+            _ => {}
+        }
+    }
+    fields
 }

@@ -173,6 +173,42 @@ fn shield_budget_fail() {
 }
 
 // ---------------------------------------------------------------------------
+// Rule 5: shared cache lines
+// ---------------------------------------------------------------------------
+
+#[test]
+fn shared_line_pass() {
+    // All padded, a struct-level `LAYOUT:`, one per unpadded field, a lone
+    // atomic, the allow-marker, test code, and a crate outside the rule's
+    // scope: none is a finding.
+    let report = analyze("shared_line/pass");
+    assert_eq!(report.files_scanned, 2);
+    assert_eq!(triples(&report), vec![]);
+}
+
+#[test]
+fn shared_line_fail() {
+    let report = analyze("shared_line/fail");
+    assert_eq!(
+        triples(&report),
+        vec![
+            ("shared-line", "crates/reclaim/src/lib.rs", 6),
+            ("shared-line", "crates/reclaim/src/lib.rs", 14),
+            ("shared-line", "crates/reclaim/src/lib.rs", 27),
+        ]
+    );
+    // The finding names the fields that still need a reason: not the padded
+    // one, not the justified one — and a blank line ends a justification's
+    // reach. (The `(` of the where-clause's `Fn(u64)` is not a tuple body.)
+    let map = &report.violations[1].message;
+    assert!(map.contains("struct `Map` keeps 4 atomic fields"), "{map}");
+    assert!(map.contains("`resizes`, `requests` may share"), "{map}");
+    assert!(report.violations[2]
+        .message
+        .contains("`AtomicU64`, `AtomicPair`"));
+}
+
+// ---------------------------------------------------------------------------
 // The workspace itself
 // ---------------------------------------------------------------------------
 
