@@ -252,8 +252,9 @@ impl<T: Copy, R: Reclaimer> KoganPetrankQueue<T, R> {
             // go through `sh.desc`/`sh.desc_aux`, so `last_ref` stays pinned
             // until the next loop iteration.
             let last_ref = unsafe { last.as_ref() }.expect("the tail is never null");
-            let next = last_ref.next.load(Ordering::Acquire); // ORDER: pairs with the AcqRel append of the successor.
-                                                              // ORDER: tail re-validation; pairs with the AcqRel tail swing.
+            // ORDER: pairs with the AcqRel append of the successor.
+            let next = last_ref.next.load(Ordering::Acquire);
+            // ORDER: tail re-validation; pairs with the AcqRel tail swing.
             if last.as_raw() != self.tail.load(Ordering::Acquire) {
                 continue;
             }
@@ -588,10 +589,11 @@ impl<T, R: Reclaimer> Drop for KoganPetrankQueue<T, R> {
         // descriptor of every thread slot.
         let mut cur = self.head.load(Ordering::Relaxed); // ORDER: Drop has exclusive access.
         while !cur.is_null() {
+            // ORDER: Drop has exclusive access.
             // SAFETY: `Drop` has exclusive access; every queued node is
             // valid and freed exactly once.
-            let next = unsafe { (*cur).value.next.load(Ordering::Relaxed) }; // ORDER: Drop has exclusive access.
-                                                                             // SAFETY: as above — exclusive access, freed exactly once.
+            let next = unsafe { (*cur).value.next.load(Ordering::Relaxed) };
+            // SAFETY: as above — exclusive access, freed exactly once.
             unsafe { Linked::dealloc(cur) };
             cur = next;
         }

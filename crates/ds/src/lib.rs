@@ -21,6 +21,11 @@
 //! * [`MichaelScottQueue`] — the classic lock-free MS queue, included as an
 //!   additional baseline workload.
 //!
+//! The list and both hash maps are one algorithm and share one core
+//! (`ordered.rs`, private to this crate): Harris-Michael `find`, link,
+//! mark-and-unlink and the `Drop` walk are written once, generic over the
+//! key type and told by each structure where to start.
+//!
 //! Every operation takes an explicit `&mut R::Handle`: the per-thread
 //! reclamation handle obtained from [`wfe_reclaim::Reclaimer::register`].
 //! Internally each operation leases its [`wfe_reclaim::Shield`]s, opens a
@@ -42,6 +47,7 @@ pub mod kp_queue;
 pub mod michael_list;
 pub mod ms_queue;
 pub mod natarajan_bst;
+pub(crate) mod ordered;
 pub mod resizable_map;
 pub mod traits;
 pub mod treiber_stack;

@@ -255,9 +255,10 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
         } else {
             (&parent_ref.right, &parent_ref.left)
         };
-        let child_val = child_edge.load(Ordering::Acquire); // ORDER: pairs with the AcqRel flag/tag edge CASes.
-                                                            // The flagged edge points to the leaf being deleted. If it is not the
-                                                            // edge on our search path, we are helping a deletion of the sibling.
+        // ORDER: pairs with the AcqRel flag/tag edge CASes.
+        let child_val = child_edge.load(Ordering::Acquire);
+        // The flagged edge points to the leaf being deleted. If it is not the
+        // edge on our search path, we are helping a deletion of the sibling.
         let (flagged_edge, promote_edge) = if tag::tag_of(child_val) & FLAG != 0 {
             (child_edge, sibling_edge)
         } else {

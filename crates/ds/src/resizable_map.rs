@@ -27,32 +27,32 @@
 //! [`Shield`]: wfe_reclaim::Shield
 
 use std::sync::Arc;
-use wfe_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use wfe_reclaim::ptr::tag;
 use wfe_reclaim::{Atomic, Guard, Handle, Linked, Protected, Reclaimer, Shield};
 use wfe_sync::CachePadded;
 
 use crate::hash::mix64;
+use crate::ordered::{self, Cursor, Start};
 use crate::traits::{ConcurrentMap, MapServiceStats};
 
-/// Mark bit set on `next` when the owning node is logically deleted.
-const MARK: usize = 1;
+/// The chain's key, `(split-order key, key)`; its lexicographic order is the
+/// total order of the list.
+///
+/// The split-order key is `reverse_bits(mix64(key)) | 1` for data nodes
+/// (odd) and `reverse_bits(bucket)` for dummies (even) — so a bucket's dummy
+/// sorts immediately before the bucket's data run and the two kinds never
+/// collide. The second component is the user key for data nodes and the
+/// bucket index for dummies; it breaks the tie between data keys whose
+/// split-order keys are equal.
+type SoKey = (u64, u64);
 
-/// A node of the split-ordered list: either a data node (`value` is `Some`)
-/// or a bucket dummy (`value` is `None`, never retired).
-pub struct Node<V> {
-    /// Split-order key: `reverse_bits(mix64(key)) | 1` for data nodes (odd),
-    /// `reverse_bits(bucket)` for dummies (even) — so a bucket's dummy sorts
-    /// immediately before the bucket's data run and the two kinds never
-    /// collide.
-    so_key: u64,
-    /// The user key for data nodes, the bucket index for dummies (used only
-    /// as a tie-break so equal `so_key`s still have a total order).
-    key: u64,
-    value: Option<V>,
-    next: Atomic<Node<V>>,
-}
+/// A node of the split-ordered list: either a data node (the value is
+/// `Some`) or a bucket dummy (`None`, never marked, never retired).
+pub type Node<V> = ordered::Node<SoKey, Option<V>>;
+
+/// One map operation's cursor over the split-ordered list.
+type ListCursor<'g, V, R> = Cursor<'g, SoKey, Option<V>, <R as Reclaimer>::Handle>;
 
 /// The bucket directory: the retirable array of cached dummy pointers.
 ///
@@ -61,15 +61,6 @@ pub struct Node<V> {
 /// initialised lazily from its parent bucket.
 struct Directory<V> {
     slots: Box<[Atomic<Node<V>>]>,
-}
-
-/// The result of a split-ordered `find`, identical in shape to the
-/// Harris-Michael window: `prev_src` is the link that led to `curr`, `curr`
-/// the first node with `(so_key, key) >=` the target.
-struct Window<'g, V> {
-    prev_src: &'g Atomic<Node<V>>,
-    curr: Protected<'g, Node<V>>,
-    found: bool,
 }
 
 /// Shalev-Herlihy split-ordered hash map, parameterised by the reclamation
@@ -90,9 +81,13 @@ pub struct ResizableHashMap<V, R: Reclaimer> {
     /// superseded array is retired through the domain.
     dir: Atomic<Directory<V>>,
     /// The immortal bucket-0 dummy: the head of the whole split-ordered list
-    /// (its `so_key` 0 is the global minimum).
+    /// (its split-order key 0 is the global minimum).
     head: Atomic<Node<V>>,
-    /// Data nodes currently in the map (dummies excluded).
+    /// Data nodes currently in the map (dummies excluded): one wrapping
+    /// `fetch_add` / `fetch_sub` per successful insert / remove, each after
+    /// the operation took effect. A `remove` can therefore count before the
+    /// `insert` whose node it removed, so the word is read as signed and
+    /// clamped at zero ([`settled`]).
     len: CachePadded<AtomicUsize>,
     /// Mirror of the current directory size, readable without protection
     /// (stats and the resize trigger must not open a bracket).
@@ -102,9 +97,10 @@ pub struct ResizableHashMap<V, R: Reclaimer> {
     /// Cumulative bucket slots carried from superseded arrays into their
     /// replacements.
     migrated: AtomicU64,
-    /// Test-only mutant switch: replaces the publish CAS of `try_resize`
+    /// Model-build mutant switch: replaces the publish CAS of `try_resize`
     /// with a de-fenced load/check/store (see `debug_set_racy_publish`).
-    racy_publish: AtomicBool,
+    #[cfg(wfe_model)]
+    racy_publish: wfe_sync::atomic::AtomicBool,
     domain: Arc<R>,
 }
 
@@ -138,16 +134,19 @@ fn parent_bucket(bucket: usize) -> usize {
     bucket ^ (1usize << (usize::BITS - 1 - bucket.leading_zeros()))
 }
 
-/// `(so_key, key)` lexicographic order — the total order of the list.
+/// The entry count a raw `len` word stands for: the word read as signed,
+/// clamped at zero. It is transiently negative while removes have counted
+/// and the inserts they undid have not.
 #[inline]
-fn precedes(a_so: u64, a_key: u64, b_so: u64, b_key: u64) -> bool {
-    a_so < b_so || (a_so == b_so && a_key < b_key)
+fn settled(raw_len: usize) -> usize {
+    (raw_len as isize).max(0) as usize
 }
 
 impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     /// Reservation slots the map needs per thread: one for the bucket
-    /// directory plus the hand-over-hand `(prev, curr)` list window.
-    pub const REQUIRED_SLOTS: usize = 3;
+    /// directory plus the hand-over-hand `(prev, curr)` window of the
+    /// ordered-chain core.
+    pub const REQUIRED_SLOTS: usize = 1 + ordered::REQUIRED_SLOTS;
 
     /// Initial directory size of [`new`](Self::new): deliberately tiny so
     /// realistic workloads exercise the resize path.
@@ -184,15 +183,7 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
         // The bucket-0 dummy is the head of the split-ordered list and lives
         // for the whole map (it is never retired), so era 0 is correct: it
         // predates every reservation.
-        let head = Linked::alloc(
-            Node {
-                so_key: dummy_so_key(0),
-                key: 0,
-                value: None,
-                next: Atomic::null(),
-            },
-            0,
-        );
+        let head = Linked::alloc(Node::unlinked((dummy_so_key(0), 0), None), 0);
         let slots: Box<[Atomic<Node<V>>]> = (0..buckets)
             .map(|bucket| {
                 if bucket == 0 {
@@ -210,7 +201,8 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
             buckets: AtomicUsize::new(buckets),
             resizes: AtomicU64::new(0),
             migrated: AtomicU64::new(0),
-            racy_publish: AtomicBool::new(false),
+            #[cfg(wfe_model)]
+            racy_publish: wfe_sync::atomic::AtomicBool::new(false),
             domain,
         }
     }
@@ -220,10 +212,10 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
         &self.domain
     }
 
-    /// Number of data entries currently in the map (racy but monotonic
-    /// between quiescent points).
+    /// Number of data entries currently in the map (racy, exact at quiescent
+    /// points).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire) // ORDER: advisory size read; pairs with the AcqRel len updates.
+        settled(self.len.load(Ordering::Acquire)) // ORDER: advisory size read; pairs with the AcqRel len updates.
     }
 
     /// `true` when [`len`](Self::len) is zero.
@@ -247,36 +239,12 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
         }
     }
 
-    /// Leases the two shields of the hand-over-hand list window from the
-    /// operation's guard.
-    fn window_shields<'g>(guard: &'g Guard<'_, R::Handle>) -> [Shield<'g, Node<V>, R::Handle>; 2] {
-        let lease = || {
-            guard
-                .shield()
-                .expect("ResizableHashMap: reservation slots exhausted (find needs two Shields)")
-        };
-        [lease(), lease()]
-    }
-
     /// Leases the shield protecting the bucket directory from the
     /// operation's guard.
     fn dir_shield<'g>(guard: &'g Guard<'_, R::Handle>) -> Shield<'g, Directory<V>, R::Handle> {
         guard
             .shield()
             .expect("ResizableHashMap: reservation slots exhausted (the directory needs a Shield)")
-    }
-
-    /// The `next` link of an immortal dummy, with a caller-chosen lifetime.
-    ///
-    /// # Safety
-    ///
-    /// `dummy` must be one of this map's dummy nodes: dummies are never
-    /// retired, so the reference cannot dangle for any lifetime shorter than
-    /// the map's.
-    #[inline]
-    unsafe fn dummy_next<'a>(dummy: *mut Linked<Node<V>>) -> &'a Atomic<Node<V>> {
-        // SAFETY: forwarded contract — the dummy is immortal.
-        unsafe { &(*dummy).value.next }
     }
 
     /// Protects and returns the current directory.
@@ -287,98 +255,32 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     ) -> (Protected<'g, Directory<V>>, &'g Directory<V>) {
         let dir = dir_shield.protect(guard, &self.dir, None);
         // SAFETY: `dir_shield` is not re-protected while the reference is in
-        // use (each retry iteration re-protects only after the previous
-        // reference is dead), and the directory pointer is never null.
+        // use (an operation protects the directory once), and the directory
+        // pointer is never null.
         let dir_ref = unsafe { dir.as_ref() }.expect("directory pointer is never null");
         (dir, dir_ref)
     }
 
-    /// Split-ordered `find` from `dummy`'s link: positions the window at the
-    /// first node with `(so_key, key) >=` the target, unlinking and retiring
-    /// logically deleted nodes on the way. Restarting on interference goes
-    /// back to `dummy` (never the global head) — dummies are immortal and
-    /// never marked, so the restart point is always valid.
-    fn find_from<'g>(
+    /// The preamble of every operation on `key`: protects the current
+    /// directory, picks the key's bucket under it and returns that bucket's
+    /// dummy as the start of the list traversal — the operation goes back to
+    /// the same dummy (never the directory, never the global head) whenever
+    /// another thread interferes.
+    fn bucket_start<'g>(
         &'g self,
         guard: &'g Guard<'_, R::Handle>,
-        shields: &mut [Shield<'_, Node<V>, R::Handle>; 2],
-        dummy: *mut Linked<Node<V>>,
-        so_key: u64,
+        dir_shield: &mut Shield<'_, Directory<V>, R::Handle>,
+        cursor: &mut ListCursor<'g, V, R>,
         key: u64,
-    ) -> Window<'g, V> {
-        'retry: loop {
-            // SAFETY: `dummy` is immortal (the sentinel case of
-            // `from_unlinked`), so it may serve as the window's parent
-            // without a reservation.
-            let mut prev: Protected<'g, Node<V>> = unsafe { Protected::from_unlinked(dummy) };
-            // SAFETY: as above — immortal dummy.
-            let mut prev_src: &'g Atomic<Node<V>> = unsafe { Self::dummy_next(dummy) };
-            // Which of the two shields currently protects `curr` (the other
-            // protects `prev`); they swap as the window slides.
-            let mut shield_curr = 0usize;
-            let mut curr = shields[shield_curr].protect(guard, prev_src, Some(prev));
-            loop {
-                if curr.is_null() {
-                    return Window {
-                        prev_src,
-                        curr: Protected::null(),
-                        found: false,
-                    };
-                }
-                if curr.tag() != 0 {
-                    // The link we came through is marked, i.e. `prev` itself
-                    // is being deleted: restart from the bucket dummy.
-                    continue 'retry;
-                }
-                // SAFETY: `curr` is protected by `shields[shield_curr]`;
-                // that shield is only re-protected after `curr` leaves the
-                // window (the other shield covers `prev`), so the reference
-                // stays pinned while it is used.
-                let curr_ref = unsafe { curr.as_ref() }.expect("non-null protected node");
-                let next_raw = curr_ref.next.load(Ordering::Acquire); // ORDER: pairs with the AcqRel link and mark writes on `next`.
-                if tag::tag_of(next_raw) == MARK {
-                    // `curr` is logically deleted: unlink it and retire it.
-                    let next = tag::untagged(next_raw);
-                    match prev_src.compare_exchange(
-                        curr.as_raw(),
-                        next,
-                        Ordering::AcqRel, // ORDER: success publishes the unlink; failure observes the winner.
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: we won the unlink CAS, so `curr` is
-                            // unreachable and ours to retire exactly once.
-                            unsafe { curr.retire_in(guard) };
-                            curr = shields[shield_curr].protect(guard, prev_src, Some(prev));
-                            continue;
-                        }
-                        Err(_) => continue 'retry,
-                    }
-                }
-                let (curr_so, curr_key) = (curr_ref.so_key, curr_ref.key);
-                // Validate that `curr` is still linked after we protected
-                // it; if not, the keys we just read may belong to a node
-                // that was removed and the window would be stale.
-                // ORDER: window re-validation; pairs with AcqRel link/unlink CASes.
-                if prev_src.load(Ordering::Acquire) != curr.as_raw() {
-                    continue 'retry;
-                }
-                if !precedes(curr_so, curr_key, so_key, key) {
-                    return Window {
-                        prev_src,
-                        curr,
-                        found: curr_so == so_key && curr_key == key,
-                    };
-                }
-                // Advance hand-over-hand: `curr` becomes the new `prev` and
-                // keeps its shield; `prev`'s shield is recycled for the new
-                // `curr`.
-                prev = curr;
-                prev_src = &curr_ref.next;
-                shield_curr = 1 - shield_curr;
-                curr = shields[shield_curr].protect(guard, prev_src, Some(prev));
-            }
-        }
+    ) -> Start<'g, SoKey, Option<V>> {
+        let (_, dir) = self.current_dir(guard, dir_shield);
+        let bucket = mix64(key) as usize & (dir.slots.len() - 1);
+        let dummy = self.bucket_dummy(cursor, dir, bucket);
+        // SAFETY: `bucket_dummy` returns dummies only. A dummy is immortal:
+        // `remove` is only ever called with (odd) data keys, so no dummy is
+        // marked, and dummies are freed by the map's `Drop` alone, which
+        // `'g` — a borrow of the map — cannot outlast.
+        unsafe { Start::after(dummy) }
     }
 
     /// Returns bucket `bucket`'s dummy under `dir`, splicing it into the
@@ -391,9 +293,8 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     /// protocol exists for.
     fn bucket_dummy<'g>(
         &'g self,
-        guard: &'g Guard<'_, R::Handle>,
-        shields: &mut [Shield<'_, Node<V>, R::Handle>; 2],
-        dir: &'g Directory<V>,
+        cursor: &mut ListCursor<'g, V, R>,
+        dir: &Directory<V>,
         bucket: usize,
     ) -> *mut Linked<Node<V>> {
         let slot = &dir.slots[bucket];
@@ -401,60 +302,21 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
         if !cached.is_null() {
             return cached;
         }
-        if bucket == 0 {
+        let dummy = if bucket == 0 {
             // Slot 0 of a replacement directory could only be null if the
             // copy raced construction, which cannot happen (the head is
             // cached before the map is shared); recover regardless.
-            let head = self.head.load(Ordering::Relaxed); // ORDER: the head is fixed at construction; no ordering needed.
-            let _ = slot.compare_exchange(
-                core::ptr::null_mut(),
-                head,
-                Ordering::AcqRel, // ORDER: success publishes the cached head; failure means another thread cached it.
-                Ordering::Acquire,
-            );
-            return head;
-        }
-        let parent = self.bucket_dummy(guard, shields, dir, parent_bucket(bucket));
-        let (so_key, key) = (dummy_so_key(bucket), bucket as u64);
-        let mut node: *mut Linked<Node<V>> = core::ptr::null_mut();
-        let dummy = loop {
-            let window = self.find_from(guard, shields, parent, so_key, key);
-            if window.found {
-                // Another thread spliced the dummy in first: adopt it.
-                if !node.is_null() {
-                    // SAFETY: our candidate never became reachable;
-                    // discarded exactly once.
-                    unsafe { guard.discard(node) };
-                }
-                break window.curr.as_raw();
-            }
-            if node.is_null() {
-                node = guard.alloc(Node {
-                    so_key,
-                    key,
-                    value: None,
-                    next: Atomic::null(),
-                });
-            }
-            // SAFETY: `node` is owned and unpublished until the CAS succeeds.
-            unsafe {
-                (*node)
-                    .value
-                    .next
-                    .store(window.curr.as_raw(), Ordering::Release) // ORDER: publishes the node's link before the CAS publishes the node.
-            };
-            if window
-                .prev_src
-                .compare_exchange(
-                    window.curr.as_raw(),
-                    node,
-                    Ordering::AcqRel, // ORDER: success publishes the node; failure observes the winning link.
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                break node;
-            }
+            self.head.load(Ordering::Relaxed) // ORDER: the head is fixed at construction; no ordering needed.
+        } else {
+            let parent = self.bucket_dummy(cursor, dir, parent_bucket(bucket));
+            // SAFETY: `parent` is a dummy of this map, immortal as argued in
+            // `bucket_start`; the start does not outlive this call.
+            let start = unsafe { Start::after(parent) };
+            // Ours if the splice linked it; if another thread spliced the
+            // dummy in first, adopt that one (the core has discarded ours).
+            let (Ok(dummy) | Err(dummy)) =
+                cursor.insert(&start, (dummy_so_key(bucket), bucket as u64), None);
+            dummy
         };
         // Cache the dummy; a lost race cached the same pointer (exactly one
         // dummy per split-order key is ever in the list).
@@ -470,60 +332,19 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
     /// Inserts `key → value`; returns `false` (dropping `value`) if the key
     /// is already present. May trigger a directory doubling on the way out.
     pub fn insert(&self, handle: &mut R::Handle, key: u64, value: V) -> bool {
-        let so_key = data_so_key(key);
         let inserted = {
             let guard = handle.enter();
             let mut dir_shield = Self::dir_shield(&guard);
-            let mut shields = Self::window_shields(&guard);
-            let node = guard.alloc(Node {
-                so_key,
-                key,
-                value: Some(value),
-                next: Atomic::null(),
-            });
-            loop {
-                let (_dir, dir_ref) = self.current_dir(&guard, &mut dir_shield);
-                let bucket = mix64(key) as usize & (dir_ref.slots.len() - 1);
-                let dummy = self.bucket_dummy(&guard, &mut shields, dir_ref, bucket);
-                let window = self.find_from(&guard, &mut shields, dummy, so_key, key);
-                if window.found {
-                    // Key already present: the freshly allocated node was
-                    // never published, so it goes straight back to the
-                    // magazine.
-                    // SAFETY: `node` never became reachable; discarded once.
-                    unsafe { guard.discard(node) };
-                    break false;
-                }
-                // SAFETY: `node` is owned and unpublished until the CAS
-                // succeeds.
-                unsafe {
-                    (*node)
-                        .value
-                        .next
-                        .store(window.curr.as_raw(), Ordering::Release) // ORDER: publishes the node's link before the CAS publishes the node.
-                };
-                if window
-                    .prev_src
-                    .compare_exchange(
-                        window.curr.as_raw(),
-                        node,
-                        Ordering::AcqRel, // ORDER: success publishes the node; failure observes the winning link.
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                {
-                    break true;
-                }
-            }
+            let mut cursor = Cursor::new(&guard);
+            let start = self.bucket_start(&guard, &mut dir_shield, &mut cursor, key);
+            cursor
+                .insert(&start, (data_so_key(key), key), Some(value))
+                .is_ok()
         };
         if inserted {
-            let len = self.len.fetch_add(1, Ordering::AcqRel) + 1; // ORDER: advisory size counter driving the resize trigger.
-            if len
-                >= self
-                    .buckets
-                    .load(Ordering::Acquire) // ORDER: pairs with the Release store after a directory publish.
-                    .saturating_mul(Self::RESIZE_AVG)
-            {
+            // ORDER: advisory size counter driving the resize trigger.
+            let len = settled(self.len.fetch_add(1, Ordering::AcqRel).wrapping_add(1));
+            if len >= self.buckets().saturating_mul(Self::RESIZE_AVG) {
                 self.try_resize(handle);
             }
         }
@@ -532,75 +353,24 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
 
     /// Removes `key`; returns `true` if it was present.
     pub fn remove(&self, handle: &mut R::Handle, key: u64) -> bool {
-        let so_key = data_so_key(key);
         let guard = handle.enter();
         let mut dir_shield = Self::dir_shield(&guard);
-        let mut shields = Self::window_shields(&guard);
-        loop {
-            let (_dir, dir_ref) = self.current_dir(&guard, &mut dir_shield);
-            let bucket = mix64(key) as usize & (dir_ref.slots.len() - 1);
-            let dummy = self.bucket_dummy(&guard, &mut shields, dir_ref, bucket);
-            let window = self.find_from(&guard, &mut shields, dummy, so_key, key);
-            if !window.found {
-                return false;
-            }
-            let curr = window.curr;
-            // SAFETY: the window's shields are not re-protected between
-            // `find_from` returning and the last use of this reference (the
-            // unlink-failure `find_from` below runs after it).
-            let curr_ref = unsafe { curr.as_ref() }.expect("found window has a node");
-            let next_raw = curr_ref.next.load(Ordering::Acquire); // ORDER: pairs with the AcqRel mark/link writes on `next`.
-            if tag::tag_of(next_raw) == MARK {
-                // Another remover got here first; retry to settle who wins.
-                continue;
-            }
-            // Logical deletion: mark the next pointer of `curr`.
-            if curr_ref
-                .next
-                .compare_exchange(
-                    next_raw,
-                    tag::with_tag(next_raw, MARK),
-                    Ordering::AcqRel, // ORDER: success publishes the logical delete; failure observes the winner.
-                    Ordering::Acquire,
-                )
-                .is_err()
-            {
-                continue;
-            }
+        let mut cursor = Cursor::new(&guard);
+        let start = self.bucket_start(&guard, &mut dir_shield, &mut cursor, key);
+        let removed = cursor.remove(&start, (data_so_key(key), key));
+        if removed {
             self.len.fetch_sub(1, Ordering::AcqRel); // ORDER: advisory size counter (resize trigger and stats).
-                                                     // Physical deletion: unlink it ourselves or let a later find do
-                                                     // it.
-            if window
-                .prev_src
-                .compare_exchange(
-                    curr.as_raw(),
-                    tag::untagged(next_raw),
-                    Ordering::AcqRel, // ORDER: success publishes the unlink; failure defers to a later find.
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                // SAFETY: we marked and then unlinked `curr`; the winning
-                // unlink CAS makes it ours to retire exactly once.
-                unsafe { curr.retire_in(&guard) };
-            } else {
-                let _ = self.find_from(&guard, &mut shields, dummy, so_key, key);
-            }
-            return true;
         }
+        removed
     }
 
     /// Returns `true` if `key` is present.
     pub fn contains(&self, handle: &mut R::Handle, key: u64) -> bool {
-        let so_key = data_so_key(key);
         let guard = handle.enter();
         let mut dir_shield = Self::dir_shield(&guard);
-        let mut shields = Self::window_shields(&guard);
-        let (_dir, dir_ref) = self.current_dir(&guard, &mut dir_shield);
-        let bucket = mix64(key) as usize & (dir_ref.slots.len() - 1);
-        let dummy = self.bucket_dummy(&guard, &mut shields, dir_ref, bucket);
-        self.find_from(&guard, &mut shields, dummy, so_key, key)
-            .found
+        let mut cursor = Cursor::new(&guard);
+        let start = self.bucket_start(&guard, &mut dir_shield, &mut cursor, key);
+        cursor.get(&start, (data_so_key(key), key)).is_some()
     }
 
     /// Doubles the directory now, regardless of load factor. Returns `true`
@@ -640,51 +410,50 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
             })
             .collect();
         let new_dir = guard.alloc(Directory { slots });
-        // ORDER: test-hook flag, set before the map is shared.
-        let won = if self.racy_publish.load(Ordering::Relaxed) {
-            // MUTANT (test hook): de-fenced publish — a plain load/check/
-            // store instead of one atomic CAS. Two resizers can both pass
-            // the check and both believe they unlinked the same array.
-            // ORDER: test-mutant path: the missing fence is the defect under test.
-            if self.dir.load(Ordering::Acquire) == old.as_raw() {
-                self.dir.store(new_dir, Ordering::Release); // ORDER: test-mutant path: deliberately a plain store, not a CAS.
-                true
-            } else {
-                false
-            }
-        } else {
-            self.dir
-                .compare_exchange(old.as_raw(), new_dir, Ordering::AcqRel, Ordering::Acquire) // ORDER: success publishes the new directory; failure observes the winner.
-                .is_ok()
-        };
-        if won {
-            self.buckets.store(new_size, Ordering::Release); // ORDER: pairs with Acquire reads of the bucket count.
-            self.resizes.fetch_add(1, Ordering::Relaxed); // ORDER: statistics counter only.
-            self.migrated.fetch_add(old_size as u64, Ordering::Relaxed); // ORDER: statistics counter only.
-                                                                         // ORDER: test-hook flag, set before the map is shared.
-            if !self.racy_publish.load(Ordering::Relaxed) {
-                // SAFETY: we won the publish CAS, so the old array is
-                // unreachable from `self.dir` and ours to retire exactly
-                // once; the guard brackets a handle of the owning domain.
-                unsafe { old.retire_in(&guard) };
-            }
-            // Mutant mode deliberately skips the retire: the model harness
-            // asserts on the returned address (a double report == a double
-            // retire) without actually double-freeing the block.
-            Some(old.as_raw() as usize)
-        } else {
+        // MUTANT (model builds only): de-fenced publish — a plain
+        // load/check/store instead of one atomic CAS. Two resizers can both
+        // pass the check and both believe they unlinked the same array. A
+        // "winner" reports the array without retiring it: the model harness
+        // asserts on the returned address (a double report == a double
+        // retire) without actually double-freeing the block. The bucket
+        // mirror and the growth statistics are left alone. A failed check
+        // falls through to the CAS below, which fails the same way.
+        // ORDER: test-hook flag, set before the map is shared; the missing
+        // fence between the load and the store is the defect under test.
+        #[cfg(wfe_model)]
+        if self.racy_publish.load(Ordering::Relaxed)
+            && self.dir.load(Ordering::Acquire) == old.as_raw()
+        {
+            self.dir.store(new_dir, Ordering::Release); // ORDER: test-mutant path: deliberately a plain store, not a CAS.
+            return Some(old.as_raw() as usize);
+        }
+        if self
+            .dir
+            .compare_exchange(old.as_raw(), new_dir, Ordering::AcqRel, Ordering::Acquire) // ORDER: success publishes the new directory; failure observes the winner.
+            .is_err()
+        {
             // SAFETY: our copy never became reachable; discarded exactly once.
             unsafe { guard.discard(new_dir) };
-            None
+            return None;
         }
+        self.buckets.store(new_size, Ordering::Release); // ORDER: pairs with Acquire reads of the bucket count.
+        self.resizes.fetch_add(1, Ordering::Relaxed); // ORDER: statistics counter only.
+        self.migrated.fetch_add(old_size as u64, Ordering::Relaxed); // ORDER: statistics counter only.
+
+        // SAFETY: we won the publish CAS, so the old array is unreachable
+        // from `self.dir` and ours to retire exactly once; the guard brackets
+        // a handle of the owning domain.
+        unsafe { old.retire_in(&guard) };
+        Some(old.as_raw() as usize)
     }
 
-    /// Test hook: replaces the resize publish CAS with a de-fenced
-    /// load/check/store, so the deterministic scheduler can demonstrate the
-    /// double-retire that the CAS prevents. Never enable outside a model
-    /// harness — a "won" mutant resize leaks the superseded array instead of
-    /// retiring it (precisely so the double-retire is observable without
-    /// corrupting the heap).
+    /// Model-build test hook: replaces the resize publish CAS with a
+    /// de-fenced load/check/store, so the deterministic scheduler can
+    /// demonstrate the double-retire that the CAS prevents. A "won" mutant
+    /// resize leaks the superseded array instead of retiring it (precisely
+    /// so the double-retire is observable without corrupting the heap),
+    /// which is why the switch does not exist outside `--cfg wfe_model`.
+    #[cfg(wfe_model)]
     #[doc(hidden)]
     pub fn debug_set_racy_publish(&self, racy: bool) {
         self.racy_publish.store(racy, Ordering::SeqCst);
@@ -703,43 +472,30 @@ impl<V, R: Reclaimer> ResizableHashMap<V, R> {
 impl<V: Clone, R: Reclaimer> ResizableHashMap<V, R> {
     /// Looks up `key`, returning a clone of its value.
     pub fn get(&self, handle: &mut R::Handle, key: u64) -> Option<V> {
-        let so_key = data_so_key(key);
         let guard = handle.enter();
         let mut dir_shield = Self::dir_shield(&guard);
-        let mut shields = Self::window_shields(&guard);
-        let (_dir, dir_ref) = self.current_dir(&guard, &mut dir_shield);
-        let bucket = mix64(key) as usize & (dir_ref.slots.len() - 1);
-        let dummy = self.bucket_dummy(&guard, &mut shields, dir_ref, bucket);
-        let window = self.find_from(&guard, &mut shields, dummy, so_key, key);
-        if window.found {
-            // SAFETY: the window's shields are not re-protected after
-            // `find_from` returns, so `curr` stays pinned while the value is
-            // cloned. A found data node always has `Some` value (dummies
-            // have even split-order keys and can never match a data target).
-            unsafe { window.curr.as_ref() }.and_then(|node| node.value.clone())
-        } else {
-            None
-        }
+        let mut cursor = Cursor::new(&guard);
+        let start = self.bucket_start(&guard, &mut dir_shield, &mut cursor, key);
+        // A found data node always has `Some` value (dummies have even
+        // split-order keys and can never match a data target).
+        cursor
+            .get(&start, (data_so_key(key), key))
+            .and_then(Option::clone)
     }
 }
 
 impl<V, R: Reclaimer> Drop for ResizableHashMap<V, R> {
     fn drop(&mut self) {
-        // Exclusive access: walk the whole split-ordered list (dummies and
-        // data nodes alike) and free every node directly, then the current
-        // directory. Superseded directories were retired through the domain
-        // and are freed by its own teardown.
-        let mut cur = tag::untagged(self.head.load(Ordering::Relaxed)); // ORDER: Drop has exclusive access.
-        while !cur.is_null() {
-            // SAFETY: `Drop` has exclusive access; every reachable node is
-            // valid and freed exactly once.
-            let next = tag::untagged(unsafe { (*cur).value.next.load(Ordering::Relaxed) }); // ORDER: Drop has exclusive access.
-                                                                                            // SAFETY: as above — exclusive access, freed exactly once.
-            unsafe { Linked::dealloc(cur) };
-            cur = next;
-        }
-        let dir = self.dir.load(Ordering::Relaxed); // ORDER: Drop has exclusive access.
-                                                    // SAFETY: exclusive access; the current directory is freed once.
+        // The whole split-ordered list (dummies and data nodes alike), then
+        // the current directory. Superseded directories were retired through
+        // the domain and are freed by its own teardown.
+        // SAFETY: `Drop` has exclusive access, and only this map's cursors
+        // have touched the list, so every node still reachable from `head`
+        // is valid, never retired, and freed here exactly once.
+        unsafe { ordered::free_chain(&self.head) };
+        // ORDER: Drop has exclusive access.
+        let dir = self.dir.load(Ordering::Relaxed);
+        // SAFETY: exclusive access; the current directory is freed once.
         unsafe { Linked::dealloc(dir) };
     }
 }
@@ -798,6 +554,7 @@ mod tests {
             ("buckets", offset_of!(Map, buckets)),
             ("resizes", offset_of!(Map, resizes)),
             ("migrated", offset_of!(Map, migrated)),
+            #[cfg(wfe_model)]
             ("racy_publish", offset_of!(Map, racy_publish)),
             ("domain", offset_of!(Map, domain)),
         ];
@@ -915,6 +672,54 @@ mod tests {
     fn zero_buckets_rejected() {
         let domain = He::new_default();
         let _ = ResizableHashMap::<u64, He>::with_initial_buckets(domain, 0);
+    }
+
+    #[test]
+    fn keys_with_equal_split_order_keys_are_told_apart_by_the_key() {
+        // `data_so_key` drops one bit of the mix (`| 1` after the reversal),
+        // so two keys whose `mix64` differs only in bit 63 collide on the
+        // first component of the list's order; only the second separates
+        // them.
+        const PAIRS: [(u64, u64); 3] = [
+            (0, 14854397320843743578),
+            (1, 3971391549380807435),
+            (42, 10438001717707011441),
+        ];
+        let domain = He::with_config(small_config(1));
+        let map = ResizableHashMap::<u64, He>::with_initial_buckets(Arc::clone(&domain), 2);
+        let mut handle = domain.register();
+        for (a, b) in PAIRS {
+            assert_ne!(a, b);
+            assert_eq!(mix64(a) ^ mix64(b), 1 << 63, "precondition: {a} / {b}");
+            assert_eq!(data_so_key(a), data_so_key(b), "precondition: {a} / {b}");
+        }
+        // Once around before any doubling, and once after one with the
+        // pairs the other way round: the later key sorts after the earlier
+        // one the first time, before it the second.
+        for swapped in [false, true] {
+            let pairs = PAIRS.map(|(a, b)| if swapped { (b, a) } else { (a, b) });
+            for (a, b) in pairs {
+                assert!(map.insert(&mut handle, a, 1));
+                assert_eq!(map.get(&mut handle, b), None, "{b} is not {a}");
+                assert!(!map.remove(&mut handle, b), "{b} is not {a}");
+                assert!(map.insert(&mut handle, b, 2), "{b} fits beside {a}");
+                assert!(!map.insert(&mut handle, a, 3), "duplicate rejected");
+                assert!(!map.insert(&mut handle, b, 3), "duplicate rejected");
+                assert_eq!(map.get(&mut handle, a), Some(1));
+                assert_eq!(map.get(&mut handle, b), Some(2));
+            }
+            assert_eq!(map.len(), 2 * PAIRS.len());
+            for (a, b) in pairs {
+                assert!(map.remove(&mut handle, a));
+                assert_eq!(map.get(&mut handle, a), None);
+                assert_eq!(map.get(&mut handle, b), Some(2), "{b} outlives {a}");
+                assert!(!map.remove(&mut handle, a), "double remove rejected");
+                assert!(map.remove(&mut handle, b));
+                assert!(!map.contains(&mut handle, b));
+            }
+            assert!(map.is_empty());
+            assert!(map.force_resize(&mut handle));
+        }
     }
 
     #[test]

@@ -69,8 +69,9 @@ impl MiniStack {
             _drops: drops,
         });
         loop {
-            let head = self.head.load(Ordering::Acquire); // ORDER: pairs with the AcqRel push/pop CASes on `head`.
-                                                          // SAFETY: `node` is owned and unpublished until the CAS succeeds.
+            // ORDER: pairs with the AcqRel push/pop CASes on `head`.
+            let head = self.head.load(Ordering::Acquire);
+            // SAFETY: `node` is owned and unpublished until the CAS succeeds.
             unsafe { (*node).value.next = head };
             if self
                 .head

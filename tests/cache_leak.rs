@@ -17,8 +17,9 @@ use proptest::prelude::*;
 use wfe_suite::wfe_reclaim::cache::outstanding_cached_allocs;
 use wfe_suite::wfe_reclaim::BlockCacheConfig;
 use wfe_suite::{
-    ConcurrentQueue, CrTurnQueue, Ebr, Handle, He, Hp, Ibr2Ge, KoganPetrankQueue, Leak, Linked,
-    MichaelScottQueue, RawHandle, Reclaimer, ReclaimerConfig, Wfe, WfeHandle,
+    ConcurrentMap, ConcurrentQueue, CrTurnQueue, Ebr, Handle, He, Hp, Ibr2Ge, KoganPetrankQueue,
+    Leak, Linked, MichaelHashMap, MichaelList, MichaelScottQueue, RawHandle, Reclaimer,
+    ReclaimerConfig, ResizableHashMap, Wfe, WfeHandle,
 };
 
 /// One test at a time: the allocation balance is process-wide.
@@ -186,6 +187,50 @@ fn dropping_a_padded_queue_frees_every_node() {
     });
     queue_drop_frees_every_node::<KoganPetrankQueue<u64, Wfe>>(|_, _, _| {});
     queue_drop_frees_every_node::<MichaelScottQueue<u64, Wfe>>(|_, _, _| {});
+}
+
+/// Churns 300 keys through a fresh map of a fresh two-thread WFE domain —
+/// every key inserted, a third removed by the other handle, a third of those
+/// put back — and drops both: what the churn retired goes back through the
+/// domain, what is still linked (for the split-ordered map also the bucket
+/// dummies and the directory) through the map's `Drop`, each block once.
+fn map_drop_frees_every_node<M: ConcurrentMap<Wfe>>() {
+    let before = outstanding_cached_allocs();
+    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+    let map = M::with_domain(std::sync::Arc::clone(&domain));
+    let (mut first, mut second) = (domain.register(), domain.register());
+    for key in 0..300 {
+        assert!(map.insert(&mut first, key, key));
+    }
+    for key in (0..300).step_by(3) {
+        assert!(map.remove(&mut second, key));
+    }
+    for key in (0..300).step_by(9) {
+        assert!(map.insert(&mut first, key, key + 1));
+    }
+    drop((first, second));
+    if let Some(balance) = outstanding_cached_allocs() {
+        assert!(balance > before.unwrap_or(0), "the map still owns nodes");
+    }
+    drop(map);
+    drop(domain);
+    assert_eq!(
+        outstanding_cached_allocs(),
+        before,
+        "a node outlived its map"
+    );
+}
+
+#[test]
+fn dropping_a_map_frees_every_node() {
+    let _turn = exclusive();
+    // One chain walk (`ordered::free_chain`) under all three: called by the
+    // list's `Drop`, by the split-ordered map's (which grows from 8 buckets
+    // here, so superseded directories are in flight too), and reached once
+    // per bucket through the fixed map's.
+    map_drop_frees_every_node::<MichaelList<u64, Wfe>>();
+    map_drop_frees_every_node::<MichaelHashMap<u64, Wfe>>();
+    map_drop_frees_every_node::<ResizableHashMap<u64, Wfe>>();
 }
 
 /// One step of the magazine/shard differential: `handle` is 0 or 1.

@@ -14,6 +14,10 @@
 //!    by exactly one resize winner; concurrent resizers never retire the
 //!    same array twice.
 //!
+//! A fourth schedule pins the element counter: a `remove` may count before
+//! the `insert` whose node it removed, and `len()` must never report the
+//! transient `-1` as `usize::MAX`.
+//!
 //! The mutant hunt de-fences the publish step (`debug_set_racy_publish`
 //! swaps the CAS for a load/check/store) and proves the checker catches the
 //! resulting double-retire within the PCT budget, with byte-identical seed
@@ -114,6 +118,46 @@ fn lookup_during_a_split_survives_the_old_array_being_retired() {
                 domain.stats().unreclaimed,
                 0,
                 "both superseded arrays must drain once nothing reserves them"
+            );
+        },
+        SCHEDULES,
+    );
+}
+
+#[test]
+fn a_remove_overtaking_its_inserts_count_never_underflows_len() {
+    // The inserter links its node and counts it afterwards; between the two
+    // a remover can find the node, unlink it and count first. On an empty
+    // map the raw counter then passes through -1.
+    shuttle::check_random(
+        || {
+            let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+            let map = Arc::new(ResizableHashMap::<u64, He>::new(Arc::clone(&domain)));
+
+            let remover = {
+                let domain = Arc::clone(&domain);
+                let map = Arc::clone(&map);
+                shuttle::thread::spawn(move || {
+                    let mut handle = domain.register();
+                    let removed = map.remove(&mut handle, 7);
+                    let len = map.len();
+                    assert!(len <= 1, "len() reads {len} mid-race");
+                    removed
+                })
+            };
+
+            let mut handle = domain.register();
+            assert!(map.insert(&mut handle, 7, 70), "the key is fresh");
+            let len = map.len();
+            assert!(len <= 1, "len() reads {len} mid-race");
+            let removed = remover.join().unwrap();
+
+            assert_eq!(map.len(), usize::from(!removed));
+            assert_eq!(map.get(&mut handle, 7), (!removed).then_some(70));
+            assert_eq!(
+                map.buckets(),
+                8,
+                "a phantom count must not double the directory"
             );
         },
         SCHEDULES,

@@ -87,8 +87,12 @@ fn main() -> ExitCode {
             .iter()
             .map(|(name, n)| format!("{name}:{n}"))
             .collect();
+        let delegation = a
+            .delegated
+            .as_ref()
+            .map_or(String::new(), |path| format!(" + {path}"));
         println!(
-            "  {}: declared {} / computed {} [{verdict}] ({})",
+            "  {}: declared {}{delegation} / computed {} [{verdict}] ({})",
             a.file,
             a.declared,
             a.computed,

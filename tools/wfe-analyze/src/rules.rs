@@ -5,7 +5,7 @@
 //! | `raw-atomic` | `wfe-analyze: allow(raw-atomic)` | no `core::sync::atomic` / `std::sync::atomic` paths outside `crates/sync` — the `--cfg wfe_model` interposition must see every atomic |
 //! | `undocumented-unsafe` | `wfe-analyze: allow(undocumented-unsafe)` | every `unsafe` block / `unsafe fn` / `unsafe impl` carries a `// SAFETY:` comment (or a `# Safety` doc section) |
 //! | `unjustified-ordering` | `wfe-analyze: allow(unjustified-ordering)` | every non-`SeqCst` `Ordering` in shipped code carries an `// ORDER:` justification; all sites are emitted into `docs/ORDERINGS.md` |
-//! | `shield-budget` | `wfe-analyze: allow(shield-budget)` | the statically-counted `.shield()` leases per operation equal the structure's declared `REQUIRED_SLOTS` |
+//! | `shield-budget` | `wfe-analyze: allow(shield-budget)` | the statically-counted `.shield()` leases per operation equal the structure's declared `REQUIRED_SLOTS` — the literal of `<int>` or of `<int> + <path>::REQUIRED_SLOTS`, whose second term is audited in the file that declares it |
 //! | `shared-line` | `wfe-analyze: allow(shared-line)` | a struct of the reclaimer, the structures or the task layer that keeps two or more atomic fields, not all of them `CachePadded`, says in a `// LAYOUT:` comment why they may share a cache line |
 
 use std::collections::HashMap;
@@ -48,8 +48,11 @@ pub struct OrderSite {
 pub struct ShieldAudit {
     /// Workspace-relative path.
     pub file: String,
-    /// The declared `REQUIRED_SLOTS` value.
+    /// The declared `REQUIRED_SLOTS` literal: the leases of this file's own.
     pub declared: usize,
+    /// For a `<int> + <path>::REQUIRED_SLOTS` declaration, the path the rest
+    /// of the budget is delegated to (audited in the file that declares it).
+    pub delegated: Option<String>,
     /// The statically-computed maximum simultaneous leases of any function.
     pub computed: usize,
     /// Per-function lease counts (only functions that lease at all).
@@ -345,10 +348,53 @@ struct FnBody {
     range: (usize, usize),
 }
 
-/// Audits files that declare a literal `REQUIRED_SLOTS` const: statically
-/// counts the `.shield()` leases each function acquires (directly, through
-/// lease-closures called N times, and through same-file helper functions)
-/// and compares the per-operation maximum against the declared budget.
+/// Reads the initializer of a `REQUIRED_SLOTS` const starting at `toks[i]`.
+/// Two forms are audited: `<int>;` — the whole budget is leased in this
+/// file — and `<int> + <path>::REQUIRED_SLOTS;` — `<int>` leases of this
+/// file's own on top of the budget of the file `<path>` names, where those
+/// are leased and audited. Returns the literal and the delegation path;
+/// `None` for anything else (a bare `<path>::REQUIRED_SLOTS` included).
+fn declared_budget(toks: &[Tok], i: usize) -> Option<(usize, Option<String>)> {
+    let num = toks.get(i).filter(|t| t.kind == TokKind::Number)?;
+    let digits: String = num
+        .text
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
+    let own = digits.parse().ok()?;
+    let mut j = i + 1;
+    if toks.get(j).is_some_and(|t| is_punct(t, ";")) {
+        return Some((own, None));
+    }
+    if !toks.get(j).is_some_and(|t| is_punct(t, "+")) {
+        return None;
+    }
+    j += 1;
+    let mut path = String::new();
+    loop {
+        let seg = toks.get(j).filter(|t| t.kind == TokKind::Ident)?;
+        path.push_str(&seg.text);
+        j += 1;
+        if toks.get(j).is_some_and(|t| is_punct(t, ";")) {
+            break;
+        }
+        if !(toks.get(j).is_some_and(|t| is_punct(t, ":"))
+            && toks.get(j + 1).is_some_and(|t| is_punct(t, ":")))
+        {
+            return None;
+        }
+        path.push_str("::");
+        j += 2;
+    }
+    path.ends_with("::REQUIRED_SLOTS")
+        .then_some((own, Some(path)))
+}
+
+/// Audits files that declare `REQUIRED_SLOTS` in one of the two forms of
+/// `declared_budget`: statically counts the `.shield()` leases each
+/// function acquires (directly, through lease-closures called N times, and
+/// through same-file helper functions) and compares the per-operation
+/// maximum against the declared literal.
 pub fn check_shield_budget(
     file: &str,
     lexed: &Lexed,
@@ -358,30 +404,17 @@ pub fn check_shield_budget(
 ) {
     let toks = &lexed.toks;
 
-    // The declared budget: `const REQUIRED_SLOTS: usize = <int>;`.
-    let mut declared: Option<(usize, usize)> = None; // (value, tok index)
-    for i in 0..toks.len() {
-        if is_ident(&toks[i], "REQUIRED_SLOTS")
+    // The declared budget: `const REQUIRED_SLOTS: usize = <int>[ + <path>];`.
+    let Some(decl_idx) = (0..toks.len()).find(|&i| {
+        is_ident(&toks[i], "REQUIRED_SLOTS")
             && toks.get(i + 1).is_some_and(|t| is_punct(t, ":"))
             && toks.get(i + 2).is_some_and(|t| is_ident(t, "usize"))
             && toks.get(i + 3).is_some_and(|t| is_punct(t, "="))
-        {
-            if let Some(num) = toks.get(i + 4).filter(|t| t.kind == TokKind::Number) {
-                let digits: String = num
-                    .text
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit())
-                    .collect();
-                if let Ok(v) = digits.parse() {
-                    declared = Some((v, i));
-                    break;
-                }
-            }
-            // Non-literal (delegating) consts are out of scope for the audit.
-            return;
-        }
-    }
-    let Some((declared, decl_idx)) = declared else {
+    }) else {
+        return;
+    };
+    // Any other initializer is out of scope for the audit.
+    let Some((declared, delegated)) = declared_budget(toks, decl_idx + 4) else {
         return;
     };
 
@@ -451,6 +484,7 @@ pub fn check_shield_budget(
     audits.push(ShieldAudit {
         file: file.to_string(),
         declared,
+        delegated: delegated.clone(),
         computed,
         breakdown: breakdown.clone(),
     });
@@ -459,13 +493,17 @@ pub fn check_shield_budget(
             .iter()
             .map(|(name, n)| format!("{name}: {n}"))
             .collect();
+        let budget = match &delegated {
+            None => format!("is {declared}"),
+            Some(path) => format!("adds {declared} of this file's own to {path}"),
+        };
         out.push(Violation {
             file: file.to_string(),
             line: toks[decl_idx].line + 1,
             rule: "shield-budget",
             message: format!(
-                "REQUIRED_SLOTS is {declared} but the widest operation statically \
-                 leases {computed} shields ({}); fix the const or the leases",
+                "REQUIRED_SLOTS {budget} but the widest operation statically \
+                 leases {computed} shields in this file ({}); fix the const or the leases",
                 detail.join(", ")
             ),
         });

@@ -172,6 +172,48 @@ fn shield_budget_fail() {
     assert!(report.violations[0].message.contains("leases 2 shields"));
 }
 
+#[test]
+fn shield_budget_delegated_pass() {
+    // `1 + ordered::REQUIRED_SLOTS`: the literal is audited against this
+    // file's own leases, the rest in the file that declares it.
+    let report = analyze("shield_budget/delegated_pass");
+    assert_eq!(triples(&report), vec![]);
+    let rows: Vec<_> = report
+        .audits
+        .iter()
+        .map(|a| {
+            (
+                a.file.as_str(),
+                a.declared,
+                a.delegated.as_deref(),
+                a.computed,
+            )
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        vec![
+            ("src/map.rs", 1, Some("ordered::REQUIRED_SLOTS"), 1),
+            ("src/ordered.rs", 2, None, 2),
+        ]
+    );
+}
+
+#[test]
+fn shield_budget_delegated_fail() {
+    let report = analyze("shield_budget/delegated_fail");
+    assert_eq!(triples(&report), vec![("shield-budget", "src/map.rs", 4)]);
+    let message = &report.violations[0].message;
+    assert!(message.contains("adds 1 of this file's own to other::REQUIRED_SLOTS"));
+    assert!(
+        message.contains("leases 2 shields in this file"),
+        "{message}"
+    );
+    // `bare.rs` declares a bare `other::REQUIRED_SLOTS`: not audited at all.
+    assert_eq!(report.audits.len(), 1);
+    assert_eq!(report.audits[0].file, "src/map.rs");
+}
+
 // ---------------------------------------------------------------------------
 // Rule 5: shared cache lines
 // ---------------------------------------------------------------------------
