@@ -22,6 +22,7 @@
 use std::cell::RefCell;
 use std::ptr;
 use std::sync::Arc;
+use wfe_sync::atomic::{AtomicBool, Ordering};
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use wfe_core::Wfe;
@@ -44,6 +45,31 @@ fn config_with_cache(enabled: bool) -> ReclaimerConfig {
         },
         ..ReclaimerConfig::with_max_threads(4)
     }
+}
+
+/// Runs `foreground` on this thread while a second thread repeats the step
+/// `background()` builds (on that thread, so it can register its own
+/// handle) until `foreground` returns — or unwinds: the flag is raised on
+/// the way out either way, so a panicking rung fails instead of hanging.
+fn with_background<S: FnMut()>(background: impl FnOnce() -> S + Send, foreground: impl FnOnce()) {
+    struct RaiseOnDrop<'a>(&'a AtomicBool);
+    impl Drop for RaiseOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
+        }
+    }
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut step = background();
+            // ORDER: benchmark control flag; no data is ordered by it.
+            while !stop.load(Ordering::Relaxed) {
+                step();
+            }
+        });
+        let _raise = RaiseOnDrop(&stop);
+        foreground();
+    });
 }
 
 fn bench_protect<R: Reclaimer>(c: &mut Criterion, name: &str) {
@@ -110,29 +136,26 @@ fn bench_alloc_retire_contended<R: Reclaimer>(c: &mut Criterion, name: &str) {
     // pair costs more than `alloc_retire_cached` only by what the hot path
     // writes to lines both threads touch.
     let domain = R::with_config(config_with_cache(true));
-    let stop = wfe_sync::atomic::AtomicBool::new(false);
     let alloc_retire = |handle: &mut R::Handle| {
         let node = handle.alloc(7u64);
         // SAFETY: block just allocated by this handle, never published —
         // this is its only retire.
         unsafe { handle.retire(std::hint::black_box(node)) };
     };
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
+    with_background(
+        || {
             let mut handle = domain.register();
-            // ORDER: benchmark control flag; no data is ordered by it.
-            while !stop.load(wfe_sync::atomic::Ordering::Relaxed) {
-                alloc_retire(&mut handle);
-            }
-        });
-        let mut handle = domain.register();
-        c.bench_with_input(
-            BenchmarkId::new("alloc_retire_contended", name),
-            &(),
-            |bencher, _| bencher.iter(|| alloc_retire(&mut handle)),
-        );
-        stop.store(true, wfe_sync::atomic::Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-    });
+            move || alloc_retire(&mut handle)
+        },
+        || {
+            let mut handle = domain.register();
+            c.bench_with_input(
+                BenchmarkId::new("alloc_retire_contended", name),
+                &(),
+                |bencher, _| bencher.iter(|| alloc_retire(&mut handle)),
+            );
+        },
+    );
 }
 
 /// The domain the contended structure rungs run on: the repository
@@ -151,30 +174,27 @@ fn bench_queue_pair_contended<Q: ConcurrentQueue<Wfe>>(c: &mut Criterion, name: 
     // land on whatever shares a line with the roots.
     let domain = structure_domain();
     let queue = Q::with_domain(Arc::clone(&domain));
-    let stop = wfe_sync::atomic::AtomicBool::new(false);
     let pair = |handle: &mut <Wfe as Reclaimer>::Handle| {
         queue.enqueue(handle, 7);
         std::hint::black_box(queue.dequeue(handle));
     };
-    std::thread::scope(|scope| {
-        let mut handle = domain.register();
-        for value in 0..1_024 {
-            queue.enqueue(&mut handle, value);
-        }
-        scope.spawn(|| {
+    let mut handle = domain.register();
+    for value in 0..1_024 {
+        queue.enqueue(&mut handle, value);
+    }
+    with_background(
+        || {
             let mut handle = domain.register();
-            // ORDER: benchmark control flag; no data is ordered by it.
-            while !stop.load(wfe_sync::atomic::Ordering::Relaxed) {
-                pair(&mut handle);
-            }
-        });
-        c.bench_with_input(
-            BenchmarkId::new("queue_pair_contended", name),
-            &(),
-            |bencher, _| bencher.iter(|| pair(&mut handle)),
-        );
-        stop.store(true, wfe_sync::atomic::Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-    });
+            move || pair(&mut handle)
+        },
+        || {
+            c.bench_with_input(
+                BenchmarkId::new("queue_pair_contended", name),
+                &(),
+                |bencher, _| bencher.iter(|| pair(&mut handle)),
+            );
+        },
+    );
 }
 
 fn bench_resizable_get_contended(c: &mut Criterion) {
@@ -185,32 +205,30 @@ fn bench_resizable_get_contended(c: &mut Criterion) {
     const KEYS: u64 = 50_000;
     let domain = structure_domain();
     let map = ResizableHashMap::<u64, Wfe>::new(Arc::clone(&domain));
-    let stop = wfe_sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let mut handle = domain.register();
-        for key in 0..KEYS {
-            map.insert(&mut handle, key, key);
-        }
-        scope.spawn(|| {
-            let mut handle = domain.register();
-            let mut key = KEYS;
-            // ORDER: benchmark control flag; no data is ordered by it.
-            while !stop.load(wfe_sync::atomic::Ordering::Relaxed) {
+    let mut handle = domain.register();
+    for key in 0..KEYS {
+        map.insert(&mut handle, key, key);
+    }
+    with_background(
+        || {
+            let (map, mut handle, mut key) = (&map, domain.register(), KEYS);
+            move || {
                 map.insert(&mut handle, key, key);
                 map.remove(&mut handle, key);
                 key = KEYS + (key + 1) % 1_024;
             }
-        });
-        let mut key = 0;
-        c.bench_function("resizable_get_contended", |bencher| {
-            bencher.iter(|| {
-                // A full-period walk of the key range, cheap next to a lookup.
-                key = (key + 7_919) % KEYS;
-                std::hint::black_box(map.get(&mut handle, key))
-            })
-        });
-        stop.store(true, wfe_sync::atomic::Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-    });
+        },
+        || {
+            let mut key = 0;
+            c.bench_function("resizable_get_contended", |bencher| {
+                bencher.iter(|| {
+                    // A full-period walk of the key range, cheap next to a lookup.
+                    key = (key + 7_919) % KEYS;
+                    std::hint::black_box(map.get(&mut handle, key))
+                })
+            });
+        },
+    );
 }
 
 fn bench_spill_refill(c: &mut Criterion) {
@@ -447,32 +465,28 @@ fn bench_protect_under_era_pressure(c: &mut Criterion) {
     let mut handle = domain.register();
     let node = handle.alloc(42u64);
     let root: Atomic<u64> = Atomic::new(node);
-    let stop = Arc::new(wfe_sync::atomic::AtomicBool::new(false));
-    let bumper = {
-        let domain = Arc::clone(&domain);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+    let mut shield = handle.shield::<u64>().expect("slots available");
+    with_background(
+        || {
             let mut handle = domain.register();
-            // ORDER: benchmark control flag; no data is ordered by it.
-            while !stop.load(wfe_sync::atomic::Ordering::Relaxed) {
+            move || {
                 let ptr = handle.alloc(0u64);
                 // SAFETY: block just allocated by this handle, never published —
                 // this is its only retire.
                 unsafe { handle.retire(ptr) };
             }
-        })
-    };
-    let mut shield = handle.shield::<u64>().expect("slots available");
-    c.bench_function("get_protected/WFE-under-era-pressure", |bencher| {
-        bencher.iter(|| {
-            let guard = handle.enter();
-            let ptr = shield.protect(&guard, &root, None);
-            std::hint::black_box(ptr.as_raw())
-        })
-    });
+        },
+        || {
+            c.bench_function("get_protected/WFE-under-era-pressure", |bencher| {
+                bencher.iter(|| {
+                    let guard = handle.enter();
+                    let ptr = shield.protect(&guard, &root, None);
+                    std::hint::black_box(ptr.as_raw())
+                })
+            });
+        },
+    );
     drop(shield);
-    stop.store(true, wfe_sync::atomic::Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-    bumper.join().unwrap();
     // SAFETY: bench-owned block, never published for retirement; freed once.
     unsafe { wfe_reclaim::Linked::dealloc(node) };
 }

@@ -22,9 +22,12 @@
 //! sweep builds; without it, domains use the library default and the
 //! `cross-shard-churn` figure sweeps both modes.
 //!
+//! `--paper` and `--smoke` pick the starting parameters; every other flag
+//! overrides them, whichever side of the preset it is written on.
+//!
 //! `--baseline-json PATH` additionally writes the sweep as a JSON baseline
 //! document (see [`wfe_bench::baseline`]); the committed `BENCH_smr_ops.json`
-//! at the repo root is the smoke-sweep snapshot for trajectory tracking.
+//! at the repo root is a `--smoke` sweep written this way.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -67,25 +70,27 @@ struct Cli {
     baseline_json: Option<String>,
 }
 
-fn parse_args() -> Result<Cli, String> {
+fn parse_args(args: Vec<String>) -> Result<Cli, String> {
     let mut figures = Vec::new();
-    let mut params = BenchParams::default();
+    // A preset replaces the defaults, not the flags around it: it is applied
+    // first wherever it stands, and the last one named wins.
+    let preset = args
+        .iter()
+        .rev()
+        .find(|arg| *arg == "--paper" || *arg == "--smoke");
+    let mut params = match preset.map(String::as_str) {
+        Some("--paper") => BenchParams::paper(),
+        Some(_) => BenchParams::smoke(),
+        None => BenchParams::default(),
+    };
     let mut schemes: Vec<Scheme> = Scheme::ALL.to_vec();
     let mut baseline_json = None;
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = args.into_iter();
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => return Err(String::new()),
-            "--paper" => {
-                let threads = params.threads.clone();
-                params = BenchParams::paper();
-                // Keep an explicitly passed thread list if it came first.
-                if threads != BenchParams::default().threads {
-                    params.threads = threads;
-                }
-            }
-            "--smoke" => params = BenchParams::smoke(),
+            "--paper" | "--smoke" => {}
             "--threads" => {
                 let value = args.next().ok_or("--threads needs a value")?;
                 params.threads = value
@@ -160,7 +165,7 @@ fn parse_args() -> Result<Cli, String> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
+    let cli = match parse_args(std::env::args().skip(1).collect()) {
         Ok(parsed) => parsed,
         Err(message) => {
             if !message.is_empty() {
@@ -199,4 +204,34 @@ fn main() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> BenchParams {
+        let args = line.split_whitespace().map(String::from).collect();
+        parse_args(args).expect("valid command line").params
+    }
+
+    #[test]
+    fn presets_keep_the_flags_on_either_side() {
+        for line in ["--threads 4 --smoke", "--smoke --threads 4"] {
+            let params = parse(line);
+            assert_eq!(params.threads, vec![4], "{line}");
+            assert_eq!(params.duration, BenchParams::smoke().duration, "{line}");
+        }
+        for line in ["--block-cache off --smoke", "--smoke --block-cache off"] {
+            assert_eq!(parse(line).block_cache, Some(false), "{line}");
+        }
+        for line in [
+            "--shards 3 --prefill 7 --paper",
+            "--paper --shards 3 --prefill 7",
+        ] {
+            let params = parse(line);
+            assert_eq!((params.shards, params.prefill), (3, 7), "{line}");
+            assert_eq!(params.repeats, BenchParams::paper().repeats, "{line}");
+        }
+    }
 }

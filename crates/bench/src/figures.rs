@@ -11,30 +11,28 @@
 //! | 10     | Michael hash map | 90/10 | both |
 //! | 11     | Natarajan-Mittal BST | 90/10 | both |
 //!
-//! Every runner reports *both* metrics for each point, so the throughput
-//! figure and its companion unreclaimed-objects figure come from the same
-//! rows (exactly as in the paper, where each experiment produces both plots).
+//! A figure is a sweep: [`Figure::run`] walks its thread counts (or task
+//! counts) and schemes and measures one row per combination with the
+//! closed-loop driver of [`crate::runner`]. Every row carries *both*
+//! metrics, so the throughput figure and its companion unreclaimed-objects
+//! figure come from the same rows (exactly as in the paper, where each
+//! experiment produces both plots). The scheme of a row becomes a type in
+//! exactly one place, `Case::run`; everything below it is generic over the
+//! [`Reclaimer`].
 //!
-//! Six additions beyond the paper are included: forcing the WFE slow path
-//! (`AblationSlowPath`), sweeping the number of fast-path attempts
-//! (`AblationAttempts`), a Michael-Scott queue baseline
-//! (`QueueBaseline`) so the wait-free CRTurn queue can be compared against
-//! the classic lock-free queue in the same sweep
-//! (`figures fig5cd queue-baseline`), an executor-style pooled-handle
-//! run (`KvPool`): the Michael hash map driven through a `HandlePool` at
-//! high task churn, whose rows carry per-shard occupancy and the pool hit
-//! rate (`figures kv-pool`), and an *async-task* run (`KvAsync`): the same
-//! map driven by tens of thousands of short-lived futures on a `mini-rt`
-//! executor through `Send`-able `wfe-task` handles, with one stalled raw-SPI
-//! reader injected for the whole run — its rows sweep the task count and
-//! carry the pool hit rate and the unreclaimed gauge in bytes, showing EBR's
-//! unreclaimed memory growing with the task count while WFE/HE stay bounded
-//! (`figures kv-async`), and a block-cache A/B run (`CrossShardChurn`): the
-//! write-dominated hash map on a sharded registry, measured once with the
-//! per-shard block cache on and once with it off — its rows carry the cache
-//! hit/miss counters, so the retire→free→alloc recycling win is visible
-//! directly (`figures cross-shard-churn`; pin one mode with
-//! `--block-cache on|off`).
+//! Beyond the paper: two WFE ablations on the hash map (`ablation-slowpath`
+//! forces the slow path, `ablation-attempts` sweeps the fast-path attempt
+//! budget); a Michael-Scott lock-free queue baseline (`queue-baseline`);
+//! the hash map through a `HandlePool` at task churn (`kv-pool`, rows carry
+//! per-shard occupancy and the pool hit rate); the hash map driven by async
+//! tasks on a `mini-rt` executor with one stalled raw-SPI reader injected
+//! (`kv-async`, swept by task count — EBR's unreclaimed memory grows with
+//! the task count while WFE/HE stay bounded); the hash map on a sharded
+//! registry with the per-shard block cache on and off (`cross-shard-churn`,
+//! rows carry the cache counters; pin one mode with `--block-cache on|off`);
+//! and the split-ordered resizable map as a kv service (`kv-service`: Zipf
+//! read-mostly and write-heavy, TTL expiry, resize storm; rows carry
+//! `load_factor`, `resizes` and `migrated_buckets`).
 
 use wfe_core::Wfe;
 use wfe_ds::{
@@ -44,10 +42,8 @@ use wfe_ds::{
 use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, Reclaimer};
 
 use crate::params::BenchParams;
-use crate::runner::{
-    run_async_kv, run_churn_map, run_kv_service, run_map, run_pooled_map, run_queue, DataPoint,
-};
-use crate::workload::{MapWorkload, ServiceWorkload};
+use crate::runner::{run_async_kv, run_map, run_pooled_map, run_queue, DataPoint};
+use crate::workload::MapWorkload;
 
 /// The reclamation schemes compared in every figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +102,8 @@ pub enum MapKind {
     HashMap,
     /// Natarajan-Mittal BST.
     Bst,
+    /// Split-ordered resizable hash map (the `kv-service` figure).
+    Resizable,
 }
 
 impl MapKind {
@@ -114,6 +112,7 @@ impl MapKind {
             MapKind::List => "list",
             MapKind::HashMap => "hashmap",
             MapKind::Bst => "bst",
+            MapKind::Resizable => "resizable",
         }
     }
 }
@@ -139,187 +138,71 @@ impl QueueKind {
     }
 }
 
-fn map_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    map: MapKind,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    match map {
-        MapKind::List => {
-            run_map::<R, MichaelList<u64, R>>(scheme, map.name(), workload, threads, params)
-        }
-        MapKind::HashMap => {
-            run_map::<R, MichaelHashMap<u64, R>>(scheme, map.name(), workload, threads, params)
-        }
-        MapKind::Bst => {
-            run_map::<R, NatarajanBst<u64, R>>(scheme, map.name(), workload, threads, params)
-        }
-    }
+/// What one row of a figure measures, short of the scheme and the width.
+#[derive(Debug, Clone, Copy)]
+enum Case {
+    /// A map workload, one registered handle per worker thread.
+    Map(MapKind, MapWorkload),
+    /// The write-dominated hash map through a `HandlePool` (`kv-pool`).
+    Pooled,
+    /// A queue, 50% enqueue / 50% dequeue.
+    Queue(QueueKind),
+    /// This many async tasks on the hash map (`kv-async`).
+    Async(usize),
 }
 
-/// Measures one map data point for one scheme.
-pub fn run_map_point(
-    scheme: Scheme,
-    map: MapKind,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => map_point_for::<Wfe>(name, map, workload, threads, params),
-        Scheme::Ebr => map_point_for::<Ebr>(name, map, workload, threads, params),
-        Scheme::He => map_point_for::<He>(name, map, workload, threads, params),
-        Scheme::Hp => map_point_for::<Hp>(name, map, workload, threads, params),
-        Scheme::Ibr => map_point_for::<Ibr2Ge>(name, map, workload, threads, params),
-        Scheme::Leak => map_point_for::<Leak>(name, map, workload, threads, params),
-    }
-}
-
-fn queue_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    queue: QueueKind,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    match queue {
-        QueueKind::KoganPetrank => {
-            run_queue::<R, KoganPetrankQueue<u64, R>>(scheme, queue.name(), threads, params)
-        }
-        QueueKind::CrTurn => {
-            run_queue::<R, CrTurnQueue<u64, R>>(scheme, queue.name(), threads, params)
-        }
-        QueueKind::MsQueue => {
-            run_queue::<R, MichaelScottQueue<u64, R>>(scheme, queue.name(), threads, params)
+impl Case {
+    /// Measures this case under `scheme` with `threads` workers — the one
+    /// place a scheme becomes a type.
+    fn run(self, scheme: Scheme, threads: usize, params: &BenchParams) -> DataPoint {
+        let name = scheme.name();
+        match scheme {
+            Scheme::Wfe => self.run_as::<Wfe>(name, threads, params),
+            Scheme::Ebr => self.run_as::<Ebr>(name, threads, params),
+            Scheme::He => self.run_as::<He>(name, threads, params),
+            Scheme::Hp => self.run_as::<Hp>(name, threads, params),
+            Scheme::Ibr => self.run_as::<Ibr2Ge>(name, threads, params),
+            Scheme::Leak => self.run_as::<Leak>(name, threads, params),
         }
     }
-}
 
-fn pooled_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    run_pooled_map::<R, MichaelHashMap<u64, R>>(scheme, "hashmap", workload, threads, params)
-}
-
-/// Measures one pooled-handle hash-map data point for one scheme
-/// (the `kv-pool` figure).
-pub fn run_pooled_point(
-    scheme: Scheme,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => pooled_point_for::<Wfe>(name, workload, threads, params),
-        Scheme::Ebr => pooled_point_for::<Ebr>(name, workload, threads, params),
-        Scheme::He => pooled_point_for::<He>(name, workload, threads, params),
-        Scheme::Hp => pooled_point_for::<Hp>(name, workload, threads, params),
-        Scheme::Ibr => pooled_point_for::<Ibr2Ge>(name, workload, threads, params),
-        Scheme::Leak => pooled_point_for::<Leak>(name, workload, threads, params),
-    }
-}
-
-fn async_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    tasks: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    run_async_kv::<R, MichaelHashMap<u64, R>>(scheme, "hashmap", tasks, params)
-}
-
-/// Measures one async-task hash-map data point for one scheme
-/// (the `kv-async` figure; the swept axis is the task count).
-pub fn run_async_point(scheme: Scheme, tasks: usize, params: &BenchParams) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => async_point_for::<Wfe>(name, tasks, params),
-        Scheme::Ebr => async_point_for::<Ebr>(name, tasks, params),
-        Scheme::He => async_point_for::<He>(name, tasks, params),
-        Scheme::Hp => async_point_for::<Hp>(name, tasks, params),
-        Scheme::Ibr => async_point_for::<Ibr2Ge>(name, tasks, params),
-        Scheme::Leak => async_point_for::<Leak>(name, tasks, params),
-    }
-}
-
-fn service_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    workload: ServiceWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    run_kv_service::<R, ResizableHashMap<u64, R>>(scheme, "resizable", workload, threads, params)
-}
-
-/// Measures one kv-service data point for one scheme: the split-ordered
-/// resizable hash map under a service-shaped leg (Zipfian read-mostly or
-/// write-heavy, TTL expiry, or resize storm).
-pub fn run_service_point(
-    scheme: Scheme,
-    workload: ServiceWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => service_point_for::<Wfe>(name, workload, threads, params),
-        Scheme::Ebr => service_point_for::<Ebr>(name, workload, threads, params),
-        Scheme::He => service_point_for::<He>(name, workload, threads, params),
-        Scheme::Hp => service_point_for::<Hp>(name, workload, threads, params),
-        Scheme::Ibr => service_point_for::<Ibr2Ge>(name, workload, threads, params),
-        Scheme::Leak => service_point_for::<Leak>(name, workload, threads, params),
-    }
-}
-
-fn churn_point_for<R: Reclaimer>(
-    scheme: &'static str,
-    label: &'static str,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    run_churn_map::<R, MichaelHashMap<u64, R>>(scheme, "hashmap", label, threads, params)
-}
-
-/// Measures one cross-shard-churn hash-map data point for one scheme; the
-/// caller pins the block-cache mode via `params.block_cache` and passes the
-/// matching workload `label`.
-pub fn run_churn_point(
-    scheme: Scheme,
-    label: &'static str,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => churn_point_for::<Wfe>(name, label, threads, params),
-        Scheme::Ebr => churn_point_for::<Ebr>(name, label, threads, params),
-        Scheme::He => churn_point_for::<He>(name, label, threads, params),
-        Scheme::Hp => churn_point_for::<Hp>(name, label, threads, params),
-        Scheme::Ibr => churn_point_for::<Ibr2Ge>(name, label, threads, params),
-        Scheme::Leak => churn_point_for::<Leak>(name, label, threads, params),
-    }
-}
-
-/// Measures one queue data point for one scheme.
-pub fn run_queue_point(
-    scheme: Scheme,
-    queue: QueueKind,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint {
-    let name = scheme.name();
-    match scheme {
-        Scheme::Wfe => queue_point_for::<Wfe>(name, queue, threads, params),
-        Scheme::Ebr => queue_point_for::<Ebr>(name, queue, threads, params),
-        Scheme::He => queue_point_for::<He>(name, queue, threads, params),
-        Scheme::Hp => queue_point_for::<Hp>(name, queue, threads, params),
-        Scheme::Ibr => queue_point_for::<Ibr2Ge>(name, queue, threads, params),
-        Scheme::Leak => queue_point_for::<Leak>(name, queue, threads, params),
+    /// Measures this case under `R`, labelling the row `scheme`.
+    fn run_as<R: Reclaimer>(
+        self,
+        scheme: &'static str,
+        threads: usize,
+        params: &BenchParams,
+    ) -> DataPoint {
+        match self {
+            Case::Map(map, workload) => {
+                let run = match map {
+                    MapKind::List => run_map::<R, MichaelList<u64, R>>,
+                    MapKind::HashMap => run_map::<R, MichaelHashMap<u64, R>>,
+                    MapKind::Bst => run_map::<R, NatarajanBst<u64, R>>,
+                    MapKind::Resizable => run_map::<R, ResizableHashMap<u64, R>>,
+                };
+                run(scheme, map.name(), workload, threads, params)
+            }
+            Case::Pooled => run_pooled_map::<R, MichaelHashMap<u64, R>>(
+                scheme,
+                MapKind::HashMap.name(),
+                MapWorkload::WriteDominated,
+                threads,
+                params,
+            ),
+            Case::Queue(queue) => {
+                let run = match queue {
+                    QueueKind::KoganPetrank => run_queue::<R, KoganPetrankQueue<u64, R>>,
+                    QueueKind::CrTurn => run_queue::<R, CrTurnQueue<u64, R>>,
+                    QueueKind::MsQueue => run_queue::<R, MichaelScottQueue<u64, R>>,
+                };
+                run(scheme, queue.name(), threads, params)
+            }
+            Case::Async(tasks) => {
+                let structure = MapKind::HashMap.name();
+                run_async_kv::<R, MichaelHashMap<u64, R>>(scheme, structure, tasks, params)
+            }
+        }
     }
 }
 
@@ -466,125 +349,109 @@ impl Figure {
 
     /// Runs the figure for every scheme and thread count in `params`.
     pub fn run(self, params: &BenchParams, schemes: &[Scheme]) -> Vec<DataPoint> {
-        let mut points = Vec::new();
+        // Every thread count, and under it every scheme: one row each.
+        let sweep = |case: Case| -> Vec<DataPoint> {
+            params
+                .threads
+                .iter()
+                .flat_map(|&threads| {
+                    schemes
+                        .iter()
+                        .map(move |&scheme| case.run(scheme, threads, params))
+                })
+                .collect()
+        };
+        let list = |workload| Case::Map(MapKind::List, workload);
+        let hashmap = |workload| Case::Map(MapKind::HashMap, workload);
+        let bst = |workload| Case::Map(MapKind::Bst, workload);
+        let (write50, read90) = (MapWorkload::WriteDominated, MapWorkload::ReadMostly);
         match self {
-            Figure::Fig5ab | Figure::Fig5cd | Figure::QueueBaseline => {
-                let queue = match self {
-                    Figure::Fig5ab => QueueKind::KoganPetrank,
-                    Figure::Fig5cd => QueueKind::CrTurn,
-                    _ => QueueKind::MsQueue,
-                };
-                for &threads in &params.threads {
-                    for &scheme in schemes {
-                        points.push(run_queue_point(scheme, queue, threads, params));
-                    }
-                }
-            }
-            Figure::Fig6
-            | Figure::Fig7
-            | Figure::Fig8
-            | Figure::Fig9
-            | Figure::Fig10
-            | Figure::Fig11 => {
-                let (map, workload) = match self {
-                    Figure::Fig6 => (MapKind::List, MapWorkload::WriteDominated),
-                    Figure::Fig7 => (MapKind::HashMap, MapWorkload::WriteDominated),
-                    Figure::Fig8 => (MapKind::Bst, MapWorkload::WriteDominated),
-                    Figure::Fig9 => (MapKind::List, MapWorkload::ReadMostly),
-                    Figure::Fig10 => (MapKind::HashMap, MapWorkload::ReadMostly),
-                    _ => (MapKind::Bst, MapWorkload::ReadMostly),
-                };
-                for &threads in &params.threads {
-                    for &scheme in schemes {
-                        points.push(run_map_point(scheme, map, workload, threads, params));
-                    }
-                }
-            }
-            Figure::KvPool => {
-                for &threads in &params.threads {
-                    for &scheme in schemes {
-                        points.push(run_pooled_point(
-                            scheme,
-                            MapWorkload::WriteDominated,
-                            threads,
-                            params,
-                        ));
-                    }
-                }
-            }
-            Figure::KvAsync => {
-                for &tasks in &params.task_counts {
-                    for &scheme in schemes {
-                        points.push(run_async_point(scheme, tasks, params));
-                    }
-                }
-            }
+            Figure::Fig5ab => sweep(Case::Queue(QueueKind::KoganPetrank)),
+            Figure::Fig5cd => sweep(Case::Queue(QueueKind::CrTurn)),
+            Figure::QueueBaseline => sweep(Case::Queue(QueueKind::MsQueue)),
+            Figure::Fig6 => sweep(list(write50)),
+            Figure::Fig7 => sweep(hashmap(write50)),
+            Figure::Fig8 => sweep(bst(write50)),
+            Figure::Fig9 => sweep(list(read90)),
+            Figure::Fig10 => sweep(hashmap(read90)),
+            Figure::Fig11 => sweep(bst(read90)),
+            Figure::KvPool => sweep(Case::Pooled),
+            Figure::KvService => MapWorkload::SERVICE
+                .into_iter()
+                .flat_map(|workload| sweep(Case::Map(MapKind::Resizable, workload)))
+                .collect(),
+            Figure::KvAsync => params
+                .task_counts
+                .iter()
+                .flat_map(|&tasks| {
+                    schemes
+                        .iter()
+                        .map(move |&scheme| Case::Async(tasks).run(scheme, 0, params))
+                })
+                .collect(),
             Figure::CrossShardChurn => {
+                // Churn is only "cross-shard" when the registry actually
+                // splits: resolve auto-sizing (0) to the host's parallelism
+                // and force at least two shards either way. The registry
+                // still clamps to `max_threads`, so single-thread points stay
+                // single-shard baselines.
+                let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
+                let shards = if params.shards == 0 {
+                    auto
+                } else {
+                    params.shards
+                }
+                .max(2);
                 let modes: &[(bool, &'static str)] = match params.block_cache {
                     Some(true) => &[(true, "churn-cache-on")],
                     Some(false) => &[(false, "churn-cache-off")],
                     None => &[(true, "churn-cache-on"), (false, "churn-cache-off")],
                 };
+                let mut points = Vec::new();
                 for &threads in &params.threads {
                     for &scheme in schemes {
                         for &(enabled, label) in modes {
-                            let mut tweaked = params.clone();
-                            tweaked.block_cache = Some(enabled);
-                            points.push(run_churn_point(scheme, label, threads, &tweaked));
+                            let params = BenchParams {
+                                shards,
+                                block_cache: Some(enabled),
+                                ..params.clone()
+                            };
+                            let point = hashmap(write50).run(scheme, threads, &params);
+                            points.push(DataPoint {
+                                workload: label,
+                                ..point
+                            });
                         }
                     }
                 }
+                points
             }
-            Figure::KvService => {
-                for workload in ServiceWorkload::ALL {
-                    for &threads in &params.threads {
-                        for &scheme in schemes {
-                            points.push(run_service_point(scheme, workload, threads, params));
-                        }
-                    }
-                }
-            }
-            Figure::AblationSlowPath => {
-                for &threads in &params.threads {
-                    for (label, attempts) in [("WFE", 16usize), ("WFE-forced-slow", 1)] {
-                        let mut tweaked = params.clone();
-                        tweaked.fast_path_attempts = attempts;
-                        let mut point = map_point_for::<Wfe>(
-                            label,
-                            MapKind::HashMap,
-                            MapWorkload::WriteDominated,
-                            threads,
-                            &tweaked,
-                        );
-                        point.scheme = label;
-                        points.push(point);
-                    }
-                }
-            }
-            Figure::AblationAttempts => {
-                for &threads in &params.threads {
-                    for (label, attempts) in [
-                        ("WFE-attempts-1", 1usize),
+            Figure::AblationSlowPath | Figure::AblationAttempts => {
+                let arms: &[(&'static str, usize)] = if self == Figure::AblationSlowPath {
+                    &[("WFE", 16), ("WFE-forced-slow", 1)]
+                } else {
+                    &[
+                        ("WFE-attempts-1", 1),
                         ("WFE-attempts-4", 4),
                         ("WFE-attempts-16", 16),
                         ("WFE-attempts-64", 64),
-                    ] {
-                        let mut tweaked = params.clone();
-                        tweaked.fast_path_attempts = attempts;
-                        let mut point = map_point_for::<Wfe>(
-                            label,
-                            MapKind::HashMap,
-                            MapWorkload::WriteDominated,
-                            threads,
-                            &tweaked,
-                        );
-                        point.scheme = label;
-                        points.push(point);
-                    }
-                }
+                    ]
+                };
+                params
+                    .threads
+                    .iter()
+                    .flat_map(|&threads| {
+                        arms.iter().map(move |&(label, fast_path_attempts)| {
+                            let params = BenchParams {
+                                fast_path_attempts,
+                                ..params.clone()
+                            };
+                            hashmap(write50).run_as::<Wfe>(label, threads, &params)
+                        })
+                    })
+                    .collect()
             }
         }
-        points
     }
 }
 
@@ -722,7 +589,7 @@ mod tests {
         params.threads = vec![2];
         let schemes = [Scheme::Wfe];
         let points = Figure::KvService.run(&params, &schemes);
-        assert_eq!(points.len(), ServiceWorkload::ALL.len());
+        assert_eq!(points.len(), MapWorkload::SERVICE.len());
         assert!(points.iter().all(|p| p.structure == "resizable"));
         assert!(points.iter().all(|p| p.mops > 0.0));
         let labels: Vec<_> = points.iter().map(|p| p.workload).collect();

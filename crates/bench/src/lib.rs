@@ -13,15 +13,18 @@
 //!   duration, repeats, thread counts), defaulting to a scaled-down version of
 //!   the paper's settings and restoring them exactly with
 //!   [`params::BenchParams::paper`];
-//! * [`runner`] — generic measurement loops for maps and queues, producing
-//!   [`runner::DataPoint`]s (scheme, threads, Mops/s, average unreclaimed);
+//! * [`workload`] — the operation mixes and the one per-thread generator
+//!   that draws them;
+//! * [`runner`] — the closed-loop driver every figure is measured with,
+//!   producing [`runner::DataPoint`]s (scheme, threads, Mops/s, average
+//!   unreclaimed, ...);
 //! * [`figures`] — one entry per figure of the paper (5a-5d, 6-11) plus the
-//!   two ablation studies, each of which regenerates the corresponding series
-//!   as CSV rows;
+//!   ablations and the runs beyond the paper, each of which regenerates the
+//!   corresponding series as CSV rows;
 //! * [`baseline`] — JSON baseline snapshots (`figures --baseline-json`) for
 //!   tracking the performance trajectory across commits;
-//! * the `figures` binary (`cargo run -p wfe-bench --release --bin figures`)
-//!   and the `figures_smoke` bench target (`cargo bench`) that drive it.
+//! * the `figures` binary (`cargo run -p wfe-bench --release --bin figures`),
+//!   the one entry point that drives them.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,33 +1,46 @@
-//! Generic measurement loops.
+//! The closed-loop driver every figure is measured with.
 //!
 //! One data point = one (scheme, structure, workload, thread-count)
 //! combination, measured for `BenchParams::duration` and repeated
-//! `BenchParams::repeats` times. Throughput is the total number of completed
-//! operations divided by the run duration (reported in Mops/s, as in the
-//! paper); the reclamation metric is the time-average of the number of
-//! retired-but-not-yet-freed blocks, sampled every few milliseconds while the
-//! run is in flight. The sampler also records how many registry shards are
-//! occupied at each tick — the scan width after shard-skip.
+//! `BenchParams::repeats` times. `measure` is the whole harness: it
+//! starts one worker thread per requested thread, lets them run a warm-up,
+//! opens the measured window, samples the domain's gauges until the window
+//! closes, stops the workers and sums their completed operations. What a
+//! worker does is a closure the caller hands in — one map operation
+//! ([`run_map`]: the paper's Figures 6-11, the ablations, `kv-service` and
+//! `cross-shard-churn`), one queue operation ([`run_queue`]: Figure 5 and
+//! `queue-baseline`), or one pooled task of [`POOL_TASK_OPS`] map operations
+//! between a [`HandlePool`] check-out and check-in ([`run_pooled_map`]:
+//! `kv-pool`).
 //!
-//! Beyond the per-thread runners of the paper, [`run_pooled_map`] measures
-//! the executor pattern: workers check a handle out of a [`HandlePool`] for a
-//! short task (a handful of operations), check it back in, and repeat — the
-//! `kv-pool` figure. Its data points carry the pool hit rate.
+//! Throughput is the total number of completed operations divided by the
+//! measured window (reported in Mops/s, as in the paper); the reclamation
+//! metric is the time-average of the number of retired-but-not-yet-freed
+//! blocks, sampled every few milliseconds while the run is in flight. The
+//! sampler also records how many registry shards are occupied at each tick —
+//! the scan width after shard-skip.
+//!
+//! The one run that is not closed-loop is [`run_async_kv`] (`kv-async`): a
+//! fixed number of async tasks on a `mini-rt` executor, timed to
+//! completion. It samples with the same gauge sampler on a thread of its own.
+//! Every runner's repeats collapse into one [`DataPoint`] in one averaging
+//! step.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use wfe_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use wfe_reclaim::{
-    Atomic, BlockCacheConfig, Handle, HandlePool, RawHandle, Reclaimer, ReclaimerConfig, SmrStats,
+    Atomic, BlockCacheConfig, Handle, HandlePool, He, RawHandle, Reclaimer, ReclaimerConfig,
+    SmrStats,
 };
 use wfe_task::TaskHandle;
 
 use crate::params::BenchParams;
-use crate::workload::{MapOp, MapWorkload, OpGenerator, ServiceOpGenerator, ServiceWorkload};
-use wfe_ds::{ConcurrentMap, ConcurrentQueue, MapServiceStats};
+use crate::workload::{MapOp, MapWorkload, OpGenerator};
+use wfe_ds::{ConcurrentMap, ConcurrentQueue, MapServiceStats, MichaelHashMap};
 
-/// How often the sampler thread reads the unreclaimed-object counter.
+/// How often the sampler reads the unreclaimed-object counter.
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Operations one pooled "task" performs between check-out and check-in of
@@ -43,6 +56,9 @@ const ASYNC_YIELD_EVERY: usize = 16;
 /// task-count axis sweeps into the hundreds of thousands.
 const ASYNC_WAVE: usize = 256;
 
+/// Seed of a point's first repeat; repeat `n` runs on `SEED + n`.
+const SEED: u64 = 0xC0FFEE;
+
 /// Warm-up time before the measured window: a fraction of the run duration,
 /// capped so short smoke runs stay short.
 fn warmup_duration(params: &BenchParams) -> Duration {
@@ -51,46 +67,23 @@ fn warmup_duration(params: &BenchParams) -> Duration {
         .max(Duration::from_millis(20))
 }
 
-/// One-time process warm-up: spin every core and churn the allocator for a
-/// moment so the first measured configuration is not penalised by CPU
-/// frequency ramp-up and cold allocator arenas (with short run durations that
-/// penalty is large enough to distort the first series of a sweep).
+/// One-time process warm-up: a throwaway write-dominated hash-map run on
+/// every core (up to 8), so the first measured configuration is not
+/// penalised by CPU frequency ramp-up and cold allocator arenas (with short
+/// run durations that penalty is large enough to distort the first series of
+/// a sweep).
 fn process_warm_up() {
     static WARM: std::sync::Once = std::sync::Once::new();
     WARM.call_once(|| {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        let deadline = Instant::now() + Duration::from_millis(700);
-        // Run a real (throwaway) map workload so the allocator arenas used by
-        // worker threads are grown and faulted in before anything is measured.
-        let domain = wfe_reclaim::He::with_config(ReclaimerConfig::with_max_threads(cores.min(8)));
-        let map = wfe_ds::MichaelHashMap::<u64, wfe_reclaim::He>::with_domain(Arc::clone(&domain));
-        std::thread::scope(|scope| {
-            for thread in 0..cores.min(8) {
-                let domain = Arc::clone(&domain);
-                let map = &map;
-                scope.spawn(move || {
-                    let mut handle = domain.register();
-                    let mut key = thread as u64;
-                    let mut sink = 0u64;
-                    while Instant::now() < deadline {
-                        key = key.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        let k = key % 100_000;
-                        // High bit, not `key & 1`: the LCG's low bit simply
-                        // alternates and equals `k & 1`, which would starve
-                        // the remove path of present keys.
-                        if (key >> 32) & 1 == 0 {
-                            map.insert(&mut handle, k, k);
-                        } else {
-                            map.remove(&mut handle, k);
-                        }
-                        sink = sink.wrapping_add(k);
-                        std::hint::black_box(&sink);
-                    }
-                });
-            }
-        });
+        let params = BenchParams {
+            duration: Duration::from_millis(600),
+            ..BenchParams::default()
+        };
+        let workload = MapWorkload::WriteDominated;
+        map_run::<He, MichaelHashMap<u64, He>>(workload, cores.min(8), &params, SEED);
     });
 }
 
@@ -101,7 +94,7 @@ pub struct DataPoint {
     pub scheme: &'static str,
     /// Data-structure name.
     pub structure: &'static str,
-    /// Workload label (`write50`, `read90`, `queue50`, `pool-churn`).
+    /// Workload label (`write50`, `read90`, `queue50`, `pool-churn`, ...).
     pub workload: &'static str,
     /// Number of worker threads.
     pub threads: usize,
@@ -187,19 +180,43 @@ impl DataPoint {
     }
 }
 
-fn domain_config<R: Reclaimer>(
-    threads: usize,
-    required_slots: usize,
-    params: &BenchParams,
-) -> ReclaimerConfig {
-    let _ = std::marker::PhantomData::<R>;
-    let block_cache = match params.block_cache {
-        Some(enabled) => BlockCacheConfig {
-            enabled,
-            ..BlockCacheConfig::default()
-        },
-        None => BlockCacheConfig::default(),
-    };
+/// What one measured run of one point produced.
+struct Run {
+    ops: u64,
+    elapsed: Duration,
+    /// Time-averaged unreclaimed blocks and occupied shards.
+    gauges: (f64, f64),
+    shards: usize,
+    /// End-of-run domain counters.
+    stats: SmrStats,
+    /// `kv-pool`/`kv-async` runs only; 0 elsewhere.
+    pool_hit_rate: f64,
+    /// End-of-run resizable-map stats (zeros for fixed-capacity structures,
+    /// which keep the trait's default impl).
+    service: MapServiceStats,
+}
+
+impl Run {
+    /// A run of `ops` operations in `elapsed`, with the domain's end-of-run
+    /// counters; the caller adds what its structure or pool reports.
+    fn new<R: Reclaimer>(domain: &R, ops: u64, elapsed: Duration, gauges: (f64, f64)) -> Self {
+        Self {
+            ops,
+            elapsed,
+            gauges,
+            shards: domain.registry().shard_count(),
+            stats: domain.stats(),
+            pool_hit_rate: 0.0,
+            service: MapServiceStats::default(),
+        }
+    }
+}
+
+fn domain_config(threads: usize, required_slots: usize, params: &BenchParams) -> ReclaimerConfig {
+    let mut block_cache = BlockCacheConfig::default();
+    if let Some(enabled) = params.block_cache {
+        block_cache.enabled = enabled;
+    }
     ReclaimerConfig {
         max_threads: threads,
         slots_per_thread: required_slots.max(2),
@@ -211,99 +228,152 @@ fn domain_config<R: Reclaimer>(
     }
 }
 
-/// Accumulates a time-averaged gauge sampled while the workers run.
-struct Sampler {
-    sum: f64,
-    samples: u64,
-}
-
-impl Sampler {
-    fn new() -> Self {
-        Self {
-            sum: 0.0,
-            samples: 0,
-        }
-    }
-
-    fn record(&mut self, value: u64) {
-        self.sum += value as f64;
-        self.samples += 1;
-    }
-
-    fn average(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.sum / self.samples as f64
-        }
-    }
-}
-
-/// The raw outcome of one measured run.
-struct RunOutcome {
-    ops: u64,
-    avg_unreclaimed: f64,
-    avg_occupied_shards: f64,
-    shards: usize,
-    elapsed: Duration,
-    stats: SmrStats,
-    /// `kv-pool`/`kv-async` runs only; 0 elsewhere.
-    pool_hit_rate: f64,
-    /// `kv-async` runs only; 0 elsewhere.
-    tasks: u64,
-    /// `kv-async` runs only; 0 elsewhere.
-    unreclaimed_bytes: f64,
-    /// End-of-run resizable-map stats (`kv-service` figure; zeros for
-    /// fixed-capacity structures, which keep the trait's default impl).
-    service: MapServiceStats,
-}
-
-/// The sampling loop every runner's main thread executes while its workers
-/// run: warm up, open the measured window, sample the gauges, stop.
-fn drive_sampling<R: Reclaimer>(
-    domain: &Arc<R>,
-    params: &BenchParams,
-    barrier: &Barrier,
-    measuring: &AtomicBool,
-    stop: &AtomicBool,
-    unreclaimed_sampler: &mut Sampler,
-    occupancy_sampler: &mut Sampler,
-) -> Duration {
-    barrier.wait();
-    // Warm-up: let the workers fault in the working set and ramp the CPU
-    // before the measured window opens (the first scheme measured in a
-    // process would otherwise be penalised).
-    std::thread::sleep(warmup_duration(params));
-    measuring.store(true, Ordering::SeqCst);
-    let start = Instant::now();
-    while start.elapsed() < params.duration {
+/// Samples the domain's gauges every [`SAMPLE_INTERVAL`] while `running()`
+/// holds and returns their time-averages: (unreclaimed blocks, occupied
+/// shards).
+fn sample_gauges<R: Reclaimer>(domain: &R, mut running: impl FnMut() -> bool) -> (f64, f64) {
+    let (mut unreclaimed, mut occupied, mut samples) = (0.0, 0.0, 0u32);
+    while running() {
         std::thread::sleep(SAMPLE_INTERVAL);
-        unreclaimed_sampler.record(domain.stats().unreclaimed);
-        occupancy_sampler.record(domain.registry().occupied_shards() as u64);
+        unreclaimed += domain.stats().unreclaimed as f64;
+        occupied += domain.registry().occupied_shards() as f64;
+        samples += 1;
     }
-    stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-    start.elapsed()
+    let samples = f64::from(samples.max(1));
+    (unreclaimed / samples, occupied / samples)
 }
 
-/// Pre-inserts `prefill` distinct keys before the measured window opens.
-fn prefill_map<R, M>(
+/// The closed-loop driver: runs `threads` workers against `domain` for one
+/// warm-up plus one measured window and returns what they completed in the
+/// window.
+///
+/// `worker(thread)` is called on each worker thread before the start
+/// barrier (register handles and seed generators there) and returns the
+/// step the thread repeats until the window closes; a step reports how many
+/// operations it completed. Operations completed before the window opens
+/// are discarded.
+fn measure<R, W, S>(domain: &R, threads: usize, params: &BenchParams, worker: W) -> Run
+where
+    R: Reclaimer,
+    W: Fn(usize) -> S + Sync,
+    S: FnMut() -> u64,
+{
+    let stop = AtomicBool::new(false);
+    let measuring = AtomicBool::new(false);
+    let total_ops = AtomicU64::new(0);
+    let barrier = Barrier::new(threads + 1);
+    let (elapsed, gauges) = std::thread::scope(|scope| {
+        for thread in 0..threads {
+            let (worker, stop, measuring) = (&worker, &stop, &measuring);
+            let (total_ops, barrier) = (&total_ops, &barrier);
+            scope.spawn(move || {
+                let mut step = worker(thread);
+                barrier.wait();
+                let mut ops = 0u64;
+                // ORDER: benchmark control flag; no data is ordered by it.
+                while !stop.load(Ordering::Relaxed) {
+                    // ORDER: benchmark control flag; no data is ordered by it.
+                    if !measuring.load(Ordering::Relaxed) {
+                        ops = 0;
+                    }
+                    ops += step();
+                }
+                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
+            });
+        }
+        barrier.wait();
+        // Warm-up: let the workers fault in the working set and ramp the CPU
+        // before the measured window opens (the first scheme measured in a
+        // process would otherwise be penalised).
+        std::thread::sleep(warmup_duration(params));
+        measuring.store(true, Ordering::SeqCst);
+        let start = Instant::now();
+        let gauges = sample_gauges(domain, || start.elapsed() < params.duration);
+        stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
+        (start.elapsed(), gauges)
+    });
+    Run::new(domain, total_ops.into_inner(), elapsed, gauges)
+}
+
+/// Runs `run` once per repeat (seeded `SEED + repeat`) and averages the runs
+/// into one data point.
+fn average(
+    scheme: &'static str,
+    structure: &'static str,
+    workload: &'static str,
+    threads: usize,
+    params: &BenchParams,
+    run: impl FnMut(u64) -> Run,
+) -> DataPoint {
+    process_warm_up();
+    let runs: Vec<Run> = (SEED..SEED + params.repeats.max(1) as u64)
+        .map(run)
+        .collect();
+    let mean = |field: fn(&Run) -> f64| runs.iter().map(field).sum::<f64>() / runs.len() as f64;
+    DataPoint {
+        scheme,
+        structure,
+        workload,
+        threads,
+        mops: mean(|r| r.ops as f64 / r.elapsed.as_secs_f64() / 1e6),
+        avg_unreclaimed: mean(|r| r.gauges.0),
+        adopted_batches: mean(|r| r.stats.adopted_batches as f64),
+        freed_via_adoption: mean(|r| r.stats.freed_via_adoption as f64),
+        shards: runs.last().map_or(0, |r| r.shards),
+        avg_occupied_shards: mean(|r| r.gauges.1),
+        pool_hit_rate: mean(|r| r.pool_hit_rate),
+        tasks: 0,
+        unreclaimed_bytes: 0.0,
+        cache_hits: mean(|r| r.stats.cache_hits as f64),
+        cache_misses: mean(|r| r.stats.cache_misses as f64),
+        cached_bytes: mean(|r| r.stats.cached_bytes as f64),
+        load_factor: mean(|r| r.service.load_factor),
+        resizes: mean(|r| r.service.resizes as f64),
+        migrated_buckets: mean(|r| r.service.migrated_buckets as f64),
+    }
+}
+
+/// Registers a handle and calls `put` with fresh uniform keys until it has
+/// succeeded `count` times (the prefill before the measured window).
+fn prefill<R: Reclaimer>(
     domain: &Arc<R>,
-    map: &M,
+    count: usize,
+    params: &BenchParams,
+    seed: u64,
+    mut put: impl FnMut(&mut R::Handle, u64) -> bool,
+) {
+    let mut handle = domain.register();
+    let mut keys = OpGenerator::new(
+        MapWorkload::WriteDominated,
+        params.key_range,
+        seed,
+        usize::MAX >> 1,
+    );
+    let mut done = 0;
+    while done < count {
+        done += usize::from(put(&mut handle, keys.next_key()));
+    }
+}
+
+/// Builds a domain sized for `threads` handles and a map on it, prefilled
+/// unless the workload builds its own live set.
+fn map_on<R, M>(
+    threads: usize,
     workload: MapWorkload,
     params: &BenchParams,
     seed: u64,
-) where
+) -> (Arc<R>, M)
+where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    let mut handle = domain.register();
-    let mut generator = OpGenerator::new(workload, params.key_range, seed, usize::MAX >> 1);
-    let mut inserted = 0usize;
-    while inserted < params.prefill.min(params.key_range as usize) {
-        if map.insert(&mut handle, generator.next_key(), 0) {
-            inserted += 1;
-        }
+    let domain = R::with_config(domain_config(threads, M::required_slots(), params));
+    let map = M::with_domain(Arc::clone(&domain));
+    if workload.prefills() {
+        let count = params.prefill.min(params.key_range as usize);
+        prefill(&domain, count, params, seed, |h, key| map.insert(h, key, 0));
     }
+    (domain, map)
 }
 
 /// Applies the generator's next operation to `map`.
@@ -326,176 +396,33 @@ where
     }
 }
 
-/// Runs the map workload once.
-fn run_map_once<R, M>(
-    threads: usize,
-    workload: MapWorkload,
-    params: &BenchParams,
-    seed: u64,
-) -> RunOutcome
+/// One run of a map workload, one registered handle per worker.
+fn map_run<R, M>(workload: MapWorkload, threads: usize, params: &BenchParams, seed: u64) -> Run
 where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    let domain = R::with_config(domain_config::<R>(threads, M::required_slots(), params));
-    let map = M::with_domain(Arc::clone(&domain));
-    prefill_map(&domain, &map, workload, params, seed);
-
-    let stop = AtomicBool::new(false);
-    let measuring = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let domain = Arc::clone(&domain);
-            let map = &map;
-            let stop = &stop;
-            let measuring = &measuring;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut handle = domain.register();
-                let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
-                barrier.wait();
-                let mut ops = 0u64;
-                // ORDER: benchmark control flag; no data is ordered by it.
-                while !stop.load(Ordering::Relaxed) {
-                    // ORDER: benchmark control flag; no data is ordered by it.
-                    if !measuring.load(Ordering::Relaxed) {
-                        ops = 0;
-                    }
-                    apply_map_op(map, &mut handle, &mut generator);
-                    ops += 1;
-                }
-                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
-            });
+    let (domain, map) = map_on::<R, M>(threads, workload, params, seed);
+    let run = measure(&*domain, threads, params, |thread| {
+        let (map, mut handle) = (&map, domain.register());
+        let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
+        move || {
+            apply_map_op(map, &mut handle, &mut generator);
+            1
         }
-        elapsed = drive_sampling(
-            &domain,
-            params,
-            &barrier,
-            &measuring,
-            &stop,
-            &mut unreclaimed_sampler,
-            &mut occupancy_sampler,
-        );
     });
-
-    RunOutcome {
-        ops: total_ops.into_inner(),
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: 0.0,
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
+    Run {
         service: map.service_stats(),
+        ..run
     }
 }
 
-/// Runs the service-shaped map workload once (the `kv-service` figure):
-/// Zipfian key popularity, TTL expiry or resize-storm churn depending on the
-/// leg, with the map's end-of-run resize statistics captured into the
-/// outcome. Only the zipf legs prefill — the TTL and storm legs measure the
-/// map growing from its initial directory.
-fn run_kv_service_once<R, M>(
-    threads: usize,
-    workload: ServiceWorkload,
-    params: &BenchParams,
-    seed: u64,
-) -> RunOutcome
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    let domain = R::with_config(domain_config::<R>(threads, M::required_slots(), params));
-    let map = M::with_domain(Arc::clone(&domain));
-    if workload.prefills() {
-        prefill_map(&domain, &map, MapWorkload::WriteDominated, params, seed);
-    }
-
-    let stop = AtomicBool::new(false);
-    let measuring = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let domain = Arc::clone(&domain);
-            let map = &map;
-            let stop = &stop;
-            let measuring = &measuring;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut handle = domain.register();
-                let mut generator =
-                    ServiceOpGenerator::new(workload, params.key_range, seed, thread);
-                barrier.wait();
-                let mut ops = 0u64;
-                // ORDER: benchmark control flag; no data is ordered by it.
-                while !stop.load(Ordering::Relaxed) {
-                    // ORDER: benchmark control flag; no data is ordered by it.
-                    if !measuring.load(Ordering::Relaxed) {
-                        ops = 0;
-                    }
-                    match generator.next_op() {
-                        MapOp::Insert(key) => {
-                            map.insert(&mut handle, key, key);
-                        }
-                        MapOp::Remove(key) => {
-                            map.remove(&mut handle, key);
-                        }
-                        MapOp::Get(key) => {
-                            map.get(&mut handle, key);
-                        }
-                    }
-                    ops += 1;
-                }
-                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
-            });
-        }
-        elapsed = drive_sampling(
-            &domain,
-            params,
-            &barrier,
-            &measuring,
-            &stop,
-            &mut unreclaimed_sampler,
-            &mut occupancy_sampler,
-        );
-    });
-
-    RunOutcome {
-        ops: total_ops.into_inner(),
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: 0.0,
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
-        service: map.service_stats(),
-    }
-}
-
-/// Measures one kv-service data point (averaged over `params.repeats` runs).
-/// The seed is derived from the leg so every leg's key stream is distinct but
-/// replayable.
-pub fn run_kv_service<R, M>(
+/// Measures one map data point (averaged over `params.repeats` runs): any
+/// [`MapWorkload`] on any map, one registered handle per worker thread.
+pub fn run_map<R, M>(
     scheme: &'static str,
     structure: &'static str,
-    workload: ServiceWorkload,
+    workload: MapWorkload,
     threads: usize,
     params: &BenchParams,
 ) -> DataPoint
@@ -503,102 +430,92 @@ where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    let leg = workload as u64;
-    average_point(
+    average(
         scheme,
         structure,
         workload.label(),
         threads,
         params,
-        |repeat| {
-            run_kv_service_once::<R, M>(threads, workload, params, 0x5E41_1CE0 + leg * 97 + repeat)
-        },
+        |seed| map_run::<R, M>(workload, threads, params, seed),
     )
 }
 
-/// Runs the map workload once with pooled handles at task-churn grain: each
-/// worker checks a handle out of the shared [`HandlePool`], performs
-/// [`POOL_TASK_OPS`] operations, checks it back in, and repeats.
-fn run_pooled_map_once<R, M>(
-    threads: usize,
+/// Measures one pooled-handle map data point (the `kv-pool` figure; averaged
+/// over `params.repeats` runs): each worker step checks a handle out of the
+/// shared [`HandlePool`], performs [`POOL_TASK_OPS`] operations and checks
+/// it back in.
+pub fn run_pooled_map<R, M>(
+    scheme: &'static str,
+    structure: &'static str,
     workload: MapWorkload,
+    threads: usize,
     params: &BenchParams,
-    seed: u64,
-) -> RunOutcome
+) -> DataPoint
 where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    let domain = R::with_config(domain_config::<R>(threads, M::required_slots(), params));
-    let map = M::with_domain(Arc::clone(&domain));
-    prefill_map(&domain, &map, workload, params, seed);
-    let pool = HandlePool::new(Arc::clone(&domain));
-
-    let stop = AtomicBool::new(false);
-    let measuring = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let pool = Arc::clone(&pool);
-            let map = &map;
-            let stop = &stop;
-            let measuring = &measuring;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
-                barrier.wait();
-                let mut ops = 0u64;
-                // ORDER: benchmark control flag; no data is ordered by it.
-                while !stop.load(Ordering::Relaxed) {
-                    // ORDER: benchmark control flag; no data is ordered by it.
-                    if !measuring.load(Ordering::Relaxed) {
-                        ops = 0;
+    average(scheme, structure, "pool-churn", threads, params, |seed| {
+        let (domain, map) = map_on::<R, M>(threads, workload, params, seed);
+        let pool = HandlePool::new(Arc::clone(&domain));
+        let run = measure(&*domain, threads, params, |thread| {
+            let (map, pool) = (&map, &pool);
+            let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
+            move || {
+                // One "task": check out, work, check in.
+                let mut handle = loop {
+                    match pool.check_out() {
+                        Some(handle) => break handle,
+                        None => std::thread::yield_now(),
                     }
-                    // One "task": check out, work, check in.
-                    let mut handle = loop {
-                        match pool.check_out() {
-                            Some(handle) => break handle,
-                            None => std::thread::yield_now(),
-                        }
-                    };
-                    for _ in 0..POOL_TASK_OPS {
-                        apply_map_op(map, &mut handle, &mut generator);
-                        ops += 1;
-                    }
-                    drop(handle);
+                };
+                for _ in 0..POOL_TASK_OPS {
+                    apply_map_op(map, &mut handle, &mut generator);
                 }
-                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
-            });
+                POOL_TASK_OPS as u64
+            }
+        });
+        Run {
+            pool_hit_rate: pool.stats().hit_rate(),
+            service: map.service_stats(),
+            ..run
         }
-        elapsed = drive_sampling(
-            &domain,
-            params,
-            &barrier,
-            &measuring,
-            &stop,
-            &mut unreclaimed_sampler,
-            &mut occupancy_sampler,
-        );
-    });
+    })
+}
 
-    RunOutcome {
-        ops: total_ops.into_inner(),
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: pool.stats().hit_rate(),
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
-        service: map.service_stats(),
-    }
+/// Measures one queue data point (50% enqueue / 50% dequeue; averaged over
+/// `params.repeats` runs).
+pub fn run_queue<R, Q>(
+    scheme: &'static str,
+    structure: &'static str,
+    threads: usize,
+    params: &BenchParams,
+) -> DataPoint
+where
+    R: Reclaimer,
+    Q: ConcurrentQueue<R>,
+{
+    average(scheme, structure, "queue50", threads, params, |seed| {
+        let domain = R::with_config(domain_config(threads, Q::required_slots(), params));
+        let queue = Q::with_domain(Arc::clone(&domain));
+        prefill(&domain, params.prefill, params, seed, |h, value| {
+            queue.enqueue(h, value);
+            true
+        });
+        measure(&*domain, threads, params, |thread| {
+            let (queue, mut handle) = (&queue, domain.register());
+            let workload = MapWorkload::WriteDominated;
+            let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
+            move || {
+                if generator.next_bool() {
+                    queue.enqueue(&mut handle, generator.next_key());
+                } else {
+                    queue.dequeue(&mut handle);
+                }
+                1
+            }
+        })
+    })
 }
 
 /// Runs the map workload once at *async task* grain (the `kv-async` figure):
@@ -618,7 +535,7 @@ where
 /// stays unreclaimed (growing with the task count); under WFE/HE only blocks
 /// whose lifetime overlaps the stalled era reservation stay pinned, so the
 /// unreclaimed gauge remains bounded.
-fn run_async_kv_once<R, M>(tasks: usize, params: &BenchParams, seed: u64) -> RunOutcome
+fn async_kv_run<R, M>(tasks: usize, params: &BenchParams, seed: u64) -> Run
 where
     R: Reclaimer,
     M: ConcurrentMap<R>,
@@ -627,9 +544,8 @@ where
     let wave = ASYNC_WAVE.min(tasks.max(1));
     // Registry sizing: at most `wave` live tasks plus the prefill handle and
     // the stalled reader.
-    let domain = R::with_config(domain_config::<R>(wave + 2, M::required_slots(), params));
-    let map = Arc::new(M::with_domain(Arc::clone(&domain)));
-    prefill_map(&domain, &*map, workload, params, seed);
+    let (domain, map) = map_on::<R, M>(wave + 2, workload, params, seed);
+    let map = Arc::new(map);
     let pool = HandlePool::new(Arc::clone(&domain));
     pool.prewarm(wave);
     pool.reset_stats();
@@ -645,26 +561,11 @@ where
 
     let rt = mini_rt::Runtime::new(params.async_workers.max(1));
     let stop = AtomicBool::new(false);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-    let mut completed = 0usize;
-
-    std::thread::scope(|scope| {
-        let sampler_thread = scope.spawn(|| {
-            let mut unreclaimed = Sampler::new();
-            let mut occupancy = Sampler::new();
-            // ORDER: benchmark control flag; no data is ordered by it.
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(SAMPLE_INTERVAL);
-                unreclaimed.record(domain.stats().unreclaimed);
-                occupancy.record(domain.registry().occupied_shards() as u64);
-            }
-            (unreclaimed, occupancy)
-        });
-
+    let (completed, elapsed, gauges) = std::thread::scope(|scope| {
+        // ORDER: benchmark control flag; no data is ordered by it.
+        let sampler = scope.spawn(|| sample_gauges(&*domain, || !stop.load(Ordering::Relaxed)));
         let start = Instant::now();
-        completed = rt.block_on(async {
+        let completed = rt.block_on(async {
             let mut completed = 0usize;
             let mut pending = Vec::with_capacity(wave);
             let key_range = params.key_range;
@@ -696,11 +597,9 @@ where
             }
             completed
         });
-        elapsed = start.elapsed();
+        let elapsed = start.elapsed();
         stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-        let (unreclaimed, occupancy) = sampler_thread.join().expect("sampler thread");
-        unreclaimed_sampler = unreclaimed;
-        occupancy_sampler = occupancy;
+        (completed, elapsed, sampler.join().expect("sampler thread"))
     });
     assert_eq!(completed, tasks, "every spawned task must complete");
 
@@ -711,17 +610,11 @@ where
     unsafe { stall.retire(stall_node) };
     stall.force_cleanup();
 
-    RunOutcome {
-        ops: (tasks * POOL_TASK_OPS) as u64,
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
+    let ops = (tasks * POOL_TASK_OPS) as u64;
+    Run {
         pool_hit_rate: pool.stats().hit_rate(),
-        tasks: tasks as u64,
-        unreclaimed_bytes: unreclaimed_sampler.average() * M::node_bytes() as f64,
         service: map.service_stats(),
+        ..Run::new(&*domain, ops, elapsed, gauges)
     }
 }
 
@@ -738,270 +631,22 @@ where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    average_point(
-        scheme,
-        structure,
-        "async-tasks",
-        params.async_workers.max(1),
-        params,
-        |repeat| run_async_kv_once::<R, M>(tasks, params, 0xA57C + repeat),
-    )
-}
-
-/// Runs the queue workload once (50% enqueue / 50% dequeue).
-fn run_queue_once<R, Q>(threads: usize, params: &BenchParams, seed: u64) -> RunOutcome
-where
-    R: Reclaimer,
-    Q: ConcurrentQueue<R>,
-{
-    let domain = R::with_config(domain_config::<R>(threads, Q::required_slots(), params));
-    let queue = Q::with_domain(Arc::clone(&domain));
-
-    {
-        let mut handle = domain.register();
-        let mut generator = OpGenerator::new(
-            MapWorkload::WriteDominated,
-            params.key_range,
-            seed,
-            usize::MAX >> 1,
-        );
-        for _ in 0..params.prefill {
-            queue.enqueue(&mut handle, generator.next_key());
-        }
-    }
-
-    let stop = AtomicBool::new(false);
-    let measuring = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let mut unreclaimed_sampler = Sampler::new();
-    let mut occupancy_sampler = Sampler::new();
-    let mut elapsed = Duration::ZERO;
-
-    std::thread::scope(|scope| {
-        for thread in 0..threads {
-            let domain = Arc::clone(&domain);
-            let queue = &queue;
-            let stop = &stop;
-            let measuring = &measuring;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut handle = domain.register();
-                let mut generator =
-                    OpGenerator::new(MapWorkload::WriteDominated, params.key_range, seed, thread);
-                barrier.wait();
-                let mut ops = 0u64;
-                // ORDER: benchmark control flag; no data is ordered by it.
-                while !stop.load(Ordering::Relaxed) {
-                    // ORDER: benchmark control flag; no data is ordered by it.
-                    if !measuring.load(Ordering::Relaxed) {
-                        ops = 0;
-                    }
-                    if generator.next_bool() {
-                        queue.enqueue(&mut handle, generator.next_key());
-                    } else {
-                        queue.dequeue(&mut handle);
-                    }
-                    ops += 1;
-                }
-                total_ops.fetch_add(ops, Ordering::Relaxed); // ORDER: throughput counter, aggregated after the threads join.
-            });
-        }
-        elapsed = drive_sampling(
-            &domain,
-            params,
-            &barrier,
-            &measuring,
-            &stop,
-            &mut unreclaimed_sampler,
-            &mut occupancy_sampler,
-        );
+    let workers = params.async_workers.max(1);
+    let point = average(scheme, structure, "async-tasks", workers, params, |seed| {
+        async_kv_run::<R, M>(tasks, params, seed)
     });
-
-    RunOutcome {
-        ops: total_ops.into_inner(),
-        avg_unreclaimed: unreclaimed_sampler.average(),
-        avg_occupied_shards: occupancy_sampler.average(),
-        shards: domain.registry().shard_count(),
-        elapsed,
-        stats: domain.stats(),
-        pool_hit_rate: 0.0,
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
-        service: MapServiceStats::default(),
-    }
-}
-
-/// Averages `repeats` outcomes of `run` into one data point.
-fn average_point(
-    scheme: &'static str,
-    structure: &'static str,
-    workload: &'static str,
-    threads: usize,
-    params: &BenchParams,
-    mut run: impl FnMut(u64) -> RunOutcome,
-) -> DataPoint {
-    process_warm_up();
-    let repeats = params.repeats.max(1);
-    let mut mops = 0.0;
-    let mut unreclaimed = 0.0;
-    let mut adopted_batches = 0.0;
-    let mut freed_via_adoption = 0.0;
-    let mut occupied = 0.0;
-    let mut hit_rate = 0.0;
-    let mut shards = 0;
-    let mut tasks = 0;
-    let mut unreclaimed_bytes = 0.0;
-    let mut cache_hits = 0.0;
-    let mut cache_misses = 0.0;
-    let mut cached_bytes = 0.0;
-    let mut load_factor = 0.0;
-    let mut resizes = 0.0;
-    let mut migrated_buckets = 0.0;
-    for repeat in 0..repeats {
-        let outcome = run(repeat as u64);
-        mops += outcome.ops as f64 / outcome.elapsed.as_secs_f64() / 1e6;
-        unreclaimed += outcome.avg_unreclaimed;
-        adopted_batches += outcome.stats.adopted_batches as f64;
-        freed_via_adoption += outcome.stats.freed_via_adoption as f64;
-        occupied += outcome.avg_occupied_shards;
-        hit_rate += outcome.pool_hit_rate;
-        shards = outcome.shards;
-        tasks = outcome.tasks;
-        unreclaimed_bytes += outcome.unreclaimed_bytes;
-        cache_hits += outcome.stats.cache_hits as f64;
-        cache_misses += outcome.stats.cache_misses as f64;
-        cached_bytes += outcome.stats.cached_bytes as f64;
-        load_factor += outcome.service.load_factor;
-        resizes += outcome.service.resizes as f64;
-        migrated_buckets += outcome.service.migrated_buckets as f64;
-    }
-    let repeats = repeats as f64;
     DataPoint {
-        scheme,
-        structure,
-        workload,
-        threads,
-        mops: mops / repeats,
-        avg_unreclaimed: unreclaimed / repeats,
-        adopted_batches: adopted_batches / repeats,
-        freed_via_adoption: freed_via_adoption / repeats,
-        shards,
-        avg_occupied_shards: occupied / repeats,
-        pool_hit_rate: hit_rate / repeats,
-        tasks,
-        unreclaimed_bytes: unreclaimed_bytes / repeats,
-        cache_hits: cache_hits / repeats,
-        cache_misses: cache_misses / repeats,
-        cached_bytes: cached_bytes / repeats,
-        load_factor: load_factor / repeats,
-        resizes: resizes / repeats,
-        migrated_buckets: migrated_buckets / repeats,
+        tasks: tasks as u64,
+        unreclaimed_bytes: point.avg_unreclaimed * M::node_bytes() as f64,
+        ..point
     }
-}
-
-/// Measures one map data point (averaged over `params.repeats` runs).
-pub fn run_map<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    average_point(
-        scheme,
-        structure,
-        workload.label(),
-        threads,
-        params,
-        |repeat| run_map_once::<R, M>(threads, workload, params, 0xC0FFEE + repeat),
-    )
-}
-
-/// Measures one pooled-handle map data point (the `kv-pool` figure; averaged
-/// over `params.repeats` runs).
-pub fn run_pooled_map<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    average_point(scheme, structure, "pool-churn", threads, params, |repeat| {
-        run_pooled_map_once::<R, M>(threads, workload, params, 0x9001 + repeat)
-    })
-}
-
-/// Measures one cross-shard-churn data point: the write-dominated map
-/// workload on a registry with at least two shards, with the block cache
-/// pinned on or off by `label`'s caller via `params.block_cache` — the
-/// retire→free→alloc recycling loop the per-shard block cache is built for.
-/// Averaged over `params.repeats` runs.
-pub fn run_churn_map<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    label: &'static str,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    let mut churn_params = params.clone();
-    // Churn is only "cross-shard" when the registry actually splits: resolve
-    // auto-sizing (0) to the host's parallelism and force at least two shards
-    // either way (auto on a single-CPU host would collapse to one). The
-    // registry still clamps to `max_threads`, so single-thread points stay
-    // single-shard baselines.
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    churn_params.shards = match churn_params.shards {
-        0 => auto.max(2),
-        pinned => pinned.max(2),
-    };
-    average_point(scheme, structure, label, threads, params, move |repeat| {
-        run_map_once::<R, M>(
-            threads,
-            MapWorkload::WriteDominated,
-            &churn_params,
-            0x5EED + repeat,
-        )
-    })
-}
-
-/// Measures one queue data point (averaged over `params.repeats` runs).
-pub fn run_queue<R, Q>(
-    scheme: &'static str,
-    structure: &'static str,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    Q: ConcurrentQueue<R>,
-{
-    average_point(scheme, structure, "queue50", threads, params, |repeat| {
-        run_queue_once::<R, Q>(threads, params, 0xBADC0DE + repeat)
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wfe_core::Wfe;
-    use wfe_ds::{MichaelHashMap, MichaelScottQueue, ResizableHashMap};
-    use wfe_reclaim::He;
+    use wfe_ds::{MichaelScottQueue, ResizableHashMap};
 
     #[test]
     fn map_runner_produces_sane_numbers() {
@@ -1025,10 +670,10 @@ mod tests {
     #[test]
     fn kv_service_runner_reports_resize_stats() {
         let params = BenchParams::smoke();
-        let point = run_kv_service::<Wfe, ResizableHashMap<u64, Wfe>>(
+        let point = run_map::<Wfe, ResizableHashMap<u64, Wfe>>(
             "WFE",
             "resizable",
-            ServiceWorkload::ResizeStorm,
+            MapWorkload::ResizeStorm,
             2,
             &params,
         );
@@ -1076,14 +721,14 @@ mod tests {
     fn churn_runner_reports_cache_counters() {
         let mut params = BenchParams::smoke();
         params.block_cache = Some(true);
-        let point = run_churn_map::<Wfe, MichaelHashMap<u64, Wfe>>(
+        params.shards = 2;
+        let point = run_map::<Wfe, MichaelHashMap<u64, Wfe>>(
             "WFE",
             "hashmap",
-            "churn-cache-on",
+            MapWorkload::WriteDominated,
             2,
             &params,
         );
-        assert_eq!(point.workload, "churn-cache-on");
         assert!(point.mops > 0.0);
         assert!(
             point.cache_hits + point.cache_misses > 0.0,
