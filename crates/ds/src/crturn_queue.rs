@@ -59,8 +59,12 @@ const IDX_NONE: i64 = -1;
 
 /// A queue node. The value lives in the node *after* the sentinel, exactly as
 /// in the Michael-Scott queue.
-// LAYOUT: one 72-byte node, one line: `next` and `deq_tid` are each written
+// LAYOUT: one 56-byte block, unpadded: `next` and `deq_tid` are each written
 // once (the append, the claim), by a helper that reads the rest of the node.
+// In 64-byte chunks neighbours share lines; padding each block into a
+// 128-byte chunk measured no faster on `queue-pairs` (10 of 16 alternating
+// pairs faster packed, equal medians) and cost 0.3 MiB of peak RSS. An
+// 80-byte chunk (a 72-byte class) measured about 6 % slower in 6 of 6 pairs.
 pub struct Node<T> {
     value: Option<T>,
     next: Atomic<Node<T>>,

@@ -40,6 +40,8 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(test)]
+mod class_fit;
 pub mod crturn_queue;
 pub mod hash;
 pub mod hash_map;

@@ -39,10 +39,15 @@ const MARK: usize = 1;
 pub(crate) const REQUIRED_SLOTS: usize = 2;
 
 /// A node of an ordered chain.
+///
+/// `key` and `next` come first and in that order: they are the two words
+/// every `find` step reads, and behind the 16-byte block header they fill
+/// one 16-aligned span of a list node, which no cache line boundary cuts.
+#[repr(C)]
 pub struct Node<K, V> {
     key: K,
-    value: V,
     next: Atomic<Node<K, V>>,
+    value: V,
 }
 
 impl<K, V> Node<K, V> {
@@ -50,8 +55,8 @@ impl<K, V> Node<K, V> {
     pub(crate) fn unlinked(key: K, value: V) -> Self {
         Self {
             key,
-            value,
             next: Atomic::null(),
+            value,
         }
     }
 }
@@ -359,8 +364,6 @@ mod tests {
     use rand::prelude::*;
     use wfe_reclaim::{Handle, He, Reclaimer, ReclaimerConfig};
 
-    use crate::{ConcurrentMap, MichaelHashMap, MichaelList, ResizableHashMap};
-
     /// A bare chain: a root link and the walk that frees it.
     struct Chain<K, V>(Atomic<Node<K, V>>);
 
@@ -483,22 +486,26 @@ mod tests {
     }
 
     #[test]
-    fn node_sizes_are_the_ones_the_block_cache_classes_were_measured_with() {
-        // `rss_peak_mib` and `cache.hit_ratio` hang on the size class a node
-        // falls in: a 32-byte header plus 24 bytes (key, value, link) for the
-        // list and the fixed map, plus 40 (two-word key, `Option` value,
-        // link) for the split-ordered map.
+    fn a_find_step_reads_one_sixteen_byte_aligned_span() {
+        // `find` reads `key`, then `next`, of every node it passes. Behind
+        // the 16-byte header they sit at block offsets 16..32: one 16-aligned
+        // span of a 16-aligned block, so both loads hit the same line.
+        use core::mem::offset_of;
+        type ListNode = Linked<Node<u64, u64>>;
+        let node = offset_of!(ListNode, value);
+        assert_eq!(node, 16, "the payload follows a 16-byte header");
+        assert_eq!(node + offset_of!(Node<u64, u64>, key), 16);
+        assert_eq!(node + offset_of!(Node<u64, u64>, next), 24);
         assert_eq!(
-            <MichaelList<u64, He> as ConcurrentMap<He>>::node_bytes(),
-            56
+            offset_of!(Node<u64, u64>, value),
+            16,
+            "the value comes last"
         );
-        assert_eq!(
-            <MichaelHashMap<u64, He> as ConcurrentMap<He>>::node_bytes(),
-            56
-        );
-        assert_eq!(
-            <ResizableHashMap<u64, He> as ConcurrentMap<He>>::node_bytes(),
-            72
-        );
+        // The split-ordered node keeps the same order: its two-word key, then
+        // the link.
+        type SoNode = Node<(u64, u64), Option<u64>>;
+        assert_eq!(offset_of!(SoNode, key), 0);
+        assert_eq!(offset_of!(SoNode, next), 16);
+        assert_eq!(offset_of!(SoNode, value), 24);
     }
 }

@@ -59,7 +59,7 @@ type ListCursor<'g, V, R> = Cursor<'g, SoKey, Option<V>, <R as Reclaimer>::Handl
 /// `slots.len()` is the current table size (a power of two); a null slot
 /// means the bucket's dummy has not been spliced in (or cached) yet and is
 /// initialised lazily from its parent bucket.
-struct Directory<V> {
+pub(crate) struct Directory<V> {
     slots: Box<[Atomic<Node<V>>]>,
 }
 

@@ -26,24 +26,22 @@ pub const INVPTR: u64 = u64::MAX;
 /// Reclamation header embedded at offset 0 of every reclaimable allocation.
 ///
 /// * `alloc_era` — global era at allocation time (`alloc_block()`),
-/// * `retire_era` — global era at retirement time (`retire()`),
-/// * `next_retired` — intrusive link for the owner thread's retired list,
 /// * `drop_fn` — type-erased destructor installed at allocation time.
 ///
-/// The era fields are ordinary atomics only because the WFE *helper* threads
-/// read `alloc_era` of a parent block concurrently with nothing but the
-/// allocation that wrote it; all other accesses are owner-only.
-// LAYOUT: the header is the first 32 bytes of the block it describes; each
-// era is stamped once, by the thread that allocates resp. retires the block.
+/// What only a retired block needs — its retire era and its place in the
+/// retiring thread's batch — lives in that batch's entry
+/// ([`Retired`](crate::retired::Retired)), not here, so a live node carries
+/// 16 bytes of header rather than 32.
+///
+/// `alloc_era` is an atomic only because the WFE *helper* threads read it in
+/// a parent block concurrently with nothing but the allocation that wrote it.
+// LAYOUT: the header is the first 16 bytes of the block it describes, so a
+// 16-aligned class block puts the payload's first two words on one line.
 #[repr(C)]
 #[derive(Debug)]
 pub struct BlockHeader {
     /// Era at which the block was allocated.
     pub alloc_era: AtomicU64,
-    /// Era at which the block was retired (meaningful only once retired).
-    pub retire_era: AtomicU64,
-    /// Intrusive link used by per-thread retired lists. Owner-thread only.
-    pub(crate) next_retired: *mut BlockHeader,
     /// Type-erased destructor: drops the payload and either frees the whole
     /// allocation (`Box`-path blocks, returning `None`) or hands the memory
     /// back to the caller keyed by its size class (`Some`), so the free path
@@ -51,27 +49,11 @@ pub struct BlockHeader {
     pub(crate) drop_fn: unsafe fn(*mut BlockHeader) -> Option<SizeClass>,
 }
 
-// The raw link is only ever touched by the thread that owns the retired list
-// (or by a helper after the owner has handed the list over), never
-// concurrently.
-// SAFETY: the intrusive link is only ever touched by the thread that owns
-// the retired batch (or by a helper after a hand-over), never concurrently;
-// the era fields are atomics.
-unsafe impl Send for BlockHeader {}
-// SAFETY: as above — shared access is confined to the atomic era fields.
-unsafe impl Sync for BlockHeader {}
-
 impl BlockHeader {
     /// Reads the allocation era.
     #[inline]
     pub fn alloc_era(&self) -> u64 {
-        self.alloc_era.load(Ordering::Acquire) // ORDER: pairs with the Release era stamps at allocation/retirement.
-    }
-
-    /// Reads the retirement era.
-    #[inline]
-    pub fn retire_era(&self) -> u64 {
-        self.retire_era.load(Ordering::Acquire) // ORDER: pairs with the Release era stamps at allocation/retirement.
+        self.alloc_era.load(Ordering::Acquire) // ORDER: pairs with the Release publish of the block that carries the stamp.
     }
 }
 
@@ -118,8 +100,6 @@ impl<T> Linked<T> {
     ) -> *mut Linked<T> {
         let header = |drop_fn: unsafe fn(*mut BlockHeader) -> Option<SizeClass>| BlockHeader {
             alloc_era: AtomicU64::new(alloc_era),
-            retire_era: AtomicU64::new(0),
-            next_retired: core::ptr::null_mut(),
             drop_fn,
         };
         match Self::SIZE_CLASS {

@@ -30,7 +30,7 @@ use crate::block::BlockHeader;
 use crate::cache::{BlockCaches, LocalBlockCache, ShardCache};
 use crate::guard::ShieldSlots;
 use crate::registry::ThreadRegistry;
-use crate::retired::{cleanup_pass, OrphanStack, RetiredBatch};
+use crate::retired::{cleanup_pass, OrphanStack, Retired, RetiredBatch};
 use crate::scan::ReservationSet;
 use crate::stats::{self, SlotCounters, SmrStats};
 
@@ -49,8 +49,9 @@ use crate::stats::{self, SlotCounters, SmrStats};
 /// returns its address for `(tid, index)` until that thread's next `protect`
 /// on the same index, [`clear`](Self::clear) or [`end_op`](Self::end_op),
 /// every snapshot that `fill_snapshot` fills after the block's retirement
-/// must not [`judge`](ReservationSet::judge) the block free (its
-/// `alloc_era`/`retire_era` are the clock values the core stamped). A
+/// must not [`judge`](ReservationSet::judge) the block free (its header's
+/// `alloc_era` and its batch entry's `retire_era` are the clock values the
+/// core read at allocation and at retirement). A
 /// witness a snapshot names must obey [`ReservationSet::holds`].
 pub unsafe trait Policy: Send + Sync + Sized + 'static {
     /// The scratch one cleanup pass fills and judges the batch against.
@@ -376,20 +377,15 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
         let domain = &*self.domain;
         let era = domain.era();
         // SAFETY: the caller's `retire_raw` contract — `block` is a valid,
-        // unreachable block retired exactly once — covers both the header
-        // stamp and the batch push.
-        unsafe {
-            (*block).retire_era.store(era, Ordering::Release); // ORDER: stamps the header before the push that makes it scannable.
-            self.retired.push(block);
-        }
+        // unreachable block retired exactly once — is `Retired::new`'s.
+        self.retired.push(unsafe { Retired::new(block, era) });
         domain.slot_counters(self.tid).on_retire();
         self.since_cleanup += 1;
         if self.since_cleanup >= domain.config.cleanup_freq {
             // Figure 1, lines 27-28 (Figure 4, lines 80-82): only advance the
             // clock if nothing else advanced it since this block was stamped,
             // then scan.
-            // SAFETY: same contract — the header is valid for the whole call.
-            if unsafe { (*block).retire_era() } == domain.era() {
+            if era == domain.era() {
                 P::advance(domain, self.tid);
             }
             self.cleanup();

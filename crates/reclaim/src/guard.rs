@@ -1030,6 +1030,24 @@ mod tests {
         let _ = shield.protect(&second_guard, &root, None);
     }
 
+    /// Frees test-owned blocks that were never retired when dropped — also
+    /// while a `should_panic` test unwinds, so those tests leak nothing
+    /// (LeakSanitizer runs them).
+    #[cfg(debug_assertions)]
+    struct FreeOnDrop(Vec<*mut Linked<u64>>);
+
+    #[cfg(debug_assertions)]
+    impl Drop for FreeOnDrop {
+        fn drop(&mut self) {
+            for &block in &self.0 {
+                // SAFETY: each block was allocated by the test, never
+                // retired, and is not read once the guard drops — it is
+                // declared before every reference to it.
+                unsafe { Linked::dealloc(block) };
+            }
+        }
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "stale Protected")]
@@ -1038,6 +1056,7 @@ mod tests {
         let mut handle = domain.register();
         let a = handle.alloc(1u64);
         let b = handle.alloc(2u64);
+        let _blocks = FreeOnDrop(vec![a, b]);
         let root_a: Atomic<u64> = Atomic::new(a);
         let root_b: Atomic<u64> = Atomic::new(b);
         let guard = handle.enter();
@@ -1060,6 +1079,7 @@ mod tests {
         let mut shield = handle.shield::<u64>().unwrap();
         let a = handle.alloc(1u64);
         let b = handle.alloc(2u64);
+        let _blocks = FreeOnDrop(vec![a, b]);
         let root_a: Atomic<u64> = Atomic::new(a);
         let root_b: Atomic<u64> = Atomic::new(b);
         let guard = handle.enter();
@@ -1081,6 +1101,7 @@ mod tests {
         let mut shield = handle.shield::<u64>().unwrap();
         let slot = shield.slot();
         let node = handle.alloc(7u64);
+        let _blocks = FreeOnDrop(vec![node]);
         let root: Atomic<u64> = Atomic::new(node);
         let guard = handle.enter();
         let stale = shield.protect(&guard, &root, None);

@@ -15,6 +15,7 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 use crate::api::{DomainConfig, Progress};
 use crate::block::BlockHeader;
 use crate::domain::{Domain, DomainHandle, Policy};
+use crate::retired::Retired;
 use crate::scan::{ReservationSet, Verdict};
 
 /// The leak-memory domain.
@@ -38,7 +39,7 @@ pub struct LeakPolicy;
 pub struct PinsEverything;
 
 impl ReservationSet for PinsEverything {
-    fn judge(&self, _block: &BlockHeader) -> Verdict {
+    fn judge(&self, _entry: &Retired) -> Verdict {
         Verdict::Pinned
     }
 }

@@ -13,8 +13,9 @@
 //! * the **safe guard layer** application code uses instead of raw slot
 //!   indices: [`Guard`] operation brackets, [`Shield`] reservation leases
 //!   and borrow-checked [`Protected`] pointers (see [`guard`]);
-//! * the intrusive allocation header ([`BlockHeader`], [`Linked`]) that keeps
-//!   the two era fields every era-based scheme needs;
+//! * the 16-byte intrusive allocation header ([`BlockHeader`], [`Linked`])
+//!   that keeps a block's allocation era (its retire era waits in the
+//!   retiring thread's batch, [`retired::Retired`]);
 //! * the **one scheme core** ([`domain`]): a generic [`Domain<P>`] and its
 //!   per-thread [`DomainHandle<P>`] own registration, counters, block caches,
 //!   retired batches, orphan adoption, the cleanup and era-advance cadence

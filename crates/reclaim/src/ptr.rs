@@ -115,7 +115,7 @@ impl<T> core::fmt::Debug for Atomic<T> {
 
 /// Pointer-tagging helpers. All data-structure marks live in the low bits,
 /// which are guaranteed free because [`Linked<T>`] allocations are at least
-/// word-aligned (the header alone is 32 bytes).
+/// word-aligned (the header starts with a `u64`).
 pub mod tag {
     use crate::block::Linked;
 

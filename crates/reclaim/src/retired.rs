@@ -1,7 +1,7 @@
 //! Per-thread retired batches and the lock-free orphan stack.
 //!
-//! Retired blocks wait on an intrusive, owner-thread-only batch until a
-//! cleanup pass drains the batch against a reservation snapshot
+//! Retired blocks wait on an owner-thread-only batch of [`Retired`] entries
+//! until a cleanup pass drains the batch against a reservation snapshot
 //! ([`crate::scan::ReservationSet`]) taken once per pass. When a thread
 //! handle is dropped with blocks still pending, the leftover batch is pushed
 //! onto the owning domain's [`OrphanStack`] — a lock-free Treiber stack of
@@ -9,7 +9,6 @@
 //! memory retired by exited threads is reclaimed while the domain is still
 //! running instead of waiting for domain teardown.
 
-use core::ptr;
 use wfe_sync::atomic::{AtomicU64, Ordering};
 
 use crate::block::{free_block, BlockHeader};
@@ -18,60 +17,51 @@ use crate::scan::{ReservationSet, Verdict};
 use crate::stats::SlotCounters;
 use crate::treiber::TypeStableStack;
 
-/// An owned, singly linked run of retired blocks (through the header's
-/// `next_retired`) with its tail, so two runs join in O(1).
+/// One retired block and the era it was retired in: an entry of a
+/// [`RetiredBatch`], and what a [`ReservationSet`] judges.
+///
+/// The retire era and the batch's order live here rather than in the
+/// block's [`BlockHeader`]: only the retiring thread (or the adopter of its
+/// batch) ever reads them, and only after retirement, so a live block need
+/// not carry them. An entry owns its block from [`new`](Self::new) until the
+/// batch frees it; it is neither `Clone` nor `Copy`, so no safe code can
+/// keep it past that point.
 #[derive(Debug)]
-struct Chain {
-    head: *mut BlockHeader,
-    /// Last block of the run; meaningful only while `head` is non-null.
-    tail: *mut BlockHeader,
-    len: usize,
+pub struct Retired {
+    block: *mut BlockHeader,
+    retire_era: u64,
 }
 
-impl Chain {
-    const EMPTY: Chain = Chain {
-        head: ptr::null_mut(),
-        tail: ptr::null_mut(),
-        len: 0,
-    };
-
-    /// Links `block` in front of the run.
+impl Retired {
+    /// The entry of `block`, retired in era `retire_era`.
     ///
     /// # Safety
     ///
-    /// `block` must be a valid retired block owned by the caller and on no
-    /// other chain.
+    /// `block` must be a valid, retired, unreachable block, on no other
+    /// entry; the entry owns it until a batch frees it.
     #[inline]
-    unsafe fn push(&mut self, block: *mut BlockHeader) {
-        // SAFETY: the caller owns `block`, so the intrusive link is ours to
-        // write; no other thread can reach a retired, unreachable block.
-        unsafe { (*block).next_retired = self.head };
-        if self.head.is_null() {
-            self.tail = block;
-        }
-        self.head = block;
-        self.len += 1;
+    pub unsafe fn new(block: *mut BlockHeader, retire_era: u64) -> Self {
+        Self { block, retire_era }
     }
 
-    /// Moves every block of `other` in front of this run.
-    fn splice(&mut self, other: Chain) {
-        if other.head.is_null() {
-            return;
-        }
-        // SAFETY: `other` is non-empty, so its tail is a block it owns
-        // (every block entered through `push`), and it is consumed here: the
-        // link is ours to write and is written exactly once.
-        unsafe { (*other.tail).next_retired = self.head };
-        if self.head.is_null() {
-            self.tail = other.tail;
-        }
-        self.head = other.head;
-        self.len += other.len;
+    /// The block's address: what a hazard pointer names.
+    #[inline]
+    pub fn block(&self) -> *mut BlockHeader {
+        self.block
     }
 
-    /// Takes the whole run, leaving this one empty.
-    fn take(&mut self) -> Chain {
-        core::mem::replace(self, Chain::EMPTY)
+    /// Era at which the block was retired.
+    #[inline]
+    pub fn retire_era(&self) -> u64 {
+        self.retire_era
+    }
+
+    /// Era at which the block was allocated, read from its header.
+    #[inline]
+    pub fn alloc_era(&self) -> u64 {
+        // SAFETY: the entry owns a live block (`new`'s contract) until the
+        // batch frees it, which consumes the entry.
+        unsafe { (*self.block).alloc_era() }
     }
 }
 
@@ -80,7 +70,17 @@ impl Chain {
 #[derive(Debug)]
 struct Group {
     witness: u64,
-    blocks: Chain,
+    blocks: Vec<Retired>,
+}
+
+/// Moves every entry of `from` onto `to`, by swapping the two vectors when
+/// `to` is empty, so a whole list changes hands without a copy.
+fn append_entries(to: &mut Vec<Retired>, from: &mut Vec<Retired>) {
+    if to.is_empty() {
+        core::mem::swap(to, from);
+    } else {
+        to.append(from);
+    }
 }
 
 /// What one [`RetiredBatch::scan_against`] did.
@@ -93,8 +93,7 @@ pub struct ScanTally {
     pub scanned: usize,
 }
 
-/// Owner-thread-only batch of retired blocks, linked through the block
-/// header's `next_retired` field.
+/// Owner-thread-only batch of retired blocks, as [`Retired`] entries.
 ///
 /// `retire` appends to the **scan list**; every `cleanup_freq` retirements
 /// the owning handle drains the scan list against one reservation snapshot
@@ -102,12 +101,21 @@ pub struct ScanTally {
 /// era pins it ([`Verdict::PinnedBy`]) is **parked** on that witness's group
 /// and is not looked at again until the witness is withdrawn; a survivor
 /// without a witness goes back on the scan list.
+///
+/// Every list is a `Vec` whose capacity outlives its entries: the scan list
+/// and `scratch` trade places every pass, and a released group's vector is
+/// kept for the next group, so in steady state neither a retire nor a pass
+/// calls the allocator.
 #[derive(Debug)]
 pub struct RetiredBatch {
     /// Blocks the next pass judges one by one.
-    scan: Chain,
+    scan: Vec<Retired>,
+    /// Empty; the vector the next pass moves the scan list's survivors into.
+    scratch: Vec<Retired>,
     /// Parked blocks, one group per witness (witnesses are distinct).
     groups: Vec<Group>,
+    /// Empty vectors of released groups, kept for the next groups.
+    spare: Vec<Vec<Retired>>,
 }
 
 // SAFETY: the batch is owned by exactly one thread at a time; sending it
@@ -118,15 +126,17 @@ impl RetiredBatch {
     /// Creates an empty batch.
     pub const fn new() -> Self {
         Self {
-            scan: Chain::EMPTY,
+            scan: Vec::new(),
+            scratch: Vec::new(),
             groups: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
     /// Number of blocks currently on the batch (scan list and parked groups).
     pub fn len(&self) -> usize {
-        let parked: usize = self.groups.iter().map(|group| group.blocks.len).sum();
-        self.scan.len + parked
+        let parked: usize = self.groups.iter().map(|group| group.blocks.len()).sum();
+        self.scan.len() + parked
     }
 
     /// Whether the batch is empty.
@@ -139,36 +149,29 @@ impl RetiredBatch {
     pub fn parked_groups(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
         self.groups
             .iter()
-            .map(|group| (group.witness, group.blocks.len))
+            .map(|group| (group.witness, group.blocks.len()))
     }
 
-    /// Pushes a retired block.
-    ///
-    /// # Safety
-    ///
-    /// `block` must be a valid, retired, unreachable block owned by the caller
-    /// and not present on any other batch.
+    /// Appends a retired block to the scan list.
     #[inline]
-    pub unsafe fn push(&mut self, block: *mut BlockHeader) {
-        // SAFETY: forwarded contract.
-        unsafe { self.scan.push(block) };
+    pub fn push(&mut self, entry: Retired) {
+        self.scan.push(entry);
     }
 
-    /// The group parked under `witness`, created on first use. Inlinable
-    /// across crates like [`free_block`]: the scan calls it per parked block.
+    /// The list of the group parked under `witness`, created on first use
+    /// from a spare vector. Inlinable across crates like [`free_block`]: the
+    /// scan calls it per parked block.
     #[inline]
-    fn group_mut(&mut self, witness: u64) -> &mut Group {
+    fn group_mut(&mut self, witness: u64) -> &mut Vec<Retired> {
         let index = match self.groups.iter().position(|g| g.witness == witness) {
             Some(index) => index,
             None => {
-                self.groups.push(Group {
-                    witness,
-                    blocks: Chain::EMPTY,
-                });
+                let blocks = self.spare.pop().unwrap_or_default();
+                self.groups.push(Group { witness, blocks });
                 self.groups.len() - 1
             }
         };
-        &mut self.groups[index]
+        &mut self.groups[index].blocks
     }
 
     /// Drains the batch against a reservation snapshot: every block the
@@ -210,38 +213,33 @@ impl RetiredBatch {
             if snapshot.holds(self.groups[index].witness) {
                 index += 1;
             } else {
-                let released = self.groups.swap_remove(index).blocks;
-                self.scan.splice(released);
+                let mut released = self.groups.swap_remove(index).blocks;
+                self.scan.append(&mut released);
+                self.spare.push(released);
             }
         }
 
-        let pending = self.scan.take();
+        let survivors = core::mem::take(&mut self.scratch);
+        let mut pending = core::mem::replace(&mut self.scan, survivors);
+        let scanned = pending.len();
         let mut freed = 0usize;
-        let mut cur = pending.head;
-        while !cur.is_null() {
-            // SAFETY: every block on the batch is owned by this batch (push
-            // contract), so the header and its intrusive link are valid and
-            // exclusively ours; a block the snapshot does not cover is — per
-            // the caller's snapshot-freshness contract — unprotected and
-            // unreachable, so `free_block` frees it exactly once. A kept
-            // block is relinked onto exactly one chain of this batch.
-            unsafe {
-                let next = (*cur).next_retired;
-                match snapshot.judge(&*cur) {
-                    Verdict::Free => {
-                        free_block(cur, local.as_deref_mut(), shard);
-                        freed += 1;
-                    }
-                    Verdict::Pinned => self.scan.push(cur),
-                    Verdict::PinnedBy(witness) => self.group_mut(witness).blocks.push(cur),
+        for entry in pending.drain(..) {
+            match snapshot.judge(&entry) {
+                Verdict::Free => {
+                    // SAFETY: the entry owns its block (`Retired::new`), and
+                    // a block the snapshot does not cover is — per the
+                    // caller's snapshot-freshness contract — unprotected and
+                    // unreachable; the entry is consumed, so the block is
+                    // freed exactly once.
+                    unsafe { free_block(entry.block, local.as_deref_mut(), shard) };
+                    freed += 1;
                 }
-                cur = next;
+                Verdict::Pinned => self.scan.push(entry),
+                Verdict::PinnedBy(witness) => self.group_mut(witness).push(entry),
             }
         }
-        ScanTally {
-            freed,
-            scanned: pending.len,
-        }
+        self.scratch = pending;
+        ScanTally { freed, scanned }
     }
 
     /// Unconditionally frees every block on the batch. Returns the count.
@@ -251,30 +249,33 @@ impl RetiredBatch {
     /// No thread may still hold or acquire references to any block on the
     /// batch (e.g. the owning domain is being dropped).
     pub unsafe fn free_all(&mut self) -> usize {
-        let mut all = self.scan.take();
-        for group in self.groups.drain(..) {
-            all.splice(group.blocks);
-        }
-        let mut cur = all.head;
-        while !cur.is_null() {
+        let parked = self.groups.drain(..).flat_map(|group| group.blocks);
+        let mut freed = 0usize;
+        for entry in self.scan.drain(..).chain(parked) {
             // SAFETY: the caller guarantees no thread can still reach these
-            // blocks; the batch owns them, so each is freed exactly once.
-            unsafe {
-                let next = (*cur).next_retired;
-                free_block(cur, None, None);
-                cur = next;
-            }
+            // blocks; each entry owns its block and is consumed here, so the
+            // block is freed exactly once.
+            unsafe { free_block(entry.block, None, None) };
+            freed += 1;
         }
-        all.len
+        freed
     }
 
     /// Moves every block from `other` onto `self`: scan list onto scan list,
-    /// each parked group onto the group of the same witness. No block is
-    /// walked, so adopting a batch costs O(groups) whatever its length.
+    /// each parked group onto the group of the same witness. A list that
+    /// lands on an empty one is swapped in, not copied, so adopting a batch
+    /// into an idle one walks no entry.
     pub fn append(&mut self, other: &mut RetiredBatch) {
-        self.scan.splice(other.scan.take());
-        for group in other.groups.drain(..) {
-            self.group_mut(group.witness).blocks.splice(group.blocks);
+        append_entries(&mut self.scan, &mut other.scan);
+        for mut group in other.groups.drain(..) {
+            match self
+                .groups
+                .iter_mut()
+                .find(|ours| ours.witness == group.witness)
+            {
+                Some(ours) => append_entries(&mut ours.blocks, &mut group.blocks),
+                None => self.groups.push(group),
+            }
         }
     }
 
@@ -478,8 +479,16 @@ mod tests {
         }
     }
 
-    fn make(drops: &Arc<AtomicUsize>) -> *mut BlockHeader {
-        Linked::as_header(Linked::alloc(Canary(drops.clone()), 0))
+    /// The entry of a fresh block that lived through `[alloc_era, retire_era]`.
+    fn entry(drops: &Arc<AtomicUsize>, alloc_era: u64, retire_era: u64) -> Retired {
+        let block = Linked::as_header(Linked::alloc(Canary(drops.clone()), alloc_era));
+        // SAFETY: freshly allocated, test-owned block, on this one entry;
+        // nothing ever publishes it.
+        unsafe { Retired::new(block, retire_era) }
+    }
+
+    fn make(drops: &Arc<AtomicUsize>) -> Retired {
+        entry(drops, 0, 0)
     }
 
     /// Retires onto `batch` a fresh block that lived through
@@ -490,13 +499,7 @@ mod tests {
         alloc_era: u64,
         retire_era: u64,
     ) {
-        let block = Linked::as_header(Linked::alloc(Canary(drops.clone()), alloc_era));
-        // SAFETY: freshly allocated, test-owned block, pushed on this one
-        // batch; the tests using this helper are single-threaded.
-        unsafe {
-            (*block).retire_era.store(retire_era, SeqCst);
-            batch.push(block);
-        }
+        batch.push(entry(drops, alloc_era, retire_era));
     }
 
     /// One pass of a single-threaded test: `(freed, scanned)`.
@@ -521,20 +524,16 @@ mod tests {
     fn push_scan_keep_and_free() {
         let drops = Arc::new(AtomicUsize::new(0));
         let mut batch = RetiredBatch::new();
-        let a = make(&drops);
-        let b = make(&drops);
-        let c = make(&drops);
-        // SAFETY: freshly allocated blocks owned by the test; each pushed once.
-        unsafe {
-            batch.push(a);
-            batch.push(b);
-            batch.push(c);
-        }
+        let [a, b, c] = [(); 3].map(|()| make(&drops));
+        let (a_addr, c_addr) = (a.block() as usize, c.block() as usize);
+        batch.push(a);
+        batch.push(b);
+        batch.push(c);
         assert_eq!(batch.len(), 3);
         // Snapshot covering `a` and `c`: only `b` may be freed.
         let mut snap = HazardSnapshot::new();
-        snap.insert(a as usize);
-        snap.insert(c as usize);
+        snap.insert(a_addr);
+        snap.insert(c_addr);
         snap.seal();
         // SAFETY: the snapshot was filled after every push; nothing else references
         // the blocks.
@@ -574,11 +573,8 @@ mod tests {
             1,
         );
         let mut batch = RetiredBatch::new();
-        // SAFETY: freshly allocated blocks owned by the test; each pushed once.
-        unsafe {
-            batch.push(make(&drops));
-            batch.push(make(&drops));
-        }
+        batch.push(make(&drops));
+        batch.push(make(&drops));
         // An empty (sealed) snapshot covers nothing: everything is freeable.
         let mut snap = HazardSnapshot::new();
         snap.seal();
@@ -599,12 +595,9 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let mut a_batch = RetiredBatch::new();
         let mut b_batch = RetiredBatch::new();
-        // SAFETY: freshly allocated blocks owned by the test; each pushed once.
-        unsafe {
-            a_batch.push(make(&drops));
-            b_batch.push(make(&drops));
-            b_batch.push(make(&drops));
-        }
+        a_batch.push(make(&drops));
+        b_batch.push(make(&drops));
+        b_batch.push(make(&drops));
         a_batch.append(&mut b_batch);
         assert_eq!(a_batch.len(), 3);
         assert!(b_batch.is_empty());
@@ -644,6 +637,44 @@ mod tests {
         assert_eq!(scan(&mut batch, &eras(&[])), (1, 1));
         assert!(batch.is_empty());
         assert_eq!(drops.load(SeqCst), 4);
+    }
+
+    #[test]
+    fn steady_state_passes_reuse_every_vector() {
+        // Every pass parks eight new blocks under a new witness and releases
+        // (and frees) the previous group: after a warm-up the batch's
+        // vectors are the same buffers with the same capacities, pass after
+        // pass — no retire and no pass calls the allocator.
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut batch = RetiredBatch::new();
+        let buffers = |batch: &RetiredBatch| {
+            let groups = batch.groups.iter().map(|group| &group.blocks);
+            let mut all: Vec<_> = [&batch.scan, &batch.scratch]
+                .into_iter()
+                .chain(groups)
+                .chain(&batch.spare)
+                .filter(|list| list.capacity() > 0)
+                .map(|list| (list.as_ptr(), list.capacity()))
+                .collect();
+            all.sort_unstable();
+            all
+        };
+        let mut warm = Vec::new();
+        for era in 1..12u64 {
+            for _ in 0..8 {
+                retire_span(&mut batch, &drops, era, era);
+            }
+            let freed = if era == 1 { 0 } else { 8 };
+            assert_eq!(scan(&mut batch, &eras(&[era])), (freed, 8 + freed));
+            assert_eq!(groups_of(&batch), [(era, 8)]);
+            if era == 4 {
+                warm = buffers(&batch);
+            } else if era > 4 {
+                assert_eq!(buffers(&batch), warm, "pass {era} reallocated");
+            }
+        }
+        assert_eq!(scan(&mut batch, &eras(&[])), (8, 8));
+        assert!(batch.is_empty());
     }
 
     #[test]
@@ -768,12 +799,9 @@ mod tests {
         let stack = OrphanStack::new();
         let mut first = RetiredBatch::new();
         let mut second = RetiredBatch::new();
-        // SAFETY: freshly allocated blocks owned by the test; each pushed once.
-        unsafe {
-            first.push(make(&drops));
-            second.push(make(&drops));
-            second.push(make(&drops));
-        }
+        first.push(make(&drops));
+        second.push(make(&drops));
+        second.push(make(&drops));
         stack.push(first);
         stack.push(second);
         assert_eq!(stack.len(), 3);
@@ -795,8 +823,7 @@ mod tests {
         let stack = OrphanStack::new();
         for _ in 0..10 {
             let mut batch = RetiredBatch::new();
-            // SAFETY: freshly allocated blocks owned by the test; each pushed once.
-            unsafe { batch.push(make(&drops)) };
+            batch.push(make(&drops));
             stack.push(batch);
             let mut adopted = stack.pop().unwrap();
             // SAFETY: no other thread references the batch's blocks.
@@ -826,11 +853,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..BATCHES {
                         let mut batch = RetiredBatch::new();
-                        // SAFETY: freshly allocated blocks owned by the test; each pushed once.
-                        unsafe {
-                            batch.push(make(&drops));
-                            batch.push(make(&drops));
-                        }
+                        batch.push(make(&drops));
+                        batch.push(make(&drops));
                         stack.push(batch);
                         if i % 2 == 0 {
                             if let Some(mut adopted) = stack.pop() {

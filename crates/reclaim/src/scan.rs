@@ -33,7 +33,8 @@
 //! interval's upper bound moves) have no such name and answer
 //! [`Verdict::Pinned`].
 
-use crate::block::{BlockHeader, ERA_INF};
+use crate::block::ERA_INF;
+use crate::retired::Retired;
 
 /// What a snapshot says about one retired block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +56,9 @@ pub enum Verdict {
 /// drained against one via
 /// [`RetiredBatch::scan_against`](crate::retired::RetiredBatch::scan_against).
 pub trait ReservationSet {
-    /// The scheme's safety condition for `block`, evaluated against the
-    /// snapshot, with the witness when there is one.
-    fn judge(&self, block: &BlockHeader) -> Verdict;
+    /// The scheme's safety condition for the retired block `entry`,
+    /// evaluated against the snapshot, with the witness when there is one.
+    fn judge(&self, entry: &Retired) -> Verdict;
 
     /// Whether `witness` — returned as [`Verdict::PinnedBy`] by an earlier
     /// snapshot of the same domain — still pins every block it was returned
@@ -68,9 +69,9 @@ pub trait ReservationSet {
         false
     }
 
-    /// Whether some reservation in the snapshot may still reach `block`.
-    fn covers(&self, block: &BlockHeader) -> bool {
-        self.judge(block) != Verdict::Free
+    /// Whether some reservation in the snapshot may still reach `entry`.
+    fn covers(&self, entry: &Retired) -> bool {
+        self.judge(entry) != Verdict::Free
     }
 }
 
@@ -110,11 +111,11 @@ impl EpochSnapshot {
 
 impl ReservationSet for EpochSnapshot {
     #[inline]
-    fn judge(&self, block: &BlockHeader) -> Verdict {
+    fn judge(&self, entry: &Retired) -> Verdict {
         // A block is pinned while some reader entered its operation at or
         // before the block's retirement epoch; that reader's epoch is the
         // witness.
-        if self.min_active <= block.retire_era() {
+        if self.min_active <= entry.retire_era() {
             Verdict::PinnedBy(self.min_active)
         } else {
             Verdict::Free
@@ -205,8 +206,8 @@ impl FromIterator<u64> for EraSnapshot {
 
 impl ReservationSet for EraSnapshot {
     #[inline]
-    fn judge(&self, block: &BlockHeader) -> Verdict {
-        match self.first_in_span(block.alloc_era(), block.retire_era()) {
+    fn judge(&self, entry: &Retired) -> Verdict {
+        match self.first_in_span(entry.alloc_era(), entry.retire_era()) {
             Some(era) => Verdict::PinnedBy(era),
             None => Verdict::Free,
         }
@@ -262,8 +263,8 @@ impl ReservationSet for IntervalSnapshot {
     /// No witness: an interval's upper bound moves with every `protect`, so
     /// "thread T's interval" names a different set of eras on the next pass.
     #[inline]
-    fn judge(&self, block: &BlockHeader) -> Verdict {
-        let (alloc_era, retire_era) = (block.alloc_era(), block.retire_era());
+    fn judge(&self, entry: &Retired) -> Verdict {
+        let (alloc_era, retire_era) = (entry.alloc_era(), entry.retire_era());
         let overlaps = |&(lower, upper): &(u64, u64)| alloc_era <= upper && retire_era >= lower;
         if self.intervals.iter().any(overlaps) {
             Verdict::Pinned
@@ -320,10 +321,11 @@ impl HazardSnapshot {
 
 impl ReservationSet for HazardSnapshot {
     /// No witness: the cover is the block's own address, and the pinned set
-    /// is already bounded by the number of hazard slots.
+    /// is already bounded by the number of hazard slots. The block itself is
+    /// not read.
     #[inline]
-    fn judge(&self, block: &BlockHeader) -> Verdict {
-        let address = block as *const BlockHeader as usize;
+    fn judge(&self, entry: &Retired) -> Verdict {
+        let address = entry.block() as usize;
         if self.pointers.binary_search(&address).is_ok() {
             Verdict::Pinned
         } else {
@@ -337,16 +339,29 @@ mod tests {
     use super::*;
     use crate::block::Linked;
 
-    fn block_with(alloc_era: u64, retire_era: u64) -> *mut Linked<u64> {
-        let ptr = Linked::alloc(0u64, alloc_era);
-        // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
-        unsafe {
-            (*ptr)
-                .header
-                .retire_era
-                .store(retire_era, wfe_sync::atomic::Ordering::Relaxed);
+    /// The batch entry of a fresh block that lived through
+    /// `[alloc_era, retire_era]`; the block is freed when the entry drops.
+    struct Entry(Retired);
+
+    impl core::ops::Deref for Entry {
+        type Target = Retired;
+        fn deref(&self) -> &Retired {
+            &self.0
         }
-        ptr
+    }
+
+    impl Drop for Entry {
+        fn drop(&mut self) {
+            // SAFETY: the block was allocated by `entry_with` as a
+            // `Linked<u64>`, never published, and is freed exactly once here.
+            unsafe { Linked::<u64>::dealloc(self.0.block().cast()) };
+        }
+    }
+
+    fn entry_with(alloc_era: u64, retire_era: u64) -> Entry {
+        let block = Linked::as_header(Linked::alloc(0u64, alloc_era));
+        // SAFETY: test-owned fresh block, on this one entry, never published.
+        Entry(unsafe { Retired::new(block, retire_era) })
     }
 
     #[test]
@@ -358,15 +373,10 @@ mod tests {
         snap.insert(5);
         assert_eq!(snap.min_active(), 5);
 
-        let old = block_with(1, 4); // retired before the oldest reader
-        let pinned = block_with(1, 5); // retired at the oldest reader's epoch
-                                       // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
-        unsafe {
-            assert!(!snap.covers(&*Linked::as_header(old)));
-            assert!(snap.covers(&*Linked::as_header(pinned)));
-            Linked::dealloc(old);
-            Linked::dealloc(pinned);
-        }
+        let old = entry_with(1, 4); // retired before the oldest reader
+        let pinned = entry_with(1, 5); // retired at the oldest reader's epoch
+        assert!(!snap.covers(&old));
+        assert!(snap.covers(&pinned));
         snap.clear();
         assert_eq!(snap.min_active(), ERA_INF);
     }
@@ -389,12 +399,7 @@ mod tests {
         assert!(!snap.covers_span(21, 99), "after every era");
         assert!(!snap.covers_span(1, 9), "before every era");
 
-        let block = block_with(15, 25);
-        // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
-        unsafe {
-            assert!(snap.covers(&*Linked::as_header(block)));
-            Linked::dealloc(block);
-        }
+        assert!(snap.covers(&entry_with(15, 25)));
         snap.clear();
         assert!(snap.is_empty());
         assert!(!snap.covers_span(0, ERA_INF));
@@ -410,25 +415,18 @@ mod tests {
 
         let mut epochs = EpochSnapshot::new();
         epochs.insert(7);
-        let spans_two = block_with(15, 25);
-        let free = block_with(1, 6);
-        // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
-        unsafe {
-            let header = &*Linked::as_header(spans_two);
-            assert_eq!(eras.judge(header), Verdict::PinnedBy(20));
-            assert!(eras.holds(20) && !eras.holds(15));
-            assert_eq!(epochs.judge(header), Verdict::PinnedBy(7));
-            assert!(
-                epochs.holds(7) && epochs.holds(8),
-                "no newer than the witness"
-            );
-            assert!(!epochs.holds(6), "the oldest reader moved past epoch 6");
-            let header = &*Linked::as_header(free);
-            assert_eq!(eras.judge(header), Verdict::Free);
-            assert_eq!(epochs.judge(header), Verdict::Free);
-            Linked::dealloc(spans_two);
-            Linked::dealloc(free);
-        }
+        let spans_two = entry_with(15, 25);
+        assert_eq!(eras.judge(&spans_two), Verdict::PinnedBy(20));
+        assert!(eras.holds(20) && !eras.holds(15));
+        assert_eq!(epochs.judge(&spans_two), Verdict::PinnedBy(7));
+        assert!(
+            epochs.holds(7) && epochs.holds(8),
+            "no newer than the witness"
+        );
+        assert!(!epochs.holds(6), "the oldest reader moved past epoch 6");
+        let free = entry_with(1, 6);
+        assert_eq!(eras.judge(&free), Verdict::Free);
+        assert_eq!(epochs.judge(&free), Verdict::Free);
         assert!(
             !EpochSnapshot::new().holds(u64::MAX - 1),
             "no reader, no witness"
@@ -437,19 +435,14 @@ mod tests {
 
     #[test]
     fn hazard_and_interval_snapshots_name_no_witness() {
-        let block = block_with(15, 30);
+        let entry = entry_with(15, 30);
         let mut intervals = IntervalSnapshot::new();
         intervals.insert(10, 20);
         let mut hazards = HazardSnapshot::new();
-        hazards.insert(block as usize);
+        hazards.insert(entry.block() as usize);
         hazards.seal();
-        // SAFETY: test-owned live block; dereferenced and freed exactly once.
-        unsafe {
-            let header = &*Linked::as_header(block);
-            assert_eq!(intervals.judge(header), Verdict::Pinned);
-            assert_eq!(hazards.judge(header), Verdict::Pinned);
-            Linked::dealloc(block);
-        }
+        assert_eq!(intervals.judge(&entry), Verdict::Pinned);
+        assert_eq!(hazards.judge(&entry), Verdict::Pinned);
         assert!(!intervals.holds(15) && !hazards.holds(15));
     }
 
@@ -460,35 +453,23 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert!(!snap.is_empty());
 
-        let overlapping = block_with(15, 30);
-        let disjoint = block_with(21, 30);
-        // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
-        unsafe {
-            assert!(snap.covers(&*Linked::as_header(overlapping)));
-            assert!(!snap.covers(&*Linked::as_header(disjoint)));
-            Linked::dealloc(overlapping);
-            Linked::dealloc(disjoint);
-        }
+        assert!(snap.covers(&entry_with(15, 30)));
+        assert!(!snap.covers(&entry_with(21, 30)));
         snap.clear();
         assert!(snap.is_empty());
     }
 
     #[test]
     fn hazard_snapshot_matches_exact_addresses() {
-        let a = block_with(0, 0);
-        let b = block_with(0, 0);
+        let a = entry_with(0, 0);
+        let b = entry_with(0, 0);
         let mut snap = HazardSnapshot::new();
         snap.insert(0); // ignored
-        snap.insert(a as usize);
-        snap.insert(a as usize); // deduped
+        snap.insert(a.block() as usize);
+        snap.insert(a.block() as usize); // deduped
         snap.seal();
         assert_eq!(snap.len(), 1);
-        // SAFETY: test-owned live block(s); dereferenced and freed exactly once.
-        unsafe {
-            assert!(snap.covers(&*Linked::as_header(a)));
-            assert!(!snap.covers(&*Linked::as_header(b)));
-            Linked::dealloc(a);
-            Linked::dealloc(b);
-        }
+        assert!(snap.covers(&a));
+        assert!(!snap.covers(&b));
     }
 }

@@ -8,6 +8,7 @@ use wfe_sync::CachePadded;
 use wfe_reclaim::api::{DomainConfig, Progress, Reclaimer};
 use wfe_reclaim::block::BlockHeader;
 use wfe_reclaim::domain::{Domain, DomainHandle, Policy};
+use wfe_reclaim::retired::Retired;
 use wfe_reclaim::scan::{EraSnapshot, ReservationSet, Verdict};
 use wfe_reclaim::slots::PairSlotArray;
 use wfe_reclaim::{ERA_INF, INVPTR};
@@ -347,8 +348,8 @@ impl ReservationSet for WfeSnapshot {
     /// The witness is the smallest era of any live column inside the
     /// block's lifespan — the oldest publication that pins it.
     #[inline]
-    fn judge(&self, block: &BlockHeader) -> Verdict {
-        let (alloc_era, retire_era) = (block.alloc_era(), block.retire_era());
+    fn judge(&self, entry: &Retired) -> Verdict {
+        let (alloc_era, retire_era) = (entry.alloc_era(), entry.retire_era());
         let witness = self
             .columns()
             .filter_map(|column| column.first_in_span(alloc_era, retire_era))
@@ -507,22 +508,20 @@ mod tests {
     #[test]
     fn non_quiescent_columns_count_and_quiescent_ones_do_not() {
         let block = Linked::alloc(0u64, 4);
-        // SAFETY: test-owned live block; dereferenced and freed exactly once.
-        unsafe {
-            (*block).header.retire_era.store(9, Ordering::SeqCst);
-            let header = &(*block).header;
-            let in_flight = WfeSnapshot::from_eras(&[12], false, &[8, 6], &[5]);
-            assert_eq!(
-                in_flight.judge(header),
-                Verdict::PinnedBy(5),
-                "the oldest pin"
-            );
-            assert!(in_flight.holds(6) && in_flight.holds(12) && !in_flight.holds(7));
-            let quiescent = WfeSnapshot::from_eras(&[12], true, &[8, 6], &[5]);
-            assert_eq!(quiescent.judge(header), Verdict::Free);
-            assert!(quiescent.holds(12) && !quiescent.holds(6));
-            Linked::dealloc(block);
-        }
+        // SAFETY: a fresh, never-published block, on this one entry.
+        let entry = unsafe { Retired::new(Linked::as_header(block), 9) };
+        let in_flight = WfeSnapshot::from_eras(&[12], false, &[8, 6], &[5]);
+        assert_eq!(
+            in_flight.judge(&entry),
+            Verdict::PinnedBy(5),
+            "the oldest pin"
+        );
+        assert!(in_flight.holds(6) && in_flight.holds(12) && !in_flight.holds(7));
+        let quiescent = WfeSnapshot::from_eras(&[12], true, &[8, 6], &[5]);
+        assert_eq!(quiescent.judge(&entry), Verdict::Free);
+        assert!(quiescent.holds(12) && !quiescent.holds(6));
+        // SAFETY: the entry is done with; the block is freed exactly once.
+        unsafe { Linked::dealloc(block) };
     }
 
     #[test]

@@ -313,7 +313,7 @@ impl CacheModel {
 }
 
 fn check_cache_against_model(steps: &[CacheStep]) {
-    const CLASS_BYTES: u64 = 56; // `Linked<u64>`: a 32-byte header and the payload
+    const CLASS_BYTES: u64 = 40; // `Linked<u64>`: a 16-byte header and the payload
     let _turn = exclusive();
     let start = outstanding_cached_allocs();
     let mut model = CacheModel::default();

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use wfe_suite::wfe_core::WfeSnapshot;
 use wfe_suite::wfe_reclaim::conformance::DropCounter;
 use wfe_suite::wfe_reclaim::ptr::tag;
-use wfe_suite::wfe_reclaim::retired::{OrphanStack, RetiredBatch};
+use wfe_suite::wfe_reclaim::retired::{OrphanStack, Retired, RetiredBatch};
 use wfe_suite::wfe_reclaim::scan::{EpochSnapshot, EraSnapshot, ReservationSet};
 use wfe_suite::wfe_reclaim::BlockCacheConfig;
 use wfe_suite::wfe_sync::AtomicPair;
@@ -551,13 +551,7 @@ fn check_parked_scan<S: ReservationSet>(
             );
             // SAFETY: the block is fresh, owned by this test, pushed on one
             // batch only, and nothing else ever references it.
-            unsafe {
-                (*block)
-                    .header
-                    .retire_era
-                    .store(retire_era, Ordering::SeqCst);
-                batch.push(Linked::as_header(block));
-            }
+            batch.push(unsafe { Retired::new(Linked::as_header(block), retire_era) });
             (id, alloc_era, retire_era)
         };
         match step.hand_off {
