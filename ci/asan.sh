@@ -8,19 +8,26 @@
 # Needs the nightly toolchain and its ASan runtime; builds offline into
 # target/asan (its own directory: the sanitizer flag rebuilds everything).
 #
-# Why both modes: with the cache on, a retired block goes to a magazine, not
-# to `free`, and comes back as a node of the same size class, so a read after
-# retirement returns plausible data and ASan sees a live allocation. With
-# the cache off every freed block really is freed, and the same read is a
-# reported heap-use-after-free. The cache-on leg still checks the magazines
-# and shard chains themselves, and LeakSanitizer checks both.
+# Why both modes: with the cache on, a node is a class block carved from a
+# slab of the process-wide pool, and a freed one goes to a magazine or back
+# to the pool, never to `free` — ASan sees one live slab, and a read after
+# retirement returns whatever the block holds now. So with the cache on the
+# use-after-free detectors are the debug-build poison (every parked block is
+# overwritten; a write after the free panics at the next `alloc` of its
+# class, a freed node's link is a non-canonical address) and the cache-off
+# leg, where every node is a `Box` of its own and really is freed, so the
+# same read is a reported heap-use-after-free. The cache-on leg still checks
+# the magazines, shard chains and pool themselves, and LeakSanitizer checks
+# both.
 #
-# Covered: the `wfe-sync`, `wfe-reclaim` and `wfe-core` unit suites, the
-# block-cache suite (`--test cache_leak`) and the integration suite. The
-# Natarajan-Mittal BST tests (`bst_under_*`) are skipped: `seek` steps from a
-# protected node to its child without re-validating the edge it came
-# through, a known read-after-free under the hazard-class schemes that is
-# the ROADMAP's open item "Memory safety of the seven structures" (a).
+# Covered: the `wfe-sync`, `wfe-reclaim`, `wfe-core` and `wfe-ds` unit
+# suites, the block-cache suite (`--test cache_leak`), the conformance,
+# property and resize-storm suites and the integration suite, once more
+# with one test thread at a time (tests then do not preempt each other).
+# The Natarajan-Mittal BST is covered too: its `seek` steps only through
+# clean edges, so it no longer reads a node retired behind a marked one
+# (`bst_under_hp` used to report a heap-use-after-free in `child_edge` on
+# the first run).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,7 +47,10 @@ for mode in "${modes[@]}"; do
     echo "== ASan, block cache $mode" >&2
     export WFE_BLOCK_CACHE="$mode"
     cargo +nightly test "${target[@]}" -p wfe-sync -p wfe-reclaim -p wfe-core --lib
-    cargo +nightly test "${target[@]}" --test cache_leak
-    cargo +nightly test "${target[@]}" --test integration -- --skip bst_under_
+    cargo +nightly test "${target[@]}" -p wfe-ds --lib
+    cargo +nightly test "${target[@]}" --test cache_leak --test conformance_smoke \
+        --test proptests --test resize_stress
+    cargo +nightly test "${target[@]}" --test integration
+    cargo +nightly test "${target[@]}" --test integration -- --test-threads 1
 done
 echo "== ASan clean: block cache ${modes[*]}" >&2

@@ -30,7 +30,7 @@ use wfe_ds::{
     ConcurrentQueue, CrTurnQueue, KoganPetrankQueue, MichaelScottQueue, ResizableHashMap,
 };
 use wfe_reclaim::{
-    Atomic, BlockCacheConfig, BlockCaches, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, Leak,
+    slab, Atomic, BlockCacheConfig, BlockCaches, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, Leak,
     LocalBlockCache, RawHandle, Reclaimer, ReclaimerConfig, SizeClass,
 };
 
@@ -249,14 +249,7 @@ fn bench_spill_refill(c: &mut Criterion) {
     let shard = caches.shard(0);
     let class = SizeClass::of(56, 8).expect("the smallest class");
     let mut local = LocalBlockCache::new();
-    let mut blocks: Vec<*mut u8> = (0..=MAGAZINE)
-        .map(|_| {
-            // SAFETY: the class layout has a non-zero size.
-            let block = unsafe { std::alloc::alloc(class.layout()) };
-            assert!(!block.is_null());
-            block
-        })
-        .collect();
+    let mut blocks: Vec<*mut u8> = (0..=MAGAZINE).map(|_| slab::take(class)).collect();
     c.bench_function("block_cache/spill_refill", |bencher| {
         bencher.iter(|| {
             for block in blocks.drain(..) {
@@ -269,8 +262,8 @@ fn bench_spill_refill(c: &mut Criterion) {
         })
     });
     for block in blocks {
-        // SAFETY: allocated above with this layout, popped back, freed once.
-        unsafe { std::alloc::dealloc(block, class.layout()) };
+        // SAFETY: taken above from the pool, popped back, given back once.
+        unsafe { slab::give(class, block) };
     }
 }
 

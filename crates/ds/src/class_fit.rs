@@ -1,14 +1,16 @@
 //! Which block-cache size class every block type of this crate lands in.
 //!
-//! `rss_peak_mib` and `cache.hit_ratio` hang on it: a block takes a whole
-//! class (one glibc chunk), so the bytes between the block and its class
-//! are paid per live node. Every type allocated through a domain is in the
-//! table, and each fits its class within [`MAX_SLACK`] bytes.
+//! `rss_peak_mib` and `cache.hit_ratio` hang on it: a class block is carved
+//! at exactly its class size, so the stride between two nodes of a type is
+//! its class and the bytes between the block and its class are paid per
+//! live node. Every type allocated through a domain is in the table, and
+//! each fits its class within [`MAX_SLACK`] bytes.
 
+use wfe_reclaim::cache::CLASS_ALIGN;
 use wfe_reclaim::{BlockHeader, Linked, SizeClass};
 
-/// Bytes a block may leave unused in its class: one 16-byte allocator grain.
-const MAX_SLACK: usize = 16;
+/// Bytes a block may leave unused in its class: one word.
+const MAX_SLACK: usize = 8;
 
 /// One row: the block type's name, its size and alignment with the header,
 /// and the class it must land in.
@@ -42,6 +44,15 @@ fn every_block_type_fits_its_size_class() {
             class - size <= MAX_SLACK,
             "{name}: {size} bytes leave {} of the {class}-byte class unused",
             class - size
+        );
+        // The stride: blocks of the class are carved back to back, `class`
+        // bytes apart with no allocator grain, and 8-aligned — which every
+        // type here needs, and no more.
+        assert_eq!(align, 8, "{name}: 8-byte alignment");
+        assert_eq!(
+            class % CLASS_ALIGN,
+            0,
+            "{name}: every {class}-byte block stays aligned"
         );
     }
 }

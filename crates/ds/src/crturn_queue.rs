@@ -61,10 +61,12 @@ const IDX_NONE: i64 = -1;
 /// in the Michael-Scott queue.
 // LAYOUT: one 56-byte block, unpadded: `next` and `deq_tid` are each written
 // once (the append, the claim), by a helper that reads the rest of the node.
-// In 64-byte chunks neighbours share lines; padding each block into a
-// 128-byte chunk measured no faster on `queue-pairs` (10 of 16 alternating
-// pairs faster packed, equal medians) and cost 0.3 MiB of peak RSS. An
-// 80-byte chunk (a 72-byte class) measured about 6 % slower in 6 of 6 pairs.
+// Carved at a 56-byte stride, neighbours share lines; that measured the same
+// as 64-byte glibc chunks on `queue-pairs` (10 alternating 15 s pairs on 2
+// cores: median 2.94 → 2.93 M ops/s, 5 of 10 faster, peak RSS −3 %), so no
+// line-aligned 64-byte carve. Padding each block into a 128-byte chunk
+// measured no faster either (10 of 16 pairs faster packed, equal medians, and
+// 0.3 MiB more peak RSS), and an 80-byte chunk about 6 % slower in 6 of 6.
 pub struct Node<T> {
     value: Option<T>,
     next: Atomic<Node<T>>,

@@ -7,12 +7,14 @@
 //! sibling is then promoted into the grandparent with a single CAS, detaching
 //! the parent and the flagged leaf.
 //!
-//! Reservation usage: `seek` protects the four window nodes it hands back
-//! (ancestor, parent, leaf and the node currently being examined)
-//! hand-over-hand while descending, using five reservation slots that rotate
-//! as the window slides down the tree. The *successor* of the seek record is
-//! only ever used as an expected CAS value, never dereferenced, so it needs no
-//! reservation.
+//! Reservation usage: `seek` protects its window — the ancestor, parent and
+//! leaf it hands back and the node currently being examined —
+//! hand-over-hand while descending, with four reservation slots that rotate
+//! as the window slides down the tree. It steps only through clean edges
+//! (neither flagged nor tagged): behind a marked edge the child may already
+//! be retired, so the seek helps that removal and starts over (see
+//! `NatarajanBst::seek`). The ancestor is therefore always the leaf's
+//! grandparent, and the promotion CAS swings the edge into the parent.
 
 use std::sync::Arc;
 use wfe_sync::atomic::Ordering;
@@ -54,15 +56,11 @@ impl<V> Node<V> {
     }
 }
 
-/// The window returned by `seek`. Every dereferenced role is a [`Protected`]
-/// tied to the operation's guard.
+/// The window returned by `seek`. Every role is a [`Protected`] tied to the
+/// operation's guard, shielded, and reached through a clean edge.
 struct SeekRecord<'g, V> {
-    /// Deepest node on the path whose outgoing edge towards the key was
-    /// untagged; the promotion CAS happens on this node's child edge.
+    /// Parent of `parent`; the promotion CAS swings its edge into `parent`.
     ancestor: Protected<'g, Node<V>>,
-    /// The child of `ancestor` on the path (expected CAS value only, never
-    /// dereferenced — which is why it needs no shield).
-    successor: Protected<'g, Node<V>>,
     /// Parent of `leaf`.
     parent: Protected<'g, Node<V>>,
     /// The leaf the search ended at.
@@ -87,18 +85,18 @@ unsafe impl<V: Send + Sync, R: Reclaimer> Sync for NatarajanBst<V, R> {}
 
 impl<V, R: Reclaimer> NatarajanBst<V, R> {
     /// Reservation slots the tree needs per thread: the rotating
-    /// ancestor/parent/leaf/current window of `seek` plus its spare.
-    pub const REQUIRED_SLOTS: usize = 5;
+    /// ancestor/parent/leaf/current window of `seek`.
+    pub const REQUIRED_SLOTS: usize = 4;
 
-    /// Leases the five shields of the rotating `seek` window from the
+    /// Leases the four shields of the rotating `seek` window from the
     /// operation's guard.
-    fn seek_shields<'g>(guard: &'g Guard<'_, R::Handle>) -> [Shield<'g, Node<V>, R::Handle>; 5] {
+    fn seek_shields<'g>(guard: &'g Guard<'_, R::Handle>) -> [Shield<'g, Node<V>, R::Handle>; 4] {
         let lease = || {
             guard
                 .shield()
-                .expect("NatarajanBst: reservation slots exhausted (seek needs five Shields)")
+                .expect("NatarajanBst: reservation slots exhausted (seek needs four Shields)")
         };
-        [lease(), lease(), lease(), lease(), lease()]
+        [lease(), lease(), lease(), lease()]
     }
 
     /// Creates an empty tree guarded by `domain`.
@@ -145,14 +143,39 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
     }
 
     /// Descends from the root to the leaf where `key` belongs, recording the
-    /// (ancestor, successor, parent, leaf) window. All dereferenced nodes of
-    /// the returned record are protected by the five rotating shields.
+    /// (ancestor, parent, leaf) window, each protected by one of the four
+    /// rotating shields.
+    ///
+    /// A node is dereferenced only if the edge `protect` read it through was
+    /// clean. A removed internal node has both edges marked before it is
+    /// detached, and marks are permanent, so a clean edge out of a node
+    /// proves the node — hence the child — still linked when the protecting
+    /// read happened: the reservation covers a child that was not yet
+    /// retired. Through a marked edge the child may be retired and freed
+    /// already (the edge is frozen and keeps pointing at it); the seek then
+    /// helps the pending removal and starts over from the root. Helping is
+    /// what keeps the restart lock-free: every restart completes a removal.
     fn seek<'g>(
         &self,
         guard: &'g Guard<'_, R::Handle>,
-        shields: &mut [Shield<'_, Node<V>, R::Handle>; 5],
+        shields: &mut [Shield<'_, Node<V>, R::Handle>; 4],
         key: u64,
     ) -> SeekRecord<'g, V> {
+        loop {
+            if let Some(record) = self.try_seek(guard, shields, key) {
+                return record;
+            }
+        }
+    }
+
+    /// One descent of [`seek`](Self::seek): `None` once it has helped the
+    /// removal whose marked edge it met.
+    fn try_seek<'g>(
+        &self,
+        guard: &'g Guard<'_, R::Handle>,
+        shields: &mut [Shield<'_, Node<V>, R::Handle>; 4],
+        key: u64,
+    ) -> Option<SeekRecord<'g, V>> {
         // SAFETY: the super-root R is an immortal sentinel — it is never
         // retired (only `Drop` frees it, with exclusive access).
         let root: Protected<'g, Node<V>> = unsafe { Protected::from_unlinked(self.root) };
@@ -167,76 +190,48 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
         // SAFETY: S is immortal (see above).
         let s_ref = unsafe { s.as_ref() }.expect("the S sentinel always exists");
 
-        // Shield indices for the roles that get dereferenced. They rotate as
-        // the window slides down so that a node keeps its shield while it
-        // remains part of the window.
-        let mut shield_ancestor = 0usize;
-        let mut shield_parent = 1usize;
-        let mut shield_leaf = 2usize;
-        let mut shield_current = 3usize;
-        let mut shield_spare = 4usize;
-
+        // Shield indices of the window roles. They rotate as the window
+        // slides down, so a node keeps its shield while it stays in the
+        // window and only the role that leaves it is re-protected.
+        let [mut shield_ancestor, mut shield_parent, mut shield_leaf, mut shield_current] =
+            [0usize, 1, 2, 3];
         let mut ancestor = root;
-        let mut successor = s;
         let mut parent = s;
-        // The sentinels R and S are never retired, so the two protects below
-        // are only needed for the nodes hanging off them.
-        let leaf_tagged =
-            shields[shield_leaf].protect(guard, Self::child_edge(s_ref, key), Some(s));
-        let mut leaf = leaf_tagged.untagged();
-        // Edge parent→leaf as last read (its TAG bit steers ancestor updates).
-        let mut parent_field = leaf_tagged;
-        // SAFETY: each dereferenced window role (ancestor, parent, leaf,
-        // current) keeps its own shield; a rotation re-protects only the
-        // shield whose role has left the dereferenced window, so `leaf`
-        // stays pinned by `shields[shield_leaf]` while the child edge is
-        // read.
-        let leaf_ref = unsafe { leaf.as_ref() }.expect("leaf below S is non-null");
-        let mut current =
-            shields[shield_current].protect(guard, Self::child_edge(leaf_ref, key), Some(leaf));
-
+        // The sentinels R and S are never retired, and no removal marks an
+        // edge of S: its children are an internal node and the ∞₂ leaf.
+        let mut leaf = shields[shield_leaf].protect(guard, Self::child_edge(s_ref, key), Some(s));
         loop {
-            if current.is_null() {
-                break;
-            }
-            // Slide the window down one level.
-            if parent_field.tag() & TAG == 0 {
-                // The edge parent→leaf is untagged: parent is the new ancestor.
-                ancestor = parent;
-                successor = leaf;
-                // `ancestor` adopts `parent`'s shield; the old ancestor
-                // shield becomes the spare.
-                let freed = shield_ancestor;
-                shield_ancestor = shield_parent;
-                shield_parent = shield_leaf;
-                shield_leaf = shield_current;
-                shield_current = shield_spare;
-                shield_spare = freed;
-            } else {
-                let freed = shield_parent;
-                shield_parent = shield_leaf;
-                shield_leaf = shield_current;
-                shield_current = shield_spare;
-                shield_spare = freed;
-            }
-            parent = leaf;
-            parent_field = current;
-            leaf = current.untagged();
-            // SAFETY: see the comment above the first protect — `leaf` is
-            // pinned by `shields[shield_leaf]` after the rotation, and the
-            // re-protected shield's old role has left the window.
+            // SAFETY: `leaf` is pinned by `shields[shield_leaf]`, and the
+            // edge that pin was published for was clean (S's, or checked
+            // below), so the pin covers it.
             let leaf_ref = unsafe { leaf.as_ref() }.expect("internal nodes have children");
-            current =
+            let current =
                 shields[shield_current].protect(guard, Self::child_edge(leaf_ref, key), Some(leaf));
-        }
-        // Quiet the "assigned but never read" lint on the final rotation.
-        let _ = (shield_ancestor, shield_parent, shield_leaf, shield_spare);
-
-        SeekRecord {
-            ancestor,
-            successor,
-            parent,
-            leaf,
+            if current.tag() != 0 {
+                // `leaf` is being removed and `current` may be freed: finish
+                // the removal with the window one level down (`cleanup`
+                // dereferences only the ancestor and the parent, both
+                // shielded) and look again.
+                let record = SeekRecord {
+                    ancestor: parent,
+                    parent: leaf,
+                    leaf: current,
+                };
+                self.cleanup(guard, key, &record);
+                return None;
+            }
+            if current.is_null() {
+                return Some(SeekRecord {
+                    ancestor,
+                    parent,
+                    leaf,
+                });
+            }
+            // Slide the window down one level; the departing ancestor's
+            // shield takes the next current.
+            (shield_ancestor, shield_parent, shield_leaf, shield_current) =
+                (shield_parent, shield_leaf, shield_current, shield_ancestor);
+            (ancestor, parent, leaf) = (parent, leaf, current);
         }
     }
 
@@ -278,7 +273,7 @@ impl<V, R: Reclaimer> NatarajanBst<V, R> {
         let ancestor_ref = unsafe { record.ancestor.as_ref() }.expect("ancestor role is protected");
         let swapped = Self::child_edge(ancestor_ref, key)
             .compare_exchange(
-                record.successor.as_raw(),
+                record.parent.as_raw(),
                 promoted,
                 Ordering::AcqRel, // ORDER: success publishes the promotion; failure means another helper won.
                 Ordering::Acquire,

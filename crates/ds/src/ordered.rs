@@ -42,7 +42,8 @@ pub(crate) const REQUIRED_SLOTS: usize = 2;
 ///
 /// `key` and `next` come first and in that order: they are the two words
 /// every `find` step reads, and behind the 16-byte block header they fill
-/// one 16-aligned span of a list node, which no cache line boundary cuts.
+/// bytes 16..32 of a list node — one line in seven nodes of eight at the
+/// 40-byte stride the nodes are carved at.
 #[repr(C)]
 pub struct Node<K, V> {
     key: K,
@@ -486,16 +487,28 @@ mod tests {
     }
 
     #[test]
-    fn a_find_step_reads_one_sixteen_byte_aligned_span() {
+    fn a_find_step_reads_key_and_next_across_a_line_in_one_node_of_eight() {
         // `find` reads `key`, then `next`, of every node it passes. Behind
-        // the 16-byte header they sit at block offsets 16..32: one 16-aligned
-        // span of a 16-aligned block, so both loads hit the same line.
+        // the 16-byte header they sit at block offsets 16..32. List nodes
+        // are carved 40 bytes apart from 64-aligned slabs, so block k starts
+        // 40k bytes past a line; of eight consecutive nodes exactly one (the
+        // second) has the span cross a line, and its find step reads two
+        // lines where the other seven read one.
         use core::mem::offset_of;
         type ListNode = Linked<Node<u64, u64>>;
         let node = offset_of!(ListNode, value);
         assert_eq!(node, 16, "the payload follows a 16-byte header");
         assert_eq!(node + offset_of!(Node<u64, u64>, key), 16);
         assert_eq!(node + offset_of!(Node<u64, u64>, next), 24);
+        let stride = core::mem::size_of::<ListNode>();
+        assert_eq!(stride, 40);
+        let across: Vec<usize> = (0..8)
+            .filter(|k| {
+                let (first, last) = (stride * k + 16, stride * k + 31);
+                first / 64 != last / 64
+            })
+            .collect();
+        assert_eq!(across, [1], "one node in eight");
         assert_eq!(
             offset_of!(Node<u64, u64>, value),
             16,

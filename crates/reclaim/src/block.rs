@@ -8,7 +8,8 @@
 
 use wfe_sync::atomic::{AtomicU64, Ordering};
 
-use crate::cache::{alloc_class, dealloc_class, LocalBlockCache, ShardCache, SizeClass};
+use crate::cache::{LocalBlockCache, ShardCache, SizeClass};
+use crate::slab;
 
 /// The "infinite" era: a reservation holding this value protects nothing.
 ///
@@ -35,8 +36,11 @@ pub const INVPTR: u64 = u64::MAX;
 ///
 /// `alloc_era` is an atomic only because the WFE *helper* threads read it in
 /// a parent block concurrently with nothing but the allocation that wrote it.
-// LAYOUT: the header is the first 16 bytes of the block it describes, so a
-// 16-aligned class block puts the payload's first two words on one line.
+// LAYOUT: the header is the first 16 bytes of the block it describes. Class
+// blocks are carved back to back at their class size from 64-aligned slabs,
+// 8-aligned, so a payload's first two words (a list node's `key` and `next`)
+// share a line in 7 blocks of 8 at the 40-byte stride; the 8th straddles two
+// lines, the price of 40 bytes per node instead of a 48-byte chunk.
 #[repr(C)]
 #[derive(Debug)]
 pub struct BlockHeader {
@@ -45,7 +49,8 @@ pub struct BlockHeader {
     /// Type-erased destructor: drops the payload and either frees the whole
     /// allocation (`Box`-path blocks, returning `None`) or hands the memory
     /// back to the caller keyed by its size class (`Some`), so the free path
-    /// can route it into a block cache instead of the allocator.
+    /// can route it into a block cache or the pool. It is the one record of
+    /// which path allocated the block.
     pub(crate) drop_fn: unsafe fn(*mut BlockHeader) -> Option<SizeClass>,
 }
 
@@ -71,14 +76,17 @@ pub struct Linked<T> {
 }
 
 impl<T> Linked<T> {
-    /// The size class this block type is cached under, or `None` when its
-    /// layout exceeds the largest class and must use the `Box` path.
+    /// The size class this block type is carved and cached under, or `None`
+    /// when its layout exceeds the largest class (or its alignment
+    /// [`CLASS_ALIGN`](crate::cache::CLASS_ALIGN)) and must use the `Box`
+    /// path.
     pub(crate) const SIZE_CLASS: Option<SizeClass> = SizeClass::of(
         core::mem::size_of::<Linked<T>>(),
         core::mem::align_of::<Linked<T>>(),
     );
 
-    /// Heap-allocates a new block with the given allocation era.
+    /// Heap-allocates a new block with the given allocation era, as a `Box`
+    /// of its own (no magazine, so no class block).
     ///
     /// Returns an owning raw pointer; the allocation is freed either by the
     /// reclamation scheme (after [`retire`](crate::Handle::retire)) or by
@@ -87,11 +95,12 @@ impl<T> Linked<T> {
         Self::alloc_in(value, alloc_era, None, None)
     }
 
-    /// Like [`alloc`](Self::alloc), but pops a recycled block of the matching
-    /// size class from the handle's `local` magazine (refilled from `shard`,
-    /// its backing) before falling back to the allocator. Blocks whose
-    /// layout fits no class ignore both, and without a magazine nothing is
-    /// recycled: the shard is reached a chain at a time, through a magazine.
+    /// Like [`alloc`](Self::alloc), but, when the layout fits a size class,
+    /// allocates a class block: recycled from the handle's `local` magazine
+    /// (refilled from `shard`, its backing), else taken from the pool
+    /// ([`crate::slab`]). Without a magazine — the cache off, a scheme that
+    /// never reclaims — or for a layout no class fits, the block is a `Box`
+    /// of its own; its `drop_fn` records which.
     pub fn alloc_in(
         value: T,
         alloc_era: u64,
@@ -102,12 +111,17 @@ impl<T> Linked<T> {
             alloc_era: AtomicU64::new(alloc_era),
             drop_fn,
         };
-        match Self::SIZE_CLASS {
-            Some(class) => {
-                let recycled = local.and_then(|local| local.pop(class, shard));
-                let raw = recycled.unwrap_or_else(|| alloc_class(class));
+        match (Self::SIZE_CLASS, local) {
+            (Some(class), Some(local)) => {
+                let raw = local.pop(class, shard).unwrap_or_else(|| slab::take(class));
+                // SAFETY: a class block off a freelist or out of the pool is
+                // dead memory this thread owns (and poisoned, in debug builds).
+                #[cfg(debug_assertions)]
+                unsafe {
+                    slab::check_poison(raw, class)
+                };
                 let ptr = raw.cast::<Linked<T>>();
-                // SAFETY: `raw` is a fresh or recycled class block — at least
+                // SAFETY: `raw` is a class block — at least
                 // `size_of::<Linked<T>>()` writable bytes at sufficient
                 // alignment, exclusively owned.
                 unsafe {
@@ -118,17 +132,18 @@ impl<T> Linked<T> {
                 }
                 ptr
             }
-            None => Box::into_raw(Box::new(Linked {
+            _ => Box::into_raw(Box::new(Linked {
                 header: header(drop_block_boxed::<T>),
                 value,
             })),
         }
     }
 
-    /// Immediately frees a block that is *not* going through a retire path,
-    /// straight to the allocator: the remaining nodes freed by a data
-    /// structure's `Drop`, which has no handle. Mid-operation, a node that
-    /// never became reachable goes back to the magazine it came from instead
+    /// Immediately frees a block that is *not* going through a retire path:
+    /// the remaining nodes freed by a data structure's `Drop`, which has no
+    /// handle. A `Box` goes to the allocator, a class block to the pool.
+    /// Mid-operation, a node that never became reachable goes back to the
+    /// magazine it came from instead
     /// ([`Handle::discard`](crate::Handle::discard)).
     ///
     /// # Safety
@@ -151,7 +166,8 @@ impl<T> Linked<T> {
 }
 
 /// Frees a type-erased `Box`-path block. Installed as `drop_fn` at
-/// allocation time for layouts no size class fits.
+/// allocation time for layouts no size class fits, and for every block
+/// allocated without a magazine.
 ///
 /// # Safety
 ///
@@ -166,7 +182,7 @@ unsafe fn drop_block_boxed<T>(header: *mut BlockHeader) -> Option<SizeClass> {
 
 /// Drops the payload of a class-path block **without freeing the memory**,
 /// returning its size class so the caller routes the block into a cache or
-/// back to the allocator. Installed as `drop_fn` at allocation time.
+/// back to the pool. Installed as `drop_fn` at allocation time.
 ///
 /// # Safety
 ///
@@ -183,8 +199,9 @@ unsafe fn drop_block_classed<T>(header: *mut BlockHeader) -> Option<SizeClass> {
 
 /// Frees a block through its type-erased destructor, parking the memory of
 /// class-path blocks on the handle's `local` magazine (which spills to
-/// `shard`, its backing) instead of returning it to the allocator; with no
-/// magazine the memory goes to the allocator.
+/// `shard`, its backing); with no magazine a class block goes to the pool.
+/// Debug builds poison a class block before parking it, so a write after
+/// the free fails at the next `alloc` of its class.
 ///
 /// # Safety
 ///
@@ -203,12 +220,18 @@ pub(crate) unsafe fn free_block(
     let class = unsafe { ((*header).drop_fn)(header) };
     if let Some(class) = class {
         // The payload is dropped; the class memory is ours to route.
+        let block = header.cast::<u8>();
+        // SAFETY: dead class memory of `class`, ours.
+        #[cfg(debug_assertions)]
+        unsafe {
+            slab::poison(block, class)
+        };
         match local {
             // SAFETY: the block was allocated as a class block of `class`
             // (`drop_fn` returned it) and enters the magazine exactly once.
-            Some(local) => unsafe { local.push(class, header.cast(), shard) },
-            // SAFETY: as above — freed exactly once here.
-            None => unsafe { dealloc_class(class, header.cast()) },
+            Some(local) => unsafe { local.push(class, block, shard) },
+            // SAFETY: as above — given back exactly once here.
+            None => unsafe { slab::give(class, block) },
         }
     }
 }
@@ -250,19 +273,41 @@ mod tests {
     }
 
     #[test]
-    fn size_class_split_small_vs_large_payloads() {
+    fn only_a_block_allocated_through_a_magazine_is_a_class_block() {
         // A u64 block fits the smallest class; a 2 KiB payload fits none.
-        assert!(Linked::<u64>::SIZE_CLASS.is_some());
+        let class = Linked::<u64>::SIZE_CLASS.expect("fits the smallest class");
         assert!(Linked::<[u8; 2048]>::SIZE_CLASS.is_none());
-        // Both paths allocate and free cleanly.
-        let small = Linked::alloc(7u64, 0);
-        let large = Linked::alloc([0u8; 2048], 0);
-        // SAFETY: both blocks are unpublished and freed exactly once.
+        let mut local = LocalBlockCache::new();
+        let boxed = Linked::alloc(7u64, 0);
+        let large = Linked::alloc_in([0u8; 2048], 0, Some(&mut local), None);
+        let classed = Linked::alloc_in(7u64, 0, Some(&mut local), None);
+        // Freed with a magazine at hand, only the class block stays in it:
+        // each `drop_fn` knows which path its block took.
+        // SAFETY: the blocks are unpublished and freed exactly once.
         unsafe {
-            assert_eq!((*small).value, 7);
-            Linked::dealloc(small);
-            Linked::dealloc(large);
+            assert_eq!((*boxed).value, 7);
+            free_block(Linked::as_header(boxed), Some(&mut local), None);
+            free_block(Linked::as_header(large), Some(&mut local), None);
+            assert_eq!(local.pop(class, None), None, "two `Box`es, freed");
+            free_block(Linked::as_header(classed), Some(&mut local), None);
         }
+        assert_eq!(local.pop(class, None), Some(classed.cast()), "parked");
+        // SAFETY: popped once, given back once.
+        unsafe { slab::give(class, classed.cast()) };
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "written at byte 16 while it was parked")]
+    fn a_write_into_a_parked_block_panics_at_the_next_alloc_of_its_class() {
+        let mut local = LocalBlockCache::new();
+        let node = Linked::alloc_in(1u64, 0, Some(&mut local), None);
+        // SAFETY: never published; freed exactly once, into the magazine.
+        unsafe { free_block(Linked::as_header(node), Some(&mut local), None) };
+        // A stale writer stores into the dead payload. SAFETY: the block is
+        // slab memory and stays mapped; only the poison tells.
+        unsafe { node.cast::<u64>().add(2).write(7) };
+        let _ = Linked::alloc_in(2u64, 0, Some(&mut local), None);
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! Per-shard, size-class-indexed caches of raw block memory.
 //!
-//! After the batched scan pipeline (PR 3) the dominant cost left in the
-//! retire→free→alloc cycle is the global allocator: every reclaimed block
-//! took a full deallocation round trip and every [`Linked::alloc`] a fresh
-//! heap allocation, so the memory churning through `smr_ops/alloc_retire`
-//! never stayed cache-hot. This module keeps that traffic local: freed blocks
-//! are parked on the **home shard's** freelist (one bounded
-//! [`TypeStableStack`] per size class, the same versioned-wide-CAS idiom the
-//! orphan stack and handle pool already use, so recycling is ABA-safe) and
-//! the next allocation of a matching layout pops one instead of calling the
-//! allocator.
+//! The retire→free→alloc cycle would otherwise send every reclaimed block
+//! back to an allocator and take every new one from it, so the memory
+//! churning through `smr_ops/alloc_retire` would never stay cache-hot. This
+//! module keeps that traffic local: freed blocks are parked on the **home
+//! shard's** freelist (one bounded [`TypeStableStack`] per size class, the
+//! same versioned-wide-CAS idiom the orphan stack and handle pool already
+//! use, so recycling is ABA-safe) and the next allocation of a matching
+//! layout pops one instead of asking the pool.
 //!
-//! The key split happens in `block.rs`: a block whose layout fits a size
-//! class is allocated with that class's [`Layout`] (not `Box`), and its
+//! The key split happens in `block.rs`: a block allocated through a magazine
+//! whose layout fits a size class is a class block, carved at the class size
+//! by the process-wide pool ([`crate::slab`]) rather than boxed, and its
 //! type-erased `drop_fn` runs `drop_in_place` on the payload but hands the
-//! *memory* back to the caller — which routes it here, or straight back to
-//! the allocator when no cache applies. Blocks whose layout exceeds the
-//! largest class keep the plain `Box` path end to end.
+//! *memory* back to the caller — which routes it here, or back to the pool
+//! when no magazine applies. Blocks whose layout exceeds the largest class,
+//! and every block allocated without a magazine, keep the plain `Box` path
+//! end to end.
 //!
 //! The layer is two-tier, in the style of a malloc thread cache: each handle
 //! owns a small **non-atomic** [`LocalBlockCache`] ("magazine") that absorbs
@@ -29,39 +29,39 @@
 //!
 //! Boundedness: each magazine holds at most `LOCAL_MAGAZINE_CAP` blocks per
 //! class and each per-shard freelist at most
-//! [`BlockCacheConfig::per_class_capacity`]; a chain that would exceed it is
-//! freed whole to the real allocator, so WFE's bounded-memory guarantee
-//! survives. Every cache is drained (deallocated) when its handle and domain
-//! drop. The whole layer is switched with
+//! [`BlockCacheConfig::per_class_capacity`]; a chain that would exceed it
+//! goes back whole to the pool, not to the allocator, and the next miss of
+//! the class — on any thread, in any domain — takes it from there. So the
+//! caches hold a bounded number of blocks, and the pool no more than the
+//! process ever had out at once: a block the reclaimer frees is reused,
+//! which is all WFE's bounded-memory guarantee asks, though the pool never
+//! returns memory to the system. Every cache is drained into the pool when
+//! its handle and domain drop. The whole layer is switched with
 //! [`DomainConfig::block_cache`](crate::DomainConfig::block_cache) or the
 //! `WFE_BLOCK_CACHE` environment variable.
-//!
-//! [`Linked::alloc`]: crate::Linked::alloc
 
-use core::alloc::Layout;
 use wfe_sync::atomic::{AtomicU64, Ordering};
 use wfe_sync::CachePadded;
 
+use crate::slab;
 use crate::stats::SlotCounters;
 use crate::treiber::TypeStableStack;
 
 /// The block sizes (in bytes) served by the cache, one freelist per entry.
 ///
-/// Each is the *usable* size of an allocator bin, not a power of two: glibc
-/// hands out chunks of `16k` bytes of which `16k - 8` are usable, so asking
-/// for 64 bytes takes an 80-byte chunk where asking for 56 takes a 64-byte
-/// one — 16 bytes per live block, which is the whole pinned set under a
-/// stalled reader. The two small classes are the two node sizes the suite
-/// allocates by the million with a 16-byte header: 40 bytes (a list or
-/// fixed-map node, in a 48-byte chunk) and 56 (a split-ordered, BST or
-/// queue node, a KP descriptor, in a 64-byte chunk). Anything over 1016
-/// bytes falls through to the allocator.
+/// The pool ([`crate::slab`]) carves each class at exactly this stride, so a
+/// block costs its class size and not a byte more. The two small classes are
+/// the two node sizes the suite allocates by the million with a 16-byte
+/// header: 40 bytes (a list or fixed-map node) and 56 (a split-ordered, BST
+/// or queue node, a KP descriptor). Anything over 1016 bytes falls through
+/// to the allocator.
 pub const CLASS_SIZES: [usize; 6] = [40, 56, 120, 248, 504, 1016];
 
-/// Alignment of every class allocation. Covers all fundamental alignments up
-/// to 16 (the `BlockHeader` itself needs 8); over-aligned payloads fall
+/// Alignment of every class block: each class size is a multiple of it, so
+/// blocks carved back to back stay aligned. Covers every block type of the
+/// suite (the `BlockHeader` itself needs 8); over-aligned payloads fall
 /// through to the `Box` path.
-pub const CLASS_ALIGN: usize = 16;
+pub const CLASS_ALIGN: usize = 8;
 
 /// A size class of the block cache: an index into [`CLASS_SIZES`].
 ///
@@ -94,14 +94,10 @@ impl SizeClass {
         CLASS_SIZES[self.0 as usize]
     }
 
-    /// The fixed allocation layout of this class. Every block of the class is
-    /// allocated *and* deallocated with exactly this layout, which is what
-    /// lets blocks of different `T` share a freelist.
+    /// The class at `index` of [`CLASS_SIZES`].
     #[inline]
-    pub fn layout(self) -> Layout {
-        // SAFETY-free: the alignment is a non-zero power of two and the
-        // sizes are far below isize::MAX, so the layout is always valid.
-        Layout::from_size_align(self.size(), CLASS_ALIGN).expect("class layout is valid")
+    pub(crate) const fn at(index: usize) -> SizeClass {
+        SizeClass(index as u8)
     }
 
     /// Index into [`CLASS_SIZES`] / a cache's class array.
@@ -111,75 +107,23 @@ impl SizeClass {
     }
 }
 
-/// Debug-build balance of class allocations minus class deallocations, used
-/// by leak tests to prove every cached block is returned to the allocator.
-/// Deliberately a core atomic, not a `wfe_sync` one: pure observability, so
-/// it must not add interleaving points to model schedules (and the sync
-/// layer exports no `AtomicIsize` for the same reason).
-// wfe-analyze: allow(raw-atomic): debug-only accounting, not synchronization.
-#[cfg(debug_assertions)]
-static OUTSTANDING: core::sync::atomic::AtomicIsize = core::sync::atomic::AtomicIsize::new(0);
-
-/// In debug builds, the process-wide number of class-allocated blocks not yet
-/// deallocated (`Some(0)` when every block has been returned); `None` in
-/// release builds, where the counter would cost an RMW per allocation.
-///
-/// Test-only observability — the counter is global, so assertions about it
-/// are only meaningful in a process that controls all its allocations.
-#[doc(hidden)]
-pub fn outstanding_cached_allocs() -> Option<isize> {
-    #[cfg(debug_assertions)]
-    {
-        Some(OUTSTANDING.load(Ordering::SeqCst))
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        None
-    }
-}
-
-/// Allocates one block of `class`'s fixed layout from the global allocator.
-pub(crate) fn alloc_class(class: SizeClass) -> *mut u8 {
-    // SAFETY: the class layout has non-zero size.
-    let ptr = unsafe { std::alloc::alloc(class.layout()) };
-    if ptr.is_null() {
-        std::alloc::handle_alloc_error(class.layout());
-    }
-    #[cfg(debug_assertions)]
-    OUTSTANDING.fetch_add(1, Ordering::SeqCst);
-    ptr
-}
-
-/// Returns one class block to the global allocator.
-///
-/// # Safety
-///
-/// `ptr` must come from [`alloc_class`] (directly or via a cache) with the
-/// same `class`, must not be freed twice, and its payload must already be
-/// dropped.
-pub(crate) unsafe fn dealloc_class(class: SizeClass, ptr: *mut u8) {
-    #[cfg(debug_assertions)]
-    OUTSTANDING.fetch_sub(1, Ordering::SeqCst);
-    // SAFETY: forwarded contract — `ptr` was allocated with exactly this
-    // class layout and is freed exactly once.
-    unsafe { std::alloc::dealloc(ptr, class.layout()) };
-}
-
 /// A run of dead class blocks linked through their first word, owned by
-/// whoever holds this value: the unit a magazine and a shard exchange.
+/// whoever holds this value: the unit a magazine, a shard and the pool
+/// exchange.
 ///
 /// Only the owner ever reads or writes the links. A chain parked on a shard
 /// is owned by the stack node that carries it, and a racing `pop` reads that
 /// node — type-stable stack memory — never the blocks; it follows the links
 /// only after its versioned CAS made the chain its own. So a chain that
-/// went back to the allocator is never dereferenced by a stale reader.
+/// went back to the pool is never dereferenced by a stale reader.
 #[derive(Debug)]
-struct BlockChain {
-    /// First block; each block's first word points at the next, the last at
-    /// null.
-    first: *mut u8,
+pub(crate) struct BlockChain {
+    /// First block; each block's first word points at the next, the last's
+    /// at null (the pool splices a chain at its tail and never reads that
+    /// word).
+    pub(crate) first: *mut u8,
     /// Blocks on the chain (at least one).
-    count: usize,
+    pub(crate) count: usize,
 }
 
 // SAFETY: a chain is exclusively owned raw memory; sending it hands that
@@ -187,25 +131,18 @@ struct BlockChain {
 unsafe impl Send for BlockChain {}
 
 impl BlockChain {
-    /// Returns every block of the chain to the allocator.
+    /// The chain's last block, found by walking its links.
     ///
     /// # Safety
     ///
-    /// Every block must come from `alloc_class` with `class` (payload
-    /// already dropped); the chain is consumed.
-    unsafe fn dealloc(self, class: SizeClass) {
+    /// The chain must be linked as its `count` says.
+    pub(crate) unsafe fn last(&self) -> *mut u8 {
         let mut block = self.first;
-        for _ in 0..self.count {
-            // SAFETY: the chain's owner may read its links, and each block
-            // is a live class allocation freed exactly once here, after its
-            // link was read.
-            unsafe {
-                let next = block.cast::<*mut u8>().read();
-                dealloc_class(class, block);
-                block = next;
-            }
+        for _ in 1..self.count {
+            // SAFETY: the chain's owner may read its links.
+            block = unsafe { block.cast::<*mut u8>().read() };
         }
-        debug_assert!(block.is_null(), "a chain ends where its count says");
+        block
     }
 }
 
@@ -218,8 +155,8 @@ impl BlockChain {
 struct ClassList {
     /// Parked chains. The stack's nodes are separate, type-stable
     /// allocations, and the links through the blocks are read by a chain's
-    /// owner only ([`BlockChain`]), so a block that overflows to the
-    /// allocator is never dereferenced by a racing pop.
+    /// owner only ([`BlockChain`]), so a block that overflows to the pool is
+    /// never dereferenced by a racing pop.
     list: TypeStableStack<BlockChain>,
     /// Blocks currently parked (may transiently exceed the list's content
     /// while a push is in flight, and lag it while a pop is): the capacity
@@ -266,14 +203,14 @@ impl ShardCache {
 
     /// Parks a chain for reuse: one gauge update and one stack push however
     /// long it is. Returns `false` when the chain did not fit under the
-    /// class's capacity and went back to the allocator instead — whole, so
-    /// the bound holds without walking the chain to split it.
+    /// class's capacity and went back to the pool instead — whole, so the
+    /// bound holds without splitting the chain.
     ///
     /// # Safety
     ///
-    /// Every block of `chain` must come from `alloc_class` (directly or
-    /// recycled) with the same `class`, payload already dropped; the chain
-    /// is consumed.
+    /// Every block of `chain` must be a pool block of the same `class`
+    /// ([`slab::take`], directly or recycled), payload already dropped; the
+    /// chain is consumed.
     unsafe fn push_chain(&self, class: SizeClass, chain: BlockChain) -> bool {
         let slot = &self.classes[class.index()];
         let count = chain.count as u64;
@@ -285,7 +222,7 @@ impl ShardCache {
             // ORDER: undoes the optimistic reservation above.
             slot.len.fetch_sub(count, Ordering::AcqRel);
             // SAFETY: forwarded contract — the chain is ours and consumed.
-            unsafe { chain.dealloc(class) };
+            unsafe { slab::give_chain(class, chain) };
             return false;
         }
         slot.list.push(chain);
@@ -319,13 +256,13 @@ impl ShardCache {
 
 impl Drop for ShardCache {
     fn drop(&mut self) {
-        // Drain every freelist back to the allocator: a domain drop leaks
+        // Drain every freelist back to the pool: a domain drop strands
         // nothing.
         for (index, slot) in self.classes.iter().enumerate() {
             while let Some(chain) = slot.list.pop() {
-                // SAFETY: every parked chain holds `alloc_class` blocks of
-                // this class and is popped (hence freed) exactly once.
-                unsafe { chain.dealloc(SizeClass(index as u8)) };
+                // SAFETY: every parked chain holds pool blocks of this class
+                // and is popped (hence given back) exactly once.
+                unsafe { slab::give_chain(SizeClass::at(index), chain) };
             }
         }
     }
@@ -353,9 +290,9 @@ impl Magazine {
         }
     }
 
-    /// Moves the top `count` blocks (at least one, at most `len`) to `shard`
-    /// as one chain.
-    fn spill(&mut self, class: SizeClass, count: usize, shard: &ShardCache) {
+    /// Links the top `count` blocks (at least one, at most `len`) into one
+    /// chain, which leaves the magazine.
+    fn unlink(&mut self, count: usize) -> BlockChain {
         let run = &self.blocks[self.len - count..self.len];
         for (index, &block) in run.iter().enumerate() {
             let next = run.get(index + 1).copied().unwrap_or(core::ptr::null_mut());
@@ -364,13 +301,19 @@ impl Magazine {
             // else reads or writes it.
             unsafe { block.cast::<*mut u8>().write(next) };
         }
-        let chain = BlockChain {
+        self.len -= count;
+        BlockChain {
             first: run[0],
             count,
-        };
-        self.len -= count;
-        // SAFETY: every parked block came from `alloc_class` with this class
-        // (the push contract) and leaves the magazine exactly once, here.
+        }
+    }
+
+    /// Moves the top `count` blocks (at least one, at most `len`) to `shard`
+    /// as one chain.
+    fn spill(&mut self, class: SizeClass, count: usize, shard: &ShardCache) {
+        let chain = self.unlink(count);
+        // SAFETY: every parked block is a pool block of this class (the push
+        // contract) and leaves the magazine exactly once, here.
         unsafe { shard.push_chain(class, chain) };
     }
 
@@ -448,7 +391,7 @@ impl LocalBlockCache {
 
     /// Pops a recycled block of `class`: magazine first, then one chain
     /// refilled from `backing`. Returns `None` (a counted miss) when both are
-    /// empty — the caller goes to the allocator.
+    /// empty — the caller goes to the pool.
     #[inline]
     pub fn pop(&mut self, class: SizeClass, backing: Option<&ShardCache>) -> Option<*mut u8> {
         let mag = &mut self.mags[class.index()];
@@ -469,13 +412,13 @@ impl LocalBlockCache {
 
     /// Parks one freed block (payload already dropped) for reuse. A full
     /// magazine spills its upper half to `backing` first, as one chain (whose
-    /// own capacity bound sends overflow to the allocator); with no backing
-    /// the block goes straight back to the allocator.
+    /// own capacity bound sends overflow to the pool); with no backing the
+    /// block goes straight back to the pool.
     ///
     /// # Safety
     ///
-    /// `block` must come from `alloc_class` (directly or recycled) with the
-    /// same `class`, exclusively owned, payload already dropped.
+    /// `block` must be a pool block of the same `class` ([`slab::take`],
+    /// directly or recycled), exclusively owned, payload already dropped.
     #[inline]
     pub unsafe fn push(&mut self, class: SizeClass, block: *mut u8, backing: Option<&ShardCache>) {
         let mag = &mut self.mags[class.index()];
@@ -484,7 +427,7 @@ impl LocalBlockCache {
                 Some(shard) => mag.spill(class, LOCAL_MAGAZINE_CAP / 2, shard),
                 None => {
                     // SAFETY: forwarded contract.
-                    unsafe { dealloc_class(class, block) };
+                    unsafe { slab::give(class, block) };
                     return;
                 }
             }
@@ -503,20 +446,20 @@ impl LocalBlockCache {
     }
 
     /// Hands every parked block to `backing` (in chains of at most half a
-    /// magazine, so a refill always fits) or the allocator: handle teardown,
-    /// after the final cleanup pass reported the counters.
+    /// magazine, so a refill always fits) or to the pool (one chain per
+    /// class): handle teardown, after the final cleanup pass reported the
+    /// counters.
     pub fn drain(&mut self, backing: Option<&ShardCache>) {
         for (index, mag) in self.mags.iter_mut().enumerate() {
-            let class = SizeClass(index as u8);
+            let class = SizeClass::at(index);
             while mag.len > 0 {
                 match backing {
                     Some(shard) => mag.spill(class, mag.len.min(LOCAL_MAGAZINE_CAP / 2), shard),
                     None => {
-                        mag.len -= 1;
-                        // SAFETY: every parked block came from `alloc_class`
-                        // with this class and leaves the magazine exactly
-                        // once — freed here.
-                        unsafe { dealloc_class(class, mag.blocks[mag.len]) };
+                        let chain = mag.unlink(mag.len);
+                        // SAFETY: every parked block is a pool block of this
+                        // class and leaves the magazine exactly once, here.
+                        unsafe { slab::give_chain(class, chain) };
                     }
                 }
             }
@@ -607,7 +550,7 @@ pub struct BlockCacheConfig {
     /// Whether freed blocks are recycled at all.
     pub enabled: bool,
     /// Maximum blocks parked per (shard, size class); overflow goes to the
-    /// allocator. `0` disables the layer like `enabled: false`.
+    /// process-wide pool. `0` disables the layer like `enabled: false`.
     pub per_class_capacity: usize,
 }
 
@@ -635,30 +578,24 @@ mod tests {
         assert_eq!(SizeClass::of(41, 8), Some(SizeClass(1)));
         assert_eq!(SizeClass::of(56, 8), Some(SizeClass(1)));
         assert_eq!(SizeClass::of(57, 8), Some(SizeClass(2)));
-        assert_eq!(SizeClass::of(64, 16), Some(SizeClass(2)));
+        assert_eq!(SizeClass::of(64, 8), Some(SizeClass(2)));
         assert_eq!(SizeClass::of(1016, 8), Some(SizeClass(5)));
         assert_eq!(SizeClass::of(1017, 8), None, "too large for any class");
-        assert_eq!(SizeClass::of(8, 32), None, "over-aligned");
+        assert_eq!(SizeClass::of(8, 16), None, "over-aligned");
     }
 
     #[test]
-    fn classes_are_allocator_bin_usable_sizes() {
-        // glibc: a chunk is 16k bytes, 8 of them the size word.
-        for size in CLASS_SIZES {
-            assert_eq!((size + 8) % 16, 0, "{size} + 8 fills a 16-byte-grain chunk");
+    fn classes_carve_back_to_back_at_the_class_alignment() {
+        for (index, &size) in CLASS_SIZES.iter().enumerate() {
+            assert_eq!(SizeClass::at(index).size(), size);
+            assert_eq!(
+                size % CLASS_ALIGN,
+                0,
+                "block k of {size} starts k × {size} into its slab"
+            );
         }
         // Which class each node type of the suite lands in is `wfe-ds`'s
         // class-fit table (`class_fit.rs`).
-    }
-
-    #[test]
-    fn class_layout_matches_size_and_align() {
-        for (index, &size) in CLASS_SIZES.iter().enumerate() {
-            let class = SizeClass(index as u8);
-            assert_eq!(class.size(), size);
-            assert_eq!(class.layout().size(), size);
-            assert_eq!(class.layout().align(), CLASS_ALIGN);
-        }
     }
 
     /// `count` fresh blocks of `class`, linked the way `Magazine::spill`
@@ -666,7 +603,7 @@ mod tests {
     fn fresh_chain(class: SizeClass, count: usize) -> BlockChain {
         let mut first = core::ptr::null_mut();
         for _ in 0..count {
-            let block = alloc_class(class);
+            let block = slab::take(class);
             // SAFETY: fresh class memory, at least one aligned pointer wide.
             unsafe { block.cast::<*mut u8>().write(first) };
             first = block;
@@ -693,19 +630,19 @@ mod tests {
         );
         assert_eq!(cache.cached_bytes(), 0);
         assert!(cache.pop_chain(class).is_none());
-        // SAFETY: popped once, freed once.
-        unsafe { popped.dealloc(class) };
+        // SAFETY: popped once, given back once.
+        unsafe { slab::give_chain(class, popped) };
     }
 
     #[test]
-    fn a_chain_over_capacity_goes_to_the_allocator_whole() {
+    fn a_chain_over_capacity_goes_to_the_pool_whole() {
         let cache = ShardCache::new(4);
         let class = SizeClass::of(100, 8).unwrap();
         // SAFETY: each chain is freshly allocated with the pushed class and
         // pushed exactly once.
         unsafe {
             assert!(cache.push_chain(class, fresh_chain(class, 3)));
-            // 3 + 2 > 4: refused and freed whole, not trimmed to fit.
+            // 3 + 2 > 4: refused and given back whole, not trimmed to fit.
             assert!(!cache.push_chain(class, fresh_chain(class, 2)));
             assert_eq!(cache.cached_bytes(), 3 * 120);
             assert!(
@@ -753,12 +690,12 @@ mod tests {
         let class = SizeClass::of(56, 8).unwrap();
         let mut local = LocalBlockCache::new();
         // SAFETY: freshly allocated with this class, pushed exactly once.
-        unsafe { local.push(class, alloc_class(class), caches.shard(1)) };
+        unsafe { local.push(class, slab::take(class), caches.shard(1)) };
         local.drain(caches.shard(1));
         assert_eq!(caches.cached_bytes(), 56, "parked on shard 1");
         if let Some(ptr) = local.pop(class, caches.shard(1)) {
             // SAFETY: popped once, freed once.
-            unsafe { dealloc_class(class, ptr) };
+            unsafe { slab::give(class, ptr) };
         }
         assert!(
             local.pop(class, caches.shard(2)).is_none(),
@@ -794,12 +731,12 @@ mod tests {
         let mut local = LocalBlockCache::new();
         let class = SizeClass::of(56, 8).unwrap();
         assert!(local.pop(class, None).is_none(), "starts empty: miss");
-        let block = alloc_class(class);
+        let block = slab::take(class);
         // SAFETY: freshly allocated class block, no payload to drop.
         unsafe { local.push(class, block, None) };
         assert_eq!(local.pop(class, None), Some(block), "parked block returns");
         // SAFETY: popped once, freed once.
-        unsafe { dealloc_class(class, block) };
+        unsafe { slab::give(class, block) };
         assert_eq!((local.hits, local.misses), (1, 1));
     }
 
@@ -812,7 +749,7 @@ mod tests {
         // Overfill the magazine by one: the push spills half to the shard.
         let pushed: Vec<*mut u8> = (0..=LOCAL_MAGAZINE_CAP)
             .map(|_| {
-                let block = alloc_class(class);
+                let block = slab::take(class);
                 // SAFETY: fresh class block, no payload to drop.
                 unsafe { local.push(class, block, Some(&shard)) };
                 block
@@ -834,7 +771,7 @@ mod tests {
         while let Some(block) = local.pop(class, Some(&shard)) {
             recycled.push(block);
             // SAFETY: each popped block is exclusively owned, freed once.
-            unsafe { dealloc_class(class, block) };
+            unsafe { slab::give(class, block) };
         }
         let sorted = |mut blocks: Vec<*mut u8>| {
             blocks.sort_unstable();
@@ -863,16 +800,16 @@ mod tests {
             let mut local = LocalBlockCache::new();
             for _ in 0..3 {
                 // SAFETY: fresh class blocks, no payload to drop.
-                unsafe { local.push(class, alloc_class(class), Some(&shard)) };
+                unsafe { local.push(class, slab::take(class), Some(&shard)) };
             }
             local.drain(Some(&shard));
         }
         assert_eq!(
             shard.cached_bytes(),
             3 * 56,
-            "the first chain parked, the second overflowed to the allocator whole"
+            "the first chain parked, the second overflowed to the pool whole"
         );
-        // The shard's Drop frees the parked chain.
+        // The shard's Drop gives the parked chain back.
     }
 
     #[test]
@@ -882,7 +819,7 @@ mod tests {
         let class = SizeClass::of(56, 8).unwrap();
         for _ in 0..LOCAL_MAGAZINE_CAP {
             // SAFETY: fresh class blocks, no payload to drop.
-            unsafe { local.push(class, alloc_class(class), Some(&shard)) };
+            unsafe { local.push(class, slab::take(class), Some(&shard)) };
         }
         local.drain(Some(&shard));
         assert_eq!(shard.cached_bytes(), (LOCAL_MAGAZINE_CAP * 56) as u64);
@@ -904,7 +841,7 @@ mod tests {
         const OPS: usize = 1_200;
         let class = SizeClass::of(200, 8).unwrap();
         // Roomy enough that no chain is refused: every block is then either
-        // freed by the thread that popped it or parked at the end.
+        // given back by the thread that popped it or parked at the end.
         let shard = ShardCache::new(THREADS * OPS);
         let parked_at_the_end: usize = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)
@@ -922,7 +859,7 @@ mod tests {
                             if (i / 40 + t) % 2 == 0 {
                                 // SAFETY: freshly allocated with this class,
                                 // pushed exactly once.
-                                unsafe { local.push(class, alloc_class(class), Some(shard)) };
+                                unsafe { local.push(class, slab::take(class), Some(shard)) };
                                 held += 1;
                             } else if let Some(block) = local.pop(class, Some(shard)) {
                                 // Scribble over the link word: a popped block
@@ -931,7 +868,7 @@ mod tests {
                                 // freed exactly once.
                                 unsafe {
                                     block.cast::<usize>().write(usize::MAX);
-                                    dealloc_class(class, block);
+                                    slab::give(class, block);
                                 }
                                 held -= 1;
                             }

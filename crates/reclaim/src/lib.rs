@@ -54,6 +54,7 @@ pub mod ptr;
 pub mod registry;
 pub mod retired;
 pub mod scan;
+pub mod slab;
 pub mod slots;
 pub mod stats;
 mod treiber;

@@ -573,12 +573,17 @@ mod tests {
             1,
         );
         let mut batch = RetiredBatch::new();
-        batch.push(make(&drops));
-        batch.push(make(&drops));
+        let mut local = LocalBlockCache::new();
+        for _ in 0..2 {
+            // Class blocks: allocated through a magazine.
+            let block =
+                Linked::alloc_in(Canary(drops.clone()), 0, Some(&mut local), caches.shard(0));
+            // SAFETY: freshly allocated, test-owned block, on this one entry.
+            batch.push(unsafe { Retired::new(Linked::as_header(block), 0) });
+        }
         // An empty (sealed) snapshot covers nothing: everything is freeable.
         let mut snap = HazardSnapshot::new();
         snap.seal();
-        let mut local = LocalBlockCache::new();
         // SAFETY: snapshot taken after the pushes; nothing else references them.
         let freed = unsafe { batch.scan_against(&snap, Some(&mut local), caches.shard(0)) }.freed;
         assert_eq!(freed, 2);

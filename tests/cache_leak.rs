@@ -3,18 +3,18 @@
 //!
 //! The cache parks freed block memory on per-handle magazines and per-shard
 //! freelists; a dropping domain must drain every parked block back to the
-//! allocator. In debug builds the block layer keeps a process-wide balance of
-//! class allocations minus class deallocations, so the checks are exact — but
-//! the counter is global, which is why these tests have a binary of their
-//! own and take turns ([`exclusive`]): nothing else may allocate class blocks
-//! in this process while one of them counts.
+//! process-wide pool that carved it. The pool counts the class blocks it has
+//! handed out and not got back, so the checks are exact — but the count is
+//! global, which is why these tests have a binary of their own and take turns
+//! ([`exclusive`]): nothing else may take class blocks in this process while
+//! one of them counts.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
-use wfe_suite::wfe_reclaim::cache::outstanding_cached_allocs;
+use wfe_suite::wfe_reclaim::slab::{carved_blocks, outstanding_cached_allocs};
 use wfe_suite::wfe_reclaim::BlockCacheConfig;
 use wfe_suite::{
     ConcurrentMap, ConcurrentQueue, CrTurnQueue, Ebr, Handle, He, Hp, Ibr2Ge, KoganPetrankQueue,
@@ -67,8 +67,9 @@ fn churn_and_drop<R: Reclaimer>(expect_cache_traffic: bool) {
 }
 
 #[test]
-fn domain_drop_returns_every_cached_block_to_the_allocator() {
+fn domain_drop_returns_every_cached_block_to_the_pool() {
     let _turn = exclusive();
+    let before = outstanding_cached_allocs();
     churn_and_drop::<Wfe>(true);
     churn_and_drop::<He>(true);
     churn_and_drop::<Hp>(true);
@@ -76,21 +77,91 @@ fn domain_drop_returns_every_cached_block_to_the_allocator() {
     churn_and_drop::<Ibr2Ge>(true);
     churn_and_drop::<Leak>(false);
     // Leftover Arcs are gone: every domain (and its caches) has dropped, so
-    // the debug-build balance of class allocations must be back to zero.
-    // Release builds return `None` (no counter) and the test degrades to the
-    // churn itself.
-    if let Some(balance) = outstanding_cached_allocs() {
-        assert_eq!(
-            balance, 0,
-            "a dropped domain leaked {balance} class-allocated block(s)"
-        );
+    // every class block the churn took is back in the pool.
+    let balance = outstanding_cached_allocs() - before;
+    assert_eq!(
+        balance, 0,
+        "a dropped domain kept {balance} class block(s) from the pool"
+    );
+}
+
+#[test]
+fn the_same_domain_built_and_dropped_twice_does_not_grow_the_pool() {
+    let _turn = exclusive();
+    churn_and_drop::<Wfe>(true);
+    let carved = carved_blocks();
+    churn_and_drop::<Wfe>(true);
+    assert_eq!(
+        carved_blocks(),
+        carved,
+        "the second domain ran on the blocks the first gave back"
+    );
+}
+
+#[test]
+fn linked_dealloc_gives_a_slab_block_back_to_the_pool() {
+    let _turn = exclusive();
+    let domain = He::with_config(ReclaimerConfig {
+        block_cache: BlockCacheConfig {
+            enabled: true,
+            per_class_capacity: 8,
+        },
+        ..ReclaimerConfig::with_max_threads(1)
+    });
+    let mut handle = domain.register();
+    let before = outstanding_cached_allocs();
+    let node = handle.alloc(1u64);
+    assert_eq!(outstanding_cached_allocs(), before + 1, "out of the pool");
+    // SAFETY: never published; freed exactly once, the way a structure's
+    // `Drop` frees what it still links.
+    unsafe { Linked::dealloc(node) };
+    assert_eq!(outstanding_cached_allocs(), before, "back in the pool");
+    // The magazine and the shard are empty, so the next miss takes the block
+    // the pool got last.
+    let again = handle.alloc(2u64);
+    assert_eq!(again, node, "the pool hands it out again");
+    // SAFETY: never published; discarded exactly once.
+    unsafe { handle.discard(again) };
+}
+
+#[test]
+fn a_cache_off_domain_takes_no_slab_block() {
+    let _turn = exclusive();
+    let (outstanding, carved) = (outstanding_cached_allocs(), carved_blocks());
+    let domain = Wfe::with_config(ReclaimerConfig {
+        cleanup_freq: 1,
+        block_cache: BlockCacheConfig {
+            enabled: false,
+            per_class_capacity: 8,
+        },
+        ..ReclaimerConfig::with_max_threads(1)
+    });
+    let mut handle = domain.register();
+    assert!(handle.block_caches().0.is_none(), "no magazine");
+    let map = MichaelHashMap::<u64, Wfe>::with_domain(std::sync::Arc::clone(&domain));
+    for key in 0..200 {
+        map.insert(&mut handle, key, key);
     }
+    for key in (0..200).step_by(2) {
+        map.remove(&mut handle, key);
+    }
+    assert_eq!(
+        outstanding_cached_allocs(),
+        outstanding,
+        "every node a `Box`"
+    );
+    drop((map, handle, domain));
+    assert_eq!(
+        (outstanding_cached_allocs(), carved_blocks()),
+        (outstanding, carved),
+        "and every one freed to the allocator"
+    );
 }
 
 /// `alloc` then `discard` under the environment's cache setting (the
 /// `block-cache-matrix` CI legs run this with `WFE_BLOCK_CACHE` on and off):
 /// with a magazine the memory stays with the handle and the next `alloc`
-/// returns the same address; without one it goes straight back to the
+/// returns the same address; without one the block is a `Box`, freed to the
 /// allocator. Either way no reclamation counter moves.
 fn discard_goes_back_where_alloc_got_it<R: Reclaimer>() {
     let domain = R::with_config(ReclaimerConfig::with_max_threads(1));
@@ -104,7 +175,7 @@ fn discard_goes_back_where_alloc_got_it<R: Reclaimer>() {
     if cached {
         assert_eq!(
             outstanding_cached_allocs(),
-            before.map(|balance| balance + 1),
+            before + 1,
             "the magazine keeps the memory"
         );
         let guard = handle.enter();
@@ -116,7 +187,7 @@ fn discard_goes_back_where_alloc_got_it<R: Reclaimer>() {
         assert_eq!(
             outstanding_cached_allocs(),
             before,
-            "no magazine: freed to the allocator"
+            "no magazine: a `Box`, freed to the allocator"
         );
     }
     let stats = domain.stats();
@@ -160,9 +231,15 @@ fn queue_drop_frees_every_node<Q: ConcurrentQueue<Wfe>>(
         assert!(queue.dequeue(&mut second).is_some());
     }
     more(&queue, &mut first, &mut second);
+    // Without a magazine every node is a `Box` the pool never sees (the
+    // sanitizer's cache-off leg checks those).
+    let cached = first.block_caches().0.is_some();
     drop((first, second));
-    if let Some(balance) = outstanding_cached_allocs() {
-        assert!(balance > before.unwrap_or(0), "the queue still owns nodes");
+    if cached {
+        assert!(
+            outstanding_cached_allocs() > before,
+            "the queue still owns nodes"
+        );
     }
     drop(queue);
     drop(domain);
@@ -208,9 +285,15 @@ fn map_drop_frees_every_node<M: ConcurrentMap<Wfe>>() {
     for key in (0..300).step_by(9) {
         assert!(map.insert(&mut first, key, key + 1));
     }
+    // Without a magazine every node is a `Box` the pool never sees (the
+    // sanitizer's cache-off leg checks those).
+    let cached = first.block_caches().0.is_some();
     drop((first, second));
-    if let Some(balance) = outstanding_cached_allocs() {
-        assert!(balance > before.unwrap_or(0), "the map still owns nodes");
+    if cached {
+        assert!(
+            outstanding_cached_allocs() > before,
+            "the map still owns nodes"
+        );
     }
     drop(map);
     drop(domain);
@@ -268,8 +351,8 @@ struct CacheModel {
     magazines: [Vec<usize>; 2],
     /// Parked chains, last pushed last.
     shard: Vec<Vec<usize>>,
-    /// Blocks the model says went back to the allocator (refused chains).
-    freed: usize,
+    /// Blocks the model says went back to the pool (refused chains).
+    refused: usize,
 }
 
 impl CacheModel {
@@ -278,14 +361,14 @@ impl CacheModel {
     }
 
     /// The top `count` blocks of `handle`'s magazine leave as one chain; a
-    /// chain that does not fit is freed whole.
+    /// chain that does not fit goes back to the pool whole.
     fn spill(&mut self, handle: usize, count: usize) {
         let magazine = &mut self.magazines[handle];
         let chain = magazine.split_off(magazine.len() - count);
         if self.parked() + chain.len() <= SHARD_CAP {
             self.shard.push(chain);
         } else {
-            self.freed += chain.len();
+            self.refused += chain.len();
         }
     }
 
@@ -357,7 +440,7 @@ fn check_cache_against_model(steps: &[CacheStep]) {
             }
         }
         // Every block is in exactly one place: held by the test, in a
-        // magazine, on the shard, or back with the allocator.
+        // magazine, on the shard, or back in the pool.
         let mut seen = HashSet::new();
         let cached = model.magazines.iter().chain(&model.shard).flatten();
         assert!(
@@ -374,8 +457,8 @@ fn check_cache_against_model(steps: &[CacheStep]) {
         );
         assert_eq!(
             outstanding_cached_allocs(),
-            start.map(|balance| balance + (fresh - model.freed) as isize),
-            "a refused chain is freed whole, nothing else is freed"
+            start + (fresh - model.refused) as isize,
+            "a refused chain goes back to the pool whole, nothing else does"
         );
     }
     for block in held {

@@ -409,7 +409,7 @@ fn underprovisioned_domain_is_rejected_at_construction() {
         slots_per_thread: 2,
         ..ReclaimerConfig::with_max_threads(2)
     });
-    // The BST needs 5 slots; a 2-slot domain must be refused.
+    // The BST needs 4 slots; a 2-slot domain must be refused.
     let _ = NatarajanBst::<u64, Wfe>::new(domain);
 }
 

@@ -12,8 +12,8 @@
 //!
 //! 1. **Block conservation** — across any interleaving of spills and
 //!    refills, every block is handed out exactly once: by a refill, by the
-//!    drain at the end, or — its chain refused at capacity — by the
-//!    allocator, and then the whole chain with it. A chain whose links a
+//!    drain at the end, or — its chain refused at capacity — back to the
+//!    pool, and then the whole chain with it. A chain whose links a
 //!    second owner could read (the ABA shape, were the freelist unversioned)
 //!    or a gauge out of step with the freelist breaks the count.
 //! 2. **Boundedness** — once quiesced, the bytes parked never exceed
@@ -24,13 +24,15 @@
 //!    schedule, and replaying the reported seed reproduces a byte-identical
 //!    failure report.
 //!
-//! Blocks are allocated directly with the class layout (the same layout
-//! `alloc_class` uses), so a block the cache frees internally is returned
-//! with the layout it expects.
+//! Blocks come from the process-wide pool (`slab::take`), as the block
+//! layer's do, so a chain the cache refuses goes back where it came from.
+//! The pool is behind a `std` mutex: it adds no interleaving point, and its
+//! state — shared with every other test of the process — cannot change a
+//! schedule.
 
 use std::sync::Arc;
 
-use wfe_reclaim::{BlockCacheConfig, BlockCaches, LocalBlockCache, SizeClass};
+use wfe_reclaim::{slab, BlockCacheConfig, BlockCaches, LocalBlockCache, SizeClass};
 use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::SCHEDULES;
@@ -47,48 +49,30 @@ fn small_caches(per_class_capacity: usize) -> BlockCaches {
     )
 }
 
-/// Allocates one block of `class`'s fixed layout, as the block layer does.
-fn alloc_block(class: SizeClass) -> *mut u8 {
-    // SAFETY: class layouts are valid and non-zero-sized.
-    let ptr = unsafe { std::alloc::alloc(class.layout()) };
-    assert!(!ptr.is_null(), "allocation failed");
-    ptr
-}
-
-/// Returns a block obtained from [`alloc_block`] (directly or via a pop).
-///
-/// # Safety
-///
-/// `ptr` must carry `class`'s layout and must not be freed twice.
-unsafe fn free_block(class: SizeClass, ptr: *mut u8) {
-    // SAFETY: forwarded contract.
-    unsafe { std::alloc::dealloc(ptr, class.layout()) };
-}
-
 /// Blocks per chain in the conservation driver.
 const CHAIN: usize = 2;
 
 /// Spills one chain of [`CHAIN`] fresh blocks from `local` to the shard.
 fn spill_chain(local: &mut LocalBlockCache, caches: &BlockCaches, class: SizeClass) {
     for _ in 0..CHAIN {
-        // SAFETY: freshly allocated with this class, pushed exactly once.
-        unsafe { local.push(class, alloc_block(class), caches.shard(0)) };
+        // SAFETY: freshly taken with this class, pushed exactly once.
+        unsafe { local.push(class, slab::take(class), caches.shard(0)) };
     }
     local.drain(caches.shard(0));
 }
 
 /// Empties `local`, refilling from the shard until it runs dry; returns how
-/// many blocks came out. Each is scribbled over before it is freed: a popped
-/// block is the popper's alone, link word included.
+/// many blocks came out. Each is scribbled over before it is given back: a
+/// popped block is the popper's alone, link word included.
 fn pop_all(local: &mut LocalBlockCache, caches: &BlockCaches, class: SizeClass) -> usize {
     let mut popped = 0;
     while let Some(block) = local.pop(class, caches.shard(0)) {
         popped += 1;
-        // SAFETY: a popped block is exclusively owned class memory, freed
-        // exactly once.
+        // SAFETY: a popped block is exclusively owned class memory, given
+        // back exactly once.
         unsafe {
             block.cast::<usize>().write(usize::MAX);
-            free_block(class, block);
+            slab::give(class, block);
         }
     }
     popped

@@ -104,6 +104,81 @@ fn slow_path_engages_deterministically_and_writers_help_pending_requests() {
     );
 }
 
+/// One `protect` after registration (the reservation holds `ERA_INF`, so
+/// the first fast-path attempt always misses) racing `bumps` era bumps, with
+/// `attempts` fast-path attempts; returns the slow-path entries it made.
+fn protect_against_bumps(attempts: usize, bumps: usize) -> u64 {
+    let domain = Wfe::with_config(ReclaimerConfig {
+        fast_path_attempts: attempts,
+        era_freq: usize::MAX,
+        cleanup_freq: usize::MAX,
+        ..ReclaimerConfig::with_max_threads(2)
+    });
+    let mut reader = domain.register();
+    let node = reader.alloc(9u64);
+    let root = Atomic::new(node);
+    let bumper = {
+        let domain = Arc::clone(&domain);
+        shuttle::thread::spawn(move || {
+            for _ in 0..bumps {
+                domain.era_source().advance(Ordering::SeqCst);
+            }
+        })
+    };
+    assert_eq!(reader.protect(&root, 0, core::ptr::null_mut()), node);
+    bumper.join().unwrap();
+    reader.clear();
+    // SAFETY: never published beyond this thread's root; freed exactly once.
+    unsafe { wfe_reclaim::Linked::dealloc(node) };
+    domain.stats().slow_path
+}
+
+#[test]
+fn the_fast_path_makes_exactly_fast_path_attempts_before_asking_for_help() {
+    // Each fast-path attempt that misses publishes the era it read, and a
+    // miss after the first needs the clock to have moved since the previous
+    // read. So with `b` bumps a protect misses at most `b + 1` times in a
+    // row: the slow path is reachable with `n - 1` bumps iff the fast path
+    // makes at most `n` attempts, and unreachable with `n - 2` iff it makes
+    // more than `n - 1`. Both, over every schedule with up to three
+    // preemptions, pin the count — the peeled first attempt included — at
+    // exactly `fast_path_attempts`: `n` published eras, then one slow path.
+    for attempts in 1..=3 {
+        let most = Arc::new(StdAtomicU64::new(0));
+        let seen = Arc::clone(&most);
+        let (_, complete) = shuttle::explore(
+            move || {
+                let slow = protect_against_bumps(attempts, attempts - 1);
+                assert!(slow <= 1, "one protect enters the slow path at most once");
+                seen.fetch_max(slow, SeqCst);
+            },
+            3,
+            500_000,
+        );
+        assert!(complete);
+        assert_eq!(
+            most.load(SeqCst),
+            1,
+            "{attempts} attempts: a bump before each attempt after the first forces the slow path"
+        );
+        if attempts >= 2 {
+            let (_, complete) = shuttle::explore(
+                move || {
+                    assert_eq!(
+                        protect_against_bumps(attempts, attempts - 2),
+                        0,
+                        "{attempts} attempts outlast {} bumps",
+                        attempts - 2
+                    );
+                },
+                3,
+                500_000,
+            );
+            assert!(complete);
+        }
+    }
+}
+
 #[test]
 fn protect_vs_era_bump_is_exhaustively_explored() {
     // Tiny core for the bounded-exhaustive strategy: one slow-path protect
