@@ -17,8 +17,9 @@
 # class, a freed node's link is a non-canonical address) and the cache-off
 # leg, where every node is a `Box` of its own and really is freed, so the
 # same read is a reported heap-use-after-free. The cache-on leg still checks
-# the magazines, shard chains and pool themselves, and LeakSanitizer checks
-# both.
+# the magazines, the chains they trade and the pool themselves, and
+# LeakSanitizer checks both (every slab stays reachable through the pool's
+# slab list).
 #
 # Covered: the `wfe-sync`, `wfe-reclaim`, `wfe-core` and `wfe-ds` unit
 # suites, the block-cache suite (`--test cache_leak`), the conformance,

@@ -13,7 +13,7 @@
 //! (`released`). `alloc_retire_contended` is the update pair with a second
 //! thread in the same loop — whatever `alloc`/`retire` write outside their
 //! own thread's cache lines shows there and nowhere else — and
-//! `block_cache/spill_refill` one magazine → shard → magazine round trip.
+//! `block_cache/spill_refill` one magazine → pool → magazine round trip.
 //! `queue_pair_contended` and `resizable_get_contended` are the same idea one
 //! rung up, between "one data-structure operation" and the end-to-end mix: a
 //! structure operation with a second thread writing the structure's shared
@@ -30,11 +30,11 @@ use wfe_ds::{
     ConcurrentQueue, CrTurnQueue, KoganPetrankQueue, MichaelScottQueue, ResizableHashMap,
 };
 use wfe_reclaim::{
-    slab, Atomic, BlockCacheConfig, BlockCaches, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, Leak,
-    LocalBlockCache, RawHandle, Reclaimer, ReclaimerConfig, SizeClass,
+    Atomic, BlockCacheConfig, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, Leak, LocalBlockCache,
+    RawHandle, Reclaimer, ReclaimerConfig, SizeClass,
 };
 
-/// A config with the per-shard block cache pinned to `enabled`, so the
+/// A config with the block cache pinned to `enabled`, so the
 /// `alloc_retire` rows stay comparable to pre-cache baselines regardless of
 /// the `WFE_BLOCK_CACHE` environment.
 fn config_with_cache(enabled: bool) -> ReclaimerConfig {
@@ -110,10 +110,10 @@ fn bench_alloc_retire<R: Reclaimer>(c: &mut Criterion, name: &str) {
 }
 
 fn bench_alloc_retire_cached<R: Reclaimer>(c: &mut Criterion, name: &str) {
-    // Same loop with the per-shard block cache on: cleanup passes free
-    // retired blocks into the home shard's size-class freelist and the next
-    // alloc pops them back out, so the steady state recycles memory without
-    // touching the global allocator.
+    // Same loop with the block cache on: cleanup passes free retired blocks
+    // into the handle's size-class magazine and the next alloc pops them back
+    // out, so the steady state recycles memory without touching the global
+    // allocator or the pool.
     let domain = R::with_config(config_with_cache(true));
     let mut handle = domain.register();
     c.bench_with_input(
@@ -232,38 +232,31 @@ fn bench_resizable_get_contended(c: &mut Criterion) {
 }
 
 fn bench_spill_refill(c: &mut Criterion) {
-    // One round trip of the magazine/shard exchange: the push that finds the
-    // magazine full spills half of it (16 blocks) to the shard, and once the
-    // magazine has been popped dry the next pop takes them back. The rest of
-    // the cycle's 33 pushes and 33 pops are plain magazine traffic (about a
-    // nanosecond each), so the figure is the cost of moving 16 blocks out and
-    // 16 back.
+    // One round trip of the magazine/pool exchange: the push that finds the
+    // magazine full spills half of it (16 blocks) to the process-wide pool,
+    // and once the magazine has been popped dry the next pop takes them
+    // back. The rest of the cycle's 33 pushes and 33 pops are plain magazine
+    // traffic (about a nanosecond each), so the figure is the cost of moving
+    // 16 blocks out and 16 back.
     const MAGAZINE: usize = 32;
-    let caches = BlockCaches::new(
-        &BlockCacheConfig {
-            enabled: true,
-            per_class_capacity: 64,
-        },
-        1,
-    );
-    let shard = caches.shard(0);
-    let class = SizeClass::of(56, 8).expect("the smallest class");
+    let class = SizeClass::of(56, 8).expect("a class");
+    let mut source = LocalBlockCache::new();
     let mut local = LocalBlockCache::new();
-    let mut blocks: Vec<*mut u8> = (0..=MAGAZINE).map(|_| slab::take(class)).collect();
+    let mut blocks: Vec<*mut u8> = (0..=MAGAZINE).map(|_| source.pop(class)).collect();
     c.bench_function("block_cache/spill_refill", |bencher| {
         bencher.iter(|| {
             for block in blocks.drain(..) {
                 // SAFETY: class memory this bench owns, pushed exactly once.
-                unsafe { local.push(class, block, shard) };
+                unsafe { local.push(class, block) };
             }
             // 33 pushes: one spill. 33 pops: 17 from the magazine, then one
             // refill and its 16 blocks.
-            blocks.extend((0..=MAGAZINE).map(|_| local.pop(class, shard).expect("parked")));
+            blocks.extend((0..=MAGAZINE).map(|_| local.pop(class)));
         })
     });
     for block in blocks {
-        // SAFETY: taken above from the pool, popped back, given back once.
-        unsafe { slab::give(class, block) };
+        // SAFETY: popped above, parked once; the drops drain to the pool.
+        unsafe { local.push(class, block) };
     }
 }
 

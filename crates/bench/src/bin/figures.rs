@@ -14,11 +14,11 @@
 //! `cached_bytes,load_factor,resizes,migrated_buckets`
 //! (`tasks`/`unreclaimed_bytes` are filled by the `kv-async` figure, whose
 //! swept axis is the task count; the cache counters are live wherever the
-//! per-shard block cache is enabled; the last three columns are filled by
+//! block cache is enabled; the last three columns are filled by
 //! the `kv-service` figure's resizable map and are 0 for fixed-capacity
 //! structures).
 //!
-//! `--block-cache on|off` pins the per-shard block cache for every domain the
+//! `--block-cache on|off` pins the block cache for every domain the
 //! sweep builds; without it, domains use the library default and the
 //! `cross-shard-churn` figure sweeps both modes.
 //!
@@ -52,7 +52,7 @@ fn print_usage() {
            --schemes LIST    comma-separated subset of WFE,EBR,HE,HP,2GEIBR,Leak\n\
            --shards N        registry shard count (default: auto from the host)\n\
            --tasks LIST      comma-separated task counts for the kv-async figure\n\
-           --block-cache on|off  pin the per-shard block cache (default: library default;\n\
+           --block-cache on|off  pin the block cache (default: library default;\n\
                              cross-shard-churn sweeps both modes when unset)\n\
            --baseline-json PATH  also write the sweep as a JSON baseline snapshot\n",
         Figure::ALL

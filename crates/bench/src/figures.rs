@@ -28,7 +28,7 @@
 //! tasks on a `mini-rt` executor with one stalled raw-SPI reader injected
 //! (`kv-async`, swept by task count — EBR's unreclaimed memory grows with
 //! the task count while WFE/HE stay bounded); the hash map on a sharded
-//! registry with the per-shard block cache on and off (`cross-shard-churn`,
+//! registry with the block cache on and off (`cross-shard-churn`,
 //! rows carry the cache counters; pin one mode with `--block-cache on|off`);
 //! and the split-ordered resizable map as a kv service (`kv-service`: Zipf
 //! read-mostly and write-heavy, TTL expiry, resize storm; rows carry
@@ -244,10 +244,11 @@ pub enum Figure {
     /// rate and the unreclaimed gauge in bytes.
     KvAsync,
     /// Beyond the paper: Michael hash map 50/50 on a sharded registry, run
-    /// once with the per-shard block cache enabled and once disabled (or a
-    /// single pinned mode when `BenchParams::block_cache` is `Some`) — the
-    /// retire→free→alloc recycling A/B. Rows carry the cache hit/miss
-    /// counters and the bytes left parked in the caches.
+    /// once with the block cache (per-handle magazines over the process-wide
+    /// pool) enabled and once disabled (or a single pinned mode when
+    /// `BenchParams::block_cache` is `Some`) — the retire→free→alloc
+    /// recycling A/B. Rows carry the cache hit/miss counters and the bytes
+    /// the handles' magazines last reported parked.
     CrossShardChurn,
     /// Beyond the paper: the split-ordered *resizable* hash map as a kv
     /// service — Zipfian read-mostly and write-heavy mixes, a TTL expiry
@@ -336,8 +337,8 @@ impl Figure {
                  one stalled raw-SPI reader injected (beyond the paper)"
             }
             Figure::CrossShardChurn => {
-                "Michael hash map 50/50 on a sharded registry, per-shard block \
-                 cache on vs off (beyond the paper)"
+                "Michael hash map 50/50 on a sharded registry, block cache \
+                 on vs off (beyond the paper)"
             }
             Figure::KvService => {
                 "Split-ordered resizable hash map as a kv service: Zipfian \
@@ -564,7 +565,7 @@ mod tests {
         assert_eq!(off.len(), params.threads.len());
         assert!(
             on.iter().any(|p| p.cache_hits > 0.0),
-            "cache-on churn recycles blocks through the shard cache"
+            "cache-on churn recycles blocks through the magazines"
         );
         assert!(
             off.iter()

@@ -30,7 +30,7 @@ pub struct BenchParams {
     pub task_counts: Vec<usize>,
     /// Executor worker threads the async figure runs every point on.
     pub async_workers: usize,
-    /// Per-shard block cache override: `Some(true)`/`Some(false)` pin the
+    /// Block cache override: `Some(true)`/`Some(false)` pin the
     /// cache on/off for every domain the sweep builds; `None` (the default)
     /// keeps the library default (on unless `WFE_BLOCK_CACHE` disables it) —
     /// except in the `cross-shard-churn` figure, where `None` means "sweep

@@ -124,14 +124,16 @@ pub struct DataPoint {
     /// Time-averaged unreclaimed memory in bytes
     /// (`avg_unreclaimed × node size`; `kv-async` figure only, 0 elsewhere).
     pub unreclaimed_bytes: f64,
-    /// Allocations served from the per-shard block cache (end-of-run total,
-    /// averaged over repeats; 0 when the cache is disabled).
+    /// Allocations served from a handle's magazine without a refill
+    /// (end-of-run total, averaged over repeats; 0 when the cache is
+    /// disabled).
     pub cache_hits: f64,
-    /// Cacheable allocations that fell through to the global allocator
-    /// (end-of-run total, averaged over repeats).
+    /// Cacheable allocations that refilled a magazine from the process-wide
+    /// pool (end-of-run total, averaged over repeats).
     pub cache_misses: f64,
-    /// Bytes parked in the per-shard block caches when the run ended
-    /// (averaged over repeats).
+    /// Bytes parked in the handles' magazines as each last reported when the
+    /// run ended (averaged over repeats; 0 once every handle has dropped and
+    /// drained).
     pub cached_bytes: f64,
     /// End-of-run elements-per-bucket ratio of a resizable map
     /// (`kv-service` figure; 0 for fixed-capacity structures).

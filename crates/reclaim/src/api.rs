@@ -17,7 +17,7 @@ use std::sync::Arc;
 use wfe_sync::atomic::AtomicUsize;
 
 use crate::block::{free_block, BlockHeader, Linked};
-use crate::cache::{BlockCacheConfig, LocalBlockCache, ShardCache};
+use crate::cache::{BlockCacheConfig, LocalBlockCache};
 use crate::guard::{Guard, Shield, ShieldError, ShieldSlots};
 use crate::ptr::{tag, Atomic};
 use crate::registry::ThreadRegistry;
@@ -25,6 +25,14 @@ use crate::stats::SmrStats;
 
 /// Progress guarantee provided by a scheme's *reclamation operations*
 /// (the data-structure operations on top have their own guarantees).
+///
+/// The guarantee covers `protect`, `retire`, `clear` and the cleanup pass.
+/// An allocation adds the block cache's steps, the same under every scheme:
+/// a magazine hit, and a free's park, make no shared write; a refill or a
+/// spill is one lock-free pop or push on the process-wide pool per half
+/// magazine; the one step without a bound is the pool fetching a fresh slab
+/// from the system allocator (as is every allocation with the cache off).
+/// Nothing on the allocation path waits for another thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Progress {
     /// Every reclamation operation completes in a bounded number of steps.
@@ -97,10 +105,10 @@ pub struct DomainConfig {
     /// between sockets and smaller scan windows (idle shards are skipped);
     /// see [`crate::registry::ThreadRegistry`].
     pub shards: usize,
-    /// The size-class block cache (per-handle magazines over per-shard
-    /// freelists) that keeps retire→free→alloc cycles out of the global
-    /// allocator; see [`BlockCacheConfig`] for the
-    /// defaults and the `WFE_BLOCK_CACHE` environment switch.
+    /// The size-class block cache (per-handle magazines over the
+    /// process-wide block pool) that keeps retire→free→alloc cycles out of
+    /// the global allocator; see [`BlockCacheConfig`] for the default and
+    /// the `WFE_BLOCK_CACHE` environment switch.
     ///
     /// ```
     /// use wfe_reclaim::{BlockCacheConfig, DomainConfig, Handle, He, RawHandle, Reclaimer};
@@ -108,7 +116,7 @@ pub struct DomainConfig {
     /// let domain = He::with_config(DomainConfig {
     ///     block_cache: BlockCacheConfig {
     ///         enabled: true,
-    ///         per_class_capacity: 32,
+    ///         ..BlockCacheConfig::default()
     ///     },
     ///     cleanup_freq: 1,
     ///     ..DomainConfig::with_max_threads(2)
@@ -124,10 +132,11 @@ pub struct DomainConfig {
     /// let again = handle.alloc(8u64);
     /// // SAFETY: as above.
     /// unsafe { handle.retire(again) };
-    /// handle.force_cleanup(); // folds the magazine's hit tally into the stats
+    /// handle.force_cleanup(); // folds the magazine's tallies into the stats
     /// assert_eq!(domain.stats().cache_hits, 1);
-    /// drop(handle); // drains the magazine into its home shard ...
-    /// assert!(domain.stats().cached_bytes > 0); // ... where the block parks
+    /// assert!(domain.stats().cached_bytes > 0); // the block, parked again
+    /// drop(handle); // drains the magazine into the process-wide pool
+    /// assert_eq!(domain.stats().cached_bytes, 0);
     /// ```
     pub block_cache: BlockCacheConfig,
 }
@@ -230,14 +239,14 @@ impl DomainConfigBuilder {
         self
     }
 
-    /// Full per-shard block-cache configuration.
+    /// Full block-cache configuration.
     pub fn block_cache(mut self, block_cache: BlockCacheConfig) -> Self {
         self.config.block_cache = block_cache;
         self
     }
 
-    /// Switches the per-shard block cache on or off without touching the
-    /// rest of its configuration.
+    /// Switches the block cache on or off without touching the rest of its
+    /// configuration.
     pub fn block_cache_enabled(mut self, enabled: bool) -> Self {
         self.config.block_cache.enabled = enabled;
         self
@@ -354,13 +363,13 @@ pub unsafe trait RawHandle {
     /// and by handle teardown; not part of the paper API.
     fn force_cleanup(&mut self);
 
-    /// The two cache tiers consulted by [`Handle::alloc`] before falling back
-    /// to the allocator: this thread's private magazine and the block cache of
-    /// its home registry shard. The default (`(None, None)`) opts out of
-    /// caching entirely; the scheme core overrides it with the handle's
-    /// magazine and the shard picked at registration time.
-    fn block_caches(&mut self) -> (Option<&mut LocalBlockCache>, Option<&ShardCache>) {
-        (None, None)
+    /// The magazines [`Handle::alloc`] pops class blocks from and
+    /// [`Handle::discard`] parks them on, or `None` when every block of this
+    /// handle is a `Box` of its own. The default opts out of caching; the
+    /// scheme core returns the handle's magazines when its domain gives
+    /// handles some.
+    fn block_cache(&mut self) -> Option<&mut LocalBlockCache> {
+        None
     }
 
     /// Who pins this thread's retired blocks: the groups its batch has
@@ -411,13 +420,11 @@ pub trait Handle: RawHandle {
     }
 
     /// Allocates a reclaimable block holding `value`
-    /// (the paper's `alloc_block`), recycling a block of the matching size
-    /// class from this thread's magazine (or its home-shard cache) when one
-    /// is parked there.
+    /// (the paper's `alloc_block`), popping a block of the matching size
+    /// class from this handle's magazine when it has one.
     fn alloc<T>(&mut self, value: T) -> *mut Linked<T> {
         let era = self.pre_alloc();
-        let (local, shard) = self.block_caches();
-        Linked::alloc_in(value, era, local, shard)
+        Linked::alloc_in(value, era, self.block_cache())
     }
 
     /// Frees a block that was allocated but never published — an insert that
@@ -431,10 +438,9 @@ pub trait Handle: RawHandle {
     /// `ptr` must come from [`Handle::alloc`], must never have been reachable
     /// by another thread, and must not have been freed or retired before.
     unsafe fn discard<T>(&mut self, ptr: *mut Linked<T>) {
-        let (local, shard) = self.block_caches();
         // SAFETY: the caller owns the block exclusively and hands it over
         // exactly once; nothing can protect a block that was never published.
-        unsafe { free_block(Linked::as_header(ptr), local, shard) };
+        unsafe { free_block(Linked::as_header(ptr), self.block_cache()) };
     }
 
     /// Protects and returns the pointer stored in `src` (the paper's

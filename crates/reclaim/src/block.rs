@@ -8,7 +8,8 @@
 
 use wfe_sync::atomic::{AtomicU64, Ordering};
 
-use crate::cache::{LocalBlockCache, ShardCache, SizeClass};
+use crate::cache::{self, LocalBlockCache, SizeClass};
+#[cfg(debug_assertions)]
 use crate::slab;
 
 /// The "infinite" era: a reservation holding this value protects nothing.
@@ -92,20 +93,19 @@ impl<T> Linked<T> {
     /// reclamation scheme (after [`retire`](crate::Handle::retire)) or by
     /// [`Linked::dealloc`].
     pub fn alloc(value: T, alloc_era: u64) -> *mut Linked<T> {
-        Self::alloc_in(value, alloc_era, None, None)
+        Self::alloc_in(value, alloc_era, None)
     }
 
     /// Like [`alloc`](Self::alloc), but, when the layout fits a size class,
-    /// allocates a class block: recycled from the handle's `local` magazine
-    /// (refilled from `shard`, its backing), else taken from the pool
-    /// ([`crate::slab`]). Without a magazine — the cache off, a scheme that
-    /// never reclaims — or for a layout no class fits, the block is a `Box`
-    /// of its own; its `drop_fn` records which.
+    /// allocates a class block popped from the handle's `local` magazine
+    /// (which refills from the pool, [`crate::slab`], when empty). Without a
+    /// magazine — the cache off, a scheme that never reclaims — or for a
+    /// layout no class fits, the block is a `Box` of its own; its `drop_fn`
+    /// records which.
     pub fn alloc_in(
         value: T,
         alloc_era: u64,
         local: Option<&mut LocalBlockCache>,
-        shard: Option<&ShardCache>,
     ) -> *mut Linked<T> {
         let header = |drop_fn: unsafe fn(*mut BlockHeader) -> Option<SizeClass>| BlockHeader {
             alloc_era: AtomicU64::new(alloc_era),
@@ -113,9 +113,9 @@ impl<T> Linked<T> {
         };
         match (Self::SIZE_CLASS, local) {
             (Some(class), Some(local)) => {
-                let raw = local.pop(class, shard).unwrap_or_else(|| slab::take(class));
-                // SAFETY: a class block off a freelist or out of the pool is
-                // dead memory this thread owns (and poisoned, in debug builds).
+                let raw = local.pop(class);
+                // SAFETY: a class block off a magazine is dead memory this
+                // thread owns (and poisoned, in debug builds).
                 #[cfg(debug_assertions)]
                 unsafe {
                     slab::check_poison(raw, class)
@@ -141,8 +141,9 @@ impl<T> Linked<T> {
 
     /// Immediately frees a block that is *not* going through a retire path:
     /// the remaining nodes freed by a data structure's `Drop`, which has no
-    /// handle. A `Box` goes to the allocator, a class block to the pool.
-    /// Mid-operation, a node that never became reachable goes back to the
+    /// handle. A `Box` goes to the allocator, a class block to the calling
+    /// thread's spare magazine (which spills to the pool in chains of half a
+    /// magazine). Mid-operation, a node that never became reachable goes back to the
     /// magazine it came from instead
     /// ([`Handle::discard`](crate::Handle::discard)).
     ///
@@ -155,7 +156,7 @@ impl<T> Linked<T> {
         // SAFETY: the caller guarantees `ptr` is a live, unaliased block;
         // dispatching through `drop_fn` frees it down whichever path
         // (class or `Box`) allocated it.
-        unsafe { free_block(Self::as_header(ptr), None, None) };
+        unsafe { free_block(Self::as_header(ptr), None) };
     }
 
     /// Upcasts a typed block pointer to its header pointer.
@@ -198,9 +199,8 @@ unsafe fn drop_block_classed<T>(header: *mut BlockHeader) -> Option<SizeClass> {
 }
 
 /// Frees a block through its type-erased destructor, parking the memory of
-/// class-path blocks on the handle's `local` magazine (which spills to
-/// `shard`, its backing); with no magazine a class block goes to the pool.
-/// Debug builds poison a class block before parking it, so a write after
+/// class-path blocks on the handle's `local` magazine; with no magazine at
+/// hand a class block parks on the calling thread's spare one. Debug builds poison a class block before parking it, so a write after
 /// the free fails at the next `alloc` of its class.
 ///
 /// # Safety
@@ -210,11 +210,7 @@ unsafe fn drop_block_classed<T>(header: *mut BlockHeader) -> Option<SizeClass> {
 // Inlinable across crates: the batch scan that calls this once per freed
 // block is instantiated, with the scheme core, in the caller's crate.
 #[inline]
-pub(crate) unsafe fn free_block(
-    header: *mut BlockHeader,
-    local: Option<&mut LocalBlockCache>,
-    shard: Option<&ShardCache>,
-) {
+pub(crate) unsafe fn free_block(header: *mut BlockHeader, local: Option<&mut LocalBlockCache>) {
     // SAFETY: the caller guarantees the block is retired, unreachable and
     // unprotected; `drop_fn` was installed at allocation for the right `T`.
     let class = unsafe { ((*header).drop_fn)(header) };
@@ -229,9 +225,9 @@ pub(crate) unsafe fn free_block(
         match local {
             // SAFETY: the block was allocated as a class block of `class`
             // (`drop_fn` returned it) and enters the magazine exactly once.
-            Some(local) => unsafe { local.push(class, block, shard) },
-            // SAFETY: as above — given back exactly once here.
-            None => unsafe { slab::give(class, block) },
+            Some(local) => unsafe { local.push(class, block) },
+            // SAFETY: as above.
+            None => unsafe { cache::park_without_handle(class, block) },
         }
     }
 }
@@ -263,37 +259,59 @@ mod tests {
     }
 
     #[test]
+    fn a_class_block_freed_without_a_handle_parks_on_the_spare_magazine() {
+        // A thread of its own: its spare magazine starts empty, and drains
+        // into the pool when the thread exits.
+        std::thread::spawn(|| {
+            let mut local = LocalBlockCache::new();
+            let node = Linked::alloc_in(1u64, 0, Some(&mut local));
+            assert_eq!(cache::spare_blocks(), 0);
+            // SAFETY: never published; freed exactly once.
+            unsafe { Linked::dealloc(node) };
+            assert_eq!(
+                cache::spare_blocks(),
+                1,
+                "parked, not pushed as a chain of one"
+            );
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
     fn drop_fn_runs_payload_destructor() {
         let drops = Arc::new(AtomicUsize::new(0));
         let ptr = Linked::alloc(Canary(drops.clone()), 0);
         // SAFETY: the block is alive, unreachable by any other thread, and freed
         // exactly once through its installed `drop_fn`.
-        unsafe { free_block(Linked::as_header(ptr), None, None) };
+        unsafe { free_block(Linked::as_header(ptr), None) };
         assert_eq!(drops.load(SeqCst), 1);
     }
 
     #[test]
     fn only_a_block_allocated_through_a_magazine_is_a_class_block() {
         // A u64 block fits the smallest class; a 2 KiB payload fits none.
-        let class = Linked::<u64>::SIZE_CLASS.expect("fits the smallest class");
+        assert!(
+            Linked::<u64>::SIZE_CLASS.is_some(),
+            "fits the smallest class"
+        );
         assert!(Linked::<[u8; 2048]>::SIZE_CLASS.is_none());
         let mut local = LocalBlockCache::new();
         let boxed = Linked::alloc(7u64, 0);
-        let large = Linked::alloc_in([0u8; 2048], 0, Some(&mut local), None);
-        let classed = Linked::alloc_in(7u64, 0, Some(&mut local), None);
+        let large = Linked::alloc_in([0u8; 2048], 0, Some(&mut local));
+        let classed = Linked::alloc_in(7u64, 0, Some(&mut local));
+        let parked = local.cached_bytes();
         // Freed with a magazine at hand, only the class block stays in it:
         // each `drop_fn` knows which path its block took.
         // SAFETY: the blocks are unpublished and freed exactly once.
         unsafe {
             assert_eq!((*boxed).value, 7);
-            free_block(Linked::as_header(boxed), Some(&mut local), None);
-            free_block(Linked::as_header(large), Some(&mut local), None);
-            assert_eq!(local.pop(class, None), None, "two `Box`es, freed");
-            free_block(Linked::as_header(classed), Some(&mut local), None);
+            free_block(Linked::as_header(boxed), Some(&mut local));
+            free_block(Linked::as_header(large), Some(&mut local));
+            assert_eq!(local.cached_bytes(), parked, "two `Box`es, freed");
+            free_block(Linked::as_header(classed), Some(&mut local));
         }
-        assert_eq!(local.pop(class, None), Some(classed.cast()), "parked");
-        // SAFETY: popped once, given back once.
-        unsafe { slab::give(class, classed.cast()) };
+        assert_eq!(local.cached_bytes(), parked + 40, "parked");
     }
 
     #[cfg(debug_assertions)]
@@ -301,46 +319,35 @@ mod tests {
     #[should_panic(expected = "written at byte 16 while it was parked")]
     fn a_write_into_a_parked_block_panics_at_the_next_alloc_of_its_class() {
         let mut local = LocalBlockCache::new();
-        let node = Linked::alloc_in(1u64, 0, Some(&mut local), None);
+        let node = Linked::alloc_in(1u64, 0, Some(&mut local));
         // SAFETY: never published; freed exactly once, into the magazine.
-        unsafe { free_block(Linked::as_header(node), Some(&mut local), None) };
+        unsafe { free_block(Linked::as_header(node), Some(&mut local)) };
         // A stale writer stores into the dead payload. SAFETY: the block is
         // slab memory and stays mapped; only the poison tells.
         unsafe { node.cast::<u64>().add(2).write(7) };
-        let _ = Linked::alloc_in(2u64, 0, Some(&mut local), None);
+        let _ = Linked::alloc_in(2u64, 0, Some(&mut local));
     }
 
     #[test]
     fn free_into_cache_recycles_memory_and_drops_payload() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let cache = crate::cache::BlockCaches::new(
-            &crate::cache::BlockCacheConfig {
-                enabled: true,
-                per_class_capacity: 4,
-            },
-            1,
-        );
-        let shard = cache.shard(0);
         let mut local = LocalBlockCache::new();
-        let ptr = Linked::alloc_in(Canary(drops.clone()), 0, Some(&mut local), shard);
+        let ptr = Linked::alloc_in(Canary(drops.clone()), 0, Some(&mut local));
         let addr = ptr as usize;
         // SAFETY: the block is unpublished; freed exactly once, into the cache.
-        unsafe { free_block(Linked::as_header(ptr), Some(&mut local), shard) };
+        unsafe { free_block(Linked::as_header(ptr), Some(&mut local)) };
         assert_eq!(drops.load(SeqCst), 1, "payload dropped even when cached");
         // The next allocation of the same class reuses the parked block.
-        let reused = Linked::alloc_in(42u64, 0, Some(&mut local), shard);
+        let reused = Linked::alloc_in(42u64, 0, Some(&mut local));
         assert_eq!(reused as usize, addr, "cache served the recycled block");
-        // SAFETY: unpublished, freed exactly once; the drain parks it.
-        unsafe { free_block(Linked::as_header(reused), Some(&mut local), shard) };
-        local.drain(shard);
-        assert!(
-            shard.unwrap().cached_bytes() > 0,
-            "memory parked, not freed"
-        );
+        // SAFETY: unpublished, freed exactly once.
+        unsafe { free_block(Linked::as_header(reused), Some(&mut local)) };
+        assert!(local.cached_bytes() > 0, "memory parked, not freed");
         let counters = crate::stats::SlotCounters::default();
         local.flush_stats(&counters);
         let stats = crate::stats::snapshot(|| core::iter::once(&counters), 0);
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+        assert_eq!(stats.cached_bytes, local.cached_bytes());
     }
 
     #[test]

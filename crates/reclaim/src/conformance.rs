@@ -504,8 +504,8 @@ pub fn unreclaimed_is_bounded<R: Reclaimer>(bound: u64) {
 }
 
 /// What a dropping handle does, in the order it must do it: withdraw its
-/// reservations, run a final cleanup pass, drain its magazine into the home
-/// shard, park the survivors on the orphan stack, release its registry slot.
+/// reservations, run a final cleanup pass, drain its magazines into the
+/// pool, park the survivors on the orphan stack, release its registry slot.
 ///
 /// `reclaims` is `false` for schemes that never run cleanup passes (`Leak`):
 /// those skip the pass and have no magazine, but still park and release.
@@ -516,7 +516,7 @@ pub fn handle_drop_order<R: Reclaimer>(reclaims: bool) {
         era_freq: 1,
         block_cache: BlockCacheConfig {
             enabled: true,
-            per_class_capacity: 64,
+            ..BlockCacheConfig::default()
         },
         ..ReclaimerConfig::with_max_threads(2)
     });
@@ -537,9 +537,10 @@ pub fn handle_drop_order<R: Reclaimer>(reclaims: bool) {
             stats.freed, 1,
             "reservations are withdrawn before the final pass, so it frees the block"
         );
-        assert!(
-            stats.cached_bytes > 0,
-            "the final pass runs before the drain: its block reaches the shard through the magazine"
+        assert_eq!(
+            stats.cached_bytes, 0,
+            "the final pass frees into the magazine before the drain empties it: \
+             nothing stays parked with a handle that is gone"
         );
     } else {
         assert_eq!((stats.freed, stats.cached_bytes), (0, 0));
@@ -652,7 +653,7 @@ pub fn stats_are_exact_across_slot_reuse<R: Reclaimer>(reclaims: bool) {
     assert_eq!(stats.freed, freed);
     assert_eq!(stats.unreclaimed, unreclaimed);
     assert_eq!((stats.adopted_batches, stats.freed_via_adoption), (0, 0));
-    // No shard caches, no magazines, nothing tallied: a scheme that never
+    // No magazines, nothing tallied: a scheme that never
     // reclaims, or the layer switched off (`WFE_BLOCK_CACHE=0`).
     let cached = reclaims && domain.config().block_cache.enabled;
     assert_eq!(

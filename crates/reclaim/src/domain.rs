@@ -8,9 +8,9 @@
 //!
 //! * **the domain** owns the configuration, the sharded
 //!   [`ThreadRegistry`], one [`SlotCounters`] block per registry slot, the
-//!   [`OrphanStack`], the [`BlockCaches`] and the one [`EraSource`] clock;
-//! * **the handle** owns the [`ShieldSlots`] lease table, the home shard and
-//!   its magazine, the [`RetiredBatch`], the snapshot scratch and the two
+//!   [`OrphanStack`] and the one [`EraSource`] clock;
+//! * **the handle** owns the [`ShieldSlots`] lease table, its block-cache
+//!   magazines, the [`RetiredBatch`], the snapshot scratch and the two
 //!   cadence counters (`cleanup_freq` retirements per pass, `era_freq`
 //!   allocations per clock advance) — and, while it holds its registry slot,
 //!   is the only writer of that slot's counter block;
@@ -27,7 +27,7 @@ use wfe_sync::{CachePadded, EraSource};
 
 use crate::api::{debug_assert_slot_index, DomainConfig, Progress, RawHandle, Reclaimer};
 use crate::block::BlockHeader;
-use crate::cache::{BlockCaches, LocalBlockCache, ShardCache};
+use crate::cache::LocalBlockCache;
 use crate::guard::ShieldSlots;
 use crate::registry::ThreadRegistry;
 use crate::retired::{cleanup_pass, OrphanStack, Retired, RetiredBatch};
@@ -65,7 +65,8 @@ pub unsafe trait Policy: Send + Sync + Sized + 'static {
 
     /// Whether the scheme reclaims while it runs. `false` (Leak alone) means
     /// the core never runs a cleanup pass, so never adopts an orphaned
-    /// batch, and builds no block caches: nothing would ever refill them.
+    /// batch, and gives its handles no magazines: nothing would ever refill
+    /// them.
     const RECLAIMS: bool = true;
 
     /// Whether the scheme stamps and compares eras. `false` (HP, Leak) means
@@ -136,8 +137,6 @@ pub struct Domain<P: Policy> {
     orphans: OrphanStack,
     /// The era/epoch clock (it stays at 1 under a policy that never advances).
     clock: EraSource,
-    /// Per-shard size-class block caches (empty when disabled).
-    caches: BlockCaches,
     policy: P,
 }
 
@@ -180,14 +179,7 @@ impl<P: Policy> Reclaimer for Domain<P> {
             "DomainConfig::era_freq must be at least 1: the clock advances every era_freq allocations"
         );
         let registry = config.build_registry();
-        // A scheme that never reclaims gets no shard caches, hence no magazines.
-        let cached_shards = if P::RECLAIMS {
-            registry.shard_count()
-        } else {
-            0
-        };
         Arc::new(Self {
-            caches: BlockCaches::new(&config.block_cache, cached_shards),
             counters: (0..registry.capacity())
                 .map(|_| CachePadded::default())
                 .collect(),
@@ -201,10 +193,12 @@ impl<P: Policy> Reclaimer for Domain<P> {
 
     fn try_register(self: &Arc<Self>) -> Option<DomainHandle<P>> {
         let tid = self.registry.try_acquire()?;
+        // The one fact the domain keeps about the block cache: whether its
+        // handles get magazines. A scheme that never reclaims gets none.
+        let magazines = P::RECLAIMS && self.config.block_cache.enabled;
         Some(DomainHandle {
             shield_slots: ShieldSlots::new(self.config.slots_per_thread),
-            cache_shard: self.registry.shard_of(tid),
-            local_cache: LocalBlockCache::new(),
+            local_cache: magazines.then(LocalBlockCache::new),
             domain: Arc::clone(self),
             tid,
             retired: RetiredBatch::new(),
@@ -231,9 +225,7 @@ impl<P: Policy> Reclaimer for Domain<P> {
                 .iter()
                 .map(|slot| &**slot)
         };
-        let mut stats = stats::snapshot(written, era);
-        stats.cached_bytes = self.caches.cached_bytes();
-        stats
+        stats::snapshot(written, era)
     }
 
     fn config(&self) -> &DomainConfig {
@@ -280,10 +272,9 @@ pub struct DomainHandle<P: Policy> {
     /// ignore slot indices still lease, which keeps data structures
     /// scheme-generic.
     shield_slots: Arc<ShieldSlots>,
-    /// Home registry shard, fixed at registration (indexes the block caches).
-    cache_shard: usize,
-    /// Private block-cache magazine fronting the home shard's freelists.
-    local_cache: LocalBlockCache,
+    /// The handle's block-cache magazines over the process-wide pool; `None`
+    /// when the domain's handles get none.
+    local_cache: Option<LocalBlockCache>,
     domain: Arc<Domain<P>>,
     tid: usize,
     retired: RetiredBatch,
@@ -309,7 +300,6 @@ impl<P: Policy> DomainHandle<P> {
             return;
         }
         let domain = &*self.domain;
-        let shard = domain.caches.shard(self.cache_shard);
         // SAFETY: `fill_snapshot` reads the reservation tables inside
         // `cleanup_pass`, i.e. after the orphan pop and after every block on the
         // batch was retired — the snapshot-freshness contract; that the
@@ -320,8 +310,7 @@ impl<P: Policy> DomainHandle<P> {
                 &domain.orphans,
                 domain.slot_counters(self.tid),
                 &mut self.snapshot,
-                shard.is_some().then_some(&mut self.local_cache),
-                shard,
+                self.local_cache.as_mut(),
                 |snapshot| P::fill_snapshot(domain, snapshot),
             );
         }
@@ -412,9 +401,9 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
         self.cleanup();
     }
 
-    fn block_caches(&mut self) -> (Option<&mut LocalBlockCache>, Option<&ShardCache>) {
-        let shard = self.domain.caches.shard(self.cache_shard);
-        (shard.is_some().then_some(&mut self.local_cache), shard)
+    #[inline]
+    fn block_cache(&mut self) -> Option<&mut LocalBlockCache> {
+        self.local_cache.as_mut()
     }
 
     fn parked_groups(&self) -> Vec<(u64, usize)> {
@@ -428,10 +417,12 @@ impl<P: Policy> Drop for DomainHandle<P> {
         // still protected.
         self.end_op();
         self.cleanup();
-        // Park the magazine's blocks on the home shard (freeing them when the
-        // cache is off) so surviving threads can recycle them.
-        self.local_cache
-            .drain(self.domain.caches.shard(self.cache_shard));
+        // Hand the magazines' blocks to the pool so surviving threads can
+        // recycle them, and report the drained gauge.
+        if let Some(cache) = &mut self.local_cache {
+            cache.drain();
+            cache.flush_stats(self.domain.slot_counters(self.tid));
+        }
         // Whatever the final pass could not free is parked on the orphan
         // stack; the next live thread's cleanup pass adopts it.
         self.domain.orphans.push(self.retired.take());

@@ -100,7 +100,7 @@ mod tests {
             cleanup_freq: 1,
             block_cache: crate::BlockCacheConfig {
                 enabled: true,
-                per_class_capacity: 64,
+                ..crate::BlockCacheConfig::default()
             },
             ..ReclaimerConfig::with_max_threads(2)
         });

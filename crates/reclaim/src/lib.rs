@@ -63,7 +63,7 @@ pub use api::{
     DomainConfig, DomainConfigBuilder, Handle, Progress, RawHandle, Reclaimer, ReclaimerConfig,
 };
 pub use block::{BlockHeader, Linked, ERA_INF, INVPTR};
-pub use cache::{BlockCacheConfig, BlockCaches, LocalBlockCache, ShardCache, SizeClass};
+pub use cache::{BlockCacheConfig, LocalBlockCache, SizeClass};
 pub use domain::{Domain, DomainHandle, Policy};
 pub use ebr::Ebr;
 pub use guard::{Guard, Protected, Shield, ShieldError, ShieldSlots};
@@ -100,9 +100,8 @@ const fn _auto_trait_facts() {
     _assert_send_sync::<Atomic<u64>>();
     // Stats snapshots travel to sampler/reporter threads.
     _assert_send_sync::<SmrStats>();
-    // The block caches hang off domains, so they must share the same facts.
-    _assert_send_sync::<BlockCaches>();
-    _assert_send_sync::<ShardCache>();
+    // A handle's magazines move with the handle.
+    _assert_send::<LocalBlockCache>();
 }
 #[allow(dead_code)] // the bounds must hold for *all* R / T / H
 const fn _auto_trait_facts_generic<R: Reclaimer, T, H: RawHandle>() {

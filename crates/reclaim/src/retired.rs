@@ -12,7 +12,7 @@
 use wfe_sync::atomic::{AtomicU64, Ordering};
 
 use crate::block::{free_block, BlockHeader};
-use crate::cache::{LocalBlockCache, ShardCache};
+use crate::cache::LocalBlockCache;
 use crate::scan::{ReservationSet, Verdict};
 use crate::stats::SlotCounters;
 use crate::treiber::TypeStableStack;
@@ -192,10 +192,9 @@ impl RetiredBatch {
     /// plus one lookup per group — every group left behind has a witness the
     /// snapshot holds, so there are no more groups than published eras.
     ///
-    /// Freed class blocks are routed into `local` (the scanning thread's
-    /// private magazine) first, spilling into `shard` (its home-shard cache)
-    /// when the magazine fills; with neither, blocks free straight to the
-    /// allocator.
+    /// Freed class blocks park on `local` (the scanning thread's magazine),
+    /// which spills to the pool when it fills; `Box` blocks free straight
+    /// to the allocator.
     ///
     /// # Safety
     ///
@@ -206,7 +205,6 @@ impl RetiredBatch {
         &mut self,
         snapshot: &S,
         mut local: Option<&mut LocalBlockCache>,
-        shard: Option<&ShardCache>,
     ) -> ScanTally {
         let mut index = 0;
         while index < self.groups.len() {
@@ -231,7 +229,7 @@ impl RetiredBatch {
                     // caller's snapshot-freshness contract — unprotected and
                     // unreachable; the entry is consumed, so the block is
                     // freed exactly once.
-                    unsafe { free_block(entry.block, local.as_deref_mut(), shard) };
+                    unsafe { free_block(entry.block, local.as_deref_mut()) };
                     freed += 1;
                 }
                 Verdict::Pinned => self.scan.push(entry),
@@ -255,7 +253,7 @@ impl RetiredBatch {
             // SAFETY: the caller guarantees no thread can still reach these
             // blocks; each entry owns its block and is consumed here, so the
             // block is freed exactly once.
-            unsafe { free_block(entry.block, None, None) };
+            unsafe { free_block(entry.block, None) };
             freed += 1;
         }
         freed
@@ -314,10 +312,10 @@ impl Drop for RetiredBatch {
 /// condition. Adopted survivors are appended to `retired`: parked groups
 /// join the adopter's groups, the rest is rescanned on the owner's next
 /// pass. Freed class blocks land on `local` (the scanning
-/// thread's private magazine), spilling into `shard` (its home-shard block
-/// cache) when the magazine fills; the magazine's hit/miss tallies are
-/// folded into `counters` at the end of the pass, so domain-level stats lag
-/// by at most one cleanup interval.
+/// thread's magazine), which spills to the pool when it fills; the
+/// magazine's hit/miss tallies and parked bytes are folded into `counters`
+/// at the end of the pass, so domain-level stats lag by at most one cleanup
+/// interval.
 ///
 /// # Safety
 ///
@@ -331,7 +329,6 @@ pub unsafe fn cleanup_pass<S: ReservationSet>(
     counters: &SlotCounters,
     snapshot: &mut S,
     mut local: Option<&mut LocalBlockCache>,
-    shard: Option<&ShardCache>,
     fill: impl FnOnce(&mut S),
 ) {
     let adopted = orphans.pop();
@@ -339,10 +336,10 @@ pub unsafe fn cleanup_pass<S: ReservationSet>(
     // SAFETY: `fill` ran after every block on `retired` was retired and after
     // the orphan batch was popped, so the snapshot-freshness contract of
     // `scan_against` holds for both batches (the caller's obligation).
-    let mut tally = unsafe { retired.scan_against(snapshot, local.as_deref_mut(), shard) };
+    let mut tally = unsafe { retired.scan_against(snapshot, local.as_deref_mut()) };
     if let Some(mut batch) = adopted {
         // SAFETY: as above — the snapshot was taken after the pop.
-        let theirs = unsafe { batch.scan_against(snapshot, local.as_deref_mut(), shard) };
+        let theirs = unsafe { batch.scan_against(snapshot, local.as_deref_mut()) };
         counters.on_adoption(theirs.freed as u64);
         retired.append(&mut batch);
         tally.freed += theirs.freed;
@@ -506,7 +503,7 @@ mod tests {
     fn scan<S: ReservationSet>(batch: &mut RetiredBatch, snapshot: &S) -> (usize, usize) {
         // SAFETY: no other thread exists, so the snapshot is all there is to
         // protect a block and it was built after every retire.
-        let tally = unsafe { batch.scan_against(snapshot, None, None) };
+        let tally = unsafe { batch.scan_against(snapshot, None) };
         (tally.freed, tally.scanned)
     }
 
@@ -537,7 +534,7 @@ mod tests {
         snap.seal();
         // SAFETY: the snapshot was filled after every push; nothing else references
         // the blocks.
-        let tally = unsafe { batch.scan_against(&snap, None, None) };
+        let tally = unsafe { batch.scan_against(&snap, None) };
         assert_eq!(
             tally,
             ScanTally {
@@ -553,7 +550,7 @@ mod tests {
             "a hazard pointer names no witness: survivors stay on the scan list"
         );
         // SAFETY: as above.
-        let again = unsafe { batch.scan_against(&snap, None, None) };
+        let again = unsafe { batch.scan_against(&snap, None) };
         assert_eq!(again.scanned, 2, "and are judged again by every pass");
         // SAFETY: no other thread references the batch's blocks.
         let freed = unsafe { batch.free_all() };
@@ -565,33 +562,26 @@ mod tests {
     #[test]
     fn scan_routes_freed_blocks_into_the_cache() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let caches = crate::cache::BlockCaches::new(
-            &crate::cache::BlockCacheConfig {
-                enabled: true,
-                per_class_capacity: 8,
-            },
-            1,
-        );
         let mut batch = RetiredBatch::new();
         let mut local = LocalBlockCache::new();
         for _ in 0..2 {
             // Class blocks: allocated through a magazine.
-            let block =
-                Linked::alloc_in(Canary(drops.clone()), 0, Some(&mut local), caches.shard(0));
+            let block = Linked::alloc_in(Canary(drops.clone()), 0, Some(&mut local));
             // SAFETY: freshly allocated, test-owned block, on this one entry.
             batch.push(unsafe { Retired::new(Linked::as_header(block), 0) });
         }
+        let parked = local.cached_bytes();
         // An empty (sealed) snapshot covers nothing: everything is freeable.
         let mut snap = HazardSnapshot::new();
         snap.seal();
         // SAFETY: snapshot taken after the pushes; nothing else references them.
-        let freed = unsafe { batch.scan_against(&snap, Some(&mut local), caches.shard(0)) }.freed;
+        let freed = unsafe { batch.scan_against(&snap, Some(&mut local)) }.freed;
         assert_eq!(freed, 2);
         assert_eq!(drops.load(SeqCst), 2, "payloads dropped");
-        local.drain(caches.shard(0));
-        assert!(
-            caches.shard(0).unwrap().cached_bytes() > 0,
-            "freed memory parked on the magazine, and by its drain on the shard cache"
+        assert_eq!(
+            local.cached_bytes(),
+            parked + 2 * 40,
+            "freed memory parked on the magazine"
         );
     }
 
@@ -776,7 +766,6 @@ mod tests {
                     &orphans,
                     &counters,
                     &mut snapshot,
-                    None,
                     None,
                     |snapshot| *snapshot = eras(published),
                 );

@@ -1,15 +1,29 @@
-//! The process-wide block pool: where class blocks are made, and where they
-//! go when no cache keeps them.
+//! The process-wide block pool: where class blocks are made, and where a
+//! magazine trades them.
 //!
-//! Every class block ([`SizeClass`]) comes out of one pool per class, which
-//! carves it from a slab at exactly the class size: 40-byte list nodes sit 40
-//! bytes apart, where a glibc chunk each put them 48 apart (a 1 024-node list
-//! then filled a 48 KiB L1d on its own). A block no cache keeps — a chain a
-//! shard refuses at capacity, a drained magazine or shard, a block freed with
-//! no magazine at hand ([`Linked::dealloc`]) — is spliced back onto the
-//! pool's freelist, and the pool hands out the last block it got back before
-//! it carves a new one. It never gives a slab back: its size is the
-//! process's peak number of live class blocks.
+//! Every class block ([`SizeClass`]) comes out of one pool per class: a
+//! lock-free stack of [`BlockChain`]s, the versioned-WCAS
+//! [`TypeStableStack`] the orphan stack and the handle pool use too. A
+//! magazine refills by popping one chain and spills by pushing one, so the
+//! pool is entered once per half magazine of one-sided traffic:
+//!
+//! * a **refill** pops one chain and keeps at most half a magazine of it; a
+//!   longer chain is split and its rest pushed back. When the stack is empty
+//!   it carves a fresh 64 KiB slab into one chain at exactly the class
+//!   stride — 40-byte list nodes sit 40 bytes apart, where a glibc chunk
+//!   each put them 48 apart — keeps the first half magazine and pushes the
+//!   rest;
+//! * a **spill** or a **drain** pushes its chain whole: there is no capacity
+//!   and nothing is refused.
+//!
+//! The pool never gives a slab back: its size is the process's peak number
+//! of class blocks out of it at once.
+//!
+//! **Progress.** A pop or a push is lock-free (a versioned WCAS that retries
+//! only when another thread's pop or push succeeded), and so is linking a
+//! new slab into the slab list. The one step without a bound is fetching a
+//! fresh slab from the system allocator. Nothing here waits for another
+//! thread.
 //!
 //! Only a block allocated through a magazine is a class block. Without one —
 //! the cache off, `Leak`, [`Linked::alloc`] — a block is its own `Box`, and
@@ -19,28 +33,23 @@
 //! the class, and a read of a freed node's link yields a non-canonical
 //! address rather than somebody's live node.
 //!
-//! One spinlock per class guards the freelist and the slab cursor, held for a
-//! handful of loads and stores. The pool is reached on a magazine miss the
-//! shard could not refill and on a refused or drained chain, never on a
-//! balanced thread's alloc/free cycle — but a prefill misses on every
-//! allocation, and there a `std` mutex (≈ 17 ns a lock/unlock pair,
-//! measured on a 2-core x86-64 host) made a take cost twice a glibc
-//! `malloc`; the spinlock's take and give cost what `malloc` and `free` do.
-//! Its atomic is a `core` one, not a `wfe_sync` one, so the pool puts no
-//! interleaving point into a model schedule: the pool outlives every
-//! schedule and every test of the process, and points whose number depended
-//! on what earlier runs left in it would make schedules unreplayable.
+//! **Model schedules.** The pool outlives every schedule and every test of
+//! the process, so the number of steps a pop takes would depend on what
+//! earlier runs left in it and make schedules unreplayable. Each stack
+//! operation therefore runs inside [`wfe_sync::unobserved`], and the
+//! counters and the slab list are `core` atomics: the pool adds no
+//! interleaving point to a model schedule.
 //!
-//! [`Linked::dealloc`]: crate::Linked::dealloc
 //! [`Linked::alloc`]: crate::Linked::alloc
 
 use core::alloc::Layout;
-use core::cell::UnsafeCell;
-use core::ops::{Deref, DerefMut};
-// wfe-analyze: allow(raw-atomic): the pool's lock must stay invisible to model schedules (module docs).
-use core::sync::atomic::{AtomicBool, Ordering};
+// wfe-analyze: allow(raw-atomic): the pool's counters and slab list must stay invisible to model schedules (module docs).
+use core::sync::atomic::{AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
+
+use wfe_sync::unobserved;
 
 use crate::cache::{BlockChain, SizeClass, CLASS_SIZES};
+use crate::treiber::TypeStableStack;
 
 /// Bytes per slab: 1 638 list nodes, 64 blocks of the largest class.
 const SLAB_BYTES: usize = 64 * 1024;
@@ -49,221 +58,144 @@ const SLAB_BYTES: usize = 64 * 1024;
 /// bytes past a line boundary.
 const SLAB_ALIGN: usize = 64;
 
+/// Offset of the word that links a slab to the one carved before it. No
+/// class fills a slab: 65 536 bytes leave 16 (or more) past the last block
+/// of every class, so blocks are carved from the bytes before this word.
+const SLAB_LINK: usize = SLAB_BYTES - core::mem::size_of::<*mut u8>();
+
+const _: () = {
+    let mut index = 0;
+    while index < CLASS_SIZES.len() {
+        let size = CLASS_SIZES[index];
+        assert!(
+            SLAB_LINK / size == SLAB_BYTES / size,
+            "a class must leave the link word free"
+        );
+        index += 1;
+    }
+};
+
 fn slab_layout() -> Layout {
     Layout::from_size_align(SLAB_BYTES, SLAB_ALIGN).expect("slab layout is valid")
 }
 
-/// One class's pool.
-#[derive(Debug)]
-struct Pool {
-    /// Blocks given back, linked through their first words (null-ended).
-    free: *mut u8,
-    /// The uncarved rest of the newest slab: `left` bytes from `next`.
-    next: *mut u8,
-    left: usize,
-    /// Every slab carved from. The process-wide pools are statics, never
-    /// dropped, so their slabs stay allocated and reachable: a leak checker
-    /// sees slab memory as the pool's, whoever holds its blocks.
-    slabs: Vec<*mut u8>,
-    /// Blocks carved so far: the pool's size.
-    carved: usize,
-    /// Blocks handed out and not given back.
-    outstanding: isize,
-}
+/// One class's pool: parked chains of dead blocks of that class.
+type Pool = TypeStableStack<BlockChain>;
 
-// SAFETY: the pool exclusively owns its slabs and its freelist; its lock
-// hands that ownership from thread to thread.
-unsafe impl Send for Pool {}
+static POOLS: [Pool; CLASS_SIZES.len()] = [const { TypeStableStack::new() }; CLASS_SIZES.len()];
 
-impl Pool {
-    const fn new() -> Self {
-        Self {
-            free: core::ptr::null_mut(),
-            next: core::ptr::null_mut(),
-            left: 0,
-            slabs: Vec::new(),
-            carved: 0,
-            outstanding: 0,
-        }
+/// The newest slab; each slab's [`SLAB_LINK`] word points at the one carved
+/// before it. Push-only: it keeps every slab reachable for a leak checker,
+/// whoever holds its blocks.
+static SLABS: AtomicPtr<u8> = AtomicPtr::new(core::ptr::null_mut());
+
+/// Per class: blocks out of the pool (in use or in a magazine).
+static OUTSTANDING: [AtomicIsize; CLASS_SIZES.len()] =
+    [const { AtomicIsize::new(0) }; CLASS_SIZES.len()];
+
+/// Per class: blocks carved from slabs so far.
+static CARVED: [AtomicUsize; CLASS_SIZES.len()] =
+    [const { AtomicUsize::new(0) }; CLASS_SIZES.len()];
+
+/// Cuts a fresh slab into one chain of `class` blocks, each linked to the
+/// next (the last to null), and links the slab into [`SLABS`].
+fn carve_slab(class: SizeClass) -> BlockChain {
+    // SAFETY: the layout has a non-zero size.
+    let slab = unsafe { std::alloc::alloc(slab_layout()) };
+    if slab.is_null() {
+        std::alloc::handle_alloc_error(slab_layout());
     }
-
-    /// The last block given back, or else the next one carved.
-    fn take(&mut self, class: SizeClass) -> *mut u8 {
-        self.outstanding += 1;
-        let block = self.free;
-        if block.is_null() {
-            return self.carve(class);
-        }
-        // SAFETY: a freelist block is dead class memory the pool owns; its
-        // first word links the next one.
-        self.free = unsafe { block.cast::<*mut u8>().read() };
-        block
-    }
-
-    /// Cuts the next `class` block off the newest slab, starting a slab when
-    /// the rest is too short.
-    fn carve(&mut self, class: SizeClass) -> *mut u8 {
-        let size = class.size();
-        if self.left < size {
-            // SAFETY: the layout has a non-zero size.
-            let slab = unsafe { std::alloc::alloc(slab_layout()) };
-            if slab.is_null() {
-                std::alloc::handle_alloc_error(slab_layout());
-            }
-            self.slabs.push(slab);
-            self.next = slab;
-            self.left = SLAB_BYTES;
-        }
-        let block = self.next;
-        // SAFETY: `size <= left`, so the new cursor stays inside the slab or
-        // one past its end.
-        self.next = unsafe { block.add(size) };
-        self.left -= size;
-        self.carved += 1;
-        // SAFETY: fresh class memory nobody else has seen; debug builds hand
-        // out every block poisoned, fresh or recycled.
-        #[cfg(debug_assertions)]
+    let size = class.size();
+    let count = SLAB_LINK / size;
+    for index in 0..count {
+        // SAFETY: block `index` lies inside the slab, before its link word
+        // (`count × size <= SLAB_LINK`), 8-aligned; the memory is ours.
         unsafe {
-            poison(block, class)
+            let block = slab.add(index * size);
+            let next = if index + 1 < count {
+                block.add(size)
+            } else {
+                core::ptr::null_mut()
+            };
+            block.cast::<*mut u8>().write(next);
+            // Debug builds hand out every block poisoned, fresh or recycled.
+            #[cfg(debug_assertions)]
+            poison(block, class);
+        }
+    }
+    let link = slab.wrapping_add(SLAB_LINK).cast::<*mut u8>();
+    // ORDER: the slab list is only ever walked by a leak checker or a test, never to reach data; a stale head just retries.
+    let mut newest = SLABS.load(Ordering::Relaxed);
+    loop {
+        // SAFETY: the link word is the slab's last, 8-aligned, and unpublished until the CAS below.
+        unsafe { link.write(newest) };
+        // ORDER: Release publishes the link word written above to whoever walks the list from the new head.
+        match SLABS.compare_exchange_weak(newest, slab, Ordering::Release, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(seen) => newest = seen,
+        }
+    }
+    CARVED[class.index()].fetch_add(count, Ordering::Relaxed); // ORDER: test-only gauge; orders nothing.
+    BlockChain { first: slab, count }
+}
+
+/// Pops one chain off `pool` — a freshly carved one when the pool is empty
+/// — and keeps at most `max` blocks of it, pushing the rest back whole.
+fn take_from(pool: &Pool, class: SizeClass, max: usize) -> BlockChain {
+    let mut chain = unobserved(|| pool.pop()).unwrap_or_else(|| carve_slab(class));
+    if chain.count > max {
+        let mut last = chain.first;
+        for _ in 1..max {
+            // SAFETY: the pop (or the carve) made the chain ours, so its
+            // links are ours to read.
+            last = unsafe { last.cast::<*mut u8>().read() };
+        }
+        let rest = BlockChain {
+            // SAFETY: as above; `last` is the `max`-th block of a longer chain.
+            first: unsafe { last.cast::<*mut u8>().read() },
+            count: chain.count - max,
         };
-        block
+        unobserved(|| pool.push(rest));
+        chain.count = max;
     }
-
-    /// Links `chain` in front of the freelist.
-    ///
-    /// # Safety
-    ///
-    /// `last` must be the chain's last block; every block must be a dead
-    /// block of this pool's class, handed over exactly once.
-    unsafe fn splice(&mut self, chain: BlockChain, last: *mut u8) {
-        // SAFETY: `last` is a dead block the pool now owns.
-        unsafe { last.cast::<*mut u8>().write(self.free) };
-        self.free = chain.first;
-        self.outstanding -= chain.count as isize;
-    }
+    chain
 }
 
-impl Drop for Pool {
-    fn drop(&mut self) {
-        // Only a private pool (a test's) is ever dropped.
-        for &slab in &self.slabs {
-            // SAFETY: allocated in `carve` with this layout, freed once.
-            unsafe { std::alloc::dealloc(slab, slab_layout()) };
-        }
-    }
+/// Takes a chain of at most `max` blocks of `class` (a magazine's refill):
+/// dead memory the caller now owns, poisoned in debug builds. One pop, and
+/// one push when the chain was longer.
+pub(crate) fn take_chain(class: SizeClass, max: usize) -> BlockChain {
+    let chain = take_from(&POOLS[class.index()], class, max);
+    OUTSTANDING[class.index()].fetch_add(chain.count as isize, Ordering::Relaxed); // ORDER: test-only gauge; orders nothing.
+    chain
 }
 
-/// A pool behind a test-and-test-and-set lock.
-struct Locked {
-    /// Whether a thread holds the pool. A `core` atomic on purpose (see the
-    /// module docs): no model interleaving point.
-    held: AtomicBool,
-    pool: UnsafeCell<Pool>,
-}
-
-// SAFETY: `pool` is only reached through a `PoolGuard`, which exists only
-// while `held` is set by its owner, so one thread at a time touches it; the
-// pool itself is `Send`.
-unsafe impl Sync for Locked {}
-
-/// Exclusive access to one class's pool, released on drop.
-struct PoolGuard(&'static Locked);
-
-impl Locked {
-    const fn new() -> Self {
-        Self {
-            held: AtomicBool::new(false),
-            pool: UnsafeCell::new(Pool::new()),
-        }
-    }
-
-    fn lock(&'static self) -> PoolGuard {
-        // ORDER: taking the lock; pairs with the Release store that released it.
-        while self.held.swap(true, Ordering::Acquire) {
-            // ORDER: a plain wait for the holder's Release store; the swap above re-acquires.
-            while self.held.load(Ordering::Relaxed) {
-                // The holder may be preempted: give it the core.
-                std::thread::yield_now();
-            }
-        }
-        PoolGuard(self)
-    }
-}
-
-impl Deref for PoolGuard {
-    type Target = Pool;
-    fn deref(&self) -> &Pool {
-        // SAFETY: the guard holds the lock (see `Sync for Locked`).
-        unsafe { &*self.0.pool.get() }
-    }
-}
-
-impl DerefMut for PoolGuard {
-    fn deref_mut(&mut self) -> &mut Pool {
-        // SAFETY: as in `deref`, and `&mut self` makes the borrow unique.
-        unsafe { &mut *self.0.pool.get() }
-    }
-}
-
-impl Drop for PoolGuard {
-    fn drop(&mut self) {
-        // ORDER: releases the lock; publishes the critical section to the next Acquire swap.
-        self.0.held.store(false, Ordering::Release);
-    }
-}
-
-static POOLS: [Locked; CLASS_SIZES.len()] = [const { Locked::new() }; CLASS_SIZES.len()];
-
-fn pool(class: SizeClass) -> PoolGuard {
-    POOLS[class.index()].lock()
-}
-
-/// Takes one block of `class`: the last one given back, or a fresh one.
-/// The block is dead memory the caller now owns (poisoned in debug builds).
-pub fn take(class: SizeClass) -> *mut u8 {
-    pool(class).take(class)
-}
-
-/// Gives one block of `class` back to the pool.
+/// Gives a whole chain back: one push, however long the chain is.
 ///
 /// # Safety
 ///
-/// `block` must come from [`take`] with the same `class` (directly or through
-/// a cache), its payload must already be dropped, and it must be given back
-/// exactly once.
-pub unsafe fn give(class: SizeClass, block: *mut u8) {
-    let chain = BlockChain {
-        first: block,
-        count: 1,
-    };
-    // SAFETY: forwarded contract; a block is the last of its chain of one.
-    unsafe { pool(class).splice(chain, block) };
-}
-
-/// Gives a whole chain back: one walk to its tail, outside the lock (the
-/// chain is the caller's), and one link under it.
-///
-/// # Safety
-///
-/// As [`give`], for every block of the chain; the chain is consumed.
+/// Every block of `chain` must come from [`take_chain`] with the same
+/// `class` (directly or through a magazine), its payload already dropped,
+/// linked as the chain's count says; each is given back exactly once.
 pub(crate) unsafe fn give_chain(class: SizeClass, chain: BlockChain) {
-    // SAFETY: forwarded contract — the chain is ours to walk.
-    let last = unsafe { chain.last() };
-    // SAFETY: forwarded contract; `last` ends the chain.
-    unsafe { pool(class).splice(chain, last) };
+    OUTSTANDING[class.index()].fetch_sub(chain.count as isize, Ordering::Relaxed); // ORDER: test-only gauge; orders nothing.
+    unobserved(|| POOLS[class.index()].push(chain));
 }
 
-/// The process-wide number of class blocks handed out by the pools and not
-/// yet given back — in use, in a magazine or on a shard: back to where it
-/// was once every domain that took some has dropped.
+/// The process-wide number of class blocks out of the pool — in use or in a
+/// magazine — not counting those parked on the calling thread's spare
+/// magazine (frees with no handle, `Linked::dealloc`): back to where it was
+/// once every domain that took some has dropped.
 ///
 /// Test-only observability — the count is global, so assertions about it
 /// are only meaningful in a process that controls all its allocations.
 #[doc(hidden)]
 pub fn outstanding_cached_allocs() -> isize {
-    (0..CLASS_SIZES.len())
-        .map(|index| pool(SizeClass::at(index)).outstanding)
-        .sum()
+    let out: isize = OUTSTANDING
+        .iter()
+        .map(|count| count.load(Ordering::Relaxed)) // ORDER: test-only gauge; the test's own joins order it.
+        .sum();
+    out - crate::cache::spare_blocks() as isize
 }
 
 /// The process-wide number of class blocks ever carved from slabs: the
@@ -271,8 +203,9 @@ pub fn outstanding_cached_allocs() -> isize {
 /// than ever before. Test-only observability, as above.
 #[doc(hidden)]
 pub fn carved_blocks() -> usize {
-    (0..CLASS_SIZES.len())
-        .map(|index| pool(SizeClass::at(index)).carved)
+    CARVED
+        .iter()
+        .map(|count| count.load(Ordering::Relaxed)) // ORDER: test-only gauge; the test's own joins order it.
         .sum()
 }
 
@@ -297,7 +230,7 @@ pub(crate) unsafe fn poison(block: *mut u8, class: SizeClass) {
     }
 }
 
-/// Panics unless a block just taken off a freelist is poisoned as
+/// Panics unless a block just taken off a magazine is poisoned as
 /// [`poison`] left it: anything else was written after the block was freed.
 ///
 /// # Safety
@@ -318,79 +251,117 @@ pub(crate) unsafe fn check_poison(block: *mut u8, class: SizeClass) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    // Private pools throughout: the process-wide ones are shared with every
-    // test of the binary.
+    // Private pools, except for the helpers the cache's tests use on a class
+    // only they allocate: the process-wide pools are shared with every test
+    // of the binary.
+
+    /// Blocks of class `index` out of the pool.
+    pub(crate) fn outstanding(index: usize) -> isize {
+        OUTSTANDING[index].load(Ordering::Relaxed) // ORDER: test-only gauge; the test's joins order it.
+    }
+
+    /// Pops one chain off the process-wide pool of `class`, if any.
+    pub(crate) fn pop_chain(class: SizeClass) -> Option<BlockChain> {
+        POOLS[class.index()].pop()
+    }
+
+    /// Pushes a chain [`pop_chain`] returned back.
+    pub(crate) fn push_chain(class: SizeClass, chain: BlockChain) {
+        POOLS[class.index()].push(chain);
+    }
+
+    /// The blocks of `chain`, in link order.
+    fn walk(chain: &BlockChain) -> Vec<*mut u8> {
+        let mut blocks = vec![chain.first];
+        for _ in 1..chain.count {
+            let last = *blocks.last().unwrap();
+            // SAFETY: the test owns the chain; its links are ours to read.
+            blocks.push(unsafe { last.cast::<*mut u8>().read() });
+        }
+        blocks
+    }
 
     #[test]
     fn a_slab_is_carved_at_the_exact_class_size() {
         for size in CLASS_SIZES {
             let class = SizeClass::of(size, 8).expect("a class size fits itself");
-            let mut pool = Pool::new();
-            let blocks: Vec<usize> = (0..SLAB_BYTES / size)
-                .map(|_| pool.carve(class) as usize)
-                .collect();
-            assert_eq!(pool.slabs.len(), 1, "{size}: one slab so far");
+            let chain = carve_slab(class);
+            let blocks: Vec<usize> = walk(&chain).into_iter().map(|b| b as usize).collect();
+            assert_eq!(
+                blocks.len(),
+                SLAB_BYTES / size,
+                "{size}: one chain per slab"
+            );
             assert_eq!(blocks[0] % SLAB_ALIGN, 0, "the slab starts on a line");
             assert!(
                 blocks.windows(2).all(|pair| pair[1] - pair[0] == size),
                 "{size}-byte blocks {size} bytes apart: no allocator grain"
             );
-            pool.carve(class);
-            assert_eq!(pool.slabs.len(), 2, "{size}: the next block starts a slab");
-            assert_eq!(pool.carved, blocks.len() + 1);
-        }
-    }
-
-    #[test]
-    fn the_last_block_given_back_is_the_next_one_taken() {
-        let class = SizeClass::of(40, 8).unwrap();
-        let mut pool = Pool::new();
-        let blocks: Vec<*mut u8> = (0..3).map(|_| pool.take(class)).collect();
-        assert_eq!(pool.outstanding, 3);
-        // SAFETY: taken above, each handed back once as a chain of one.
-        unsafe {
-            for &block in &blocks[..2] {
-                pool.splice(
-                    BlockChain {
-                        first: block,
-                        count: 1,
-                    },
-                    block,
-                );
+            assert!(
+                blocks.last().unwrap() + size <= blocks[0] + SLAB_LINK,
+                "{size}: the slab's link word is no block's"
+            );
+            // The slab is on the process-wide slab list.
+            let mut slab = SLABS.load(Ordering::Acquire); // ORDER: test walk; pairs with the Release push.
+            while slab as usize != blocks[0] {
+                assert!(!slab.is_null(), "{size}: the slab is linked");
+                // SAFETY: every listed slab is live and its link word was
+                // written before it was published.
+                slab = unsafe { slab.add(SLAB_LINK).cast::<*mut u8>().read() };
             }
+            Pool::new().push(chain);
         }
-        assert_eq!(pool.outstanding, 1);
-        assert_eq!(pool.take(class), blocks[1]);
-        assert_eq!(pool.take(class), blocks[0]);
-        assert_eq!(pool.take(class), blocks[2].wrapping_add(40), "then carved");
-        assert_eq!(pool.carved, 4);
     }
 
     #[test]
-    fn a_chain_is_spliced_whole() {
+    fn a_long_chain_is_split_at_refill() {
         let class = SizeClass::of(56, 8).unwrap();
-        let mut pool = Pool::new();
-        let blocks: Vec<*mut u8> = (0..3).map(|_| pool.take(class)).collect();
-        // Link the three the way a magazine spill does.
-        for pair in blocks.windows(2) {
-            // SAFETY: dead blocks this test owns.
-            unsafe { pair[0].cast::<*mut u8>().write(pair[1]) };
-        }
-        let chain = BlockChain {
-            first: blocks[0],
-            count: 3,
+        let pool = Pool::new();
+        // An empty pool carves a slab: the refill keeps 16 blocks and pushes
+        // the rest back as one chain.
+        let taken = take_from(&pool, class, 16);
+        assert_eq!(taken.count, 16);
+        let rest = pool.pop().expect("the rest went back");
+        assert_eq!(rest.count, SLAB_BYTES / 56 - 16);
+        assert_eq!(
+            rest.first,
+            taken.first.wrapping_add(16 * 56),
+            "it starts where the refill stopped"
+        );
+        assert!(pool.pop().is_none(), "as one chain");
+        // A chain no longer than the refill is taken whole.
+        let first = rest.first;
+        pool.push(BlockChain { first, count: 5 });
+        let short = take_from(&pool, class, 16);
+        assert_eq!((short.first, short.count), (first, 5));
+        assert!(pool.pop().is_none(), "nothing pushed back");
+    }
+
+    #[test]
+    fn the_last_chain_given_back_is_the_next_one_taken() {
+        let class = SizeClass::of(40, 8).unwrap();
+        let pool = Pool::new();
+        let first = walk(&take_from(&pool, class, 4));
+        let second = walk(&take_from(&pool, class, 4));
+        assert_eq!(second[0], first[3].wrapping_add(40), "carved in order");
+        // Hand both runs back, linked the way a magazine spill links them.
+        let give = |blocks: &[*mut u8]| {
+            for pair in blocks.windows(2) {
+                // SAFETY: dead blocks this test owns.
+                unsafe { pair[0].cast::<*mut u8>().write(pair[1]) };
+            }
+            pool.push(BlockChain {
+                first: blocks[0],
+                count: blocks.len(),
+            });
         };
-        // SAFETY: the chain's blocks were taken above and go back once.
-        unsafe {
-            let last = chain.last();
-            assert_eq!(last, blocks[2]);
-            pool.splice(chain, last);
-        }
-        assert_eq!(pool.outstanding, 0);
-        let again: Vec<*mut u8> = (0..3).map(|_| pool.take(class)).collect();
-        assert_eq!(again, blocks, "the chain comes back in its order");
+        give(&first);
+        give(&second);
+        let again = walk(&take_from(&pool, class, 4));
+        assert_eq!(again, second, "the last chain back, in its order");
+        assert_eq!(walk(&take_from(&pool, class, 4)), first);
     }
 }

@@ -22,7 +22,7 @@ use wfe_sync::atomic::{AtomicU64, Ordering};
 /// update before the next owner's first, so the values carry over from owner
 /// to owner and are never reset: a slot's block is the running total of
 /// everything its successive handles did.
-// LAYOUT: single writer — the whole 80-byte block is one slot's, and the
+// LAYOUT: single writer — the whole 88-byte block is one slot's, and the
 // domain pads it as a unit (`Box<[CachePadded<SlotCounters>]>`).
 #[derive(Debug, Default)]
 pub struct SlotCounters {
@@ -44,11 +44,16 @@ pub struct SlotCounters {
     slow_path: AtomicU64,
     /// Number of `help_thread` invocations (WFE only; 0 elsewhere).
     helps: AtomicU64,
-    /// Cacheable allocations the handle's magazine (or the chain it refilled
-    /// from its shard) served; folded in once per cleanup pass.
+    /// Cacheable allocations the handle's magazine served without a
+    /// refill; folded in once per cleanup pass.
     cache_hits: AtomicU64,
-    /// Cacheable allocations that went to the allocator; ditto.
+    /// Cacheable allocations that refilled the magazine from the pool;
+    /// ditto.
     cache_misses: AtomicU64,
+    /// Bytes parked in the handle's magazines when it last reported: a
+    /// gauge, stored (not added) once per cleanup pass, zero once the
+    /// handle's magazines are drained.
+    cached_bytes: AtomicU64,
 }
 
 /// The single-writer update: the slot's owner is the only thread that
@@ -113,16 +118,17 @@ impl SlotCounters {
     }
 
     /// Records the block-cache hits and misses a handle's magazine tallied
-    /// since its last report
+    /// since its last report, and the bytes it holds now
     /// ([`LocalBlockCache::flush_stats`](crate::LocalBlockCache::flush_stats)).
     #[inline]
-    pub fn on_cache(&self, hits: u64, misses: u64) {
+    pub fn on_cache(&self, hits: u64, misses: u64, cached_bytes: u64) {
         if hits != 0 {
             bump(&self.cache_hits, hits);
         }
         if misses != 0 {
             bump(&self.cache_misses, misses);
         }
+        self.cached_bytes.store(cached_bytes, Ordering::Relaxed); // ORDER: statistics gauge only.
     }
 }
 
@@ -138,8 +144,8 @@ impl SlotCounters {
 /// (Reading `retired` first would miss a retire-and-free that lands between
 /// the two loads and under-report.)
 ///
-/// `cached_bytes` is left at zero: that gauge lives on the per-shard caches
-/// and the owning domain adds it (`BlockCaches::cached_bytes`).
+/// `cached_bytes` sums the gauges: what each slot's handle last reported
+/// parked in its magazines.
 pub fn snapshot<'a, I>(slots: impl Fn() -> I, era: u64) -> SmrStats
 where
     I: Iterator<Item = &'a SlotCounters>,
@@ -161,6 +167,7 @@ where
         stats.helps += slot.helps.load(Ordering::Relaxed); // ORDER: statistics counter only.
         stats.cache_hits += slot.cache_hits.load(Ordering::Relaxed); // ORDER: statistics counter only.
         stats.cache_misses += slot.cache_misses.load(Ordering::Relaxed); // ORDER: statistics counter only.
+        stats.cached_bytes += slot.cached_bytes.load(Ordering::Relaxed); // ORDER: statistics gauge only.
     }
     debug_assert!(
         stats.retired >= freed,
@@ -193,15 +200,18 @@ pub struct SmrStats {
     pub slow_path: u64,
     /// `help_thread` calls performed (WFE only).
     pub helps: u64,
-    /// Cacheable allocations served from the block cache — the handle's
-    /// magazine or a chain refilled from its shard (0 when the cache is
-    /// disabled). Counted per slot like the rest; a live handle reports once
-    /// per cleanup pass, so the figure lags by at most one pass's traffic.
+    /// Cacheable allocations served from a handle's magazine without a
+    /// refill (0 when the cache is disabled). Counted per slot like the
+    /// rest; a live handle reports once per cleanup pass, so the figure lags
+    /// by at most one pass's traffic.
     pub cache_hits: u64,
-    /// Cacheable allocations that found magazine and shard empty and fell
-    /// through to the allocator.
+    /// Cacheable allocations that found the magazine empty and refilled it
+    /// from the process-wide pool.
     pub cache_misses: u64,
-    /// Bytes currently parked on the domain's block-cache freelists.
+    /// Bytes parked in the magazines of the domain's handles, as each handle
+    /// last reported (once per cleanup pass; a dropped handle's are drained
+    /// and count 0). Blocks back in the process-wide pool belong to no
+    /// domain and are not counted.
     pub cached_bytes: u64,
     /// Current value of the global era/epoch clock; `0` — no era is ever 0,
     /// the clock starts at 1 — under the schemes that have none (HP, Leak).
@@ -269,9 +279,9 @@ mod tests {
         slots[0].on_adoption(0);
         slots[1].on_slow_path();
         slots[0].on_help();
-        slots[0].on_cache(5, 0);
-        slots[1].on_cache(2, 3);
-        slots[1].on_cache(0, 0);
+        slots[0].on_cache(5, 0, 80);
+        slots[1].on_cache(2, 3, 40);
+        slots[1].on_cache(0, 0, 56);
         let s = snapshot(|| slots.iter(), 42);
         assert_eq!(s.allocated, 2);
         assert_eq!(s.retired, 1);
@@ -283,6 +293,7 @@ mod tests {
         assert_eq!(s.slow_path, 1);
         assert_eq!(s.helps, 1);
         assert_eq!((s.cache_hits, s.cache_misses), (7, 3));
+        assert_eq!(s.cached_bytes, 80 + 56, "a gauge: the last report counts");
         assert_eq!(s.era, 42);
         assert_eq!(
             snapshot(|| slots[..0].iter(), 1),

@@ -1,6 +1,7 @@
 //! A lock-free Treiber stack with type-stable, recycled nodes — the shared
-//! substrate of [`crate::retired::OrphanStack`] (parked retired batches) and
-//! [`crate::pool::HandlePool`] (parked scheme handles).
+//! substrate of [`crate::retired::OrphanStack`] (parked retired batches),
+//! [`crate::pool::HandlePool`] (parked scheme handles) and the block pool
+//! ([`crate::slab`], parked chains of free blocks).
 //!
 //! Both ends are a versioned wide-CAS (`AtomicPair`), so the stack is
 //! lock-free and ABA-safe. Nodes are *type-stable*: once allocated they are
@@ -51,8 +52,8 @@ unsafe impl<T: Send> Send for TypeStableStack<T> {}
 unsafe impl<T: Send> Sync for TypeStableStack<T> {}
 
 impl<T> TypeStableStack<T> {
-    /// Creates an empty stack.
-    pub fn new() -> Self {
+    /// Creates an empty stack (`const`, so a `static` can hold one).
+    pub const fn new() -> Self {
         Self {
             head: AtomicPair::new(0, 0),
             spares: AtomicPair::new(0, 0),
@@ -165,6 +166,14 @@ mod tests {
         assert_eq!(stack.pop(), Some(3));
         assert_eq!(stack.pop(), Some(1));
         assert_eq!(stack.pop(), None);
+    }
+
+    #[test]
+    fn a_static_stack_needs_no_initializer() {
+        static STACK: TypeStableStack<u64> = TypeStableStack::new();
+        STACK.push(7);
+        assert_eq!(STACK.pop(), Some(7));
+        assert_eq!(STACK.pop(), None);
     }
 
     #[test]

@@ -72,3 +72,36 @@ pub fn point() {
     #[cfg(wfe_model)]
     shuttle::point();
 }
+
+/// Runs `f` as one indivisible step of a model schedule.
+///
+/// Under `--cfg wfe_model` every [`point`] — hence every [`atomic`]
+/// operation and every [`AtomicPair`] operation — inside `f` is a no-op on
+/// the calling thread, so process-wide state that outlives schedules (the
+/// block pool) adds no interleaving points whose number would depend on what
+/// earlier schedules left in it. Spins ([`hint::spin_loop`]) still yield, so
+/// `f` waiting on a WCAS stripe another virtual thread holds cannot hang the
+/// schedule. Normal builds compile this to `f()`.
+#[inline]
+pub fn unobserved<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(wfe_model)]
+    return shuttle::unobserved(f);
+    #[cfg(not(wfe_model))]
+    f()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn unobserved_runs_its_closure_once_and_returns_its_value() {
+        let mut runs = 0;
+        assert_eq!(
+            super::unobserved(|| {
+                runs += 1;
+                7
+            }),
+            7
+        );
+        assert_eq!(runs, 1);
+    }
+}

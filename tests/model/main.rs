@@ -8,8 +8,8 @@
 //!
 //! Under that cfg every `wfe_sync` atomic routes through the vendored
 //! `shuttle` scheduler: the tests below drive small cores — WCAS, the
-//! type-stable stack, the shield lease table, the magazine/shard chain
-//! exchange, the per-slot counter hand-off, Hazard Eras protect/retire —
+//! type-stable stack, the shield lease table, the per-slot counter
+//! hand-off, Hazard Eras protect/retire —
 //! through seeded, replayable schedules. A failing schedule panics with the
 //! seed that reproduces it; `WFE_MODEL_SEED=<seed>` replays exactly that
 //! schedule, and `WFE_MODEL_SCHEDULES=<n>` rescales every batch (e.g. for a
@@ -21,7 +21,6 @@
 #![cfg(wfe_model)]
 
 mod aba;
-mod cache;
 mod era;
 mod orphan;
 mod resize;

@@ -382,13 +382,12 @@ fn check_retirement_pipeline<R: Reclaimer>(steps: &[SmrStep]) {
 }
 
 /// Drives the same interleaved retire/drop/adopt sequence as
-/// [`check_retirement_pipeline`], but with the per-shard block cache pinned
-/// explicitly on or off. With the cache on, a tiny per-class capacity forces
-/// the overflow path too, and freed blocks are recycled through the shard
-/// freelists into later allocations — the drop counter still may never
-/// outrun the allocations (a recycled block must not re-drop its payload),
-/// and once the domain drops (draining its caches) every allocation must
-/// have been dropped exactly once. The cache-off run of the identical step
+/// [`check_retirement_pipeline`], but with the block cache pinned explicitly
+/// on or off. With the cache on, freed blocks are recycled through the
+/// magazines and the process-wide pool into later allocations — the drop
+/// counter still may never outrun the allocations (a recycled block must not
+/// re-drop its payload), and once the domain drops (draining its handles'
+/// magazines) every allocation must have been dropped exactly once. The cache-off run of the identical step
 /// sequence is the parity baseline.
 fn check_retirement_pipeline_with_cache<R: Reclaimer>(steps: &[SmrStep], cache: bool) {
     const POOL: usize = 4;
@@ -400,7 +399,7 @@ fn check_retirement_pipeline_with_cache<R: Reclaimer>(steps: &[SmrStep], cache: 
             era_freq: 2,
             block_cache: BlockCacheConfig {
                 enabled: cache,
-                per_class_capacity: 2,
+                ..BlockCacheConfig::default()
             },
             ..ReclaimerConfig::with_max_threads(POOL)
         });
@@ -565,7 +564,7 @@ fn check_parked_scan<S: ReservationSet>(
                     let own = retire(&mut adopter, 3, 8);
                     // SAFETY: single thread — nothing reserves anything the
                     // snapshot does not record.
-                    unsafe { adopter.scan_against(&snapshot_of(previous), None, None) };
+                    unsafe { adopter.scan_against(&snapshot_of(previous), None) };
                     if freed.borrow_mut().drain(..).next().is_none() {
                         reference.push(own);
                     }
@@ -592,7 +591,7 @@ fn check_parked_scan<S: ReservationSet>(
         prop_assert_eq!(batch.len(), reference.len(), "the hand-off lost blocks");
 
         // SAFETY: as above — single thread, the snapshot is all there is.
-        let tally = unsafe { batch.scan_against(&snapshot_of(step), None, None) };
+        let tally = unsafe { batch.scan_against(&snapshot_of(step), None) };
         let mut now_freed: Vec<usize> = freed.borrow_mut().drain(..).collect();
         now_freed.sort_unstable();
         let mut expected = Vec::new();
