@@ -421,7 +421,7 @@ fn bench_guard_overhead<R: Reclaimer>(c: &mut Criterion, name: &str) {
     );
 
     // The same with an owned lease from the handle, as taken by code that
-    // keeps the shield across brackets or `.await` points.
+    // keeps the shield across brackets.
     c.bench_with_input(
         BenchmarkId::new("guard_overhead/owned_lease_protect", name),
         &(),

@@ -124,8 +124,6 @@ mod tests {
             shards: 1,
             avg_occupied_shards: 1.0,
             pool_hit_rate: 0.0,
-            tasks: 0,
-            unreclaimed_bytes: 0.0,
             cache_hits: 0.0,
             cache_misses: 0.0,
             cached_bytes: 0.0,

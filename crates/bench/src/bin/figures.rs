@@ -3,20 +3,18 @@
 //! ```text
 //! figures [FIGURE ...] [--paper | --smoke] [--threads 1,2,4] [--duration-ms 500]
 //!         [--repeats N] [--prefill N] [--schemes WFE,HE,...] [--shards N]
-//!         [--tasks 500,2000] [--block-cache on|off] [--baseline-json PATH]
+//!         [--block-cache on|off] [--baseline-json PATH]
 //! ```
 //!
 //! With no figure argument every figure (and both ablations) is run. Output
 //! is CSV on stdout, one row per measured point:
 //! `figure,structure,workload,scheme,threads,mops,avg_unreclaimed,`
 //! `adopted_batches,freed_via_adoption,shards,avg_occupied_shards,`
-//! `pool_hit_rate,tasks,unreclaimed_bytes,cache_hits,cache_misses,`
-//! `cached_bytes,load_factor,resizes,migrated_buckets`
-//! (`tasks`/`unreclaimed_bytes` are filled by the `kv-async` figure, whose
-//! swept axis is the task count; the cache counters are live wherever the
-//! block cache is enabled; the last three columns are filled by
-//! the `kv-service` figure's resizable map and are 0 for fixed-capacity
-//! structures).
+//! `pool_hit_rate,cache_hits,cache_misses,cached_bytes,load_factor,`
+//! `resizes,migrated_buckets`
+//! (the cache counters are live wherever the block cache is enabled; the
+//! last three columns are filled by the `kv-service` figure's resizable map
+//! and are 0 for fixed-capacity structures).
 //!
 //! `--block-cache on|off` pins the block cache for every domain the
 //! sweep builds; without it, domains use the library default and the
@@ -51,7 +49,6 @@ fn print_usage() {
            --prefill N       elements pre-inserted before measuring\n\
            --schemes LIST    comma-separated subset of WFE,EBR,HE,HP,2GEIBR,Leak\n\
            --shards N        registry shard count (default: auto from the host)\n\
-           --tasks LIST      comma-separated task counts for the kv-async figure\n\
            --block-cache on|off  pin the block cache (default: library default;\n\
                              cross-shard-churn sweeps both modes when unset)\n\
            --baseline-json PATH  also write the sweep as a JSON baseline snapshot\n",
@@ -117,16 +114,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             "--shards" => {
                 let value = args.next().ok_or("--shards needs a value")?;
                 params.shards = value.parse::<usize>().map_err(|e| e.to_string())?;
-            }
-            "--tasks" => {
-                let value = args.next().ok_or("--tasks needs a value")?;
-                params.task_counts = value
-                    .split(',')
-                    .map(|t| t.trim().parse::<usize>().map_err(|e| e.to_string()))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if params.task_counts.is_empty() || params.task_counts.contains(&0) {
-                    return Err("--tasks needs positive values".into());
-                }
             }
             "--block-cache" => {
                 let value = args.next().ok_or("--block-cache needs on|off")?;

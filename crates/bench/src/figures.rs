@@ -11,9 +11,9 @@
 //! | 10     | Michael hash map | 90/10 | both |
 //! | 11     | Natarajan-Mittal BST | 90/10 | both |
 //!
-//! A figure is a sweep: [`Figure::run`] walks its thread counts (or task
-//! counts) and schemes and measures one row per combination with the
-//! closed-loop driver of [`crate::runner`]. Every row carries *both*
+//! A figure is a sweep: [`Figure::run`] walks its thread counts and schemes
+//! and measures one row per combination with the closed-loop driver of
+//! [`crate::runner`]. Every row carries *both*
 //! metrics, so the throughput figure and its companion unreclaimed-objects
 //! figure come from the same rows (exactly as in the paper, where each
 //! experiment produces both plots). The scheme of a row becomes a type in
@@ -24,10 +24,7 @@
 //! forces the slow path, `ablation-attempts` sweeps the fast-path attempt
 //! budget); a Michael-Scott lock-free queue baseline (`queue-baseline`);
 //! the hash map through a `HandlePool` at task churn (`kv-pool`, rows carry
-//! per-shard occupancy and the pool hit rate); the hash map driven by async
-//! tasks on a `mini-rt` executor with one stalled raw-SPI reader injected
-//! (`kv-async`, swept by task count — EBR's unreclaimed memory grows with
-//! the task count while WFE/HE stay bounded); the hash map on a sharded
+//! per-shard occupancy and the pool hit rate); the hash map on a sharded
 //! registry with the block cache on and off (`cross-shard-churn`,
 //! rows carry the cache counters; pin one mode with `--block-cache on|off`);
 //! and the split-ordered resizable map as a kv service (`kv-service`: Zipf
@@ -42,7 +39,7 @@ use wfe_ds::{
 use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, Reclaimer};
 
 use crate::params::BenchParams;
-use crate::runner::{run_async_kv, run_map, run_pooled_map, run_queue, DataPoint};
+use crate::runner::{run_map, run_pooled_map, run_queue, DataPoint};
 use crate::workload::MapWorkload;
 
 /// The reclamation schemes compared in every figure.
@@ -147,8 +144,6 @@ enum Case {
     Pooled,
     /// A queue, 50% enqueue / 50% dequeue.
     Queue(QueueKind),
-    /// This many async tasks on the hash map (`kv-async`).
-    Async(usize),
 }
 
 impl Case {
@@ -198,10 +193,6 @@ impl Case {
                 };
                 run(scheme, queue.name(), threads, params)
             }
-            Case::Async(tasks) => {
-                let structure = MapKind::HashMap.name();
-                run_async_kv::<R, MichaelHashMap<u64, R>>(scheme, structure, tasks, params)
-            }
         }
     }
 }
@@ -237,12 +228,6 @@ pub enum Figure {
     /// [`wfe_reclaim::HandlePool`] at task-churn grain (executor pattern);
     /// rows carry per-shard occupancy and the pool hit rate.
     KvPool,
-    /// Beyond the paper: Michael hash map 50/50 driven by async tasks on a
-    /// `mini-rt` executor through `Send`-able `wfe-task` handles, with one
-    /// stalled raw-SPI reader injected for the whole run. Sweeps
-    /// `BenchParams::task_counts` (not threads); rows carry the pool hit
-    /// rate and the unreclaimed gauge in bytes.
-    KvAsync,
     /// Beyond the paper: Michael hash map 50/50 on a sharded registry, run
     /// once with the block cache (per-handle magazines over the process-wide
     /// pool) enabled and once disabled (or a single pinned mode when
@@ -262,7 +247,7 @@ pub enum Figure {
 impl Figure {
     /// Every figure, in paper order, followed by the ablations and the
     /// extra baselines.
-    pub const ALL: [Figure; 15] = [
+    pub const ALL: [Figure; 14] = [
         Figure::Fig5ab,
         Figure::Fig5cd,
         Figure::Fig6,
@@ -275,7 +260,6 @@ impl Figure {
         Figure::AblationAttempts,
         Figure::QueueBaseline,
         Figure::KvPool,
-        Figure::KvAsync,
         Figure::CrossShardChurn,
         Figure::KvService,
     ];
@@ -295,7 +279,6 @@ impl Figure {
             Figure::AblationAttempts => "ablation-attempts",
             Figure::QueueBaseline => "queue-baseline",
             Figure::KvPool => "kv-pool",
-            Figure::KvAsync => "kv-async",
             Figure::CrossShardChurn => "cross-shard-churn",
             Figure::KvService => "kv-service",
         }
@@ -331,10 +314,6 @@ impl Figure {
             }
             Figure::KvPool => {
                 "Michael hash map 50/50 through a HandlePool at task churn (beyond the paper)"
-            }
-            Figure::KvAsync => {
-                "Michael hash map 50/50 via async tasks and Send-able task handles, \
-                 one stalled raw-SPI reader injected (beyond the paper)"
             }
             Figure::CrossShardChurn => {
                 "Michael hash map 50/50 on a sharded registry, block cache \
@@ -380,15 +359,6 @@ impl Figure {
             Figure::KvService => MapWorkload::SERVICE
                 .into_iter()
                 .flat_map(|workload| sweep(Case::Map(MapKind::Resizable, workload)))
-                .collect(),
-            Figure::KvAsync => params
-                .task_counts
-                .iter()
-                .flat_map(|&tasks| {
-                    schemes
-                        .iter()
-                        .map(move |&scheme| Case::Async(tasks).run(scheme, 0, params))
-                })
                 .collect(),
             Figure::CrossShardChurn => {
                 // Churn is only "cross-shard" when the registry actually
@@ -513,37 +483,6 @@ mod tests {
         let schemes = [Scheme::He];
         let points = Figure::QueueBaseline.run(&params, &schemes);
         assert!(points.iter().all(|p| p.structure == "msqueue"));
-    }
-
-    #[test]
-    fn kv_async_sweeps_tasks_and_stalled_reader_pins_ebr_but_not_wfe() {
-        let params = BenchParams::smoke();
-        let schemes = [Scheme::Wfe, Scheme::Ebr];
-        let points = Figure::KvAsync.run(&params, &schemes);
-        assert_eq!(points.len(), params.task_counts.len() * schemes.len());
-        assert!(points.iter().all(|p| p.workload == "async-tasks"));
-        assert!(points.iter().all(|p| p.threads == params.async_workers));
-        assert!(
-            points.iter().all(|p| p.pool_hit_rate > 0.999),
-            "prewarmed pool serves every check-out"
-        );
-        for (index, &tasks) in params.task_counts.iter().enumerate() {
-            let wfe = &points[index * schemes.len()];
-            let ebr = &points[index * schemes.len() + 1];
-            assert_eq!(wfe.tasks, tasks as u64);
-            assert_eq!(ebr.tasks, tasks as u64);
-            // The stalled bracket pins EBR's epoch, so everything retired
-            // during the run stays unreclaimed; WFE's era reservation pins
-            // only lifetime-overlapping blocks.
-            assert!(
-                ebr.avg_unreclaimed > wfe.avg_unreclaimed,
-                "stalled reader must pin EBR harder than WFE at {tasks} tasks \
-                 (EBR {:.1} vs WFE {:.1})",
-                ebr.avg_unreclaimed,
-                wfe.avg_unreclaimed
-            );
-            assert!(ebr.unreclaimed_bytes > wfe.unreclaimed_bytes);
-        }
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub struct BenchParams {
     pub fast_path_attempts: usize,
     /// Registry shard count (`0` = auto-size from the host's parallelism).
     pub shards: usize,
-    /// Task counts to sweep in the async figure (`kv-async`), whose x-axis is
-    /// the number of spawned tasks rather than the number of threads.
-    pub task_counts: Vec<usize>,
-    /// Executor worker threads the async figure runs every point on.
-    pub async_workers: usize,
     /// Block cache override: `Some(true)`/`Some(false)` pin the
     /// cache on/off for every domain the sweep builds; `None` (the default)
     /// keeps the library default (on unless `WFE_BLOCK_CACHE` disables it) —
@@ -61,8 +56,6 @@ impl Default for BenchParams {
             cleanup_freq: 30,
             fast_path_attempts: 16,
             shards: 0,
-            task_counts: vec![2_000, 10_000, 50_000],
-            async_workers: 4,
             block_cache: None,
         }
     }
@@ -81,7 +74,6 @@ impl BenchParams {
             repeats: 5,
             prefill: 50_000,
             key_range: 100_000,
-            task_counts: vec![10_000, 50_000, 200_000],
             ..Self::default()
         }
     }
@@ -94,7 +86,6 @@ impl BenchParams {
             repeats: 1,
             prefill: 500,
             key_range: 2_000,
-            task_counts: vec![500, 2_000],
             ..Self::default()
         }
     }

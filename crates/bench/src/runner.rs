@@ -20,9 +20,6 @@
 //! sampler also records how many registry shards are occupied at each tick —
 //! the scan width after shard-skip.
 //!
-//! The one run that is not closed-loop is [`run_async_kv`] (`kv-async`): a
-//! fixed number of async tasks on a `mini-rt` executor, timed to
-//! completion. It samples with the same gauge sampler on a thread of its own.
 //! Every runner's repeats collapse into one [`DataPoint`] in one averaging
 //! step.
 
@@ -30,11 +27,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use wfe_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use wfe_reclaim::{
-    Atomic, BlockCacheConfig, Handle, HandlePool, He, RawHandle, Reclaimer, ReclaimerConfig,
-    SmrStats,
-};
-use wfe_task::TaskHandle;
+use wfe_reclaim::{BlockCacheConfig, HandlePool, He, Reclaimer, ReclaimerConfig, SmrStats};
 
 use crate::params::BenchParams;
 use crate::workload::{MapOp, MapWorkload, OpGenerator};
@@ -44,17 +37,8 @@ use wfe_ds::{ConcurrentMap, ConcurrentQueue, MapServiceStats, MichaelHashMap};
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Operations one pooled "task" performs between check-out and check-in of
-/// its handle (the task-churn grain of the `kv-pool` and `kv-async` figures).
+/// its handle (the task-churn grain of the `kv-pool` figure).
 pub const POOL_TASK_OPS: usize = 64;
-
-/// How often an async task yields back to the executor (ops between
-/// `yield_now().await` suspension points in the `kv-async` figure).
-const ASYNC_YIELD_EVERY: usize = 16;
-
-/// Join-wave size of the `kv-async` runner: at most this many tasks are live
-/// at once, which bounds handle concurrency (and registry size) while the
-/// task-count axis sweeps into the hundreds of thousands.
-const ASYNC_WAVE: usize = 256;
 
 /// Seed of a point's first repeat; repeat `n` runs on `SEED + n`.
 const SEED: u64 = 0xC0FFEE;
@@ -118,12 +102,6 @@ pub struct DataPoint {
     /// Fraction of handle check-outs served from the pool (`kv-pool` figure
     /// only; 0 for per-thread runners, which never touch a pool).
     pub pool_hit_rate: f64,
-    /// Number of async tasks executed (`kv-async` figure only — its x-axis;
-    /// 0 for duration-based runners).
-    pub tasks: u64,
-    /// Time-averaged unreclaimed memory in bytes
-    /// (`avg_unreclaimed × node size`; `kv-async` figure only, 0 elsewhere).
-    pub unreclaimed_bytes: f64,
     /// Allocations served from a handle's magazine without a refill
     /// (end-of-run total, averaged over repeats; 0 when the cache is
     /// disabled).
@@ -150,15 +128,14 @@ impl DataPoint {
     /// CSV header matching [`DataPoint::to_csv_row`].
     pub const CSV_HEADER: &'static str =
         "structure,workload,scheme,threads,mops,avg_unreclaimed,adopted_batches,\
-         freed_via_adoption,shards,avg_occupied_shards,pool_hit_rate,tasks,\
-         unreclaimed_bytes,cache_hits,cache_misses,cached_bytes,load_factor,\
-         resizes,migrated_buckets";
+         freed_via_adoption,shards,avg_occupied_shards,pool_hit_rate,\
+         cache_hits,cache_misses,cached_bytes,load_factor,resizes,migrated_buckets";
 
     /// Renders the point as one CSV row.
     pub fn to_csv_row(&self) -> String {
         format!(
-            "{},{},{},{},{:.4},{:.1},{:.1},{:.1},{},{:.2},{:.3},{},{:.0},{:.1},{:.1},{:.0},\
-             {:.3},{:.1},{:.1}",
+            "{},{},{},{},{:.4},{:.1},{:.1},{:.1},{},{:.2},{:.3},{:.1},{:.1},{:.0},{:.3},{:.1},\
+             {:.1}",
             self.structure,
             self.workload,
             self.scheme,
@@ -170,8 +147,6 @@ impl DataPoint {
             self.shards,
             self.avg_occupied_shards,
             self.pool_hit_rate,
-            self.tasks,
-            self.unreclaimed_bytes,
             self.cache_hits,
             self.cache_misses,
             self.cached_bytes,
@@ -191,7 +166,7 @@ struct Run {
     shards: usize,
     /// End-of-run domain counters.
     stats: SmrStats,
-    /// `kv-pool`/`kv-async` runs only; 0 elsewhere.
+    /// `kv-pool` runs only; 0 elsewhere.
     pool_hit_rate: f64,
     /// End-of-run resizable-map stats (zeros for fixed-capacity structures,
     /// which keep the trait's default impl).
@@ -324,8 +299,6 @@ fn average(
         shards: runs.last().map_or(0, |r| r.shards),
         avg_occupied_shards: mean(|r| r.gauges.1),
         pool_hit_rate: mean(|r| r.pool_hit_rate),
-        tasks: 0,
-        unreclaimed_bytes: 0.0,
         cache_hits: mean(|r| r.stats.cache_hits as f64),
         cache_misses: mean(|r| r.stats.cache_misses as f64),
         cached_bytes: mean(|r| r.stats.cached_bytes as f64),
@@ -518,130 +491,6 @@ where
             }
         })
     })
-}
-
-/// Runs the map workload once at *async task* grain (the `kv-async` figure):
-/// `tasks` short-lived futures on a `params.async_workers`-thread `mini-rt`
-/// executor, each checking a `Send`-able [`TaskHandle`] out of a prewarmed
-/// [`HandlePool`], performing [`POOL_TASK_OPS`] operations with a
-/// `yield_now().await` every [`ASYNC_YIELD_EVERY`] ops, and parking the
-/// handle on completion. The run is completion-driven — it ends when every
-/// task has finished — so `elapsed` is the makespan, not a fixed duration.
-///
-/// One *stalled reader* is injected for the whole run through the raw SPI: a
-/// registered handle that calls `begin_op` + `protect` and never `end_op`
-/// until the run ends. This models exactly the misuse the `AsyncGuard`
-/// poll-bracket discipline forbids at compile time — a task holding its
-/// operation bracket across suspension points indefinitely. Under EBR the
-/// stalled bracket pins the epoch, so *everything* retired during the run
-/// stays unreclaimed (growing with the task count); under WFE/HE only blocks
-/// whose lifetime overlaps the stalled era reservation stay pinned, so the
-/// unreclaimed gauge remains bounded.
-fn async_kv_run<R, M>(tasks: usize, params: &BenchParams, seed: u64) -> Run
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    let workload = MapWorkload::WriteDominated;
-    let wave = ASYNC_WAVE.min(tasks.max(1));
-    // Registry sizing: at most `wave` live tasks plus the prefill handle and
-    // the stalled reader.
-    let (domain, map) = map_on::<R, M>(wave + 2, workload, params, seed);
-    let map = Arc::new(map);
-    let pool = HandlePool::new(Arc::clone(&domain));
-    pool.prewarm(wave);
-    pool.reset_stats();
-
-    // The injected stalled reader (see the function docs). The protected
-    // block is the handle's own — the pinning comes from the open bracket
-    // and the published reservation, not from which block is protected.
-    let mut stall = domain.register();
-    let stall_node = stall.alloc(seed);
-    let stall_root: Atomic<u64> = Atomic::new(stall_node);
-    stall.begin_op();
-    stall.protect(&stall_root, 0, core::ptr::null_mut());
-
-    let rt = mini_rt::Runtime::new(params.async_workers.max(1));
-    let stop = AtomicBool::new(false);
-    let (completed, elapsed, gauges) = std::thread::scope(|scope| {
-        // ORDER: benchmark control flag; no data is ordered by it.
-        let sampler = scope.spawn(|| sample_gauges(&*domain, || !stop.load(Ordering::Relaxed)));
-        let start = Instant::now();
-        let completed = rt.block_on(async {
-            let mut completed = 0usize;
-            let mut pending = Vec::with_capacity(wave);
-            let key_range = params.key_range;
-            for task_index in 0..tasks {
-                let map = Arc::clone(&map);
-                let pool = Arc::clone(&pool);
-                pending.push(rt.spawn(async move {
-                    let mut task = TaskHandle::acquire(&pool).await;
-                    let mut generator = OpGenerator::new(workload, key_range, seed, task_index);
-                    for op in 0..POOL_TASK_OPS {
-                        apply_map_op(&*map, task.raw(), &mut generator);
-                        if op % ASYNC_YIELD_EVERY == ASYNC_YIELD_EVERY - 1 {
-                            // Nothing is protected here: every map operation
-                            // opened and closed its own bracket.
-                            mini_rt::yield_now().await;
-                        }
-                    }
-                })); // drop parks the handle for the next task
-                if pending.len() == wave {
-                    for handle in pending.drain(..) {
-                        handle.await;
-                        completed += 1;
-                    }
-                }
-            }
-            for handle in pending {
-                handle.await;
-                completed += 1;
-            }
-            completed
-        });
-        let elapsed = start.elapsed();
-        stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-        (completed, elapsed, sampler.join().expect("sampler thread"))
-    });
-    assert_eq!(completed, tasks, "every spawned task must complete");
-
-    // Withdraw the stalled reservation only after the measured window.
-    stall.end_op();
-    // SAFETY: the stall block was never shared with another handle and is
-    // unreachable now that the local `stall_root` is abandoned; retired once.
-    unsafe { stall.retire(stall_node) };
-    stall.force_cleanup();
-
-    let ops = (tasks * POOL_TASK_OPS) as u64;
-    Run {
-        pool_hit_rate: pool.stats().hit_rate(),
-        service: map.service_stats(),
-        ..Run::new(&*domain, ops, elapsed, gauges)
-    }
-}
-
-/// Measures one async-task data point (the `kv-async` figure; averaged over
-/// `params.repeats` runs). `threads` in the resulting row is the executor
-/// worker count; the swept axis is `tasks`.
-pub fn run_async_kv<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    tasks: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    let workers = params.async_workers.max(1);
-    let point = average(scheme, structure, "async-tasks", workers, params, |seed| {
-        async_kv_run::<R, M>(tasks, params, seed)
-    });
-    DataPoint {
-        tasks: tasks as u64,
-        unreclaimed_bytes: point.avg_unreclaimed * M::node_bytes() as f64,
-        ..point
-    }
 }
 
 #[cfg(test)]

@@ -111,10 +111,6 @@ impl<R: Reclaimer> ConcurrentMap<R> for MichaelHashMap<u64, R> {
     fn required_slots() -> usize {
         Self::REQUIRED_SLOTS
     }
-
-    fn node_bytes() -> usize {
-        core::mem::size_of::<wfe_reclaim::Linked<crate::michael_list::Node<u64>>>()
-    }
 }
 
 #[cfg(test)]

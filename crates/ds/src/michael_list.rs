@@ -120,10 +120,6 @@ impl<R: Reclaimer> ConcurrentMap<R> for MichaelList<u64, R> {
     fn required_slots() -> usize {
         Self::REQUIRED_SLOTS
     }
-
-    fn node_bytes() -> usize {
-        core::mem::size_of::<wfe_reclaim::Linked<Node<u64>>>()
-    }
 }
 
 #[cfg(test)]

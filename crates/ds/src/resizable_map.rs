@@ -521,10 +521,6 @@ impl<R: Reclaimer> ConcurrentMap<R> for ResizableHashMap<u64, R> {
         Self::REQUIRED_SLOTS
     }
 
-    fn node_bytes() -> usize {
-        core::mem::size_of::<wfe_reclaim::Linked<Node<u64>>>()
-    }
-
     fn service_stats(&self) -> MapServiceStats {
         ResizableHashMap::stats(self)
     }

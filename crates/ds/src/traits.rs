@@ -58,14 +58,6 @@ pub trait ConcurrentMap<R: Reclaimer>: Send + Sync + 'static {
         8
     }
 
-    /// Heap bytes of one reclaimable node (header included), so gauges
-    /// counted in blocks can be reported in bytes. The default assumes the
-    /// smallest payload the harness uses; structures with richer nodes
-    /// override it with their real node size.
-    fn node_bytes() -> usize {
-        core::mem::size_of::<wfe_reclaim::Linked<u64>>()
-    }
-
     /// Service statistics for the kv-service figure. Structures without
     /// resize machinery keep the all-zero default.
     fn service_stats(&self) -> MapServiceStats {

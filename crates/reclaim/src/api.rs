@@ -408,10 +408,10 @@ pub trait Handle: RawHandle {
     /// exhaustion as an error instead of silently stomping a neighbouring
     /// reservation.
     ///
-    /// For leases that must outlive a bracket (held across operations or
-    /// `.await` points): the shield shares the lease table's `Arc`. Inside an
-    /// operation, lease from the guard instead ([`Guard::shield`]), which
-    /// borrows the table and touches no reference count.
+    /// For leases that must outlive a bracket (held across operations): the
+    /// shield shares the lease table's `Arc`. Inside an operation, lease from
+    /// the guard instead ([`Guard::shield`]), which borrows the table and
+    /// touches no reference count.
     fn shield<T>(&self) -> Result<Shield<'static, T, Self>, ShieldError>
     where
         Self: Sized,

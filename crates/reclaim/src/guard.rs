@@ -18,7 +18,7 @@
 //!   lease must outlive a bracket.** The guard lease borrows the handle's
 //!   lease table for the bracket and costs a load and a store; the handle
 //!   lease owns a share of the table (an `Arc` clone), so it can be held
-//!   across operations and `.await` points and dropped on any thread.
+//!   across operations and dropped on any thread.
 //! * [`Protected`] — a tagged, borrow-checked pointer returned by
 //!   [`Shield::protect`]. Its lifetime is tied to the guard it was read
 //!   under, so it cannot outlive the operation bracket. Dereferencing via
@@ -268,9 +268,9 @@ impl std::error::Error for ShieldError {}
 /// ```
 ///
 /// And the bracket cannot leave its thread — protection is per-registry-slot
-/// state owned by the handle, so the guard is deliberately `!Send` (this is
-/// what forces async code through the poll-scoped `AsyncGuard` of the task
-/// layer rather than holding a bracket across `.await`):
+/// state owned by the handle, so the guard is deliberately `!Send` (a
+/// [`PooledHandle`](crate::PooledHandle) may move between threads, a bracket
+/// opened on it may not):
 ///
 /// ```compile_fail,E0277
 /// use wfe_reclaim::{Handle, He, Reclaimer};
@@ -453,7 +453,7 @@ impl Deref for TableRef<'_> {
 /// shield borrows the lease table for `'g`, the rest of the bracket), from
 /// the handle ([`Handle::shield`]: `Shield<'static, ..>`, a share of the
 /// table's `Arc`) only when the lease must outlive a bracket — held across
-/// operations or `.await` points, dropped on another thread.
+/// operations, dropped on another thread.
 ///
 /// One shield protects one pointer at a time: [`Shield::protect`] publishes
 /// whatever reservation the scheme needs in the leased slot and hands back a

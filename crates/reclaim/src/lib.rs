@@ -109,8 +109,8 @@ const fn _auto_trait_facts_generic<R: Reclaimer, T, H: RawHandle>() {
     // checked-out handle migrates with whatever task owns it.
     _assert_send_sync::<HandlePool<R>>();
     _assert_send::<PooledHandle<R>>();
-    // An owned shield is a lease meant to be held across suspension points,
-    // so it is `Send + Sync` for *any* `T` (its type parameters are
+    // An owned shield is a lease meant to be held across operations, so it
+    // is `Send + Sync` for *any* `T` (its type parameters are
     // variance-only markers; no `T` is ever stored).
     _assert_send_sync::<Shield<'static, T, H>>();
 }

@@ -1,7 +1,7 @@
-//! Pooled handles for async executors and thread pools.
+//! Pooled handles for thread pools and short-lived tasks.
 //!
-//! The paper assumes one long-lived handle per OS thread. Executor-style
-//! runtimes break that assumption: a short-lived task that registered its own
+//! The paper assumes one long-lived handle per OS thread. Task-style
+//! callers break that assumption: a short-lived task that registered its own
 //! handle would pay a registry acquire, a final cleanup scan, an orphan-stack
 //! push and a registry release *per task*. [`HandlePool`] amortises all of
 //! that: dropping a [`PooledHandle`] parks the underlying scheme handle on a
@@ -22,7 +22,8 @@ use core::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::api::{RawHandle, Reclaimer};
+use crate::api::{Handle, RawHandle, Reclaimer};
+use crate::guard::Guard;
 use crate::treiber::TypeStableStack;
 
 /// Point-in-time counters of a pool's activity.
@@ -242,7 +243,10 @@ impl<R: Reclaimer> core::fmt::Debug for HandlePool<R> {
 /// A scheme handle checked out of a [`HandlePool`].
 ///
 /// Dereferences to the underlying [`Reclaimer::Handle`]; dropping it returns
-/// the handle to the pool instead of tearing it down.
+/// the handle to the pool instead of tearing it down. It is `Send` for every
+/// scheme (`_auto_trait_facts_generic` in the crate root): a task may check
+/// it out on one thread and finish with it on another. A [`Guard`] entered
+/// on it is `!Send`, so a bracket never moves.
 pub struct PooledHandle<R: Reclaimer> {
     handle: ManuallyDrop<R::Handle>,
     pool: Arc<HandlePool<R>>,
@@ -253,6 +257,22 @@ impl<R: Reclaimer> PooledHandle<R> {
     pub fn pool(&self) -> &Arc<HandlePool<R>> {
         &self.pool
     }
+
+    /// [`HandlePool::check_out`], under the name the `task.*` rungs of
+    /// `benchmark/` call through the facade's `TaskHandle` alias.
+    pub fn check_out(pool: &Arc<HandlePool<R>>) -> Option<Self> {
+        pool.check_out()
+    }
+
+    /// Runs `f` inside one operation bracket (`f(self.enter())`), for the
+    /// `task.with_guard_ns` rung of `benchmark/`.
+    pub fn with_guard<T>(&mut self, f: impl FnOnce(Guard<'_, R::Handle>) -> T) -> T {
+        f(self.enter())
+    }
+
+    /// Parks the handle now (the same as dropping it), for the
+    /// `task.checkout_release_ns` rung of `benchmark/`.
+    pub fn release(self) {}
 }
 
 impl<R: Reclaimer> Deref for PooledHandle<R> {
@@ -288,10 +308,14 @@ impl<R: Reclaimer> core::fmt::Debug for PooledHandle<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Handle, ReclaimerConfig};
+    use crate::api::ReclaimerConfig;
+    use crate::block::Linked;
     use crate::conformance::DropCounter;
+    use crate::guard::Protected;
     use crate::he::He;
     use crate::ptr::Atomic;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
     // Through the sync layer so the tests compile under `--cfg wfe_model`.
     use wfe_sync::atomic::AtomicUsize as StdAtomicUsize;
     use wfe_sync::atomic::Ordering::SeqCst;
@@ -430,6 +454,77 @@ mod tests {
         assert!(
             stats.hits > stats.checkouts / 2,
             "steady-state churn is served from the pool (hits = {}, checkouts = {})",
+            stats.hits,
+            stats.checkouts
+        );
+        drop(pool);
+        assert_eq!(domain.registry().registered(), 0);
+    }
+
+    #[test]
+    fn checked_out_handles_move_between_threads() {
+        // Four threads in a ring: each checks a handle out, allocates under
+        // it, and sends handle and block to its neighbour, which retires the
+        // block under that same handle and drops (parks) it there.
+        const THREADS: usize = 4;
+        const CHECKOUTS: usize = 2_000;
+        type Moved = (PooledHandle<He>, usize);
+        let domain = He::with_config(ReclaimerConfig::with_max_threads(8));
+        let pool = HandlePool::new(Arc::clone(&domain));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let (senders, inboxes): (Vec<_>, Vec<_>) =
+            (0..THREADS).map(|_| mpsc::channel::<Moved>()).unzip();
+
+        std::thread::scope(|scope| {
+            for (thread, inbox) in inboxes.into_iter().enumerate() {
+                let (pool, next) = (&pool, senders[(thread + 1) % THREADS].clone());
+                scope.spawn(move || {
+                    let mut received = 0;
+                    let finish = |(mut handle, node): Moved| {
+                        handle.with_guard(|guard| {
+                            let node = node as *mut Linked<u64>;
+                            // SAFETY: never published; retired exactly once,
+                            // by the thread the block was sent to.
+                            unsafe { Protected::from_unlinked(node).retire_in(&guard) };
+                        });
+                    };
+                    for i in 0..CHECKOUTS / THREADS {
+                        let mut handle = loop {
+                            if let Some(handle) = pool.check_out() {
+                                break handle;
+                            }
+                            // The registry may be short of exactly the
+                            // handles waiting in this thread's inbox.
+                            while let Ok(moved) = inbox.try_recv() {
+                                finish(moved);
+                                received += 1;
+                            }
+                            let stats = pool.stats();
+                            assert!(Instant::now() < deadline, "check-out starved: {stats:?}");
+                            std::thread::yield_now();
+                        };
+                        let node = handle.with_guard(|guard| guard.alloc(i as u64));
+                        next.send((handle, node as usize)).unwrap();
+                    }
+                    while received < CHECKOUTS / THREADS {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        match inbox.recv_timeout(left) {
+                            Ok(moved) => {
+                                finish(moved);
+                                received += 1;
+                            }
+                            Err(_) => panic!("handle never arrived: {:?}", pool.stats()),
+                        }
+                    }
+                });
+            }
+        });
+
+        let stats = pool.stats();
+        assert_eq!(stats.checkouts, CHECKOUTS as u64);
+        assert!(
+            stats.hits > stats.checkouts / 2,
+            "moved handles park and are served again (hits = {}, checkouts = {})",
             stats.hits,
             stats.checkouts
         );

@@ -2,7 +2,7 @@
 //! magazine trades them.
 //!
 //! Every class block ([`SizeClass`]) comes out of one pool per class: a
-//! lock-free stack of [`BlockChain`]s, the versioned-WCAS
+//! lock-free stack of `BlockChain`s, the versioned-WCAS
 //! [`TypeStableStack`] the orphan stack and the handle pool use too. A
 //! magazine refills by popping one chain and spills by pushing one, so the
 //! pool is entered once per half magazine of one-sided traffic:

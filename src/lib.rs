@@ -25,9 +25,6 @@
 //!   from, the 128-bit wide-CAS WFE requires included: std-backed
 //!   (zero-cost) normally, instrumented for the deterministic model checker
 //!   under `--cfg wfe_model`;
-//! * [`wfe_task`] — the async layer: `Send`-able [`TaskHandle`]s over a
-//!   [`HandlePool`] whose protection brackets ([`AsyncGuard`]) are scoped to
-//!   a single poll and cannot be held across an `.await`;
 //! * `wfe-bench` — the harness regenerating Figures 5–11.
 //!
 //! ## Quick start
@@ -64,7 +61,6 @@ pub use wfe_core;
 pub use wfe_ds;
 pub use wfe_reclaim;
 pub use wfe_sync;
-pub use wfe_task;
 
 pub use wfe_core::{Wfe, WfeHandle};
 pub use wfe_ds::{
@@ -76,7 +72,12 @@ pub use wfe_reclaim::{
     He, Hp, Ibr2Ge, Leak, Linked, PoolStats, PooledHandle, Progress, Protected, RawHandle,
     Reclaimer, ReclaimerConfig, Shield, ShieldError, ShieldSlots, SmrStats, ThreadRegistry,
 };
-pub use wfe_task::{AsyncGuard, TaskHandle};
+
+/// The name the `task.*` rungs of `benchmark/` check handles out under: a
+/// [`PooledHandle`] is the handle a task owns ([`Guard`] is `!Send`, so its
+/// brackets already stay on one thread). Kept only until those rungs use
+/// [`PooledHandle`] directly.
+pub type TaskHandle<R> = PooledHandle<R>;
 
 // Compile the fenced Rust examples of the prose documentation as doc-tests
 // (`cargo test --doc`), so the guides cannot drift from the API.

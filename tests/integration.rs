@@ -651,3 +651,48 @@ fn pooled_handles_serve_a_task_churn_workload_across_threads() {
     let smr = domain.stats();
     assert!(smr.freed <= smr.retired);
 }
+
+/// A pooled handle that panics inside a live bracket, with a block
+/// protected: unwinding closes the bracket and parks the handle, and the
+/// block is reclaimed once its owner retires it. EBR is the scheme an
+/// unclosed bracket would pin for good.
+fn panic_through_a_live_bracket_pins_nothing<R: Reclaimer>() {
+    let domain = R::with_config(ReclaimerConfig::with_max_threads(4));
+    let pool = HandlePool::new(Arc::clone(&domain));
+    let mut owner = domain.register();
+    let node = owner.alloc(5u64);
+    let root = Atomic::new(node);
+
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut handle = pool.check_out().expect("the registry has room");
+        handle.with_guard(|guard| {
+            let mut shield = guard.shield::<u64>().unwrap();
+            let value = shield.protect(&guard, &root, None);
+            // SAFETY: `shield` does not re-protect while `value` is live.
+            assert_eq!(unsafe { value.as_ref() }, Some(&5));
+            panic!("unwinding through a live bracket");
+        })
+    }));
+    assert!(unwound.is_err());
+    assert_eq!(pool.stats().parked, 1, "the unwound handle parked");
+
+    root.store(core::ptr::null_mut(), Ordering::SeqCst);
+    // SAFETY: just unlinked from its only root; retired exactly once.
+    unsafe { owner.retire(node) };
+    owner.force_cleanup();
+    assert_eq!(
+        domain.stats().unreclaimed,
+        0,
+        "the unwound bracket pins nothing"
+    );
+}
+
+#[test]
+fn panic_through_a_live_bracket_pins_nothing_under_wfe() {
+    panic_through_a_live_bracket_pins_nothing::<Wfe>();
+}
+
+#[test]
+fn panic_through_a_live_bracket_pins_nothing_under_ebr() {
+    panic_through_a_live_bracket_pins_nothing::<Ebr>();
+}

@@ -23,11 +23,11 @@
 mod aba;
 mod era;
 mod orphan;
+mod pool;
 mod resize;
 mod shield;
 mod slowpath;
 mod stats;
-mod task;
 mod wcas;
 
 /// Schedules per model test: the acceptance bar is that the real

@@ -1,13 +1,6 @@
-//! Model tests for the async task-handle layer: `TaskHandle` check-out /
-//! park / re-poll races over the shared [`HandlePool`].
-//!
-//! The executor itself is *not* under test here — mini-rt parks workers on
-//! std condvars, which the model build does not instrument — so these
-//! schedules drive the synchronous surface (`TaskHandle::check_out`,
-//! `release`, `with_guard`) from `shuttle` threads. That surface is exactly
-//! what every `.await`-adjacent transition in the async layer reduces to:
-//! `acquire` loops `check_out`, and dropping the handle at task end is
-//! `release`.
+//! Model tests for [`HandlePool`]: check-out / park / revive races between
+//! `shuttle` threads, driving `HandlePool::check_out` and `PooledHandle`
+//! directly.
 
 // wfe-analyze: allow(raw-atomic): model-test oracle state — deliberately a std
 // atomic so the checker never schedules an interleaving point on bookkeeping.
@@ -16,16 +9,15 @@ use std::sync::Arc;
 
 use wfe_reclaim::{Handle, HandlePool, He, Protected, RawHandle, Reclaimer, ReclaimerConfig};
 use wfe_sync::atomic::Ordering;
-use wfe_task::TaskHandle;
 
 use crate::SCHEDULES;
 
 #[test]
-fn task_handles_are_exclusive_on_every_schedule() {
+fn pooled_handles_are_exclusive_on_every_schedule() {
     // Two shuttle threads ping-pong handles through a two-slot pool. Each
-    // live `TaskHandle` owns a registry slot exclusively; if any
+    // live `PooledHandle` owns a registry slot exclusively; if any
     // check-out/park interleaving ever revived a handle twice (or handed the
-    // same slot to two tasks), the per-slot occupancy flag below would
+    // same slot to two threads), the per-slot occupancy flag below would
     // observe a second owner.
     shuttle::check_random(
         || {
@@ -41,26 +33,26 @@ fn task_handles_are_exclusive_on_every_schedule() {
                     shuttle::thread::spawn(move || {
                         let mut done = 0;
                         while done < 2 {
-                            let Some(mut task) = TaskHandle::check_out(&pool) else {
+                            let Some(mut handle) = pool.check_out() else {
                                 // Transient exhaustion (a park in flight):
                                 // retryable by contract.
                                 shuttle::thread::yield_now();
                                 continue;
                             };
-                            let tid = task.thread_id();
+                            let tid = handle.thread_id();
                             assert_eq!(
                                 in_use[tid].fetch_add(1, SeqCst),
                                 0,
-                                "two live task handles share registry slot {tid}"
+                                "two live pooled handles share registry slot {tid}"
                             );
-                            let node = task.raw().alloc(7u64);
-                            task.with_guard(|guard| {
+                            let node = handle.alloc(7u64);
+                            handle.with_guard(|guard| {
                                 // SAFETY: never linked anywhere; retired
                                 // exactly once.
                                 unsafe { Protected::from_unlinked(node).retire_in(&guard) };
                             });
                             assert_eq!(in_use[tid].fetch_sub(1, SeqCst), 1);
-                            task.release();
+                            handle.release();
                             done += 1;
                         }
                     })
@@ -86,8 +78,8 @@ fn task_handles_are_exclusive_on_every_schedule() {
 }
 
 #[test]
-fn parked_task_handles_pin_nothing_under_concurrent_retire() {
-    // A task protects a block through `with_guard`, then releases its handle
+fn parked_handles_pin_nothing_under_concurrent_retire() {
+    // A reader protects a block through `with_guard`, then releases its handle
     // back to the pool while a writer concurrently unlinks, retires, and
     // sweeps. `release` parks through `end_op`, so on *every* interleaving
     // the parked handle must leave no reservation behind: the final cleanup
@@ -108,10 +100,9 @@ fn parked_task_handles_pin_nothing_under_concurrent_retire() {
                 let pool = Arc::clone(&pool);
                 let root = Arc::clone(&root);
                 shuttle::thread::spawn(move || {
-                    let mut task =
-                        TaskHandle::check_out(&pool).expect("one registry slot is reserved");
-                    let mut shield = task.shield::<u64>().unwrap();
-                    task.with_guard(|guard| {
+                    let mut handle = pool.check_out().expect("one registry slot is reserved");
+                    let mut shield = handle.shield::<u64>().unwrap();
+                    handle.with_guard(|guard| {
                         let p = shield.protect(&guard, &root, None);
                         if !p.is_null() {
                             // SAFETY: `shield` does not re-protect while `p`
@@ -119,7 +110,7 @@ fn parked_task_handles_pin_nothing_under_concurrent_retire() {
                             assert_eq!(unsafe { p.as_ref() }, Some(&9));
                         }
                     });
-                    task.release();
+                    handle.release();
                 })
             };
 
@@ -134,7 +125,7 @@ fn parked_task_handles_pin_nothing_under_concurrent_retire() {
             assert_eq!(
                 domain.stats().unreclaimed,
                 0,
-                "a parked task handle pinned a retired block"
+                "a parked handle pinned a retired block"
             );
         },
         SCHEDULES,
@@ -152,15 +143,15 @@ fn transient_exhaustion_body() {
     let parker = {
         let pool = Arc::clone(&pool);
         shuttle::thread::spawn(move || {
-            let task = TaskHandle::check_out(&pool).expect("the only slot is free at spawn");
-            task.release();
+            let handle = pool.check_out().expect("the only slot is free at spawn");
+            handle.release();
         })
     };
     while pool.parked() == 0 {
         shuttle::thread::yield_now();
     }
     assert!(
-        TaskHandle::check_out(&pool).is_some(),
+        pool.check_out().is_some(),
         "transient exhaustion: the parked counter is ahead of the freelist"
     );
     parker.join().unwrap();
@@ -171,8 +162,8 @@ fn transient_pool_exhaustion_is_findable_and_replays_byte_identically() {
     // This is the race `check_out`'s docs declare retryable. The model
     // checker must (a) find a schedule exhibiting it — proving the window is
     // real, not documentation folklore — and (b) replay the printed seed to
-    // a byte-identical failure report, which is the property the async layer
-    // leans on when a CI-only interleaving needs reproducing locally.
+    // a byte-identical failure report, which is what a CI-only interleaving
+    // needs to be reproduced locally.
     let config = shuttle::Config {
         schedules: 4096,
         seed: 0x7A5C,

@@ -6,7 +6,7 @@
 //! | `undocumented-unsafe` | `wfe-analyze: allow(undocumented-unsafe)` | every `unsafe` block / `unsafe fn` / `unsafe impl` carries a `// SAFETY:` comment (or a `# Safety` doc section) |
 //! | `unjustified-ordering` | `wfe-analyze: allow(unjustified-ordering)` | every non-`SeqCst` `Ordering` in shipped code carries an `// ORDER:` justification; all sites are emitted into `docs/ORDERINGS.md` |
 //! | `shield-budget` | `wfe-analyze: allow(shield-budget)` | the statically-counted `.shield()` leases per operation equal the structure's declared `REQUIRED_SLOTS` — the literal of `<int>` or of `<int> + <path>::REQUIRED_SLOTS`, whose second term is audited in the file that declares it |
-//! | `shared-line` | `wfe-analyze: allow(shared-line)` | a struct of the reclaimer, the structures or the task layer that keeps two or more atomic fields, not all of them `CachePadded`, says in a `// LAYOUT:` comment why they may share a cache line |
+//! | `shared-line` | `wfe-analyze: allow(shared-line)` | a struct of the reclaimer, the scheme or the structures that keeps two or more atomic fields, not all of them `CachePadded`, says in a `// LAYOUT:` comment why they may share a cache line |
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -659,12 +659,7 @@ fn count_shield_sites(toks: &[Tok], start: usize, end: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// The crates whose structs are shared between threads on a hot path.
-const LAYOUT_SCOPES: [&str; 4] = [
-    "crates/reclaim/src/",
-    "crates/wfe/src/",
-    "crates/ds/src/",
-    "crates/task/src/",
-];
+const LAYOUT_SCOPES: [&str; 3] = ["crates/reclaim/src/", "crates/wfe/src/", "crates/ds/src/"];
 
 /// Types some thread writes through a shared reference: the `wfe_sync`
 /// atomics and the wrappers the suite builds from them.

@@ -1,4 +1,4 @@
-//! Outside the reclaimer, the structures and the task layer the rule does
+//! Outside the reclaimer, the scheme and the structures the rule does
 //! not apply: a harness's counters are nobody's hot path.
 
 use wfe_sync::atomic::AtomicU64;
