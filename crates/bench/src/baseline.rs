@@ -123,13 +123,6 @@ mod tests {
             freed_via_adoption: 0.0,
             shards: 1,
             avg_occupied_shards: 1.0,
-            pool_hit_rate: 0.0,
-            cache_hits: 0.0,
-            cache_misses: 0.0,
-            cached_bytes: 0.0,
-            load_factor: 0.0,
-            resizes: 0.0,
-            migrated_buckets: 0.0,
         }
     }
 

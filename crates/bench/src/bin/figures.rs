@@ -2,23 +2,13 @@
 //!
 //! ```text
 //! figures [FIGURE ...] [--paper | --smoke] [--threads 1,2,4] [--duration-ms 500]
-//!         [--repeats N] [--prefill N] [--schemes WFE,HE,...] [--shards N]
-//!         [--block-cache on|off] [--baseline-json PATH]
+//!         [--repeats N] [--prefill N] [--schemes WFE,HE,...] [--baseline-json PATH]
 //! ```
 //!
 //! With no figure argument every figure (and both ablations) is run. Output
 //! is CSV on stdout, one row per measured point:
 //! `figure,structure,workload,scheme,threads,mops,avg_unreclaimed,`
-//! `adopted_batches,freed_via_adoption,shards,avg_occupied_shards,`
-//! `pool_hit_rate,cache_hits,cache_misses,cached_bytes,load_factor,`
-//! `resizes,migrated_buckets`
-//! (the cache counters are live wherever the block cache is enabled; the
-//! last three columns are filled by the `kv-service` figure's resizable map
-//! and are 0 for fixed-capacity structures).
-//!
-//! `--block-cache on|off` pins the block cache for every domain the
-//! sweep builds; without it, domains use the library default and the
-//! `cross-shard-churn` figure sweeps both modes.
+//! `adopted_batches,freed_via_adoption,shards,avg_occupied_shards`.
 //!
 //! `--paper` and `--smoke` pick the starting parameters; every other flag
 //! overrides them, whichever side of the preset it is written on.
@@ -44,13 +34,10 @@ fn print_usage() {
            --paper           full paper methodology (10 s x 5 runs, 50k prefill, up to 120 threads)\n\
            --smoke           tiny smoke-test parameters\n\
            --threads LIST    comma-separated thread counts (default: powers of two up to the core count)\n\
-           --duration-ms N   run duration per point in milliseconds\n\
+           --duration-ms N   run duration per point in milliseconds (positive)\n\
            --repeats N       repetitions per point\n\
            --prefill N       elements pre-inserted before measuring\n\
            --schemes LIST    comma-separated subset of WFE,EBR,HE,HP,2GEIBR,Leak\n\
-           --shards N        registry shard count (default: auto from the host)\n\
-           --block-cache on|off  pin the block cache (default: library default;\n\
-                             cross-shard-churn sweeps both modes when unset)\n\
            --baseline-json PATH  also write the sweep as a JSON baseline snapshot\n",
         Figure::ALL
             .iter()
@@ -102,6 +89,11 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
                 let value = args.next().ok_or("--duration-ms needs a value")?;
                 params.duration =
                     Duration::from_millis(value.parse::<u64>().map_err(|e| e.to_string())?);
+                // A zero-length window samples no gauge and divides the
+                // operation count by microseconds: rows that look valid.
+                if params.duration.is_zero() {
+                    return Err("--duration-ms needs a positive value".into());
+                }
             }
             "--repeats" => {
                 let value = args.next().ok_or("--repeats needs a value")?;
@@ -110,18 +102,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             "--prefill" => {
                 let value = args.next().ok_or("--prefill needs a value")?;
                 params.prefill = value.parse::<usize>().map_err(|e| e.to_string())?;
-            }
-            "--shards" => {
-                let value = args.next().ok_or("--shards needs a value")?;
-                params.shards = value.parse::<usize>().map_err(|e| e.to_string())?;
-            }
-            "--block-cache" => {
-                let value = args.next().ok_or("--block-cache needs on|off")?;
-                params.block_cache = match value.to_ascii_lowercase().as_str() {
-                    "on" | "true" | "1" => Some(true),
-                    "off" | "false" | "0" => Some(false),
-                    other => return Err(format!("--block-cache needs on|off, got {other}")),
-                };
             }
             "--baseline-json" => {
                 baseline_json = Some(args.next().ok_or("--baseline-json needs a path")?);
@@ -197,9 +177,58 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     fn parse(line: &str) -> BenchParams {
-        let args = line.split_whitespace().map(String::from).collect();
-        parse_args(args).expect("valid command line").params
+        parse_args(args(line)).expect("valid command line").params
+    }
+
+    #[test]
+    fn no_figure_argument_runs_every_figure_under_every_scheme() {
+        let cli = parse_args(Vec::new()).expect("empty command line");
+        assert_eq!(cli.figures, Figure::ALL);
+        assert_eq!(cli.schemes, Scheme::ALL);
+        assert!(cli.baseline_json.is_none());
+        assert_eq!(cli.params.threads, BenchParams::default().threads);
+    }
+
+    #[test]
+    fn figures_keep_their_order_and_aliases() {
+        let cli = parse_args(args("fig7 fig5a FIG11 fig5d")).expect("valid figures");
+        assert_eq!(
+            cli.figures,
+            [Figure::Fig7, Figure::Fig5ab, Figure::Fig11, Figure::Fig5cd]
+        );
+        assert!(parse_args(args("fig12")).is_err());
+    }
+
+    #[test]
+    fn schemes_and_baseline_path_are_taken_as_given() {
+        let cli =
+            parse_args(args("--schemes wfe,2GEIBR --baseline-json out.json")).expect("valid flags");
+        assert_eq!(cli.schemes, [Scheme::Wfe, Scheme::Ibr]);
+        assert_eq!(cli.baseline_json.as_deref(), Some("out.json"));
+        assert!(parse_args(args("--schemes WFE,RCU")).is_err());
+    }
+
+    #[test]
+    fn help_and_malformed_values_stop_the_run() {
+        assert_eq!(parse_args(args("fig6 --help")).err().as_deref(), Some(""));
+        for line in [
+            "--threads",
+            "--threads 1,x",
+            "--duration-ms",
+            "--duration-ms -5",
+            "--repeats two",
+            "--prefill",
+            "--schemes",
+            "--baseline-json",
+        ] {
+            let error = parse_args(args(line)).err();
+            assert!(error.is_some_and(|e| !e.is_empty()), "{line} is an error");
+        }
     }
 
     #[test]
@@ -209,16 +238,18 @@ mod tests {
             assert_eq!(params.threads, vec![4], "{line}");
             assert_eq!(params.duration, BenchParams::smoke().duration, "{line}");
         }
-        for line in ["--block-cache off --smoke", "--smoke --block-cache off"] {
-            assert_eq!(parse(line).block_cache, Some(false), "{line}");
+        for line in ["--prefill 7 --paper", "--paper --prefill 7"] {
+            let params = parse(line);
+            assert_eq!(params.prefill, 7, "{line}");
+            assert_eq!(params.repeats, BenchParams::paper().repeats, "{line}");
         }
         for line in [
-            "--shards 3 --prefill 7 --paper",
-            "--paper --shards 3 --prefill 7",
+            "--threads 0",
+            "--duration-ms 0",
+            "--shards 3",
+            "--block-cache off",
         ] {
-            let params = parse(line);
-            assert_eq!((params.shards, params.prefill), (3, 7), "{line}");
-            assert_eq!(params.repeats, BenchParams::paper().repeats, "{line}");
+            assert!(parse_args(args(line)).is_err(), "{line} is an error");
         }
     }
 }

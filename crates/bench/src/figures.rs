@@ -22,24 +22,18 @@
 //!
 //! Beyond the paper: two WFE ablations on the hash map (`ablation-slowpath`
 //! forces the slow path, `ablation-attempts` sweeps the fast-path attempt
-//! budget); a Michael-Scott lock-free queue baseline (`queue-baseline`);
-//! the hash map through a `HandlePool` at task churn (`kv-pool`, rows carry
-//! per-shard occupancy and the pool hit rate); the hash map on a sharded
-//! registry with the block cache on and off (`cross-shard-churn`,
-//! rows carry the cache counters; pin one mode with `--block-cache on|off`);
-//! and the split-ordered resizable map as a kv service (`kv-service`: Zipf
-//! read-mostly and write-heavy, TTL expiry, resize storm; rows carry
-//! `load_factor`, `resizes` and `migrated_buckets`).
+//! budget) and a Michael-Scott lock-free queue baseline (`queue-baseline`).
+//! Pooled handles, the block cache and the resizable map are measured by the
+//! repository benchmark (`benchmark/`), not here.
 
 use wfe_core::Wfe;
 use wfe_ds::{
     CrTurnQueue, KoganPetrankQueue, MichaelHashMap, MichaelList, MichaelScottQueue, NatarajanBst,
-    ResizableHashMap,
 };
 use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, Reclaimer};
 
 use crate::params::BenchParams;
-use crate::runner::{run_map, run_pooled_map, run_queue, DataPoint};
+use crate::runner::{run_map, run_queue, DataPoint};
 use crate::workload::MapWorkload;
 
 /// The reclamation schemes compared in every figure.
@@ -99,8 +93,6 @@ pub enum MapKind {
     HashMap,
     /// Natarajan-Mittal BST.
     Bst,
-    /// Split-ordered resizable hash map (the `kv-service` figure).
-    Resizable,
 }
 
 impl MapKind {
@@ -109,7 +101,6 @@ impl MapKind {
             MapKind::List => "list",
             MapKind::HashMap => "hashmap",
             MapKind::Bst => "bst",
-            MapKind::Resizable => "resizable",
         }
     }
 }
@@ -140,8 +131,6 @@ impl QueueKind {
 enum Case {
     /// A map workload, one registered handle per worker thread.
     Map(MapKind, MapWorkload),
-    /// The write-dominated hash map through a `HandlePool` (`kv-pool`).
-    Pooled,
     /// A queue, 50% enqueue / 50% dequeue.
     Queue(QueueKind),
 }
@@ -174,17 +163,9 @@ impl Case {
                     MapKind::List => run_map::<R, MichaelList<u64, R>>,
                     MapKind::HashMap => run_map::<R, MichaelHashMap<u64, R>>,
                     MapKind::Bst => run_map::<R, NatarajanBst<u64, R>>,
-                    MapKind::Resizable => run_map::<R, ResizableHashMap<u64, R>>,
                 };
                 run(scheme, map.name(), workload, threads, params)
             }
-            Case::Pooled => run_pooled_map::<R, MichaelHashMap<u64, R>>(
-                scheme,
-                MapKind::HashMap.name(),
-                MapWorkload::WriteDominated,
-                threads,
-                params,
-            ),
             Case::Queue(queue) => {
                 let run = match queue {
                     QueueKind::KoganPetrank => run_queue::<R, KoganPetrankQueue<u64, R>>,
@@ -224,30 +205,12 @@ pub enum Figure {
     /// Beyond the paper: Michael-Scott lock-free queue, 50/50, as a baseline
     /// for the wait-free queues in the same sweep.
     QueueBaseline,
-    /// Beyond the paper: Michael hash map 50/50 driven through a
-    /// [`wfe_reclaim::HandlePool`] at task-churn grain (executor pattern);
-    /// rows carry per-shard occupancy and the pool hit rate.
-    KvPool,
-    /// Beyond the paper: Michael hash map 50/50 on a sharded registry, run
-    /// once with the block cache (per-handle magazines over the process-wide
-    /// pool) enabled and once disabled (or a single pinned mode when
-    /// `BenchParams::block_cache` is `Some`) — the retire→free→alloc
-    /// recycling A/B. Rows carry the cache hit/miss counters and the bytes
-    /// the handles' magazines last reported parked.
-    CrossShardChurn,
-    /// Beyond the paper: the split-ordered *resizable* hash map as a kv
-    /// service — Zipfian read-mostly and write-heavy mixes, a TTL expiry
-    /// sweep and a resize storm, all seed-replayable. Rows carry the map's
-    /// `load_factor`, `resizes` and `migrated_buckets` columns, showing
-    /// superseded bucket arrays flowing through the reclamation scheme
-    /// while readers stay pinned.
-    KvService,
 }
 
 impl Figure {
     /// Every figure, in paper order, followed by the ablations and the
     /// extra baselines.
-    pub const ALL: [Figure; 14] = [
+    pub const ALL: [Figure; 11] = [
         Figure::Fig5ab,
         Figure::Fig5cd,
         Figure::Fig6,
@@ -259,9 +222,6 @@ impl Figure {
         Figure::AblationSlowPath,
         Figure::AblationAttempts,
         Figure::QueueBaseline,
-        Figure::KvPool,
-        Figure::CrossShardChurn,
-        Figure::KvService,
     ];
 
     /// CLI name of the figure.
@@ -278,9 +238,6 @@ impl Figure {
             Figure::AblationSlowPath => "ablation-slowpath",
             Figure::AblationAttempts => "ablation-attempts",
             Figure::QueueBaseline => "queue-baseline",
-            Figure::KvPool => "kv-pool",
-            Figure::CrossShardChurn => "cross-shard-churn",
-            Figure::KvService => "kv-service",
         }
     }
 
@@ -311,18 +268,6 @@ impl Figure {
             Figure::AblationAttempts => "WFE fast-path attempt sweep, Michael hash map 50/50",
             Figure::QueueBaseline => {
                 "Michael-Scott lock-free queue baseline (beyond the paper), 50/50"
-            }
-            Figure::KvPool => {
-                "Michael hash map 50/50 through a HandlePool at task churn (beyond the paper)"
-            }
-            Figure::CrossShardChurn => {
-                "Michael hash map 50/50 on a sharded registry, block cache \
-                 on vs off (beyond the paper)"
-            }
-            Figure::KvService => {
-                "Split-ordered resizable hash map as a kv service: Zipfian \
-                 read-mostly/write-heavy, TTL expiry and resize storm \
-                 (beyond the paper)"
             }
         }
     }
@@ -355,48 +300,6 @@ impl Figure {
             Figure::Fig9 => sweep(list(read90)),
             Figure::Fig10 => sweep(hashmap(read90)),
             Figure::Fig11 => sweep(bst(read90)),
-            Figure::KvPool => sweep(Case::Pooled),
-            Figure::KvService => MapWorkload::SERVICE
-                .into_iter()
-                .flat_map(|workload| sweep(Case::Map(MapKind::Resizable, workload)))
-                .collect(),
-            Figure::CrossShardChurn => {
-                // Churn is only "cross-shard" when the registry actually
-                // splits: resolve auto-sizing (0) to the host's parallelism
-                // and force at least two shards either way. The registry
-                // still clamps to `max_threads`, so single-thread points stay
-                // single-shard baselines.
-                let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-                let shards = if params.shards == 0 {
-                    auto
-                } else {
-                    params.shards
-                }
-                .max(2);
-                let modes: &[(bool, &'static str)] = match params.block_cache {
-                    Some(true) => &[(true, "churn-cache-on")],
-                    Some(false) => &[(false, "churn-cache-off")],
-                    None => &[(true, "churn-cache-on"), (false, "churn-cache-off")],
-                };
-                let mut points = Vec::new();
-                for &threads in &params.threads {
-                    for &scheme in schemes {
-                        for &(enabled, label) in modes {
-                            let params = BenchParams {
-                                shards,
-                                block_cache: Some(enabled),
-                                ..params.clone()
-                            };
-                            let point = hashmap(write50).run(scheme, threads, &params);
-                            points.push(DataPoint {
-                                workload: label,
-                                ..point
-                            });
-                        }
-                    }
-                }
-                points
-            }
             Figure::AblationSlowPath | Figure::AblationAttempts => {
                 let arms: &[(&'static str, usize)] = if self == Figure::AblationSlowPath {
                     &[("WFE", 16), ("WFE-forced-slow", 1)]
@@ -450,6 +353,92 @@ mod tests {
     }
 
     #[test]
+    fn figure_names_are_distinct_lowercase_and_described() {
+        let mut names: Vec<_> = Figure::ALL.iter().map(|f| f.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Figure::ALL.len());
+        for figure in Figure::ALL {
+            assert_eq!(figure.name(), figure.name().to_ascii_lowercase());
+            assert_eq!(
+                Figure::parse(&figure.name().to_ascii_uppercase()),
+                Some(figure)
+            );
+            assert!(!figure.description().is_empty(), "{figure:?}");
+        }
+        assert_eq!(Figure::parse("fig5b"), Some(Figure::Fig5ab));
+        assert_eq!(Figure::parse("fig5c"), Some(Figure::Fig5cd));
+    }
+
+    #[test]
+    fn map_figures_run_their_structure_and_workload() {
+        let params = BenchParams {
+            threads: vec![1],
+            ..BenchParams::smoke()
+        };
+        let expected = [
+            (Figure::Fig6, "list", "write50"),
+            (Figure::Fig7, "hashmap", "write50"),
+            (Figure::Fig8, "bst", "write50"),
+            (Figure::Fig9, "list", "read90"),
+            (Figure::Fig10, "hashmap", "read90"),
+            (Figure::Fig11, "bst", "read90"),
+        ];
+        for (figure, structure, workload) in expected {
+            let points = figure.run(&params, &[Scheme::Leak]);
+            assert_eq!(points.len(), 1, "{figure:?}");
+            let point = &points[0];
+            assert_eq!((point.structure, point.workload), (structure, workload));
+            assert_eq!((point.scheme, point.threads), ("Leak", 1));
+        }
+    }
+
+    #[test]
+    fn sweep_rows_go_by_thread_count_then_scheme() {
+        let params = BenchParams::smoke();
+        let schemes = [Scheme::Ebr, Scheme::Ibr];
+        let points = Figure::Fig6.run(&params, &schemes);
+        let order: Vec<_> = points.iter().map(|p| (p.threads, p.scheme)).collect();
+        assert_eq!(
+            order,
+            [(1, "EBR"), (1, "2GEIBR"), (2, "EBR"), (2, "2GEIBR")]
+        );
+    }
+
+    #[test]
+    fn ablation_slowpath_pits_forced_slow_against_the_default() {
+        let params = BenchParams {
+            threads: vec![2],
+            ..BenchParams::smoke()
+        };
+        // The ablations always run WFE, whatever schemes are asked for.
+        let points = Figure::AblationSlowPath.run(&params, &[Scheme::Leak]);
+        let labels: Vec<_> = points.iter().map(|p| p.scheme).collect();
+        assert_eq!(labels, ["WFE", "WFE-forced-slow"]);
+        assert!(points
+            .iter()
+            .all(|p| p.structure == "hashmap" && p.workload == "write50" && p.mops > 0.0));
+    }
+
+    #[test]
+    fn ablation_attempts_sweeps_four_budgets_per_thread_count() {
+        let params = BenchParams::smoke();
+        let points = Figure::AblationAttempts.run(&params, &[]);
+        assert_eq!(points.len(), 4 * params.threads.len());
+        let labels: Vec<_> = points.iter().take(4).map(|p| p.scheme).collect();
+        assert_eq!(
+            labels,
+            [
+                "WFE-attempts-1",
+                "WFE-attempts-4",
+                "WFE-attempts-16",
+                "WFE-attempts-64"
+            ]
+        );
+        assert!(points.iter().all(|p| p.structure == "hashmap"));
+    }
+
+    #[test]
     fn smoke_run_of_a_map_figure_produces_all_series() {
         let params = BenchParams::smoke();
         let schemes = [Scheme::Wfe, Scheme::He];
@@ -483,87 +472,5 @@ mod tests {
         let schemes = [Scheme::He];
         let points = Figure::QueueBaseline.run(&params, &schemes);
         assert!(points.iter().all(|p| p.structure == "msqueue"));
-    }
-
-    #[test]
-    fn cross_shard_churn_sweeps_both_cache_modes_and_counts_cache_traffic() {
-        let params = BenchParams::smoke();
-        let schemes = [Scheme::Wfe];
-        let points = Figure::CrossShardChurn.run(&params, &schemes);
-        assert_eq!(points.len(), params.threads.len() * 2, "on + off per point");
-        assert!(points.iter().all(|p| p.mops > 0.0));
-        let on: Vec<_> = points
-            .iter()
-            .filter(|p| p.workload == "churn-cache-on")
-            .collect();
-        let off: Vec<_> = points
-            .iter()
-            .filter(|p| p.workload == "churn-cache-off")
-            .collect();
-        assert_eq!(on.len(), params.threads.len());
-        assert_eq!(off.len(), params.threads.len());
-        assert!(
-            on.iter().any(|p| p.cache_hits > 0.0),
-            "cache-on churn recycles blocks through the magazines"
-        );
-        assert!(
-            off.iter()
-                .all(|p| p.cache_hits == 0.0 && p.cached_bytes == 0.0),
-            "cache-off rows must not report cache traffic"
-        );
-    }
-
-    #[test]
-    fn cross_shard_churn_honors_a_pinned_cache_mode() {
-        let mut params = BenchParams::smoke();
-        params.threads = vec![1];
-        params.block_cache = Some(false);
-        let points = Figure::CrossShardChurn.run(&params, &[Scheme::He]);
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].workload, "churn-cache-off");
-    }
-
-    #[test]
-    fn kv_service_sweeps_all_legs_and_the_storm_resizes() {
-        let mut params = BenchParams::smoke();
-        params.threads = vec![2];
-        let schemes = [Scheme::Wfe];
-        let points = Figure::KvService.run(&params, &schemes);
-        assert_eq!(points.len(), MapWorkload::SERVICE.len());
-        assert!(points.iter().all(|p| p.structure == "resizable"));
-        assert!(points.iter().all(|p| p.mops > 0.0));
-        let labels: Vec<_> = points.iter().map(|p| p.workload).collect();
-        assert_eq!(
-            labels,
-            vec![
-                "kv-zipf-read90",
-                "kv-zipf-write50",
-                "kv-ttl",
-                "kv-resize-storm"
-            ]
-        );
-        let storm = points
-            .iter()
-            .find(|p| p.workload == "kv-resize-storm")
-            .unwrap();
-        assert!(
-            storm.resizes > 0.0 && storm.migrated_buckets > 0.0,
-            "the storm leg must force directory doublings (resizes {})",
-            storm.resizes
-        );
-    }
-
-    #[test]
-    fn kv_pool_reports_pool_and_shard_stats() {
-        let params = BenchParams::smoke();
-        let schemes = [Scheme::Wfe];
-        let points = Figure::KvPool.run(&params, &schemes);
-        assert_eq!(points.len(), params.threads.len());
-        assert!(points.iter().all(|p| p.workload == "pool-churn"));
-        assert!(points.iter().all(|p| p.shards >= 1));
-        assert!(
-            points.iter().all(|p| p.pool_hit_rate > 0.0),
-            "task churn is served from the pool"
-        );
     }
 }

@@ -23,14 +23,6 @@ pub struct BenchParams {
     pub cleanup_freq: usize,
     /// WFE fast-path attempts before requesting help.
     pub fast_path_attempts: usize,
-    /// Registry shard count (`0` = auto-size from the host's parallelism).
-    pub shards: usize,
-    /// Block cache override: `Some(true)`/`Some(false)` pin the
-    /// cache on/off for every domain the sweep builds; `None` (the default)
-    /// keeps the library default (on unless `WFE_BLOCK_CACHE` disables it) —
-    /// except in the `cross-shard-churn` figure, where `None` means "sweep
-    /// both modes".
-    pub block_cache: Option<bool>,
 }
 
 impl Default for BenchParams {
@@ -55,8 +47,6 @@ impl Default for BenchParams {
             era_freq: 150,
             cleanup_freq: 30,
             fast_path_attempts: 16,
-            shards: 0,
-            block_cache: None,
         }
     }
 }
@@ -101,6 +91,25 @@ mod tests {
         let cores = std::thread::available_parallelism().unwrap().get();
         assert!(params.threads.iter().all(|&t| t <= cores));
         assert!(!params.threads.is_empty());
+    }
+
+    #[test]
+    fn smoke_is_two_threads_wide_and_prefills_inside_its_key_range() {
+        let params = BenchParams::smoke();
+        assert_eq!(params.threads, vec![1, 2]);
+        assert_eq!(params.duration, Duration::from_millis(50));
+        assert_eq!(params.repeats, 1);
+        assert!(params.prefill as u64 <= params.key_range);
+        assert_eq!(params.era_freq, BenchParams::default().era_freq);
+    }
+
+    #[test]
+    fn default_thread_sweep_ascends_from_one() {
+        let params = BenchParams::default();
+        assert_eq!(params.threads[0], 1);
+        assert!(params.threads.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(params.cleanup_freq, 30);
+        assert!(params.prefill as u64 <= params.key_range);
     }
 
     #[test]

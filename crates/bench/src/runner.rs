@@ -7,11 +7,8 @@
 //! opens the measured window, samples the domain's gauges until the window
 //! closes, stops the workers and sums their completed operations. What a
 //! worker does is a closure the caller hands in — one map operation
-//! ([`run_map`]: the paper's Figures 6-11, the ablations, `kv-service` and
-//! `cross-shard-churn`), one queue operation ([`run_queue`]: Figure 5 and
-//! `queue-baseline`), or one pooled task of [`POOL_TASK_OPS`] map operations
-//! between a [`HandlePool`] check-out and check-in ([`run_pooled_map`]:
-//! `kv-pool`).
+//! ([`run_map`]: the paper's Figures 6-11 and the ablations) or one queue
+//! operation ([`run_queue`]: Figure 5 and `queue-baseline`).
 //!
 //! Throughput is the total number of completed operations divided by the
 //! measured window (reported in Mops/s, as in the paper); the reclamation
@@ -27,18 +24,14 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use wfe_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use wfe_reclaim::{BlockCacheConfig, HandlePool, He, Reclaimer, ReclaimerConfig, SmrStats};
+use wfe_reclaim::{He, Reclaimer, ReclaimerConfig, SmrStats};
 
 use crate::params::BenchParams;
 use crate::workload::{MapOp, MapWorkload, OpGenerator};
-use wfe_ds::{ConcurrentMap, ConcurrentQueue, MapServiceStats, MichaelHashMap};
+use wfe_ds::{ConcurrentMap, ConcurrentQueue, MichaelHashMap};
 
 /// How often the sampler reads the unreclaimed-object counter.
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(5);
-
-/// Operations one pooled "task" performs between check-out and check-in of
-/// its handle (the task-churn grain of the `kv-pool` figure).
-pub const POOL_TASK_OPS: usize = 64;
 
 /// Seed of a point's first repeat; repeat `n` runs on `SEED + n`.
 const SEED: u64 = 0xC0FFEE;
@@ -78,7 +71,7 @@ pub struct DataPoint {
     pub scheme: &'static str,
     /// Data-structure name.
     pub structure: &'static str,
-    /// Workload label (`write50`, `read90`, `queue50`, `pool-churn`, ...).
+    /// Workload label (`write50`, `read90` or `queue50`).
     pub workload: &'static str,
     /// Number of worker threads.
     pub threads: usize,
@@ -99,43 +92,18 @@ pub struct DataPoint {
     /// shard-skip; `shards - avg_occupied_shards` shards were skipped by an
     /// average cleanup pass).
     pub avg_occupied_shards: f64,
-    /// Fraction of handle check-outs served from the pool (`kv-pool` figure
-    /// only; 0 for per-thread runners, which never touch a pool).
-    pub pool_hit_rate: f64,
-    /// Allocations served from a handle's magazine without a refill
-    /// (end-of-run total, averaged over repeats; 0 when the cache is
-    /// disabled).
-    pub cache_hits: f64,
-    /// Cacheable allocations that refilled a magazine from the process-wide
-    /// pool (end-of-run total, averaged over repeats).
-    pub cache_misses: f64,
-    /// Bytes parked in the handles' magazines as each last reported when the
-    /// run ended (averaged over repeats; 0 once every handle has dropped and
-    /// drained).
-    pub cached_bytes: f64,
-    /// End-of-run elements-per-bucket ratio of a resizable map
-    /// (`kv-service` figure; 0 for fixed-capacity structures).
-    pub load_factor: f64,
-    /// Bucket-array doublings the resizable map performed during the run
-    /// (end-of-run total, averaged over repeats; 0 elsewhere).
-    pub resizes: f64,
-    /// Buckets whose cached dummy pointers were carried into a new directory
-    /// by those resizes (end-of-run total, averaged over repeats).
-    pub migrated_buckets: f64,
 }
 
 impl DataPoint {
     /// CSV header matching [`DataPoint::to_csv_row`].
     pub const CSV_HEADER: &'static str =
         "structure,workload,scheme,threads,mops,avg_unreclaimed,adopted_batches,\
-         freed_via_adoption,shards,avg_occupied_shards,pool_hit_rate,\
-         cache_hits,cache_misses,cached_bytes,load_factor,resizes,migrated_buckets";
+         freed_via_adoption,shards,avg_occupied_shards";
 
     /// Renders the point as one CSV row.
     pub fn to_csv_row(&self) -> String {
         format!(
-            "{},{},{},{},{:.4},{:.1},{:.1},{:.1},{},{:.2},{:.3},{:.1},{:.1},{:.0},{:.3},{:.1},\
-             {:.1}",
+            "{},{},{},{},{:.4},{:.1},{:.1},{:.1},{},{:.2}",
             self.structure,
             self.workload,
             self.scheme,
@@ -145,14 +113,7 @@ impl DataPoint {
             self.adopted_batches,
             self.freed_via_adoption,
             self.shards,
-            self.avg_occupied_shards,
-            self.pool_hit_rate,
-            self.cache_hits,
-            self.cache_misses,
-            self.cached_bytes,
-            self.load_factor,
-            self.resizes,
-            self.migrated_buckets
+            self.avg_occupied_shards
         )
     }
 }
@@ -166,42 +127,16 @@ struct Run {
     shards: usize,
     /// End-of-run domain counters.
     stats: SmrStats,
-    /// `kv-pool` runs only; 0 elsewhere.
-    pool_hit_rate: f64,
-    /// End-of-run resizable-map stats (zeros for fixed-capacity structures,
-    /// which keep the trait's default impl).
-    service: MapServiceStats,
-}
-
-impl Run {
-    /// A run of `ops` operations in `elapsed`, with the domain's end-of-run
-    /// counters; the caller adds what its structure or pool reports.
-    fn new<R: Reclaimer>(domain: &R, ops: u64, elapsed: Duration, gauges: (f64, f64)) -> Self {
-        Self {
-            ops,
-            elapsed,
-            gauges,
-            shards: domain.registry().shard_count(),
-            stats: domain.stats(),
-            pool_hit_rate: 0.0,
-            service: MapServiceStats::default(),
-        }
-    }
 }
 
 fn domain_config(threads: usize, required_slots: usize, params: &BenchParams) -> ReclaimerConfig {
-    let mut block_cache = BlockCacheConfig::default();
-    if let Some(enabled) = params.block_cache {
-        block_cache.enabled = enabled;
-    }
     ReclaimerConfig {
         max_threads: threads,
         slots_per_thread: required_slots.max(2),
         era_freq: params.era_freq,
         cleanup_freq: params.cleanup_freq,
         fast_path_attempts: params.fast_path_attempts,
-        shards: params.shards,
-        block_cache,
+        ..ReclaimerConfig::default()
     }
 }
 
@@ -269,7 +204,13 @@ where
         stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
         (start.elapsed(), gauges)
     });
-    Run::new(domain, total_ops.into_inner(), elapsed, gauges)
+    Run {
+        ops: total_ops.into_inner(),
+        elapsed,
+        gauges,
+        shards: domain.registry().shard_count(),
+        stats: domain.stats(),
+    }
 }
 
 /// Runs `run` once per repeat (seeded `SEED + repeat`) and averages the runs
@@ -298,13 +239,6 @@ fn average(
         freed_via_adoption: mean(|r| r.stats.freed_via_adoption as f64),
         shards: runs.last().map_or(0, |r| r.shards),
         avg_occupied_shards: mean(|r| r.gauges.1),
-        pool_hit_rate: mean(|r| r.pool_hit_rate),
-        cache_hits: mean(|r| r.stats.cache_hits as f64),
-        cache_misses: mean(|r| r.stats.cache_misses as f64),
-        cached_bytes: mean(|r| r.stats.cached_bytes as f64),
-        load_factor: mean(|r| r.service.load_factor),
-        resizes: mean(|r| r.service.resizes as f64),
-        migrated_buckets: mean(|r| r.service.migrated_buckets as f64),
     }
 }
 
@@ -330,69 +264,37 @@ fn prefill<R: Reclaimer>(
     }
 }
 
-/// Builds a domain sized for `threads` handles and a map on it, prefilled
-/// unless the workload builds its own live set.
-fn map_on<R, M>(
-    threads: usize,
-    workload: MapWorkload,
-    params: &BenchParams,
-    seed: u64,
-) -> (Arc<R>, M)
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    let domain = R::with_config(domain_config(threads, M::required_slots(), params));
-    let map = M::with_domain(Arc::clone(&domain));
-    if workload.prefills() {
-        let count = params.prefill.min(params.key_range as usize);
-        prefill(&domain, count, params, seed, |h, key| map.insert(h, key, 0));
-    }
-    (domain, map)
-}
-
-/// Applies the generator's next operation to `map`.
-#[inline]
-fn apply_map_op<R, M>(map: &M, handle: &mut R::Handle, generator: &mut OpGenerator)
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    match generator.next_op() {
-        MapOp::Insert(key) => {
-            map.insert(handle, key, key);
-        }
-        MapOp::Remove(key) => {
-            map.remove(handle, key);
-        }
-        MapOp::Get(key) => {
-            map.get(handle, key);
-        }
-    }
-}
-
 /// One run of a map workload, one registered handle per worker.
 fn map_run<R, M>(workload: MapWorkload, threads: usize, params: &BenchParams, seed: u64) -> Run
 where
     R: Reclaimer,
     M: ConcurrentMap<R>,
 {
-    let (domain, map) = map_on::<R, M>(threads, workload, params, seed);
-    let run = measure(&*domain, threads, params, |thread| {
+    let domain = R::with_config(domain_config(threads, M::required_slots(), params));
+    let map = M::with_domain(Arc::clone(&domain));
+    let count = params.prefill.min(params.key_range as usize);
+    prefill(&domain, count, params, seed, |h, key| map.insert(h, key, 0));
+    measure(&*domain, threads, params, |thread| {
         let (map, mut handle) = (&map, domain.register());
         let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
         move || {
-            apply_map_op(map, &mut handle, &mut generator);
+            match generator.next_op() {
+                MapOp::Insert(key) => {
+                    map.insert(&mut handle, key, key);
+                }
+                MapOp::Remove(key) => {
+                    map.remove(&mut handle, key);
+                }
+                MapOp::Get(key) => {
+                    map.get(&mut handle, key);
+                }
+            }
             1
         }
-    });
-    Run {
-        service: map.service_stats(),
-        ..run
-    }
+    })
 }
 
-/// Measures one map data point (averaged over `params.repeats` runs): any
+/// Measures one map data point (averaged over `params.repeats` runs): either
 /// [`MapWorkload`] on any map, one registered handle per worker thread.
 pub fn run_map<R, M>(
     scheme: &'static str,
@@ -413,49 +315,6 @@ where
         params,
         |seed| map_run::<R, M>(workload, threads, params, seed),
     )
-}
-
-/// Measures one pooled-handle map data point (the `kv-pool` figure; averaged
-/// over `params.repeats` runs): each worker step checks a handle out of the
-/// shared [`HandlePool`], performs [`POOL_TASK_OPS`] operations and checks
-/// it back in.
-pub fn run_pooled_map<R, M>(
-    scheme: &'static str,
-    structure: &'static str,
-    workload: MapWorkload,
-    threads: usize,
-    params: &BenchParams,
-) -> DataPoint
-where
-    R: Reclaimer,
-    M: ConcurrentMap<R>,
-{
-    average(scheme, structure, "pool-churn", threads, params, |seed| {
-        let (domain, map) = map_on::<R, M>(threads, workload, params, seed);
-        let pool = HandlePool::new(Arc::clone(&domain));
-        let run = measure(&*domain, threads, params, |thread| {
-            let (map, pool) = (&map, &pool);
-            let mut generator = OpGenerator::new(workload, params.key_range, seed, thread);
-            move || {
-                // One "task": check out, work, check in.
-                let mut handle = loop {
-                    match pool.check_out() {
-                        Some(handle) => break handle,
-                        None => std::thread::yield_now(),
-                    }
-                };
-                for _ in 0..POOL_TASK_OPS {
-                    apply_map_op(map, &mut handle, &mut generator);
-                }
-                POOL_TASK_OPS as u64
-            }
-        });
-        Run {
-            pool_hit_rate: pool.stats().hit_rate(),
-            service: map.service_stats(),
-            ..run
-        }
-    })
 }
 
 /// Measures one queue data point (50% enqueue / 50% dequeue; averaged over
@@ -497,7 +356,7 @@ where
 mod tests {
     use super::*;
     use wfe_core::Wfe;
-    use wfe_ds::{MichaelScottQueue, ResizableHashMap};
+    use wfe_ds::MichaelScottQueue;
 
     #[test]
     fn map_runner_produces_sane_numbers() {
@@ -513,31 +372,10 @@ mod tests {
         assert!(point.mops > 0.0, "some operations completed");
         assert!(point.avg_unreclaimed >= 0.0);
         assert!(point.shards >= 1);
+        assert!(point.avg_occupied_shards >= 0.0);
         assert!(point.avg_occupied_shards <= point.shards as f64);
-        assert_eq!(point.pool_hit_rate, 0.0, "no pool in the per-thread runner");
-        assert!(point.to_csv_row().starts_with("hashmap,write50,WFE,2,"));
-    }
-
-    #[test]
-    fn kv_service_runner_reports_resize_stats() {
-        let params = BenchParams::smoke();
-        let point = run_map::<Wfe, ResizableHashMap<u64, Wfe>>(
-            "WFE",
-            "resizable",
-            MapWorkload::ResizeStorm,
-            2,
-            &params,
-        );
-        assert_eq!(point.workload, "kv-resize-storm");
-        assert!(point.mops > 0.0, "some operations completed");
-        assert!(
-            point.resizes > 0.0,
-            "a storm of fresh keys must double the directory (resizes {})",
-            point.resizes
-        );
-        assert!(point.migrated_buckets > 0.0);
-        assert!(point.load_factor > 0.0);
         let row = point.to_csv_row();
+        assert!(row.starts_with("hashmap,write50,WFE,2,"), "row: {row}");
         assert_eq!(
             row.matches(',').count(),
             DataPoint::CSV_HEADER.matches(',').count(),
@@ -546,18 +384,119 @@ mod tests {
     }
 
     #[test]
-    fn fixed_capacity_runner_reports_zero_service_stats() {
-        let params = BenchParams::smoke();
-        let point = run_map::<He, MichaelHashMap<u64, He>>(
-            "HE",
-            "hashmap",
-            MapWorkload::WriteDominated,
-            1,
-            &params,
+    fn csv_row_renders_every_column_in_header_order() {
+        let point = DataPoint {
+            scheme: "HP",
+            structure: "bst",
+            workload: "read90",
+            threads: 3,
+            mops: 1.23456,
+            avg_unreclaimed: 7.26,
+            adopted_batches: 2.0,
+            freed_via_adoption: 5.5,
+            shards: 4,
+            avg_occupied_shards: 1.5,
+        };
+        assert_eq!(DataPoint::CSV_HEADER.split(',').count(), 10);
+        assert!(DataPoint::CSV_HEADER.starts_with("structure,workload,scheme,threads,mops,"));
+        assert_eq!(
+            point.to_csv_row(),
+            "bst,read90,HP,3,1.2346,7.3,2.0,5.5,4,1.50"
         );
-        assert_eq!(point.load_factor, 0.0);
-        assert_eq!(point.resizes, 0.0);
-        assert_eq!(point.migrated_buckets, 0.0);
+    }
+
+    #[test]
+    fn warmup_is_a_fifth_of_the_window_within_its_bounds() {
+        let warmup = |ms| {
+            warmup_duration(&BenchParams {
+                duration: Duration::from_millis(ms),
+                ..BenchParams::smoke()
+            })
+        };
+        assert_eq!(warmup(50), Duration::from_millis(20), "floor");
+        assert_eq!(warmup(500), Duration::from_millis(100), "a fifth");
+        assert_eq!(warmup(10_000), Duration::from_millis(200), "cap");
+    }
+
+    #[test]
+    fn domain_config_carries_the_params_and_at_least_two_slots() {
+        let params = BenchParams {
+            era_freq: 11,
+            cleanup_freq: 13,
+            fast_path_attempts: 3,
+            ..BenchParams::smoke()
+        };
+        let config = domain_config(5, 1, &params);
+        assert_eq!(config.max_threads, 5);
+        assert_eq!(config.slots_per_thread, 2, "padded up to two");
+        assert_eq!(config.era_freq, 11);
+        assert_eq!(config.cleanup_freq, 13);
+        assert_eq!(config.fast_path_attempts, 3);
+        assert_eq!(domain_config(5, 4, &params).slots_per_thread, 4);
+    }
+
+    #[test]
+    fn gauges_average_their_samples_and_an_empty_window_reads_zero() {
+        let domain = He::with_config(domain_config(2, 2, &BenchParams::smoke()));
+        let _handle = domain.register();
+        let mut ticks = 3;
+        let (unreclaimed, occupied) = sample_gauges(&*domain, || {
+            ticks -= 1;
+            ticks >= 0
+        });
+        assert_eq!(unreclaimed, 0.0, "nothing retired");
+        assert_eq!(occupied, 1.0, "one live handle, one occupied shard");
+        assert_eq!(sample_gauges(&*domain, || false), (0.0, 0.0), "no NaN");
+    }
+
+    #[test]
+    fn prefill_stops_after_count_successful_puts() {
+        let domain = He::with_config(domain_config(1, 2, &BenchParams::smoke()));
+        let params = BenchParams {
+            key_range: 50,
+            ..BenchParams::smoke()
+        };
+        let mut seen = std::collections::HashSet::new();
+        prefill(&domain, 40, &params, SEED, |_, key| {
+            assert!(key < 50, "key {key} out of range");
+            seen.insert(key)
+        });
+        assert_eq!(seen.len(), 40, "duplicates are retried, not counted");
+    }
+
+    #[test]
+    fn repeats_run_on_consecutive_seeds_and_average_into_one_point() {
+        let params = BenchParams {
+            repeats: 3,
+            ..BenchParams::smoke()
+        };
+        let mut seeds = Vec::new();
+        let point = average("WFE", "list", "write50", 2, &params, |seed| {
+            seeds.push(seed);
+            let n = (seed - SEED) as f64;
+            Run {
+                ops: 1_000_000 * (seed - SEED + 1),
+                elapsed: Duration::from_secs(1),
+                gauges: (10.0 * n, n),
+                shards: 4,
+                stats: SmrStats {
+                    adopted_batches: seed - SEED,
+                    freed_via_adoption: 3,
+                    ..SmrStats::default()
+                },
+            }
+        });
+        assert_eq!(seeds, [SEED, SEED + 1, SEED + 2]);
+        assert_eq!(point.mops, 2.0);
+        assert_eq!(point.avg_unreclaimed, 10.0);
+        assert_eq!(point.avg_occupied_shards, 1.0);
+        assert_eq!(point.adopted_batches, 1.0);
+        assert_eq!(point.freed_via_adoption, 3.0);
+        assert_eq!(point.shards, 4);
+        assert_eq!(
+            (point.scheme, point.structure, point.workload),
+            ("WFE", "list", "write50")
+        );
     }
 
     #[test]
@@ -566,52 +505,5 @@ mod tests {
         let point = run_queue::<He, MichaelScottQueue<u64, He>>("HE", "msqueue", 2, &params);
         assert!(point.mops > 0.0);
         assert_eq!(point.workload, "queue50");
-    }
-
-    #[test]
-    fn churn_runner_reports_cache_counters() {
-        let mut params = BenchParams::smoke();
-        params.block_cache = Some(true);
-        params.shards = 2;
-        let point = run_map::<Wfe, MichaelHashMap<u64, Wfe>>(
-            "WFE",
-            "hashmap",
-            MapWorkload::WriteDominated,
-            2,
-            &params,
-        );
-        assert!(point.mops > 0.0);
-        assert!(
-            point.cache_hits + point.cache_misses > 0.0,
-            "churn produces cacheable allocation traffic"
-        );
-        let row = point.to_csv_row();
-        assert_eq!(
-            row.matches(',').count(),
-            DataPoint::CSV_HEADER.matches(',').count(),
-            "row column count matches the header: {row}"
-        );
-    }
-
-    #[test]
-    fn pooled_runner_reports_hit_rate_and_occupancy() {
-        let params = BenchParams::smoke();
-        let point = run_pooled_map::<He, MichaelHashMap<u64, He>>(
-            "HE",
-            "hashmap",
-            MapWorkload::WriteDominated,
-            2,
-            &params,
-        );
-        assert_eq!(point.workload, "pool-churn");
-        assert!(point.mops > 0.0, "tasks completed through the pool");
-        assert!(
-            point.pool_hit_rate > 0.5,
-            "steady-state churn is served from the pool (hit rate {})",
-            point.pool_hit_rate
-        );
-        assert!(point.avg_occupied_shards >= 0.0);
-        let row = point.to_csv_row();
-        assert!(row.starts_with("hashmap,pool-churn,HE,2,"), "row: {row}");
     }
 }

@@ -12,7 +12,7 @@
 //!   (Figures 7 and 10);
 //! * [`ResizableHashMap`] — the Shalev-Herlihy split-ordered resizable hash
 //!   map: superseded bucket arrays are retired through the reclamation
-//!   scheme (the kv-service workload);
+//!   scheme (the `kv-zipf-pool` workload of `benchmark/`);
 //! * [`NatarajanBst`] — the Natarajan-Mittal external binary search tree
 //!   (Figures 8 and 11);
 //! * [`KoganPetrankQueue`] — the Kogan-Petrank wait-free queue (Figure 5a/5b);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use wfe_reclaim::Reclaimer;
 
-/// Service-level counters a map exposes to the kv-service figure.
+/// Service-level counters a map exposes to a benchmark.
 ///
 /// Fixed-shape structures report the all-zero default; resizable structures
 /// (the split-ordered [`ResizableHashMap`](crate::ResizableHashMap)) report
@@ -58,8 +58,8 @@ pub trait ConcurrentMap<R: Reclaimer>: Send + Sync + 'static {
         8
     }
 
-    /// Service statistics for the kv-service figure. Structures without
-    /// resize machinery keep the all-zero default.
+    /// Service statistics (load factor and resize counts). Structures
+    /// without resize machinery keep the all-zero default.
     fn service_stats(&self) -> MapServiceStats {
         MapServiceStats::default()
     }

@@ -50,16 +50,15 @@ pub enum Progress {
 ///
 /// One configuration describes one *domain* (registry sharding included),
 /// not just the paper's per-scheme constants. Construct it with
-/// [`DomainConfig::builder`] (preferred), [`DomainConfig::with_max_threads`],
-/// or a struct literal over [`Default`]:
+/// [`DomainConfig::with_max_threads`] or a struct literal over [`Default`]:
 ///
 /// ```
 /// use wfe_reclaim::{DomainConfig, He, Reclaimer};
 ///
-/// let config = DomainConfig::builder()
-///     .max_threads(64)
-///     .shards(4)
-///     .build();
+/// let config = DomainConfig {
+///     shards: 4,
+///     ..DomainConfig::with_max_threads(64)
+/// };
 /// let domain = He::with_config(config);
 /// assert_eq!(domain.registry().capacity(), 64);
 /// assert_eq!(domain.registry().shard_count(), 4);
@@ -76,7 +75,10 @@ pub enum Progress {
 /// use wfe_reclaim::{DomainConfig, He, Reclaimer};
 ///
 /// // 64 slots split into 4 shards (0 would auto-size from the host).
-/// let domain = He::with_config(DomainConfig::builder().max_threads(64).shards(4).build());
+/// let domain = He::with_config(DomainConfig {
+///     shards: 4,
+///     ..DomainConfig::with_max_threads(64)
+/// });
 /// assert_eq!(domain.registry().shard_count(), 4);
 ///
 /// // No handle registered yet: every shard is idle and scans skip them all.
@@ -156,13 +158,6 @@ impl Default for DomainConfig {
 }
 
 impl DomainConfig {
-    /// Starts a [`DomainConfigBuilder`] seeded with the defaults.
-    pub fn builder() -> DomainConfigBuilder {
-        DomainConfigBuilder {
-            config: Self::default(),
-        }
-    }
-
     /// Convenience constructor used throughout the tests and benches.
     pub fn with_max_threads(max_threads: usize) -> Self {
         Self {
@@ -177,90 +172,9 @@ impl DomainConfig {
     }
 }
 
-/// Builder for [`DomainConfig`], started with [`DomainConfig::builder`].
-///
-/// Every setter has the same name and meaning as the corresponding
-/// [`DomainConfig`] field; unset knobs keep their paper defaults.
-///
-/// ```
-/// use wfe_reclaim::DomainConfig;
-///
-/// let config = DomainConfig::builder()
-///     .max_threads(64)
-///     .slots_per_thread(4)
-///     .era_freq(100)
-///     .cleanup_freq(64)
-///     .fast_path_attempts(16)
-///     .shards(4)
-///     .build();
-/// assert_eq!(config.max_threads, 64);
-/// assert_eq!(config.slots_per_thread, 4);
-/// assert_eq!(config.shards, 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DomainConfigBuilder {
-    config: DomainConfig,
-}
-
-impl DomainConfigBuilder {
-    /// Maximum number of simultaneously registered threads.
-    pub fn max_threads(mut self, max_threads: usize) -> Self {
-        self.config.max_threads = max_threads;
-        self
-    }
-
-    /// Reservation slots available to the application per thread.
-    pub fn slots_per_thread(mut self, slots_per_thread: usize) -> Self {
-        self.config.slots_per_thread = slots_per_thread;
-        self
-    }
-
-    /// Advance the global era/epoch every `era_freq` allocations (ν in §5).
-    pub fn era_freq(mut self, era_freq: usize) -> Self {
-        self.config.era_freq = era_freq;
-        self
-    }
-
-    /// Scan the retired list every `cleanup_freq` retirements.
-    pub fn cleanup_freq(mut self, cleanup_freq: usize) -> Self {
-        self.config.cleanup_freq = cleanup_freq;
-        self
-    }
-
-    /// Fast-path attempts before WFE switches to the slow path.
-    pub fn fast_path_attempts(mut self, fast_path_attempts: usize) -> Self {
-        self.config.fast_path_attempts = fast_path_attempts;
-        self
-    }
-
-    /// Number of registry shards (`0` auto-sizes from the host).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Full block-cache configuration.
-    pub fn block_cache(mut self, block_cache: BlockCacheConfig) -> Self {
-        self.config.block_cache = block_cache;
-        self
-    }
-
-    /// Switches the block cache on or off without touching the rest of its
-    /// configuration.
-    pub fn block_cache_enabled(mut self, enabled: bool) -> Self {
-        self.config.block_cache.enabled = enabled;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> DomainConfig {
-        self.config
-    }
-}
-
 /// Historical name of [`DomainConfig`], kept so struct-literal construction
 /// (`ReclaimerConfig { .. }`) in existing code keeps compiling. New code
-/// should use [`DomainConfig::builder`].
+/// should name [`DomainConfig`].
 pub type ReclaimerConfig = DomainConfig;
 
 /// Uniform out-of-range reservation-slot check `protect_raw` performs for

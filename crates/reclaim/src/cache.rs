@@ -2,7 +2,7 @@
 //!
 //! The retire→free→alloc cycle would otherwise send every reclaimed block
 //! back to an allocator and take every new one from it, so the memory
-//! churning through `smr_ops/alloc_retire` would never stay cache-hot. This
+//! churning through an alloc/retire loop would never stay cache-hot. This
 //! module keeps that traffic local, in the style of a malloc thread cache:
 //! each handle owns a small **non-atomic** [`LocalBlockCache`] ("magazine")
 //! per size class that absorbs the owner-thread cycle with plain loads and
@@ -416,8 +416,14 @@ pub(crate) fn spare_blocks() -> usize {
 /// assert_eq!(handle.alloc(2u64), node, "the magazine hands it back");
 /// # unsafe { handle.discard(node) };
 ///
-/// // Or switch the layer off entirely via the builder.
-/// let config = DomainConfig::builder().block_cache_enabled(false).build();
+/// // Or switch the layer off entirely.
+/// let config = DomainConfig {
+///     block_cache: BlockCacheConfig {
+///         enabled: false,
+///         ..BlockCacheConfig::default()
+///     },
+///     ..DomainConfig::default()
+/// };
 /// assert!(!config.block_cache.enabled);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]

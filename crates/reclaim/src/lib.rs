@@ -59,9 +59,7 @@ pub mod slots;
 pub mod stats;
 mod treiber;
 
-pub use api::{
-    DomainConfig, DomainConfigBuilder, Handle, Progress, RawHandle, Reclaimer, ReclaimerConfig,
-};
+pub use api::{DomainConfig, Handle, Progress, RawHandle, Reclaimer, ReclaimerConfig};
 pub use block::{BlockHeader, Linked, ERA_INF, INVPTR};
 pub use cache::{BlockCacheConfig, LocalBlockCache, SizeClass};
 pub use domain::{Domain, DomainHandle, Policy};

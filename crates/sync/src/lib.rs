@@ -18,7 +18,7 @@
 //!
 //! * **Normal builds** re-export `core::sync::atomic` and `core::hint`
 //!   directly — zero cost by construction, verified empirically by the
-//!   `guard_overhead`/`smr_ops` benchmarks.
+//!   `per_layer` rungs of `benchmark/`.
 //! * **`--cfg wfe_model`** (set via `RUSTFLAGS="--cfg wfe_model"`) swaps in
 //!   `#[repr(transparent)]` wrappers that announce an interleaving point to
 //!   the vendored deterministic scheduler (`vendor/shuttle`) before every

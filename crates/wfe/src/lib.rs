@@ -48,7 +48,7 @@
 //! use wfe_reclaim::{Atomic, DomainConfig, Handle, Protected, Reclaimer};
 //!
 //! // One domain per data structure (or group of data structures).
-//! let domain = Wfe::with_config(DomainConfig::builder().max_threads(8).build());
+//! let domain = Wfe::with_config(DomainConfig::with_max_threads(8));
 //! let mut handle = domain.register();
 //!
 //! // Allocate a block through the domain so it gets an allocation era.

@@ -34,7 +34,7 @@
 //! use std::sync::Arc;
 //!
 //! // One reclamation domain guards one (or more) data structures.
-//! let domain = Wfe::with_config(DomainConfig::builder().max_threads(8).build());
+//! let domain = Wfe::with_config(DomainConfig::with_max_threads(8));
 //! let stack = TreiberStack::<String, Wfe>::new(Arc::clone(&domain));
 //!
 //! // Each thread registers once and passes its handle to every operation.
@@ -68,9 +68,9 @@ pub use wfe_ds::{
     MichaelHashMap, MichaelList, MichaelScottQueue, NatarajanBst, ResizableHashMap, TreiberStack,
 };
 pub use wfe_reclaim::{
-    Atomic, BlockCacheConfig, DomainConfig, DomainConfigBuilder, Ebr, Guard, Handle, HandlePool,
-    He, Hp, Ibr2Ge, Leak, Linked, PoolStats, PooledHandle, Progress, Protected, RawHandle,
-    Reclaimer, ReclaimerConfig, Shield, ShieldError, ShieldSlots, SmrStats, ThreadRegistry,
+    Atomic, BlockCacheConfig, DomainConfig, Ebr, Guard, Handle, HandlePool, He, Hp, Ibr2Ge, Leak,
+    Linked, PoolStats, PooledHandle, Progress, Protected, RawHandle, Reclaimer, ReclaimerConfig,
+    Shield, ShieldError, ShieldSlots, SmrStats, ThreadRegistry,
 };
 
 /// The name the `task.*` rungs of `benchmark/` check handles out under: a

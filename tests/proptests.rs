@@ -72,7 +72,7 @@ where
     }
 }
 
-/// An operation of the kv-service shape applied to the resizable map and its
+/// A key-value service operation applied to the resizable map and its
 /// sequential oracle: the uniform map actions plus TTL ticks (insert a fresh
 /// key, expire the one that slid out of the window) and forced directory
 /// doublings.
@@ -85,8 +85,8 @@ enum ServiceAction {
 
 fn service_action_strategy(key_range: u64) -> impl Strategy<Value = ServiceAction> {
     // The vendored `prop_oneof!` picks arms uniformly; repeating the map arm
-    // weights the mix toward ordinary operations (4:2:1 roughly matches the
-    // kv-service legs: mostly point ops, some TTL churn, occasional resize).
+    // weights the mix toward ordinary operations (4:2:1: mostly point ops,
+    // some TTL churn, occasional resize).
     prop_oneof![
         map_action_strategy(key_range).prop_map(ServiceAction::Map),
         map_action_strategy(key_range).prop_map(ServiceAction::Map),
@@ -102,7 +102,7 @@ fn service_action_strategy(key_range: u64) -> impl Strategy<Value = ServiceActio
 /// `TTL_WINDOW` ticks earlier.
 const TTL_WINDOW: usize = 8;
 
-/// Applies a kv-service action sequence to the resizable map and to a
+/// Applies a service action sequence to the resizable map and to a
 /// `std::collections::HashMap` oracle and checks every return value agrees —
 /// across forced resizes, which must be invisible to the map's semantics.
 /// TTL keys live in a disjoint namespace (high bit set) so ticks never
