@@ -114,6 +114,21 @@ struct Window<'g, K, V> {
     found: bool,
 }
 
+/// Where a `find` walk stands: the link to the next node, and the node that
+/// link belongs to (the last node passed, or the start's owner).
+struct At<'g, K, V> {
+    prev_src: &'g Atomic<Node<K, V>>,
+    prev: Protected<'g, Node<K, V>>,
+}
+
+impl<K, V> Clone for At<'_, K, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K, V> Copy for At<'_, K, V> {}
+
 /// One operation's view of a chain: its guard and the two shields of the
 /// hand-over-hand window, leased from that guard. The shields swap roles as
 /// a traversal advances, so a node keeps its shield while it remains part of
@@ -146,78 +161,129 @@ impl<'g, K: Copy + Ord, V, H: RawHandle> Cursor<'g, K, V, H> {
     /// window nodes are protected (through the two shields) when the function
     /// returns. Restarting on interference goes back to `start`, which is
     /// always valid: its link is never marked and its owner never reclaimed.
+    ///
+    /// The walk alternates the two shields in two written-out steps rather
+    /// than through an index, so each step's shield is a fixed field of the
+    /// cursor: the traversal keeps one pointer to the pair live, not two.
     fn find(&mut self, start: &Start<'g, K, V>, key: K) -> Window<'g, K, V> {
         let guard = self.guard;
+        let [first, second] = &mut self.shields;
         'retry: loop {
-            let mut prev_src = start.link;
-            let mut prev = start.owner;
-            // Which of the two shields currently protects `curr` (the other
-            // protects `prev`); they swap as the window slides.
-            let mut shield_curr = 0usize;
-            let mut curr = self.shields[shield_curr].protect(guard, prev_src, Some(prev));
-            loop {
-                if curr.is_null() {
-                    return Window {
-                        prev_src,
-                        curr: Protected::null(),
-                        found: false,
-                    };
+            let mut at = At {
+                prev_src: start.link,
+                prev: start.owner,
+            };
+            let outcome = loop {
+                if let Err(outcome) = Self::step(guard, first, &mut at, key) {
+                    break outcome;
                 }
-                if curr.tag() != 0 {
-                    // The link we came through is marked, i.e. `prev` itself
-                    // is being deleted: restart from `start`.
-                    continue 'retry;
+                if let Err(outcome) = Self::step(guard, second, &mut at, key) {
+                    break outcome;
                 }
-                // SAFETY: `curr` is protected by `shields[shield_curr]`;
-                // that shield is only re-protected after `curr` leaves the
-                // window (the other shield covers `prev`), so the reference
-                // stays pinned while it is used.
-                let curr_ref = unsafe { curr.as_ref() }.expect("non-null protected node");
-                // ORDER: pairs with the AcqRel link and mark writes on `next`.
-                let next_raw = curr_ref.next.load(Ordering::Acquire);
-                if tag::tag_of(next_raw) == MARK {
-                    // `curr` is logically deleted: unlink it and retire it.
-                    let next = tag::untagged(next_raw);
-                    match prev_src.compare_exchange(
-                        curr.as_raw(),
-                        next,
-                        Ordering::AcqRel, // ORDER: success publishes the unlink; failure observes the winner.
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: we won the unlink CAS, so `curr` is
-                            // unreachable and ours to retire exactly once.
-                            unsafe { curr.retire_in(guard) };
-                            curr = self.shields[shield_curr].protect(guard, prev_src, Some(prev));
-                            continue;
-                        }
-                        Err(_) => continue 'retry,
-                    }
-                }
-                let curr_key = curr_ref.key;
-                // Validate that `curr` is still linked after we protected it;
-                // if not, the key we just read may belong to a node that was
-                // removed and the window would be stale.
-                // ORDER: window re-validation; pairs with AcqRel link/unlink CASes.
-                if prev_src.load(Ordering::Acquire) != curr.as_raw() {
-                    continue 'retry;
-                }
-                if curr_key >= key {
-                    return Window {
-                        prev_src,
-                        curr,
-                        found: curr_key == key,
-                    };
-                }
-                // Advance hand-over-hand: `curr` becomes the new `prev` and
-                // keeps its shield; `prev`'s shield is recycled for the new
-                // `curr`.
-                prev = curr;
-                prev_src = &curr_ref.next;
-                shield_curr = 1 - shield_curr;
-                curr = self.shields[shield_curr].protect(guard, prev_src, Some(prev));
+            };
+            match outcome {
+                Some(window) => return window,
+                None => continue 'retry,
             }
         }
+    }
+
+    /// One node of [`find`](Self::find): protects the node at `at.prev_src`
+    /// through `here` (the other shield covers `at.prev`) and unlinks and
+    /// retires it while it is logically deleted, re-protecting its successor
+    /// through `here`. Then either ends the walk — `Err(Some(window))` — or
+    /// advances hand-over-hand: the node becomes `prev` and keeps `here`,
+    /// and the next step protects its successor through the other shield —
+    /// `Ok(())`. `Err(None)` asks for a restart from `start`.
+    #[inline(always)]
+    fn step(
+        guard: &'g Guard<'g, H>,
+        here: &mut Shield<'g, Node<K, V>, H>,
+        at: &mut At<'g, K, V>,
+        key: K,
+    ) -> Result<(), Option<Window<'g, K, V>>> {
+        let mut curr = here.protect(guard, at.prev_src, Some(at.prev));
+        loop {
+            if curr.is_null() {
+                return Err(Some(Window {
+                    prev_src: at.prev_src,
+                    curr: Protected::null(),
+                    found: false,
+                }));
+            }
+            if curr.tag() != 0 {
+                // The link we came through is marked, i.e. `prev` itself is
+                // being deleted: restart from `start`.
+                return Err(None);
+            }
+            // SAFETY: `curr` is protected by `here`, which is re-protected
+            // only after `curr` leaves the window (the other shield covers
+            // `prev`), so the reference stays pinned while it is used. It is
+            // non-null and its tag is zero (both checked above), so the step
+            // to the node is one load off the protected value itself.
+            let curr_ref = unsafe { curr.as_clean_ref() };
+            // ORDER: pairs with the AcqRel link and mark writes on `next`.
+            let next_raw = curr_ref.next.load(Ordering::Acquire);
+            if tag::tag_of(next_raw) == MARK {
+                // `curr` is logically deleted: unlink it and retire it.
+                let next = tag::untagged(next_raw);
+                match at.prev_src.compare_exchange(
+                    curr.as_raw(),
+                    next,
+                    Ordering::AcqRel, // ORDER: success publishes the unlink; failure observes the winner.
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => {
+                        // SAFETY: we won the unlink CAS, so `curr` is
+                        // unreachable and ours to retire exactly once.
+                        curr = unsafe { Self::retire_unlinked(guard, here, *at, curr) };
+                        continue;
+                    }
+                    Err(_) => return Err(None),
+                }
+            }
+            let curr_key = curr_ref.key;
+            // Validate that `curr` is still linked after we protected it; if
+            // not, the key we just read may belong to a node that was removed
+            // and the window would be stale.
+            // ORDER: window re-validation; pairs with AcqRel link/unlink CASes.
+            if at.prev_src.load(Ordering::Acquire) != curr.as_raw() {
+                return Err(None);
+            }
+            if curr_key >= key {
+                return Err(Some(Window {
+                    prev_src: at.prev_src,
+                    curr,
+                    found: curr_key == key,
+                }));
+            }
+            // Advance hand-over-hand: `curr` becomes the new `prev` and keeps
+            // its shield; `prev`'s shield is recycled for the new `curr`.
+            at.prev = curr;
+            at.prev_src = &curr_ref.next;
+            return Ok(());
+        }
+    }
+
+    /// Retires `unlinked`, which a step just cut out after `at.prev`, and
+    /// protects its successor through `here`: the rare branch of the walk,
+    /// kept out of line and cold so the values the walk keeps live stay in
+    /// registers across it instead of on the stack.
+    ///
+    /// # Safety
+    ///
+    /// As [`Protected::retire_in`]'s, for `unlinked`.
+    #[cold]
+    #[inline(never)]
+    unsafe fn retire_unlinked(
+        guard: &'g Guard<'g, H>,
+        here: &mut Shield<'g, Node<K, V>, H>,
+        at: At<'g, K, V>,
+        unlinked: Protected<'g, Node<K, V>>,
+    ) -> Protected<'g, Node<K, V>> {
+        // SAFETY: forwarded contract.
+        unsafe { unlinked.retire_in(guard) };
+        here.protect(guard, at.prev_src, Some(at.prev))
     }
 
     /// Links a new `key → value` node into the chain after `start` and

@@ -177,16 +177,23 @@ impl DomainConfig {
 /// should name [`DomainConfig`].
 pub type ReclaimerConfig = DomainConfig;
 
-/// Uniform out-of-range reservation-slot check `protect_raw` performs for
-/// every scheme (debug builds only — the raw SPI stays zero-cost in release).
+/// The reservation-slot index check every cell resolution makes
+/// ([`RawHandle::cell`]), under every scheme and in every build: once per
+/// [`Shield`] lease, once per raw [`protect_raw`](RawHandle::protect_raw).
 ///
-/// Before this check, a bad index was scheme-dependent UB-adjacent behaviour:
-/// era schemes would stomp a neighbouring thread's padded row, HP would
-/// publish the hazard in the wrong slot and silently protect nothing.
+/// An index past the application slots would resolve a cell that is not
+/// the caller's to publish into: WFE's helper pins (the two slots after the
+/// application ones), a row's padding, or — past the row's stride — the
+/// first slots of the next thread's row, whose reservation it would
+/// silently overwrite.
+///
+/// # Panics
+///
+/// Panics if `index >= slots`.
 #[inline]
 #[track_caller]
-pub fn debug_assert_slot_index(index: usize, slots: usize) {
-    debug_assert!(
+pub fn assert_slot_index(index: usize, slots: usize) {
+    assert!(
         index < slots,
         "reservation slot index {index} out of range: this handle has {slots} \
          application slots (a stray index would corrupt an unrelated reservation)"
@@ -208,19 +215,23 @@ pub fn debug_assert_slot_index(index: usize, slots: usize) {
 /// # Safety
 ///
 /// Implementations must guarantee that a pointer returned by
-/// [`protect_raw`](Self::protect_raw) (with its tag bits masked by `mask`)
-/// remains valid — i.e. is not freed — until the same slot `index` is
-/// overwritten by a later `protect_raw`, or [`clear`](Self::clear) /
-/// [`end_op`](Self::end_op) is called, provided the program obeys the usual
-/// SMR contract (blocks are retired only after becoming unreachable, and only
-/// once). `protect_raw` must call [`debug_assert_slot_index`] (or an
-/// equivalent check) so out-of-range indices fail uniformly in debug builds.
+/// [`protect_raw`](Self::protect_raw) or [`protect_cell`](Self::protect_cell)
+/// (with its tag bits masked by `mask`) remains valid — i.e. is not freed —
+/// until the same slot `index` is overwritten by a later protect, or
+/// [`clear`](Self::clear) / [`end_op`](Self::end_op) is called, provided the
+/// program obeys the usual SMR contract (blocks are retired only after
+/// becoming unreachable, and only once). [`cell`](Self::cell) must call
+/// [`assert_slot_index`] (or an equivalent check), so an out-of-range index
+/// fails the same way under every scheme and in every build, and
+/// `protect_raw` must resolve its cell through it.
 ///
 /// The implementing type must be `!Sync`, and
 /// [`shield_slots`](Self::shield_slots) must hand out one table per
 /// registration: leasing a [`Shield`] takes `&self` and sets a lease flag
 /// with a plain store, which is only sound while a single thread at a time
-/// can reach the handle (see [`ShieldSlots`]' single-writer protocol).
+/// can reach the handle (see [`ShieldSlots`]' single-writer protocol). The
+/// table's identity is also what ties a shield's cell to the handle (and
+/// `tid`) that resolved it.
 pub unsafe trait RawHandle {
     /// Dense index of this thread in `0..max_threads`.
     fn thread_id(&self) -> usize;
@@ -235,6 +246,34 @@ pub unsafe trait RawHandle {
     /// its owning handle.
     fn shield_slots(&self) -> &Arc<ShieldSlots>;
 
+    /// A reservation cell: the addresses one slot's protect reads and
+    /// writes, resolved once ([`Policy::Cell`](crate::Policy::Cell)).
+    type Cell: Copy + Send + Sync;
+
+    /// Resolves the cell of reservation slot `index` of this handle — what a
+    /// [`Shield`] does once, when it is leased.
+    ///
+    /// # Safety
+    ///
+    /// The cell is passed to [`protect_cell`](Self::protect_cell) only
+    /// while this registration lives — the handle is alive, and so is its
+    /// domain — and only by the thread currently running the handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= slots()` ([`assert_slot_index`]).
+    unsafe fn cell(&self, index: usize) -> Self::Cell;
+
+    /// Hazard-Eras `get_protected` through a resolved cell: what
+    /// [`Shield::protect`] runs. Same result as
+    /// [`protect_raw`](Self::protect_raw) on the cell's index.
+    fn protect_cell(
+        cell: &Self::Cell,
+        src: &AtomicUsize,
+        parent: *mut BlockHeader,
+        mask: usize,
+    ) -> usize;
+
     /// Marks the beginning of a data-structure operation.
     fn begin_op(&mut self);
 
@@ -247,7 +286,9 @@ pub unsafe trait RawHandle {
     /// the *protected* object is `value & mask`.
     ///
     /// `parent` is the block containing `src` (null for data-structure roots)
-    /// — only WFE uses it, other schemes ignore it.
+    /// — only WFE uses it, other schemes ignore it. Resolves the cell of
+    /// `index` on every call ([`cell`](Self::cell): panics on an index out of
+    /// range); a [`Shield`] resolves it once per lease.
     fn protect_raw(
         &mut self,
         src: &AtomicUsize,
@@ -475,6 +516,23 @@ mod tests {
         assert_eq!(cfg.fast_path_attempts, 16);
         assert!(cfg.cleanup_freq >= 30);
         assert!(cfg.slots_per_thread >= 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_raw_slot_index_at_the_row_stride_panics_in_every_build() {
+        // Hazard Eras' rows are 128-byte units of 8-byte eras: with 8 slots
+        // the stride is 16 cells, so index 16 of the first row is the second
+        // row's slot 0 — another thread's reservation.
+        const STRIDE: usize = 128 / 8;
+        let domain = crate::He::with_config(ReclaimerConfig {
+            slots_per_thread: 8,
+            ..ReclaimerConfig::with_max_threads(2)
+        });
+        let mut first = domain.register();
+        let _second = domain.register();
+        let root: Atomic<u64> = Atomic::null();
+        first.protect(&root, STRIDE, core::ptr::null_mut());
     }
 
     #[test]

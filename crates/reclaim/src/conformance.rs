@@ -665,6 +665,71 @@ pub fn stats_are_exact_across_slot_reuse<R: Reclaimer>(reclaims: bool) {
     );
 }
 
+/// What a scheme's protections reserve, as
+/// [`each_shield_publishes_into_its_own_slot`] tells them apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reserves {
+    /// One reservation per slot (WFE, HE, HP): re-protecting one shield
+    /// releases what that shield alone pinned.
+    Slots,
+    /// One reservation per operation bracket (EBR, 2GEIBR): nothing the
+    /// bracket read is freed before `end_op`.
+    Brackets,
+    /// Nothing is freed while the domain lives (Leak).
+    Nothing,
+}
+
+/// Shield *k* publishes into reservation `(tid, k)` and nowhere else: two
+/// guard-leased shields pin two blocks, another handle retires both, shield
+/// 0 re-protects null, and one pass frees block 0 only — under a scheme
+/// that reserves per slot. Block 1 is allocated after block 0 was retired
+/// and the clock moved, so under the era schemes no era shield 1 publishes
+/// lies in block 0's lifespan: only shield 0's own cell can pin it.
+pub fn each_shield_publishes_into_its_own_slot<R: Reclaimer>(reserves: Reserves) {
+    let domain = R::with_config(ReclaimerConfig {
+        cleanup_freq: usize::MAX,
+        era_freq: usize::MAX,
+        ..ReclaimerConfig::with_max_threads(2)
+    });
+    let mut reader = domain.register();
+    let mut writer = domain.register();
+    let drops = [(); 2].map(|()| Arc::new(AtomicUsize::new(0)));
+    let dropped = || drops.each_ref().map(|count| count.load(Ordering::SeqCst));
+    let roots = [(); 2].map(|()| Atomic::<DropCounter>::null());
+    let null = Atomic::<DropCounter>::null();
+    {
+        let guard = reader.enter();
+        let mut shields = [(); 2].map(|()| guard.shield::<DropCounter>().unwrap());
+        assert_eq!(shields.each_ref().map(|shield| shield.slot()), [0, 1]);
+        for (k, (shield, root)) in shields.iter_mut().zip(&roots).enumerate() {
+            let block = writer.alloc(DropCounter::new(&drops[k]));
+            root.store(block, Ordering::SeqCst);
+            assert_eq!(shield.protect(&guard, root, None).as_raw(), block);
+            root.store(ptr::null_mut(), Ordering::SeqCst);
+            // SAFETY: just unlinked from its only root; retired exactly once.
+            unsafe { writer.retire(block) };
+            // Moves the clock past the block's retirement, then scans.
+            writer.force_cleanup();
+        }
+        assert_eq!(domain.stats().unreclaimed, 2, "both blocks are protected");
+        let _ = shields[0].protect(&guard, &null, None);
+        writer.force_cleanup();
+        let expected = match reserves {
+            Reserves::Slots => [1, 0],
+            Reserves::Brackets | Reserves::Nothing => [0, 0],
+        };
+        assert_eq!(dropped(), expected, "shield 0 released block 0 and only it");
+    }
+    writer.force_cleanup();
+    let expected = match reserves {
+        Reserves::Slots | Reserves::Brackets => [1, 1],
+        Reserves::Nothing => [0, 0],
+    };
+    assert_eq!(dropped(), expected, "the bracket is closed");
+    drop((reader, writer, domain));
+    assert_eq!(dropped(), [1, 1], "the domain frees what it kept");
+}
+
 /// Turns a table of schemes into their conformance tests: one module per
 /// row holding the scenarios every scheme runs, plus the three that apply
 /// to some schemes only —
@@ -677,7 +742,10 @@ pub fn stats_are_exact_across_slot_reuse<R: Reclaimer>(reclaims: bool) {
 ///   (a scheme that never scans protects nothing and adopts nothing)
 ///   generates `orphans_wait_for_domain_drop` instead, and tells
 ///   `handle_drop_order` and `stats_are_exact_across_slot_reuse` to expect
-///   no pass.
+///   no pass;
+///
+/// and `reserves`, the [`Reserves`] variant
+/// `each_shield_publishes_into_its_own_slot` expects.
 ///
 /// The scheme type must be in scope where the macro is invoked.
 #[macro_export]
@@ -687,7 +755,8 @@ macro_rules! conformance_suite {
         progress: $progress:ident,
         unreclaimed_is_bounded: $bound:tt,
         stalled_reader_costs_passes_nothing: $stalled:tt,
-        orphan_adoption: $adoption:tt $(,)?
+        orphan_adoption: $adoption:tt,
+        reserves: $reserves:ident $(,)?
     })+) => {$(
         mod $module {
             #[allow(unused_imports)]
@@ -709,6 +778,13 @@ macro_rules! conformance_suite {
             #[test]
             fn all_blocks_freed_on_drop() {
                 conformance::all_blocks_freed_on_drop::<$scheme>();
+            }
+
+            #[test]
+            fn each_shield_publishes_into_its_own_slot() {
+                conformance::each_shield_publishes_into_its_own_slot::<$scheme>(
+                    conformance::Reserves::$reserves,
+                );
             }
 
             #[test]
@@ -795,6 +871,7 @@ mod tests {
             unreclaimed_is_bounded: 4_000,
             stalled_reader_costs_passes_nothing: yes,
             orphan_adoption: yes,
+            reserves: Slots,
         }
         hp: Hp {
             name: "HP",
@@ -802,6 +879,7 @@ mod tests {
             unreclaimed_is_bounded: 2_000,
             stalled_reader_costs_passes_nothing: no,
             orphan_adoption: yes,
+            reserves: Slots,
         }
         ebr: Ebr {
             name: "EBR",
@@ -809,6 +887,7 @@ mod tests {
             unreclaimed_is_bounded: no,
             stalled_reader_costs_passes_nothing: yes,
             orphan_adoption: yes,
+            reserves: Brackets,
         }
         ibr: Ibr2Ge {
             name: "2GEIBR",
@@ -816,6 +895,7 @@ mod tests {
             unreclaimed_is_bounded: no,
             stalled_reader_costs_passes_nothing: no,
             orphan_adoption: yes,
+            reserves: Brackets,
         }
         leak: Leak {
             name: "Leak",
@@ -823,6 +903,7 @@ mod tests {
             unreclaimed_is_bounded: no,
             stalled_reader_costs_passes_nothing: no,
             orphan_adoption: no,
+            reserves: Nothing,
         }
     }
 

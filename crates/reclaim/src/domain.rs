@@ -21,11 +21,12 @@
 //! type, what `protect` publishes, how `begin_op`/`end_op`/`clear` publish
 //! and withdraw, how a pass fills its snapshot and how the clock advances.
 
+use core::ptr::NonNull;
 use std::sync::Arc;
-use wfe_sync::atomic::{AtomicUsize, Ordering};
+use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use wfe_sync::{CachePadded, EraSource};
 
-use crate::api::{debug_assert_slot_index, DomainConfig, Progress, RawHandle, Reclaimer};
+use crate::api::{assert_slot_index, DomainConfig, Progress, RawHandle, Reclaimer};
 use crate::block::BlockHeader;
 use crate::cache::LocalBlockCache;
 use crate::guard::ShieldSlots;
@@ -43,16 +44,27 @@ use crate::stats::{self, SlotCounters, SmrStats};
 ///
 /// # Safety
 ///
-/// The core's `RawHandle` contract rests on [`protect`](Self::protect) and
-/// [`fill_snapshot`](Self::fill_snapshot) together. For a block that is
-/// retired only after it became unreachable: from the moment `protect`
-/// returns its address for `(tid, index)` until that thread's next `protect`
-/// on the same index, [`clear`](Self::clear) or [`end_op`](Self::end_op),
-/// every snapshot that `fill_snapshot` fills after the block's retirement
-/// must not [`judge`](ReservationSet::judge) the block free (its header's
-/// `alloc_era` and its batch entry's `retire_era` are the clock values the
-/// core read at allocation and at retirement). A
-/// witness a snapshot names must obey [`ReservationSet::holds`].
+/// The core's `RawHandle` contract rests on [`cell`](Self::cell),
+/// [`protect`](Self::protect) and [`fill_snapshot`](Self::fill_snapshot)
+/// together.
+///
+/// * `cell(domain, tid, index)` resolves, once, every address a protect
+///   through slot `index` of thread `tid` reads or writes: the reservation
+///   word that pair publishes into (and no other pair's, except where the
+///   scheme shares one word between a thread's indexes on purpose, as
+///   2GEIBR's `upper` is) and the domain's clock. The addresses point into
+///   the domain, never into the handle (which moves, and is parked and
+///   checked out by a [`HandlePool`](crate::HandlePool) with its `tid`), so
+///   a cell stays valid for as long as the domain lives.
+/// * For a block that is retired only after it became unreachable: from the
+///   moment `protect` on the cell of `(tid, index)` returns its address
+///   until that thread's next `protect` through the same cell,
+///   [`clear`](Self::clear) or [`end_op`](Self::end_op), every snapshot that
+///   `fill_snapshot` fills after the block's retirement must not
+///   [`judge`](ReservationSet::judge) the block free (its header's
+///   `alloc_era` and its batch entry's `retire_era` are the clock values the
+///   core read at allocation and at retirement). A witness a snapshot names
+///   must obey [`ReservationSet::holds`].
 pub unsafe trait Policy: Send + Sync + Sized + 'static {
     /// The scratch one cleanup pass fills and judges the batch against.
     type Snapshot: ReservationSet + Default + Send;
@@ -78,15 +90,34 @@ pub unsafe trait Policy: Send + Sync + Sized + 'static {
     /// configuration checks.
     fn new(config: &DomainConfig) -> Self;
 
-    /// The paper's `get_protected`: reads `src` and publishes whatever keeps
-    /// `value & mask` from being freed. `parent` is the block containing
-    /// `src` (null for roots); only WFE's helpers need it. `index` was
-    /// checked against `slots_per_thread` by the caller.
+    /// What a [`Shield`](crate::Shield) resolves once, when it is leased,
+    /// and every protect through it then reads instead of `(tid, index)`:
+    /// the address of the slot's reservation word and of the clock (built
+    /// from [`CellPtr`]s). `()` under a scheme that publishes nothing per
+    /// pointer.
+    type Cell: Copy + Send + Sync;
+
+    /// Resolves the cell of slot `index` of thread `tid`. `index` was
+    /// checked against `slots_per_thread` by the caller
+    /// ([`assert_slot_index`]).
+    ///
+    /// # Safety
+    ///
+    /// The cell is handed to [`protect`](Self::protect) only while `domain`
+    /// is alive (a cell is addresses into it), and only by the thread that
+    /// currently runs the handle registered as `tid` (the single writer of
+    /// its row).
+    unsafe fn cell(domain: &Domain<Self>, tid: usize, index: usize) -> Self::Cell;
+
+    /// The paper's `get_protected` on a resolved cell: reads `src` and
+    /// publishes whatever keeps `value & mask` from being freed. `parent`
+    /// (its tag bits masked by `mask`, too) is the block containing `src`
+    /// (null for roots); only WFE's helpers need it. The one protect of the
+    /// scheme: the shield path passes the cell it resolved at lease time, the
+    /// raw path one it resolved for this call.
     fn protect(
-        domain: &Domain<Self>,
-        tid: usize,
+        cell: &Self::Cell,
         src: &AtomicUsize,
-        index: usize,
         parent: *mut BlockHeader,
         mask: usize,
     ) -> usize;
@@ -119,6 +150,107 @@ pub unsafe trait Policy: Send + Sync + Sized + 'static {
     fn advance(domain: &Domain<Self>, _tid: usize) {
         if Self::HAS_CLOCK {
             domain.clock.advance(Ordering::AcqRel); // ORDER: era advance; orders the clock with the allocations and retires it brackets.
+        }
+    }
+}
+
+/// An address inside a domain — a reservation word, the clock, the domain
+/// itself — resolved once into a [`Policy::Cell`].
+///
+/// Making one is the `unsafe` step ([`new`](Self::new)): nothing ties the
+/// pointer to the lifetime of what it points at, so whoever makes it
+/// promises the target outlives every read through it. A
+/// [`Shield`](crate::Shield) keeps the cells it resolved across its lease
+/// and protects through them only under a guard of the handle that leased
+/// it, which keeps the domain alive.
+#[derive(Debug)]
+pub struct CellPtr<T>(NonNull<T>);
+
+impl<T> CellPtr<T> {
+    /// The address of `target`.
+    ///
+    /// # Safety
+    ///
+    /// `target` outlives every [`get`](Self::get) through the returned
+    /// pointer and its copies: nothing reads through them after `target` is
+    /// dropped or moved.
+    #[inline]
+    pub unsafe fn new(target: &T) -> Self {
+        Self(NonNull::from(target))
+    }
+
+    /// The target.
+    #[inline(always)]
+    pub fn get(&self) -> &T {
+        // SAFETY: made from a reference to a target that outlives every read
+        // through this pointer (`new`'s contract).
+        unsafe { self.0.as_ref() }
+    }
+}
+
+impl<T> Clone for CellPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for CellPtr<T> {}
+
+// SAFETY: the only access through a `CellPtr` is `get`, a shared
+// reference, which is sound to make on any thread exactly when `T` is
+// `Sync` (the atomics and the clock are).
+unsafe impl<T: Sync> Send for CellPtr<T> {}
+// SAFETY: as above — shared access to a `Sync` target.
+unsafe impl<T: Sync> Sync for CellPtr<T> {}
+
+/// A reservation word and the domain clock: the cell of the schemes whose
+/// protect is Figure 1's loop on one published era (HE per slot, 2GEIBR on
+/// its `upper` bound).
+// LAYOUT: two addresses, not two atomics — written once at lease time and
+// only read after, by the one thread that protects through the cell.
+#[derive(Debug, Clone, Copy)]
+pub struct EraCell {
+    reservation: CellPtr<AtomicU64>,
+    clock: CellPtr<EraSource>,
+}
+
+impl EraCell {
+    /// The cell publishing into `reservation`, a word of `domain`'s tables,
+    /// under `domain`'s clock.
+    ///
+    /// # Safety
+    ///
+    /// As [`Policy::cell`]'s: the cell is used only while `domain` lives.
+    #[inline]
+    pub(crate) unsafe fn new<P: Policy>(domain: &Domain<P>, reservation: &AtomicU64) -> Self {
+        // SAFETY: both targets live as long as `domain`, which outlives
+        // every use of the cell (the caller's contract).
+        unsafe {
+            Self {
+                reservation: CellPtr::new(reservation),
+                clock: CellPtr::new(&domain.clock),
+            }
+        }
+    }
+
+    /// Hazard Eras' `get_protected` loop (Figure 1, lines 15-24): read the
+    /// own reservation, `src` and the clock; publish and retry until the
+    /// clock holds still across a read of `src`.
+    #[inline(always)]
+    pub fn protect(&self, src: &AtomicUsize) -> usize {
+        let (reservation, clock) = (self.reservation.get(), self.clock.get());
+        let mut prev_era = reservation.load(Ordering::Relaxed); // ORDER: own slot re-read; the publish that matters is the SeqCst store in the loop.
+        loop {
+            let value = src.load(Ordering::Acquire); // ORDER: pairs with the Release publish of the pointer being protected.
+            let new_era = clock.load(Ordering::Acquire); // ORDER: era clock read; pairs with the AcqRel (or stronger) era advances.
+            if prev_era == new_era {
+                return value;
+            }
+            // Publishing the era must become visible to era-advancing
+            // threads before we re-read the source pointer, hence SeqCst
+            // (the paper's pseudo-code assumes sequential consistency here).
+            reservation.store(new_era, Ordering::SeqCst);
+            prev_era = new_era;
         }
     }
 }
@@ -318,12 +450,16 @@ impl<P: Policy> DomainHandle<P> {
 }
 
 // SAFETY: `thread_id` is unique per live handle (acquired from the registry,
-// released on drop); `protect_raw` returns what `P::protect` returns, and by
-// `Policy`'s contract the reservation it published keeps the block covered
-// in every snapshot `cleanup` fills until the slot is overwritten or cleared.
-// The handle is `!Sync` (its magazine and batch hold raw pointers) and hands
-// out the one lease table made at registration.
+// released on drop); `cell` checks the index and resolves the cell in this
+// handle's domain for its own `tid`, and `protect_raw` and `protect_cell`
+// return what `P::protect` returns on such a cell, so by `Policy`'s contract
+// the reservation it published keeps the block covered in every snapshot
+// `cleanup` fills until the slot is overwritten or cleared. The handle is
+// `!Sync` (its magazine and batch hold raw pointers) and hands out the one
+// lease table made at registration.
 unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
+    type Cell = P::Cell;
+
     fn thread_id(&self) -> usize {
         self.tid
     }
@@ -346,6 +482,29 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
         P::end_op(&self.domain, self.tid);
     }
 
+    // SAFETY: contract inherited from the trait declaration (`# Safety`
+    // on `RawHandle::cell`); the obligations are the caller's.
+    #[inline]
+    unsafe fn cell(&self, index: usize) -> P::Cell {
+        // Checked under every scheme, also those that ignore the index: a
+        // stray one is a caller bug and must fail the same way everywhere.
+        assert_slot_index(index, self.slots());
+        // SAFETY: forwarded contract — the caller uses the cell only while
+        // this registration lives (and so the domain its `Arc` holds), on
+        // the thread running it.
+        unsafe { P::cell(&self.domain, self.tid, index) }
+    }
+
+    #[inline(always)]
+    fn protect_cell(
+        cell: &P::Cell,
+        src: &AtomicUsize,
+        parent: *mut BlockHeader,
+        mask: usize,
+    ) -> usize {
+        P::protect(cell, src, parent, mask)
+    }
+
     #[inline(always)]
     fn protect_raw(
         &mut self,
@@ -354,10 +513,10 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
         parent: *mut BlockHeader,
         mask: usize,
     ) -> usize {
-        // Checked under every scheme, also those that ignore the index: a
-        // stray one is a caller bug and must fail the same way everywhere.
-        debug_assert_slot_index(index, self.slots());
-        P::protect(&self.domain, self.tid, src, index, parent, mask)
+        // SAFETY: used for this one protect, while `&mut self` keeps the
+        // registration (and the domain its `Arc` holds) alive on this thread.
+        let cell = unsafe { self.cell(index) };
+        P::protect(&cell, src, parent, mask)
     }
 
     // SAFETY: contract inherited from the trait declaration (`# Safety`

@@ -43,6 +43,7 @@ pub struct EbrPolicy {
 // registered thread, and the snapshot pins every block retired at or after
 // it — until `end_op` withdraws the epoch (`clear` does not).
 unsafe impl Policy for EbrPolicy {
+    type Cell = ();
     type Snapshot = EpochSnapshot;
     const NAME: &'static str = "EBR";
     const PROGRESS: Progress = Progress::Blocking;
@@ -72,16 +73,14 @@ unsafe impl Policy for EbrPolicy {
     }
 
     /// Protection comes from the epoch published in `begin_op`; reads need no
-    /// per-pointer work at all.
+    /// per-pointer work at all, and a cell names nothing.
+    // SAFETY: contract inherited from the trait declaration (`# Safety` on
+    // `Policy::cell`); the obligations are the caller's.
     #[inline]
-    fn protect(
-        _domain: &Ebr,
-        _tid: usize,
-        src: &AtomicUsize,
-        _index: usize,
-        _parent: *mut BlockHeader,
-        _mask: usize,
-    ) -> usize {
+    unsafe fn cell(_domain: &Ebr, _tid: usize, _index: usize) {}
+
+    #[inline(always)]
+    fn protect(_cell: &(), src: &AtomicUsize, _parent: *mut BlockHeader, _mask: usize) -> usize {
         src.load(Ordering::Acquire) // ORDER: pairs with the Release publish of the pointer being protected.
     }
 

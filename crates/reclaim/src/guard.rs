@@ -18,7 +18,10 @@
 //!   lease must outlive a bracket.** The guard lease borrows the handle's
 //!   lease table for the bracket and costs a load and a store; the handle
 //!   lease owns a share of the table (an `Arc` clone), so it can be held
-//!   across operations and dropped on any thread.
+//!   across operations and dropped on any thread. Either lease resolves the
+//!   slot's reservation cell once ([`RawHandle::cell`]), so a protect through
+//!   the shield reads its own reservation, the source and the clock, and
+//!   nothing else of the handle or the domain.
 //! * [`Protected`] — a tagged, borrow-checked pointer returned by
 //!   [`Shield::protect`]. Its lifetime is tied to the guard it was read
 //!   under, so it cannot outlive the operation bracket. Dereferencing via
@@ -89,8 +92,7 @@
 //! instead of touching freed memory.
 
 use core::marker::PhantomData;
-use core::ops::Deref;
-use core::ptr;
+use core::ptr::{self, NonNull};
 use std::sync::Arc;
 #[cfg(debug_assertions)]
 use wfe_sync::atomic::AtomicUsize;
@@ -315,9 +317,9 @@ impl<'h, H: RawHandle> Guard<'h, H> {
     /// (at most) the rest of this bracket — the lease every operation of a
     /// data structure should use. Exhaustion is an error, as with
     /// [`Handle::shield`]; unlike it, the returned [`Shield`] *borrows* the
-    /// lease table through the guard, so leasing is a load and a store and
-    /// returning the slot a single store (no `Arc` traffic, no locked
-    /// instruction).
+    /// lease table through the guard, so leasing is a load and a store (plus
+    /// resolving the slot's reservation cell) and returning the slot a single
+    /// store (no `Arc` traffic, no locked instruction).
     ///
     /// Declare the shields after the guard so they are dropped before it.
     #[inline]
@@ -327,8 +329,13 @@ impl<'h, H: RawHandle> Guard<'h, H> {
         // can be leasing from the same table.
         let slot = self.slots.lease()?;
         Ok(Shield {
+            // SAFETY: `Shield::protect` hands the cell on only under a guard
+            // of the handle that resolved it (the lease-table check), which
+            // keeps the registration and its domain alive on that thread.
+            cell: self.with(|h| unsafe { h.cell(slot) }),
+            table: NonNull::from(self.slots),
+            _owner: None,
             slot,
-            table: TableRef::Borrowed(self.slots),
             _marker: PhantomData,
         })
     }
@@ -380,20 +387,6 @@ impl<'h, H: RawHandle> Guard<'h, H> {
         self.with(|h| unsafe { h.discard(block) })
     }
 
-    /// Protects and returns the pointer at `src` through slot `index` of this
-    /// guard's handle. Internal engine of [`Shield::protect`].
-    #[inline(always)]
-    fn protect_in_slot<'g, T>(
-        &'g self,
-        index: usize,
-        src: &Atomic<T>,
-        parent: Option<Protected<'_, T>>,
-    ) -> Protected<'g, T> {
-        let parent_ptr = parent.map_or(ptr::null_mut(), |p| p.untagged().as_raw());
-        let raw = self.with(|h| h.protect(src, index, parent_ptr));
-        Protected::from_raw(raw)
-    }
-
     /// Retires `block` (called by [`Protected::retire_in`]).
     ///
     /// # Safety
@@ -421,31 +414,10 @@ impl<H: RawHandle> core::fmt::Debug for Guard<'_, H> {
     }
 }
 
-/// Variance/auto-trait marker for [`Shield`]: the shield is tied to a
-/// protected type `T` and a handle type `H` without owning either.
-type ShieldMarker<T, H> = PhantomData<(fn() -> T, fn(&H))>;
-
-/// Where a [`Shield`] finds the lease table its slot belongs to.
-#[derive(Debug)]
-enum TableRef<'g> {
-    /// Borrowed through the [`Guard`] that leased the shield: nothing to
-    /// clone, nothing to drop.
-    Borrowed(&'g ShieldSlots),
-    /// A share of the handle's `Arc`, for leases that outlive brackets.
-    Owned(Arc<ShieldSlots>),
-}
-
-impl Deref for TableRef<'_> {
-    type Target = ShieldSlots;
-
-    #[inline]
-    fn deref(&self) -> &ShieldSlots {
-        match self {
-            Self::Borrowed(table) => table,
-            Self::Owned(table) => table,
-        }
-    }
-}
+/// Variance/auto-trait marker for [`Shield`]: the shield borrows the lease
+/// table for `'g` and is tied to a protected type `T` and a handle type `H`
+/// without owning either.
+type ShieldMarker<'g, T, H> = PhantomData<(&'g ShieldSlots, fn() -> T, fn(&H))>;
 
 /// A leased reservation slot, returned on drop.
 ///
@@ -478,10 +450,28 @@ impl Deref for TableRef<'_> {
 /// Using a shield with a different *handle* of the same scheme is rejected at
 /// runtime (panic) — see [`Shield::protect`].
 pub struct Shield<'g, T, H: RawHandle> {
+    /// The slot's reservation cell, resolved once at lease time: all a
+    /// protect through this shield reads of the handle and its domain.
+    cell: H::Cell,
+    /// The lease table the slot belongs to: borrowed for `'g` (a guard
+    /// lease) or kept alive by `_owner` (a handle lease). Its address is the
+    /// handle identity [`Shield::protect`] checks before using `cell`.
+    table: NonNull<ShieldSlots>,
+    /// A handle lease's share of the table; `None` for a guard lease.
+    _owner: Option<Arc<ShieldSlots>>,
     slot: usize,
-    table: TableRef<'g>,
-    _marker: ShieldMarker<T, H>,
+    _marker: ShieldMarker<'g, T, H>,
 }
+
+// SAFETY: `table` points at a `Sync` lease table that outlives the shield
+// (the guard's borrow or `_owner` keeps it alive), and the shield touches it
+// only through `ShieldSlots`' own thread-safe methods (`release` may run on
+// any thread); the cell is `Send + Sync` by `RawHandle::Cell`'s bound. These
+// are the auto traits a `&'g ShieldSlots` or an `Arc<ShieldSlots>` field
+// would give.
+unsafe impl<T, H: RawHandle> Send for Shield<'_, T, H> {}
+// SAFETY: as above; `&Shield` offers only `slot` and `Debug`.
+unsafe impl<T, H: RawHandle> Sync for Shield<'_, T, H> {}
 
 impl<T, H: RawHandle> Shield<'static, T, H> {
     /// Leases the lowest free slot of `handle` as an owned shield. Called by
@@ -493,8 +483,12 @@ impl<T, H: RawHandle> Shield<'static, T, H> {
         // that can currently reach the handle.
         let slot = table.lease()?;
         Ok(Self {
+            // SAFETY: as in `Guard::shield` — used only under a guard of
+            // `handle`, whichever thread runs it then.
+            cell: unsafe { handle.cell(slot) },
+            table: NonNull::from(&**table),
+            _owner: Some(Arc::clone(table)),
             slot,
-            table: TableRef::Owned(Arc::clone(table)),
             _marker: PhantomData,
         })
     }
@@ -525,8 +519,10 @@ impl<T, H: RawHandle> Shield<'_, T, H> {
     /// # Panics
     ///
     /// Panics if the shield was leased from a different handle than the one
-    /// `guard` brackets — the slot index would otherwise stomp an unrelated
-    /// reservation of that handle.
+    /// `guard` brackets — its cell would otherwise publish into a
+    /// reservation of that other handle's row (or of a row since handed to
+    /// another registration). Checked in every build: one compare of the
+    /// lease table's address against the guard's.
     #[inline(always)]
     pub fn protect<'g>(
         &mut self,
@@ -535,7 +531,7 @@ impl<T, H: RawHandle> Shield<'_, T, H> {
         parent: Option<Protected<'_, T>>,
     ) -> Protected<'g, T> {
         assert!(
-            core::ptr::eq::<ShieldSlots>(&*self.table, guard.slots),
+            core::ptr::eq(self.table.as_ptr(), guard.slots),
             "Shield used with a guard of a different handle (lease a shield from \
              the guard, or the handle, that entered this operation)"
         );
@@ -548,8 +544,20 @@ impl<T, H: RawHandle> Shield<'_, T, H> {
             cell.store(gen, Ordering::Relaxed); // ORDER: debug-only generation stamp; same-thread accesses.
             SlotStamp { cell, gen }
         };
+        let parent = parent.map_or(ptr::null_mut(), |p| p.as_raw());
+        // The table check above is what keeps the lease-time promise on
+        // `self.cell` (`RawHandle::cell`): one table per registration, so the
+        // handle `guard` brackets is the one that resolved the cell — alive
+        // and running on this thread for `'g`, its `tid` still the one the
+        // cell names and its `Arc` keeping the domain alive.
+        let raw = H::protect_cell(
+            &self.cell,
+            src.as_raw_atomic(),
+            Linked::as_header(parent),
+            tag::ptr_mask::<T>(),
+        );
         #[cfg_attr(not(debug_assertions), allow(unused_mut))]
-        let mut protected = guard.protect_in_slot(self.slot, src, parent);
+        let mut protected = Protected::from_raw(raw as *mut Linked<T>);
         #[cfg(debug_assertions)]
         {
             protected.stamp = Some(stamp);
@@ -561,7 +569,8 @@ impl<T, H: RawHandle> Shield<'_, T, H> {
 impl<T, H: RawHandle> Drop for Shield<'_, T, H> {
     #[inline]
     fn drop(&mut self) {
-        self.table.release(self.slot);
+        // SAFETY: the table outlives the shield (`table`'s field docs).
+        unsafe { self.table.as_ref() }.release(self.slot);
     }
 }
 
@@ -730,10 +739,34 @@ impl<'g, T> Protected<'g, T> {
     /// In debug builds, panics if the value is stale as described above.
     #[inline]
     pub unsafe fn as_ref(&self) -> Option<&'g T> {
-        let clean = tag::untagged(self.ptr);
-        if clean.is_null() {
+        if self.is_null() {
             return None;
         }
+        // SAFETY: forwarded contract; the untagged value is non-null and
+        // carries no tag.
+        Some(unsafe { self.untagged().as_clean_ref() })
+    }
+
+    /// [`as_ref`](Self::as_ref) for a value already known to be non-null
+    /// and untagged: the raw value is the block's address, so nothing masks
+    /// it first, and a traversal's next load takes its address straight from
+    /// the previous one.
+    ///
+    /// # Safety
+    ///
+    /// As [`as_ref`](Self::as_ref)'s, and the value is non-null with a zero
+    /// tag.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if the value is stale (as `as_ref` does),
+    /// null or tagged.
+    #[inline]
+    pub unsafe fn as_clean_ref(&self) -> &'g T {
+        debug_assert!(
+            !self.ptr.is_null() && self.tag() == 0,
+            "as_clean_ref on a null or tagged Protected"
+        );
         #[cfg(debug_assertions)]
         if let Some(stamp) = self.stamp {
             assert!(
@@ -744,13 +777,14 @@ impl<'g, T> Protected<'g, T> {
                  simultaneously-live pointer"
             );
         }
-        // SAFETY: the protection invariant — `clean` was published in a
+        // SAFETY: the protection invariant — the block was published in a
         // reservation slot under `'g`'s guard and the caller guarantees the
         // slot has not been re-protected since (or the value was asserted
         // immortal / owned via `from_unlinked`), so the scheme will not free
         // it while `'g` is live, and `Linked<T>` keeps the payload at a
-        // stable address.
-        Some(unsafe { &(*clean).value })
+        // stable address; the caller guarantees the pointer is that block's
+        // untagged address.
+        unsafe { &(*self.ptr).value }
     }
 
     /// `true` if both values point at the same block with the same tag.
@@ -909,6 +943,25 @@ mod tests {
         let first = domain.register();
         let mut second = domain.register();
         let mut shield = Handle::shield::<u64>(&first).unwrap();
+        let root: Atomic<u64> = Atomic::null();
+        let guard = second.enter();
+        let _ = shield.protect(&guard, &root, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "different handle")]
+    fn an_owned_shield_outliving_its_handle_panics_under_the_next_registration_of_its_row() {
+        // One registry slot: the second handle gets the first one's `tid`,
+        // so the shield's cell names a row the new handle now owns. The
+        // lease-table check must refuse it (in every build) rather than let
+        // the stale shield publish into that row.
+        let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+        let first = domain.register();
+        let tid = first.thread_id();
+        let mut shield = Handle::shield::<u64>(&first).unwrap();
+        drop(first);
+        let mut second = domain.register();
+        assert_eq!(second.thread_id(), tid, "the row was handed on");
         let root: Atomic<u64> = Atomic::null();
         let guard = second.enter();
         let _ = shield.protect(&guard, &root, None);

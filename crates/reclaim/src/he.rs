@@ -15,7 +15,7 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF};
-use crate::domain::{Domain, DomainHandle, Policy};
+use crate::domain::{Domain, DomainHandle, EraCell, Policy};
 use crate::scan::EraSnapshot;
 use crate::slots::SlotArray;
 
@@ -38,13 +38,15 @@ pub struct HePolicy {
     reservations: SlotArray,
 }
 
-// SAFETY: `protect` returns a value only once the era it read it under is
-// published in the slot (SeqCst, before the re-read), and that era lies in
-// the pointee's lifespan; `fill_snapshot` records every published era of
+// SAFETY: a cell is the `(tid, index)` slot's own era word and the clock;
+// `protect` returns a value only once the era it read it under is published
+// in that slot (SeqCst, before the re-read), and that era lies in the
+// pointee's lifespan; `fill_snapshot` records every published era of
 // every registered thread, so the snapshot covers the block until the slot
 // is overwritten or withdrawn.
 unsafe impl Policy for HePolicy {
     type Snapshot = EraSnapshot;
+    type Cell = EraCell;
     const NAME: &'static str = "HE";
     const PROGRESS: Progress = Progress::LockFree;
 
@@ -54,29 +56,22 @@ unsafe impl Policy for HePolicy {
         }
     }
 
+    // SAFETY: contract inherited from the trait declaration (`# Safety` on
+    // `Policy::cell`); the obligations are the caller's.
     #[inline]
+    unsafe fn cell(domain: &He, tid: usize, index: usize) -> EraCell {
+        // SAFETY: forwarded contract.
+        unsafe { EraCell::new(domain, domain.policy().reservations.get(tid, index)) }
+    }
+
+    #[inline(always)]
     fn protect(
-        domain: &He,
-        tid: usize,
+        cell: &EraCell,
         src: &AtomicUsize,
-        index: usize,
         _parent: *mut BlockHeader,
         _mask: usize,
     ) -> usize {
-        let reservation = domain.policy().reservations.get(tid, index);
-        let mut prev_era = reservation.load(Ordering::Relaxed); // ORDER: own slot re-read; the publish that matters is the SeqCst store in the loop.
-        loop {
-            let value = src.load(Ordering::Acquire); // ORDER: pairs with the Release publish of the pointer being protected.
-            let new_era = domain.era();
-            if prev_era == new_era {
-                return value;
-            }
-            // Publishing the era must become visible to era-advancing threads
-            // before we re-read the source pointer, hence SeqCst (the paper's
-            // pseudo-code assumes sequential consistency here).
-            reservation.store(new_era, Ordering::SeqCst);
-            prev_era = new_era;
-        }
+        cell.protect(src)
     }
 
     #[inline]

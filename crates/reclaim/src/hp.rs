@@ -12,7 +12,7 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::BlockHeader;
-use crate::domain::{Domain, DomainHandle, Policy};
+use crate::domain::{CellPtr, Domain, DomainHandle, Policy};
 use crate::scan::HazardSnapshot;
 use crate::slots::PtrSlotArray;
 
@@ -35,13 +35,14 @@ pub struct HpPolicy {
     hazards: PtrSlotArray,
 }
 
-// SAFETY: `protect` returns a value only after publishing its untagged
-// address (SeqCst) and re-reading the source unchanged, so the block was
+// SAFETY: a cell is the `(tid, index)` slot's own hazard word; `protect`
+// returns a value only after publishing its untagged address (SeqCst) and re-reading the source unchanged, so the block was
 // still reachable — not yet retired — once the hazard was visible;
 // `fill_snapshot` records every hazard of every registered thread, and the
 // snapshot pins a block while its address is among them.
 unsafe impl Policy for HpPolicy {
     type Snapshot = HazardSnapshot;
+    type Cell = CellPtr<AtomicUsize>;
     const NAME: &'static str = "HP";
     const PROGRESS: Progress = Progress::LockFree;
     /// Hazard pointers have no clock to move.
@@ -53,16 +54,24 @@ unsafe impl Policy for HpPolicy {
         }
     }
 
+    /// The slot's hazard word; there is no clock.
+    // SAFETY: contract inherited from the trait declaration (`# Safety` on
+    // `Policy::cell`); the obligations are the caller's.
     #[inline]
+    unsafe fn cell(domain: &Hp, tid: usize, index: usize) -> CellPtr<AtomicUsize> {
+        // SAFETY: forwarded contract — the hazard table lives as long as
+        // `domain`.
+        unsafe { CellPtr::new(domain.policy().hazards.get(tid, index)) }
+    }
+
+    #[inline(always)]
     fn protect(
-        domain: &Hp,
-        tid: usize,
+        cell: &CellPtr<AtomicUsize>,
         src: &AtomicUsize,
-        index: usize,
         _parent: *mut BlockHeader,
         mask: usize,
     ) -> usize {
-        let slot = domain.policy().hazards.get(tid, index);
+        let slot = cell.get();
         let mut value = src.load(Ordering::Acquire); // ORDER: first read is optimistic; the SeqCst publish + re-read below validate it.
         loop {
             // Publish the (untagged) address, then validate that the source

@@ -16,7 +16,7 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF};
-use crate::domain::{Domain, DomainHandle, Policy};
+use crate::domain::{Domain, DomainHandle, EraCell, Policy};
 use crate::scan::IntervalSnapshot;
 use crate::slots::SlotArray;
 
@@ -42,14 +42,15 @@ pub struct IbrPolicy {
     reservations: SlotArray,
 }
 
-// SAFETY: `protect` returns a value only once `upper` holds (SeqCst) the era
-// it was read under, and `lower` has held the bracket's first era since
+// SAFETY: a cell is the thread's `upper` word and the clock; `protect`
+// returns a value only once `upper` holds (SeqCst) the era it was read under, and `lower` has held the bracket's first era since
 // `begin_op`, so the pointee's lifespan overlaps the published interval;
 // `fill_snapshot` records the interval of every registered thread, and the
 // snapshot pins every overlapping block — until `end_op` withdraws the
 // interval (`clear` does not).
 unsafe impl Policy for IbrPolicy {
     type Snapshot = IntervalSnapshot;
+    type Cell = EraCell;
     const NAME: &'static str = "2GEIBR";
     const PROGRESS: Progress = Progress::LockFree;
 
@@ -79,27 +80,26 @@ unsafe impl Policy for IbrPolicy {
             .fill_row(tid, ERA_INF, Ordering::Release); // ORDER: withdraws the interval; pairs with the snapshot's Acquire loads.
     }
 
-    /// The index is unused: the interval lives in the fixed LOWER/UPPER cells.
+    /// Every index of a thread resolves to the same cell: the interval's
+    /// `upper` bound.
+    // SAFETY: contract inherited from the trait declaration (`# Safety` on
+    // `Policy::cell`); the obligations are the caller's.
     #[inline]
+    unsafe fn cell(domain: &Ibr2Ge, tid: usize, _index: usize) -> EraCell {
+        // SAFETY: forwarded contract.
+        unsafe { EraCell::new(domain, domain.policy().reservations.get(tid, UPPER)) }
+    }
+
+    /// Hazard Eras' loop on `upper`: every read raises the bound to the era
+    /// it was read under.
+    #[inline(always)]
     fn protect(
-        domain: &Ibr2Ge,
-        tid: usize,
+        cell: &EraCell,
         src: &AtomicUsize,
-        _index: usize,
         _parent: *mut BlockHeader,
         _mask: usize,
     ) -> usize {
-        let upper = domain.policy().reservations.get(tid, UPPER);
-        let mut prev_era = upper.load(Ordering::Relaxed); // ORDER: own slot re-read; the publish that matters is the SeqCst store below.
-        loop {
-            let value = src.load(Ordering::Acquire); // ORDER: pairs with the Release publish of the pointer being protected.
-            let new_era = domain.era();
-            if prev_era == new_era {
-                return value;
-            }
-            upper.store(new_era, Ordering::SeqCst);
-            prev_era = new_era;
-        }
+        cell.protect(src)
     }
 
     /// Snapshots every active `[lower, upper]` interval once per cleanup

@@ -47,6 +47,7 @@ impl ReservationSet for PinsEverything {
 // SAFETY: the snapshot never judges a block free, so nothing is freed while
 // the domain lives and every pointer `protect` returns stays valid.
 unsafe impl Policy for LeakPolicy {
+    type Cell = ();
     type Snapshot = PinsEverything;
     const NAME: &'static str = "Leak";
     const PROGRESS: Progress = Progress::None;
@@ -57,15 +58,13 @@ unsafe impl Policy for LeakPolicy {
         Self
     }
 
+    // SAFETY: contract inherited from the trait declaration (`# Safety` on
+    // `Policy::cell`); the obligations are the caller's.
     #[inline]
-    fn protect(
-        _domain: &Leak,
-        _tid: usize,
-        src: &AtomicUsize,
-        _index: usize,
-        _parent: *mut BlockHeader,
-        _mask: usize,
-    ) -> usize {
+    unsafe fn cell(_domain: &Leak, _tid: usize, _index: usize) {}
+
+    #[inline(always)]
+    fn protect(_cell: &(), src: &AtomicUsize, _parent: *mut BlockHeader, _mask: usize) -> usize {
         src.load(Ordering::Acquire) // ORDER: pairs with the Release publish of the pointer being protected.
     }
 

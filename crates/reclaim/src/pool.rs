@@ -462,6 +462,43 @@ mod tests {
     }
 
     #[test]
+    fn a_shield_leased_on_a_pooled_handle_protects_after_a_park_and_a_check_out_elsewhere() {
+        // The shield's cell names the handle's row in the domain, not the
+        // handle's own bytes: parking moves the handle into the pool, and a
+        // check-out on another thread revives it with the same row.
+        let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+        let pool = HandlePool::new(Arc::clone(&domain));
+        let handle = pool.check_out().unwrap();
+        let tid = handle.thread_id();
+        let mut shield = handle.shield::<u64>().unwrap();
+        drop(handle);
+        assert_eq!(pool.parked(), 1);
+        let mut writer = domain.register();
+        let node = writer.alloc(7u64);
+        let root = Atomic::new(node);
+        let node = node as usize;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut handle = pool.check_out().unwrap();
+                assert_eq!(handle.thread_id(), tid, "the parked handle was revived");
+                handle.with_guard(|guard| {
+                    let p = shield.protect(&guard, &root, None);
+                    root.store(core::ptr::null_mut(), SeqCst);
+                    // SAFETY: just unlinked from its only root; retired once.
+                    unsafe { writer.retire(node as *mut Linked<u64>) };
+                    writer.force_cleanup();
+                    assert_eq!(domain.stats().unreclaimed, 1, "the shield pins the block");
+                    // SAFETY: `shield` does not re-protect while `p` is in use.
+                    assert_eq!(unsafe { p.as_ref() }, Some(&7));
+                });
+                drop(shield);
+            });
+        });
+        writer.force_cleanup();
+        assert_eq!(domain.stats().unreclaimed, 0);
+    }
+
+    #[test]
     fn checked_out_handles_move_between_threads() {
         // Four threads in a ring: each checks a handle out, allocates under
         // it, and sends handle and block to its neighbour, which retires the

@@ -62,6 +62,14 @@ impl<T> Rows<T> {
         debug_assert!(thread < self.threads && slot < self.slots);
         &self.cells[self.base + thread * self.stride + slot]
     }
+
+    /// The `slots` cells of `thread`'s row.
+    #[inline]
+    fn row(&self, thread: usize) -> &[T] {
+        debug_assert!(thread < self.threads);
+        let start = self.base + thread * self.stride;
+        &self.cells[start..start + self.slots]
+    }
 }
 
 /// A `max_threads × slots` table of `AtomicU64`s with aligned, padded rows.
@@ -95,8 +103,8 @@ impl SlotArray {
     /// Stores `value` into every slot of `thread`'s row, in slot order.
     #[inline]
     pub fn fill_row(&self, thread: usize, value: u64, order: Ordering) {
-        for slot in 0..self.slots() {
-            self.get(thread, slot).store(value, order);
+        for cell in self.0.row(thread) {
+            cell.store(value, order);
         }
     }
 }
@@ -127,8 +135,8 @@ impl PtrSlotArray {
     /// Stores `value` into every slot of `thread`'s row, in slot order.
     #[inline]
     pub fn fill_row(&self, thread: usize, value: usize, order: Ordering) {
-        for slot in 0..self.slots() {
-            self.get(thread, slot).store(value, order);
+        for cell in self.0.row(thread) {
+            cell.store(value, order);
         }
     }
 }
@@ -162,6 +170,14 @@ impl PairSlotArray {
     #[inline]
     pub fn get(&self, thread: usize, slot: usize) -> &AtomicPair {
         self.0.get(thread, slot)
+    }
+
+    /// Stores `value` into the first word of every pair of `thread`'s row,
+    /// in slot order, leaving every second word untouched
+    /// ([`AtomicPair::store_first_all`]: one native-WCAS probe for the row).
+    #[inline]
+    pub fn fill_first(&self, thread: usize, value: u64, order: Ordering) {
+        AtomicPair::store_first_all(self.0.row(thread), value, order);
     }
 }
 
@@ -213,13 +229,29 @@ mod tests {
 
     #[test]
     fn pair_slots_hold_independent_pairs() {
-        let arr = PairSlotArray::new(2, 4, (u64::MAX, 0));
+        let arr = PairSlotArray::new(3, 4, (u64::MAX, 0));
         assert_eq!(arr.get(1, 3).load(), (u64::MAX, 0));
         arr.get(1, 3).store((5, 6));
         assert_eq!(arr.get(1, 3).load(), (5, 6));
         assert_eq!(arr.get(0, 3).load(), (u64::MAX, 0));
         // Pairs must stay 16-byte aligned even inside the padded rows.
         assert_eq!(arr.get(1, 1) as *const _ as usize % 16, 0);
+        // `fill_first` writes the first word of every pair of one row and
+        // nothing else: every tag word, and every other row, keeps its value.
+        for (thread, slot) in (0..3).flat_map(|t| (0..4).map(move |s| (t, s))) {
+            let tag = 10 * thread as u64 + slot as u64;
+            arr.get(thread, slot).store((100 + tag, tag));
+        }
+        arr.fill_first(1, 7, Relaxed);
+        for (thread, slot) in (0..3).flat_map(|t| (0..4).map(move |s| (t, s))) {
+            let tag = 10 * thread as u64 + slot as u64;
+            let era = if thread == 1 { 7 } else { 100 + tag };
+            assert_eq!(
+                arr.get(thread, slot).load(),
+                (era, tag),
+                "({thread}, {slot})"
+            );
+        }
     }
 
     fn address<T>(cell: &T) -> usize {

@@ -50,12 +50,17 @@ fn native_wcas_available() -> bool {
     match NATIVE_WCAS.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
-        _ => {
-            let avail = detect_native_wcas();
-            NATIVE_WCAS.store(if avail { 1 } else { 2 }, Ordering::Relaxed); // ORDER: feature-detection memo; any thread recomputes the same value.
-            avail
-        }
+        _ => detect_and_record(),
     }
+}
+
+/// The first call's detection, out of every pair operation's inline path.
+#[cold]
+#[inline(never)]
+fn detect_and_record() -> bool {
+    let avail = detect_native_wcas();
+    NATIVE_WCAS.store(if avail { 1 } else { 2 }, Ordering::Relaxed); // ORDER: feature-detection memo; any thread recomputes the same value.
+    avail
 }
 
 #[cfg(all(target_arch = "x86_64", not(any(miri, wfe_portable_wcas))))]
@@ -138,11 +143,39 @@ impl AtomicPair {
         if native_wcas_available() {
             self.first.store(value, order);
         } else {
-            // Under the lock-based fallback every *write* must hold the
-            // stripe lock so that a concurrent pair-wide CAS never observes a
-            // half-updated pair between its read and its write.
-            let _guard = stripe_lock(self as *const _ as usize);
-            self.first.store(value, order);
+            self.store_first_locked(value, order);
+        }
+    }
+
+    /// [`store_first`](Self::store_first) on the lock fallback, kept out of
+    /// line so the native path inlines into a protect without a call.
+    #[cold]
+    #[inline(never)]
+    fn store_first_locked(&self, value: u64, order: Ordering) {
+        // Under the lock-based fallback every *write* must hold the stripe
+        // lock so that a concurrent pair-wide CAS never observes a
+        // half-updated pair between its read and its write.
+        let _guard = stripe_lock(self as *const _ as usize);
+        self.first.store(value, order);
+    }
+
+    /// Stores `value` into the first word of every pair of `pairs`, in
+    /// order, leaving the second words untouched: [`store_first`] on each,
+    /// with the native-WCAS probe made once for the lot. On the lock
+    /// fallback each store still takes its own pair's stripe lock.
+    ///
+    /// [`store_first`]: Self::store_first
+    #[inline]
+    pub fn store_first_all(pairs: &[AtomicPair], value: u64, order: Ordering) {
+        if native_wcas_available() {
+            for pair in pairs {
+                pair.first.store(value, order);
+            }
+        } else {
+            for pair in pairs {
+                let _guard = stripe_lock(pair as *const _ as usize);
+                pair.first.store(value, order);
+            }
         }
     }
 

@@ -97,3 +97,16 @@ fn fallback_half_store_vs_wcas() {
     });
     assert!(pair.load().1 > 0);
 }
+
+#[test]
+fn fallback_store_first_all_leaves_the_second_words() {
+    force_fallback();
+    let pairs = [
+        AtomicPair::new(1, 2),
+        AtomicPair::new(3, 4),
+        AtomicPair::new(5, 6),
+    ];
+    AtomicPair::store_first_all(&pairs[..2], 9, Ordering::SeqCst);
+    let seen: Vec<_> = pairs.iter().map(AtomicPair::load).collect();
+    assert_eq!(seen, [(9, 2), (9, 4), (5, 6)]);
+}

@@ -3,11 +3,11 @@
 //! `cleanup()` scan order (Figure 4).
 
 use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wfe_sync::CachePadded;
+use wfe_sync::{AtomicPair, CachePadded, EraSource};
 
 use wfe_reclaim::api::{DomainConfig, Progress, Reclaimer};
 use wfe_reclaim::block::BlockHeader;
-use wfe_reclaim::domain::{Domain, DomainHandle, Policy};
+use wfe_reclaim::domain::{CellPtr, Domain, DomainHandle, Policy};
 use wfe_reclaim::retired::Retired;
 use wfe_reclaim::scan::{EraSnapshot, ReservationSet, Verdict};
 use wfe_reclaim::slots::PairSlotArray;
@@ -23,6 +23,9 @@ const PARENT_SLOT_OFFSET: usize = 0;
 const HANDOVER_SLOT_OFFSET: usize = 1;
 /// Number of internal reservation slots appended to every thread's row.
 const EXTRA_SLOTS: usize = 2;
+/// Fast-path attempts `protect` makes inline (fewer if the budget is
+/// smaller); the rest run out of line in `protect_retry`.
+const INLINE_ATTEMPTS: usize = 2;
 
 /// The Wait-Free Eras domain: the scheme core running [`WfePolicy`]. The
 /// `global_era` of Figure 4 is the core's clock ([`Domain::era`]).
@@ -36,6 +39,21 @@ pub type Wfe = Domain<WfePolicy>;
 /// requires_sync::<wfe_core::WfeHandle>(); // ERROR: `WfeHandle` is not `Sync`
 /// ```
 pub type WfeHandle = DomainHandle<WfePolicy>;
+
+/// A WFE reservation cell: the slot's `(era, tag)` pair and the clock —
+/// all a hit reads — and what a miss needs besides: the domain, the slot's
+/// `(tid, index)` in the state table and the attempt budget.
+// LAYOUT: addresses, not atomics — written once at lease time and only read
+// after, by the one thread that protects through the cell.
+#[derive(Debug, Clone, Copy)]
+pub struct WfeCell {
+    pub(crate) reservation: CellPtr<AtomicPair>,
+    clock: CellPtr<EraSource>,
+    pub(crate) domain: CellPtr<Wfe>,
+    pub(crate) tid: usize,
+    pub(crate) index: usize,
+    attempts: usize,
+}
 
 /// What the paper adds on top of Hazard Eras (Figure 4 top):
 /// * `counter_start` / `counter_end` — how many slow-path cycles have begun /
@@ -92,24 +110,23 @@ impl WfePolicy {
         snapshot.seal();
     }
 
-    /// The fast-path attempts after the first (Figure 4, lines 15-24), out of
-    /// line: `protect` made attempt 1 and published `prev_era`; this makes
-    /// the other `fast_path_attempts - 1` with the same loads and stores in
-    /// the same order, then asks for help.
+    /// The fast-path attempts after the second (Figure 4, lines 15-24), out
+    /// of line: `protect` made attempts 1 and 2 (just 1 when the budget is
+    /// one) and published `prev_era`; this makes the rest of the cell's
+    /// `fast_path_attempts` with the same loads and stores in the same
+    /// order, then asks for help.
     #[cold]
     #[inline(never)]
     fn protect_retry(
-        domain: &Wfe,
-        tid: usize,
+        cell: &WfeCell,
         src: &AtomicUsize,
-        index: usize,
         parent: *mut BlockHeader,
         mut prev_era: u64,
     ) -> usize {
-        let reservation = domain.policy().reservations.get(tid, index);
-        for _ in 1..domain.config().fast_path_attempts {
+        let (reservation, clock) = (cell.reservation.get(), cell.clock.get());
+        for _ in INLINE_ATTEMPTS..cell.attempts {
             let value = src.load(Ordering::Acquire); // ORDER: pairs with the Release publish of the pointer being protected.
-            let new_era = domain.era();
+            let new_era = clock.load(Ordering::Acquire); // ORDER: era clock read; pairs with the SeqCst era advances.
             if prev_era == new_era {
                 return value;
             }
@@ -118,7 +135,7 @@ impl WfePolicy {
         }
 
         // The era kept moving: ask for help.
-        Self::protect_slow(domain, tid, src, index, parent, prev_era)
+        Self::protect_slow(cell, src, parent, prev_era)
     }
 
     /// `increment_era()` (Figure 4, lines 87-98): before advancing the global
@@ -226,6 +243,7 @@ impl WfePolicy {
 // lemmas need, over every registered thread's row.
 unsafe impl Policy for WfePolicy {
     type Snapshot = WfeSnapshot;
+    type Cell = WfeCell;
     const NAME: &'static str = "WFE";
     const PROGRESS: Progress = Progress::WaitFree;
 
@@ -250,49 +268,69 @@ unsafe impl Policy for WfePolicy {
         }
     }
 
+    // SAFETY: contract inherited from the trait declaration (`# Safety` on
+    // `Policy::cell`); the obligations are the caller's.
+    #[inline]
+    unsafe fn cell(domain: &Wfe, tid: usize, index: usize) -> WfeCell {
+        // SAFETY: forwarded contract — the pair table and the clock live as
+        // long as `domain`.
+        unsafe {
+            WfeCell {
+                reservation: CellPtr::new(domain.policy().reservations.get(tid, index)),
+                clock: CellPtr::new(domain.era_source()),
+                domain: CellPtr::new(domain),
+                tid,
+                index,
+                attempts: domain.config().fast_path_attempts,
+            }
+        }
+    }
+
     /// `get_protected` (Figure 4, lines 15-53).
     ///
-    /// The first fast-path attempt is peeled off the bounded loop so that a
+    /// The first two fast-path attempts are peeled off the bounded loop. A
     /// hit costs what Hazard Eras' does: one load of the own slot, of `src`
-    /// and of the clock, one compare — no read of `fast_path_attempts`
-    /// through the configuration, no attempt counter. The peel was measured
-    /// and dropped once, on the `wfe.protect_ns` rung, whose every protect
-    /// follows a `clear` and therefore misses; it stays now because a list
-    /// traversal is ~500 protects per operation of which only the first
-    /// misses, and there the hit path is the whole cost.
-    #[inline]
-    fn protect(
-        domain: &Wfe,
-        tid: usize,
-        src: &AtomicUsize,
-        index: usize,
-        parent: *mut BlockHeader,
-        _mask: usize,
-    ) -> usize {
-        let reservation = domain.policy().reservations.get(tid, index);
+    /// and of the clock, one compare — no attempt counter. A miss publishes
+    /// and makes the second attempt inline, which is the one that hits after
+    /// a clock tick (and after every `clear`); only the attempts after it
+    /// leave the inline path (`protect_retry`).
+    #[inline(always)]
+    fn protect(cell: &WfeCell, src: &AtomicUsize, parent: *mut BlockHeader, mask: usize) -> usize {
+        let (reservation, clock) = (cell.reservation.get(), cell.clock.get());
         let prev_era = reservation.load_first(Ordering::Relaxed); // ORDER: own slot re-read; the publish that matters is the SeqCst store below.
 
         // Fast path (lines 15-24): identical to Hazard Eras, but bounded.
         let value = src.load(Ordering::Acquire); // ORDER: pairs with the Release publish of the pointer being protected.
-        let new_era = domain.era();
+        let mut new_era = clock.load(Ordering::Acquire); // ORDER: era clock read; pairs with the SeqCst era advances.
         if prev_era == new_era {
             return value;
         }
         reservation.store_first(new_era, Ordering::SeqCst);
-        Self::protect_retry(domain, tid, src, index, parent, new_era)
+        if cell.attempts >= INLINE_ATTEMPTS {
+            let prev_era = new_era;
+            let value = src.load(Ordering::Acquire); // ORDER: pairs with the Release publish of the pointer being protected.
+            new_era = clock.load(Ordering::Acquire); // ORDER: era clock read; pairs with the SeqCst era advances.
+            if prev_era == new_era {
+                return value;
+            }
+            reservation.store_first(new_era, Ordering::SeqCst);
+        }
+        // Only the slow path reads `parent`: untag it off the hit path.
+        let parent = (parent as usize & mask) as *mut BlockHeader;
+        Self::protect_retry(cell, src, parent, new_era)
     }
 
-    /// Only the application-visible slots are cleared; the two internal
-    /// slots belong to the helping machinery. The slow-path tag (second
-    /// word) must survive, so only the era word is reset.
+    /// Withdraws the eras of the whole row in one pass: the application
+    /// slots' and the two helper pins', which hold `ERA_INF` anyway whenever
+    /// their owner is outside `help_thread` (and `clear` is never called
+    /// from inside it). The slow-path tags (second words) must survive, so
+    /// only the era words are reset.
     #[inline]
     fn clear(domain: &Wfe, tid: usize) {
-        let this = domain.policy();
-        for slot in 0..this.app_slots() {
-            this.reservations
-                .get(tid, slot)
-                .store_first(ERA_INF, Ordering::Release); // ORDER: withdraws the era reservations; pairs with the snapshot's Acquire loads.
-        }
+        domain
+            .policy()
+            .reservations
+            .fill_first(tid, ERA_INF, Ordering::Release); // ORDER: withdraws the era reservations; pairs with the snapshot's Acquire loads.
     }
 
     /// Takes the batch-scan snapshot for one `cleanup()` pass, preserving the
@@ -362,28 +400,30 @@ impl WfeSnapshot {
         }
     }
 
-    /// The columns a verdict may rest on: the hand-over pins and the
-    /// re-scan count only when a slow path may have been in flight.
-    fn columns(&self) -> impl Iterator<Item = &EraSnapshot> {
-        let in_flight = !self.quiescent;
-        core::iter::once(&self.primary).chain(
-            [&self.handover, &self.recheck]
-                .into_iter()
-                .filter(move |_| in_flight),
-        )
+    /// The three-column rule of a pass during which a slow path may have
+    /// been in flight: the witness is the smallest era of any column inside
+    /// the block's lifespan.
+    fn in_flight_witness(&self, alloc_era: u64, retire_era: u64) -> Option<u64> {
+        [&self.primary, &self.handover, &self.recheck]
+            .into_iter()
+            .filter_map(|column| column.first_in_span(alloc_era, retire_era))
+            .min()
     }
 }
 
 impl ReservationSet for WfeSnapshot {
     /// The witness is the smallest era of any live column inside the
-    /// block's lifespan — the oldest publication that pins it.
+    /// block's lifespan — the oldest publication that pins it. A quiescent
+    /// pass (every pass without a slow path in flight) has one live column,
+    /// so its verdict is Hazard Eras' own: one search.
     #[inline]
     fn judge(&self, entry: &Retired) -> Verdict {
         let (alloc_era, retire_era) = (entry.alloc_era(), entry.retire_era());
-        let witness = self
-            .columns()
-            .filter_map(|column| column.first_in_span(alloc_era, retire_era))
-            .min();
+        let witness = if self.quiescent {
+            self.primary.first_in_span(alloc_era, retire_era)
+        } else {
+            self.in_flight_witness(alloc_era, retire_era)
+        };
         match witness {
             Some(era) => Verdict::PinnedBy(era),
             None => Verdict::Free,
@@ -395,7 +435,9 @@ impl ReservationSet for WfeSnapshot {
     /// lifespan contains it, whichever column `judge` first saw it in.
     #[inline]
     fn holds(&self, witness: u64) -> bool {
-        self.columns().any(|column| column.contains(witness))
+        self.primary.contains(witness)
+            || (!self.quiescent
+                && (self.handover.contains(witness) || self.recheck.contains(witness)))
     }
 }
 
@@ -552,6 +594,40 @@ mod tests {
         assert!(quiescent.holds(12) && !quiescent.holds(6));
         // SAFETY: the entry is done with; the block is freed exactly once.
         unsafe { Linked::dealloc(block) };
+    }
+
+    #[test]
+    fn the_quiescent_verdict_is_the_three_column_rule_with_no_slow_path_in_flight() {
+        // SplitMix64: random primaries, ignored columns and lifespans over a
+        // small era range, so spans hit, miss and straddle the columns.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..2_000 {
+            let mut column = |len: u64| (0..next(len)).map(|_| next(40)).collect::<Vec<_>>();
+            let (primary, handover, recheck) = (column(6), column(4), column(4));
+            let quiescent = WfeSnapshot::from_eras(&primary, true, &handover, &recheck);
+            let rule = WfeSnapshot::from_eras(&primary, false, &[], &[]);
+            let alloc_era = next(40);
+            let retire_era = alloc_era + next(12);
+            let block = Linked::alloc(0u64, alloc_era);
+            // SAFETY: a fresh, never-published block, on this one entry.
+            let entry = unsafe { Retired::new(Linked::as_header(block), retire_era) };
+            assert_eq!(
+                quiescent.judge(&entry),
+                rule.judge(&entry),
+                "{primary:?} {handover:?} {recheck:?} [{alloc_era}, {retire_era}]"
+            );
+            let witness = next(40);
+            assert_eq!(quiescent.holds(witness), rule.holds(witness));
+            // SAFETY: the entry is done with; the block is freed exactly once.
+            unsafe { Linked::dealloc(block) };
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ mod state;
 
 #[doc(hidden)]
 pub use domain::WfeSnapshot;
-pub use domain::{Wfe, WfeHandle, WfePolicy};
+pub use domain::{Wfe, WfeCell, WfeHandle, WfePolicy};
 
 // Executor-friendly pooled handles work with every scheme, WFE included; the
 // generic machinery lives next to the common API and is re-exported here so
@@ -122,6 +122,7 @@ mod conformance {
             unreclaimed_is_bounded: 4_000,
             stalled_reader_costs_passes_nothing: yes,
             orphan_adoption: yes,
+            reserves: Slots,
         }
     }
 }

@@ -6,7 +6,7 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 use wfe_reclaim::block::BlockHeader;
 use wfe_reclaim::{ERA_INF, INVPTR};
 
-use crate::domain::{Wfe, WfePolicy};
+use crate::domain::{WfeCell, WfePolicy};
 
 impl WfePolicy {
     /// The slow path of `get_protected` (Figure 4, lines 26-53): publish a
@@ -16,15 +16,14 @@ impl WfePolicy {
     /// (Lemma 1).
     #[cold]
     pub(crate) fn protect_slow(
-        domain: &Wfe,
-        tid: usize,
+        cell: &WfeCell,
         src: &AtomicUsize,
-        index: usize,
         parent: *mut BlockHeader,
         mut prev_era: u64,
     ) -> usize {
+        let (domain, reservation) = (cell.domain.get(), cell.reservation.get());
         let this = domain.policy();
-        domain.slot_counters(tid).on_slow_path();
+        domain.slot_counters(cell.tid).on_slow_path();
 
         // Fetch the parent's era so helpers can pin the block that contains
         // the hazardous location (lines 26-27).
@@ -41,12 +40,11 @@ impl WfePolicy {
         // only becomes visible to helpers when `result` flips to
         // `(INVPTR, tag)`, so every other field must already be in place.
         this.counter_start.fetch_add(1, Ordering::SeqCst);
-        let state = this.state.get(tid, index);
+        let state = this.state.get(cell.tid, cell.index);
         state
             .pointer
             .store(src as *const AtomicUsize as usize, Ordering::SeqCst);
         state.era.store(parent_alloc_era, Ordering::SeqCst);
-        let reservation = this.reservations.get(tid, index);
         let tag = reservation.load_second(Ordering::SeqCst);
         state.result.store((INVPTR, tag));
 
@@ -95,6 +93,7 @@ impl WfePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Wfe;
     use core::ptr;
     use std::sync::Arc as StdArc;
     use wfe_reclaim::api::{RawHandle, Reclaimer, ReclaimerConfig};

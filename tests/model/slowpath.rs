@@ -107,7 +107,9 @@ fn slow_path_engages_deterministically_and_writers_help_pending_requests() {
 /// One `protect` after registration (the reservation holds `ERA_INF`, so
 /// the first fast-path attempt always misses) racing `bumps` era bumps, with
 /// `attempts` fast-path attempts; returns the slow-path entries it made.
-fn protect_against_bumps(attempts: usize, bumps: usize) -> u64 {
+/// `through_shield` protects through a guard-leased `Shield` (the cell it
+/// resolved at lease time) instead of the raw `protect` (a cell per call).
+fn protect_against_bumps(attempts: usize, bumps: usize, through_shield: bool) -> u64 {
     let domain = Wfe::with_config(ReclaimerConfig {
         fast_path_attempts: attempts,
         era_freq: usize::MAX,
@@ -125,9 +127,16 @@ fn protect_against_bumps(attempts: usize, bumps: usize) -> u64 {
             }
         })
     };
-    assert_eq!(reader.protect(&root, 0, core::ptr::null_mut()), node);
-    bumper.join().unwrap();
-    reader.clear();
+    if through_shield {
+        let guard = reader.enter();
+        let mut shield = guard.shield::<u64>().unwrap();
+        assert_eq!(shield.protect(&guard, &root, None).as_raw(), node);
+        bumper.join().unwrap();
+    } else {
+        assert_eq!(reader.protect(&root, 0, core::ptr::null_mut()), node);
+        bumper.join().unwrap();
+        reader.clear();
+    }
     // SAFETY: never published beyond this thread's root; freed exactly once.
     unsafe { wfe_reclaim::Linked::dealloc(node) };
     domain.stats().slow_path
@@ -143,12 +152,14 @@ fn the_fast_path_makes_exactly_fast_path_attempts_before_asking_for_help() {
     // more than `n - 1`. Both, over every schedule with up to three
     // preemptions, pin the count — the peeled first attempt included — at
     // exactly `fast_path_attempts`: `n` published eras, then one slow path.
-    for attempts in 1..=3 {
+    // Attempts 1 and 2 run inline and 3 out of line, through the raw
+    // `protect` and through a guard-leased `Shield` alike.
+    for (attempts, through_shield) in (1..=3).flat_map(|n| [(n, false), (n, true)]) {
         let most = Arc::new(StdAtomicU64::new(0));
         let seen = Arc::clone(&most);
         let (_, complete) = shuttle::explore(
             move || {
-                let slow = protect_against_bumps(attempts, attempts - 1);
+                let slow = protect_against_bumps(attempts, attempts - 1, through_shield);
                 assert!(slow <= 1, "one protect enters the slow path at most once");
                 seen.fetch_max(slow, SeqCst);
             },
@@ -159,15 +170,16 @@ fn the_fast_path_makes_exactly_fast_path_attempts_before_asking_for_help() {
         assert_eq!(
             most.load(SeqCst),
             1,
-            "{attempts} attempts: a bump before each attempt after the first forces the slow path"
+            "{attempts} attempts (shield: {through_shield}): a bump before each attempt after \
+             the first forces the slow path"
         );
         if attempts >= 2 {
             let (_, complete) = shuttle::explore(
                 move || {
                     assert_eq!(
-                        protect_against_bumps(attempts, attempts - 2),
+                        protect_against_bumps(attempts, attempts - 2, through_shield),
                         0,
-                        "{attempts} attempts outlast {} bumps",
+                        "{attempts} attempts (shield: {through_shield}) outlast {} bumps",
                         attempts - 2
                     );
                 },
