@@ -21,8 +21,8 @@
 # LeakSanitizer checks both (every slab stays reachable through the pool's
 # slab list).
 #
-# Covered: the `wfe-sync`, `wfe-reclaim`, `wfe-core` and `wfe-ds` unit
-# suites, the block-cache suite (`--test cache_leak`), the conformance,
+# Covered: the `wfe-sync`, `wfe-reclaim` (the six-scheme conformance table
+# included) and `wfe-ds` unit suites, the block-cache suite (`--test cache_leak`), the conformance,
 # property and resize-storm suites and the integration suite, once more
 # with one test thread at a time (tests then do not preempt each other).
 # The Natarajan-Mittal BST is covered too: its `seek` steps only through
@@ -47,7 +47,7 @@ for mode in "${modes[@]}"; do
     esac
     echo "== ASan, block cache $mode" >&2
     export WFE_BLOCK_CACHE="$mode"
-    cargo +nightly test "${target[@]}" -p wfe-sync -p wfe-reclaim -p wfe-core --lib
+    cargo +nightly test "${target[@]}" -p wfe-sync -p wfe-reclaim --lib
     cargo +nightly test "${target[@]}" -p wfe-ds --lib
     cargo +nightly test "${target[@]}" --test cache_leak --test conformance_smoke \
         --test proptests --test resize_stress

@@ -26,10 +26,10 @@
 //! Pooled handles, the block cache and the resizable map are measured by the
 //! repository benchmark (`benchmark/`), not here.
 
-use wfe_core::Wfe;
 use wfe_ds::{
     CrTurnQueue, KoganPetrankQueue, MichaelHashMap, MichaelList, MichaelScottQueue, NatarajanBst,
 };
+use wfe_reclaim::Wfe;
 use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, Reclaimer};
 
 use crate::params::BenchParams;

@@ -24,7 +24,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use wfe_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use wfe_reclaim::{He, Reclaimer, ReclaimerConfig, SmrStats};
+use wfe_reclaim::{DomainConfig, He, Reclaimer, SmrStats};
 
 use crate::params::BenchParams;
 use crate::workload::{MapOp, MapWorkload, OpGenerator};
@@ -129,14 +129,14 @@ struct Run {
     stats: SmrStats,
 }
 
-fn domain_config(threads: usize, required_slots: usize, params: &BenchParams) -> ReclaimerConfig {
-    ReclaimerConfig {
+fn domain_config(threads: usize, required_slots: usize, params: &BenchParams) -> DomainConfig {
+    DomainConfig {
         max_threads: threads,
         slots_per_thread: required_slots.max(2),
         era_freq: params.era_freq,
         cleanup_freq: params.cleanup_freq,
         fast_path_attempts: params.fast_path_attempts,
-        ..ReclaimerConfig::default()
+        ..DomainConfig::default()
     }
 }
 
@@ -355,8 +355,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfe_core::Wfe;
     use wfe_ds::MichaelScottQueue;
+    use wfe_reclaim::Wfe;
 
     #[test]
     fn map_runner_produces_sane_numbers() {

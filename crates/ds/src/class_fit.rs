@@ -6,8 +6,7 @@
 //! live node. Every type allocated through a domain is in the table, and
 //! each fits its class within [`MAX_SLACK`] bytes.
 
-use wfe_reclaim::cache::CLASS_ALIGN;
-use wfe_reclaim::{BlockHeader, Linked, SizeClass};
+use wfe_reclaim::{BlockHeader, Linked, SizeClass, CLASS_ALIGN};
 
 /// Bytes a block may leave unused in its class: one word.
 const MAX_SLACK: usize = 8;

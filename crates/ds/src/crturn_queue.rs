@@ -631,13 +631,13 @@ impl<R: Reclaimer> ConcurrentQueue<R> for CrTurnQueue<u64, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, Ebr, He, Hp, Ibr2Ge, Leak};
     use wfe_sync::atomic::{AtomicU64, Ordering::SeqCst};
 
-    fn small_config(threads: usize) -> ReclaimerConfig {
-        ReclaimerConfig {
+    fn small_config(threads: usize) -> DomainConfig {
+        DomainConfig {
             max_threads: threads,
-            ..ReclaimerConfig::default()
+            ..DomainConfig::default()
         }
     }
 

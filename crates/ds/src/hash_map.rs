@@ -117,7 +117,7 @@ impl<R: Reclaimer> ConcurrentMap<R> for MichaelHashMap<u64, R> {
 mod tests {
     use super::*;
     use std::collections::HashMap as StdHashMap;
-    use wfe_reclaim::{He, Hp, Reclaimer, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, He, Hp, Reclaimer};
 
     #[test]
     fn basic_map_semantics() {
@@ -165,7 +165,7 @@ mod tests {
     fn concurrent_threads_own_disjoint_keys() {
         const THREADS: usize = 4;
         const PER_THREAD: u64 = 2_000;
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(THREADS));
+        let domain = He::with_config(DomainConfig::with_max_threads(THREADS));
         let map = MichaelHashMap::<u64, He>::new(Arc::clone(&domain));
         std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {

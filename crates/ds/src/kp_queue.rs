@@ -630,13 +630,13 @@ impl<R: Reclaimer> ConcurrentQueue<R> for KoganPetrankQueue<u64, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, Ebr, He, Hp, Ibr2Ge};
     use wfe_sync::atomic::{AtomicU64, Ordering::SeqCst};
 
-    fn small_config(threads: usize) -> ReclaimerConfig {
-        ReclaimerConfig {
+    fn small_config(threads: usize) -> DomainConfig {
+        DomainConfig {
             max_threads: threads,
-            ..ReclaimerConfig::default()
+            ..DomainConfig::default()
         }
     }
 

@@ -126,7 +126,7 @@ impl<R: Reclaimer> ConcurrentMap<R> for MichaelList<u64, R> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, Ebr, He, Hp, Ibr2Ge, Leak};
 
     fn sequential_semantics<R: Reclaimer>() {
         let domain = R::new_default();
@@ -177,7 +177,7 @@ mod tests {
     fn concurrent_inserts_partition<R: Reclaimer>() {
         const THREADS: usize = 4;
         const PER_THREAD: u64 = 500;
-        let domain = R::with_config(ReclaimerConfig::with_max_threads(THREADS));
+        let domain = R::with_config(DomainConfig::with_max_threads(THREADS));
         let list = MichaelList::<u64, R>::new(Arc::clone(&domain));
         std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {
@@ -211,7 +211,7 @@ mod tests {
         // caught by the conformance drop counters in the reclaim crate; here
         // we check structural sanity).
         const THREADS: usize = 4;
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(THREADS));
+        let domain = He::with_config(DomainConfig::with_max_threads(THREADS));
         let list = MichaelList::<u64, He>::new(Arc::clone(&domain));
         std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {

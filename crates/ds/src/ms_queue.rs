@@ -242,7 +242,7 @@ impl<R: Reclaimer> ConcurrentQueue<R> for MichaelScottQueue<u64, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, Ebr, He, Hp, Ibr2Ge};
     use wfe_sync::atomic::{AtomicU64, Ordering::SeqCst};
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
     fn concurrent_producers_and_consumers_conserve_sum() {
         const THREADS: usize = 4;
         const PER_THREAD: u64 = 5_000;
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(THREADS + 1));
+        let domain = He::with_config(DomainConfig::with_max_threads(THREADS + 1));
         let queue = MichaelScottQueue::<u64, He>::new(Arc::clone(&domain));
         let consumed = AtomicU64::new(0);
         let consumed_count = AtomicU64::new(0);

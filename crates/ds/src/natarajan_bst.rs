@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use wfe_sync::atomic::Ordering;
 
-use wfe_reclaim::ptr::tag;
+use wfe_reclaim::tag;
 use wfe_reclaim::{Atomic, Guard, Handle, Linked, Protected, Reclaimer, Shield};
 
 use crate::traits::ConcurrentMap;
@@ -490,7 +490,7 @@ impl<R: Reclaimer> ConcurrentMap<R> for NatarajanBst<u64, R> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Reclaimer, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, Ebr, He, Hp, Ibr2Ge, Reclaimer};
 
     fn sequential_semantics<R: Reclaimer>() {
         let domain = R::new_default();
@@ -562,7 +562,7 @@ mod tests {
     fn concurrent_disjoint_inserts<R: Reclaimer>() {
         const THREADS: usize = 4;
         const PER_THREAD: u64 = 1_000;
-        let domain = R::with_config(ReclaimerConfig::with_max_threads(THREADS));
+        let domain = R::with_config(DomainConfig::with_max_threads(THREADS));
         let tree = NatarajanBst::<u64, R>::new(Arc::clone(&domain));
         std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {
@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn concurrent_contended_workload_is_structurally_sound() {
         const THREADS: usize = 4;
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(THREADS));
+        let domain = He::with_config(DomainConfig::with_max_threads(THREADS));
         let tree = NatarajanBst::<u64, He>::new(Arc::clone(&domain));
         std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {

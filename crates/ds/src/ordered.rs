@@ -28,7 +28,7 @@
 
 use wfe_sync::atomic::Ordering;
 
-use wfe_reclaim::ptr::tag;
+use wfe_reclaim::tag;
 use wfe_reclaim::{Atomic, Guard, Linked, Protected, RawHandle, Shield};
 
 /// Mark bit set on `next` when the owning node is logically deleted.
@@ -429,7 +429,7 @@ mod tests {
     use std::sync::Arc;
 
     use rand::prelude::*;
-    use wfe_reclaim::{Handle, He, Reclaimer, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, Handle, He, Reclaimer};
 
     /// A bare chain: a root link and the walk that frees it.
     struct Chain<K, V>(Atomic<Node<K, V>>);
@@ -445,10 +445,10 @@ mod tests {
     /// retirements, so an unlinked node is really freed while the test still
     /// runs (and Miri would see a traversal touch it).
     fn eager_domain() -> Arc<He> {
-        He::with_config(ReclaimerConfig {
+        He::with_config(DomainConfig {
             cleanup_freq: 4,
             era_freq: 2,
-            ..ReclaimerConfig::with_max_threads(1)
+            ..DomainConfig::with_max_threads(1)
         })
     }
 

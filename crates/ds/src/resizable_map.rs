@@ -530,13 +530,13 @@ impl<R: Reclaimer> ConcurrentMap<R> for ResizableHashMap<u64, R> {
 mod tests {
     use super::*;
     use std::collections::HashMap as StdHashMap;
-    use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, Ebr, He, Hp, Ibr2Ge, Leak};
 
-    fn small_config(threads: usize) -> ReclaimerConfig {
-        ReclaimerConfig {
+    fn small_config(threads: usize) -> DomainConfig {
+        DomainConfig {
             cleanup_freq: 8,
             era_freq: 16,
-            ..ReclaimerConfig::with_max_threads(threads)
+            ..DomainConfig::with_max_threads(threads)
         }
     }
 

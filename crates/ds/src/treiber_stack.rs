@@ -148,7 +148,7 @@ impl<T, R: Reclaimer> Drop for TreiberStack<T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfe_reclaim::{Ebr, He, Hp, Ibr2Ge, Leak, ReclaimerConfig};
+    use wfe_reclaim::{DomainConfig, Ebr, He, Hp, Ibr2Ge, Leak};
     use wfe_sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     fn lifo_single_threaded<R: Reclaimer>() {
@@ -205,7 +205,7 @@ mod tests {
     fn concurrent_push_pop_conserves_values() {
         const THREADS: usize = 4;
         const PER_THREAD: u64 = 5_000;
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(THREADS));
+        let domain = He::with_config(DomainConfig::with_max_threads(THREADS));
         let stack = TreiberStack::<u64, He>::new(Arc::clone(&domain));
         let popped_sum = AtomicUsize::new(0);
         std::thread::scope(|scope| {

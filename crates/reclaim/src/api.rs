@@ -104,8 +104,7 @@ pub struct DomainConfig {
     /// Number of shards the thread-slot registry is split into; `0` (the
     /// default) picks the host's available parallelism. Clamped to
     /// `1..=max_threads`. More shards mean less acquire/release contention
-    /// between sockets and smaller scan windows (idle shards are skipped);
-    /// see [`crate::registry::ThreadRegistry`].
+    /// between sockets and smaller scan windows (idle shards are skipped).
     pub shards: usize,
     /// The size-class block cache (per-handle magazines over the
     /// process-wide block pool) that keeps retire→free→alloc cycles out of
@@ -172,11 +171,6 @@ impl DomainConfig {
     }
 }
 
-/// Historical name of [`DomainConfig`], kept so struct-literal construction
-/// (`ReclaimerConfig { .. }`) in existing code keeps compiling. New code
-/// should name [`DomainConfig`].
-pub type ReclaimerConfig = DomainConfig;
-
 /// The reservation-slot index check every cell resolution makes
 /// ([`RawHandle::cell`]), under every scheme and in every build: once per
 /// [`Shield`] lease, once per raw [`protect_raw`](RawHandle::protect_raw).
@@ -203,10 +197,9 @@ pub fn assert_slot_index(index: usize, slots: usize) {
 /// The type-erased, per-thread reclamation interface.
 ///
 /// This is the Rust rendering of the paper's Hazard-Eras-compatible C
-/// interface. Its one implementation is the scheme core's
-/// [`DomainHandle`](crate::DomainHandle); a new scheme is a
-/// [`Policy`](crate::Policy) of that core, not another implementation of
-/// this trait. Application code should use the safe layer instead:
+/// interface. Its one implementation is the handle of the crate's scheme
+/// core; a new scheme is a policy of that core, not another implementation
+/// of this trait. Application code should use the safe layer instead:
 /// [`Handle::enter`] for operation brackets, [`Guard::shield`]/[`Shield`] for
 /// reservations and [`Protected`](crate::Protected) for the pointers they
 /// return; the raw methods below remain public for harnesses that measure
@@ -221,7 +214,7 @@ pub fn assert_slot_index(index: usize, slots: usize) {
 /// [`clear`](Self::clear) / [`end_op`](Self::end_op) is called, provided the
 /// program obeys the usual SMR contract (blocks are retired only after
 /// becoming unreachable, and only once). [`cell`](Self::cell) must call
-/// [`assert_slot_index`] (or an equivalent check), so an out-of-range index
+/// `assert_slot_index` (or an equivalent check), so an out-of-range index
 /// fails the same way under every scheme and in every build, and
 /// `protect_raw` must resolve its cell through it.
 ///
@@ -247,7 +240,7 @@ pub unsafe trait RawHandle {
     fn shield_slots(&self) -> &Arc<ShieldSlots>;
 
     /// A reservation cell: the addresses one slot's protect reads and
-    /// writes, resolved once ([`Policy::Cell`](crate::Policy::Cell)).
+    /// writes, resolved once (the scheme policy's `Cell`).
     type Cell: Copy + Send + Sync;
 
     /// Resolves the cell of reservation slot `index` of this handle — what a
@@ -261,7 +254,7 @@ pub unsafe trait RawHandle {
     ///
     /// # Panics
     ///
-    /// Panics if `index >= slots()` ([`assert_slot_index`]).
+    /// Panics if `index >= slots()` (`assert_slot_index`).
     unsafe fn cell(&self, index: usize) -> Self::Cell;
 
     /// Hazard-Eras `get_protected` through a resolved cell: what
@@ -448,11 +441,11 @@ pub trait Reclaimer: Send + Sync + Sized + 'static {
     type Handle: RawHandle + Send;
 
     /// Creates a domain with the given configuration.
-    fn with_config(config: ReclaimerConfig) -> Arc<Self>;
+    fn with_config(config: DomainConfig) -> Arc<Self>;
 
-    /// Creates a domain with [`ReclaimerConfig::default`].
+    /// Creates a domain with [`DomainConfig::default`].
     fn new_default() -> Arc<Self> {
-        Self::with_config(ReclaimerConfig::default())
+        Self::with_config(DomainConfig::default())
     }
 
     /// Registers the calling thread and returns its handle, or `None` when
@@ -460,9 +453,9 @@ pub trait Reclaimer: Send + Sync + Sized + 'static {
     /// gracefully (shed the thread, queue the work) instead of panicking.
     ///
     /// ```
-    /// use wfe_reclaim::{He, Reclaimer, ReclaimerConfig};
+    /// use wfe_reclaim::{DomainConfig, He, Reclaimer};
     ///
-    /// let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+    /// let domain = He::with_config(DomainConfig::with_max_threads(1));
     /// let first = domain.try_register().expect("one slot is available");
     /// assert!(domain.try_register().is_none(), "registry exhausted");
     /// drop(first);
@@ -481,7 +474,7 @@ pub trait Reclaimer: Send + Sync + Sized + 'static {
         self.try_register().unwrap_or_else(|| {
             panic!(
                 "thread registry exhausted: more than {} concurrent handles; \
-                 raise ReclaimerConfig::max_threads",
+                 raise DomainConfig::max_threads",
                 self.config().max_threads
             )
         })
@@ -498,7 +491,7 @@ pub trait Reclaimer: Send + Sync + Sized + 'static {
     fn stats(&self) -> SmrStats;
 
     /// The configuration this domain was created with.
-    fn config(&self) -> &ReclaimerConfig;
+    fn config(&self) -> &DomainConfig;
 
     /// The domain's sharded thread-slot registry (shard geometry and
     /// occupancy are observable for monitoring and benchmarks).
@@ -511,7 +504,7 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper_parameters() {
-        let cfg = ReclaimerConfig::default();
+        let cfg = DomainConfig::default();
         assert_eq!(cfg.era_freq, 150);
         assert_eq!(cfg.fast_path_attempts, 16);
         assert!(cfg.cleanup_freq >= 30);
@@ -525,9 +518,9 @@ mod tests {
         // the stride is 16 cells, so index 16 of the first row is the second
         // row's slot 0 — another thread's reservation.
         const STRIDE: usize = 128 / 8;
-        let domain = crate::He::with_config(ReclaimerConfig {
+        let domain = crate::He::with_config(DomainConfig {
             slots_per_thread: 8,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut first = domain.register();
         let _second = domain.register();
@@ -537,8 +530,8 @@ mod tests {
 
     #[test]
     fn with_max_threads_overrides_only_that_field() {
-        let cfg = ReclaimerConfig::with_max_threads(4);
+        let cfg = DomainConfig::with_max_threads(4);
         assert_eq!(cfg.max_threads, 4);
-        assert_eq!(cfg.era_freq, ReclaimerConfig::default().era_freq);
+        assert_eq!(cfg.era_freq, DomainConfig::default().era_freq);
     }
 }

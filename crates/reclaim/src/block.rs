@@ -32,7 +32,7 @@ pub const INVPTR: u64 = u64::MAX;
 ///
 /// What only a retired block needs — its retire era and its place in the
 /// retiring thread's batch — lives in that batch's entry
-/// ([`Retired`](crate::retired::Retired)), not here, so a live node carries
+/// (`Retired`), not here, so a live node carries
 /// 16 bytes of header rather than 32.
 ///
 /// `alloc_era` is an atomic only because the WFE *helper* threads read it in
@@ -98,7 +98,7 @@ impl<T> Linked<T> {
 
     /// Like [`alloc`](Self::alloc), but, when the layout fits a size class,
     /// allocates a class block popped from the handle's `local` magazine
-    /// (which refills from the pool, [`crate::slab`], when empty). Without a
+    /// (which refills from the process-wide block pool when empty). Without a
     /// magazine — the cache off, a scheme that never reclaims — or for a
     /// layout no class fits, the block is a `Box` of its own; its `drop_fn`
     /// records which.

@@ -63,7 +63,8 @@ pub const CLASS_SIZES: [usize; 6] = [40, 56, 120, 248, 504, 1016];
 /// through to the `Box` path.
 pub const CLASS_ALIGN: usize = 8;
 
-/// A size class of the block cache: an index into [`CLASS_SIZES`].
+/// A size class of the block cache: an index into `CLASS_SIZES`, the six
+/// block sizes from 40 to 1016 bytes.
 ///
 /// A block's class is decided once, at allocation time, from the layout of
 /// its `Linked<T>`; the class is what the type-erased free path returns so

@@ -257,9 +257,9 @@ impl EraCell {
 
 /// A reclamation domain running scheme `P`.
 ///
-/// The scheme names — [`He`](crate::He), [`Hp`](crate::Hp),
-/// [`Ebr`](crate::Ebr), [`Ibr2Ge`](crate::Ibr2Ge), [`Leak`](crate::Leak) and
-/// `wfe_core::Wfe` — are aliases of this type.
+/// The scheme names — [`Wfe`](crate::Wfe), [`He`](crate::He),
+/// [`Hp`](crate::Hp), [`Ebr`](crate::Ebr), [`Ibr2Ge`](crate::Ibr2Ge) and
+/// [`Leak`](crate::Leak) — are aliases of this type.
 pub struct Domain<P: Policy> {
     config: DomainConfig,
     registry: ThreadRegistry,
@@ -393,11 +393,15 @@ impl<P: Policy> core::fmt::Debug for Domain<P> {
 /// Deliberately `!Sync`: the single-writer premise of the
 /// [`Shield`](crate::Shield) lease table (`RawHandle`'s `# Safety`).
 ///
+/// A thread cannot lend its handle to another:
+///
 /// ```compile_fail,E0277
-/// fn requires_sync<T: Sync>() {}
-/// fn for_every_policy<P: wfe_reclaim::domain::Policy>() {
-///     requires_sync::<wfe_reclaim::domain::DomainHandle<P>>(); // ERROR: not `Sync`
-/// }
+/// use wfe_reclaim::{RawHandle, Reclaimer, Wfe};
+/// let domain = Wfe::new_default();
+/// let handle = domain.register();
+/// std::thread::scope(|scope| {
+///     scope.spawn(|| handle.thread_id()); // ERROR: the handle is not `Sync`
+/// });
 /// ```
 pub struct DomainHandle<P: Policy> {
     /// Lease table for this handle's [`Shield`](crate::Shield)s. Schemes that

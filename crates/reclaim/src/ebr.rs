@@ -14,20 +14,20 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF};
-use crate::domain::{Domain, DomainHandle, Policy};
+use crate::domain::{Domain, Policy};
 use crate::scan::EpochSnapshot;
 use crate::slots::SlotArray;
 
-/// The EBR domain; its epoch is the core's clock ([`Domain::era`]).
-pub type Ebr = Domain<EbrPolicy>;
-
-/// Per-thread EBR handle.
+/// The EBR domain; its epoch is the core's clock (`era()`).
+///
+/// Its per-thread handle is deliberately `!Sync`:
 ///
 /// ```compile_fail,E0277
+/// use wfe_reclaim::{Ebr, Reclaimer};
 /// fn requires_sync<T: Sync>() {}
-/// requires_sync::<wfe_reclaim::ebr::EbrHandle>(); // ERROR: `EbrHandle` is not `Sync`
+/// requires_sync::<<Ebr as Reclaimer>::Handle>(); // ERROR: the EBR handle is not `Sync`
 /// ```
-pub type EbrHandle = DomainHandle<EbrPolicy>;
+pub type Ebr = Domain<EbrPolicy>;
 
 /// What EBR adds to the scheme core: one published epoch per thread, for the
 /// length of an operation bracket.
@@ -87,7 +87,7 @@ unsafe impl Policy for EbrPolicy {
     /// Snapshots every published epoch once per cleanup pass: only the oldest
     /// active epoch matters, so the scratch is a single word. The walk goes
     /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::ThreadRegistry::occupied_ranges)).
+    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)).
     fn fill_snapshot(domain: &Ebr, snapshot: &mut EpochSnapshot) {
         let reservations = &domain.policy().reservations;
         snapshot.clear();
@@ -103,17 +103,17 @@ unsafe impl Policy for EbrPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{RawHandle, ReclaimerConfig};
+    use crate::api::{DomainConfig, RawHandle};
 
     #[test]
     fn stalled_reader_pins_memory() {
         // The defining weakness of EBR: a thread inside an operation bracket
         // prevents every later retirement from being freed.
         use crate::Handle;
-        let domain = Ebr::with_config(ReclaimerConfig {
+        let domain = Ebr::with_config(DomainConfig {
             cleanup_freq: 1,
             era_freq: 1,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut stalled = domain.register();
         let mut worker = domain.register();

@@ -240,7 +240,7 @@ impl std::error::Error for ShieldError {}
 ///
 /// A [`Protected`] pointer cannot outlive the guard it was read under:
 ///
-/// ```compile_fail
+/// ```compile_fail,E0597
 /// use wfe_reclaim::{Atomic, Handle, He, Reclaimer};
 /// let domain = He::new_default();
 /// let mut handle = domain.register();
@@ -280,7 +280,7 @@ impl std::error::Error for ShieldError {}
 /// let domain = He::new_default();
 /// let mut handle = domain.register();
 /// let guard = handle.enter();
-/// requires_send(guard); // ERROR: `Guard<'_, HeHandle>` is not `Send`
+/// requires_send(guard); // ERROR: the guard is not `Send`
 /// ```
 pub struct Guard<'h, H: RawHandle> {
     /// Exclusive access to the handle for the guard's lifetime. A raw pointer
@@ -435,7 +435,7 @@ type ShieldMarker<'g, T, H> = PhantomData<(&'g ShieldSlots, fn() -> T, fn(&H))>;
 ///
 /// The shield is typed by the scheme's handle, so it cannot cross schemes:
 ///
-/// ```compile_fail
+/// ```compile_fail,E0308
 /// use wfe_reclaim::{Atomic, Handle, He, Hp, Reclaimer};
 /// let he = He::new_default();
 /// let hp = Hp::new_default();
@@ -511,7 +511,7 @@ impl<T, H: RawHandle> Shield<'_, T, H> {
     /// parent must itself be protected" — becomes a typed requirement.
     ///
     /// Re-protecting through the same shield releases the protection of the
-    /// pointer it previously returned (see the [module docs](self)). In
+    /// pointer it previously returned (see [`Protected::as_ref`]). In
     /// debug builds each call bumps this slot's generation, so a stale
     /// [`Protected`] kept past that point panics on its next
     /// [`as_ref`](Protected::as_ref) instead of dereferencing freed memory.
@@ -731,8 +731,7 @@ impl<'g, T> Protected<'g, T> {
     /// contract (just-unlinked and owned, or immortal) instead.
     ///
     /// Debug builds verify the obligation: every `Shield::protect` bumps a
-    /// per-slot generation, and a stale `as_ref` panics (see the
-    /// [module docs](self)).
+    /// per-slot generation, and a stale `as_ref` panics.
     ///
     /// # Panics
     ///
@@ -841,12 +840,12 @@ impl<T> core::fmt::Debug for Protected<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Reclaimer, ReclaimerConfig};
+    use crate::api::{DomainConfig, Reclaimer};
     use crate::he::He;
 
     #[test]
     fn shield_lease_release_roundtrip() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = He::with_config(DomainConfig::with_max_threads(2));
         let handle = domain.register();
         let total = handle.shield_slots().capacity();
         assert!(total >= 2);
@@ -865,9 +864,9 @@ mod tests {
 
     #[test]
     fn shield_exhaustion_is_an_error_not_a_stomp() {
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             slots_per_thread: 2,
-            ..ReclaimerConfig::with_max_threads(1)
+            ..DomainConfig::with_max_threads(1)
         });
         let handle = domain.register();
         let _a = Handle::shield::<u64>(&handle).unwrap();
@@ -879,7 +878,7 @@ mod tests {
 
     #[test]
     fn guard_brackets_protect_and_retire() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = He::with_config(DomainConfig::with_max_threads(2));
         let mut handle = domain.register();
         let mut shield = handle.shield::<u64>().unwrap();
         let node = handle.alloc(9u64);
@@ -903,10 +902,10 @@ mod tests {
 
     #[test]
     fn protect_pins_the_block_until_the_bracket_closes() {
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             cleanup_freq: 1,
             era_freq: 1,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut reader = domain.register();
         let mut writer = domain.register();
@@ -939,7 +938,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different handle")]
     fn shield_cannot_cross_handles_of_the_same_scheme() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = He::with_config(DomainConfig::with_max_threads(2));
         let first = domain.register();
         let mut second = domain.register();
         let mut shield = Handle::shield::<u64>(&first).unwrap();
@@ -955,7 +954,7 @@ mod tests {
         // so the shield's cell names a row the new handle now owns. The
         // lease-table check must refuse it (in every build) rather than let
         // the stale shield publish into that row.
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = He::with_config(DomainConfig::with_max_threads(1));
         let first = domain.register();
         let tid = first.thread_id();
         let mut shield = Handle::shield::<u64>(&first).unwrap();
@@ -969,7 +968,7 @@ mod tests {
 
     #[test]
     fn tag_round_trip_on_protected() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = He::with_config(DomainConfig::with_max_threads(1));
         let mut handle = domain.register();
         let node = handle.alloc(3u32);
         let root: Atomic<u32> = Atomic::new(tag::with_tag(node, 1));
@@ -1002,9 +1001,9 @@ mod tests {
         // The bitmap table capped leases at `usize::BITS`; the flag table
         // leases every application slot the domain was configured with.
         const SLOTS: usize = usize::BITS as usize + 1;
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             slots_per_thread: SLOTS,
-            ..ReclaimerConfig::with_max_threads(1)
+            ..DomainConfig::with_max_threads(1)
         });
         let mut handle = domain.register();
         assert_eq!(handle.shield_slots().capacity(), SLOTS);
@@ -1029,9 +1028,9 @@ mod tests {
 
     #[test]
     fn guard_lease_skips_owned_slots_and_reuses_the_lowest_released() {
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             slots_per_thread: 4,
-            ..ReclaimerConfig::with_max_threads(1)
+            ..DomainConfig::with_max_threads(1)
         });
         let mut handle = domain.register();
         let owned_low = handle.shield::<u64>().unwrap();
@@ -1057,9 +1056,9 @@ mod tests {
 
     #[test]
     fn guard_lease_reports_exhaustion() {
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             slots_per_thread: 2,
-            ..ReclaimerConfig::with_max_threads(1)
+            ..DomainConfig::with_max_threads(1)
         });
         let mut handle = domain.register();
         let _owned = handle.shield::<u64>().unwrap();
@@ -1073,7 +1072,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different handle")]
     fn guard_leased_shield_cannot_cross_handles_of_the_same_scheme() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = He::with_config(DomainConfig::with_max_threads(2));
         let mut first = domain.register();
         let mut second = domain.register();
         let first_guard = first.enter();
@@ -1105,7 +1104,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale Protected")]
     fn stale_protected_through_a_guard_leased_shield_panics_in_debug() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = He::with_config(DomainConfig::with_max_threads(1));
         let mut handle = domain.register();
         let a = handle.alloc(1u64);
         let b = handle.alloc(2u64);
@@ -1127,7 +1126,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale Protected")]
     fn stale_protected_after_reprotect_panics_in_debug() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = He::with_config(DomainConfig::with_max_threads(1));
         let mut handle = domain.register();
         let mut shield = handle.shield::<u64>().unwrap();
         let a = handle.alloc(1u64);
@@ -1149,7 +1148,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale Protected")]
     fn stale_protected_after_slot_release_and_reuse_panics_in_debug() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = He::with_config(DomainConfig::with_max_threads(1));
         let mut handle = domain.register();
         let mut shield = handle.shield::<u64>().unwrap();
         let slot = shield.slot();

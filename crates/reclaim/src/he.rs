@@ -9,26 +9,26 @@
 //! Every operation except `get_protected()` is wait-free (given wait-free
 //! fetch-and-add); `get_protected()` is only lock-free because its loop keeps
 //! retrying while other threads advance the era clock — this is exactly the
-//! loop WFE (in the `wfe-core` crate) makes wait-free.
+//! loop WFE (`crate::wfe`) makes wait-free.
 
 use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF};
-use crate::domain::{Domain, DomainHandle, EraCell, Policy};
+use crate::domain::{Domain, EraCell, Policy};
 use crate::scan::EraSnapshot;
 use crate::slots::SlotArray;
 
 /// The Hazard Eras domain.
-pub type He = Domain<HePolicy>;
-
-/// Per-thread Hazard Eras handle.
+///
+/// Its per-thread handle is deliberately `!Sync`:
 ///
 /// ```compile_fail,E0277
+/// use wfe_reclaim::{He, Reclaimer};
 /// fn requires_sync<T: Sync>() {}
-/// requires_sync::<wfe_reclaim::he::HeHandle>(); // ERROR: `HeHandle` is not `Sync`
+/// requires_sync::<<He as Reclaimer>::Handle>(); // ERROR: the Hazard Eras handle is not `Sync`
 /// ```
-pub type HeHandle = DomainHandle<HePolicy>;
+pub type He = Domain<HePolicy>;
 
 /// What Hazard Eras adds to the scheme core: one published era per
 /// reservation slot.
@@ -86,7 +86,7 @@ unsafe impl Policy for HePolicy {
     /// Figure-1 `can_delete` lifespan test becomes one binary search per
     /// block instead of a full reservation-table walk. The walk goes
     /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::ThreadRegistry::occupied_ranges)).
+    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)).
     fn fill_snapshot(domain: &He, snapshot: &mut EraSnapshot) {
         let reservations = &domain.policy().reservations;
         snapshot.clear();
@@ -105,13 +105,13 @@ unsafe impl Policy for HePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ReclaimerConfig;
+    use crate::api::DomainConfig;
 
     #[test]
     fn era_advances_with_allocations() {
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             era_freq: 10,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut handle = domain.register();
         let before = domain.era();

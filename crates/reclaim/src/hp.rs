@@ -12,20 +12,20 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::BlockHeader;
-use crate::domain::{CellPtr, Domain, DomainHandle, Policy};
+use crate::domain::{CellPtr, Domain, Policy};
 use crate::scan::HazardSnapshot;
 use crate::slots::PtrSlotArray;
 
 /// The Hazard Pointers domain.
-pub type Hp = Domain<HpPolicy>;
-
-/// Per-thread Hazard Pointers handle.
+///
+/// Its per-thread handle is deliberately `!Sync`:
 ///
 /// ```compile_fail,E0277
+/// use wfe_reclaim::{Hp, Reclaimer};
 /// fn requires_sync<T: Sync>() {}
-/// requires_sync::<wfe_reclaim::hp::HpHandle>(); // ERROR: `HpHandle` is not `Sync`
+/// requires_sync::<<Hp as Reclaimer>::Handle>(); // ERROR: the Hazard Pointers handle is not `Sync`
 /// ```
-pub type HpHandle = DomainHandle<HpPolicy>;
+pub type Hp = Domain<HpPolicy>;
 
 /// What Hazard Pointers adds to the scheme core: one published address per
 /// reservation slot. The era clock is never moved and never consulted.
@@ -94,7 +94,7 @@ unsafe impl Policy for HpPolicy {
     /// Snapshots the current hazard set once per cleanup pass, sorted so the
     /// per-block membership test is one binary search. The walk goes
     /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::ThreadRegistry::occupied_ranges)).
+    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)).
     fn fill_snapshot(domain: &Hp, snapshot: &mut HazardSnapshot) {
         let hazards = &domain.policy().hazards;
         snapshot.clear();
@@ -113,14 +113,14 @@ unsafe impl Policy for HpPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{RawHandle, ReclaimerConfig};
+    use crate::api::{DomainConfig, RawHandle};
     use crate::{Atomic, Handle};
 
     #[test]
     fn hazard_protects_exact_address_not_tag() {
         // Protecting a tagged pointer must publish the *untagged* address,
         // otherwise the scan would not recognise the block as protected.
-        let domain = Hp::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = Hp::with_config(DomainConfig::with_max_threads(2));
         let mut owner = domain.register();
         let mut other = domain.register();
 

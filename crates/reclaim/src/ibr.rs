@@ -16,7 +16,7 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF};
-use crate::domain::{Domain, DomainHandle, EraCell, Policy};
+use crate::domain::{Domain, EraCell, Policy};
 use crate::scan::IntervalSnapshot;
 use crate::slots::SlotArray;
 
@@ -24,15 +24,15 @@ const LOWER: usize = 0;
 const UPPER: usize = 1;
 
 /// The 2GEIBR domain.
-pub type Ibr2Ge = Domain<IbrPolicy>;
-
-/// Per-thread 2GEIBR handle.
+///
+/// Its per-thread handle is deliberately `!Sync`:
 ///
 /// ```compile_fail,E0277
+/// use wfe_reclaim::{Ibr2Ge, Reclaimer};
 /// fn requires_sync<T: Sync>() {}
-/// requires_sync::<wfe_reclaim::ibr::IbrHandle>(); // ERROR: `IbrHandle` is not `Sync`
+/// requires_sync::<<Ibr2Ge as Reclaimer>::Handle>(); // ERROR: the 2GEIBR handle is not `Sync`
 /// ```
-pub type IbrHandle = DomainHandle<IbrPolicy>;
+pub type Ibr2Ge = Domain<IbrPolicy>;
 
 /// What 2GEIBR adds to the scheme core: one published `[lower, upper]` era
 /// interval per thread, for the length of an operation bracket.
@@ -105,7 +105,7 @@ unsafe impl Policy for IbrPolicy {
     /// Snapshots every active `[lower, upper]` interval once per cleanup
     /// pass; the per-block overlap test then runs without atomic loads. The
     /// walk goes shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::ThreadRegistry::occupied_ranges)).
+    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)).
     fn fill_snapshot(domain: &Ibr2Ge, snapshot: &mut IntervalSnapshot) {
         let res = &domain.policy().reservations;
         snapshot.clear();
@@ -125,15 +125,15 @@ unsafe impl Policy for IbrPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{RawHandle, ReclaimerConfig};
+    use crate::api::{DomainConfig, RawHandle};
     use crate::Handle;
 
     #[test]
     fn interval_only_pins_overlapping_lifespans() {
-        let domain = Ibr2Ge::with_config(ReclaimerConfig {
+        let domain = Ibr2Ge::with_config(DomainConfig {
             cleanup_freq: 1,
             era_freq: 1,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut reader = domain.register();
         let mut writer = domain.register();

@@ -14,20 +14,20 @@ use wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress};
 use crate::block::BlockHeader;
-use crate::domain::{Domain, DomainHandle, Policy};
+use crate::domain::{Domain, Policy};
 use crate::retired::Retired;
 use crate::scan::{ReservationSet, Verdict};
 
 /// The leak-memory domain.
-pub type Leak = Domain<LeakPolicy>;
-
-/// Per-thread leak-memory handle.
+///
+/// Its per-thread handle is deliberately `!Sync`:
 ///
 /// ```compile_fail,E0277
+/// use wfe_reclaim::{Leak, Reclaimer};
 /// fn requires_sync<T: Sync>() {}
-/// requires_sync::<wfe_reclaim::leak::LeakHandle>(); // ERROR: `LeakHandle` is not `Sync`
+/// requires_sync::<<Leak as Reclaimer>::Handle>(); // ERROR: the leak-memory handle is not `Sync`
 /// ```
-pub type LeakHandle = DomainHandle<LeakPolicy>;
+pub type Leak = Domain<LeakPolicy>;
 
 /// What leaking adds to the scheme core: nothing. No table, no reservation.
 #[derive(Debug)]
@@ -74,12 +74,12 @@ unsafe impl Policy for LeakPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{RawHandle, Reclaimer, ReclaimerConfig};
+    use crate::api::{DomainConfig, RawHandle, Reclaimer};
     use crate::Handle;
 
     #[test]
     fn nothing_is_ever_freed_while_running() {
-        let domain = Leak::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = Leak::with_config(DomainConfig::with_max_threads(1));
         let mut handle = domain.register();
         for _ in 0..50 {
             let ptr = handle.alloc(0u64);
@@ -95,13 +95,13 @@ mod tests {
 
     #[test]
     fn never_scans_never_adopts_never_touches_the_caches() {
-        let domain = Leak::with_config(ReclaimerConfig {
+        let domain = Leak::with_config(DomainConfig {
             cleanup_freq: 1,
             block_cache: crate::BlockCacheConfig {
                 enabled: true,
                 ..crate::BlockCacheConfig::default()
             },
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut survivor = domain.register();
         {

@@ -1,9 +1,7 @@
-//! Generic safe-memory-reclamation (SMR) framework plus the baseline schemes
-//! used by the WFE paper's evaluation.
+//! Safe memory reclamation (SMR): Wait-Free Eras, the paper's contribution,
+//! and the baseline schemes its evaluation compares it against.
 //!
-//! The paper compares its contribution, Wait-Free Eras (implemented in the
-//! `wfe-core` crate), against five existing reclamation approaches. This crate
-//! provides:
+//! This crate provides:
 //!
 //! * the **common API** every scheme implements ([`Reclaimer`], [`RawHandle`],
 //!   [`Handle`]) — a Rust rendering of the Hazard-Pointers-compatible
@@ -12,57 +10,56 @@
 //!   the evaluation reuses; `RawHandle` is the raw, slot-indexed interface;
 //! * the **safe guard layer** application code uses instead of raw slot
 //!   indices: [`Guard`] operation brackets, [`Shield`] reservation leases
-//!   and borrow-checked [`Protected`] pointers (see [`guard`]);
+//!   and borrow-checked [`Protected`] pointers;
 //! * the 16-byte intrusive allocation header ([`BlockHeader`], [`Linked`])
 //!   that keeps a block's allocation era (its retire era waits in the
-//!   retiring thread's batch, [`retired::Retired`]);
-//! * the **one scheme core** ([`domain`]): a generic [`Domain<P>`] and its
-//!   per-thread [`DomainHandle<P>`] own registration, counters, block caches,
-//!   retired batches, orphan adoption, the cleanup and era-advance cadence
-//!   and both `Drop`s, and carry the only `impl Reclaimer` and the only
-//!   `unsafe impl RawHandle`; a [`Policy`] supplies what a scheme publishes,
-//!   which snapshot a pass fills and when the clock moves;
-//! * the baseline policies, each a type alias over that core:
-//!   [`Ebr`] (epoch-based reclamation), [`Hp`] (hazard pointers),
-//!   [`He`] (hazard eras, Figure 1 of the paper), [`Ibr2Ge`] (the 2GEIBR
+//!   retiring thread's batch);
+//! * **one scheme core**: a generic domain and its per-thread handle own
+//!   registration, counters, block caches, retired batches, orphan
+//!   adoption, the cleanup and era-advance cadence and both `Drop`s; a
+//!   crate-private policy supplies what a scheme publishes, which snapshot a
+//!   pass fills and when the clock moves;
+//! * the six schemes, each a type alias over that core: [`Wfe`] (Wait-Free
+//!   Eras: Hazard Eras plus a bounded slow path and helping, Figure 4 of
+//!   the paper), [`Ebr`] (epoch-based reclamation), [`Hp`] (hazard
+//!   pointers), [`He`] (hazard eras, Figure 1), [`Ibr2Ge`] (the 2GEIBR
 //!   variant of interval-based reclamation) and [`Leak`] (no reclamation);
-//! * the scale-out layers beyond the paper: the sharded
-//!   [`ThreadRegistry`] (NUMA-friendly slot management whose idle shards are
-//!   skipped by cleanup scans) and the [`HandlePool`] of parked handles for
-//!   executor-style task churn.
+//! * the [`HandlePool`] of parked handles for executor-style task churn.
 //!
 //! Data structures in `wfe-ds` are generic over `R: Reclaimer`, so every
 //! workload of the evaluation can be paired with every scheme, exactly as in
-//! the paper.
+//! the paper. The crate root is the whole public surface; the modules are
+//! private.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod api;
-pub mod block;
-pub mod cache;
-pub mod conformance;
-pub mod domain;
-pub mod ebr;
-pub mod guard;
-pub mod he;
-pub mod hp;
-pub mod ibr;
-pub mod leak;
-pub mod pool;
-pub mod ptr;
-pub mod registry;
-pub mod retired;
-pub mod scan;
-pub mod slab;
-pub mod slots;
-pub mod stats;
+mod api;
+mod block;
+mod cache;
+#[cfg(test)]
+mod conformance;
+mod domain;
+mod ebr;
+mod guard;
+mod he;
+mod hp;
+mod ibr;
+mod leak;
+mod pool;
+mod ptr;
+mod registry;
+mod retired;
+mod scan;
+mod slab;
+mod slots;
+mod stats;
 mod treiber;
+mod wfe;
 
-pub use api::{DomainConfig, Handle, Progress, RawHandle, Reclaimer, ReclaimerConfig};
-pub use block::{BlockHeader, Linked, ERA_INF, INVPTR};
-pub use cache::{BlockCacheConfig, LocalBlockCache, SizeClass};
-pub use domain::{Domain, DomainHandle, Policy};
+pub use api::{DomainConfig, Handle, Progress, RawHandle, Reclaimer};
+pub use block::{BlockHeader, Linked};
+pub use cache::{BlockCacheConfig, SizeClass, CLASS_ALIGN};
 pub use ebr::Ebr;
 pub use guard::{Guard, Protected, Shield, ShieldError, ShieldSlots};
 pub use he::He;
@@ -70,11 +67,11 @@ pub use hp::Hp;
 pub use ibr::Ibr2Ge;
 pub use leak::Leak;
 pub use pool::{HandlePool, PoolStats, PooledHandle};
-pub use ptr::Atomic;
-pub use registry::ThreadRegistry;
+pub use ptr::{tag, Atomic};
+pub use slab::{carved_blocks, outstanding_cached_allocs};
 pub use stats::SmrStats;
-#[doc(hidden)]
 pub use treiber::TypeStableStack;
+pub use wfe::{Wfe, WfeHandle};
 
 // Compile-time auto-trait facts, stated as the `static_assertions` idiom
 // (const fns, no dependency). Each line is a load-bearing API property: a
@@ -93,13 +90,16 @@ const fn _auto_trait_facts() {
     _assert_send_sync::<Hp>();
     _assert_send_sync::<Ibr2Ge>();
     _assert_send_sync::<Leak>();
-    _assert_send_sync::<ThreadRegistry>();
+    _assert_send_sync::<Wfe>();
+    _assert_send_sync::<registry::ThreadRegistry>();
     // `Atomic` is a shared-memory link by definition.
     _assert_send_sync::<Atomic<u64>>();
     // Stats snapshots travel to sampler/reporter threads.
     _assert_send_sync::<SmrStats>();
     // A handle's magazines move with the handle.
-    _assert_send::<LocalBlockCache>();
+    _assert_send::<cache::LocalBlockCache>();
+    // A WFE handle migrates between executor workers through the pool.
+    _assert_send::<WfeHandle>();
 }
 #[allow(dead_code)] // the bounds must hold for *all* R / T / H
 const fn _auto_trait_facts_generic<R: Reclaimer, T, H: RawHandle>() {

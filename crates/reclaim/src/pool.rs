@@ -62,9 +62,9 @@ impl PoolStats {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use wfe_reclaim::{Handle, HandlePool, He, Reclaimer, ReclaimerConfig};
+/// use wfe_reclaim::{DomainConfig, Handle, HandlePool, He, Reclaimer};
 ///
-/// let domain = He::with_config(ReclaimerConfig::with_max_threads(4));
+/// let domain = He::with_config(DomainConfig::with_max_threads(4));
 /// let pool = HandlePool::new(Arc::clone(&domain));
 ///
 /// {
@@ -308,7 +308,7 @@ impl<R: Reclaimer> core::fmt::Debug for PooledHandle<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ReclaimerConfig;
+    use crate::api::DomainConfig;
     use crate::block::Linked;
     use crate::conformance::DropCounter;
     use crate::guard::Protected;
@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn checkin_parks_and_checkout_revives_the_same_slot() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(4));
+        let domain = He::with_config(DomainConfig::with_max_threads(4));
         let pool = HandlePool::new(Arc::clone(&domain));
         let first = pool.check_out().unwrap();
         let tid = first.thread_id();
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn check_out_returns_none_only_when_pool_and_registry_are_empty() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = He::with_config(DomainConfig::with_max_threads(1));
         let pool = HandlePool::new(Arc::clone(&domain));
         let only = pool.check_out().unwrap();
         assert!(
@@ -356,7 +356,7 @@ mod tests {
     fn parked_handles_never_pin_memory() {
         // A handle that protected a block and was then checked in must not
         // keep the block alive: parking withdraws every reservation.
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(4));
+        let domain = He::with_config(DomainConfig::with_max_threads(4));
         let pool = HandlePool::new(Arc::clone(&domain));
         let mut owner = domain.register();
         let node = owner.alloc(3u64);
@@ -377,10 +377,10 @@ mod tests {
     #[test]
     fn pool_drop_with_parked_handles_releases_slots_and_frees_blocks() {
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             // No automatic scans: the parked handles keep non-empty batches.
             cleanup_freq: usize::MAX,
-            ..ReclaimerConfig::with_max_threads(4)
+            ..DomainConfig::with_max_threads(4)
         });
         let pool = HandlePool::new(Arc::clone(&domain));
         for _ in 0..3 {
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn prewarm_fills_the_pool_and_reset_stats_gives_steady_state_rates() {
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(4));
+        let domain = He::with_config(DomainConfig::with_max_threads(4));
         let pool = HandlePool::new(Arc::clone(&domain));
         assert_eq!(pool.prewarm(3), 3);
         assert_eq!(pool.parked(), 3);
@@ -429,7 +429,7 @@ mod tests {
     fn concurrent_check_out_in_stress() {
         const THREADS: usize = 8;
         const TASKS: usize = 500;
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(THREADS));
+        let domain = He::with_config(DomainConfig::with_max_threads(THREADS));
         let pool = HandlePool::new(Arc::clone(&domain));
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
@@ -466,7 +466,7 @@ mod tests {
         // The shield's cell names the handle's row in the domain, not the
         // handle's own bytes: parking moves the handle into the pool, and a
         // check-out on another thread revives it with the same row.
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = He::with_config(DomainConfig::with_max_threads(2));
         let pool = HandlePool::new(Arc::clone(&domain));
         let handle = pool.check_out().unwrap();
         let tid = handle.thread_id();
@@ -506,7 +506,7 @@ mod tests {
         const THREADS: usize = 4;
         const CHECKOUTS: usize = 2_000;
         type Moved = (PooledHandle<He>, usize);
-        let domain = He::with_config(ReclaimerConfig::with_max_threads(8));
+        let domain = He::with_config(DomainConfig::with_max_threads(8));
         let pool = HandlePool::new(Arc::clone(&domain));
         let deadline = Instant::now() + Duration::from_secs(30);
         let (senders, inboxes): (Vec<_>, Vec<_>) =

@@ -268,7 +268,7 @@ impl ThreadRegistry {
         self.try_acquire().unwrap_or_else(|| {
             panic!(
                 "thread registry exhausted: more than {} concurrent handles; \
-                 raise ReclaimerConfig::max_threads",
+                 raise DomainConfig::max_threads",
                 self.capacity
             )
         })

@@ -466,6 +466,10 @@ mod tests {
     use super::*;
     use crate::block::Linked;
     use crate::scan::{EpochSnapshot, EraSnapshot, HazardSnapshot, ReservationSet};
+    use crate::wfe::WfeSnapshot;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::Arc;
     use wfe_sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
@@ -868,5 +872,219 @@ mod tests {
             THREADS * BATCHES * 2,
             "every block freed exactly once (popped {remaining} at teardown)"
         );
+    }
+
+    /// One cleanup pass of the parked-scan differential: the blocks retired
+    /// since the previous pass, how the batch changes hands before the pass, and
+    /// the eras the pass's snapshot records in each of WFE's three columns. Eras
+    /// come from a pool of twelve, so they appear, disappear and reappear.
+    #[derive(Debug, Clone)]
+    struct ScanStep {
+        /// `(alloc_era, lifespan length)` of each newly retired block.
+        retired: Vec<(u64, u64)>,
+        hand_off: HandOff,
+        primary: Vec<u64>,
+        /// `false` = a slow path was in flight: the two columns below count.
+        quiescent: bool,
+        handover: Vec<u64>,
+        recheck: Vec<u64>,
+    }
+
+    /// What happens to the batch between two passes.
+    #[derive(Debug, Clone, Copy)]
+    enum HandOff {
+        /// The owner keeps it.
+        Keep,
+        /// `take()`n and `append`ed to another handle's batch that already
+        /// parked blocks under the same snapshot (adoption).
+        Adopt,
+        /// Parked on an `OrphanStack` and popped again (handle exit).
+        Orphan,
+    }
+
+    fn scan_step_strategy() -> impl Strategy<Value = ScanStep> {
+        let eras = || proptest::collection::vec(0u64..12, 0..4);
+        let hand_off = prop_oneof![
+            Just(HandOff::Keep),
+            Just(HandOff::Keep),
+            Just(HandOff::Adopt),
+            Just(HandOff::Orphan)
+        ];
+        let retired = proptest::collection::vec((0u64..12, 0u64..6), 0..8);
+        ((retired, hand_off), (eras(), any::<bool>(), eras(), eras())).prop_map(
+            |((retired, hand_off), (primary, quiescent, handover, recheck))| ScanStep {
+                retired,
+                hand_off,
+                primary,
+                quiescent,
+                handover,
+                recheck,
+            },
+        )
+    }
+
+    /// A payload that reports its id when the batch frees it.
+    struct Tracked {
+        id: usize,
+        freed: Rc<RefCell<Vec<usize>>>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.freed.borrow_mut().push(self.id);
+        }
+    }
+
+    /// The parked batch against a reference that rejudges every surviving block
+    /// on every pass, from the eras alone (`pinned` is the scheme's safety
+    /// condition written out, sharing no code with `scan.rs`): both must free the
+    /// same blocks on the same pass, across `take()`/`append` adoption and an
+    /// orphan-stack round trip, and an empty final snapshot must free the rest.
+    fn check_parked_scan<S: ReservationSet>(
+        steps: &[ScanStep],
+        snapshot_of: impl Fn(&ScanStep) -> S,
+        pinned: impl Fn(&ScanStep, u64, u64) -> bool,
+    ) {
+        let freed = Rc::new(RefCell::new(Vec::new()));
+        let orphans = OrphanStack::new();
+        let mut batch = RetiredBatch::new();
+        let mut reference: Vec<(usize, u64, u64)> = Vec::new();
+        let mut next_id = 0;
+        let mut previous: Option<&ScanStep> = None;
+        let last = ScanStep {
+            retired: Vec::new(),
+            hand_off: HandOff::Keep,
+            primary: Vec::new(),
+            quiescent: true,
+            handover: Vec::new(),
+            recheck: Vec::new(),
+        };
+        for step in steps.iter().chain([&last]) {
+            let mut retire = |batch: &mut RetiredBatch, alloc_era: u64, retire_era: u64| {
+                let id = next_id;
+                next_id += 1;
+                let block = Linked::alloc(
+                    Tracked {
+                        id,
+                        freed: Rc::clone(&freed),
+                    },
+                    alloc_era,
+                );
+                // SAFETY: the block is fresh, owned by this test, pushed on one
+                // batch only, and nothing else ever references it.
+                batch.push(unsafe { Retired::new(Linked::as_header(block), retire_era) });
+                (id, alloc_era, retire_era)
+            };
+            match step.hand_off {
+                HandOff::Keep => {}
+                HandOff::Adopt => {
+                    // The adopter retired one block of its own and judged it
+                    // against the snapshot the batch last saw, so it may already
+                    // hold a group with a witness the batch also uses.
+                    let mut adopter = RetiredBatch::new();
+                    if let Some(previous) = previous {
+                        let own = retire(&mut adopter, 3, 8);
+                        // SAFETY: single thread — nothing reserves anything the
+                        // snapshot does not record.
+                        unsafe { adopter.scan_against(&snapshot_of(previous), None) };
+                        if freed.borrow_mut().drain(..).next().is_none() {
+                            reference.push(own);
+                        }
+                    }
+                    let mut orphaned = batch.take();
+                    prop_assert!(batch.is_empty());
+                    adopter.append(&mut orphaned);
+                    prop_assert!(orphaned.is_empty());
+                    batch = adopter;
+                }
+                HandOff::Orphan => {
+                    let len = batch.len();
+                    orphans.push(batch.take());
+                    prop_assert_eq!(orphans.len(), len);
+                    if let Some(popped) = orphans.pop() {
+                        batch = popped;
+                    }
+                    prop_assert_eq!(batch.len(), len, "the orphan stack lost blocks");
+                }
+            }
+            for &(alloc_era, span) in &step.retired {
+                reference.push(retire(&mut batch, alloc_era, alloc_era + span));
+            }
+            prop_assert_eq!(batch.len(), reference.len(), "the hand-off lost blocks");
+
+            // SAFETY: as above — single thread, the snapshot is all there is.
+            let tally = unsafe { batch.scan_against(&snapshot_of(step), None) };
+            let mut now_freed: Vec<usize> = freed.borrow_mut().drain(..).collect();
+            now_freed.sort_unstable();
+            let mut expected = Vec::new();
+            reference.retain(|&(id, alloc_era, retire_era)| {
+                let keep = pinned(step, alloc_era, retire_era);
+                if !keep {
+                    expected.push(id);
+                }
+                keep
+            });
+            prop_assert_eq!(&now_freed, &expected, "freed a different set on this pass");
+            prop_assert_eq!(tally.freed, expected.len());
+            prop_assert_eq!(batch.len(), reference.len());
+            let parked: usize = batch.parked_groups().map(|(_, blocks)| blocks).sum();
+            prop_assert!(parked <= batch.len());
+            previous = Some(step);
+        }
+        prop_assert!(batch.is_empty(), "an empty snapshot frees everything");
+        prop_assert!(reference.is_empty());
+    }
+
+    /// Whether some era of `column` lies in `[alloc_era, retire_era]`.
+    fn column_pins(column: &[u64], alloc_era: u64, retire_era: u64) -> bool {
+        column
+            .iter()
+            .any(|era| (alloc_era..=retire_era).contains(era))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn parked_scan_frees_what_a_full_rescan_frees_he(
+            steps in proptest::collection::vec(scan_step_strategy(), 1..40)
+        ) {
+            check_parked_scan(
+                &steps,
+                |step| step.primary.iter().copied().collect::<EraSnapshot>(),
+                |step, alloc_era, retire_era| column_pins(&step.primary, alloc_era, retire_era),
+            );
+        }
+
+        #[test]
+        fn parked_scan_frees_what_a_full_rescan_frees_wfe(
+            steps in proptest::collection::vec(scan_step_strategy(), 1..40)
+        ) {
+            check_parked_scan(
+                &steps,
+                |step| WfeSnapshot::from_eras(&step.primary, step.quiescent, &step.handover, &step.recheck),
+                |step, alloc_era, retire_era| {
+                    column_pins(&step.primary, alloc_era, retire_era)
+                        || (!step.quiescent
+                            && (column_pins(&step.handover, alloc_era, retire_era)
+                                || column_pins(&step.recheck, alloc_era, retire_era)))
+                },
+            );
+        }
+
+        #[test]
+        fn parked_scan_frees_what_a_full_rescan_frees_ebr(
+            steps in proptest::collection::vec(scan_step_strategy(), 1..40)
+        ) {
+            check_parked_scan(
+                &steps,
+                |step| {
+                    let mut snapshot = EpochSnapshot::new();
+                    step.primary.iter().for_each(|&epoch| snapshot.insert(epoch));
+                    snapshot
+                },
+                |step, _alloc_era, retire_era| step.primary.iter().any(|&epoch| epoch <= retire_era),
+            );
+        }
     }
 }

@@ -187,9 +187,9 @@ pub(crate) unsafe fn give_chain(class: SizeClass, chain: BlockChain) {
 /// magazine (frees with no handle, `Linked::dealloc`): back to where it was
 /// once every domain that took some has dropped.
 ///
-/// Test-only observability — the count is global, so assertions about it
-/// are only meaningful in a process that controls all its allocations.
-#[doc(hidden)]
+/// Exported for `tests/cache_leak.rs`, which needs a process of its own:
+/// the count is global, so assertions about it are only meaningful in a
+/// process that controls all its allocations.
 pub fn outstanding_cached_allocs() -> isize {
     let out: isize = OUTSTANDING
         .iter()
@@ -200,8 +200,7 @@ pub fn outstanding_cached_allocs() -> isize {
 
 /// The process-wide number of class blocks ever carved from slabs: the
 /// pools' combined size, which grows only when more blocks are out at once
-/// than ever before. Test-only observability, as above.
-#[doc(hidden)]
+/// than ever before. Exported for `tests/cache_leak.rs`, as above.
 pub fn carved_blocks() -> usize {
     CARVED
         .iter()

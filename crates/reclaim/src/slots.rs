@@ -88,12 +88,6 @@ impl SlotArray {
         self.0.slots
     }
 
-    /// Number of thread rows.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.0.threads
-    }
-
     /// Returns the cell for `(thread, slot)`.
     #[inline]
     pub fn get(&self, thread: usize, slot: usize) -> &AtomicU64 {
@@ -154,18 +148,6 @@ impl PairSlotArray {
         }))
     }
 
-    /// Number of logical slots per thread.
-    #[inline]
-    pub fn slots(&self) -> usize {
-        self.0.slots
-    }
-
-    /// Number of thread rows.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.0.threads
-    }
-
     /// Returns the pair cell for `(thread, slot)`.
     #[inline]
     pub fn get(&self, thread: usize, slot: usize) -> &AtomicPair {
@@ -190,7 +172,6 @@ mod tests {
     fn rows_are_padded_and_independent() {
         let arr = SlotArray::new(3, 5, 7);
         assert_eq!(arr.slots(), 5);
-        assert_eq!(arr.threads(), 3);
         // Row stride covers at least a full padding unit.
         let a = arr.get(0, 0) as *const _ as usize;
         let b = arr.get(1, 0) as *const _ as usize;
@@ -199,7 +180,7 @@ mod tests {
         assert_eq!(arr.get(1, 4).load(Relaxed), 99);
         assert_eq!(arr.get(0, 4).load(Relaxed), 7);
         let cells = |arr: &SlotArray| {
-            (0..arr.threads())
+            (0..3)
                 .flat_map(|t| (0..arr.slots()).map(move |s| (t, s)))
                 .collect::<Vec<_>>()
         };

@@ -67,19 +67,19 @@ fn bump(cell: &AtomicU64, n: u64) {
 impl SlotCounters {
     /// Records one `alloc_block` call.
     #[inline]
-    pub fn on_alloc(&self) {
+    pub(crate) fn on_alloc(&self) {
         bump(&self.allocated, 1);
     }
 
     /// Records one `retire` call.
     #[inline]
-    pub fn on_retire(&self) {
+    pub(crate) fn on_retire(&self) {
         bump(&self.retired, 1);
     }
 
     /// Records `n` blocks freed by a cleanup scan.
     #[inline]
-    pub fn on_free(&self, n: u64) {
+    pub(crate) fn on_free(&self, n: u64) {
         if n != 0 {
             let seen = self.freed.load(Ordering::Relaxed); // ORDER: own counter re-read; no other thread writes it.
             self.freed.store(seen + n, Ordering::Release); // ORDER: pairs with the Acquire `freed` loads of `snapshot`: a reader that counts these frees also sees the retirements (by any slot) that preceded them.
@@ -88,7 +88,7 @@ impl SlotCounters {
 
     /// Records `n` blocks judged by a cleanup scan.
     #[inline]
-    pub fn on_scan(&self, n: u64) {
+    pub(crate) fn on_scan(&self, n: u64) {
         if n != 0 {
             bump(&self.scanned, n);
         }
@@ -98,30 +98,30 @@ impl SlotCounters {
     /// were reclaimed (the freed blocks must *also* be reported through
     /// [`on_free`](Self::on_free) so `unreclaimed` stays consistent).
     #[inline]
-    pub fn on_adoption(&self, freed: u64) {
+    pub(crate) fn on_adoption(&self, freed: u64) {
         bump(&self.adopted_batches, 1);
         if freed != 0 {
             bump(&self.freed_via_adoption, freed);
         }
     }
 
-    /// Records one slow-path entry (used by `wfe-core`).
+    /// Records one slow-path entry (WFE only).
     #[inline]
-    pub fn on_slow_path(&self) {
+    pub(crate) fn on_slow_path(&self) {
         bump(&self.slow_path, 1);
     }
 
-    /// Records one helping attempt (used by `wfe-core`).
+    /// Records one helping attempt (WFE only).
     #[inline]
-    pub fn on_help(&self) {
+    pub(crate) fn on_help(&self) {
         bump(&self.helps, 1);
     }
 
     /// Records the block-cache hits and misses a handle's magazine tallied
     /// since its last report, and the bytes it holds now
-    /// ([`LocalBlockCache::flush_stats`](crate::LocalBlockCache::flush_stats)).
+    /// ([`LocalBlockCache::flush_stats`](crate::cache::LocalBlockCache::flush_stats)).
     #[inline]
-    pub fn on_cache(&self, hits: u64, misses: u64, cached_bytes: u64) {
+    pub(crate) fn on_cache(&self, hits: u64, misses: u64, cached_bytes: u64) {
         if hits != 0 {
             bump(&self.cache_hits, hits);
         }

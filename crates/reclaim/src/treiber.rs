@@ -24,9 +24,10 @@ struct Node<T> {
 
 /// A lock-free stack of `T` with type-stable nodes.
 ///
-/// Exported (hidden) so the deterministic model suite can drive the real
-/// implementation — and a de-versioned mutant of it — through exact
-/// interleavings; it is not part of the supported API.
+/// Exported for the deterministic model suite (`tests/model/aba.rs`), which
+/// drives the real implementation — and a de-versioned mutant of it —
+/// through exact interleavings in a process of its own; the crate uses it
+/// for its orphan batches, parked handles and pooled blocks.
 // LAYOUT: a push pops `spares` and pushes `head`, a pop the reverse: every
 // operation writes both, so one line is one transfer where two would be two.
 pub struct TypeStableStack<T> {

@@ -1,6 +1,6 @@
 //! Wait-Free Eras (WFE) — universal wait-free memory reclamation.
 //!
-//! This crate implements the contribution of *"Universal Wait-Free Memory
+//! This module implements the contribution of *"Universal Wait-Free Memory
 //! Reclamation"* (Nikolaev & Ravindran, PPoPP 2020): a safe-memory-reclamation
 //! scheme whose **every** operation — including `get_protected()` — completes
 //! in a bounded number of steps, so wait-free data structures built on top of
@@ -8,17 +8,17 @@
 //!
 //! # How it works
 //!
-//! [`Wfe`] is `wfe_reclaim`'s scheme core, [`Domain<P>`](wfe_reclaim::Domain),
-//! running [`WfePolicy`]: registration, batches, caches, cleanup cadence and
-//! teardown are the core's, and this crate holds only what the paper adds on
-//! top of Hazard Eras ([`wfe_reclaim::He`]). In Hazard Eras the only
+//! [`Wfe`] is the crate's scheme core, [`Domain<P>`](crate::domain::Domain),
+//! running [`WfePolicy`](domain::WfePolicy): registration, batches, caches,
+//! cleanup cadence and teardown are the core's, and this module holds only
+//! what the paper adds on top of Hazard Eras ([`He`](crate::He)). In Hazard Eras the only
 //! non-wait-free operation is `get_protected()`: it retries while the global
 //! era clock keeps moving underneath it, and the clock is moved by concurrent
 //! `alloc_block()` / `retire()` calls. WFE closes the loop with the
 //! fast-path-slow-path idea:
 //!
 //! * the **fast path** is plain Hazard Eras, bounded to
-//!   [`ReclaimerConfig::fast_path_attempts`](wfe_reclaim::ReclaimerConfig)
+//!   [`DomainConfig::fast_path_attempts`](crate::DomainConfig::fast_path_attempts)
 //!   iterations (the paper uses 16);
 //! * on the **slow path** the thread publishes a help request — the address of
 //!   the pointer it is trying to read, the `alloc_era` of the *parent* block
@@ -32,7 +32,7 @@
 //! * a per-reservation **tag**, carried in the second word of the reservation
 //!   pair and advanced after every slow-path cycle, stops delayed helpers
 //!   from clobbering a later cycle;
-//! * the modified [`cleanup` scan order](crate::Wfe) (normal reservations,
+//! * the modified [`cleanup` scan order](Wfe) (normal reservations,
 //!   parent pin, then — only if a slow path might be in flight — the hand-over
 //!   pin followed by a re-scan) preserves reclamation safety (Lemmas 4 and 5
 //!   of the paper).
@@ -44,8 +44,7 @@
 //! # Example
 //!
 //! ```
-//! use wfe_core::Wfe;
-//! use wfe_reclaim::{Atomic, DomainConfig, Handle, Protected, Reclaimer};
+//! use wfe_reclaim::{Atomic, DomainConfig, Handle, Protected, Reclaimer, Wfe};
 //!
 //! // One domain per data structure (or group of data structures).
 //! let domain = Wfe::with_config(DomainConfig::with_max_threads(8));
@@ -73,56 +72,10 @@
 //! unsafe { Protected::from_unlinked(node).retire_in(&guard) };
 //! ```
 
-#![deny(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 mod domain;
 mod slow_path;
 mod state;
 
-#[doc(hidden)]
-pub use domain::WfeSnapshot;
-pub use domain::{Wfe, WfeCell, WfeHandle, WfePolicy};
-
-// Executor-friendly pooled handles work with every scheme, WFE included; the
-// generic machinery lives next to the common API and is re-exported here so
-// `wfe_core` users get the whole surface from one crate.
-pub use wfe_reclaim::pool::{HandlePool, PoolStats, PooledHandle};
-
-// The safe guard-based protection layer is likewise scheme-generic (it sits
-// on `RawHandle`), and WFE is its flagship backend — re-export it so
-// `wfe_core` users never need the raw slot-index API.
-pub use wfe_reclaim::guard::{Guard, Protected, Shield, ShieldError, ShieldSlots};
-
-// Compile-time auto-trait facts (`static_assertions` idiom, matching the
-// block in `wfe_reclaim`): the WFE domain is `Arc`-shared by every consumer
-// and its handle migrates between executor workers through the pool, so both
-// properties are part of the public contract — not accidents of today's
-// field layout.
-const fn _assert_send<T: Send>() {}
-const fn _assert_send_sync<T: Send + Sync>() {}
-#[allow(dead_code)] // checked at definition, never called
-const fn _auto_trait_facts() {
-    _assert_send_sync::<Wfe>();
-    _assert_send::<WfeHandle>();
-    _assert_send_sync::<HandlePool<Wfe>>();
-    _assert_send::<PooledHandle<Wfe>>();
-}
-
-/// The six-scheme conformance table's WFE row (the five baselines' rows are
-/// in `wfe_reclaim::conformance`).
 #[cfg(test)]
-mod conformance {
-    use crate::Wfe;
-
-    wfe_reclaim::conformance_suite! {
-        wfe: Wfe {
-            name: "WFE",
-            progress: WaitFree,
-            unreclaimed_is_bounded: 4_000,
-            stalled_reader_costs_passes_nothing: yes,
-            orphan_adoption: yes,
-            reserves: Slots,
-        }
-    }
-}
+pub(crate) use domain::WfeSnapshot;
+pub use domain::{Wfe, WfeHandle};

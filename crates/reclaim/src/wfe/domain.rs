@@ -5,15 +5,14 @@
 use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use wfe_sync::{AtomicPair, CachePadded, EraSource};
 
-use wfe_reclaim::api::{DomainConfig, Progress, Reclaimer};
-use wfe_reclaim::block::BlockHeader;
-use wfe_reclaim::domain::{CellPtr, Domain, DomainHandle, Policy};
-use wfe_reclaim::retired::Retired;
-use wfe_reclaim::scan::{EraSnapshot, ReservationSet, Verdict};
-use wfe_reclaim::slots::PairSlotArray;
-use wfe_reclaim::{ERA_INF, INVPTR};
+use crate::api::{DomainConfig, Progress, Reclaimer};
+use crate::block::{BlockHeader, ERA_INF, INVPTR};
+use crate::domain::{CellPtr, Domain, DomainHandle, Policy};
+use crate::retired::Retired;
+use crate::scan::{EraSnapshot, ReservationSet, Verdict};
+use crate::slots::PairSlotArray;
 
-use crate::state::StateTable;
+use super::state::StateTable;
 
 /// Index (relative to a thread's reservation row) of the first internal
 /// reservation: the *parent pin* used by helpers (paper: `max_hes`).
@@ -27,8 +26,8 @@ const EXTRA_SLOTS: usize = 2;
 /// smaller); the rest run out of line in `protect_retry`.
 const INLINE_ATTEMPTS: usize = 2;
 
-/// The Wait-Free Eras domain: the scheme core running [`WfePolicy`]. The
-/// `global_era` of Figure 4 is the core's clock ([`Domain::era`]).
+/// The Wait-Free Eras domain: the scheme core running `WfePolicy`. The
+/// `global_era` of Figure 4 is the core's clock (`era()`).
 pub type Wfe = Domain<WfePolicy>;
 
 /// Per-thread Wait-Free Eras handle. Its lease table covers the application
@@ -36,7 +35,7 @@ pub type Wfe = Domain<WfePolicy>;
 ///
 /// ```compile_fail,E0277
 /// fn requires_sync<T: Sync>() {}
-/// requires_sync::<wfe_core::WfeHandle>(); // ERROR: `WfeHandle` is not `Sync`
+/// requires_sync::<wfe_reclaim::WfeHandle>(); // ERROR: `WfeHandle` is not `Sync`
 /// ```
 pub type WfeHandle = DomainHandle<WfePolicy>;
 
@@ -93,7 +92,7 @@ impl WfePolicy {
     /// Snapshots one column range of the reservation table into `snapshot`
     /// (eras only; the tag word is irrelevant to reclamation). The walk goes
     /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](wfe_reclaim::ThreadRegistry::occupied_ranges)):
+    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)):
     /// helper pins live in the rows of *live, registered* helpers, so an idle
     /// shard cannot carry one.
     fn snapshot_columns(domain: &Wfe, snapshot: &mut EraSnapshot, js: usize, je: usize) {
@@ -385,12 +384,17 @@ pub struct WfeSnapshot {
 
 impl WfeSnapshot {
     /// Builds a sealed snapshot from the eras of its three columns, for
-    /// tests and benches that drive a
-    /// [`RetiredBatch`](wfe_reclaim::retired::RetiredBatch) without a
-    /// domain; `fill_snapshot` is the only producer otherwise. A `quiescent`
-    /// snapshot ignores `handover` and `recheck`, as Figure 4 does.
-    #[doc(hidden)]
-    pub fn from_eras(primary: &[u64], quiescent: bool, handover: &[u64], recheck: &[u64]) -> Self {
+    /// tests that drive a [`RetiredBatch`](crate::retired::RetiredBatch)
+    /// without a domain; `fill_snapshot` is the only producer otherwise. A
+    /// `quiescent` snapshot ignores `handover` and `recheck`, as Figure 4
+    /// does.
+    #[cfg(test)]
+    pub(crate) fn from_eras(
+        primary: &[u64],
+        quiescent: bool,
+        handover: &[u64],
+        recheck: &[u64],
+    ) -> Self {
         let sealed = |eras: &[u64]| eras.iter().copied().collect::<EraSnapshot>();
         Self {
             primary: sealed(primary),
@@ -444,18 +448,19 @@ impl ReservationSet for WfeSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfe_reclaim::api::ReclaimerConfig;
-    use wfe_reclaim::{Atomic, Handle, Linked, RawHandle};
+    use crate::api::DomainConfig;
+    use crate::{Atomic, Handle, Linked, RawHandle};
 
     #[test]
     fn reservation_row_has_two_extra_internal_slots() {
-        let domain = Wfe::with_config(ReclaimerConfig {
+        let domain = Wfe::with_config(DomainConfig {
             slots_per_thread: 3,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
-        assert_eq!(domain.policy().reservations.slots(), 5);
         assert_eq!(domain.policy().parent_slot(), 3);
         assert_eq!(domain.policy().handover_slot(), 4);
+        // The row holds both internal slots (`get` bounds-checks the slot).
+        let _ = domain.policy().reservations.get(1, 4);
         assert_eq!(domain.policy().state.slots(), 3);
     }
 
@@ -464,7 +469,7 @@ mod tests {
         // Deterministic exercise of `help_thread`: thread 0 stages a request
         // by hand exactly as the slow path of `get_protected` would, then
         // thread 1 runs `increment_era` and must produce the result.
-        let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(2));
         let mut owner = domain.register();
         let helper = domain.register();
 
@@ -532,10 +537,10 @@ mod tests {
         // hand-over pin; when the helper finishes, the same era lives on in
         // the requester's reservation. A group parked under it must be held
         // by either column, and must not be rejudged in between.
-        let domain = Wfe::with_config(ReclaimerConfig {
+        let domain = Wfe::with_config(DomainConfig {
             cleanup_freq: usize::MAX,
             era_freq: usize::MAX,
-            ..ReclaimerConfig::with_max_threads(3)
+            ..DomainConfig::with_max_threads(3)
         });
         let mut requester = domain.register();
         let helper = domain.register();
@@ -634,7 +639,7 @@ mod tests {
     fn help_thread_ignores_stale_requests() {
         // If the requester's tag has already moved past the tag recorded in
         // the request, the helper must not touch anything.
-        let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(2));
         let owner = domain.register();
         let helper = domain.register();
         let tid = owner.thread_id();
@@ -661,7 +666,7 @@ mod tests {
 
     #[test]
     fn increment_era_without_pending_requests_just_bumps_the_clock() {
-        let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(2));
         let handle = domain.register();
         let before = domain.era();
         WfePolicy::increment_era(&domain, handle.thread_id());

@@ -3,10 +3,9 @@
 
 use wfe_sync::atomic::{AtomicUsize, Ordering};
 
-use wfe_reclaim::block::BlockHeader;
-use wfe_reclaim::{ERA_INF, INVPTR};
+use crate::block::{BlockHeader, ERA_INF, INVPTR};
 
-use crate::domain::{WfeCell, WfePolicy};
+use super::domain::{WfeCell, WfePolicy};
 
 impl WfePolicy {
     /// The slow path of `get_protected` (Figure 4, lines 26-53): publish a
@@ -93,17 +92,17 @@ impl WfePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Wfe;
+    use crate::api::{DomainConfig, RawHandle, Reclaimer};
+    use crate::conformance;
+    use crate::Wfe;
+    use crate::{Atomic, Handle, Linked};
     use core::ptr;
     use std::sync::Arc as StdArc;
-    use wfe_reclaim::api::{RawHandle, Reclaimer, ReclaimerConfig};
-    use wfe_reclaim::conformance;
-    use wfe_reclaim::{Atomic, Handle, Linked};
     use wfe_sync::atomic::AtomicBool;
 
     #[test]
     fn fast_path_returns_without_touching_counters() {
-        let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(1));
         let mut handle = domain.register();
         let node = handle.alloc(5u64);
         let root: Atomic<u64> = Atomic::new(node);
@@ -120,9 +119,9 @@ mod tests {
         // the call forces the slow path; with no other thread running the
         // requester must cancel its own request and still return the right
         // pointer, leaving the counters balanced and the tag advanced.
-        let domain = Wfe::with_config(ReclaimerConfig {
+        let domain = Wfe::with_config(DomainConfig {
             fast_path_attempts: 1,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut handle = domain.register();
         let node = handle.alloc(7u64);
@@ -163,11 +162,11 @@ mod tests {
         // time; here the reader gets a single fast-path attempt while another
         // thread bumps the era as fast as it can (every allocation), so a
         // large fraction of reads must go through the help machinery.
-        let domain = Wfe::with_config(ReclaimerConfig {
+        let domain = Wfe::with_config(DomainConfig {
             fast_path_attempts: 1,
             era_freq: 1,
             cleanup_freq: 4,
-            ..ReclaimerConfig::with_max_threads(3)
+            ..DomainConfig::with_max_threads(3)
         });
         let stop = StdArc::new(AtomicBool::new(false));
         let stack = conformance::MiniStack::new();

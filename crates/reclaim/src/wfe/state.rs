@@ -13,7 +13,7 @@
 
 use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use wfe_reclaim::{ERA_INF, INVPTR};
+use crate::block::{ERA_INF, INVPTR};
 use wfe_sync::AtomicPair;
 
 /// One slow-path request record.

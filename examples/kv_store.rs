@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use wfe_suite::{
     Atomic, ConcurrentMap, DomainConfig, Handle, HandlePool, He, Linked, MichaelHashMap,
-    NatarajanBst, RawHandle, Reclaimer, ReclaimerConfig, ResizableHashMap, Wfe,
+    NatarajanBst, RawHandle, Reclaimer, ResizableHashMap, Wfe,
 };
 
 /// Runs a mixed workload against any map type under any reclamation scheme,
@@ -25,7 +25,7 @@ fn exercise<R: Reclaimer, M: ConcurrentMap<R>>(label: &str) {
     const OPS: u64 = 50_000;
     const KEY_RANGE: u64 = 10_000;
 
-    let domain = R::with_config(ReclaimerConfig::with_max_threads(THREADS));
+    let domain = R::with_config(DomainConfig::with_max_threads(THREADS));
     let map = M::with_domain(Arc::clone(&domain));
     let start = Instant::now();
 
@@ -171,7 +171,7 @@ fn resizable_service_demo<R: Reclaimer>(label: &str) {
     const KEY_RANGE: u64 = 20_000;
     const TTL_WINDOW: u64 = 1_024;
 
-    let domain = R::with_config(ReclaimerConfig::with_max_threads(THREADS));
+    let domain = R::with_config(DomainConfig::with_max_threads(THREADS));
     // Start deliberately tiny (2 buckets) so the growth path is exercised
     // hard: the first few thousand inserts trigger doubling after doubling.
     let map = ResizableHashMap::<u64, R>::with_initial_buckets(Arc::clone(&domain), 2);
@@ -244,7 +244,7 @@ fn resizable_service_demo<R: Reclaimer>(label: &str) {
 /// reader still publishes.
 fn stalled_reader_demo() {
     const KEYS: u64 = 50_000;
-    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+    let domain = Wfe::with_config(DomainConfig::with_max_threads(2));
     let map = MichaelHashMap::<u64, Wfe>::with_domain(Arc::clone(&domain));
     let mut worker = domain.register();
     for key in 0..KEYS {

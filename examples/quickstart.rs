@@ -5,14 +5,14 @@
 
 use std::sync::Arc;
 
-use wfe_suite::{Atomic, Handle, Reclaimer, ReclaimerConfig, TreiberStack, Wfe};
+use wfe_suite::{Atomic, DomainConfig, Handle, Reclaimer, TreiberStack, Wfe};
 
 fn main() {
     const THREADS: usize = 4;
     const PER_THREAD: usize = 100_000;
 
     // One WFE domain guards the stack; every thread registers a handle.
-    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(THREADS));
+    let domain = Wfe::with_config(DomainConfig::with_max_threads(THREADS));
     let stack = TreiberStack::<usize, Wfe>::new(Arc::clone(&domain));
 
     let popped: usize = std::thread::scope(|scope| {

@@ -13,18 +13,18 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use wfe_suite::{Handle, MichaelList, Protected, Reclaimer, ReclaimerConfig, Wfe};
+use wfe_suite::{DomainConfig, Handle, MichaelList, Protected, Reclaimer, Wfe};
 
 fn main() {
     const READERS: usize = 3;
     const BUMPERS: usize = 2;
     const OPS_PER_READER: u64 = 200_000;
 
-    let domain = Wfe::with_config(ReclaimerConfig {
+    let domain = Wfe::with_config(DomainConfig {
         fast_path_attempts: 1, // force the slow path as aggressively as possible
         era_freq: 1,           // every allocation advances the era clock
         cleanup_freq: 8,
-        ..ReclaimerConfig::with_max_threads(READERS + BUMPERS)
+        ..DomainConfig::with_max_threads(READERS + BUMPERS)
     });
     let list = MichaelList::<u64, Wfe>::new(Arc::clone(&domain));
     let stop = Arc::new(AtomicBool::new(false));

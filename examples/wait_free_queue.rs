@@ -25,7 +25,7 @@ const CONSUMERS: usize = 2;
 const PER_PRODUCER: u64 = 50_000;
 
 fn run<R: Reclaimer, Q: ConcurrentQueue<R>>(label: &str) {
-    let domain = R::with_config(wfe_suite::ReclaimerConfig::with_max_threads(
+    let domain = R::with_config(wfe_suite::DomainConfig::with_max_threads(
         PRODUCERS + CONSUMERS + 1,
     ));
     let queue = Q::with_domain(Arc::clone(&domain));

@@ -12,11 +12,11 @@
 //! This workspace contains everything the paper's evaluation needs, built from
 //! scratch:
 //!
-//! * [`wfe_core`] — the WFE scheme itself (fast path, slow path, helping,
-//!   tagged reservations, the modified cleanup scan);
-//! * [`wfe_reclaim`] — the common reclamation API plus the baselines the paper
-//!   compares against: EBR, Hazard Pointers, Hazard Eras, 2GEIBR and a
-//!   leak-memory baseline;
+//! * [`wfe_reclaim`] — the common reclamation API, the WFE scheme itself
+//!   (fast path, slow path, helping, tagged reservations, the modified
+//!   cleanup scan) and the baselines the paper compares against: EBR,
+//!   Hazard Pointers, Hazard Eras, 2GEIBR and a leak-memory baseline, all
+//!   policies of one scheme core;
 //! * [`wfe_ds`] — the workloads: Treiber stack, Harris-Michael list, Michael
 //!   hash map, the Shalev-Herlihy split-ordered *resizable* hash map (bucket
 //!   arrays retired through the reclaimer), Natarajan-Mittal BST, the
@@ -52,25 +52,30 @@
 //! `as_ref()` carries a single `unsafe` obligation — the shield has not
 //! re-protected while the reference is live — that debug builds verify at
 //! runtime. See the README quickstart and `docs/ARCHITECTURE.md` ("Safe
-//! API") for the full tour, including the raw→guard migration table.
+//! API") for the full tour.
+//!
+//! The reclamation crate's root is its whole API: its modules are private,
+//! so its internals cannot be reached through this crate either:
+//!
+//! ```compile_fail,E0603
+//! use wfe_suite::wfe_reclaim::scan::EraSnapshot; // ERROR: module `scan` is private
+//! ```
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use wfe_core;
 pub use wfe_ds;
 pub use wfe_reclaim;
 pub use wfe_sync;
 
-pub use wfe_core::{Wfe, WfeHandle};
 pub use wfe_ds::{
     ConcurrentMap, ConcurrentQueue, CrTurnQueue, KoganPetrankQueue, MapServiceStats,
     MichaelHashMap, MichaelList, MichaelScottQueue, NatarajanBst, ResizableHashMap, TreiberStack,
 };
 pub use wfe_reclaim::{
     Atomic, BlockCacheConfig, DomainConfig, Ebr, Guard, Handle, HandlePool, He, Hp, Ibr2Ge, Leak,
-    Linked, PoolStats, PooledHandle, Progress, Protected, RawHandle, Reclaimer, ReclaimerConfig,
-    Shield, ShieldError, ShieldSlots, SmrStats, ThreadRegistry,
+    Linked, PoolStats, PooledHandle, Progress, Protected, RawHandle, Reclaimer, Shield,
+    ShieldError, ShieldSlots, SmrStats, Wfe, WfeHandle,
 };
 
 /// The name the `task.*` rungs of `benchmark/` check handles out under: a

@@ -14,12 +14,12 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use wfe_suite::wfe_reclaim::slab::{carved_blocks, outstanding_cached_allocs};
 use wfe_suite::wfe_reclaim::BlockCacheConfig;
+use wfe_suite::wfe_reclaim::{carved_blocks, outstanding_cached_allocs};
 use wfe_suite::{
-    ConcurrentMap, ConcurrentQueue, CrTurnQueue, Ebr, Handle, He, Hp, Ibr2Ge, KoganPetrankQueue,
-    Leak, Linked, MichaelHashMap, MichaelList, MichaelScottQueue, RawHandle, Reclaimer,
-    ReclaimerConfig, ResizableHashMap, Wfe, WfeHandle,
+    ConcurrentMap, ConcurrentQueue, CrTurnQueue, DomainConfig, Ebr, Handle, He, Hp, Ibr2Ge,
+    KoganPetrankQueue, Leak, Linked, MichaelHashMap, MichaelList, MichaelScottQueue, RawHandle,
+    Reclaimer, ResizableHashMap, Wfe, WfeHandle,
 };
 
 /// Runs `test` alone, on a thread of its own: the allocation balance is
@@ -41,14 +41,14 @@ fn alone(test: impl FnOnce() + Send + 'static) {
 /// which never frees during the run and is deliberately unwired from the
 /// cache layer.
 fn churn_and_drop<R: Reclaimer>(expect_cache_traffic: bool) {
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         cleanup_freq: 1,
         era_freq: 1,
         block_cache: BlockCacheConfig {
             enabled: true,
             ..BlockCacheConfig::default()
         },
-        ..ReclaimerConfig::with_max_threads(2)
+        ..DomainConfig::with_max_threads(2)
     });
     let mut handle = domain.register();
     for round in 0..128u64 {
@@ -108,12 +108,12 @@ fn the_same_domain_built_and_dropped_twice_does_not_grow_the_pool() {
 #[test]
 fn linked_dealloc_parks_on_the_freeing_threads_spare_magazine() {
     alone(move || {
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             block_cache: BlockCacheConfig {
                 enabled: true,
                 ..BlockCacheConfig::default()
             },
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut handle = domain.register();
         let node = handle.alloc(1u64);
@@ -142,13 +142,13 @@ fn linked_dealloc_parks_on_the_freeing_threads_spare_magazine() {
 fn a_cache_off_domain_takes_no_slab_block() {
     alone(move || {
         let (outstanding, carved) = (outstanding_cached_allocs(), carved_blocks());
-        let domain = Wfe::with_config(ReclaimerConfig {
+        let domain = Wfe::with_config(DomainConfig {
             cleanup_freq: 1,
             block_cache: BlockCacheConfig {
                 enabled: false,
                 ..BlockCacheConfig::default()
             },
-            ..ReclaimerConfig::with_max_threads(1)
+            ..DomainConfig::with_max_threads(1)
         });
         let mut handle = domain.register();
         assert!(handle.block_cache().is_none(), "no magazine");
@@ -179,7 +179,7 @@ fn a_cache_off_domain_takes_no_slab_block() {
 /// returns the same address; without one the block is a `Box`, freed to the
 /// allocator. Either way no reclamation counter moves.
 fn discard_goes_back_where_alloc_got_it<R: Reclaimer>() {
-    let domain = R::with_config(ReclaimerConfig::with_max_threads(1));
+    let domain = R::with_config(DomainConfig::with_max_threads(1));
     let mut handle = domain.register();
     let cached = handle.block_cache().is_some();
     let before = outstanding_cached_allocs();
@@ -236,7 +236,7 @@ fn queue_drop_frees_every_node<Q: ConcurrentQueue<Wfe>>(
     more: impl FnOnce(&Q, &mut WfeHandle, &mut WfeHandle),
 ) {
     let before = outstanding_cached_allocs();
-    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+    let domain = Wfe::with_config(DomainConfig::with_max_threads(2));
     let queue = Q::with_domain(std::sync::Arc::clone(&domain));
     let (mut first, mut second) = (domain.register(), domain.register());
     for value in 0..40 {
@@ -289,7 +289,7 @@ fn dropping_a_padded_queue_frees_every_node() {
 /// dummies and the directory) through the map's `Drop`, each block once.
 fn map_drop_frees_every_node<M: ConcurrentMap<Wfe>>() {
     let before = outstanding_cached_allocs();
-    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+    let domain = Wfe::with_config(DomainConfig::with_max_threads(2));
     let map = M::with_domain(std::sync::Arc::clone(&domain));
     let (mut first, mut second) = (domain.register(), domain.register());
     for key in 0..300 {
@@ -440,7 +440,7 @@ fn check_cache_against_model(steps: &[CacheStep]) {
     const CLASS_BYTES: u64 = 40; // `Linked<u64>`: a 16-byte header and the payload
     alone(move || {
         let mut model = CacheModel::default();
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             // No pass that could free into a magazine but the ones the checks
             // force (which free nothing: nothing is retired).
             cleanup_freq: usize::MAX,
@@ -448,7 +448,7 @@ fn check_cache_against_model(steps: &[CacheStep]) {
                 enabled: true,
                 ..BlockCacheConfig::default()
             },
-            ..ReclaimerConfig::with_max_threads(3)
+            ..DomainConfig::with_max_threads(3)
         });
         // Seed the pool with chains of blocks the model knows: take them out
         // (emptying the seeder's magazine, whatever its last refill got), then

@@ -1,20 +1,28 @@
-//! Smoke test: every reclamation scheme in the suite (`Ebr`, `Hp`, `He`,
-//! `Ibr2Ge`, `Leak`, `Wfe`) driven through the shared conformance scenarios
-//! in `wfe_reclaim::conformance`, via the public `wfe-suite` facade.
+//! Data-structure conformance under every reclamation scheme (`Ebr`, `Hp`,
+//! `He`, `Ibr2Ge`, `Leak`, `Wfe`), through the public `wfe-suite` facade:
+//! the shared scheme scenarios, the CRTurn queue, and the resizable map's
+//! growth and orphan paths.
 //!
-//! Each scheme also runs these scenarios in its own crate's unit tests; this
-//! file guarantees a plain `cargo test -q` at the workspace root covers all
-//! six schemes uniformly even if those per-crate tests are filtered out, and
-//! pins down that the conformance suite stays usable from *outside* the
-//! `wfe-reclaim` crate (it is deliberately compiled into the library).
+//! The scheme scenarios are `wfe-reclaim`'s own
+//! (`crates/reclaim/src/conformance/scenarios.rs`), compiled here a second
+//! time against the names the facade exports. `wfe-reclaim` runs them as
+//! unit tests (`conformance_suite!`, one table of all six schemes); this file
+//! pins down that the facade alone is enough to drive them, and keeps a
+//! plain `cargo test -q` at the workspace root covering all six schemes
+//! uniformly even if those unit tests are filtered out.
 
 use std::sync::Arc;
 
-use wfe_suite::wfe_reclaim::conformance;
 use wfe_suite::{
-    Atomic, CrTurnQueue, Ebr, Handle, He, Hp, Ibr2Ge, Leak, RawHandle, Reclaimer, ReclaimerConfig,
-    ResizableHashMap, Wfe,
+    Atomic, BlockCacheConfig, CrTurnQueue, DomainConfig, Ebr, Handle, He, Hp, Ibr2Ge, Leak, Linked,
+    RawHandle, Reclaimer, ResizableHashMap, Wfe,
 };
+
+// The scenarios name `crate::Atomic`, `crate::DomainConfig`, …: the imports
+// above. Those only `wfe-reclaim`'s own table calls are dead here.
+#[allow(dead_code)]
+#[path = "../crates/reclaim/src/conformance/scenarios.rs"]
+mod conformance;
 
 /// Instantiates the conformance battery for one scheme.
 ///
@@ -88,10 +96,10 @@ conformance_smoke!(wfe, Wfe, protection: true, bound: Some(4_000), adoption: tru
 /// relies on exactly this matrix).
 fn crturn_conserves_elements_under<R: Reclaimer>() {
     const PER_THREAD: u64 = 500;
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         cleanup_freq: 8,
         era_freq: 16,
-        ..ReclaimerConfig::with_max_threads(3)
+        ..DomainConfig::with_max_threads(3)
     });
     let queue = CrTurnQueue::<u64, R>::new(Arc::clone(&domain));
     let consumed = wfe_sync::atomic::AtomicU64::new(0);
@@ -150,10 +158,10 @@ crturn_smoke! {
 /// migration under each of the six reclaimers.
 fn resizable_map_conserves_elements_under<R: Reclaimer>() {
     const PER_THREAD: u64 = 400;
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         cleanup_freq: 8,
         era_freq: 16,
-        ..ReclaimerConfig::with_max_threads(4)
+        ..DomainConfig::with_max_threads(4)
     });
     let map = ResizableHashMap::<u64, R>::with_initial_buckets(Arc::clone(&domain), 2);
     std::thread::scope(|scope| {
@@ -206,12 +214,12 @@ fn resizable_map_conserves_elements_under<R: Reclaimer>() {
 /// a non-empty orphan batch under every scheme; era schemes additionally pin
 /// the arrays themselves through the open operation's span).
 fn resizable_map_orphaned_arrays_adopted_under<R: Reclaimer>(reclaims: bool) {
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         // No organic scans: whatever the doomed handle retires stays in its
         // batches until its drop-time final scan.
         cleanup_freq: usize::MAX,
         era_freq: 1,
-        ..ReclaimerConfig::with_max_threads(3)
+        ..DomainConfig::with_max_threads(3)
     });
     let map = ResizableHashMap::<u64, R>::with_initial_buckets(Arc::clone(&domain), 2);
     let mut adopter = domain.register();

@@ -7,7 +7,7 @@ use wfe_sync::atomic::{AtomicU64, Ordering};
 use wfe_suite::{
     Atomic, ConcurrentMap, ConcurrentQueue, CrTurnQueue, DomainConfig, Ebr, Handle, HandlePool, He,
     Hp, Ibr2Ge, KoganPetrankQueue, Leak, MichaelHashMap, MichaelList, MichaelScottQueue,
-    NatarajanBst, Progress, RawHandle, Reclaimer, ReclaimerConfig, TreiberStack, Wfe,
+    NatarajanBst, Progress, RawHandle, Reclaimer, TreiberStack, Wfe,
 };
 
 /// The per-run seed feeding every randomized workload below:
@@ -66,10 +66,10 @@ fn exercise_map<R: Reclaimer, M: ConcurrentMap<R>>() {
     const KEY_RANGE: u64 = 64;
 
     let seed = ReplayableSeed::for_this_test();
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         cleanup_freq: 8,
         era_freq: 16,
-        ..ReclaimerConfig::with_max_threads(THREADS)
+        ..DomainConfig::with_max_threads(THREADS)
     });
     let map = M::with_domain(Arc::clone(&domain));
     std::thread::scope(|scope| {
@@ -120,10 +120,10 @@ fn exercise_queue<R: Reclaimer, Q: ConcurrentQueue<R>>() {
     const THREADS: usize = 4;
     const PER_THREAD: u64 = 2_000;
 
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         cleanup_freq: 8,
         era_freq: 16,
-        ..ReclaimerConfig::with_max_threads(THREADS + 1)
+        ..DomainConfig::with_max_threads(THREADS + 1)
     });
     let queue = Q::with_domain(Arc::clone(&domain));
     let consumed_sum = AtomicU64::new(0);
@@ -239,7 +239,7 @@ queue_matrix! {
 fn kp_queue_oversubscribed_pairs_on_a_short_queue() {
     const THREADS: u64 = 6;
     let budget = std::time::Duration::from_secs(3);
-    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(THREADS as usize + 1));
+    let domain = Wfe::with_config(DomainConfig::with_max_threads(THREADS as usize + 1));
     let queue = KoganPetrankQueue::<u64, Wfe>::new(Arc::clone(&domain));
     // Per thread, (elements, their sum) enqueued minus dequeued, wrapping.
     let balances: Vec<(u64, u64)> = std::thread::scope(|scope| {
@@ -291,10 +291,10 @@ fn crturn_helping_completes_operations_of_a_stalled_thread() {
     const PER_WORKER: u64 = 2_000;
     const STALLED_VALUE: u64 = u64::MAX;
 
-    let domain = Wfe::with_config(ReclaimerConfig {
+    let domain = Wfe::with_config(DomainConfig {
         cleanup_freq: 8,
         era_freq: 16,
-        ..ReclaimerConfig::with_max_threads(WORKERS + 1)
+        ..DomainConfig::with_max_threads(WORKERS + 1)
     });
     let queue = CrTurnQueue::<u64, Wfe>::new(Arc::clone(&domain));
     let mut stalled = domain.register();
@@ -357,7 +357,7 @@ fn crturn_helping_grants_a_stalled_dequeue_under_contention() {
     const WORKERS: usize = 2;
     const PER_WORKER: u64 = 1_000;
 
-    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(WORKERS + 1));
+    let domain = Wfe::with_config(DomainConfig::with_max_threads(WORKERS + 1));
     let queue = CrTurnQueue::<u64, Wfe>::new(Arc::clone(&domain));
     let mut stalled = domain.register();
     let mut total = 0u64;
@@ -405,9 +405,9 @@ fn crturn_helping_grants_a_stalled_dequeue_under_contention() {
 #[cfg(debug_assertions)]
 #[should_panic(expected = "reservation slots per thread")]
 fn underprovisioned_domain_is_rejected_at_construction() {
-    let domain = Wfe::with_config(ReclaimerConfig {
+    let domain = Wfe::with_config(DomainConfig {
         slots_per_thread: 2,
-        ..ReclaimerConfig::with_max_threads(2)
+        ..DomainConfig::with_max_threads(2)
     });
     // The BST needs 4 slots; a 2-slot domain must be refused.
     let _ = NatarajanBst::<u64, Wfe>::new(domain);
@@ -417,9 +417,9 @@ fn underprovisioned_domain_is_rejected_at_construction() {
 #[cfg(debug_assertions)]
 #[should_panic(expected = "CrTurnQueue needs 3 reservation slots")]
 fn underprovisioned_domain_is_rejected_by_crturn() {
-    let domain = Wfe::with_config(ReclaimerConfig {
+    let domain = Wfe::with_config(DomainConfig {
         slots_per_thread: 2,
-        ..ReclaimerConfig::with_max_threads(2)
+        ..DomainConfig::with_max_threads(2)
     });
     let _ = CrTurnQueue::<u64, Wfe>::new(domain);
 }
@@ -437,7 +437,7 @@ fn progress_guarantees_are_reported_correctly() {
 #[test]
 fn stack_shared_between_structures_of_one_domain() {
     // A single domain can guard multiple data structures at once.
-    let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(4));
+    let domain = Wfe::with_config(DomainConfig::with_max_threads(4));
     let stack = TreiberStack::<u64, Wfe>::new(Arc::clone(&domain));
     let list = MichaelList::<u64, Wfe>::new(Arc::clone(&domain));
     let mut handle = domain.register();
@@ -455,11 +455,11 @@ fn stack_shared_between_structures_of_one_domain() {
 #[test]
 fn wfe_under_forced_slow_path_keeps_structures_correct() {
     // End-to-end version of the paper's "force the slow path" validation.
-    let domain = Wfe::with_config(ReclaimerConfig {
+    let domain = Wfe::with_config(DomainConfig {
         fast_path_attempts: 1,
         era_freq: 1,
         cleanup_freq: 4,
-        ..ReclaimerConfig::with_max_threads(4)
+        ..DomainConfig::with_max_threads(4)
     });
     let map = MichaelHashMap::<u64, Wfe>::with_buckets(Arc::clone(&domain), 64);
     std::thread::scope(|scope| {
@@ -657,7 +657,7 @@ fn pooled_handles_serve_a_task_churn_workload_across_threads() {
 /// block is reclaimed once its owner retires it. EBR is the scheme an
 /// unclosed bracket would pin for good.
 fn panic_through_a_live_bracket_pins_nothing<R: Reclaimer>() {
-    let domain = R::with_config(ReclaimerConfig::with_max_threads(4));
+    let domain = R::with_config(DomainConfig::with_max_threads(4));
     let pool = HandlePool::new(Arc::clone(&domain));
     let mut owner = domain.register();
     let node = owner.alloc(5u64);

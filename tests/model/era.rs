@@ -6,8 +6,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64 as StdAtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use wfe_core::Wfe;
-use wfe_reclaim::{Atomic, Handle, He, Protected, RawHandle, Reclaimer, ReclaimerConfig};
+use wfe_reclaim::Wfe;
+use wfe_reclaim::{Atomic, DomainConfig, Handle, He, Protected, RawHandle, Reclaimer};
 use wfe_sync::atomic::Ordering;
 
 use crate::SCHEDULES;
@@ -36,10 +36,10 @@ fn protection_pins_the_block_across_every_retire_cleanup_interleaving() {
     // the reader's bracket closes — on any interleaving.
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig {
+            let domain = He::with_config(DomainConfig {
                 cleanup_freq: 1,
                 era_freq: 1,
-                ..ReclaimerConfig::with_max_threads(2)
+                ..DomainConfig::with_max_threads(2)
             });
             let freed = Arc::new(AtomicBool::new(false));
             let mut writer = domain.register();
@@ -97,7 +97,7 @@ fn protect_stabilizes_against_injected_era_bumps() {
     // never make it return an unprotected pointer.
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+            let domain = He::with_config(DomainConfig::with_max_threads(2));
             let before = domain.era_source().load(Ordering::SeqCst);
             let bumper = {
                 let domain = Arc::clone(&domain);
@@ -157,10 +157,10 @@ fn a_parked_block_stays_pinned_when_another_thread_republishes_its_witness() {
     // block goes.
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig {
+            let domain = He::with_config(DomainConfig {
                 cleanup_freq: 1,
                 era_freq: usize::MAX,
-                ..ReclaimerConfig::with_max_threads(3)
+                ..DomainConfig::with_max_threads(3)
             });
             let freed = Arc::new(AtomicBool::new(false));
             let stage = Arc::new(StdAtomicU64::new(0));
@@ -250,17 +250,17 @@ fn blocks_parked_mid_slow_path_survive_the_hand_over() {
     // the same era again wherever it lives by then. Whichever node the
     // reader ends up with must not be freed while the reader holds it, and
     // both go once it leaves. (The hand-over-pin-only snapshot is staged
-    // column by column in `wfe-core`'s `domain` unit tests; random
+    // column by column in `wfe-reclaim`'s `wfe::domain` unit tests; random
     // schedules reach it rarely.)
     let parked_while_helping = Arc::new(StdAtomicU64::new(0));
     let parked_acc = Arc::clone(&parked_while_helping);
     shuttle::check_random(
         move || {
-            let domain = Wfe::with_config(ReclaimerConfig {
+            let domain = Wfe::with_config(DomainConfig {
                 fast_path_attempts: 1,
                 era_freq: 1,
                 cleanup_freq: 1,
-                ..ReclaimerConfig::with_max_threads(3)
+                ..DomainConfig::with_max_threads(3)
             });
             let freed = [7, 8].map(|_| Arc::new(AtomicBool::new(false)));
             let passes_done = Arc::new(StdAtomicU64::new(0));

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
-use wfe_reclaim::{Handle, He, Protected, RawHandle, Reclaimer, ReclaimerConfig};
+use wfe_reclaim::{DomainConfig, Handle, He, Protected, RawHandle, Reclaimer};
 
 use crate::SCHEDULES;
 
@@ -26,10 +26,10 @@ fn orphaned_batches_are_adopted_exactly_once() {
     const BLOCKS: usize = 2;
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig {
+            let domain = He::with_config(DomainConfig {
                 cleanup_freq: 1,
                 era_freq: 1,
-                ..ReclaimerConfig::with_max_threads(2)
+                ..DomainConfig::with_max_threads(2)
             });
             let drops = Arc::new(AtomicUsize::new(0));
 

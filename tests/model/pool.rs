@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
-use wfe_reclaim::{Handle, HandlePool, He, Protected, RawHandle, Reclaimer, ReclaimerConfig};
+use wfe_reclaim::{DomainConfig, Handle, HandlePool, He, Protected, RawHandle, Reclaimer};
 use wfe_sync::atomic::Ordering;
 
 use crate::SCHEDULES;
@@ -21,7 +21,7 @@ fn pooled_handles_are_exclusive_on_every_schedule() {
     // observe a second owner.
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+            let domain = He::with_config(DomainConfig::with_max_threads(2));
             let pool = HandlePool::new(Arc::clone(&domain));
             let in_use: Arc<Vec<StdAtomicUsize>> =
                 Arc::new((0..2).map(|_| StdAtomicUsize::new(0)).collect());
@@ -86,10 +86,10 @@ fn parked_handles_pin_nothing_under_concurrent_retire() {
     // must always reach zero unreclaimed blocks.
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig {
+            let domain = He::with_config(DomainConfig {
                 cleanup_freq: 1,
                 era_freq: 1,
-                ..ReclaimerConfig::with_max_threads(2)
+                ..DomainConfig::with_max_threads(2)
             });
             let pool = HandlePool::new(Arc::clone(&domain));
             let mut writer = domain.register();
@@ -138,7 +138,7 @@ fn parked_handles_pin_nothing_under_concurrent_retire() {
 /// freelist, so a check-out landing inside that window sees an exhausted
 /// registry and an empty freelist at once.
 fn transient_exhaustion_body() {
-    let domain = He::with_config(ReclaimerConfig::with_max_threads(1));
+    let domain = He::with_config(DomainConfig::with_max_threads(1));
     let pool = HandlePool::new(Arc::clone(&domain));
     let parker = {
         let pool = Arc::clone(&pool);

@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
-use wfe_suite::{He, Leak, RawHandle, Reclaimer, ReclaimerConfig, ResizableHashMap};
+use wfe_suite::{DomainConfig, He, Leak, RawHandle, Reclaimer, ResizableHashMap};
 
 use crate::SCHEDULES;
 
@@ -36,7 +36,7 @@ use crate::SCHEDULES;
 fn insert_racing_a_migration_neither_loses_nor_duplicates_keys() {
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+            let domain = He::with_config(DomainConfig::with_max_threads(2));
             let map = Arc::new(ResizableHashMap::<u64, He>::with_initial_buckets(
                 Arc::clone(&domain),
                 2,
@@ -79,10 +79,10 @@ fn lookup_during_a_split_survives_the_old_array_being_retired() {
     // reservation covers it — the reader below is all that keeps it alive.
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig {
+            let domain = He::with_config(DomainConfig {
                 cleanup_freq: 1,
                 era_freq: 1,
-                ..ReclaimerConfig::with_max_threads(2)
+                ..DomainConfig::with_max_threads(2)
             });
             let map = Arc::new(ResizableHashMap::<u64, He>::with_initial_buckets(
                 Arc::clone(&domain),
@@ -131,7 +131,7 @@ fn a_remove_overtaking_its_inserts_count_never_underflows_len() {
     // map the raw counter then passes through -1.
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig::with_max_threads(2));
+            let domain = He::with_config(DomainConfig::with_max_threads(2));
             let map = Arc::new(ResizableHashMap::<u64, He>::new(Arc::clone(&domain)));
 
             let remover = {
@@ -171,7 +171,7 @@ fn a_remove_overtaking_its_inserts_count_never_underflows_len() {
 /// recycled into a later array — equal addresses mean the same array really
 /// was retired twice.
 fn racing_resizers(racy_publish: bool) -> (usize, usize, u64) {
-    let domain = Leak::with_config(ReclaimerConfig::with_max_threads(2));
+    let domain = Leak::with_config(DomainConfig::with_max_threads(2));
     let map = Arc::new(ResizableHashMap::<u64, Leak>::with_initial_buckets(
         Arc::clone(&domain),
         2,

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
-use wfe_reclaim::{Atomic, Handle, He, RawHandle, Reclaimer, ReclaimerConfig};
+use wfe_reclaim::{Atomic, DomainConfig, Handle, He, RawHandle, Reclaimer};
 
 use crate::SCHEDULES;
 
@@ -19,9 +19,9 @@ fn shield_lease_and_cross_thread_release_stay_exclusive() {
     // shield).
     shuttle::check_random(
         || {
-            let domain = He::with_config(ReclaimerConfig {
+            let domain = He::with_config(DomainConfig {
                 slots_per_thread: 2,
-                ..ReclaimerConfig::with_max_threads(1)
+                ..DomainConfig::with_max_threads(1)
             });
             let handle = domain.register();
             let a = Handle::shield::<u64>(&handle).unwrap();
@@ -54,9 +54,9 @@ fn shield_lease_table_is_exhaustively_explored() {
     // preemptions.
     let (schedules, complete) = shuttle::explore(
         || {
-            let domain = He::with_config(ReclaimerConfig {
+            let domain = He::with_config(DomainConfig {
                 slots_per_thread: 2,
-                ..ReclaimerConfig::with_max_threads(1)
+                ..DomainConfig::with_max_threads(1)
             });
             let handle = domain.register();
             let a = Handle::shield::<u64>(&handle).unwrap();
@@ -90,9 +90,9 @@ fn shield_lease_table_is_exhaustively_explored() {
 /// schedule) proves no slot is ever handed out twice; after the join the
 /// remotely released slot must lease again.
 fn remote_release_races_guard_leases(rounds: usize) {
-    let domain = He::with_config(ReclaimerConfig {
+    let domain = He::with_config(DomainConfig {
         slots_per_thread: 2,
-        ..ReclaimerConfig::with_max_threads(1)
+        ..DomainConfig::with_max_threads(1)
     });
     let mut handle = domain.register();
     let owners: Arc<[StdAtomicUsize; 2]> =
@@ -167,10 +167,10 @@ fn guard_leases_race_a_remote_release_exhaustively() {
 #[test]
 fn stale_protected_panics_on_every_schedule() {
     let body = || {
-        let domain = He::with_config(ReclaimerConfig {
+        let domain = He::with_config(DomainConfig {
             cleanup_freq: 1,
             era_freq: 1,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let mut reader = domain.register();
         let mut writer = domain.register();

@@ -14,8 +14,8 @@
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use wfe_core::Wfe;
-use wfe_reclaim::{Atomic, Handle, Protected, RawHandle, Reclaimer, ReclaimerConfig};
+use wfe_reclaim::Wfe;
+use wfe_reclaim::{Atomic, DomainConfig, Handle, Protected, RawHandle, Reclaimer};
 use wfe_sync::atomic::Ordering;
 
 use crate::SCHEDULES;
@@ -28,11 +28,11 @@ fn slow_path_engages_deterministically_and_writers_help_pending_requests() {
     let helps_acc = Arc::clone(&helps);
     shuttle::check_random(
         move || {
-            let domain = Wfe::with_config(ReclaimerConfig {
+            let domain = Wfe::with_config(DomainConfig {
                 fast_path_attempts: 1,
                 era_freq: 1,
                 cleanup_freq: 1,
-                ..ReclaimerConfig::with_max_threads(2)
+                ..DomainConfig::with_max_threads(2)
             });
             let mut writer = domain.register();
             let node = writer.alloc(5u64);
@@ -110,11 +110,11 @@ fn slow_path_engages_deterministically_and_writers_help_pending_requests() {
 /// `through_shield` protects through a guard-leased `Shield` (the cell it
 /// resolved at lease time) instead of the raw `protect` (a cell per call).
 fn protect_against_bumps(attempts: usize, bumps: usize, through_shield: bool) -> u64 {
-    let domain = Wfe::with_config(ReclaimerConfig {
+    let domain = Wfe::with_config(DomainConfig {
         fast_path_attempts: attempts,
         era_freq: usize::MAX,
         cleanup_freq: usize::MAX,
-        ..ReclaimerConfig::with_max_threads(2)
+        ..DomainConfig::with_max_threads(2)
     });
     let mut reader = domain.register();
     let node = reader.alloc(9u64);
@@ -200,11 +200,11 @@ fn protect_vs_era_bump_is_exhaustively_explored() {
     // *every* bounded interleaving, not just the sampled ones.
     let (schedules, complete) = shuttle::explore(
         || {
-            let domain = Wfe::with_config(ReclaimerConfig {
+            let domain = Wfe::with_config(DomainConfig {
                 fast_path_attempts: 1,
                 era_freq: 1,
                 cleanup_freq: 1,
-                ..ReclaimerConfig::with_max_threads(2)
+                ..DomainConfig::with_max_threads(2)
             });
             let mut writer = domain.register();
             let node = writer.alloc(3u64);

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use wfe_reclaim::{Handle, He, RawHandle, Reclaimer, ReclaimerConfig, SmrStats};
+use wfe_reclaim::{DomainConfig, Handle, He, RawHandle, Reclaimer, SmrStats};
 
 use crate::SCHEDULES;
 
@@ -46,11 +46,11 @@ fn own_the_slot(domain: &Arc<He>, oracle: &Oracle) {
 }
 
 fn slot_changes_owner_under_a_reader() {
-    let domain = He::with_config(ReclaimerConfig {
+    let domain = He::with_config(DomainConfig {
         // Every retire runs a pass, so `freed` and `scanned` move mid-run.
         cleanup_freq: 1,
         era_freq: 1,
-        ..ReclaimerConfig::with_max_threads(1)
+        ..DomainConfig::with_max_threads(1)
     });
     let oracle = Arc::new(Oracle::default());
     let owners = {

@@ -1,9 +1,7 @@
 //! Property-based tests (proptest): data-structure semantics against
 //! sequential model types, and WCAS/tagging invariants.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 use std::sync::Arc;
 
 // Through the sync layer (not `std::sync::atomic`) so the test compiles
@@ -12,18 +10,28 @@ use wfe_suite::wfe_sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use wfe_suite::wfe_core::WfeSnapshot;
-use wfe_suite::wfe_reclaim::conformance::DropCounter;
-use wfe_suite::wfe_reclaim::ptr::tag;
-use wfe_suite::wfe_reclaim::retired::{OrphanStack, Retired, RetiredBatch};
-use wfe_suite::wfe_reclaim::scan::{EpochSnapshot, EraSnapshot, ReservationSet};
-use wfe_suite::wfe_reclaim::BlockCacheConfig;
+use wfe_suite::wfe_reclaim::tag;
 use wfe_suite::wfe_sync::AtomicPair;
 use wfe_suite::{
-    Atomic, CrTurnQueue, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge, KoganPetrankQueue, Leak, Linked,
-    MichaelHashMap, MichaelList, MichaelScottQueue, NatarajanBst, PooledHandle, RawHandle,
-    Reclaimer, ReclaimerConfig, ResizableHashMap, Shield, Wfe,
+    Atomic, BlockCacheConfig, CrTurnQueue, DomainConfig, Ebr, Handle, HandlePool, He, Hp, Ibr2Ge,
+    KoganPetrankQueue, Leak, Linked, MichaelHashMap, MichaelList, MichaelScottQueue, NatarajanBst,
+    PooledHandle, RawHandle, Reclaimer, ResizableHashMap, Shield, Wfe,
 };
+
+/// A payload that counts its drops, to prove blocks are really freed.
+struct DropCounter(Arc<AtomicUsize>);
+
+impl DropCounter {
+    fn new(counter: &Arc<AtomicUsize>) -> Self {
+        Self(Arc::clone(counter))
+    }
+}
+
+impl Drop for DropCounter {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
 
 /// An operation applied both to the concurrent structure and to the model.
 #[derive(Debug, Clone)]
@@ -47,10 +55,10 @@ fn check_map_against_model<M>(actions: &[MapAction])
 where
     M: wfe_suite::ConcurrentMap<Wfe>,
 {
-    let domain = Wfe::with_config(ReclaimerConfig {
+    let domain = Wfe::with_config(DomainConfig {
         cleanup_freq: 4,
         era_freq: 8,
-        ..ReclaimerConfig::with_max_threads(2)
+        ..DomainConfig::with_max_threads(2)
     });
     let map = M::with_domain(Arc::clone(&domain));
     let mut handle = domain.register();
@@ -108,10 +116,10 @@ const TTL_WINDOW: usize = 8;
 /// TTL keys live in a disjoint namespace (high bit set) so ticks never
 /// collide with the uniform actions.
 fn check_resizable_against_oracle<R: Reclaimer>(actions: &[ServiceAction]) {
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         cleanup_freq: 4,
         era_freq: 8,
-        ..ReclaimerConfig::with_max_threads(2)
+        ..DomainConfig::with_max_threads(2)
     });
     // Two buckets: the load-factor trigger fires within a handful of inserts,
     // so organic resizes interleave with the forced ones.
@@ -173,10 +181,10 @@ fn check_resizable_drop_accounting<R: Reclaimer>(steps: &[(u64, u8)]) {
     let drops = Arc::new(AtomicUsize::new(0));
     let mut allocated = 0usize;
     {
-        let domain = R::with_config(ReclaimerConfig {
+        let domain = R::with_config(DomainConfig {
             cleanup_freq: 3,
             era_freq: 2,
-            ..ReclaimerConfig::with_max_threads(2)
+            ..DomainConfig::with_max_threads(2)
         });
         let map = ResizableHashMap::<DropCounter, R>::with_initial_buckets(Arc::clone(&domain), 2);
         let mut handle = domain.register();
@@ -238,9 +246,9 @@ fn shield_step_strategy() -> impl Strategy<Value = ShieldStep> {
 /// the handle always equals the number of live `Shield`s.
 fn check_shield_lease_churn<R: Reclaimer>(steps: &[ShieldStep]) {
     const SLOTS: usize = 5;
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         slots_per_thread: SLOTS,
-        ..ReclaimerConfig::with_max_threads(2)
+        ..DomainConfig::with_max_threads(2)
     });
     let mut handle = domain.register();
     let node = handle.alloc(7u64);
@@ -334,10 +342,10 @@ fn check_retirement_pipeline<R: Reclaimer>(steps: &[SmrStep]) {
     {
         // Tiny frequencies so short sequences still trip batch scans and
         // era advances.
-        let domain = R::with_config(ReclaimerConfig {
+        let domain = R::with_config(DomainConfig {
             cleanup_freq: 3,
             era_freq: 2,
-            ..ReclaimerConfig::with_max_threads(POOL)
+            ..DomainConfig::with_max_threads(POOL)
         });
         let mut handles: Vec<Option<R::Handle>> = (0..POOL).map(|_| None).collect();
         for &step in steps {
@@ -394,14 +402,14 @@ fn check_retirement_pipeline_with_cache<R: Reclaimer>(steps: &[SmrStep], cache: 
     let drops = Arc::new(AtomicUsize::new(0));
     let mut allocated = 0usize;
     {
-        let domain = R::with_config(ReclaimerConfig {
+        let domain = R::with_config(DomainConfig {
             cleanup_freq: 3,
             era_freq: 2,
             block_cache: BlockCacheConfig {
                 enabled: cache,
                 ..BlockCacheConfig::default()
             },
-            ..ReclaimerConfig::with_max_threads(POOL)
+            ..DomainConfig::with_max_threads(POOL)
         });
         let mut handles: Vec<Option<R::Handle>> = (0..POOL).map(|_| None).collect();
         for &step in steps {
@@ -452,174 +460,6 @@ fn check_retirement_pipeline_with_cache<R: Reclaimer>(steps: &[SmrStep], cache: 
     );
 }
 
-/// One cleanup pass of the parked-scan differential: the blocks retired
-/// since the previous pass, how the batch changes hands before the pass, and
-/// the eras the pass's snapshot records in each of WFE's three columns. Eras
-/// come from a pool of twelve, so they appear, disappear and reappear.
-#[derive(Debug, Clone)]
-struct ScanStep {
-    /// `(alloc_era, lifespan length)` of each newly retired block.
-    retired: Vec<(u64, u64)>,
-    hand_off: HandOff,
-    primary: Vec<u64>,
-    /// `false` = a slow path was in flight: the two columns below count.
-    quiescent: bool,
-    handover: Vec<u64>,
-    recheck: Vec<u64>,
-}
-
-/// What happens to the batch between two passes.
-#[derive(Debug, Clone, Copy)]
-enum HandOff {
-    /// The owner keeps it.
-    Keep,
-    /// `take()`n and `append`ed to another handle's batch that already
-    /// parked blocks under the same snapshot (adoption).
-    Adopt,
-    /// Parked on an `OrphanStack` and popped again (handle exit).
-    Orphan,
-}
-
-fn scan_step_strategy() -> impl Strategy<Value = ScanStep> {
-    let eras = || proptest::collection::vec(0u64..12, 0..4);
-    let hand_off = prop_oneof![
-        Just(HandOff::Keep),
-        Just(HandOff::Keep),
-        Just(HandOff::Adopt),
-        Just(HandOff::Orphan)
-    ];
-    let retired = proptest::collection::vec((0u64..12, 0u64..6), 0..8);
-    ((retired, hand_off), (eras(), any::<bool>(), eras(), eras())).prop_map(
-        |((retired, hand_off), (primary, quiescent, handover, recheck))| ScanStep {
-            retired,
-            hand_off,
-            primary,
-            quiescent,
-            handover,
-            recheck,
-        },
-    )
-}
-
-/// A payload that reports its id when the batch frees it.
-struct Tracked {
-    id: usize,
-    freed: Rc<RefCell<Vec<usize>>>,
-}
-
-impl Drop for Tracked {
-    fn drop(&mut self) {
-        self.freed.borrow_mut().push(self.id);
-    }
-}
-
-/// The parked batch against a reference that rejudges every surviving block
-/// on every pass, from the eras alone (`pinned` is the scheme's safety
-/// condition written out, sharing no code with `scan.rs`): both must free the
-/// same blocks on the same pass, across `take()`/`append` adoption and an
-/// orphan-stack round trip, and an empty final snapshot must free the rest.
-fn check_parked_scan<S: ReservationSet>(
-    steps: &[ScanStep],
-    snapshot_of: impl Fn(&ScanStep) -> S,
-    pinned: impl Fn(&ScanStep, u64, u64) -> bool,
-) {
-    let freed = Rc::new(RefCell::new(Vec::new()));
-    let orphans = OrphanStack::new();
-    let mut batch = RetiredBatch::new();
-    let mut reference: Vec<(usize, u64, u64)> = Vec::new();
-    let mut next_id = 0;
-    let mut previous: Option<&ScanStep> = None;
-    let last = ScanStep {
-        retired: Vec::new(),
-        hand_off: HandOff::Keep,
-        primary: Vec::new(),
-        quiescent: true,
-        handover: Vec::new(),
-        recheck: Vec::new(),
-    };
-    for step in steps.iter().chain([&last]) {
-        let mut retire = |batch: &mut RetiredBatch, alloc_era: u64, retire_era: u64| {
-            let id = next_id;
-            next_id += 1;
-            let block = Linked::alloc(
-                Tracked {
-                    id,
-                    freed: Rc::clone(&freed),
-                },
-                alloc_era,
-            );
-            // SAFETY: the block is fresh, owned by this test, pushed on one
-            // batch only, and nothing else ever references it.
-            batch.push(unsafe { Retired::new(Linked::as_header(block), retire_era) });
-            (id, alloc_era, retire_era)
-        };
-        match step.hand_off {
-            HandOff::Keep => {}
-            HandOff::Adopt => {
-                // The adopter retired one block of its own and judged it
-                // against the snapshot the batch last saw, so it may already
-                // hold a group with a witness the batch also uses.
-                let mut adopter = RetiredBatch::new();
-                if let Some(previous) = previous {
-                    let own = retire(&mut adopter, 3, 8);
-                    // SAFETY: single thread — nothing reserves anything the
-                    // snapshot does not record.
-                    unsafe { adopter.scan_against(&snapshot_of(previous), None) };
-                    if freed.borrow_mut().drain(..).next().is_none() {
-                        reference.push(own);
-                    }
-                }
-                let mut orphaned = batch.take();
-                prop_assert!(batch.is_empty());
-                adopter.append(&mut orphaned);
-                prop_assert!(orphaned.is_empty());
-                batch = adopter;
-            }
-            HandOff::Orphan => {
-                let len = batch.len();
-                orphans.push(batch.take());
-                prop_assert_eq!(orphans.len(), len);
-                if let Some(popped) = orphans.pop() {
-                    batch = popped;
-                }
-                prop_assert_eq!(batch.len(), len, "the orphan stack lost blocks");
-            }
-        }
-        for &(alloc_era, span) in &step.retired {
-            reference.push(retire(&mut batch, alloc_era, alloc_era + span));
-        }
-        prop_assert_eq!(batch.len(), reference.len(), "the hand-off lost blocks");
-
-        // SAFETY: as above — single thread, the snapshot is all there is.
-        let tally = unsafe { batch.scan_against(&snapshot_of(step), None) };
-        let mut now_freed: Vec<usize> = freed.borrow_mut().drain(..).collect();
-        now_freed.sort_unstable();
-        let mut expected = Vec::new();
-        reference.retain(|&(id, alloc_era, retire_era)| {
-            let keep = pinned(step, alloc_era, retire_era);
-            if !keep {
-                expected.push(id);
-            }
-            keep
-        });
-        prop_assert_eq!(&now_freed, &expected, "freed a different set on this pass");
-        prop_assert_eq!(tally.freed, expected.len());
-        prop_assert_eq!(batch.len(), reference.len());
-        let parked: usize = batch.parked_groups().map(|(_, blocks)| blocks).sum();
-        prop_assert!(parked <= batch.len());
-        previous = Some(step);
-    }
-    prop_assert!(batch.is_empty(), "an empty snapshot frees everything");
-    prop_assert!(reference.is_empty());
-}
-
-/// Whether some era of `column` lies in `[alloc_era, retire_era]`.
-fn column_pins(column: &[u64], alloc_era: u64, retire_era: u64) -> bool {
-    column
-        .iter()
-        .any(|era| (alloc_era..=retire_era).contains(era))
-}
-
 /// One step of the handle-pool property test, acting on one of a small pool
 /// of guard slots.
 #[derive(Debug, Clone, Copy)]
@@ -654,11 +494,11 @@ fn check_handle_pool<R: Reclaimer>(steps: &[PoolStep]) {
     {
         // Tiny frequencies so short sequences still trip batch scans, plus a
         // deliberately sharded registry.
-        let domain = R::with_config(ReclaimerConfig {
+        let domain = R::with_config(DomainConfig {
             cleanup_freq: 3,
             era_freq: 2,
             shards: SLOTS,
-            ..ReclaimerConfig::with_max_threads(SLOTS)
+            ..DomainConfig::with_max_threads(SLOTS)
         });
         let pool = HandlePool::new(Arc::clone(&domain));
         let mut guards: Vec<Option<PooledHandle<R>>> = (0..SLOTS).map(|_| None).collect();
@@ -789,7 +629,7 @@ proptest! {
         // see the same randomized op sequence (`Some(v)` = enqueue v, `None`
         // = dequeue) and must agree on every result — which pins down FIFO
         // order per producer and element conservation in one stroke.
-        let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(2));
         let crturn = CrTurnQueue::<u64, Wfe>::new(Arc::clone(&domain));
         let msq = MichaelScottQueue::<u64, Wfe>::new(Arc::clone(&domain));
         let mut handle = domain.register();
@@ -825,7 +665,7 @@ proptest! {
         // where who==2 dequeues and who<2 enqueues a value stamped with the
         // producer id. Dequeued values must come out in stamped order per
         // producer, and nothing may be lost or invented.
-        let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(3));
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(3));
         let queue = CrTurnQueue::<u64, Wfe>::new(Arc::clone(&domain));
         let mut handles = [domain.register(), domain.register()];
         let mut seq = [0u64, 0u64];
@@ -859,7 +699,7 @@ proptest! {
     #[test]
     fn kp_queue_matches_vecdeque(ops in proptest::collection::vec(proptest::option::weighted(0.6, any::<u64>()), 1..300)) {
         // `Some(v)` = enqueue v, `None` = dequeue.
-        let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(2));
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(2));
         let queue = KoganPetrankQueue::<u64, Wfe>::new(Arc::clone(&domain));
         let mut handle = domain.register();
         let mut model: VecDeque<u64> = VecDeque::new();
@@ -879,48 +719,6 @@ proptest! {
             prop_assert_eq!(queue.dequeue(&mut handle), Some(expected));
         }
         prop_assert_eq!(queue.dequeue(&mut handle), None);
-    }
-
-    #[test]
-    fn parked_scan_frees_what_a_full_rescan_frees_he(
-        steps in proptest::collection::vec(scan_step_strategy(), 1..40)
-    ) {
-        check_parked_scan(
-            &steps,
-            |step| step.primary.iter().copied().collect::<EraSnapshot>(),
-            |step, alloc_era, retire_era| column_pins(&step.primary, alloc_era, retire_era),
-        );
-    }
-
-    #[test]
-    fn parked_scan_frees_what_a_full_rescan_frees_wfe(
-        steps in proptest::collection::vec(scan_step_strategy(), 1..40)
-    ) {
-        check_parked_scan(
-            &steps,
-            |step| WfeSnapshot::from_eras(&step.primary, step.quiescent, &step.handover, &step.recheck),
-            |step, alloc_era, retire_era| {
-                column_pins(&step.primary, alloc_era, retire_era)
-                    || (!step.quiescent
-                        && (column_pins(&step.handover, alloc_era, retire_era)
-                            || column_pins(&step.recheck, alloc_era, retire_era)))
-            },
-        );
-    }
-
-    #[test]
-    fn parked_scan_frees_what_a_full_rescan_frees_ebr(
-        steps in proptest::collection::vec(scan_step_strategy(), 1..40)
-    ) {
-        check_parked_scan(
-            &steps,
-            |step| {
-                let mut snapshot = EpochSnapshot::new();
-                step.primary.iter().for_each(|&epoch| snapshot.insert(epoch));
-                snapshot
-            },
-            |step, _alloc_era, retire_era| step.primary.iter().any(|&epoch| epoch <= retire_era),
-        );
     }
 
     #[test]
@@ -1025,7 +823,7 @@ proptest! {
 
     #[test]
     fn pointer_tagging_roundtrips(tag_bits in 0usize..4) {
-        let domain = Wfe::with_config(ReclaimerConfig::with_max_threads(1));
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(1));
         let mut handle = domain.register();
         let node: *mut Linked<u64> = handle.alloc(7u64);
         prop_assume!(tag_bits <= tag::low_bits::<u64>());

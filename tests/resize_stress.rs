@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use wfe_suite::{He, RawHandle, Reclaimer, ReclaimerConfig, ResizableHashMap, Wfe};
+use wfe_suite::{DomainConfig, He, RawHandle, Reclaimer, ResizableHashMap, Wfe};
 
 /// The per-run seed feeding every randomized workload below:
 /// `WFE_STRESS_SEED` pins it, otherwise it derives from the clock so
@@ -76,10 +76,10 @@ fn resize_storm_under<R: Reclaimer>() {
     };
 
     let seed = ReplayableSeed::for_this_test();
-    let domain = R::with_config(ReclaimerConfig {
+    let domain = R::with_config(DomainConfig {
         cleanup_freq: 16,
         era_freq: 32,
-        ..ReclaimerConfig::with_max_threads(THREADS as usize + 1)
+        ..DomainConfig::with_max_threads(THREADS as usize + 1)
     });
     // Two buckets: the storm and the organic load-factor trigger both start
     // from the smallest possible directory.

@@ -659,7 +659,7 @@ fn count_shield_sites(toks: &[Tok], start: usize, end: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// The crates whose structs are shared between threads on a hot path.
-const LAYOUT_SCOPES: [&str; 3] = ["crates/reclaim/src/", "crates/wfe/src/", "crates/ds/src/"];
+const LAYOUT_SCOPES: [&str; 2] = ["crates/reclaim/src/", "crates/ds/src/"];
 
 /// Types some thread writes through a shared reference: the `wfe_sync`
 /// atomics and the wrappers the suite builds from them.
