@@ -121,8 +121,6 @@ mod tests {
             avg_unreclaimed: 12.0,
             adopted_batches: 0.0,
             freed_via_adoption: 0.0,
-            shards: 1,
-            avg_occupied_shards: 1.0,
         }
     }
 

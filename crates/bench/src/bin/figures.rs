@@ -8,7 +8,7 @@
 //! With no figure argument every figure (and both ablations) is run. Output
 //! is CSV on stdout, one row per measured point:
 //! `figure,structure,workload,scheme,threads,mops,avg_unreclaimed,`
-//! `adopted_batches,freed_via_adoption,shards,avg_occupied_shards`.
+//! `adopted_batches,freed_via_adoption`.
 //!
 //! `--paper` and `--smoke` pick the starting parameters; every other flag
 //! overrides them, whichever side of the preset it is written on.
@@ -246,7 +246,7 @@ mod tests {
         for line in [
             "--threads 0",
             "--duration-ms 0",
-            "--shards 3",
+            "--tasks 3",
             "--block-cache off",
         ] {
             assert!(parse_args(args(line)).is_err(), "{line} is an error");

@@ -4,18 +4,16 @@
 //! combination, measured for `BenchParams::duration` and repeated
 //! `BenchParams::repeats` times. `measure` is the whole harness: it
 //! starts one worker thread per requested thread, lets them run a warm-up,
-//! opens the measured window, samples the domain's gauges until the window
-//! closes, stops the workers and sums their completed operations. What a
-//! worker does is a closure the caller hands in — one map operation
+//! opens the measured window, samples the unreclaimed count until the
+//! window closes, stops the workers and sums their completed operations.
+//! What a worker does is a closure the caller hands in — one map operation
 //! ([`run_map`]: the paper's Figures 6-11 and the ablations) or one queue
 //! operation ([`run_queue`]: Figure 5 and `queue-baseline`).
 //!
 //! Throughput is the total number of completed operations divided by the
 //! measured window (reported in Mops/s, as in the paper); the reclamation
 //! metric is the time-average of the number of retired-but-not-yet-freed
-//! blocks, sampled every few milliseconds while the run is in flight. The
-//! sampler also records how many registry shards are occupied at each tick —
-//! the scan width after shard-skip.
+//! blocks, sampled every few milliseconds while the run is in flight.
 //!
 //! Every runner's repeats collapse into one [`DataPoint`] in one averaging
 //! step.
@@ -86,24 +84,18 @@ pub struct DataPoint {
     /// over repeats) — the observable for the bounded-unreclaimed claim when
     /// threads come and go.
     pub freed_via_adoption: f64,
-    /// Number of shards the domain's slot registry was split into.
-    pub shards: usize,
-    /// Time-averaged number of *occupied* shards (the scan width after
-    /// shard-skip; `shards - avg_occupied_shards` shards were skipped by an
-    /// average cleanup pass).
-    pub avg_occupied_shards: f64,
 }
 
 impl DataPoint {
     /// CSV header matching [`DataPoint::to_csv_row`].
     pub const CSV_HEADER: &'static str =
         "structure,workload,scheme,threads,mops,avg_unreclaimed,adopted_batches,\
-         freed_via_adoption,shards,avg_occupied_shards";
+         freed_via_adoption";
 
     /// Renders the point as one CSV row.
     pub fn to_csv_row(&self) -> String {
         format!(
-            "{},{},{},{},{:.4},{:.1},{:.1},{:.1},{},{:.2}",
+            "{},{},{},{},{:.4},{:.1},{:.1},{:.1}",
             self.structure,
             self.workload,
             self.scheme,
@@ -111,9 +103,7 @@ impl DataPoint {
             self.mops,
             self.avg_unreclaimed,
             self.adopted_batches,
-            self.freed_via_adoption,
-            self.shards,
-            self.avg_occupied_shards
+            self.freed_via_adoption
         )
     }
 }
@@ -122,9 +112,8 @@ impl DataPoint {
 struct Run {
     ops: u64,
     elapsed: Duration,
-    /// Time-averaged unreclaimed blocks and occupied shards.
-    gauges: (f64, f64),
-    shards: usize,
+    /// Time-averaged unreclaimed blocks.
+    avg_unreclaimed: f64,
     /// End-of-run domain counters.
     stats: SmrStats,
 }
@@ -140,19 +129,16 @@ fn domain_config(threads: usize, required_slots: usize, params: &BenchParams) ->
     }
 }
 
-/// Samples the domain's gauges every [`SAMPLE_INTERVAL`] while `running()`
-/// holds and returns their time-averages: (unreclaimed blocks, occupied
-/// shards).
-fn sample_gauges<R: Reclaimer>(domain: &R, mut running: impl FnMut() -> bool) -> (f64, f64) {
-    let (mut unreclaimed, mut occupied, mut samples) = (0.0, 0.0, 0u32);
+/// Samples the domain's unreclaimed count every [`SAMPLE_INTERVAL`] while
+/// `running()` holds and returns its time-average.
+fn sample_unreclaimed<R: Reclaimer>(domain: &R, mut running: impl FnMut() -> bool) -> f64 {
+    let (mut unreclaimed, mut samples) = (0.0, 0u32);
     while running() {
         std::thread::sleep(SAMPLE_INTERVAL);
         unreclaimed += domain.stats().unreclaimed as f64;
-        occupied += domain.registry().occupied_shards() as f64;
         samples += 1;
     }
-    let samples = f64::from(samples.max(1));
-    (unreclaimed / samples, occupied / samples)
+    unreclaimed / f64::from(samples.max(1))
 }
 
 /// The closed-loop driver: runs `threads` workers against `domain` for one
@@ -174,7 +160,7 @@ where
     let measuring = AtomicBool::new(false);
     let total_ops = AtomicU64::new(0);
     let barrier = Barrier::new(threads + 1);
-    let (elapsed, gauges) = std::thread::scope(|scope| {
+    let (elapsed, avg_unreclaimed) = std::thread::scope(|scope| {
         for thread in 0..threads {
             let (worker, stop, measuring) = (&worker, &stop, &measuring);
             let (total_ops, barrier) = (&total_ops, &barrier);
@@ -200,15 +186,14 @@ where
         std::thread::sleep(warmup_duration(params));
         measuring.store(true, Ordering::SeqCst);
         let start = Instant::now();
-        let gauges = sample_gauges(domain, || start.elapsed() < params.duration);
+        let avg_unreclaimed = sample_unreclaimed(domain, || start.elapsed() < params.duration);
         stop.store(true, Ordering::Relaxed); // ORDER: benchmark control flag; no data is ordered by it.
-        (start.elapsed(), gauges)
+        (start.elapsed(), avg_unreclaimed)
     });
     Run {
         ops: total_ops.into_inner(),
         elapsed,
-        gauges,
-        shards: domain.registry().shard_count(),
+        avg_unreclaimed,
         stats: domain.stats(),
     }
 }
@@ -234,11 +219,9 @@ fn average(
         workload,
         threads,
         mops: mean(|r| r.ops as f64 / r.elapsed.as_secs_f64() / 1e6),
-        avg_unreclaimed: mean(|r| r.gauges.0),
+        avg_unreclaimed: mean(|r| r.avg_unreclaimed),
         adopted_batches: mean(|r| r.stats.adopted_batches as f64),
         freed_via_adoption: mean(|r| r.stats.freed_via_adoption as f64),
-        shards: runs.last().map_or(0, |r| r.shards),
-        avg_occupied_shards: mean(|r| r.gauges.1),
     }
 }
 
@@ -356,7 +339,7 @@ where
 mod tests {
     use super::*;
     use wfe_ds::MichaelScottQueue;
-    use wfe_reclaim::Wfe;
+    use wfe_reclaim::{Handle, Wfe};
 
     #[test]
     fn map_runner_produces_sane_numbers() {
@@ -371,9 +354,6 @@ mod tests {
         assert_eq!(point.threads, 2);
         assert!(point.mops > 0.0, "some operations completed");
         assert!(point.avg_unreclaimed >= 0.0);
-        assert!(point.shards >= 1);
-        assert!(point.avg_occupied_shards >= 0.0);
-        assert!(point.avg_occupied_shards <= point.shards as f64);
         let row = point.to_csv_row();
         assert!(row.starts_with("hashmap,write50,WFE,2,"), "row: {row}");
         assert_eq!(
@@ -394,15 +374,10 @@ mod tests {
             avg_unreclaimed: 7.26,
             adopted_batches: 2.0,
             freed_via_adoption: 5.5,
-            shards: 4,
-            avg_occupied_shards: 1.5,
         };
-        assert_eq!(DataPoint::CSV_HEADER.split(',').count(), 10);
+        assert_eq!(DataPoint::CSV_HEADER.split(',').count(), 8);
         assert!(DataPoint::CSV_HEADER.starts_with("structure,workload,scheme,threads,mops,"));
-        assert_eq!(
-            point.to_csv_row(),
-            "bst,read90,HP,3,1.2346,7.3,2.0,5.5,4,1.50"
-        );
+        assert_eq!(point.to_csv_row(), "bst,read90,HP,3,1.2346,7.3,2.0,5.5");
     }
 
     #[test]
@@ -438,15 +413,21 @@ mod tests {
     #[test]
     fn gauges_average_their_samples_and_an_empty_window_reads_zero() {
         let domain = He::with_config(domain_config(2, 2, &BenchParams::smoke()));
-        let _handle = domain.register();
+        let mut handle = domain.register();
         let mut ticks = 3;
-        let (unreclaimed, occupied) = sample_gauges(&*domain, || {
+        let unreclaimed = sample_unreclaimed(&*domain, || {
+            if ticks == 2 {
+                // Retired with a pass far off: one block stays unreclaimed
+                // for the last two of three samples.
+                let node = handle.alloc(0u64);
+                // SAFETY: never published, retired exactly once.
+                unsafe { handle.retire(node) };
+            }
             ticks -= 1;
             ticks >= 0
         });
-        assert_eq!(unreclaimed, 0.0, "nothing retired");
-        assert_eq!(occupied, 1.0, "one live handle, one occupied shard");
-        assert_eq!(sample_gauges(&*domain, || false), (0.0, 0.0), "no NaN");
+        assert_eq!(unreclaimed, 2.0 / 3.0, "the mean of 0, 1 and 1");
+        assert_eq!(sample_unreclaimed(&*domain, || false), 0.0, "no NaN");
     }
 
     #[test]
@@ -477,8 +458,7 @@ mod tests {
             Run {
                 ops: 1_000_000 * (seed - SEED + 1),
                 elapsed: Duration::from_secs(1),
-                gauges: (10.0 * n, n),
-                shards: 4,
+                avg_unreclaimed: 10.0 * n,
                 stats: SmrStats {
                     adopted_batches: seed - SEED,
                     freed_via_adoption: 3,
@@ -489,10 +469,8 @@ mod tests {
         assert_eq!(seeds, [SEED, SEED + 1, SEED + 2]);
         assert_eq!(point.mops, 2.0);
         assert_eq!(point.avg_unreclaimed, 10.0);
-        assert_eq!(point.avg_occupied_shards, 1.0);
         assert_eq!(point.adopted_batches, 1.0);
         assert_eq!(point.freed_via_adoption, 3.0);
-        assert_eq!(point.shards, 4);
         assert_eq!(
             (point.scheme, point.structure, point.workload),
             ("WFE", "list", "write50")

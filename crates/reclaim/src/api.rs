@@ -48,44 +48,21 @@ pub enum Progress {
 
 /// Tuning knobs shared by every scheme; field names follow the paper.
 ///
-/// One configuration describes one *domain* (registry sharding included),
-/// not just the paper's per-scheme constants. Construct it with
-/// [`DomainConfig::with_max_threads`] or a struct literal over [`Default`]:
+/// One configuration describes one *domain*, not just the paper's per-scheme
+/// constants. Construct it with [`DomainConfig::with_max_threads`] or a
+/// struct literal over [`Default`]:
 ///
 /// ```
-/// use wfe_reclaim::{DomainConfig, He, Reclaimer};
+/// use wfe_reclaim::{DomainConfig, He, RawHandle, Reclaimer};
 ///
 /// let config = DomainConfig {
-///     shards: 4,
+///     slots_per_thread: 4,
 ///     ..DomainConfig::with_max_threads(64)
 /// };
 /// let domain = He::with_config(config);
 /// assert_eq!(domain.registry().capacity(), 64);
-/// assert_eq!(domain.registry().shard_count(), 4);
-/// ```
-///
-/// # Sharding knobs
-///
-/// The [`shards`](DomainConfig::shards) field controls how the slot registry
-/// is partitioned; cleanup scans skip wholly-idle shards, so pinning a shard
-/// count close to the number of active sockets or executor workers keeps
-/// both registration and scanning off shared cache lines:
-///
-/// ```
-/// use wfe_reclaim::{DomainConfig, He, Reclaimer};
-///
-/// // 64 slots split into 4 shards (0 would auto-size from the host).
-/// let domain = He::with_config(DomainConfig {
-///     shards: 4,
-///     ..DomainConfig::with_max_threads(64)
-/// });
-/// assert_eq!(domain.registry().shard_count(), 4);
-///
-/// // No handle registered yet: every shard is idle and scans skip them all.
-/// assert_eq!(domain.registry().occupied_shards(), 0);
 /// let handle = domain.register();
-/// assert_eq!(domain.registry().occupied_shards(), 1);
-/// drop(handle);
+/// assert_eq!((handle.thread_id(), domain.registry().registered()), (0, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DomainConfig {
@@ -101,10 +78,9 @@ pub struct DomainConfig {
     /// Fast-path attempts before WFE switches to the slow path
     /// (`max_attempts`; the paper uses 16). Ignored by other schemes.
     pub fast_path_attempts: usize,
-    /// Number of shards the thread-slot registry is split into; `0` (the
-    /// default) picks the host's available parallelism. Clamped to
-    /// `1..=max_threads`. More shards mean less acquire/release contention
-    /// between sockets and smaller scan windows (idle shards are skipped).
+    /// Not read. It split a thread registry that is one dense array now,
+    /// and survives only because the `benchmark/` harness builds this struct
+    /// by literal.
     pub shards: usize,
     /// The size-class block cache (per-handle magazines over the
     /// process-wide block pool) that keeps retire→free→alloc cycles out of
@@ -163,11 +139,6 @@ impl DomainConfig {
             max_threads,
             ..Self::default()
         }
-    }
-
-    /// Builds the sharded slot registry described by this configuration.
-    pub(crate) fn build_registry(&self) -> ThreadRegistry {
-        ThreadRegistry::with_shards(self.max_threads, self.shards)
     }
 }
 
@@ -493,8 +464,8 @@ pub trait Reclaimer: Send + Sync + Sized + 'static {
     /// The configuration this domain was created with.
     fn config(&self) -> &DomainConfig;
 
-    /// The domain's sharded thread-slot registry (shard geometry and
-    /// occupancy are observable for monitoring and benchmarks).
+    /// The domain's thread-slot registry (capacity, registered count and
+    /// high-water mark are observable for monitoring and benchmarks).
     fn registry(&self) -> &ThreadRegistry;
 }
 

@@ -431,9 +431,9 @@ pub(crate) fn spare_blocks() -> usize {
 pub struct BlockCacheConfig {
     /// Whether freed blocks are recycled at all.
     pub enabled: bool,
-    /// Not read. It bounded a per-shard cache level that no longer exists,
-    /// and survives only because the `benchmark/` harness builds this struct
-    /// by literal.
+    /// Not read. It bounded a shared cache level, between the magazines and
+    /// the pool, that no longer exists, and survives only because the
+    /// `benchmark/` harness builds this struct by literal.
     pub per_class_capacity: usize,
 }
 

@@ -6,7 +6,7 @@
 //! made wait-free, EBR and 2GEIBR reserve per operation instead of per
 //! pointer — and in nothing else. Everything else is written here, once:
 //!
-//! * **the domain** owns the configuration, the sharded
+//! * **the domain** owns the configuration, the dense
 //!   [`ThreadRegistry`], one [`SlotCounters`] block per registry slot, the
 //!   [`OrphanStack`] and the one [`EraSource`] clock;
 //! * **the handle** owns the [`ShieldSlots`] lease table, its block-cache
@@ -40,7 +40,7 @@ use crate::stats::{self, SlotCounters, SmrStats};
 ///
 /// The hooks are associated functions over the domain rather than methods on
 /// the policy value, because most of them need the domain's clock, registry
-/// or counters next to the policy's own tables ([`Domain::policy`]).
+/// or counters next to the policy's own tables.
 ///
 /// # Safety
 ///
@@ -275,7 +275,7 @@ pub struct Domain<P: Policy> {
 impl<P: Policy> Domain<P> {
     /// Current value of the global era (epoch) clock.
     #[inline]
-    pub fn era(&self) -> u64 {
+    pub(crate) fn era(&self) -> u64 {
         self.clock.load(Ordering::Acquire) // ORDER: era clock read; pairs with the AcqRel (or stronger) era advances.
     }
 
@@ -288,7 +288,7 @@ impl<P: Policy> Domain<P> {
 
     /// The scheme's own state: its reservation tables.
     #[inline]
-    pub fn policy(&self) -> &P {
+    pub(crate) fn policy(&self) -> &P {
         &self.policy
     }
 
@@ -297,7 +297,7 @@ impl<P: Policy> Domain<P> {
     /// credits the `tid` it was called with — its caller's own slot — and no
     /// other.
     #[inline]
-    pub fn slot_counters(&self, tid: usize) -> &SlotCounters {
+    pub(crate) fn slot_counters(&self, tid: usize) -> &SlotCounters {
         &self.counters[tid]
     }
 }
@@ -310,7 +310,7 @@ impl<P: Policy> Reclaimer for Domain<P> {
             config.era_freq >= 1,
             "DomainConfig::era_freq must be at least 1: the clock advances every era_freq allocations"
         );
-        let registry = config.build_registry();
+        let registry = ThreadRegistry::new(config.max_threads);
         Arc::new(Self {
             counters: (0..registry.capacity())
                 .map(|_| CachePadded::default())
@@ -422,11 +422,6 @@ pub struct DomainHandle<P: Policy> {
 }
 
 impl<P: Policy> DomainHandle<P> {
-    /// The domain this handle belongs to.
-    pub fn domain(&self) -> &Arc<Domain<P>> {
-        &self.domain
-    }
-
     /// One cleanup pass of the batch scan protocol
     /// ([`crate::retired::cleanup_pass`]); nothing under a scheme that never
     /// reclaims.

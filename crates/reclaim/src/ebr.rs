@@ -85,17 +85,14 @@ unsafe impl Policy for EbrPolicy {
     }
 
     /// Snapshots every published epoch once per cleanup pass: only the oldest
-    /// active epoch matters, so the scratch is a single word. The walk goes
-    /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)).
+    /// active epoch matters, so the scratch is a single word. The walk covers
+    /// the rows below the registry's mark ([`ThreadRegistry::high_water`](crate::registry::ThreadRegistry::high_water)).
     fn fill_snapshot(domain: &Ebr, snapshot: &mut EpochSnapshot) {
         let reservations = &domain.policy().reservations;
         snapshot.clear();
-        for range in domain.registry().occupied_ranges() {
-            for thread in range {
-                // ORDER: snapshot load; pairs with the Release epoch withdrawal (see scan.rs safety argument).
-                snapshot.insert(reservations.get(thread, 0).load(Ordering::Acquire));
-            }
+        for thread in 0..domain.registry().high_water() {
+            // ORDER: snapshot load; pairs with the Release epoch withdrawal (see scan.rs safety argument).
+            snapshot.insert(reservations.get(thread, 0).load(Ordering::Acquire));
         }
     }
 }

@@ -84,18 +84,15 @@ unsafe impl Policy for HePolicy {
 
     /// Snapshots every published era once per cleanup pass, sorted so the
     /// Figure-1 `can_delete` lifespan test becomes one binary search per
-    /// block instead of a full reservation-table walk. The walk goes
-    /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)).
+    /// block instead of a full reservation-table walk. The walk covers
+    /// the rows below the registry's mark ([`ThreadRegistry::high_water`](crate::registry::ThreadRegistry::high_water)).
     fn fill_snapshot(domain: &He, snapshot: &mut EraSnapshot) {
         let reservations = &domain.policy().reservations;
         snapshot.clear();
-        for range in domain.registry().occupied_ranges() {
-            for thread in range {
-                for slot in 0..reservations.slots() {
-                    // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
-                    snapshot.insert(reservations.get(thread, slot).load(Ordering::Acquire));
-                }
+        for thread in 0..domain.registry().high_water() {
+            for slot in 0..reservations.slots() {
+                // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
+                snapshot.insert(reservations.get(thread, slot).load(Ordering::Acquire));
             }
         }
         snapshot.seal();

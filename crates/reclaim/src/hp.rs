@@ -92,18 +92,15 @@ unsafe impl Policy for HpPolicy {
     }
 
     /// Snapshots the current hazard set once per cleanup pass, sorted so the
-    /// per-block membership test is one binary search. The walk goes
-    /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)).
+    /// per-block membership test is one binary search. The walk covers
+    /// the rows below the registry's mark ([`ThreadRegistry::high_water`](crate::registry::ThreadRegistry::high_water)).
     fn fill_snapshot(domain: &Hp, snapshot: &mut HazardSnapshot) {
         let hazards = &domain.policy().hazards;
         snapshot.clear();
-        for range in domain.registry().occupied_ranges() {
-            for thread in range {
-                for slot in 0..hazards.slots() {
-                    // ORDER: snapshot load; pairs with the Release hazard clear (see scan.rs safety argument).
-                    snapshot.insert(hazards.get(thread, slot).load(Ordering::Acquire));
-                }
+        for thread in 0..domain.registry().high_water() {
+            for slot in 0..hazards.slots() {
+                // ORDER: snapshot load; pairs with the Release hazard clear (see scan.rs safety argument).
+                snapshot.insert(hazards.get(thread, slot).load(Ordering::Acquire));
             }
         }
         snapshot.seal();

@@ -104,20 +104,18 @@ unsafe impl Policy for IbrPolicy {
 
     /// Snapshots every active `[lower, upper]` interval once per cleanup
     /// pass; the per-block overlap test then runs without atomic loads. The
-    /// walk goes shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)).
+    /// walk covers the rows below the registry's mark
+    /// ([`ThreadRegistry::high_water`](crate::registry::ThreadRegistry::high_water)).
     fn fill_snapshot(domain: &Ibr2Ge, snapshot: &mut IntervalSnapshot) {
         let res = &domain.policy().reservations;
         snapshot.clear();
-        for range in domain.registry().occupied_ranges() {
-            for thread in range {
-                let lower = res.get(thread, LOWER).load(Ordering::Acquire); // ORDER: snapshot load; pairs with the Release interval withdrawal (see scan.rs safety argument).
-                if lower == ERA_INF {
-                    continue;
-                }
-                let upper = res.get(thread, UPPER).load(Ordering::Acquire); // ORDER: snapshot load; pairs with the Release interval withdrawal.
-                snapshot.insert(lower, upper);
+        for thread in 0..domain.registry().high_water() {
+            let lower = res.get(thread, LOWER).load(Ordering::Acquire); // ORDER: snapshot load; pairs with the Release interval withdrawal (see scan.rs safety argument).
+            if lower == ERA_INF {
+                continue;
             }
+            let upper = res.get(thread, UPPER).load(Ordering::Acquire); // ORDER: snapshot load; pairs with the Release interval withdrawal.
+            snapshot.insert(lower, upper);
         }
     }
 }

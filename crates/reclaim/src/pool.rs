@@ -56,9 +56,9 @@ impl PoolStats {
 /// A lock-free pool of parked scheme handles on top of one domain.
 ///
 /// Works with every [`Reclaimer`] in the suite. Handles keep their registry
-/// slot (and their pending retired batch) while parked, so a shard stays
-/// *occupied* as long as handles are parked in it — trading a little scan
-/// width for O(1) task-grain check-out/check-in.
+/// slot (and their pending retired batch) while parked, so a parked handle's
+/// row stays in every cleanup scan — trading a little scan width for O(1)
+/// task-grain check-out/check-in.
 ///
 /// ```
 /// use std::sync::Arc;

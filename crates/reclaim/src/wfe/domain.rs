@@ -90,20 +90,17 @@ impl WfePolicy {
     }
 
     /// Snapshots one column range of the reservation table into `snapshot`
-    /// (eras only; the tag word is irrelevant to reclamation). The walk goes
-    /// shard-by-shard and skips wholly-idle shards (see
-    /// [`ThreadRegistry::occupied_ranges`](crate::registry::ThreadRegistry::occupied_ranges)):
-    /// helper pins live in the rows of *live, registered* helpers, so an idle
-    /// shard cannot carry one.
+    /// (eras only; the tag word is irrelevant to reclamation). The walk covers
+    /// the rows below the registry's mark ([`ThreadRegistry::high_water`](crate::registry::ThreadRegistry::high_water)):
+    /// helper pins live in the rows of registered helpers, and a row beyond
+    /// the mark was never registered.
     fn snapshot_columns(domain: &Wfe, snapshot: &mut EraSnapshot, js: usize, je: usize) {
         let reservations = &domain.policy().reservations;
         snapshot.clear();
-        for range in domain.registry().occupied_ranges() {
-            for thread in range {
-                for slot in js..je {
-                    // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
-                    snapshot.insert(reservations.get(thread, slot).load_first(Ordering::Acquire));
-                }
+        for thread in 0..domain.registry().high_water() {
+            for slot in js..je {
+                // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
+                snapshot.insert(reservations.get(thread, slot).load_first(Ordering::Acquire));
             }
         }
         snapshot.seal();

@@ -1,7 +1,7 @@
 //! A small concurrent key-value service built on the Natarajan-Mittal BST and
 //! the Michael hash map, showing the same application code running under
 //! different reclamation schemes — in the second half, the executor
-//! pattern: a sharded registry serving short-lived tasks through a
+//! pattern: one registry serving short-lived tasks through a
 //! `HandlePool` instead of one long-lived handle per OS thread — and, in the
 //! third act, a *growing* service: the split-ordered resizable hash map fed a
 //! Zipfian stream with TTL expiry, its superseded bucket arrays retired
@@ -77,18 +77,13 @@ fn exercise<R: Reclaimer, M: ConcurrentMap<R>>(label: &str) {
 /// The executor pattern: a pool of workers serves a stream of short "tasks",
 /// each of which checks a handle out of a shared `HandlePool`, touches the
 /// map a few times, and checks it back in — no registry traffic per task.
-/// The registry is explicitly sharded, as a NUMA deployment would pin it.
 fn pooled_service_demo() {
     const WORKERS: usize = 4;
     const TASKS_PER_WORKER: u64 = 2_000;
     const OPS_PER_TASK: u64 = 32;
     const KEY_RANGE: u64 = 10_000;
 
-    // One domain, four registry shards (0 would auto-size from the host).
-    let domain = Wfe::with_config(DomainConfig {
-        shards: 4,
-        ..DomainConfig::with_max_threads(WORKERS * 2)
-    });
+    let domain = Wfe::with_config(DomainConfig::with_max_threads(WORKERS * 2));
     let map = MichaelHashMap::<u64, Wfe>::with_domain(Arc::clone(&domain));
     let pool = HandlePool::new(Arc::clone(&domain));
     let start = Instant::now();
@@ -149,14 +144,10 @@ fn pooled_service_demo() {
         stats.cache_misses,
         stats.cached_bytes
     );
-    let occupancy: Vec<usize> = (0..registry.shard_count())
-        .map(|shard| registry.shard_occupancy(shard))
-        .collect();
     println!(
-        "  registry: {} slots in {} shards, per-shard occupancy {:?} (scans skip idle shards)",
+        "  registry: {} slots, {} registered now (the pool's parked handles)",
         registry.capacity(),
-        registry.shard_count(),
-        occupancy
+        registry.registered()
     );
 }
 

@@ -486,23 +486,22 @@ fn wfe_under_forced_slow_path_keeps_structures_correct() {
     assert!(stats.slow_path > 0, "slow path exercised: {stats:?}");
 }
 
-/// Shard-skip correctness: a reservation published by a thread whose slot
-/// lives in one registry shard is never missed by a cleanup scan run from a
-/// thread in a *different* shard. The registry is configured with one slot
-/// per shard, so the reader and the writer are guaranteed to land in
-/// distinct shards.
-fn exercise_cross_shard_protection<R: Reclaimer>() {
+/// Scan-bound correctness: a reservation in the *highest* registered row —
+/// the last row below the registry's high-water mark, with a released row
+/// between it and the scanning thread's — pins a block that the thread in
+/// row 0 unlinks, retires and scans.
+fn exercise_highest_row_protection<R: Reclaimer>() {
     use std::sync::mpsc;
 
     let domain = R::with_config(DomainConfig {
         // Scans only when forced, so the pin is observable deterministically.
         cleanup_freq: usize::MAX,
-        shards: 8,
         ..DomainConfig::with_max_threads(8)
     });
-    assert_eq!(domain.registry().shard_count(), 8);
 
     let mut writer = domain.register();
+    let hole = domain.register();
+    assert_eq!((writer.thread_id(), hole.thread_id()), (0, 1));
     let node = writer.alloc(42u64);
     let root: Atomic<u64> = Atomic::new(node);
 
@@ -532,16 +531,20 @@ fn exercise_cross_shard_protection<R: Reclaimer>() {
         }
 
         let reader_tid = protected_rx.recv().unwrap();
+        // Release the row between the two: the scan walks past an empty row
+        // to reach the reader's.
+        drop(hole);
         let registry = domain.registry();
-        assert_ne!(
-            registry.shard_of(writer.thread_id()),
-            registry.shard_of(reader_tid),
-            "reader and writer occupy different shards"
+        assert_eq!(reader_tid, 2, "first fit lands the reader above the hole");
+        assert_eq!(
+            registry.high_water() - 1,
+            reader_tid,
+            "the reader's is the top row"
         );
-        assert!(registry.occupied_shards() >= 2);
+        assert_eq!(registry.registered(), 2);
 
-        // Unlink and retire while the cross-shard reservation is live: the
-        // writer's scan must visit the reader's shard and keep the block.
+        // Unlink and retire while the top-row reservation is live: the
+        // writer's scan must reach the reader's row and keep the block.
         root.store(core::ptr::null_mut(), Ordering::SeqCst);
         // SAFETY: `node` was unlinked from `root` above and retired once.
         unsafe { writer.retire(node) };
@@ -549,7 +552,7 @@ fn exercise_cross_shard_protection<R: Reclaimer>() {
         assert_eq!(
             domain.stats().unreclaimed,
             1,
-            "a reservation in another shard pins the block"
+            "a reservation in the highest row pins the block"
         );
 
         // Withdraw the reservation; the next scan may free the block.
@@ -559,23 +562,25 @@ fn exercise_cross_shard_protection<R: Reclaimer>() {
         assert_eq!(
             domain.stats().unreclaimed,
             0,
-            "block freed once the cross-shard reservation is withdrawn"
+            "block freed once the top-row reservation is withdrawn"
         );
     });
 }
 
-macro_rules! cross_shard_matrix {
+macro_rules! highest_row_matrix {
     ($($test:ident: $scheme:ty;)*) => {
         $(
             #[test]
             fn $test() {
-                exercise_cross_shard_protection::<$scheme>();
+                exercise_highest_row_protection::<$scheme>();
             }
         )*
     };
 }
 
-cross_shard_matrix! {
+// The test names predate the dense registry (its rows were once split into
+// shards); what each checks is `exercise_highest_row_protection`.
+highest_row_matrix! {
     cross_shard_protection_under_wfe: Wfe;
     cross_shard_protection_under_he: He;
     cross_shard_protection_under_hp: Hp;
@@ -593,7 +598,6 @@ fn pooled_handles_serve_a_task_churn_workload_across_threads() {
     const OPS_PER_TASK: u64 = 16;
 
     let domain = Wfe::with_config(DomainConfig {
-        shards: 4,
         cleanup_freq: 8,
         era_freq: 16,
         ..DomainConfig::with_max_threads(WORKERS)

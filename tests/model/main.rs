@@ -24,6 +24,7 @@ mod aba;
 mod era;
 mod orphan;
 mod pool;
+mod registry;
 mod resize;
 mod shield;
 mod slowpath;

@@ -492,12 +492,10 @@ fn check_handle_pool<R: Reclaimer>(steps: &[PoolStep]) {
     let drops = Arc::new(AtomicUsize::new(0));
     let mut allocated = 0usize;
     {
-        // Tiny frequencies so short sequences still trip batch scans, plus a
-        // deliberately sharded registry.
+        // Tiny frequencies so short sequences still trip batch scans.
         let domain = R::with_config(DomainConfig {
             cleanup_freq: 3,
             era_freq: 2,
-            shards: SLOTS,
             ..DomainConfig::with_max_threads(SLOTS)
         });
         let pool = HandlePool::new(Arc::clone(&domain));
