@@ -2,8 +2,8 @@
 //!
 //! The paper keeps the Hazard-Pointers-compatible interface of Hazard Eras:
 //!
-//! * `get_protected(ptr, index [, parent])` → [`RawHandle::protect_raw`] /
-//!   [`Handle::protect`]
+//! * `get_protected(ptr, index [, parent])` → [`Handle::protect`] (or
+//!   [`RawHandle::cell`] once + [`RawHandle::protect_cell`] per call)
 //! * `retire(ptr)` → [`RawHandle::retire_raw`] / [`Handle::retire`]
 //! * `clear()` → [`RawHandle::clear`]
 //! * `alloc_block(size)` → [`RawHandle::pre_alloc`] + [`Handle::alloc`]
@@ -144,7 +144,7 @@ impl DomainConfig {
 
 /// The reservation-slot index check every cell resolution makes
 /// ([`RawHandle::cell`]), under every scheme and in every build: once per
-/// [`Shield`] lease, once per raw [`protect_raw`](RawHandle::protect_raw).
+/// [`Shield`] lease, once per raw [`Handle::protect`].
 ///
 /// An index past the application slots would resolve a cell that is not
 /// the caller's to publish into: WFE's helper pins (the two slots after the
@@ -179,15 +179,14 @@ pub fn assert_slot_index(index: usize, slots: usize) {
 /// # Safety
 ///
 /// Implementations must guarantee that a pointer returned by
-/// [`protect_raw`](Self::protect_raw) or [`protect_cell`](Self::protect_cell)
-/// (with its tag bits masked by `mask`) remains valid — i.e. is not freed —
+/// [`protect_cell`](Self::protect_cell) (with its tag bits masked by `mask`)
+/// on a cell of slot `index` remains valid — i.e. is not freed —
 /// until the same slot `index` is overwritten by a later protect, or
 /// [`clear`](Self::clear) / [`end_op`](Self::end_op) is called, provided the
 /// program obeys the usual SMR contract (blocks are retired only after
 /// becoming unreachable, and only once). [`cell`](Self::cell) must call
 /// `assert_slot_index` (or an equivalent check), so an out-of-range index
-/// fails the same way under every scheme and in every build, and
-/// `protect_raw` must resolve its cell through it.
+/// fails the same way under every scheme and in every build.
 ///
 /// The implementing type must be `!Sync`, and
 /// [`shield_slots`](Self::shield_slots) must hand out one table per
@@ -228,9 +227,14 @@ pub unsafe trait RawHandle {
     /// Panics if `index >= slots()` (`assert_slot_index`).
     unsafe fn cell(&self, index: usize) -> Self::Cell;
 
-    /// Hazard-Eras `get_protected` through a resolved cell: what
-    /// [`Shield::protect`] runs. Same result as
-    /// [`protect_raw`](Self::protect_raw) on the cell's index.
+    /// Hazard-Eras `get_protected` through a resolved cell: reads the pointer
+    /// stored at `src` and publishes whatever reservation the scheme needs so
+    /// the pointee cannot be freed. Returns the raw (possibly tagged) value
+    /// read from `src`; the *protected* object is `value & mask`.
+    ///
+    /// `parent` is the block containing `src` (null for data-structure roots)
+    /// — only WFE uses it, other schemes ignore it. [`Shield::protect`] and
+    /// [`Handle::protect`] both run it.
     fn protect_cell(
         cell: &Self::Cell,
         src: &AtomicUsize,
@@ -243,23 +247,6 @@ pub unsafe trait RawHandle {
 
     /// Marks the end of a data-structure operation; drops all protections.
     fn end_op(&mut self);
-
-    /// Hazard-Eras `get_protected`: reads the pointer stored at `src` and
-    /// publishes whatever reservation the scheme needs so the pointee cannot
-    /// be freed. Returns the raw (possibly tagged) value read from `src`;
-    /// the *protected* object is `value & mask`.
-    ///
-    /// `parent` is the block containing `src` (null for data-structure roots)
-    /// — only WFE uses it, other schemes ignore it. Resolves the cell of
-    /// `index` on every call ([`cell`](Self::cell): panics on an index out of
-    /// range); a [`Shield`] resolves it once per lease.
-    fn protect_raw(
-        &mut self,
-        src: &AtomicUsize,
-        index: usize,
-        parent: *mut BlockHeader,
-        mask: usize,
-    ) -> usize;
 
     /// Hazard-Eras `retire`: hands an unreachable block to the scheme for
     /// eventual reclamation.
@@ -370,6 +357,10 @@ pub trait Handle: RawHandle {
     /// physically contains `src`, or null when `src` is a data-structure
     /// root; it must itself be protected by the caller (that is the API
     /// convention §3.4 relies upon).
+    ///
+    /// Resolves the cell of `index` on every call ([`RawHandle::cell`]:
+    /// panics on an index out of range); a [`Shield`] resolves it once per
+    /// lease.
     #[inline(always)]
     fn protect<T>(
         &mut self,
@@ -377,9 +368,12 @@ pub trait Handle: RawHandle {
         index: usize,
         parent: *mut Linked<T>,
     ) -> *mut Linked<T> {
-        self.protect_raw(
+        // SAFETY: the cell is used for this one protect, while `&mut self`
+        // keeps the registration (and its domain) alive on this thread.
+        let cell = unsafe { self.cell(index) };
+        Self::protect_cell(
+            &cell,
             src.as_raw_atomic(),
-            index,
             Linked::as_header(parent),
             tag::ptr_mask::<T>(),
         ) as *mut Linked<T>

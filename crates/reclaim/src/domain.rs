@@ -450,8 +450,8 @@ impl<P: Policy> DomainHandle<P> {
 
 // SAFETY: `thread_id` is unique per live handle (acquired from the registry,
 // released on drop); `cell` checks the index and resolves the cell in this
-// handle's domain for its own `tid`, and `protect_raw` and `protect_cell`
-// return what `P::protect` returns on such a cell, so by `Policy`'s contract
+// handle's domain for its own `tid`, and `protect_cell` returns what
+// `P::protect` returns on such a cell, so by `Policy`'s contract
 // the reservation it published keeps the block covered in every snapshot
 // `cleanup` fills until the slot is overwritten or cleared. The handle is
 // `!Sync` (its magazine and batch hold raw pointers) and hands out the one
@@ -502,20 +502,6 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
         mask: usize,
     ) -> usize {
         P::protect(cell, src, parent, mask)
-    }
-
-    #[inline(always)]
-    fn protect_raw(
-        &mut self,
-        src: &AtomicUsize,
-        index: usize,
-        parent: *mut BlockHeader,
-        mask: usize,
-    ) -> usize {
-        // SAFETY: used for this one protect, while `&mut self` keeps the
-        // registration (and the domain its `Arc` holds) alive on this thread.
-        let cell = unsafe { self.cell(index) };
-        P::protect(&cell, src, parent, mask)
     }
 
     // SAFETY: contract inherited from the trait declaration (`# Safety`

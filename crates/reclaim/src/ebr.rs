@@ -10,13 +10,13 @@
 //! which is why the paper classifies it as blocking and why it cannot be used
 //! under a wait-free data structure without forfeiting the guarantee.
 
-use wfe_sync::atomic::{AtomicUsize, Ordering};
+use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF};
 use crate::domain::{Domain, Policy};
 use crate::scan::EpochSnapshot;
-use crate::slots::SlotArray;
+use crate::slots::SlotTable;
 
 /// The EBR domain; its epoch is the core's clock (`era()`).
 ///
@@ -34,7 +34,7 @@ pub type Ebr = Domain<EbrPolicy>;
 #[derive(Debug)]
 pub struct EbrPolicy {
     /// One published epoch per thread; `ERA_INF` = quiescent.
-    reservations: SlotArray,
+    reservations: SlotTable<AtomicU64>,
 }
 
 // SAFETY: everything `protect` reads inside a bracket was reachable after
@@ -50,7 +50,7 @@ unsafe impl Policy for EbrPolicy {
 
     fn new(config: &DomainConfig) -> Self {
         Self {
-            reservations: SlotArray::new(config.max_threads, 1, ERA_INF),
+            reservations: SlotTable::new(config.max_threads, 1, || AtomicU64::new(ERA_INF)),
         }
     }
 
@@ -69,7 +69,8 @@ unsafe impl Policy for EbrPolicy {
         domain
             .policy()
             .reservations
-            .fill_row(tid, ERA_INF, Ordering::Release); // ORDER: withdraws the epoch; pairs with the snapshot's Acquire loads.
+            .get(tid, 0)
+            .store(ERA_INF, Ordering::Release); // ORDER: withdraws the epoch; pairs with the snapshot's Acquire loads.
     }
 
     /// Protection comes from the epoch published in `begin_op`; reads need no

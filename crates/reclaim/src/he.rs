@@ -11,13 +11,13 @@
 //! retrying while other threads advance the era clock — this is exactly the
 //! loop WFE (`crate::wfe`) makes wait-free.
 
-use wfe_sync::atomic::{AtomicUsize, Ordering};
+use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF};
 use crate::domain::{Domain, EraCell, Policy};
 use crate::scan::EraSnapshot;
-use crate::slots::SlotArray;
+use crate::slots::SlotTable;
 
 /// The Hazard Eras domain.
 ///
@@ -35,7 +35,7 @@ pub type He = Domain<HePolicy>;
 #[derive(Debug)]
 pub struct HePolicy {
     /// `max_threads × slots_per_thread` published eras (`ERA_INF` = none).
-    reservations: SlotArray,
+    reservations: SlotTable<AtomicU64>,
 }
 
 // SAFETY: a cell is the `(tid, index)` slot's own era word and the clock;
@@ -52,7 +52,9 @@ unsafe impl Policy for HePolicy {
 
     fn new(config: &DomainConfig) -> Self {
         Self {
-            reservations: SlotArray::new(config.max_threads, config.slots_per_thread, ERA_INF),
+            reservations: SlotTable::new(config.max_threads, config.slots_per_thread, || {
+                AtomicU64::new(ERA_INF)
+            }),
         }
     }
 
@@ -76,10 +78,9 @@ unsafe impl Policy for HePolicy {
 
     #[inline]
     fn clear(domain: &He, tid: usize) {
-        domain
-            .policy()
-            .reservations
-            .fill_row(tid, ERA_INF, Ordering::Release); // ORDER: withdraws the eras; pairs with the snapshot's Acquire loads.
+        for era in domain.policy().reservations.row(tid) {
+            era.store(ERA_INF, Ordering::Release); // ORDER: withdraws the eras; pairs with the snapshot's Acquire loads.
+        }
     }
 
     /// Snapshots every published era once per cleanup pass, sorted so the
@@ -90,9 +91,9 @@ unsafe impl Policy for HePolicy {
         let reservations = &domain.policy().reservations;
         snapshot.clear();
         for thread in 0..domain.registry().high_water() {
-            for slot in 0..reservations.slots() {
+            for era in reservations.row(thread) {
                 // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
-                snapshot.insert(reservations.get(thread, slot).load(Ordering::Acquire));
+                snapshot.insert(era.load(Ordering::Acquire));
             }
         }
         snapshot.seal();

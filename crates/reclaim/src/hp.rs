@@ -14,7 +14,7 @@ use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::BlockHeader;
 use crate::domain::{CellPtr, Domain, Policy};
 use crate::scan::HazardSnapshot;
-use crate::slots::PtrSlotArray;
+use crate::slots::SlotTable;
 
 /// The Hazard Pointers domain.
 ///
@@ -32,7 +32,7 @@ pub type Hp = Domain<HpPolicy>;
 #[derive(Debug)]
 pub struct HpPolicy {
     /// `max_threads × slots_per_thread` published addresses (0 = none).
-    hazards: PtrSlotArray,
+    hazards: SlotTable<AtomicUsize>,
 }
 
 // SAFETY: a cell is the `(tid, index)` slot's own hazard word; `protect`
@@ -50,7 +50,9 @@ unsafe impl Policy for HpPolicy {
 
     fn new(config: &DomainConfig) -> Self {
         Self {
-            hazards: PtrSlotArray::new(config.max_threads, config.slots_per_thread),
+            hazards: SlotTable::new(config.max_threads, config.slots_per_thread, || {
+                AtomicUsize::new(0)
+            }),
         }
     }
 
@@ -88,7 +90,9 @@ unsafe impl Policy for HpPolicy {
 
     #[inline]
     fn clear(domain: &Hp, tid: usize) {
-        domain.policy().hazards.fill_row(tid, 0, Ordering::Release); // ORDER: withdraws the hazards; pairs with the snapshot's Acquire loads.
+        for hazard in domain.policy().hazards.row(tid) {
+            hazard.store(0, Ordering::Release); // ORDER: withdraws the hazards; pairs with the snapshot's Acquire loads.
+        }
     }
 
     /// Snapshots the current hazard set once per cleanup pass, sorted so the
@@ -98,9 +102,9 @@ unsafe impl Policy for HpPolicy {
         let hazards = &domain.policy().hazards;
         snapshot.clear();
         for thread in 0..domain.registry().high_water() {
-            for slot in 0..hazards.slots() {
+            for hazard in hazards.row(thread) {
                 // ORDER: snapshot load; pairs with the Release hazard clear (see scan.rs safety argument).
-                snapshot.insert(hazards.get(thread, slot).load(Ordering::Acquire));
+                snapshot.insert(hazard.load(Ordering::Acquire) as u64);
             }
         }
         snapshot.seal();

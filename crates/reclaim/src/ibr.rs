@@ -12,13 +12,13 @@
 //! exactly this reason). The paper notes WFE's helping idea applies to 2GEIBR
 //! as well; the wait-free extension in this repository targets HE.
 
-use wfe_sync::atomic::{AtomicUsize, Ordering};
+use wfe_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF};
 use crate::domain::{Domain, EraCell, Policy};
 use crate::scan::IntervalSnapshot;
-use crate::slots::SlotArray;
+use crate::slots::SlotTable;
 
 const LOWER: usize = 0;
 const UPPER: usize = 1;
@@ -39,7 +39,7 @@ pub type Ibr2Ge = Domain<IbrPolicy>;
 #[derive(Debug)]
 pub struct IbrPolicy {
     /// `max_threads × 2`: per-thread `[lower, upper]` interval (`ERA_INF` = idle).
-    reservations: SlotArray,
+    reservations: SlotTable<AtomicU64>,
 }
 
 // SAFETY: a cell is the thread's `upper` word and the clock; `protect`
@@ -56,7 +56,7 @@ unsafe impl Policy for IbrPolicy {
 
     fn new(config: &DomainConfig) -> Self {
         Self {
-            reservations: SlotArray::new(config.max_threads, 2, ERA_INF),
+            reservations: SlotTable::new(config.max_threads, 2, || AtomicU64::new(ERA_INF)),
         }
     }
 
@@ -74,10 +74,9 @@ unsafe impl Policy for IbrPolicy {
     /// a valid `upper`.
     #[inline]
     fn end_op(domain: &Ibr2Ge, tid: usize) {
-        domain
-            .policy()
-            .reservations
-            .fill_row(tid, ERA_INF, Ordering::Release); // ORDER: withdraws the interval; pairs with the snapshot's Acquire loads.
+        for bound in domain.policy().reservations.row(tid) {
+            bound.store(ERA_INF, Ordering::Release); // ORDER: withdraws the interval; pairs with the snapshot's Acquire loads.
+        }
     }
 
     /// Every index of a thread resolves to the same cell: the interval's

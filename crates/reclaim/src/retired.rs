@@ -526,7 +526,7 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let mut batch = RetiredBatch::new();
         let [a, b, c] = [(); 3].map(|()| make(&drops));
-        let (a_addr, c_addr) = (a.block() as usize, c.block() as usize);
+        let (a_addr, c_addr) = (a.block() as u64, c.block() as u64);
         batch.push(a);
         batch.push(b);
         batch.push(c);

@@ -8,6 +8,12 @@
 //! and then judges the whole retired batch against that snapshot, so the
 //! per-block work drops to a binary search (or a single comparison).
 //!
+//! Three schemes publish words a block is judged against one by one: Hazard
+//! Eras and WFE eras, Hazard Pointers addresses. Their snapshots are one
+//! sorted set ([`SortedSet`]) that differ in the value an empty slot holds
+//! and in the verdict; EBR keeps a single word and 2GEIBR a list of
+//! intervals.
+//!
 //! Safety of snapshotting once: every block in a batch was retired — and was
 //! therefore already unreachable — *before* the snapshot is taken. A
 //! reservation that protects such a block must have been published before the
@@ -130,14 +136,22 @@ impl ReservationSet for EpochSnapshot {
     }
 }
 
-/// Hazard-Eras scratch: the published eras, sorted so that the per-block
-/// lifespan test is one binary search.
+/// The published words of one snapshot, sorted and deduplicated so that a
+/// per-block test is one binary search; `EMPTY` is the value an unused slot
+/// holds, which is not recorded. Hazard Eras and WFE record eras in it
+/// ([`EraSnapshot`]), Hazard Pointers addresses ([`HazardSnapshot`]).
 #[derive(Debug, Default)]
-pub struct EraSnapshot {
-    eras: Vec<u64>,
+pub struct SortedSet<const EMPTY: u64> {
+    words: Vec<u64>,
 }
 
-impl EraSnapshot {
+/// Hazard-Eras scratch: the published eras (`ERA_INF` = empty slot).
+pub type EraSnapshot = SortedSet<ERA_INF>;
+
+/// Hazard-Pointers scratch: the published addresses (0 = empty slot).
+pub type HazardSnapshot = SortedSet<0>;
+
+impl<const EMPTY: u64> SortedSet<EMPTY> {
     /// Creates an empty snapshot.
     pub fn new() -> Self {
         Self::default()
@@ -146,59 +160,62 @@ impl EraSnapshot {
     /// Discards the previous snapshot, keeping the allocation.
     #[inline]
     pub fn clear(&mut self) {
-        self.eras.clear();
+        self.words.clear();
     }
 
-    /// Records one published era (`ERA_INF` = empty slot, ignored).
+    /// Records one published word (`EMPTY` ignored).
     #[inline]
-    pub fn insert(&mut self, era: u64) {
-        if era != ERA_INF {
-            self.eras.push(era);
+    pub fn insert(&mut self, word: u64) {
+        if word != EMPTY {
+            self.words.push(word);
         }
     }
 
-    /// Sorts the recorded eras; must be called once after the last `insert`
-    /// and before the first `covers`/`covers_span` query.
+    /// Sorts the recorded words; must be called once after the last `insert`
+    /// and before the first query.
     pub fn seal(&mut self) {
-        self.eras.sort_unstable();
-        self.eras.dedup();
+        self.words.sort_unstable();
+        self.words.dedup();
     }
 
-    /// The smallest recorded era inside `[alloc_era, retire_era]`, if any.
+    /// The smallest recorded word inside `[alloc_era, retire_era]`, if any.
     #[inline]
     pub fn first_in_span(&self, alloc_era: u64, retire_era: u64) -> Option<u64> {
-        let idx = self.eras.partition_point(|&era| era < alloc_era);
-        self.eras.get(idx).copied().filter(|&era| era <= retire_era)
+        let idx = self.words.partition_point(|&word| word < alloc_era);
+        self.words
+            .get(idx)
+            .copied()
+            .filter(|&word| word <= retire_era)
     }
 
-    /// Whether some recorded era falls inside `[alloc_era, retire_era]`.
+    /// Whether some recorded word falls inside `[alloc_era, retire_era]`.
     #[inline]
     pub fn covers_span(&self, alloc_era: u64, retire_era: u64) -> bool {
         self.first_in_span(alloc_era, retire_era).is_some()
     }
 
-    /// Whether `era` itself was recorded.
+    /// Whether `word` itself was recorded.
     #[inline]
-    pub fn contains(&self, era: u64) -> bool {
-        self.eras.binary_search(&era).is_ok()
+    pub fn contains(&self, word: u64) -> bool {
+        self.words.binary_search(&word).is_ok()
     }
 
-    /// Number of distinct recorded eras.
+    /// Number of distinct recorded words.
     pub fn len(&self) -> usize {
-        self.eras.len()
+        self.words.len()
     }
 
-    /// Whether no era was recorded.
+    /// Whether no word was recorded.
     pub fn is_empty(&self) -> bool {
-        self.eras.is_empty()
+        self.words.is_empty()
     }
 }
 
-/// Collects published eras into a sealed snapshot (`ERA_INF` ignored).
-impl FromIterator<u64> for EraSnapshot {
-    fn from_iter<I: IntoIterator<Item = u64>>(eras: I) -> Self {
+/// Collects published words into a sealed snapshot (`EMPTY` ignored).
+impl<const EMPTY: u64> FromIterator<u64> for SortedSet<EMPTY> {
+    fn from_iter<I: IntoIterator<Item = u64>>(words: I) -> Self {
         let mut snapshot = Self::new();
-        eras.into_iter().for_each(|era| snapshot.insert(era));
+        words.into_iter().for_each(|word| snapshot.insert(word));
         snapshot.seal();
         snapshot
     }
@@ -274,59 +291,13 @@ impl ReservationSet for IntervalSnapshot {
     }
 }
 
-/// Hazard-Pointers scratch: the published addresses, sorted for binary
-/// search.
-#[derive(Debug, Default)]
-pub struct HazardSnapshot {
-    pointers: Vec<usize>,
-}
-
-impl HazardSnapshot {
-    /// Creates an empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Discards the previous snapshot, keeping the allocation.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.pointers.clear();
-    }
-
-    /// Records one published hazard address (0 = empty slot, ignored).
-    #[inline]
-    pub fn insert(&mut self, pointer: usize) {
-        if pointer != 0 {
-            self.pointers.push(pointer);
-        }
-    }
-
-    /// Sorts the recorded addresses; must be called once after the last
-    /// `insert` and before the first `covers` query.
-    pub fn seal(&mut self) {
-        self.pointers.sort_unstable();
-        self.pointers.dedup();
-    }
-
-    /// Number of distinct recorded addresses.
-    pub fn len(&self) -> usize {
-        self.pointers.len()
-    }
-
-    /// Whether no address was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pointers.is_empty()
-    }
-}
-
 impl ReservationSet for HazardSnapshot {
     /// No witness: the cover is the block's own address, and the pinned set
     /// is already bounded by the number of hazard slots. The block itself is
     /// not read.
     #[inline]
     fn judge(&self, entry: &Retired) -> Verdict {
-        let address = entry.block() as usize;
-        if self.pointers.binary_search(&address).is_ok() {
+        if self.contains(entry.block() as u64) {
             Verdict::Pinned
         } else {
             Verdict::Free
@@ -439,7 +410,7 @@ mod tests {
         let mut intervals = IntervalSnapshot::new();
         intervals.insert(10, 20);
         let mut hazards = HazardSnapshot::new();
-        hazards.insert(entry.block() as usize);
+        hazards.insert(entry.block() as u64);
         hazards.seal();
         assert_eq!(intervals.judge(&entry), Verdict::Pinned);
         assert_eq!(hazards.judge(&entry), Verdict::Pinned);
@@ -465,8 +436,8 @@ mod tests {
         let b = entry_with(0, 0);
         let mut snap = HazardSnapshot::new();
         snap.insert(0); // ignored
-        snap.insert(a.block() as usize);
-        snap.insert(a.block() as usize); // deduped
+        snap.insert(a.block() as u64);
+        snap.insert(a.block() as u64); // deduped
         snap.seal();
         assert_eq!(snap.len(), 1);
         assert!(snap.covers(&a));

@@ -79,3 +79,5 @@ mod state;
 #[cfg(test)]
 pub(crate) use domain::WfeSnapshot;
 pub use domain::{Wfe, WfeHandle};
+#[cfg(test)]
+pub(crate) use state::State;

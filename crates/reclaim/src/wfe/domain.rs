@@ -10,9 +10,9 @@ use crate::block::{BlockHeader, ERA_INF, INVPTR};
 use crate::domain::{CellPtr, Domain, DomainHandle, Policy};
 use crate::retired::Retired;
 use crate::scan::{EraSnapshot, ReservationSet, Verdict};
-use crate::slots::PairSlotArray;
+use crate::slots::SlotTable;
 
-use super::state::StateTable;
+use super::state::State;
 
 /// Index (relative to a thread's reservation row) of the first internal
 /// reservation: the *parent pin* used by helpers (paper: `max_hes`).
@@ -59,15 +59,19 @@ pub struct WfeCell {
 ///   finished; their difference tells era-advancing threads whether anyone
 ///   needs help, and movement of `counter_start` tells `cleanup()` that a new
 ///   slow path may have started mid-scan,
-/// * `reservations` — `max_threads × (max_hes + 2)` pairs `(era, tag)`;
-///   the last two columns are internal to the `help_thread` slow path,
-/// * `state` — `max_threads × max_hes` slow-path request records.
+/// * `reservations` — a `max_threads × (max_hes + 2)` table of `(era, tag)`
+///   pairs; the last two columns are internal to the `help_thread` slow path,
+/// * `state` — a `max_threads × max_hes` table of slow-path request records,
+///   cell `(tid, index)` serving reservation `(tid, index)`.
+// LAYOUT: the counters are padded; the tables' cells live in allocations
+// of their own (`SlotTable`, rows on 128-byte boundaries), and the fields
+// here are only their read-only handles.
 #[derive(Debug)]
 pub struct WfePolicy {
     pub(crate) counter_start: CachePadded<AtomicU64>,
     pub(crate) counter_end: CachePadded<AtomicU64>,
-    pub(crate) reservations: PairSlotArray,
-    pub(crate) state: StateTable,
+    pub(crate) reservations: SlotTable<AtomicPair>,
+    pub(crate) state: SlotTable<State>,
 }
 
 impl WfePolicy {
@@ -98,9 +102,9 @@ impl WfePolicy {
         let reservations = &domain.policy().reservations;
         snapshot.clear();
         for thread in 0..domain.registry().high_water() {
-            for slot in js..je {
+            for pair in &reservations.row(thread)[js..je] {
                 // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
-                snapshot.insert(reservations.get(thread, slot).load_first(Ordering::Acquire));
+                snapshot.insert(pair.load_first(Ordering::Acquire));
             }
         }
         snapshot.seal();
@@ -143,9 +147,15 @@ impl WfePolicy {
         let counter_end = this.counter_end.load(Ordering::SeqCst);
         let counter_start = this.counter_start.load(Ordering::SeqCst);
         if counter_start != counter_end {
-            for thread in 0..this.state.threads() {
-                for slot in 0..this.state.slots() {
-                    if this.state.get(thread, slot).is_pending() {
+            // ORDER: the mark's SeqCst load bounds the rows. Only a registered
+            // thread publishes a request, and it raised the mark (SeqCst
+            // `fetch_max` in `try_acquire`) before its SeqCst `counter_start`
+            // increment; a helper that saw that increment (the counters
+            // differ) and then loads the mark covers the requester's row. A
+            // request whose increment it did not see it need not help.
+            for thread in 0..domain.registry().high_water() {
+                for (slot, state) in this.state.row(thread).iter().enumerate() {
+                    if state.is_pending() {
                         Self::help_thread(domain, thread, slot, helper_tid);
                     }
                 }
@@ -255,12 +265,12 @@ unsafe impl Policy for WfePolicy {
         Self {
             counter_start: CachePadded::new(AtomicU64::new(0)),
             counter_end: CachePadded::new(AtomicU64::new(0)),
-            reservations: PairSlotArray::new(
+            reservations: SlotTable::new(
                 config.max_threads,
                 config.slots_per_thread + EXTRA_SLOTS,
-                (ERA_INF, 0),
+                || AtomicPair::new(ERA_INF, 0),
             ),
-            state: StateTable::new(config.max_threads, config.slots_per_thread),
+            state: SlotTable::new(config.max_threads, config.slots_per_thread, State::new),
         }
     }
 
@@ -320,13 +330,12 @@ unsafe impl Policy for WfePolicy {
     /// slots' and the two helper pins', which hold `ERA_INF` anyway whenever
     /// their owner is outside `help_thread` (and `clear` is never called
     /// from inside it). The slow-path tags (second words) must survive, so
-    /// only the era words are reset.
+    /// only the era words are reset ([`AtomicPair::store_first_all`]: one
+    /// native-WCAS probe for the row).
     #[inline]
     fn clear(domain: &Wfe, tid: usize) {
-        domain
-            .policy()
-            .reservations
-            .fill_first(tid, ERA_INF, Ordering::Release); // ORDER: withdraws the era reservations; pairs with the snapshot's Acquire loads.
+        let row = domain.policy().reservations.row(tid);
+        AtomicPair::store_first_all(row, ERA_INF, Ordering::Release); // ORDER: withdraws the era reservations; pairs with the snapshot's Acquire loads.
     }
 
     /// Takes the batch-scan snapshot for one `cleanup()` pass, preserving the
@@ -461,6 +470,19 @@ mod tests {
         assert_eq!(domain.policy().state.slots(), 3);
     }
 
+    /// Publishes a pending request in record `(tid, slot)` for a read of
+    /// `root`, as the slow path of `get_protected` does (Figure 4, lines
+    /// 31-33, without the `counter_start` increment).
+    fn stage_request(domain: &Wfe, tid: usize, slot: usize, root: &Atomic<u64>, tag: u64) {
+        let state = domain.policy().state.get(tid, slot);
+        state
+            .pointer
+            .store(root.as_raw_atomic() as *const _ as usize, Ordering::SeqCst);
+        state.era.store(ERA_INF, Ordering::SeqCst);
+        state.result.store((INVPTR, tag));
+        assert!(state.is_pending());
+    }
+
     #[test]
     fn help_thread_completes_a_pending_request() {
         // Deterministic exercise of `help_thread`: thread 0 stages a request
@@ -483,13 +505,8 @@ mod tests {
 
         // Stage the request (Figure 4, lines 31-33).
         domain.policy().counter_start.fetch_add(1, Ordering::SeqCst);
+        stage_request(&domain, tid, slot, &root, tag);
         let state = domain.policy().state.get(tid, slot);
-        state
-            .pointer
-            .store(root.as_raw_atomic() as *const _ as usize, Ordering::SeqCst);
-        state.era.store(ERA_INF, Ordering::SeqCst);
-        state.result.store((INVPTR, tag));
-        assert!(state.is_pending());
 
         // A thread about to advance the era must first help.
         WfePolicy::increment_era(&domain, helper.thread_id());
@@ -526,6 +543,29 @@ mod tests {
         domain.policy().counter_end.fetch_add(1, Ordering::SeqCst);
         // SAFETY: test-owned block, unlinked and freed exactly once.
         unsafe { Linked::dealloc(node) };
+    }
+
+    #[test]
+    fn increment_era_helps_a_request_in_the_highest_registered_row() {
+        // The scan for pending requests stops at the registry's mark: the
+        // requester registered last, so its row is `high_water - 1`, the
+        // last one the scan covers. Its request sits in its last slot.
+        let domain = Wfe::with_config(DomainConfig::with_max_threads(4));
+        let helper = domain.register();
+        let requester = domain.register();
+        let (tid, slot) = (requester.thread_id(), domain.policy().app_slots() - 1);
+        assert_eq!(tid + 1, domain.registry().high_water());
+        let root: Atomic<u64> = Atomic::null();
+        domain.policy().counter_start.fetch_add(1, Ordering::SeqCst);
+        stage_request(&domain, tid, slot, &root, 0);
+
+        WfePolicy::increment_era(&domain, helper.thread_id());
+
+        let state = domain.policy().state.get(tid, slot);
+        assert!(!state.is_pending(), "one bump completed the request");
+        assert_eq!(state.result.load().0, 0, "the helper read the null root");
+        assert_eq!(domain.stats().helps, 1);
+        domain.policy().counter_end.fetch_add(1, Ordering::SeqCst);
     }
 
     #[test]
@@ -642,14 +682,10 @@ mod tests {
         let tid = owner.thread_id();
 
         let root: Atomic<u64> = Atomic::null();
-        let state = domain.policy().state.get(tid, 0);
-        state
-            .pointer
-            .store(root.as_raw_atomic() as *const _ as usize, Ordering::SeqCst);
-        state.era.store(ERA_INF, Ordering::SeqCst);
         // Stage a request whose tag is already out of date (reservation tag is
         // 0, the request claims tag 5).
-        state.result.store((INVPTR, 5));
+        stage_request(&domain, tid, 0, &root, 5);
+        let state = domain.policy().state.get(tid, 0);
 
         WfePolicy::help_thread(&domain, tid, 0, helper.thread_id());
 

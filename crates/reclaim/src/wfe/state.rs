@@ -1,6 +1,10 @@
 //! The per-(thread, reservation-index) slow-path state records (Figure 3).
 //!
-//! Each record describes one outstanding help request:
+//! WFE keeps them in a [`SlotTable`](crate::slots::SlotTable) of its own
+//! beside the reservation pairs: row `tid`, cell `index` is the request of
+//! that thread's application slot. A record is 64 bytes and 64-aligned, so two
+//! share a 128-byte row-unit and no two share a cache line. Each record
+//! describes one outstanding help request:
 //!
 //! * `pointer` — the address of the hazardous location (`block** ptr`) the
 //!   requester is trying to read,
@@ -33,7 +37,8 @@ pub(crate) struct State {
 }
 
 impl State {
-    fn new() -> Self {
+    /// An idle record: no request, no reply.
+    pub(crate) fn new() -> Self {
         Self {
             result: AtomicPair::new(0, ERA_INF),
             era: AtomicU64::new(ERA_INF),
@@ -48,47 +53,14 @@ impl State {
     }
 }
 
-/// Dense `max_threads × slots` table of [`State`] records.
-#[derive(Debug)]
-pub(crate) struct StateTable {
-    records: Box<[State]>,
-    slots: usize,
-}
-
-impl StateTable {
-    pub(crate) fn new(threads: usize, slots: usize) -> Self {
-        assert!(threads > 0 && slots > 0);
-        Self {
-            records: (0..threads * slots).map(|_| State::new()).collect(),
-            slots,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, thread: usize, slot: usize) -> &State {
-        debug_assert!(slot < self.slots);
-        &self.records[thread * self.slots + slot]
-    }
-
-    #[inline]
-    pub(crate) fn slots(&self) -> usize {
-        self.slots
-    }
-
-    #[inline]
-    pub(crate) fn threads(&self) -> usize {
-        self.records.len() / self.slots
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slots::SlotTable;
 
     #[test]
     fn fresh_records_are_idle() {
-        let table = StateTable::new(3, 4);
-        assert_eq!(table.threads(), 3);
+        let table = SlotTable::new(3, 4, State::new);
         assert_eq!(table.slots(), 4);
         for t in 0..3 {
             for s in 0..4 {
@@ -103,8 +75,7 @@ mod tests {
 
     #[test]
     fn pending_flag_follows_result_word() {
-        let table = StateTable::new(1, 1);
-        let record = table.get(0, 0);
+        let record = State::new();
         record.result.store((INVPTR, 7));
         assert!(record.is_pending());
         record.result.store((0x1000, 3));
@@ -113,7 +84,7 @@ mod tests {
 
     #[test]
     fn records_do_not_share_cache_lines_within_a_row() {
-        let table = StateTable::new(1, 2);
+        let table = SlotTable::new(1, 2, State::new);
         let a = table.get(0, 0) as *const _ as usize;
         let b = table.get(0, 1) as *const _ as usize;
         assert!(b - a >= 64);

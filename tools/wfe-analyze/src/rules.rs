@@ -288,12 +288,26 @@ pub fn check_orderings(
 }
 
 /// Best-effort name of the call the ordering at `i` parameterizes: the
-/// nearest preceding identifier that is directly followed by `(`.
+/// identifier whose `(` is still open at the ordering. Walking back, a `)`
+/// or `}` opens a nested list or block (`x.as_raw()`) that its `(` or `{`
+/// closes again; an open `{`, or a `;` outside every list, ends the search.
 fn enclosing_call(toks: &[Tok], i: usize) -> String {
-    let lo = i.saturating_sub(24);
-    for j in (lo..i).rev() {
-        if toks[j].kind == TokKind::Ident && toks.get(j + 1).is_some_and(|t| is_punct(t, "(")) {
-            return toks[j].text.clone();
+    let (mut parens, mut braces) = (0usize, 0usize);
+    for j in (0..i).rev() {
+        if toks[j].kind != TokKind::Punct {
+            continue;
+        }
+        match toks[j].text.as_str() {
+            ")" => parens += 1,
+            "(" if parens > 0 => parens -= 1,
+            "(" if j > 0 && toks[j - 1].kind == TokKind::Ident => {
+                return toks[j - 1].text.clone();
+            }
+            "}" => braces += 1,
+            "{" if braces > 0 => braces -= 1,
+            "{" => break,
+            ";" if parens == 0 && braces == 0 => break,
+            _ => {}
         }
     }
     String::from("?")

@@ -99,9 +99,10 @@ fn safety_fail() {
 fn ordering_pass() {
     let report = analyze("ordering/pass");
     assert_eq!(triples(&report), vec![]);
-    // Four sites reach the ledger (the test-module Relaxed pair does not),
-    // and the walk-up attaches the trailing AcqRel comment to the failure
-    // ordering on the line below it.
+    // Six sites reach the ledger (the test-module Relaxed pair does not),
+    // the walk-up attaches the trailing AcqRel comment to the failure
+    // ordering on the line below it, and the CAS over `len()` arguments is
+    // named `compare_exchange`, not `len`.
     let rows: Vec<(usize, &str, &str)> = report
         .order_sites
         .iter()
@@ -114,12 +115,14 @@ fn ordering_pass() {
             (12, "load", "Acquire"),
             (19, "compare_exchange", "AcqRel"),
             (20, "compare_exchange", "Acquire"),
+            (27, "compare_exchange", "AcqRel"),
+            (27, "compare_exchange", "Acquire"),
         ]
     );
     assert!(report.order_sites.iter().all(|s| s.justification.is_some()));
     assert!(report
         .ledger()
-        .contains("4 weak-ordering sites, 0 unjustified"));
+        .contains("6 weak-ordering sites, 0 unjustified"));
 }
 
 #[test]

@@ -22,6 +22,12 @@ pub fn try_claim(flag: &AtomicUsize) -> bool {
     .is_ok()
 }
 
+pub fn count(counter: &AtomicUsize, seen: &[usize]) -> bool {
+    counter
+        .compare_exchange(seen.len(), seen.len() + 1, Ordering::AcqRel, Ordering::Acquire) // ORDER: the ordering parameterizes the CAS, not the `len` calls in its arguments.
+        .is_ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
