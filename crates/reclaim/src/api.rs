@@ -73,7 +73,9 @@ pub struct DomainConfig {
     pub slots_per_thread: usize,
     /// Increment the global era/epoch every `era_freq` allocations (ν in §5).
     pub era_freq: usize,
-    /// Scan the retired list every `cleanup_freq` retirements.
+    /// Scan the retired list every `cleanup_freq` retirements. A scheme with
+    /// a clock advances it one retirement before each scan (on the scan's
+    /// own retirement when this is 1).
     pub cleanup_freq: usize,
     /// Fast-path attempts before WFE switches to the slow path
     /// (`max_attempts`; the paper uses 16). Ignored by other schemes.

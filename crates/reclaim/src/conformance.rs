@@ -23,8 +23,10 @@ pub use scenarios::*;
 ///   `handle_drop_order` and `stats_are_exact_across_slot_reuse` to expect
 ///   no pass;
 ///
-/// and `reserves`, the [`Reserves`] variant
-/// `each_shield_publishes_into_its_own_slot` expects.
+/// `reserves`, the [`Reserves`] variant
+/// `each_shield_publishes_into_its_own_slot` expects, and `pass_leaves`,
+/// the unreclaimed range `a_pass_frees_what_no_running_operation_holds`
+/// accepts after its batch's pass.
 ///
 /// The scheme type must be in scope where the macro is invoked.
 macro_rules! conformance_suite {
@@ -34,7 +36,8 @@ macro_rules! conformance_suite {
         unreclaimed_is_bounded: $bound:tt,
         stalled_reader_costs_passes_nothing: $stalled:tt,
         orphan_adoption: $adoption:tt,
-        reserves: $reserves:ident $(,)?
+        reserves: $reserves:ident,
+        pass_leaves: $left:expr $(,)?
     })+) => {$(
         mod $module {
             #[allow(unused_imports)]
@@ -63,6 +66,11 @@ macro_rules! conformance_suite {
                 conformance::each_shield_publishes_into_its_own_slot::<$scheme>(
                     conformance::Reserves::$reserves,
                 );
+            }
+
+            #[test]
+            fn a_pass_frees_what_no_running_operation_holds() {
+                conformance::a_pass_frees_what_no_running_operation_holds::<$scheme>($left);
             }
 
             #[test]
@@ -153,6 +161,7 @@ mod tests {
             stalled_reader_costs_passes_nothing: yes,
             orphan_adoption: yes,
             reserves: Slots,
+            pass_leaves: 0..=1,
         }
         he: He {
             name: "HE",
@@ -161,6 +170,7 @@ mod tests {
             stalled_reader_costs_passes_nothing: yes,
             orphan_adoption: yes,
             reserves: Slots,
+            pass_leaves: 0..=1,
         }
         hp: Hp {
             name: "HP",
@@ -169,6 +179,7 @@ mod tests {
             stalled_reader_costs_passes_nothing: no,
             orphan_adoption: yes,
             reserves: Slots,
+            pass_leaves: 0..=0,
         }
         ebr: Ebr {
             name: "EBR",
@@ -177,6 +188,7 @@ mod tests {
             stalled_reader_costs_passes_nothing: yes,
             orphan_adoption: yes,
             reserves: Brackets,
+            pass_leaves: 0..=1,
         }
         ibr: Ibr2Ge {
             name: "2GEIBR",
@@ -185,6 +197,7 @@ mod tests {
             stalled_reader_costs_passes_nothing: no,
             orphan_adoption: yes,
             reserves: Brackets,
+            pass_leaves: 0..=1,
         }
         leak: Leak {
             name: "Leak",
@@ -193,6 +206,7 @@ mod tests {
             stalled_reader_costs_passes_nothing: no,
             orphan_adoption: no,
             reserves: Nothing,
+            pass_leaves: 30..=30,
         }
     }
 

@@ -300,6 +300,52 @@ pub fn stalled_reader_costs_passes_nothing<R: Reclaimer>() {
     assert!(writer.parked_groups().is_empty());
 }
 
+/// A pass frees every block no running operation can hold, even while
+/// operations never stop: a reader that keeps reopening its bracket and a
+/// writer that retires one block per bracket. Under a clocked scheme the
+/// batch's clock advance runs one retirement ahead of its pass, so by the
+/// pass both brackets publish the new era and only the newest block, stamped
+/// in it, stays; advancing on the pass's own retirement would leave all of
+/// them pinned by the era that advance closed. `left` is what the pass may
+/// leave unreclaimed: at most one block under the clocked schemes, none
+/// under HP, the whole batch under Leak.
+pub fn a_pass_frees_what_no_running_operation_holds<R: Reclaimer>(
+    left: core::ops::RangeInclusive<u64>,
+) {
+    let domain = R::with_config(DomainConfig {
+        // Only the batch's own advance moves the clock.
+        era_freq: usize::MAX,
+        ..DomainConfig::with_max_threads(2)
+    });
+    let batch = domain.config().cleanup_freq;
+    assert_eq!(batch, 30, "the default cadence");
+    let mut reader = domain.register();
+    let mut writer = domain.register();
+    let root: Atomic<u64> = Atomic::new(writer.alloc(u64::MAX));
+    let blocks: Vec<_> = (0..batch as u64).map(|i| writer.alloc(i)).collect();
+    reader.begin_op();
+    for block in blocks {
+        reader.end_op();
+        reader.begin_op();
+        assert!(!reader.protect(&root, 0, ptr::null_mut()).is_null());
+        writer.begin_op();
+        assert!(!writer.protect(&root, 0, ptr::null_mut()).is_null());
+        // SAFETY: never published, so trivially unreachable; retired once.
+        unsafe { writer.retire(block) };
+        writer.end_op();
+    }
+    let stats = domain.stats();
+    assert_eq!(stats.retired, batch as u64);
+    assert!(
+        left.contains(&stats.unreclaimed),
+        "{} of the batch's {batch} blocks unreclaimed after its pass, expected {left:?}",
+        stats.unreclaimed
+    );
+    reader.end_op();
+    // SAFETY: never retired, and no bracket is open any more.
+    unsafe { Linked::dealloc(root.load(Ordering::SeqCst)) };
+}
+
 /// Every allocated block is eventually dropped exactly once: either reclaimed
 /// during the run, freed by the stack's `Drop`, or released when the domain
 /// is destroyed (orphans).

@@ -142,10 +142,12 @@ pub unsafe trait Policy: Send + Sync + Sized + 'static {
     /// Snapshots every reservation of the domain for one cleanup pass.
     fn fill_snapshot(domain: &Domain<Self>, snapshot: &mut Self::Snapshot);
 
-    /// The era-advance rule, run every `era_freq` allocations and before a
-    /// due pass whose newest block still carries the current era. The
-    /// default bumps the clock if the scheme [has one](Self::HAS_CLOCK);
-    /// WFE helps pending slow paths first.
+    /// The era-advance rule, run every `era_freq` allocations, by
+    /// `force_cleanup` before its pass, and one retirement ahead of each due
+    /// pass (on the due retirement itself when `cleanup_freq` is 1) if that
+    /// retirement's block still carries the current era. The default bumps
+    /// the clock if the scheme [has one](Self::HAS_CLOCK); WFE helps pending
+    /// slow paths first.
     #[inline]
     fn advance(domain: &Domain<Self>, _tid: usize) {
         if Self::HAS_CLOCK {
@@ -336,7 +338,7 @@ impl<P: Policy> Reclaimer for Domain<P> {
             retired: RetiredBatch::new(),
             snapshot: P::Snapshot::default(),
             since_cleanup: 0,
-            alloc_counter: 0,
+            until_advance: self.config.era_freq,
         })
     }
 
@@ -418,7 +420,9 @@ pub struct DomainHandle<P: Policy> {
     snapshot: P::Snapshot,
     /// Retirements since the last cleanup pass.
     since_cleanup: usize,
-    alloc_counter: usize,
+    /// Allocations left until the next clock advance: counts down from
+    /// `era_freq`, so no allocation divides.
+    until_advance: usize,
 }
 
 impl<P: Policy> DomainHandle<P> {
@@ -514,13 +518,21 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
         self.retired.push(unsafe { Retired::new(block, era) });
         domain.slot_counters(self.tid).on_retire();
         self.since_cleanup += 1;
-        if self.since_cleanup >= domain.config.cleanup_freq {
-            // Figure 1, lines 27-28 (Figure 4, lines 80-82): only advance the
-            // clock if nothing else advanced it since this block was stamped,
-            // then scan.
-            if era == domain.era() {
-                P::advance(domain, self.tid);
-            }
+        let cleanup_freq = domain.config.cleanup_freq;
+        // Figure 1, lines 27-28 (Figure 4, lines 80-82) advance the clock,
+        // if nothing else advanced it since this block was stamped, and scan
+        // on the same retirement. Here the advance runs one retirement
+        // earlier, on the one that brings the batch to `cleanup_freq - 1`
+        // (on the same one when `cleanup_freq` is 1): an operation that
+        // begins in between publishes the new era, so the pass frees every
+        // block but the newest instead of leaving the era the advance just
+        // closed pinning much of the batch for another period. Safety is
+        // Hazard Eras' argument unchanged: an advance is legal at any point,
+        // and each pass still follows an advance.
+        if self.since_cleanup == cleanup_freq.saturating_sub(1).max(1) && era == domain.era() {
+            P::advance(domain, self.tid);
+        }
+        if self.since_cleanup >= cleanup_freq {
             self.cleanup();
         }
     }
@@ -533,8 +545,9 @@ unsafe impl<P: Policy> RawHandle for DomainHandle<P> {
     fn pre_alloc(&mut self) -> u64 {
         let domain = &*self.domain;
         domain.slot_counters(self.tid).on_alloc();
-        self.alloc_counter += 1;
-        if self.alloc_counter % domain.config.era_freq == 0 {
+        self.until_advance -= 1;
+        if self.until_advance == 0 {
+            self.until_advance = domain.config.era_freq;
             P::advance(domain, self.tid);
         }
         domain.era()
@@ -571,5 +584,75 @@ impl<P: Policy> Drop for DomainHandle<P> {
         // stack; the next live thread's cleanup pass adopts it.
         self.domain.orphans.push(self.retired.take());
         self.domain.registry.release(self.tid);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{DomainConfig, Ebr, Handle, He, Ibr2Ge, RawHandle, Reclaimer, Wfe};
+
+    /// With the allocation cadence out of the way, `passes × cleanup_freq`
+    /// retirements, each in its own operation, move the clock exactly
+    /// `passes` times: the batch's advance runs once per pass, ahead of it,
+    /// and not again on the pass's own retirement. Under `cleanup_freq: 1`
+    /// the advance and the pass share the retirement, so a lone unprotected
+    /// block is freed by its own pass.
+    fn one_clock_advance_per_pass<R: Reclaimer>() {
+        const PASSES: u64 = 5;
+        for cleanup_freq in [1, 2, 3, 30] {
+            let domain = R::with_config(DomainConfig {
+                cleanup_freq,
+                era_freq: usize::MAX,
+                ..DomainConfig::with_max_threads(1)
+            });
+            let mut handle = domain.register();
+            let blocks: Vec<_> = (0..PASSES * cleanup_freq as u64)
+                .map(|i| handle.alloc(i))
+                .collect();
+            let before = domain.stats().era;
+            for block in blocks {
+                handle.begin_op();
+                // SAFETY: never published, so trivially unreachable; retired once.
+                unsafe { handle.retire(block) };
+                handle.end_op();
+            }
+            let advances = domain.stats().era - before;
+            assert_eq!(
+                advances, PASSES,
+                "{advances} clock advances over {PASSES} passes of {cleanup_freq}"
+            );
+        }
+
+        let domain = R::with_config(DomainConfig {
+            cleanup_freq: 1,
+            era_freq: usize::MAX,
+            ..DomainConfig::with_max_threads(1)
+        });
+        let mut handle = domain.register();
+        let block = handle.alloc(0u64);
+        // SAFETY: never published, so trivially unreachable; retired once.
+        unsafe { handle.retire(block) };
+        let stats = domain.stats();
+        assert_eq!((stats.era, stats.freed), (2, 1), "advanced, then freed");
+    }
+
+    #[test]
+    fn one_clock_advance_per_pass_under_wfe() {
+        one_clock_advance_per_pass::<Wfe>();
+    }
+
+    #[test]
+    fn one_clock_advance_per_pass_under_he() {
+        one_clock_advance_per_pass::<He>();
+    }
+
+    #[test]
+    fn one_clock_advance_per_pass_under_ebr() {
+        one_clock_advance_per_pass::<Ebr>();
+    }
+
+    #[test]
+    fn one_clock_advance_per_pass_under_ibr() {
+        one_clock_advance_per_pass::<Ibr2Ge>();
     }
 }

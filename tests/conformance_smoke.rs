@@ -33,9 +33,12 @@ mod conformance;
 /// (epoch advance is batched, so the single-threaded-churn bound is
 /// scheme-specific); `parks` is on for the schemes whose reservation names a
 /// witness era, so a stalled reader's blocks leave the scan list.
+/// `pass_leaves` is what a batch's pass may leave unreclaimed while
+/// operations keep running: one block under a clocked scheme, none under
+/// `Hp`, the whole batch under `Leak`.
 macro_rules! conformance_smoke {
     ($module:ident, $scheme:ty, protection: $protection:expr, bound: $bound:expr,
-     adoption: $adoption:expr, parks: $parks:expr) => {
+     adoption: $adoption:expr, parks: $parks:expr, pass_leaves: $left:expr) => {
         mod $module {
             use super::*;
 
@@ -54,6 +57,11 @@ macro_rules! conformance_smoke {
             #[test]
             fn all_blocks_freed_on_drop() {
                 conformance::all_blocks_freed_on_drop::<$scheme>();
+            }
+
+            #[test]
+            fn a_pass_frees_what_no_running_operation_holds() {
+                conformance::a_pass_frees_what_no_running_operation_holds::<$scheme>($left);
             }
 
             #[test]
@@ -83,12 +91,12 @@ macro_rules! conformance_smoke {
     };
 }
 
-conformance_smoke!(ebr, Ebr, protection: true, bound: None, adoption: true, parks: true);
-conformance_smoke!(hp, Hp, protection: true, bound: Some(2_000), adoption: true, parks: false);
-conformance_smoke!(he, He, protection: true, bound: Some(4_000), adoption: true, parks: true);
-conformance_smoke!(ibr2ge, Ibr2Ge, protection: true, bound: None, adoption: true, parks: false);
-conformance_smoke!(leak, Leak, protection: false, bound: None, adoption: false, parks: false);
-conformance_smoke!(wfe, Wfe, protection: true, bound: Some(4_000), adoption: true, parks: true);
+conformance_smoke!(ebr, Ebr, protection: true, bound: None, adoption: true, parks: true, pass_leaves: 0..=1);
+conformance_smoke!(hp, Hp, protection: true, bound: Some(2_000), adoption: true, parks: false, pass_leaves: 0..=0);
+conformance_smoke!(he, He, protection: true, bound: Some(4_000), adoption: true, parks: true, pass_leaves: 0..=1);
+conformance_smoke!(ibr2ge, Ibr2Ge, protection: true, bound: None, adoption: true, parks: false, pass_leaves: 0..=1);
+conformance_smoke!(leak, Leak, protection: false, bound: None, adoption: false, parks: false, pass_leaves: 30..=30);
+conformance_smoke!(wfe, Wfe, protection: true, bound: Some(4_000), adoption: true, parks: true, pass_leaves: 0..=1);
 
 /// CRTurn-specific conformance: the queue composes with every scheme. A
 /// short two-thread producer/consumer run plus a drain must conserve every
