@@ -176,7 +176,8 @@ pub fn assert_slot_index(index: usize, slots: usize) {
 /// [`Handle::enter`] for operation brackets, [`Guard::shield`]/[`Shield`] for
 /// reservations and [`Protected`](crate::Protected) for the pointers they
 /// return; the raw methods below remain public for harnesses that measure
-/// the uncooked operations (the `guard_overhead` bench group).
+/// the uncooked operations (the repository benchmark's per-layer rungs,
+/// `benchmark/src/rungs.rs`).
 ///
 /// # Safety
 ///

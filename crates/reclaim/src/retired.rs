@@ -466,7 +466,6 @@ mod tests {
     use super::*;
     use crate::block::Linked;
     use crate::scan::{EpochSnapshot, EraSnapshot, HazardSnapshot, ReservationSet};
-    use crate::wfe::WfeSnapshot;
     use proptest::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -532,7 +531,7 @@ mod tests {
         batch.push(c);
         assert_eq!(batch.len(), 3);
         // Snapshot covering `a` and `c`: only `b` may be freed.
-        let mut snap = HazardSnapshot::new();
+        let mut snap = HazardSnapshot::default();
         snap.insert(a_addr);
         snap.insert(c_addr);
         snap.seal();
@@ -576,7 +575,7 @@ mod tests {
         }
         let parked = local.cached_bytes();
         // An empty (sealed) snapshot covers nothing: everything is freeable.
-        let mut snap = HazardSnapshot::new();
+        let mut snap = HazardSnapshot::default();
         snap.seal();
         // SAFETY: snapshot taken after the pushes; nothing else references them.
         let freed = unsafe { batch.scan_against(&snap, Some(&mut local)) }.freed;
@@ -680,7 +679,7 @@ mod tests {
     fn epoch_witness_holds_while_the_oldest_reader_is_no_newer() {
         let drops = Arc::new(AtomicUsize::new(0));
         let epoch = |min_active: u64| {
-            let mut snap = EpochSnapshot::new();
+            let mut snap = EpochSnapshot::default();
             snap.insert(min_active);
             snap
         };
@@ -696,7 +695,7 @@ mod tests {
         assert_eq!(scan(&mut batch, &epoch(7)), (1, 2));
         assert_eq!(groups_of(&batch), [(7, 1)]);
         // No reader at all.
-        assert_eq!(scan(&mut batch, &EpochSnapshot::new()), (1, 1));
+        assert_eq!(scan(&mut batch, &EpochSnapshot::default()), (1, 1));
         assert!(batch.is_empty());
         assert_eq!(drops.load(SeqCst), 3);
     }
@@ -760,7 +759,7 @@ mod tests {
         (0..41).for_each(|_| counters.on_retire());
 
         let mut retired = RetiredBatch::new();
-        let mut snapshot = EraSnapshot::new();
+        let mut snapshot = EraSnapshot::default();
         let mut pass = |retired: &mut RetiredBatch, published: &[u64]| {
             // SAFETY: single thread; the snapshot is filled inside the pass,
             // after the retires and the orphan pop.
@@ -876,8 +875,9 @@ mod tests {
 
     /// One cleanup pass of the parked-scan differential: the blocks retired
     /// since the previous pass, how the batch changes hands before the pass, and
-    /// the eras the pass's snapshot records in each of WFE's three columns. Eras
-    /// come from a pool of twelve, so they appear, disappear and reappear.
+    /// the eras the pass reads from each of the three column groups WFE's
+    /// `fill_snapshot` scans (HE and EBR use `primary` only). Eras come from a
+    /// pool of twelve, so they appear, disappear and reappear.
     #[derive(Debug, Clone)]
     struct ScanStep {
         /// `(alloc_era, lifespan length)` of each newly retired block.
@@ -1062,7 +1062,15 @@ mod tests {
         ) {
             check_parked_scan(
                 &steps,
-                |step| WfeSnapshot::from_eras(&step.primary, step.quiescent, &step.handover, &step.recheck),
+                // The union `fill_snapshot` collects: the hand-over pins and
+                // the re-scan are read only while a slow path is in flight.
+                |step| {
+                    let mut columns = vec![&step.primary];
+                    if !step.quiescent {
+                        columns.extend([&step.handover, &step.recheck]);
+                    }
+                    columns.into_iter().flatten().copied().collect::<EraSnapshot>()
+                },
                 |step, alloc_era, retire_era| {
                     column_pins(&step.primary, alloc_era, retire_era)
                         || (!step.quiescent
@@ -1079,7 +1087,7 @@ mod tests {
             check_parked_scan(
                 &steps,
                 |step| {
-                    let mut snapshot = EpochSnapshot::new();
+                    let mut snapshot = EpochSnapshot::default();
                     step.primary.iter().for_each(|&epoch| snapshot.insert(epoch));
                     snapshot
                 },

@@ -1,17 +1,17 @@
 //! Reservation snapshots: the batch scan protocol.
 //!
-//! Under the old protocol every retired block re-read every reservation slot
-//! (`can_free` per block, `O(blocks × threads × slots)` atomic loads per
-//! cleanup). The batch protocol — the design of the Hazard Eras reference
-//! implementation and of Wen et al.'s IBR harness — snapshots all
-//! reservations **once** per cleanup pass into a reusable scratch structure
-//! and then judges the whole retired batch against that snapshot, so the
-//! per-block work drops to a binary search (or a single comparison).
+//! A cleanup pass snapshots all reservations **once** into a reusable
+//! scratch structure and then judges the whole retired batch against that
+//! snapshot — the design of the Hazard Eras reference implementation and of
+//! Wen et al.'s IBR harness — so the per-block work is a binary search (or a
+//! single comparison) with no atomic load.
 //!
 //! Three schemes publish words a block is judged against one by one: Hazard
 //! Eras and WFE eras, Hazard Pointers addresses. Their snapshots are one
 //! sorted set ([`SortedSet`]) that differ in the value an empty slot holds
-//! and in the verdict; EBR keeps a single word and 2GEIBR a list of
+//! and in the verdict. HE and WFE share [`EraSnapshot`]: WFE's extra columns
+//! (helper pins, and the re-scan while a slow path is in flight) are more
+//! eras in the same set. EBR keeps a single word and 2GEIBR a list of
 //! intervals.
 //!
 //! Safety of snapshotting once: every block in a batch was retired — and was
@@ -74,28 +74,25 @@ pub trait ReservationSet {
     fn holds(&self, _witness: u64) -> bool {
         false
     }
-
-    /// Whether some reservation in the snapshot may still reach `entry`.
-    fn covers(&self, entry: &Retired) -> bool {
-        self.judge(entry) != Verdict::Free
-    }
 }
 
 /// EBR scratch: only the *oldest* active epoch matters, so the snapshot is a
 /// single word.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EpochSnapshot {
     min_active: u64,
 }
 
-impl EpochSnapshot {
-    /// Creates an empty snapshot (no active reader).
-    pub fn new() -> Self {
+/// An empty snapshot: no active reader.
+impl Default for EpochSnapshot {
+    fn default() -> Self {
         Self {
             min_active: ERA_INF,
         }
     }
+}
 
+impl EpochSnapshot {
     /// Resets the snapshot to "no active reader".
     #[inline]
     pub fn clear(&mut self) {
@@ -106,12 +103,6 @@ impl EpochSnapshot {
     #[inline]
     pub fn insert(&mut self, epoch: u64) {
         self.min_active = self.min_active.min(epoch);
-    }
-
-    /// The oldest active epoch observed, or `ERA_INF` if none.
-    #[inline]
-    pub fn min_active(&self) -> u64 {
-        self.min_active
     }
 }
 
@@ -152,11 +143,6 @@ pub type EraSnapshot = SortedSet<ERA_INF>;
 pub type HazardSnapshot = SortedSet<0>;
 
 impl<const EMPTY: u64> SortedSet<EMPTY> {
-    /// Creates an empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Discards the previous snapshot, keeping the allocation.
     #[inline]
     pub fn clear(&mut self) {
@@ -188,33 +174,17 @@ impl<const EMPTY: u64> SortedSet<EMPTY> {
             .filter(|&word| word <= retire_era)
     }
 
-    /// Whether some recorded word falls inside `[alloc_era, retire_era]`.
-    #[inline]
-    pub fn covers_span(&self, alloc_era: u64, retire_era: u64) -> bool {
-        self.first_in_span(alloc_era, retire_era).is_some()
-    }
-
     /// Whether `word` itself was recorded.
     #[inline]
     pub fn contains(&self, word: u64) -> bool {
         self.words.binary_search(&word).is_ok()
-    }
-
-    /// Number of distinct recorded words.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether no word was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
     }
 }
 
 /// Collects published words into a sealed snapshot (`EMPTY` ignored).
 impl<const EMPTY: u64> FromIterator<u64> for SortedSet<EMPTY> {
     fn from_iter<I: IntoIterator<Item = u64>>(words: I) -> Self {
-        let mut snapshot = Self::new();
+        let mut snapshot = Self::default();
         words.into_iter().for_each(|word| snapshot.insert(word));
         snapshot.seal();
         snapshot
@@ -231,7 +201,7 @@ impl ReservationSet for EraSnapshot {
     }
 
     /// The witness lies inside the lifespan of every block it was returned
-    /// for, so re-finding it here re-proves `covers_span` for all of them.
+    /// for, so re-finding it here re-proves `first_in_span` for all of them.
     #[inline]
     fn holds(&self, witness: u64) -> bool {
         self.contains(witness)
@@ -248,11 +218,6 @@ pub struct IntervalSnapshot {
 }
 
 impl IntervalSnapshot {
-    /// Creates an empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Discards the previous snapshot, keeping the allocation.
     #[inline]
     pub fn clear(&mut self) {
@@ -263,16 +228,6 @@ impl IntervalSnapshot {
     #[inline]
     pub fn insert(&mut self, lower: u64, upper: u64) {
         self.intervals.push((lower, upper));
-    }
-
-    /// Number of active intervals recorded.
-    pub fn len(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// Whether no interval was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
     }
 }
 
@@ -336,44 +291,50 @@ mod tests {
     }
 
     #[test]
+    fn epoch_snapshot_default_is_no_reader() {
+        let any = entry_with(0, 0);
+        assert_eq!(EpochSnapshot::default().judge(&any), Verdict::Free);
+    }
+
+    #[test]
     fn epoch_snapshot_pins_blocks_retired_at_or_after_min() {
-        let mut snap = EpochSnapshot::new();
-        assert_eq!(snap.min_active(), ERA_INF);
+        let mut snap = EpochSnapshot::default();
         snap.insert(ERA_INF);
         snap.insert(7);
         snap.insert(5);
-        assert_eq!(snap.min_active(), 5);
+        assert!(snap.holds(5) && !snap.holds(4), "the oldest epoch is 5");
 
         let old = entry_with(1, 4); // retired before the oldest reader
         let pinned = entry_with(1, 5); // retired at the oldest reader's epoch
-        assert!(!snap.covers(&old));
-        assert!(snap.covers(&pinned));
+        assert_eq!(snap.judge(&old), Verdict::Free);
+        assert_eq!(snap.judge(&pinned), Verdict::PinnedBy(5));
         snap.clear();
-        assert_eq!(snap.min_active(), ERA_INF);
+        assert_eq!(snap.judge(&pinned), Verdict::Free, "no reader");
+        assert!(!snap.holds(u64::MAX - 1));
     }
 
     #[test]
     fn era_snapshot_binary_searches_lifespans() {
-        let mut snap = EraSnapshot::new();
+        let mut snap = EraSnapshot::default();
         snap.insert(ERA_INF); // ignored
         snap.insert(10);
         snap.insert(20);
         snap.insert(10); // deduped
         snap.seal();
-        assert_eq!(snap.len(), 2);
-        assert!(!snap.is_empty());
+        assert!(snap.contains(10) && snap.contains(20));
+        assert!(!snap.contains(ERA_INF), "the empty slot is not recorded");
 
-        assert!(snap.covers_span(5, 10), "era 10 inside [5,10]");
-        assert!(snap.covers_span(10, 30), "both eras inside");
-        assert!(snap.covers_span(15, 25), "era 20 inside [15,25]");
-        assert!(!snap.covers_span(11, 19), "gap between the eras");
-        assert!(!snap.covers_span(21, 99), "after every era");
-        assert!(!snap.covers_span(1, 9), "before every era");
+        assert_eq!(snap.first_in_span(5, 10), Some(10), "era 10 inside [5,10]");
+        assert_eq!(snap.first_in_span(10, 30), Some(10), "both eras inside");
+        assert_eq!(snap.first_in_span(15, 25), Some(20), "era 20 in [15,25]");
+        assert_eq!(snap.first_in_span(11, 19), None, "gap between the eras");
+        assert_eq!(snap.first_in_span(21, 99), None, "after every era");
+        assert_eq!(snap.first_in_span(1, 9), None, "before every era");
 
-        assert!(snap.covers(&entry_with(15, 25)));
+        assert_eq!(snap.judge(&entry_with(15, 25)), Verdict::PinnedBy(20));
         snap.clear();
-        assert!(snap.is_empty());
-        assert!(!snap.covers_span(0, ERA_INF));
+        assert!(!snap.contains(10) && !snap.contains(20));
+        assert_eq!(snap.first_in_span(0, ERA_INF), None);
     }
 
     #[test]
@@ -384,7 +345,7 @@ mod tests {
         assert_eq!(eras.first_in_span(31, 40), None);
         assert!(eras.contains(20) && !eras.contains(21));
 
-        let mut epochs = EpochSnapshot::new();
+        let mut epochs = EpochSnapshot::default();
         epochs.insert(7);
         let spans_two = entry_with(15, 25);
         assert_eq!(eras.judge(&spans_two), Verdict::PinnedBy(20));
@@ -399,7 +360,7 @@ mod tests {
         assert_eq!(eras.judge(&free), Verdict::Free);
         assert_eq!(epochs.judge(&free), Verdict::Free);
         assert!(
-            !EpochSnapshot::new().holds(u64::MAX - 1),
+            !EpochSnapshot::default().holds(u64::MAX - 1),
             "no reader, no witness"
         );
     }
@@ -407,9 +368,9 @@ mod tests {
     #[test]
     fn hazard_and_interval_snapshots_name_no_witness() {
         let entry = entry_with(15, 30);
-        let mut intervals = IntervalSnapshot::new();
+        let mut intervals = IntervalSnapshot::default();
         intervals.insert(10, 20);
-        let mut hazards = HazardSnapshot::new();
+        let mut hazards = HazardSnapshot::default();
         hazards.insert(entry.block() as u64);
         hazards.seal();
         assert_eq!(intervals.judge(&entry), Verdict::Pinned);
@@ -419,28 +380,27 @@ mod tests {
 
     #[test]
     fn interval_snapshot_checks_overlap() {
-        let mut snap = IntervalSnapshot::new();
+        let mut snap = IntervalSnapshot::default();
         snap.insert(10, 20);
-        assert_eq!(snap.len(), 1);
-        assert!(!snap.is_empty());
 
-        assert!(snap.covers(&entry_with(15, 30)));
-        assert!(!snap.covers(&entry_with(21, 30)));
+        let overlapping = entry_with(15, 30);
+        assert_eq!(snap.judge(&overlapping), Verdict::Pinned);
+        assert_eq!(snap.judge(&entry_with(21, 30)), Verdict::Free);
         snap.clear();
-        assert!(snap.is_empty());
+        assert_eq!(snap.judge(&overlapping), Verdict::Free, "no interval");
     }
 
     #[test]
     fn hazard_snapshot_matches_exact_addresses() {
         let a = entry_with(0, 0);
         let b = entry_with(0, 0);
-        let mut snap = HazardSnapshot::new();
+        let mut snap = HazardSnapshot::default();
         snap.insert(0); // ignored
         snap.insert(a.block() as u64);
         snap.insert(a.block() as u64); // deduped
         snap.seal();
-        assert_eq!(snap.len(), 1);
-        assert!(snap.covers(&a));
-        assert!(!snap.covers(&b));
+        assert!(!snap.contains(0), "the empty slot is not recorded");
+        assert_eq!(snap.judge(&a), Verdict::Pinned);
+        assert_eq!(snap.judge(&b), Verdict::Free);
     }
 }

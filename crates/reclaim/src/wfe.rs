@@ -76,8 +76,6 @@ mod domain;
 mod slow_path;
 mod state;
 
-#[cfg(test)]
-pub(crate) use domain::WfeSnapshot;
 pub use domain::{Wfe, WfeHandle};
 #[cfg(test)]
 pub(crate) use state::State;

@@ -8,8 +8,7 @@ use wfe_sync::{AtomicPair, CachePadded, EraSource};
 use crate::api::{DomainConfig, Progress, Reclaimer};
 use crate::block::{BlockHeader, ERA_INF, INVPTR};
 use crate::domain::{CellPtr, Domain, DomainHandle, Policy};
-use crate::retired::Retired;
-use crate::scan::{EraSnapshot, ReservationSet, Verdict};
+use crate::scan::EraSnapshot;
 use crate::slots::SlotTable;
 
 use super::state::State;
@@ -93,21 +92,19 @@ impl WfePolicy {
         self.app_slots() + HANDOVER_SLOT_OFFSET
     }
 
-    /// Snapshots one column range of the reservation table into `snapshot`
-    /// (eras only; the tag word is irrelevant to reclamation). The walk covers
+    /// Adds one column range of the reservation table to `snapshot` (eras
+    /// only; the tag word is irrelevant to reclamation). The walk covers
     /// the rows below the registry's mark ([`ThreadRegistry::high_water`](crate::registry::ThreadRegistry::high_water)):
     /// helper pins live in the rows of registered helpers, and a row beyond
     /// the mark was never registered.
     fn snapshot_columns(domain: &Wfe, snapshot: &mut EraSnapshot, js: usize, je: usize) {
         let reservations = &domain.policy().reservations;
-        snapshot.clear();
         for thread in 0..domain.registry().high_water() {
             for pair in &reservations.row(thread)[js..je] {
                 // ORDER: snapshot load; pairs with the Release era withdrawal (see scan.rs safety argument).
                 snapshot.insert(pair.load_first(Ordering::Acquire));
             }
         }
-        snapshot.seal();
     }
 
     /// The fast-path attempts after the second (Figure 4, lines 15-24), out
@@ -248,7 +245,7 @@ impl WfePolicy {
 // it (Lemmas 4 and 5). `fill_snapshot` keeps the Figure-4 scan order those
 // lemmas need, over every registered thread's row.
 unsafe impl Policy for WfePolicy {
-    type Snapshot = WfeSnapshot;
+    type Snapshot = EraSnapshot;
     type Cell = WfeCell;
     const NAME: &'static str = "WFE";
     const PROGRESS: Progress = Progress::WaitFree;
@@ -346,108 +343,33 @@ unsafe impl Policy for WfePolicy {
     /// snapshot once per batch (instead of re-reading the table per block)
     /// preserves it, because every block in the batch was retired before the
     /// first snapshot load.
-    fn fill_snapshot(domain: &Wfe, snapshot: &mut WfeSnapshot) {
+    ///
+    /// Every column read lands in one set, as in Hazard Eras: Figure 4 frees
+    /// a block only if no era read in any column lies in its lifespan, which
+    /// is the set's `first_in_span` over their union, and the smallest such
+    /// era is the witness.
+    fn fill_snapshot(domain: &Wfe, snapshot: &mut EraSnapshot) {
         let this = domain.policy();
         let max_hes = this.app_slots();
         // Figure 4, line 56: `counter_end` is read before any reservation.
         let counter_end = this.counter_end.load(Ordering::SeqCst);
+        snapshot.clear();
         // Normal reservations + parent pins (columns 0..=max_hes).
-        Self::snapshot_columns(domain, &mut snapshot.primary, 0, max_hes + 1);
-        snapshot.quiescent = counter_end == this.counter_start.load(Ordering::SeqCst);
-        if snapshot.quiescent {
-            snapshot.handover.clear();
-            snapshot.recheck.clear();
-        } else {
+        Self::snapshot_columns(domain, snapshot, 0, max_hes + 1);
+        if counter_end != this.counter_start.load(Ordering::SeqCst) {
             // A slow path may be in flight: a helper may be handing a
             // protected era over to a requester, so scan the hand-over pins
             // and then the normal reservations *again*.
-            Self::snapshot_columns(domain, &mut snapshot.handover, max_hes + 1, max_hes + 2);
-            Self::snapshot_columns(domain, &mut snapshot.recheck, 0, max_hes);
+            Self::snapshot_columns(domain, snapshot, max_hes + 1, max_hes + 2);
+            Self::snapshot_columns(domain, snapshot, 0, max_hes);
         }
+        snapshot.seal();
     }
 
     /// Figure 4, lines 69-71 and 80-82: help pending readers before advancing.
     #[inline]
     fn advance(domain: &Wfe, tid: usize) {
         Self::increment_era(domain, tid);
-    }
-}
-
-/// The WFE batch-scan scratch: three reusable era snapshots mirroring the
-/// three phases of the Figure-4 `cleanup()` eligibility check.
-#[derive(Debug, Default)]
-pub struct WfeSnapshot {
-    /// Normal reservations + parent pins, first pass.
-    primary: EraSnapshot,
-    /// Whether no slow-path cycle was in flight
-    /// (`counter_start == counter_end`) when the primary snapshot was taken.
-    quiescent: bool,
-    /// Hand-over pins (filled only when a slow path may be in flight).
-    handover: EraSnapshot,
-    /// Normal reservations, second pass (ditto).
-    recheck: EraSnapshot,
-}
-
-impl WfeSnapshot {
-    /// Builds a sealed snapshot from the eras of its three columns, for
-    /// tests that drive a [`RetiredBatch`](crate::retired::RetiredBatch)
-    /// without a domain; `fill_snapshot` is the only producer otherwise. A
-    /// `quiescent` snapshot ignores `handover` and `recheck`, as Figure 4
-    /// does.
-    #[cfg(test)]
-    pub(crate) fn from_eras(
-        primary: &[u64],
-        quiescent: bool,
-        handover: &[u64],
-        recheck: &[u64],
-    ) -> Self {
-        let sealed = |eras: &[u64]| eras.iter().copied().collect::<EraSnapshot>();
-        Self {
-            primary: sealed(primary),
-            quiescent,
-            handover: sealed(handover),
-            recheck: sealed(recheck),
-        }
-    }
-
-    /// The three-column rule of a pass during which a slow path may have
-    /// been in flight: the witness is the smallest era of any column inside
-    /// the block's lifespan.
-    fn in_flight_witness(&self, alloc_era: u64, retire_era: u64) -> Option<u64> {
-        [&self.primary, &self.handover, &self.recheck]
-            .into_iter()
-            .filter_map(|column| column.first_in_span(alloc_era, retire_era))
-            .min()
-    }
-}
-
-impl ReservationSet for WfeSnapshot {
-    /// The witness is the smallest era of any live column inside the
-    /// block's lifespan — the oldest publication that pins it. A quiescent
-    /// pass (every pass without a slow path in flight) has one live column,
-    /// so its verdict is Hazard Eras' own: one search.
-    #[inline]
-    fn judge(&self, entry: &Retired) -> Verdict {
-        let (alloc_era, retire_era) = (entry.alloc_era(), entry.retire_era());
-        let witness = if self.quiescent {
-            self.primary.first_in_span(alloc_era, retire_era)
-        } else {
-            self.in_flight_witness(alloc_era, retire_era)
-        };
-        match witness {
-            Some(era) => Verdict::PinnedBy(era),
-            None => Verdict::Free,
-        }
-    }
-
-    /// An era found in any live column — a normal reservation, a parent pin
-    /// or, mid-slow-path, a hand-over pin — covers exactly the blocks whose
-    /// lifespan contains it, whichever column `judge` first saw it in.
-    #[inline]
-    fn holds(&self, witness: u64) -> bool {
-        self.primary.contains(witness)
-            || (!self.quiescent
-                && (self.handover.contains(witness) || self.recheck.contains(witness)))
     }
 }
 
@@ -620,56 +542,55 @@ mod tests {
     }
 
     #[test]
-    fn non_quiescent_columns_count_and_quiescent_ones_do_not() {
-        let block = Linked::alloc(0u64, 4);
-        // SAFETY: a fresh, never-published block, on this one entry.
-        let entry = unsafe { Retired::new(Linked::as_header(block), 9) };
-        let in_flight = WfeSnapshot::from_eras(&[12], false, &[8, 6], &[5]);
-        assert_eq!(
-            in_flight.judge(&entry),
-            Verdict::PinnedBy(5),
-            "the oldest pin"
-        );
-        assert!(in_flight.holds(6) && in_flight.holds(12) && !in_flight.holds(7));
-        let quiescent = WfeSnapshot::from_eras(&[12], true, &[8, 6], &[5]);
-        assert_eq!(quiescent.judge(&entry), Verdict::Free);
-        assert!(quiescent.holds(12) && !quiescent.holds(6));
-        // SAFETY: the entry is done with; the block is freed exactly once.
-        unsafe { Linked::dealloc(block) };
-    }
-
-    #[test]
-    fn the_quiescent_verdict_is_the_three_column_rule_with_no_slow_path_in_flight() {
-        // SplitMix64: random primaries, ignored columns and lifespans over a
-        // small era range, so spans hit, miss and straddle the columns.
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = move |bound: u64| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % bound
+    fn a_hand_over_pin_counts_only_while_a_slow_path_is_in_flight() {
+        // Figure 4 reads the hand-over pins only when `counter_start` has
+        // moved past `counter_end`. A stray pin outside a slow path is not
+        // read; inside one it joins the reservations, and the witness is the
+        // oldest era of either inside the block's lifespan.
+        let domain = Wfe::with_config(DomainConfig {
+            cleanup_freq: usize::MAX,
+            era_freq: usize::MAX,
+            ..DomainConfig::with_max_threads(3)
+        });
+        let mut requester = domain.register();
+        let helper = domain.register();
+        let mut cleaner = domain.register();
+        let handover_pin = domain
+            .policy()
+            .reservations
+            .get(helper.thread_id(), domain.policy().handover_slot());
+        let reservation = domain.policy().reservations.get(requester.thread_id(), 0);
+        // Retires a block whose lifespan is `[era, era + 1]`; returns `era`.
+        let retire_spanning_two_eras = |cleaner: &mut WfeHandle| {
+            let era = domain.era();
+            let node = cleaner.alloc(7u64);
+            domain.era_source().advance(Ordering::SeqCst);
+            // SAFETY: the block was never published; retired exactly once.
+            unsafe { cleaner.retire(node) };
+            era
         };
-        for _ in 0..2_000 {
-            let mut column = |len: u64| (0..next(len)).map(|_| next(40)).collect::<Vec<_>>();
-            let (primary, handover, recheck) = (column(6), column(4), column(4));
-            let quiescent = WfeSnapshot::from_eras(&primary, true, &handover, &recheck);
-            let rule = WfeSnapshot::from_eras(&primary, false, &[], &[]);
-            let alloc_era = next(40);
-            let retire_era = alloc_era + next(12);
-            let block = Linked::alloc(0u64, alloc_era);
-            // SAFETY: a fresh, never-published block, on this one entry.
-            let entry = unsafe { Retired::new(Linked::as_header(block), retire_era) };
-            assert_eq!(
-                quiescent.judge(&entry),
-                rule.judge(&entry),
-                "{primary:?} {handover:?} {recheck:?} [{alloc_era}, {retire_era}]"
-            );
-            let witness = next(40);
-            assert_eq!(quiescent.holds(witness), rule.holds(witness));
-            // SAFETY: the entry is done with; the block is freed exactly once.
-            unsafe { Linked::dealloc(block) };
-        }
+
+        // Quiescent: `counter_start == counter_end`.
+        let era = retire_spanning_two_eras(&mut cleaner);
+        handover_pin.store_first(era, Ordering::SeqCst);
+        cleaner.force_cleanup();
+        assert_eq!(domain.stats().unreclaimed, 0, "the stray pin is not read");
+
+        // In flight: the pin counts, and it is older than the reservation.
+        let era = retire_spanning_two_eras(&mut cleaner);
+        handover_pin.store_first(era, Ordering::SeqCst);
+        reservation.store_first(era + 1, Ordering::SeqCst);
+        domain.policy().counter_start.fetch_add(1, Ordering::SeqCst);
+        cleaner.force_cleanup();
+        assert_eq!(domain.stats().unreclaimed, 1, "the hand-over pin keeps it");
+        assert_eq!(cleaner.parked_groups(), [(era, 1)], "the oldest pin");
+
+        handover_pin.store_first(ERA_INF, Ordering::SeqCst);
+        domain.policy().counter_end.fetch_add(1, Ordering::SeqCst);
+        requester.clear();
+        cleaner.force_cleanup();
+        assert_eq!(domain.stats().unreclaimed, 0);
+        assert!(cleaner.parked_groups().is_empty());
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn detect_native_wcas() -> bool {
 /// This is a test-only hook: mixing native and lock-based operations on the
 /// same [`AtomicPair`] is not linearizable, so this must be called before any
 /// pair is touched — in practice from a dedicated test process (see
-/// `crates/atomics/tests/lock_fallback.rs`). It is hidden from docs and must
+/// `crates/sync/tests/lock_fallback.rs`). It is hidden from docs and must
 /// not be called from production code.
 #[doc(hidden)]
 pub fn force_lock_fallback_for_tests() {

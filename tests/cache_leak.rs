@@ -173,8 +173,8 @@ fn a_cache_off_domain_takes_no_slab_block() {
     })
 }
 
-/// `alloc` then `discard` under the environment's cache setting (the
-/// `block-cache-matrix` CI legs run this with `WFE_BLOCK_CACHE` on and off):
+/// `alloc` then `discard` under the environment's cache setting (CI runs
+/// this with the cache on in build-and-test and off in `block-cache-off`):
 /// with a magazine the memory stays with the handle and the next `alloc`
 /// returns the same address; without one the block is a `Box`, freed to the
 /// allocator. Either way no reclamation counter moves.

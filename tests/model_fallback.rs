@@ -5,7 +5,7 @@
 //! a process-global switch: native `cmpxchg16b` operations and lock-based
 //! ones on the same pair are not linearizable against each other, so the
 //! fallback path needs a process where *every* pair operation takes a lock.
-//! (`crates/atomics/tests/lock_fallback.rs` is the same pattern for normal
+//! (`crates/sync/tests/lock_fallback.rs` is the same pattern for normal
 //! builds.)
 
 #![cfg(wfe_model)]

@@ -1,7 +1,7 @@
 //! Resize-storm stress: writer threads hammer the split-ordered resizable
 //! map while a dedicated thread forces directory doubling after doubling —
-//! every superseded bucket array retired mid-traffic. Run in release mode by
-//! the CI `resize-stress` leg.
+//! every superseded bucket array retired mid-traffic. CI runs it in release
+//! mode (build-and-test's release stress step).
 //!
 //! The workloads are randomized but replayable: a failure prints the run
 //! seed, and `WFE_STRESS_SEED=<seed>` pins the identical workload streams.
