@@ -209,9 +209,8 @@ impl ReservationSet for EraSnapshot {
 }
 
 /// 2GEIBR scratch: one `[lower, upper]` interval per active thread. The
-/// per-block test is a linear overlap check over the (few) active intervals —
-/// with zero atomic loads, where the old protocol paid two per thread per
-/// block.
+/// per-block test is a linear overlap check over the (few) active intervals,
+/// with no atomic load.
 #[derive(Debug, Default)]
 pub struct IntervalSnapshot {
     intervals: Vec<(u64, u64)>,
